@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Excited-state relaxation against bath temperature.
 
-Runs the memoryless protocol (p_s = 0) with purified thermal ancilla
-pairs for a range of inverse temperatures and prints the stationary
-excited population next to the Boltzmann value of the bath ancillas.
+Runs the memoryless protocol (p_s = 0) with every ancilla starting in
+the mixed thermal state, for a range of inverse temperatures, and prints
+the stationary excited population next to the Boltzmann value of the
+bath ancillas.
 
 Usage: python scripts/thermal_relaxation.py
 """

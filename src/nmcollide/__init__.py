@@ -3,8 +3,9 @@
 Discrete system-ancilla collision protocol with incoherent partial-swap
 intra-bath collisions, its continuous-limit dynamical maps (convolution
 series and resolvent), the closed-form solution for a resonant
-excitation-exchange coupling, finite-temperature baths via purification,
-and CPT certification of every produced map.
+excitation-exchange coupling, finite-temperature baths whose ancillas
+start in a mixed thermal state, and CPT certification of every produced
+map.
 """
 
 from .collisions import (

@@ -12,8 +12,7 @@ Every run writes ``results.csv`` with the fixed header
 ``tau,gamma_bar,beta1,beta2,trace_distance_vs_discrete,min_choi_eig``
 (absent columns left empty, floats printed with 17 significant digits) and
 ``manifest.json`` echoing the config, library versions, and timings.
-Identical config and seed give byte-identical CSV output; the env var
-NMCOLLIDE_THREADS caps sweep parallelism without affecting results.
+Identical config and seed give byte-identical CSV output.
 
 Exit codes: 0 success, 2 unparseable or invalid config, 3 certification
 failure, 4 numerical divergence.
@@ -22,9 +21,7 @@ failure, 4 numerical divergence.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -97,28 +94,6 @@ def _write_csv(path: Path, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _thread_count() -> int:
-    env = os.environ.get("NMCOLLIDE_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigurationError(f"NMCOLLIDE_THREADS={env!r} is not an integer")
-        if n < 1:
-            raise ConfigurationError("NMCOLLIDE_THREADS must be at least 1")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
-def _map_ordered(fn, items):
-    """Apply fn to items concurrently, preserving input order in the output."""
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def load_config(path: str, *, default_mode: Optional[str] = None) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
@@ -184,32 +159,52 @@ def _range_values(spec, name: str):
     raise ConfigurationError(f"field '{name}' must be a list or a start/stop/count object")
 
 
+def _number(value, name: str):
+    """A finite JSON number (not a string or a boolean), else a config error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise ConfigurationError(f"field '{name}' must be a finite number, got {value!r}")
+    return value
+
+
+def _numbers(value, name: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigurationError(f"field '{name}' must be a nonempty list of numbers")
+    return tuple(_number(v, name) for v in value)
+
+
 def _collision_from_config(spec: dict) -> CollisionConfig:
     for key in ("t_c", "p_s", "n_steps"):
         if key not in spec:
             raise ConfigurationError(f"collision config is missing field '{key}'")
+        _number(spec[key], key)
+    if spec["n_steps"] != int(spec["n_steps"]):
+        raise ConfigurationError("field 'n_steps' must be an integer")
     bath_spec = spec.get("bath", {"kind": "pure_ground"})
+    if not isinstance(bath_spec, dict):
+        raise ConfigurationError("field 'bath' must be an object with a 'kind' field")
     kind = bath_spec.get("kind")
     if kind == "pure_ground":
         bath = BathSpec(kind="pure_ground")
     elif kind == "thermal":
         if "weights" in bath_spec:
-            bath = BathSpec(kind="thermal", weights=tuple(bath_spec["weights"]))
+            bath = BathSpec(kind="thermal", weights=_numbers(bath_spec["weights"], "weights"))
         else:
             for key in ("energies", "inverse_temperature"):
                 if key not in bath_spec:
                     raise ConfigurationError(f"thermal bath is missing field '{key}'")
             bath = BathSpec(
                 kind="thermal",
-                energies=tuple(bath_spec["energies"]),
-                inverse_temperature=float(bath_spec["inverse_temperature"]),
+                energies=_numbers(bath_spec["energies"], "energies"),
+                inverse_temperature=float(
+                    _number(bath_spec["inverse_temperature"], "inverse_temperature")
+                ),
             )
     else:
         raise ConfigurationError(f"unknown bath kind {kind!r}")
-    omega = float(spec.get("omega", 1.0))
+    omega = float(_number(spec.get("omega", 1.0), "omega"))
     return CollisionConfig(
-        system_dim=int(spec.get("system_dim", 2)),
-        ancilla_dim=int(spec.get("ancilla_dim", 2)),
+        system_dim=int(_number(spec.get("system_dim", 2), "system_dim")),
+        ancilla_dim=int(_number(spec.get("ancilla_dim", 2), "ancilla_dim")),
         hamiltonian=jc_hamiltonian(omega),
         t_c=float(spec["t_c"]),
         p_s=float(spec["p_s"]),
@@ -273,11 +268,10 @@ def _mode_certify(cfg: ExperimentConfig):
                 probe_defect = max(probe_defect, abs(float(np.trace(out.data).real) - 1.0))
         return rows, report, probe_defect
 
-    results = _map_ordered(one_gamma, _gamma_list(cfg))
+    gammas = _gamma_list(cfg)
+    results = [one_gamma(g) for g in gammas]
     rows = [row for chunk, _, _ in results for row in chunk]
-    reports = {
-        g: rep.as_dict() for g, (_, rep, _) in zip(_gamma_list(cfg), results)
-    }
+    reports = {g: rep.as_dict() for g, (_, rep, _) in zip(gammas, results)}
     verdict = all(rep[1].verdict for rep in results)
     extras = {
         "cpt_report.json": {
@@ -429,12 +423,12 @@ def _mode_sweep(cfg: ExperimentConfig):
     if any(t < 0 for t in taus):
         raise ConfigurationError("tau must be nonnegative")
 
-    def one_gamma(g: float):
-        chunk = []
+    rows = []
+    for g in gammas:
         for tau in taus:
             pair = beta_pair(float(tau), float(g))
             ch = lambda_jc_channel(float(tau), float(g))
-            chunk.append(
+            rows.append(
                 {
                     "tau": tau,
                     "gamma_bar": g,
@@ -443,10 +437,7 @@ def _mode_sweep(cfg: ExperimentConfig):
                     "min_choi_eig": choi_of(ch).min_eigenvalue(),
                 }
             )
-        return chunk
-
-    chunks = _map_ordered(one_gamma, gammas)
-    return [row for chunk in chunks for row in chunk], {}, None
+    return rows, {}, None
 
 
 # --- orchestration -----------------------------------------------------------

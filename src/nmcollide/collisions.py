@@ -9,14 +9,19 @@ the S-n collisions are over.
 The engine exploits the fact that ancilla i never interacts again after
 the i-(i+1) swap: it is traced out immediately, so the simulation carries
 only the joint state of the system and the single upcoming ancilla (the
-sliding window). Cost is linear in the step count instead of exponential.
-The literal full-chain simulation lives in :mod:`nmcollide.verify` as the
-oracle for this reduction.
+sliding window). With the fresh ancilla state rho_A, one step is
 
-Finite bath temperature enters through purification: each ancilla becomes
-an entangled pair of which only the first half couples to the system, and
-AA collisions swap whole pairs. Fresh-pair marginals reproduce the thermal
-single-ancilla state exactly.
+    W <- U (p_s W + (1 - p_s) Tr_A(W) (x) rho_A) U^dag:
+
+the swap branch carries the window onto the fresh ancilla, the identity
+branch leaves the fresh ancilla beside the reduced system state. Cost is
+linear in the step count instead of exponential. The literal full-chain
+simulation lives in :mod:`nmcollide.verify` as the oracle for this
+reduction.
+
+Finite bath temperature needs no extra machinery: every ancilla simply
+starts in the mixed Boltzmann state rho_A = diag(w) instead of |0><0|,
+and the same window loop runs for both baths.
 """
 
 from __future__ import annotations
@@ -31,10 +36,7 @@ from .quantum import (
     DensityOperator,
     HermitianOperator,
     KrausChannel,
-    _apply_kraus_matrix,
     _partial_trace_matrix,
-    embed_operator,
-    ket,
     swap_operator,
     unitary_evolution,
 )
@@ -48,7 +50,6 @@ __all__ = [
     "run_discrete",
     "run_discrete_thermal",
     "thermal_weights",
-    "purified_pair_ket",
 ]
 
 
@@ -183,64 +184,27 @@ def sa_collision(rho_joint: DensityOperator, h: HermitianOperator, t_c: float) -
     return DensityOperator(u @ rho_joint.data @ u.conj().T)
 
 
-def purified_pair_ket(weights) -> np.ndarray:
-    """|psi> = sum_k sqrt(w_k) |k>|k>, whose first-half marginal is the mixture w."""
-    w = np.asarray(weights, dtype=float)
-    d = w.shape[0]
-    psi = np.zeros(d * d, dtype=np.complex128)
-    for k in range(d):
-        psi[k * d + k] = np.sqrt(w[k])
-    return psi
-
-
-def _fresh_unit(cfg: CollisionConfig, thermal: bool):
-    """Initial state of one bath unit and the Hamiltonian acting on S + unit.
-
-    Pure/ground bath: the unit is a single ancilla in |0>. Thermal bath:
-    the unit is a purified ancilla pair; the coupling acts on the first
-    half only, and AA swaps exchange whole units.
-    """
-    da = cfg.ancilla_dim
-    if not thermal:
-        v = ket(da, 0)
-        return np.outer(v, v.conj()), da, cfg.hamiltonian.data
-    w = cfg.bath.weight_vector(da)
-    psi = purified_pair_ket(w)
-    unit = np.outer(psi, psi.conj())
-    h_pair = np.kron(cfg.hamiltonian.data, np.eye(da, dtype=np.complex128))
-    return unit, da * da, h_pair
-
-
-def _window_run(cfg: CollisionConfig, rho0: DensityOperator, thermal: bool) -> TrajectoryRecord:
+def _window_run(cfg: CollisionConfig, rho0: DensityOperator) -> TrajectoryRecord:
     if rho0.dim != cfg.system_dim:
         raise ConfigurationError(f"initial state dim {rho0.dim} != system dim {cfg.system_dim}")
-    unit, u_dim, h_full = _fresh_unit(cfg, thermal)
-    ds = cfg.system_dim
-    u_sa = unitary_evolution(h_full, cfg.t_c)
+    dims = [cfg.system_dim, cfg.ancilla_dim]
+    fresh = np.diag(cfg.bath.weight_vector(cfg.ancilla_dim)).astype(np.complex128)
+    u_sa = unitary_evolution(cfg.hamiltonian, cfg.t_c)
     u_sa_dag = u_sa.conj().T
 
-    swap_kraus = None
-    if cfg.n_steps >= 2:
-        sw = partial_swap_channel(u_dim, cfg.p_s)
-        swap_kraus = tuple(
-            embed_operator(k, [ds, u_dim, u_dim], [1, 2]) for k in sw.kraus
-        )
-
-    states = [rho0]
-    window = np.kron(rho0.data, unit)
-    window = u_sa @ window @ u_sa_dag
-    states.append(DensityOperator(_partial_trace_matrix(window, [ds, u_dim], (0,))))
+    window = u_sa @ np.kron(rho0.data, fresh) @ u_sa_dag
+    rho_s = _partial_trace_matrix(window, dims, (0,))
+    states = [rho0, DensityOperator(rho_s)]
 
     for _ in range(2, cfg.n_steps + 1):
-        w3 = np.kron(window, unit)
-        w3 = _apply_kraus_matrix(swap_kraus, w3)
-        window = _partial_trace_matrix(w3, [ds, u_dim, u_dim], (0, 2))
+        window = cfg.p_s * window + (1.0 - cfg.p_s) * np.kron(rho_s, fresh)
         window = u_sa @ window @ u_sa_dag
         # the exact dynamics preserves Hermiticity and trace; restore both each
         # step so rounding cannot drift systematically over long runs
         window = 0.5 * (window + window.conj().T)
         window = window / np.trace(window).real
-        states.append(DensityOperator(_partial_trace_matrix(window, [ds, u_dim], (0,))))
+        rho_s = _partial_trace_matrix(window, dims, (0,))
+        states.append(DensityOperator(rho_s))
 
     times = tuple(n * cfg.t_c for n in range(cfg.n_steps + 1))
     return TrajectoryRecord(tuple(states), times)
@@ -250,11 +214,11 @@ def run_discrete(cfg: CollisionConfig, rho0: DensityOperator) -> TrajectoryRecor
     """Run the protocol with every ancilla initially in the pure ground state."""
     if cfg.bath.kind != "pure_ground":
         raise ConfigurationError("run_discrete expects a pure_ground bath; see run_discrete_thermal")
-    return _window_run(cfg, rho0, thermal=False)
+    return _window_run(cfg, rho0)
 
 
 def run_discrete_thermal(cfg: CollisionConfig, rho0: DensityOperator) -> TrajectoryRecord:
-    """Run the protocol with purified thermal ancilla pairs."""
+    """Run the protocol with every ancilla initially in the thermal mixture."""
     if cfg.bath.kind != "thermal":
         raise ConfigurationError("run_discrete_thermal expects a thermal bath")
-    return _window_run(cfg, rho0, thermal=True)
+    return _window_run(cfg, rho0)

@@ -5,6 +5,11 @@ transform is a fixed-Talbot contour quadrature in arbitrary precision,
 the brute-force chain simulator holds every ancilla in memory instead of
 the sliding window, and the certifier recomputes Choi spectra from
 scratch for whatever maps it is handed.
+
+Only the oracle purifies: where the engine starts each thermal ancilla in
+its mixed Boltzmann state, the brute-force chain holds every ancilla as a
+pure entangled pair whose first half couples to the system, and swaps
+whole pairs. The pair marginal is the thermal state, so both must agree.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import mpmath
 import numpy as np
 
-from .collisions import BathSpec, CollisionConfig, TrajectoryRecord, _fresh_unit, run_discrete
+from .collisions import BathSpec, CollisionConfig, TrajectoryRecord, run_discrete
 from .continuum import DynamicalMap, TimeGrid
 from .errors import ConfigurationError, DivergenceError
 from .jaynes_cummings import QubitStateParams, jc_hamiltonian, lambda_jc, lambda_jc_superop
@@ -26,6 +31,7 @@ from .quantum import (
     _partial_trace_matrix,
     choi_of,
     embed_operator,
+    ket,
     swap_operator,
     trace_distance,
     unitary_evolution,
@@ -36,6 +42,7 @@ __all__ = [
     "ConvergenceReport",
     "inverse_laplace",
     "brute_force_chain",
+    "purified_pair_ket",
     "certify_cpt",
     "convergence_study",
     "calibrated_swap_probability",
@@ -85,6 +92,32 @@ def inverse_laplace(transform: Callable, t: float, n_nodes: int = 64) -> float:
 # --- brute-force chain oracle ------------------------------------------------
 
 
+def purified_pair_ket(weights) -> np.ndarray:
+    """|psi> = sum_k sqrt(w_k) |k>|k>, whose first-half marginal is the mixture w."""
+    w = np.asarray(weights, dtype=float)
+    d = w.shape[0]
+    psi = np.zeros(d * d, dtype=np.complex128)
+    for k in range(d):
+        psi[k * d + k] = np.sqrt(w[k])
+    return psi
+
+
+def _bath_unit(cfg: CollisionConfig):
+    """Initial state of one bath unit and the Hamiltonian acting on S + unit.
+
+    Pure/ground bath: the unit is a single ancilla in |0>. Thermal bath:
+    the unit is a purified ancilla pair; the coupling acts on the first
+    half only, and AA swaps exchange whole units.
+    """
+    da = cfg.ancilla_dim
+    if cfg.bath.kind != "thermal":
+        v = ket(da, 0)
+        return np.outer(v, v.conj()), da, cfg.hamiltonian.data
+    psi = purified_pair_ket(cfg.bath.weight_vector(da))
+    h_pair = np.kron(cfg.hamiltonian.data, np.eye(da, dtype=np.complex128))
+    return np.outer(psi, psi.conj()), da * da, h_pair
+
+
 def brute_force_chain(cfg: CollisionConfig, rho0: DensityOperator,
                       n_max: int = 6) -> TrajectoryRecord:
     """Literal protocol simulation holding the system and every ancilla.
@@ -98,8 +131,7 @@ def brute_force_chain(cfg: CollisionConfig, rho0: DensityOperator,
         )
     if rho0.dim != cfg.system_dim:
         raise ConfigurationError("initial state dimension mismatch")
-    thermal = cfg.bath.kind == "thermal"
-    unit, u_dim, h_full = _fresh_unit(cfg, thermal)
+    unit, u_dim, h_full = _bath_unit(cfg)
     n = cfg.n_steps
     ds = cfg.system_dim
     dims = [ds] + [u_dim] * n

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from nmcollide.cli import CSV_HEADER, main
 
@@ -118,6 +119,36 @@ class TestRun:
         taus = np.array([float(r[0]) for r in rows])
         b2 = np.array([float(r[3]) for r in rows])
         assert np.max(np.abs(b2 - np.cos(taus) ** 2)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"bath": "hot"}, "bath"),
+            ({"n_steps": "abc"}, "n_steps"),
+            ({"n_steps": 2.5}, "n_steps"),
+            ({"t_c": None}, "t_c"),
+            ({"p_s": "0.5"}, "p_s"),
+            ({"p_s": True}, "p_s"),
+            ({"omega": "x"}, "omega"),
+            ({"bath": {"kind": "thermal", "energies": "ab", "inverse_temperature": 1.0}},
+             "energies"),
+            ({"bath": {"kind": "thermal", "energies": [0.0, 1.0], "inverse_temperature": "hot"}},
+             "inverse_temperature"),
+        ],
+        ids=["bath-string", "n_steps-string", "n_steps-fraction", "t_c-null", "p_s-string",
+             "p_s-bool", "omega-string", "energies-string", "inverse_temperature-string"],
+    )
+    def test_malformed_collision_exits_2(self, tmp_path, capsys, override, field):
+        collision = {"t_c": 0.05, "p_s": 0.5, "n_steps": 4, **override}
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"mode": "discrete", "collision": collision, "output_path": str(tmp_path / "out")},
+        )
+        assert main(["run", cfg]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == 2
+        assert field in err["error"]["message"]
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_convergence_mode_writes_report(self, tmp_path):
         cfg = write_config(
@@ -252,23 +283,6 @@ class TestSweep:
         assert main(["sweep", cfg]) == 0
         second = (tmp_path / "out" / "results.csv").read_bytes()
         assert first == second
-
-    def test_parallelism_does_not_change_output(self, tmp_path, monkeypatch):
-        cfg = write_config(
-            tmp_path, "cfg.json",
-            {
-                "gamma_bar": {"start": 0.0, "stop": 5.0, "count": 6},
-                "tau": {"start": 0.0, "stop": 3.0, "count": 25},
-                "output_path": str(tmp_path / "out"),
-            },
-        )
-        monkeypatch.setenv("NMCOLLIDE_THREADS", "1")
-        assert main(["sweep", cfg]) == 0
-        serial = (tmp_path / "out" / "results.csv").read_bytes()
-        monkeypatch.setenv("NMCOLLIDE_THREADS", "4")
-        assert main(["sweep", cfg]) == 0
-        parallel = (tmp_path / "out" / "results.csv").read_bytes()
-        assert serial == parallel
 
     def test_missing_tau_range(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {"gamma_bar": [0.0]})

@@ -19,8 +19,8 @@ from nmcollide import (
     thermal_weights,
     trace_distance,
 )
-from nmcollide.collisions import purified_pair_ket
 from nmcollide.continuum import build_thermal_kernel_map
+from nmcollide.verify import purified_pair_ket
 
 PROBE = DensityOperator(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
 
@@ -215,10 +215,10 @@ class TestThermal:
         assert abs(traj.populations(1)[-1] - target) < 1e-9
 
     def test_perfect_swap_tracks_thermal_kernel(self, jc_h):
-        # pair swaps hand each fresh pair the full predecessor state including
+        # swaps hand each fresh ancilla the full predecessor state including
         # system correlations, so at p_s = 1 the trajectory equals the thermal
-        # kernel channel at stroboscopic times; this pins down the whole-pair
-        # swap convention against the continuum construction
+        # kernel channel at stroboscopic times; this pins down the swap
+        # convention against the continuum construction
         bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=0.9)
         kernel = build_thermal_kernel_map(jc_h, energies=(0.0, 1.0), inverse_temperature=0.9)
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.05, p_s=1.0, n_steps=80, bath=bath)

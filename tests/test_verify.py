@@ -72,9 +72,12 @@ class TestBruteForceChain:
         b = brute_force_chain(cfg, PROBE)
         assert max(trace_distance(x, y) for x, y in zip(a.states, b.states)) < 1e-12
 
-    def test_matches_sliding_window_thermal(self, jc_h):
-        bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=0.7)
-        cfg = CollisionConfig(2, 2, jc_h, t_c=0.4, p_s=0.3, n_steps=3, bath=bath)
+    @pytest.mark.parametrize("p_s", [0.0, 0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("beta", [0.0, 0.7, 3.0])
+    def test_matches_sliding_window_thermal(self, jc_h, beta, p_s):
+        # the engine's mixed ancillas against the oracle's purified pairs
+        bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=beta)
+        cfg = CollisionConfig(2, 2, jc_h, t_c=0.4, p_s=p_s, n_steps=3, bath=bath)
         a = run_discrete_thermal(cfg, PROBE)
         b = brute_force_chain(cfg, PROBE)
         assert max(trace_distance(x, y) for x, y in zip(a.states, b.states)) < 1e-12
