@@ -176,8 +176,8 @@ def _collision_from_config(spec: dict) -> CollisionConfig:
     for key in ("t_c", "p_s", "n_steps"):
         if key not in spec:
             raise ConfigurationError(f"collision config is missing field '{key}'")
-        _number(spec[key], key)
-    if spec["n_steps"] != int(spec["n_steps"]):
+    t_c, p_s, n_steps = (_number(spec[key], key) for key in ("t_c", "p_s", "n_steps"))
+    if n_steps != int(n_steps):
         raise ConfigurationError("field 'n_steps' must be an integer")
     bath_spec = spec.get("bath", {"kind": "pure_ground"})
     if not isinstance(bath_spec, dict):
@@ -206,9 +206,9 @@ def _collision_from_config(spec: dict) -> CollisionConfig:
         system_dim=int(_number(spec.get("system_dim", 2), "system_dim")),
         ancilla_dim=int(_number(spec.get("ancilla_dim", 2), "ancilla_dim")),
         hamiltonian=jc_hamiltonian(omega),
-        t_c=float(spec["t_c"]),
-        p_s=float(spec["p_s"]),
-        n_steps=int(spec["n_steps"]),
+        t_c=float(t_c),
+        p_s=float(p_s),
+        n_steps=int(n_steps),
         bath=bath,
     )
 
