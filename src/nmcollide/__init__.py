@@ -48,8 +48,10 @@ from .jaynes_cummings import (
     adc_channel,
     beta1,
     beta2,
+    beta_arrays,
     beta_laplace,
     beta_pair,
+    choi_stack,
     cubic_spectrum,
     cubic_spectrum_cardano,
     jc_hamiltonian,

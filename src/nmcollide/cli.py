@@ -14,8 +14,14 @@ Every run writes ``results.csv`` with the fixed header
 ``manifest.json`` echoing the config, library versions, and timings.
 Identical config and seed give byte-identical CSV output.
 
-Exit codes: 0 success, 2 unparseable or invalid config, 3 certification
-failure, 4 numerical divergence.
+The closed-form modes (``jc_closed_form``, ``certify``, ``sweep``) take one
+gamma_bar at a time over its whole tau array: vector betas, one (n, 4, 4)
+Choi stack, and one batched Hermitian eigensolve for its spectra.
+
+Exit codes, each failure with a JSON error on stderr: 0 success, 2
+unparseable or invalid config, 3 certification failure, 4 numerical failure
+(a series that did not converge, a diverged quadrature, or a provably
+bounded quantity out of range).
 """
 
 from __future__ import annotations
@@ -40,9 +46,16 @@ from .continuum import (
     build_thermal_kernel_map,
     lambda_series,
 )
-from .errors import ConfigurationError, DivergenceError, TruncationError
-from .jaynes_cummings import beta_pair, jc_hamiltonian, lambda_jc_channel
-from .quantum import DensityOperator, apply_channel, choi_of, trace_distance
+from .errors import (
+    ConfigurationError,
+    DivergenceError,
+    InternalConsistencyError,
+    TruncationError,
+    ValidationError,
+)
+from .jaynes_cummings import beta_arrays, choi_stack, jc_hamiltonian
+from .quantum import DensityOperator, trace_distance
+from .tolerances import DEFAULT_TOLERANCES
 from .verify import certify_cpt, convergence_study, random_density_operator
 
 CSV_HEADER = "tau,gamma_bar,beta1,beta2,trace_distance_vs_discrete,min_choi_eig"
@@ -51,7 +64,7 @@ MODES = ("discrete", "series", "jc_closed_form", "thermal", "convergence", "cert
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CERTIFICATION = 3
-EXIT_DIVERGENCE = 4
+EXIT_NUMERICAL = 4
 
 
 @dataclass
@@ -124,38 +137,30 @@ def load_config(path: str, *, default_mode: Optional[str] = None) -> ExperimentC
 
 
 def _tau_grid(cfg: ExperimentConfig):
-    tau_max = float(cfg.require("tau_max"))
-    n = int(cfg.require("tau_points"))
-    if tau_max <= 0 or n < 2:
-        raise ConfigurationError("need tau_max > 0 and tau_points >= 2")
+    tau_max = float(_number(cfg.require("tau_max"), "tau_max"))
+    n = _integer(cfg.require("tau_points"), "tau_points", minimum=2)
+    if tau_max <= 0:
+        raise ConfigurationError("need tau_max > 0")
     return np.linspace(0.0, tau_max, n)
 
 
 def _gamma_list(cfg: ExperimentConfig):
     g = cfg.require("gamma_bar")
-    values = g if isinstance(g, list) else [g]
-    out = []
-    for v in values:
-        v = float(v)
-        if v < 0:
-            raise ConfigurationError("gamma_bar must be nonnegative")
-        out.append(v)
-    return out
+    values = [float(v) for v in _numbers(g if isinstance(g, list) else [g], "gamma_bar")]
+    if min(values) < 0:
+        raise ConfigurationError("gamma_bar must be nonnegative")
+    return values
 
 
 def _range_values(spec, name: str):
     if isinstance(spec, list):
-        return [float(v) for v in spec]
+        return [float(v) for v in _numbers(spec, name)]
     if isinstance(spec, dict):
         for key in ("start", "stop", "count"):
             if key not in spec:
                 raise ConfigurationError(f"range '{name}' is missing field '{key}'")
-        count = int(spec["count"])
-        if count < 1:
-            raise ConfigurationError(f"range '{name}' needs count >= 1")
-        if count == 1:
-            return [float(spec["start"])]
-        return list(np.linspace(float(spec["start"]), float(spec["stop"]), count))
+        start, stop = (float(_number(spec[key], f"{name}.{key}")) for key in ("start", "stop"))
+        return list(np.linspace(start, stop, _integer(spec["count"], f"{name}.count", minimum=1)))
     raise ConfigurationError(f"field '{name}' must be a list or a start/stop/count object")
 
 
@@ -164,6 +169,13 @@ def _number(value, name: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
         raise ConfigurationError(f"field '{name}' must be a finite number, got {value!r}")
     return value
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    value = _number(value, name)
+    if value != int(value) or value < minimum:
+        raise ConfigurationError(f"field '{name}' must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _numbers(value, name: str) -> tuple:
@@ -176,9 +188,8 @@ def _collision_from_config(spec: dict) -> CollisionConfig:
     for key in ("t_c", "p_s", "n_steps"):
         if key not in spec:
             raise ConfigurationError(f"collision config is missing field '{key}'")
-    t_c, p_s, n_steps = (_number(spec[key], key) for key in ("t_c", "p_s", "n_steps"))
-    if n_steps != int(n_steps):
-        raise ConfigurationError("field 'n_steps' must be an integer")
+    t_c, p_s = (_number(spec[key], key) for key in ("t_c", "p_s"))
+    n_steps = _integer(spec["n_steps"], "n_steps", minimum=1)
     bath_spec = spec.get("bath", {"kind": "pure_ground"})
     if not isinstance(bath_spec, dict):
         raise ConfigurationError("field 'bath' must be an object with a 'kind' field")
@@ -208,14 +219,14 @@ def _collision_from_config(spec: dict) -> CollisionConfig:
         hamiltonian=jc_hamiltonian(omega),
         t_c=float(t_c),
         p_s=float(p_s),
-        n_steps=int(n_steps),
+        n_steps=n_steps,
         bath=bath,
     )
 
 
-def _probe_states(seed: int, count: int):
+def _probe_states(seed: int, count: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return [random_density_operator(2, rng) for _ in range(count)]
+    return np.array([random_density_operator(2, rng).data for _ in range(count)]).reshape(-1, 2, 2)
 
 
 def _calibrated_gamma(collision: CollisionConfig) -> Optional[float]:
@@ -227,58 +238,45 @@ def _calibrated_gamma(collision: CollisionConfig) -> Optional[float]:
 # --- mode implementations ----------------------------------------------------
 
 
+def _closed_form_rows(taus, g: float, b1, b2, min_eigs=()):
+    rows = [{"tau": t, "gamma_bar": g, "beta1": x, "beta2": y} for t, x, y in zip(taus, b1, b2)]
+    for row, e in zip(rows, min_eigs):
+        row["min_choi_eig"] = e
+    return rows
+
+
 def _mode_jc_closed_form(cfg: ExperimentConfig):
     taus = _tau_grid(cfg)
     rows = []
     for g in _gamma_list(cfg):
-        for tau in taus:
-            pair = beta_pair(float(tau), g)
-            rows.append(
-                {"tau": tau, "gamma_bar": g, "beta1": pair.beta1, "beta2": pair.beta2}
-            )
+        rows += _closed_form_rows(taus, g, *beta_arrays(taus, g))
     return rows, {}, None
 
 
 def _mode_certify(cfg: ExperimentConfig):
     taus = _tau_grid(cfg)
-    tolerance = float(cfg.optional("tolerance", 1e-9))
-    probes = _probe_states(cfg.seed, int(cfg.optional("probe_states", 3)))
-
-    def one_gamma(g: float):
-        rows = []
-        channels = []
-        for tau in taus:
-            ch = lambda_jc_channel(float(tau), g)
-            channels.append(ch)
-            pair = beta_pair(float(tau), g)
-            rows.append(
-                {
-                    "tau": tau,
-                    "gamma_bar": g,
-                    "beta1": pair.beta1,
-                    "beta2": pair.beta2,
-                    "min_choi_eig": choi_of(ch).min_eigenvalue(),
-                }
-            )
-        report = certify_cpt(channels, tolerance, gamma_bar=g)
-        probe_defect = 0.0
-        for ch in channels[:: max(1, len(channels) // 16)]:
-            for rho in probes:
-                out = apply_channel(ch, rho)
-                probe_defect = max(probe_defect, abs(float(np.trace(out.data).real) - 1.0))
-        return rows, report, probe_defect
-
-    gammas = _gamma_list(cfg)
-    results = [one_gamma(g) for g in gammas]
-    rows = [row for chunk, _, _ in results for row in chunk]
-    reports = {g: rep.as_dict() for g, (_, rep, _) in zip(gammas, results)}
-    verdict = all(rep[1].verdict for rep in results)
+    tolerance = float(_number(cfg.optional("tolerance", 1e-9), "tolerance"))
+    n_probes = _integer(cfg.optional("probe_states", 3), "probe_states", minimum=0)
+    probes = _probe_states(cfg.seed, n_probes)
+    rows, reports, verdict, probe_defect = [], {}, True, 0.0
+    for g in _gamma_list(cfg):
+        b1, b2 = beta_arrays(taus, g)
+        choi = choi_stack(b1, b2)
+        report = certify_cpt(choi, tolerance, gamma_bar=g)
+        rows += _closed_form_rows(taus, g, b1, b2, report.min_choi_eigenvalue)
+        reports[g] = report.as_dict()
+        verdict = verdict and report.verdict
+        # ~16 evenly spaced maps on each probe: out[n,p,a,b] = sum_ij C[n,ia,jb] rho_p[i,j]
+        sampled = choi[:: max(1, len(choi) // 16)].reshape(-1, 2, 2, 2, 2)
+        out = np.einsum("niajb,pij->npab", sampled, probes)
+        traces = np.trace(out, axis1=2, axis2=3).real
+        probe_defect = max(probe_defect, float(np.max(np.abs(traces - 1.0), initial=0.0)))
     extras = {
         "cpt_report.json": {
             "tolerance": tolerance,
             "verdict": verdict,
             "per_gamma": reports,
-            "max_random_state_trace_defect": max(r[2] for r in results),
+            "max_random_state_trace_defect": probe_defect,
         }
     }
     return rows, extras, verdict
@@ -309,8 +307,8 @@ def _mode_discrete(cfg: ExperimentConfig):
 
 def _series_policy(cfg: ExperimentConfig) -> SeriesPolicy:
     return SeriesPolicy(
-        k_max=int(cfg.optional("k_max", 200)),
-        tail_tol=float(cfg.optional("tail_tol", 1e-8)),
+        k_max=_integer(cfg.optional("k_max", 200), "k_max", minimum=1),
+        tail_tol=float(_number(cfg.optional("tail_tol", 1e-8), "tail_tol")),
     )
 
 
@@ -326,7 +324,7 @@ def _mode_series(cfg: ExperimentConfig):
         result = lambda_series(kernel, g, grid, policy)
         discrete_states = None
         if compare and g > 0:
-            t_c = float(cfg.optional("t_c", grid.dt))
+            t_c = float(_number(cfg.optional("t_c", grid.dt), "t_c"))
             stride = round(t_c / grid.dt)
             if stride < 1 or abs(stride * grid.dt - t_c) > 1e-9:
                 raise ConfigurationError("t_c must be a multiple of the tau grid spacing")
@@ -403,10 +401,9 @@ def _mode_thermal(cfg: ExperimentConfig):
 
 
 def _mode_convergence(cfg: ExperimentConfig):
-    gamma = float(cfg.require("gamma_bar"))
-    tau_max = float(cfg.require("tau_max"))
-    t_c_list = cfg.require("t_c_list", list)
-    report = convergence_study(gamma, tau_max, [float(t) for t in t_c_list])
+    gamma, tau_max = (float(_number(cfg.require(key), key)) for key in ("gamma_bar", "tau_max"))
+    t_c_list = [float(t) for t in _numbers(cfg.require("t_c_list"), "t_c_list")]
+    report = convergence_study(gamma, tau_max, t_c_list)
     rows = [
         {"tau": t_c, "gamma_bar": gamma, "trace_distance_vs_discrete": err}
         for t_c, err in zip(report.t_c_values, report.errors)
@@ -416,27 +413,20 @@ def _mode_convergence(cfg: ExperimentConfig):
 
 def _mode_sweep(cfg: ExperimentConfig):
     gammas = _range_values(cfg.require("gamma_bar"), "gamma_bar")
-    taus = _range_values(cfg.require("tau"), "tau")
-    for g in gammas:
-        if g < 0:
-            raise ConfigurationError("gamma_bar must be nonnegative")
-    if any(t < 0 for t in taus):
-        raise ConfigurationError("tau must be nonnegative")
-
+    taus = np.array(_range_values(cfg.require("tau"), "tau"))
+    if min(gammas) < 0 or taus.min() < 0:
+        raise ConfigurationError("gamma_bar and tau must be nonnegative")
     rows = []
     for g in gammas:
-        for tau in taus:
-            pair = beta_pair(float(tau), float(g))
-            ch = lambda_jc_channel(float(tau), float(g))
-            rows.append(
-                {
-                    "tau": tau,
-                    "gamma_bar": g,
-                    "beta1": pair.beta1,
-                    "beta2": pair.beta2,
-                    "min_choi_eig": choi_of(ch).min_eigenvalue(),
-                }
+        b1, b2 = beta_arrays(taus, g)
+        min_eigs = np.linalg.eigvalsh(choi_stack(b1, b2))[:, 0]
+        j = int(np.argmin(min_eigs))
+        if min_eigs[j] < -DEFAULT_TOLERANCES.choi_positivity:
+            raise InternalConsistencyError(
+                f"Choi matrix is not positive semidefinite: min eigenvalue {min_eigs[j]:.3e} "
+                f"at tau={taus[j]}, gamma_bar={g}"
             )
+        rows += _closed_form_rows(taus, g, b1, b2, min_eigs)
     return rows, {}, None
 
 
@@ -519,10 +509,10 @@ def _dispatch(subcommand: str, config_path: str, output_dir: Optional[str]) -> i
                     "the certify subcommand needs a config with mode 'certify'"
                 )
         return _execute(cfg, output_dir)
-    except ConfigurationError as exc:
+    except (ConfigurationError, ValidationError) as exc:
         return _emit_error(EXIT_CONFIG, str(exc))
-    except (TruncationError, DivergenceError) as exc:
-        return _emit_error(EXIT_DIVERGENCE, str(exc))
+    except (TruncationError, DivergenceError, InternalConsistencyError) as exc:
+        return _emit_error(EXIT_NUMERICAL, str(exc))
 
 
 def main(argv=None) -> int:

@@ -41,6 +41,8 @@ __all__ = [
     "beta1",
     "beta2",
     "beta_pair",
+    "beta_arrays",
+    "choi_stack",
     "cubic_spectrum",
     "cubic_spectrum_cardano",
     "cosine_power_laplace",
@@ -112,7 +114,10 @@ def beta1(tau, gamma_bar: float):
     Below gamma_bar = 2 this is a damped oscillation, above it a
     biexponential decay; the degenerate boundary value is
     e^{-tau} (1 + tau). Stable for any magnitude of gamma_bar * tau:
-    the hyperbolic branch is assembled from decaying exponentials only.
+    the hyperbolic branch is assembled from decaying exponentials only,
+    with the slow rate written as tau^2 / (sqrt(w) + gamma_bar*tau/2)
+    (equal to gamma_bar*tau/2 - sqrt(w), since w - (gamma_bar*tau/2)^2 =
+    -tau^2) so that it does not cancel at large gamma_bar.
     """
     if gamma_bar < 0:
         raise ConfigurationError("memory-loss rate must be nonnegative")
@@ -132,7 +137,8 @@ def beta1(tau, gamma_bar: float):
         g = np.sqrt(w[big])
         hb = half[big]
         ratio = hb / g
-        out[big] = 0.5 * (1.0 + ratio) * np.exp(g - hb) + 0.5 * (1.0 - ratio) * np.exp(-(g + hb))
+        slow = np.exp(-tau_arr[big] ** 2 / (g + hb))
+        out[big] = 0.5 * (1.0 + ratio) * slow + 0.5 * (1.0 - ratio) * np.exp(-(g + hb))
     rest = ~big
     out[rest] = np.exp(-half[rest]) * (
         half[rest] * _sinhc_sqrt(w[rest]) + _cosh_sqrt(w[rest])
@@ -307,6 +313,25 @@ def beta_pair(tau: float, gamma_bar: float) -> BetaPair:
     )
 
 
+def beta_arrays(taus, gamma_bar: float):
+    """(beta1, beta2) over a whole tau array, held to BetaPair's inequalities.
+
+    Raises InternalConsistencyError naming the first (tau, gamma_bar) that
+    violates them (a NaN counts as a violation); values are never clipped.
+    """
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    b1 = beta1(taus, gamma_bar)
+    b2 = beta2(taus, gamma_bar)
+    ok = (b2 >= -BETA_SLACK) & (b2 <= 1.0 + BETA_SLACK) & (b1 * b1 <= b2 + BETA_SLACK)
+    if not np.all(ok):
+        j = int(np.argmin(ok))
+        raise InternalConsistencyError(
+            f"beta1 = {b1[j]}, beta2 = {b2[j]} violate 0 <= beta1^2 <= beta2 <= 1 "
+            f"at tau={taus[j]}, gamma_bar={gamma_bar}"
+        )
+    return b1, b2
+
+
 # --- Laplace-domain forms (consumed by the inverse-transform oracle) -------
 
 
@@ -380,14 +405,21 @@ def lambda_jc_superop(tau: float, gamma_bar: float) -> np.ndarray:
     return s
 
 
+def choi_stack(b1, b2) -> np.ndarray:
+    """Choi matrices of the map at each (beta1, beta2) pair, as an (n, 4, 4) array."""
+    b1 = np.atleast_1d(b1)
+    b2 = np.atleast_1d(b2)
+    c = np.zeros((b1.shape[0], 4, 4), dtype=np.complex128)
+    c[:, 0, 0] = 1.0
+    c[:, 0, 3] = b1
+    c[:, 3, 0] = b1
+    c[:, 2, 2] = 1.0 - b2
+    c[:, 3, 3] = b2
+    return c
+
+
 def _choi_from_betas(b1: float, b2: float) -> ChoiMatrix:
-    c = np.zeros((4, 4), dtype=np.complex128)
-    c[0, 0] = 1.0
-    c[0, 3] = b1
-    c[3, 0] = b1
-    c[2, 2] = 1.0 - b2
-    c[3, 3] = b2
-    return ChoiMatrix(c, dim=2)
+    return ChoiMatrix(choi_stack(b1, b2)[0], dim=2)
 
 
 def lambda_jc_choi(tau: float, gamma_bar: float) -> ChoiMatrix:

@@ -15,15 +15,16 @@ whole pairs. The pair marginal is the thermal state, so both must agree.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import mpmath
 import numpy as np
 
 from .collisions import BathSpec, CollisionConfig, TrajectoryRecord, run_discrete
 from .continuum import DynamicalMap, TimeGrid
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, ValidationError
 from .jaynes_cummings import QubitStateParams, jc_hamiltonian, lambda_jc, lambda_jc_superop
 from .quantum import (
     DensityOperator,
@@ -36,6 +37,7 @@ from .quantum import (
     trace_distance,
     unitary_evolution,
 )
+from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "CptReport",
@@ -184,37 +186,52 @@ class CptReport:
         return json.dumps(self.as_dict(), **kwargs)
 
 
-def certify_cpt(maps: Sequence, tolerance: float = 1e-9, *,
+def certify_cpt(maps, tolerance: float = 1e-9, *,
                 grid: Optional[TimeGrid] = None,
                 gamma_bar: Optional[float] = None) -> CptReport:
     """Certify complete positivity and trace preservation of each map.
 
-    Accepts Kraus channels or superoperator-backed dynamical maps. The
-    verdict is true iff every Choi minimum eigenvalue is >= -tolerance and
-    every trace defect is <= tolerance.
+    Accepts a sequence of Kraus channels or superoperator-backed dynamical
+    maps, or the Choi matrices themselves as an (n, d^2, d^2) array; a
+    stack that is not Hermitian within the hermiticity tolerance is
+    rejected. The spectra come from one batched Hermitian eigensolve and
+    the trace defects from the Choi output-trace marginal. The verdict is
+    true iff every Choi minimum eigenvalue is >= -tolerance and every trace
+    defect is <= tolerance.
     """
     if len(maps) == 0:
         raise ConfigurationError("cannot certify an empty map family")
-    min_eigs = []
-    defects = []
-    for mp in maps:
-        if isinstance(mp, KrausChannel):
-            min_eigs.append(choi_of(mp).min_eigenvalue())
-            defects.append(mp.trace_defect())
-        elif isinstance(mp, DynamicalMap):
-            min_eigs.append(mp.choi().min_eigenvalue())
-            defects.append(mp.trace_defect())
-        else:
-            raise ConfigurationError(f"cannot certify object of type {type(mp)!r}")
-    verdict = all(e >= -tolerance for e in min_eigs) and all(d <= tolerance for d in defects)
+    if isinstance(maps, np.ndarray):
+        stack = maps
+    else:
+        stack = np.stack([_choi_data(mp) for mp in maps])
+    n, d2 = stack.shape[0], stack.shape[-1]
+    d = math.isqrt(d2)
+    if stack.shape != (n, d2, d2) or d * d != d2:
+        raise ConfigurationError(f"expected an (n, d^2, d^2) Choi stack, got shape {stack.shape}")
+    herm = float(np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))))
+    if herm > DEFAULT_TOLERANCES.hermiticity:
+        raise ValidationError(f"Choi stack not Hermitian: deviation {herm:.3e}")
+    min_eigs = np.linalg.eigvalsh(stack)[:, 0]
+    marginal = np.einsum("niaja->nij", stack.reshape(n, d, d, d, d))
+    defects = np.max(np.abs(marginal - np.eye(d)), axis=(1, 2))
+    verdict = bool(np.all(min_eigs >= -tolerance) and np.all(defects <= tolerance))
     return CptReport(
-        min_choi_eigenvalue=tuple(min_eigs),
-        max_trace_defect=tuple(defects),
+        min_choi_eigenvalue=tuple(min_eigs.tolist()),
+        max_trace_defect=tuple(defects.tolist()),
         tolerance=tolerance,
         verdict=verdict,
         grid=grid,
         gamma_bar=gamma_bar,
     )
+
+
+def _choi_data(mp) -> np.ndarray:
+    if isinstance(mp, KrausChannel):
+        return choi_of(mp).data
+    if isinstance(mp, DynamicalMap):
+        return mp.choi().data
+    raise ConfigurationError(f"cannot certify object of type {type(mp)!r}")
 
 
 def corrupted_beta_maps(gamma_bar: float, taus, inflation: float = 1.05) -> list:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,3 +354,160 @@ class TestCertify:
             },
         )
         assert main(["run", cfg]) == 0
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize(
+        "subcommand, payload, field",
+        [
+            ("run", {"mode": "jc_closed_form", "gamma_bar": 1.0, "tau_max": 1.0,
+                     "tau_points": "abc"}, "tau_points"),
+            ("run", {"mode": "jc_closed_form", "gamma_bar": ["x"], "tau_max": 1.0,
+                     "tau_points": 5}, "gamma_bar"),
+            ("run", {"mode": "jc_closed_form", "gamma_bar": 1.0, "tau_max": "2",
+                     "tau_points": 5}, "tau_max"),
+            ("run", {"mode": "jc_closed_form", "gamma_bar": 1.0, "tau_max": 1.0,
+                     "tau_points": 4.5}, "tau_points"),
+            ("sweep", {"gamma_bar": {"start": 0.0, "stop": 1.0, "count": "3"},
+                       "tau": [0.5]}, "count"),
+            ("sweep", {"gamma_bar": [0.5], "tau": {"start": "0", "stop": 1.0, "count": 3}},
+             "start"),
+            ("sweep", {"gamma_bar": [], "tau": [0.5]}, "gamma_bar"),
+            ("certify", {"mode": "certify", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 5,
+                         "probe_states": "3"}, "probe_states"),
+            ("certify", {"mode": "certify", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 5,
+                         "tolerance": "tight"}, "tolerance"),
+            ("run", {"mode": "convergence", "gamma_bar": 1.0, "tau_max": 1.0,
+                     "t_c_list": ["a"]}, "t_c_list"),
+        ],
+        ids=["tau_points-string", "gamma_bar-string", "tau_max-string", "tau_points-fraction",
+             "count-string", "start-string", "gamma_bar-empty", "probe_states-string",
+             "tolerance-string", "t_c_list-string"],
+    )
+    def test_malformed_number_exits_2(self, tmp_path, capsys, subcommand, payload, field):
+        cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(tmp_path / "out")})
+        assert main([subcommand, cfg]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == 2
+        assert field in err["error"]["message"]
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+
+class TestErrorMapping:
+    @pytest.mark.parametrize(
+        "error, code",
+        [("ValidationError", 2), ("InternalConsistencyError", 4)],
+    )
+    def test_package_error_exits_with_json(self, tmp_path, capsys, monkeypatch, error, code):
+        import nmcollide.cli as cli_mod
+        import nmcollide.errors as errors
+
+        def broken(taus, g):
+            raise getattr(errors, error)("injected failure")
+
+        monkeypatch.setattr(cli_mod, "beta_arrays", broken)
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"mode": "jc_closed_form", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 5,
+             "output_path": str(tmp_path / "out")},
+        )
+        assert main(["run", cfg]) == code
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"code": code, "message": "injected failure"}
+
+    def test_sweep_rejects_indefinite_choi_within_beta_slack(self, tmp_path, capsys, monkeypatch):
+        import nmcollide.cli as cli_mod
+
+        # beta1^2 - beta2 = 5e-10 passes BETA_SLACK, but the Choi matrix has
+        # min eigenvalue ~ -2.5e-10, below -choi_positivity
+        def nearly_cp(taus, g):
+            return np.full(len(taus), np.sqrt(0.999 + 5e-10)), np.full(len(taus), 0.999)
+
+        monkeypatch.setattr(cli_mod, "beta_arrays", nearly_cp)
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"gamma_bar": [1.0], "tau": [0.5, 1.0], "output_path": str(tmp_path / "out")},
+        )
+        assert main(["sweep", cfg]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert "not positive semidefinite" in err["error"]["message"]
+
+    def test_large_rate_sweep_and_certify_exit_zero(self, tmp_path):
+        sweep = write_config(
+            tmp_path, "sweep.json",
+            {"gamma_bar": [1e6], "tau": [19.6], "output_path": str(tmp_path / "sweep")},
+        )
+        assert main(["sweep", sweep]) == 0
+        certify = write_config(
+            tmp_path, "certify.json",
+            {"mode": "certify", "gamma_bar": [1e6], "tau_max": 20.0, "tau_points": 201,
+             "output_path": str(tmp_path / "certify")},
+        )
+        assert main(["certify", certify]) == 0
+
+
+class TestBatchedClosedForm:
+    """certify and sweep evaluate whole tau arrays; rows match the per-point route."""
+
+    GAMMAS = [0.0, 2.0, 75.0]
+
+    def _run(self, tmp_path, subcommand):
+        taus = np.linspace(0.0, 20.0, 41)
+        if subcommand == "certify":
+            payload = {"mode": "certify", "gamma_bar": self.GAMMAS, "tau_max": 20.0,
+                       "tau_points": 41}
+        else:
+            payload = {"gamma_bar": self.GAMMAS, "tau": list(taus)}
+        out = tmp_path / subcommand
+        cfg = write_config(tmp_path, f"{subcommand}.json", {**payload, "output_path": str(out)})
+        assert main([subcommand, cfg]) == 0
+        return read_rows(out)
+
+    @pytest.mark.parametrize("subcommand", ["certify", "sweep"])
+    def test_rows_match_per_point_route(self, tmp_path, subcommand):
+        from nmcollide import beta_pair, choi_of, lambda_jc_channel
+
+        rows = self._run(tmp_path, subcommand)
+        assert len(rows) == len(self.GAMMAS) * 41
+        for row in rows:
+            tau, gamma = float(row[0]), float(row[1])
+            pair = beta_pair(tau, gamma)
+            assert float(row[2]) == pair.beta1
+            assert float(row[3]) == pair.beta2
+            per_point = choi_of(lambda_jc_channel(tau, gamma)).min_eigenvalue()
+            assert abs(float(row[5]) - per_point) < 1e-14
+
+    def test_no_per_point_kraus_route(self, tmp_path, monkeypatch):
+        # every per-point object of the old route (BetaPair, ChoiMatrix,
+        # KrausChannel, hence kraus_from_choi) now raises on construction
+        from nmcollide.jaynes_cummings import BetaPair
+        from nmcollide.quantum import ChoiMatrix, KrausChannel
+
+        def forbidden(self):
+            raise AssertionError(f"per-point {type(self).__name__} built by the CLI")
+
+        for cls in (BetaPair, ChoiMatrix, KrausChannel):
+            monkeypatch.setattr(cls, "__post_init__", forbidden)
+        for subcommand in ("certify", "sweep"):
+            assert len(self._run(tmp_path, subcommand)) == len(self.GAMMAS) * 41
+        cfg = write_config(
+            tmp_path, "jc.json",
+            {"mode": "jc_closed_form", "gamma_bar": self.GAMMAS, "tau_max": 20.0,
+             "tau_points": 41, "output_path": str(tmp_path / "jc")},
+        )
+        assert main(["run", cfg]) == 0
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_config_runs_and_reruns_identically(tmp_path, config):
+    mode = json.loads(config.read_text()).get("mode", "sweep")
+    subcommand = mode if mode in ("sweep", "certify") else "run"
+    out = tmp_path / "out"
+    assert main([subcommand, str(config), "--output-dir", str(out)]) == 0
+    first = (out / "results.csv").read_bytes()
+    assert first.decode().split("\n", 1)[0] == CSV_HEADER
+    assert main([subcommand, str(config), "--output-dir", str(out)]) == 0
+    assert (out / "results.csv").read_bytes() == first

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -23,8 +24,11 @@ from nmcollide import (
     trace_distance,
 )
 from nmcollide.jaynes_cummings import (
+    BETA_SLACK,
     BetaPair,
     beta1_degenerate_series,
+    beta_arrays,
+    choi_stack,
     lambda_jc_choi,
 )
 
@@ -176,6 +180,65 @@ class TestBeta2:
     def test_beta_pair_rejects_violation(self):
         with pytest.raises(InternalConsistencyError):
             BetaPair(tau=0.0, beta1=1.05, beta2=1.0, gamma_bar=1.0)
+
+
+def _beta1_mpmath(tau: float, gamma: float) -> float:
+    """The two-pole closed form of beta1 evaluated at 60 digits."""
+    with mpmath.workdps(60):
+        t, g = mpmath.mpf(tau), mpmath.mpf(gamma)
+        half = g * t / 2
+        w = (g * g / 4 - 1) * t * t
+        if w == 0:
+            return float(mpmath.exp(-half) * (1 + half))
+        x = mpmath.sqrt(abs(w))
+        if w > 0:
+            shape = mpmath.cosh(x) + half * mpmath.sinh(x) / x
+        else:
+            shape = mpmath.cos(x) + half * mpmath.sin(x) / x
+        return float(mpmath.exp(-half) * shape)
+
+
+class TestLargeRate:
+    """Deep in the memoryless regime the slow rate must not cancel."""
+
+    @pytest.mark.parametrize("gamma", [1e3, 1e6, 1e8])
+    def test_inequalities_within_slack(self, gamma):
+        taus = np.linspace(0.0, 20.0, 2001)
+        b1, b2 = beta_arrays(taus, gamma)  # raises on violation
+        assert np.all(b2 >= -BETA_SLACK) and np.all(b2 <= 1.0 + BETA_SLACK)
+        assert np.all(b1 * b1 <= b2 + BETA_SLACK)
+
+    @pytest.mark.parametrize("gamma", [1e3, 1e6, 1e8])
+    def test_beta1_matches_high_precision_closed_form(self, gamma):
+        taus = np.linspace(0.0, 20.0, 41)
+        ref = np.array([_beta1_mpmath(float(t), gamma) for t in taus])
+        assert np.max(np.abs(beta1(taus, gamma) - ref)) < 1e-15
+
+
+class TestBetaArrays:
+    def test_equal_to_beta_pair_pointwise(self):
+        taus = np.linspace(0.0, 20.0, 81)
+        for gamma in (0.0, 2.0, 75.0):
+            b1, b2 = beta_arrays(taus, gamma)
+            for t, x, y in zip(taus, b1, b2):
+                pair = beta_pair(t, gamma)
+                assert (x, y) == (pair.beta1, pair.beta2)
+
+    def test_violation_names_first_bad_point(self, monkeypatch):
+        import nmcollide.jaynes_cummings as jc
+
+        real = jc.beta2
+        monkeypatch.setattr(jc, "beta2", lambda t, g: real(t, g) - np.where(t >= 1.5, 2.0, 0.0))
+        with pytest.raises(InternalConsistencyError, match="tau=1.5, gamma_bar=0.5"):
+            beta_arrays(np.linspace(0.0, 3.0, 7), 0.5)
+
+    def test_choi_stack_is_the_single_layout(self):
+        taus = np.array([0.0, 0.7, 3.0])
+        b1, b2 = beta_arrays(taus, 1.3)
+        stack = choi_stack(b1, b2)
+        assert stack.shape == (3, 4, 4)
+        for k, tau in enumerate(taus):
+            assert np.array_equal(stack[k], lambda_jc_choi(tau, 1.3).data)
 
 
 class TestLambdaJc:

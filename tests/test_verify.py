@@ -10,12 +10,15 @@ from nmcollide import (
     ConvergenceReport,
     DensityOperator,
     KrausChannel,
+    ValidationError,
     beta1,
     beta2,
+    beta_arrays,
     beta_laplace,
     brute_force_chain,
     calibrated_swap_probability,
     certify_cpt,
+    choi_stack,
     convergence_study,
     inverse_laplace,
     lambda_jc_channel,
@@ -117,6 +120,29 @@ class TestCertify:
         report = certify_cpt(maps, 1e-9)
         assert not report.verdict
         assert min(report.min_choi_eigenvalue) < -1e-3
+
+    def test_corrupted_choi_stack_flagged(self):
+        maps = corrupted_beta_maps(1.0, np.linspace(0.0, 5.0, 11))
+        stack = np.stack([m.choi().data for m in maps])
+        report = certify_cpt(stack, 1e-9)
+        assert not report.verdict
+        assert min(report.min_choi_eigenvalue) < -1e-3
+
+    def test_non_hermitian_stack_rejected(self):
+        stack = np.stack([np.eye(4, dtype=complex)] * 3)
+        stack[1, 0, 3] = 1e-6
+        with pytest.raises(ValidationError):
+            certify_cpt(stack, 1e-9)
+
+    def test_stack_agrees_with_channel_family(self):
+        taus = np.linspace(0.0, 10.0, 26)
+        b1, b2 = beta_arrays(taus, 2.0)
+        from_stack = certify_cpt(choi_stack(b1, b2), 1e-9)
+        from_channels = certify_cpt([lambda_jc_channel(t, 2.0) for t in taus], 1e-9)
+        assert from_stack.verdict and from_channels.verdict
+        assert np.allclose(from_stack.min_choi_eigenvalue, from_channels.min_choi_eigenvalue,
+                           rtol=0.0, atol=1e-14)
+        assert max(from_stack.max_trace_defect) == 0.0
 
     def test_empty_family_rejected(self):
         with pytest.raises(ConfigurationError):
