@@ -54,6 +54,7 @@ from .jaynes_cummings import (
     choi_stack,
     cubic_spectrum,
     cubic_spectrum_cardano,
+    evolved_states,
     jc_hamiltonian,
     lambda_jc,
     lambda_jc_channel,
@@ -67,10 +68,12 @@ from .quantum import (
     apply_channel,
     choi_of,
     compose,
+    density_stack,
     kraus_from_choi,
     partial_trace,
     tensor,
     trace_distance,
+    trace_distances,
     unitary_evolution,
 )
 from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile

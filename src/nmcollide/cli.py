@@ -16,12 +16,14 @@ Identical config and seed give byte-identical CSV output.
 
 The closed-form modes (``jc_closed_form``, ``certify``, ``sweep``) take one
 gamma_bar at a time over its whole tau array: vector betas, one (n, 4, 4)
-Choi stack, and one batched Hermitian eigensolve for its spectra.
+Choi stack, and one batched Hermitian eigensolve for its spectra. The
+``series`` and ``thermal`` modes likewise take every Choi spectrum and every
+trace distance to the discrete trajectory from one batched eigensolve.
 
 Exit codes, each failure with a JSON error on stderr: 0 success, 2
 unparseable or invalid config, 3 certification failure, 4 numerical failure
-(a series that did not converge, a diverged quadrature, or a provably
-bounded quantity out of range).
+(a series that did not converge, a diverged quadrature, a provably bounded
+quantity out of range, or a numpy linear-algebra or floating-point error).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .continuum import (
     TimeGrid,
     build_kernel_map,
     build_thermal_kernel_map,
+    choi_stack_from_superops,
     lambda_series,
 )
 from .errors import (
@@ -54,7 +57,7 @@ from .errors import (
     ValidationError,
 )
 from .jaynes_cummings import beta_arrays, choi_stack, jc_hamiltonian
-from .quantum import DensityOperator, trace_distance
+from .quantum import DensityOperator, trace_distances
 from .tolerances import DEFAULT_TOLERANCES
 from .verify import certify_cpt, convergence_study, random_density_operator
 
@@ -292,17 +295,26 @@ def _mode_discrete(cfg: ExperimentConfig):
     traj_pop = runner(collision, excited)
     traj_coh = runner(collision, plus)
     gamma = _calibrated_gamma(collision)
-    rows = []
-    for n, tau in enumerate(traj_pop.times):
-        rows.append(
-            {
-                "tau": tau,
-                "gamma_bar": gamma,
-                "beta2": traj_pop.states[n].data[1, 1].real,
-                "beta1": 2.0 * traj_coh.states[n].data[0, 1].real,
-            }
-        )
+    beta2 = traj_pop.matrices[:, 1, 1].real
+    beta1 = 2.0 * traj_coh.matrices[:, 0, 1].real
+    rows = [
+        {"tau": tau, "gamma_bar": gamma, "beta2": y, "beta1": x}
+        for tau, x, y in zip(traj_pop.times, beta1, beta2)
+    ]
     return rows, {}, None
+
+
+# the state the series and thermal modes send through both the series and the protocol
+_PROBE = DensityOperator(np.array([[0.4, 0.25 + 0.2j], [0.25 - 0.2j, 0.6]]))
+
+
+def _apply_stack(superops: np.ndarray, rho: DensityOperator) -> np.ndarray:
+    """Each qubit map of an (n, 4, 4) superoperator stack applied to rho, as (n, 2, 2)."""
+    return (superops @ rho.data.reshape(-1)).reshape(-1, 2, 2)
+
+
+def _min_choi_eigenvalues(superops: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(choi_stack_from_superops(superops, 2))[:, 0]
 
 
 def _series_policy(cfg: ExperimentConfig) -> SeriesPolicy:
@@ -322,7 +334,8 @@ def _mode_series(cfg: ExperimentConfig):
     extras = {}
     for g in _gamma_list(cfg):
         result = lambda_series(kernel, g, grid, policy)
-        discrete_states = None
+        superops = result.superops()
+        distances = {}
         if compare and g > 0:
             t_c = float(_number(cfg.optional("t_c", grid.dt), "t_c"))
             stride = round(t_c / grid.dt)
@@ -337,20 +350,21 @@ def _mode_series(cfg: ExperimentConfig):
                 n_steps=(len(taus) - 1) // stride,
                 bath=BathSpec(kind="pure_ground"),
             )
-            probe = DensityOperator(np.array([[0.4, 0.25 + 0.2j], [0.25 - 0.2j, 0.6]]))
-            traj = run_discrete(collision, probe)
-            discrete_states = {round(stride * i): (traj.states[i], probe) for i in range(len(traj))}
+            traj = run_discrete(collision, _PROBE)
+            sampled = stride * np.arange(len(traj))
+            applied = _apply_stack(superops[sampled], _PROBE)
+            distances = dict(zip(sampled.tolist(), trace_distances(applied, traj.matrices)))
+        min_eigs = _min_choi_eigenvalues(superops)
         for j, mp in enumerate(result.maps):
             row = {
                 "tau": mp.time,
                 "gamma_bar": g,
                 "beta1": mp.superop[1, 1].real,
                 "beta2": mp.superop[3, 3].real,
-                "min_choi_eig": mp.choi().min_eigenvalue(),
+                "min_choi_eig": min_eigs[j],
             }
-            if discrete_states and j in discrete_states:
-                state, probe = discrete_states[j]
-                row["trace_distance_vs_discrete"] = trace_distance(mp.apply(probe), state)
+            if j in distances:
+                row["trace_distance_vs_discrete"] = distances[j]
             rows.append(row)
         extras[f"series_gamma_{g:g}.json"] = {
             "gamma_bar": g,
@@ -378,18 +392,13 @@ def _mode_thermal(cfg: ExperimentConfig):
         t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1
     )
     result = lambda_series(kernel, gamma, grid, _series_policy(cfg))
-    probe = DensityOperator(np.array([[0.4, 0.25 + 0.2j], [0.25 - 0.2j, 0.6]]))
-    traj = run_discrete_thermal(collision, probe)
-    rows = []
-    for mp, state in zip(result.maps, traj.states):
-        rows.append(
-            {
-                "tau": mp.time,
-                "gamma_bar": gamma,
-                "trace_distance_vs_discrete": trace_distance(mp.apply(probe), state),
-                "min_choi_eig": mp.choi().min_eigenvalue(),
-            }
-        )
+    traj = run_discrete_thermal(collision, _PROBE)
+    superops = result.superops()
+    distances = trace_distances(_apply_stack(superops, _PROBE), traj.matrices)
+    rows = [
+        {"tau": mp.time, "gamma_bar": gamma, "trace_distance_vs_discrete": td, "min_choi_eig": e}
+        for mp, td, e in zip(result.maps, distances, _min_choi_eigenvalues(superops))
+    ]
     extras = {
         "series_thermal.json": {
             "gamma_bar": gamma,
@@ -513,6 +522,8 @@ def _dispatch(subcommand: str, config_path: str, output_dir: Optional[str]) -> i
         return _emit_error(EXIT_CONFIG, str(exc))
     except (TruncationError, DivergenceError, InternalConsistencyError) as exc:
         return _emit_error(EXIT_NUMERICAL, str(exc))
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        return _emit_error(EXIT_NUMERICAL, f"{type(exc).__name__}: {exc}")
 
 
 def main(argv=None) -> int:

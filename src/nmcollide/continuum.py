@@ -54,6 +54,7 @@ __all__ = [
     "LindbladGenerator",
     "kraus_to_superop",
     "choi_from_superop",
+    "choi_stack_from_superops",
     "build_kernel_map",
     "build_thermal_kernel_map",
     "adc_decay_kernel",
@@ -73,10 +74,15 @@ def kraus_to_superop(ch: KrausChannel) -> np.ndarray:
 
 def choi_from_superop(superop: np.ndarray, dim: int) -> ChoiMatrix:
     """Reshuffle a superoperator matrix into the corresponding Choi matrix."""
-    t = superop.reshape(dim, dim, dim, dim)
-    choi = t.transpose(2, 0, 3, 1).reshape(dim * dim, dim * dim)
-    choi = 0.5 * (choi + choi.conj().T)  # symmetrize away rounding noise
-    return ChoiMatrix(choi, dim=dim)
+    return ChoiMatrix(choi_stack_from_superops(superop[None], dim)[0], dim=dim)
+
+
+def choi_stack_from_superops(superops: np.ndarray, dim: int) -> np.ndarray:
+    """Choi matrices of an (n, d^2, d^2) superoperator stack, as an (n, d^2, d^2) array."""
+    n = superops.shape[0]
+    t = superops.reshape(n, dim, dim, dim, dim)
+    choi = t.transpose(0, 3, 1, 4, 2).reshape(n, dim * dim, dim * dim)
+    return 0.5 * (choi + choi.conj().transpose(0, 2, 1))  # symmetrize away rounding noise
 
 
 def apply_superop(superop: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -379,6 +385,10 @@ class LambdaSeriesResult:
 
     def __getitem__(self, idx):
         return self.maps[idx]
+
+    def superops(self) -> np.ndarray:
+        """The maps' superoperators as one (n, d^2, d^2) array."""
+        return np.stack([mp.superop for mp in self.maps])
 
 
 class _FftConvolver:

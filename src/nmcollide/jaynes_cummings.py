@@ -48,6 +48,7 @@ __all__ = [
     "cosine_power_laplace",
     "beta_laplace",
     "lambda_jc",
+    "evolved_states",
     "lambda_jc_superop",
     "lambda_jc_choi",
     "lambda_jc_channel",
@@ -381,16 +382,19 @@ class QubitStateParams:
 def lambda_jc(tau: float, gamma_bar: float, rho0: QubitStateParams) -> DensityOperator:
     """Evolved state: population scaled by beta2, coherence by beta1."""
     pair = beta_pair(tau, gamma_bar)
-    p, r = rho0.p, rho0.r
-    return DensityOperator(
-        np.array(
-            [
-                [1.0 - pair.beta2 * p, pair.beta1 * r],
-                [pair.beta1 * np.conj(r), pair.beta2 * p],
-            ],
-            dtype=np.complex128,
-        )
-    )
+    return DensityOperator(evolved_states(pair.beta1, pair.beta2, rho0)[0])
+
+
+def evolved_states(b1, b2, rho0: QubitStateParams) -> np.ndarray:
+    """States [[1 - beta2 p, beta1 r], [beta1 r*, beta2 p]] at each (beta1, beta2), as (n, 2, 2)."""
+    b1 = np.atleast_1d(b1)
+    b2 = np.atleast_1d(b2)
+    out = np.empty((b1.shape[0], 2, 2), dtype=np.complex128)
+    out[:, 0, 0] = 1.0 - b2 * rho0.p
+    out[:, 0, 1] = b1 * rho0.r
+    out[:, 1, 0] = b1 * np.conj(rho0.r)
+    out[:, 1, 1] = b2 * rho0.p
+    return out
 
 
 def lambda_jc_superop(tau: float, gamma_bar: float) -> np.ndarray:

@@ -24,6 +24,7 @@ from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
 
 __all__ = [
     "DensityOperator",
+    "density_stack",
     "HermitianOperator",
     "KrausChannel",
     "ChoiMatrix",
@@ -34,6 +35,7 @@ __all__ = [
     "choi_of",
     "kraus_from_choi",
     "trace_distance",
+    "trace_distances",
     "unitary_evolution",
     "embed_operator",
     "swap_operator",
@@ -62,6 +64,36 @@ def ket(dim: int, index: int) -> np.ndarray:
     return v
 
 
+def density_stack(data) -> np.ndarray:
+    """Validated read-only copy of an (n, d, d) stack of density matrices.
+
+    Every matrix must be Hermitian, have unit trace and no eigenvalue below
+    -positivity, at the DEFAULT_TOLERANCES thresholds; the spectra come
+    from one batched Hermitian eigensolve. A NaN entry fails the checks.
+    Raises ValidationError naming the first offending matrix of a stack of
+    more than one.
+    """
+    stack = np.array(data, dtype=np.complex128, copy=True)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
+        raise ValidationError(f"expected an (n, d, d) stack of square matrices, got {stack.shape}")
+    tol = DEFAULT_TOLERANCES
+    herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=2).max(axis=1)
+    _require(herm <= tol.hermiticity, "not Hermitian: max |rho - rho^dag| = {:.3e}", herm)
+    tr = stack.diagonal(axis1=1, axis2=2).sum(axis=1)
+    _require(np.abs(tr - 1.0) <= tol.unit_trace, "trace {} differs from 1 beyond tolerance", tr)
+    lo = np.linalg.eigvalsh(stack)[:, 0]
+    _require(lo >= -tol.positivity, "not positive semidefinite: min eigenvalue {:.3e}", lo)
+    return _frozen(stack)
+
+
+def _require(ok: np.ndarray, message: str, values: np.ndarray) -> None:
+    """Raise ValidationError at the first False in ok, with its value formatted into message."""
+    if not ok.all():
+        j = int(ok.argmin())
+        where = f" (matrix {j} of {len(ok)})" if len(ok) > 1 else ""
+        raise ValidationError(message.format(values[j]) + where)
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Positive, unit-trace complex matrix: the state of a (possibly joint) system."""
@@ -69,20 +101,12 @@ class DensityOperator:
     data: np.ndarray
 
     def __post_init__(self):
-        mat = _as_complex_matrix(self.data)
-        tol = DEFAULT_TOLERANCES
+        mat = np.asarray(self.data)
+        if mat.ndim != 2:
+            raise ValidationError(f"expected a matrix, got ndim={mat.ndim}")
         if mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"density operator must be square, got {mat.shape}")
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > tol.hermiticity:
-            raise ValidationError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > tol.unit_trace:
-            raise ValidationError(f"trace {tr} differs from 1 beyond tolerance")
-        lo = np.linalg.eigvalsh(mat)[0]
-        if lo < -tol.positivity:
-            raise ValidationError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
-        object.__setattr__(self, "data", _frozen(mat))
+        object.__setattr__(self, "data", density_stack(mat[None])[0])
 
     @property
     def dim(self) -> int:
@@ -302,9 +326,15 @@ def trace_distance(a, b) -> float:
     """Half the trace norm of the difference of two states."""
     am = a.data if isinstance(a, DensityOperator) else np.asarray(a)
     bm = b.data if isinstance(b, DensityOperator) else np.asarray(b)
-    if am.shape != bm.shape:
-        raise ConfigurationError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(am - bm))))
+    return float(trace_distances(am[None], bm[None])[0])
+
+
+def trace_distances(a, b) -> np.ndarray:
+    """Trace distance of each pair of matrices from two (n, d, d) stacks."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ConfigurationError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b)), axis=-1)
 
 
 def unitary_evolution(h, t: float) -> np.ndarray:

@@ -25,7 +25,13 @@ import numpy as np
 from .collisions import BathSpec, CollisionConfig, TrajectoryRecord, run_discrete
 from .continuum import DynamicalMap, TimeGrid
 from .errors import ConfigurationError, DivergenceError, ValidationError
-from .jaynes_cummings import QubitStateParams, jc_hamiltonian, lambda_jc, lambda_jc_superop
+from .jaynes_cummings import (
+    QubitStateParams,
+    beta_arrays,
+    evolved_states,
+    jc_hamiltonian,
+    lambda_jc_superop,
+)
 from .quantum import (
     DensityOperator,
     KrausChannel,
@@ -34,7 +40,7 @@ from .quantum import (
     embed_operator,
     ket,
     swap_operator,
-    trace_distance,
+    trace_distances,
     unitary_evolution,
 )
 from .tolerances import DEFAULT_TOLERANCES
@@ -144,16 +150,16 @@ def brute_force_chain(cfg: CollisionConfig, rho0: DensityOperator,
 
     u_pair = unitary_evolution(h_full, cfg.t_c)
     swap = swap_operator(u_dim)
-    states = [rho0]
+    states = [rho0.data]
     for step in range(1, n + 1):
         if step >= 2:
             s_emb = embed_operator(swap, dims, [step - 1, step])
             sigma = (1.0 - cfg.p_s) * sigma + cfg.p_s * (s_emb @ sigma @ s_emb.conj().T)
         u_emb = embed_operator(u_pair, dims, [0, step])
         sigma = u_emb @ sigma @ u_emb.conj().T
-        states.append(DensityOperator(_partial_trace_matrix(sigma, dims, (0,))))
+        states.append(_partial_trace_matrix(sigma, dims, (0,)))
     times = tuple(k * cfg.t_c for k in range(n + 1))
-    return TrajectoryRecord(tuple(states), times)
+    return TrajectoryRecord(np.array(states), times)
 
 
 # --- CPT certification --------------------------------------------------------
@@ -325,11 +331,8 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list,
             bath=BathSpec(kind="pure_ground"),
         )
         traj = run_discrete(cfg, rho0)
-        worst = 0.0
-        for state, t in zip(traj.states, traj.times):
-            reference = lambda_jc(t, gamma_bar, probe)
-            worst = max(worst, trace_distance(state, reference))
-        errors.append(worst)
+        reference = evolved_states(*beta_arrays(traj.times, gamma_bar), probe)
+        errors.append(float(np.max(trace_distances(traj.matrices, reference))))
     if len(t_c_values) >= 2:
         slope = np.polyfit(np.log(t_c_values), np.log(np.maximum(errors, 1e-300)), 1)[0]
         estimated_order = float(slope)

@@ -432,6 +432,35 @@ class TestErrorMapping:
         err = json.loads(capsys.readouterr().err)
         assert "not positive semidefinite" in err["error"]["message"]
 
+    def test_linalg_failure_exits_4(self, tmp_path, capsys):
+        # gamma_bar^2 + 4 overflows in the closed form's cubic and np.roots
+        # raises LinAlgError
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"gamma_bar": [1e200], "tau": [1.0], "output_path": str(tmp_path / "out")},
+        )
+        assert main(["sweep", cfg]) == 4
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        err = json.loads(stderr)
+        assert err["error"]["code"] == 4
+        assert err["error"]["message"].startswith("LinAlgError: ")
+
+    def test_floating_point_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        import nmcollide.cli as cli_mod
+
+        def overflowing(taus, g):
+            raise FloatingPointError("overflow encountered")
+
+        monkeypatch.setattr(cli_mod, "beta_arrays", overflowing)
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"gamma_bar": [1.0], "tau": [1.0], "output_path": str(tmp_path / "out")},
+        )
+        assert main(["sweep", cfg]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"code": 4, "message": "FloatingPointError: overflow encountered"}
+
     def test_large_rate_sweep_and_certify_exit_zero(self, tmp_path):
         sweep = write_config(
             tmp_path, "sweep.json",
@@ -496,6 +525,43 @@ class TestBatchedClosedForm:
              "tau_points": 41, "output_path": str(tmp_path / "jc")},
         )
         assert main(["run", cfg]) == 0
+
+
+class TestBatchedChoiSpectra:
+    """series and thermal take min_choi_eig from one batched eigvalsh over a Choi stack."""
+
+    CONFIGS = {
+        "series": {"mode": "series", "gamma_bar": [0.0, 1.0, 4.0], "tau_max": 2.0,
+                   "tau_points": 201, "compare_discrete": True, "t_c": 0.05},
+        "thermal": {"mode": "thermal",
+                    "collision": {"t_c": 0.05, "p_s": 0.9, "n_steps": 40,
+                                  "bath": {"kind": "thermal", "energies": [0.0, 1.0],
+                                           "inverse_temperature": 0.8}}},
+    }
+
+    @pytest.mark.parametrize("mode", sorted(CONFIGS))
+    def test_bitwise_equal_to_per_map_choi(self, tmp_path, monkeypatch, mode):
+        import nmcollide.cli as cli_mod
+        from nmcollide.quantum import ChoiMatrix
+
+        lambda_series, results = cli_mod.lambda_series, []
+
+        def recording(*args, **kwargs):
+            results.append(lambda_series(*args, **kwargs))
+            return results[-1]
+
+        def forbidden(self):
+            raise AssertionError("per-map ChoiMatrix built by the CLI")
+
+        monkeypatch.setattr(cli_mod, "lambda_series", recording)
+        monkeypatch.setattr(ChoiMatrix, "__post_init__", forbidden)
+        cfg = write_config(
+            tmp_path, "cfg.json", {**self.CONFIGS[mode], "output_path": str(tmp_path / "out")}
+        )
+        assert main(["run", cfg]) == 0
+        monkeypatch.undo()
+        per_map = [f"{mp.choi().min_eigenvalue():.17g}" for r in results for mp in r.maps]
+        assert [row[5] for row in read_rows(tmp_path / "out")] == per_map
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
