@@ -2,10 +2,10 @@
 
 Discrete system-ancilla collision protocol with incoherent partial-swap
 intra-bath collisions, its continuous-limit dynamical maps (convolution
-series and resolvent), the closed-form solution for a resonant
-excitation-exchange coupling, finite-temperature baths whose ancillas
-start in a mixed thermal state, and CPT certification of every produced
-map.
+series and the reset generator on system and one ancilla), the closed-form
+solution for a resonant excitation-exchange coupling, finite-temperature
+baths whose ancillas start in a mixed thermal state, and CPT
+certification of every produced map.
 """
 
 from .collisions import (
@@ -13,6 +13,7 @@ from .collisions import (
     CollisionConfig,
     TrajectoryRecord,
     partial_swap_channel,
+    reset_superop,
     run_discrete,
     run_discrete_thermal,
     sa_collision,
@@ -29,7 +30,7 @@ from .continuum import (
     adc_decay_kernel,
     build_kernel_map,
     build_thermal_kernel_map,
-    lambda_resolvent,
+    lambda_embedding,
     lambda_series,
     lindblad_limit,
 )

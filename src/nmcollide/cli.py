@@ -24,6 +24,8 @@ Exit codes, each failure with a JSON error on stderr: 0 success, 2
 unparseable or invalid config, 3 certification failure, 4 numerical failure
 (a series that did not converge, a diverged quadrature, a provably bounded
 quantity out of range, or a numpy linear-algebra or floating-point error).
+A run treats numpy overflow, division by zero and invalid operations as
+errors rather than warnings, so stderr carries nothing but the JSON error.
 """
 
 from __future__ import annotations
@@ -517,7 +519,8 @@ def _dispatch(subcommand: str, config_path: str, output_dir: Optional[str]) -> i
                 raise ConfigurationError(
                     "the certify subcommand needs a config with mode 'certify'"
                 )
-        return _execute(cfg, output_dir)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _execute(cfg, output_dir)
     except (ConfigurationError, ValidationError) as exc:
         return _emit_error(EXIT_CONFIG, str(exc))
     except (TruncationError, DivergenceError, InternalConsistencyError) as exc:

@@ -57,6 +57,7 @@ __all__ = [
     "CollisionConfig",
     "TrajectoryRecord",
     "partial_swap_channel",
+    "reset_superop",
     "sa_collision",
     "run_discrete",
     "run_discrete_thermal",
@@ -205,13 +206,19 @@ def sa_collision(rho_joint: DensityOperator, h: HermitianOperator, t_c: float) -
     return DensityOperator(u @ rho_joint.data @ u.conj().T)
 
 
-def _transfer_matrix(u: np.ndarray, fresh: np.ndarray, p_s: float) -> np.ndarray:
-    """(U (x) U*)(p_s 1 + (1 - p_s) R) on row-major vec(W), R(W) = Tr_A(W) (x) rho_A."""
-    ds = u.shape[0] // fresh.shape[0]
+def reset_superop(rho_a: np.ndarray, system_dim: int) -> np.ndarray:
+    """R(W) = Tr_A(W) (x) rho_A as a matrix on row-major vec(W) of system (x) ancilla."""
+    d = system_dim * rho_a.shape[0]
+    eye_s = np.eye(system_dim)
     # R[(s,a,t,b), (s',c,t',c')] = delta_ss' delta_tt' delta_cc' rho_A[a,b]
-    reset = np.einsum(
-        "sS,tT,cC,ab->satbScTC", np.eye(ds), np.eye(ds), np.eye(fresh.shape[0]), fresh
-    ).reshape(u.size, u.size)
+    return np.einsum(
+        "sS,tT,cC,ab->satbScTC", eye_s, eye_s, np.eye(rho_a.shape[0]), rho_a
+    ).reshape(d * d, d * d)
+
+
+def _transfer_matrix(u: np.ndarray, fresh: np.ndarray, p_s: float) -> np.ndarray:
+    """(U (x) U*)(p_s 1 + (1 - p_s) R) on row-major vec(W), with R the reset."""
+    reset = reset_superop(fresh, u.shape[0] // fresh.shape[0])
     return np.kron(u, u.conj()) @ (p_s * np.eye(u.size) + (1.0 - p_s) * reset)
 
 

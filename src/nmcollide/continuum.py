@@ -6,16 +6,19 @@ auto-convolutions of the kernel channel E(t),
     Lambda(t) = e^{-Gamma t} * sum_{k>=1} Gamma^{k-1} (E^{*k})(t),
 
 where * is convolution of superoperator-valued functions of time with
-composition as the product. Three evaluation routes are provided:
+composition as the product. The series is the Dyson expansion, in the
+reset term, of one generator on system (x) a single ancilla,
+L = -i[H, .] + Gamma (R - 1) with R(W) = Tr_A(W) (x) rho_A, so that
+Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A). Three evaluation routes are
+provided:
 
 * ``lambda_series``: the convolution series on a uniform grid. Each term
   is a positively weighted sum of compositions of CPT maps, so every
   truncation is completely positive by construction; the recursion runs
   on exponentially damped terms B_k = e^{-Gamma t} Gamma^{k-1} E^{*k},
   which stay O(1) for any Gamma (no overflow at large rates).
-* ``lambda_resolvent``: numerical contour inversion of the resolvent
-  form Lambda~(s) = E~(s+Gamma) (1 - Gamma E~(s+Gamma))^{-1}, available
-  when the kernel carries an exact Laplace transform.
+* ``lambda_embedding``: the generator L itself, stepped with one matrix
+  exponential; the double-precision cross-check of the series.
 * ``lindblad_limit``: the memoryless semigroup generated by the kernel's
   short-time derivative, for the infinite-rate regime.
 
@@ -34,6 +37,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
+from .collisions import reset_superop, thermal_weights
 from .errors import ConfigurationError, TruncationError
 from .quantum import (
     ChoiMatrix,
@@ -59,7 +63,7 @@ __all__ = [
     "build_thermal_kernel_map",
     "adc_decay_kernel",
     "lambda_series",
-    "lambda_resolvent",
+    "lambda_embedding",
     "lindblad_limit",
 ]
 
@@ -137,8 +141,7 @@ class KernelModes:
 
     S(t) = sum_p e^{rates[p] * t} mats[p]. Hamiltonian-generated kernels
     always admit this form (rates are i * eigenvalue differences); it gives
-    vectorized grid sampling and an exact Laplace transform for the
-    resolvent route.
+    vectorized grid sampling.
     """
 
     rates: np.ndarray  # (P,) complex
@@ -151,45 +154,29 @@ class KernelModes:
     def superop(self, t: float) -> np.ndarray:
         return np.einsum("p,pab->ab", np.exp(self.rates * t), self.mats)
 
-    def laplace(self, s: complex) -> np.ndarray:
-        weights = 1.0 / (s - self.rates)
-        return np.einsum("p,pab->ab", weights, self.mats)
-
 
 @dataclass(frozen=True)
 class MemoryKernelMap:
     """Time-parametrized CPT channel family E(t) on the system.
 
-    ``builder`` returns the Kraus channel at a given time; ``modes``, when
-    present, is the equivalent superoperator decomposition used by the fast
-    evaluation paths.
+    ``builder`` returns the Kraus channel at a given time; ``modes`` is the
+    equivalent superoperator decomposition that every evaluation path uses.
     """
 
     builder: Callable[[float], KrausChannel]
     system_dim: int
     ancilla_dim: int
     description: str
-    modes: Optional[KernelModes] = None
+    modes: KernelModes
 
     def channel(self, t: float) -> KrausChannel:
         return self.builder(t)
 
     def superop(self, t: float) -> np.ndarray:
-        if self.modes is not None:
-            return self.modes.superop(t)
-        return kraus_to_superop(self.builder(t))
+        return self.modes.superop(t)
 
     def superop_grid(self, times: np.ndarray) -> np.ndarray:
-        if self.modes is not None:
-            return self.modes.superop_grid(times)
-        return np.stack([kraus_to_superop(self.builder(t)) for t in times])
-
-    def laplace_superop(self, s: complex) -> np.ndarray:
-        if self.modes is None:
-            raise ConfigurationError(
-                "kernel has no mode decomposition; the resolvent route needs one"
-            )
-        return self.modes.laplace(s)
+        return self.modes.superop_grid(times)
 
 
 def _dilation_modes(h: HermitianOperator, system_dim: int, ancilla_dim: int, weights: np.ndarray):
@@ -251,6 +238,13 @@ def _split_dims(h: HermitianOperator, ancilla_dim: int):
     return h.dim // ancilla_dim
 
 
+def _probability_vector(weights, ancilla_dim: int) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (ancilla_dim,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        raise ConfigurationError("weights must be a probability vector of ancilla length")
+    return w
+
+
 def build_kernel_map(h: HermitianOperator, ancilla_init: int = 0, *,
                      ancilla_dim: int = 2) -> MemoryKernelMap:
     """Kernel from continuous coupling to one ancilla prepared in a basis state.
@@ -280,9 +274,7 @@ def build_thermal_kernel_map(h: HermitianOperator, energies=None,
     """
     system_dim = _split_dims(h, ancilla_dim)
     if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (ancilla_dim,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ConfigurationError("weights must be a probability vector of ancilla length")
+        w = _probability_vector(weights, ancilla_dim)
     else:
         if energies is None or inverse_temperature is None:
             raise ConfigurationError("need energies and inverse_temperature, or weights")
@@ -291,11 +283,7 @@ def build_thermal_kernel_map(h: HermitianOperator, energies=None,
             raise ConfigurationError(
                 f"energy list has length {e.shape[0]}, ancilla dim is {ancilla_dim}"
             )
-        if inverse_temperature < 0:
-            raise ConfigurationError("inverse temperature must be nonnegative")
-        logw = -inverse_temperature * (e - e.min())
-        w = np.exp(logw)
-        w = w / w.sum()
+        w = thermal_weights(e, inverse_temperature)
     return _kernel_from_weights(
         h, system_dim, ancilla_dim, w,
         description="thermal-mixture kernel",
@@ -459,6 +447,12 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
             total += term
             order += 1
             tail = float(np.max(np.abs(term)))
+            if not np.isfinite(tail):
+                raise TruncationError(
+                    f"series term of order {order} is not finite; refine the grid",
+                    residual=tail,
+                    order=order,
+                )
             tail_history.append(tail)
             if order >= peak_order and tail <= policy.tail_tol:
                 converged = True
@@ -468,7 +462,7 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
             # dropped term and accept only if it is within tolerance
             probe = gamma * _weighted_convolve(b1, term, grid.dt, method, fft_conv)
             residual = float(np.max(np.abs(probe)))
-            if residual > policy.tail_tol:
+            if not residual <= policy.tail_tol:  # a NaN residual fails too
                 raise TruncationError(
                     f"series did not converge by order {policy.k_max} "
                     f"(residual term norm {residual:.3e}); raise k_max or tail_tol",
@@ -485,54 +479,44 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
     )
 
 
-# --- resolvent route ---------------------------------------------------------
+# --- Markovian embedding ------------------------------------------------------
 
 
-def _talbot_nodes(t: float, n_nodes: int):
-    """Fixed Talbot contour nodes and weights for one inversion time."""
-    m = n_nodes
-    r = 2.0 * m / (5.0 * t)
-    theta = np.pi * np.arange(1, m) / m
-    cot = 1.0 / np.tan(theta)
-    s = r * theta * (cot + 1j)
-    sigma = theta + (theta * cot - 1.0) * cot
-    return r, s, sigma
+def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid) -> tuple:
+    """Dynamical maps Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A) on the grid.
 
-
-def lambda_resolvent(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
-                     n_nodes: int = 36) -> list:
-    """Dynamical maps from contour inversion of the resolvent form.
-
-    Solves (1 - gamma E~(s+gamma)) X = E~(s+gamma) at each contour node.
-    Double-precision accuracy bottoms out near 1e-9; the series route is
-    the certifying backend, this one is the independent cross-check.
+    L = -i[H, .] + gamma (R - 1) acts on system (x) one ancilla, with
+    rho_A = diag(weights) and the reset R(W) = Tr_A(W) (x) rho_A shared
+    with the discrete engine. The maps are stepped with one
+    P = expm(L dt), never an eigendecomposition: for the exchange coupling
+    L is defective at gamma = 2. Sharing only H and rho_A with
+    ``lambda_series``, this is the series' double-precision cross-check;
+    it is no oracle for the discrete engine, which uses the same R.
     """
     if gamma < 0:
         raise ConfigurationError("memory-loss rate must be nonnegative")
-    d = kernel.system_dim
-    d2 = d * d
-    eye = np.eye(d2, dtype=np.complex128)
-
-    def resolvent(s: complex) -> np.ndarray:
-        e = kernel.laplace_superop(s + gamma)
-        return np.linalg.solve(eye - gamma * e, e)
-
-    out = []
-    for t in grid.times():
-        if t == 0.0:
-            out.append(DynamicalMap(time=0.0, superop=eye.copy(), dim=d))
-            continue
-        r, s_nodes, sigma = _talbot_nodes(float(t), n_nodes)
-        acc = 0.5 * np.exp(r * t) * resolvent(r)
-        for s, sg in zip(s_nodes, sigma):
-            fs = resolvent(s)
-            fs_conj = resolvent(np.conj(s))
-            acc = acc + 0.5 * (
-                np.exp(s * t) * fs * (1.0 + 1j * sg)
-                + np.exp(np.conj(s) * t) * fs_conj * (1.0 - 1j * sg)
-            )
-        out.append(DynamicalMap(time=float(t), superop=(r / n_nodes) * acc, dim=d))
-    return out
+    ancilla_dim = len(weights)
+    ds = _split_dims(h, ancilla_dim)
+    rho_a = np.diag(_probability_vector(weights, ancilla_dim)).astype(np.complex128)
+    d = h.dim
+    eye = np.eye(d)
+    generator = -1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T)) + gamma * (
+        reset_superop(rho_a, ds) - np.eye(d * d)
+    )
+    step = scipy.linalg.expm(generator * grid.dt)
+    # column (s', t') holds vec(|s'><t'| (x) rho_A)
+    eye_s = np.eye(ds)
+    windows = np.empty((grid.n_points, d * d, ds * ds), dtype=np.complex128)
+    windows[0] = np.einsum("sS,tT,ab->satbST", eye_s, eye_s, rho_a).reshape(d * d, ds * ds)
+    for k in range(1, grid.n_points):
+        windows[k] = step @ windows[k - 1]
+    superops = np.einsum(
+        "nsatam->nstm", windows.reshape(grid.n_points, ds, ancilla_dim, ds, ancilla_dim, -1)
+    ).reshape(grid.n_points, ds * ds, ds * ds)
+    return tuple(
+        DynamicalMap(time=float(t), superop=superops[j], dim=ds)
+        for j, t in enumerate(grid.times())
+    )
 
 
 # --- memoryless limit --------------------------------------------------------

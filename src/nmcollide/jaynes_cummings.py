@@ -170,12 +170,10 @@ class CubicSpectrum:
 
     alphas[0] is the real pole; alphas[1] and alphas[2] are a conjugate
     pair (the cubic's discriminant is negative for every gamma_bar >= 0).
-    delta is the discriminant-like radical entering the Cardano form.
     """
 
     alphas: tuple
     residues: tuple
-    delta: float
 
     def __post_init__(self):
         total = sum(self.residues)
@@ -201,17 +199,17 @@ def _beta2_cubic_coeffs(gamma_bar: float) -> np.ndarray:
     return np.array([1.0, 2.0 * g, g * g + 4.0, 2.0 * g])
 
 
-def _order_poles(roots: np.ndarray) -> tuple:
-    # real pole first, then the conjugate pair with positive imaginary part first
-    idx = np.argsort(np.abs(roots.imag))
-    real_pole = roots[idx[0]]
-    pair = sorted(roots[idx[1:]], key=lambda z: -z.imag)
-    return complex(real_pole.real), complex(pair[0]), complex(pair[1])
-
-
 @lru_cache(maxsize=256)
 def cubic_spectrum(gamma_bar: float) -> CubicSpectrum:
-    """Pole/residue data for beta2 via numerical roots and partial fractions."""
+    """Pole/residue data for beta2 via numerical roots and partial fractions.
+
+    The real pole r is the root of smallest magnitude (about -2/gamma_bar at
+    large rates), tightened by one Newton step. The conjugate pair follows
+    from Vieta's relations, Re = -(2 gamma_bar + r)/2 and
+    Im^2 = 4 + gamma_bar r + 3 r^2 / 4, which do not cancel: above
+    gamma_bar ~ 1e8 the root finder alone can return the pair as two
+    nearby reals.
+    """
     if gamma_bar < 0:
         raise ConfigurationError("memory-loss rate must be nonnegative")
     g = float(gamma_bar)
@@ -219,25 +217,17 @@ def cubic_spectrum(gamma_bar: float) -> CubicSpectrum:
     roots = np.roots(coeffs)
     if roots.shape != (3,):
         raise InternalConsistencyError(f"cubic root finding failed at gamma_bar={g}")
-    # one Newton polish pass tightens np.roots output to machine precision
     dcoeffs = np.array([3.0, 4.0 * g, g * g + 4.0])
-    roots = roots - np.polyval(coeffs, roots) / np.polyval(dcoeffs, roots)
-    n_imag = int(np.sum(np.abs(roots.imag) > 1e-9))
-    if n_imag not in (0, 2):
-        raise InternalConsistencyError(
-            f"unexpected pole structure at gamma_bar={g}: roots {roots}"
-        )
-    alphas = _order_poles(roots)
-    residues = []
-    for s in alphas:
-        num = (s + g) ** 2 + 2.0
-        den = np.polyval(dcoeffs, s)
-        residues.append(complex(num / den))
-    # enforce the exact conjugate pairing the cubic guarantees
-    alphas = (alphas[0], alphas[1], complex(alphas[1]).conjugate())
-    residues = (complex(residues[0].real), residues[1], residues[1].conjugate())
-    delta = math.sqrt(6.0 * g**4 - 39.0 * g**2 + 192.0)
-    return CubicSpectrum(alphas=alphas, residues=residues, delta=delta)
+    r = float(roots[np.argmin(np.abs(roots))].real)
+    r -= float(np.polyval(coeffs, r) / np.polyval(dcoeffs, r))
+    pair = complex(-(2.0 * g + r) / 2.0, math.sqrt(4.0 + g * r + 0.75 * r * r))
+    real_res, pair_res = (
+        complex(((s + g) ** 2 + 2.0) / np.polyval(dcoeffs, s)) for s in (r, pair)
+    )
+    return CubicSpectrum(
+        alphas=(complex(r), pair, pair.conjugate()),
+        residues=(complex(real_res.real), pair_res, pair_res.conjugate()),
+    )
 
 
 def cubic_spectrum_cardano(gamma_bar: float) -> CubicSpectrum:
@@ -270,7 +260,6 @@ def cubic_spectrum_cardano(gamma_bar: float) -> CubicSpectrum:
     return CubicSpectrum(
         alphas=(alpha1, alpha2, alpha3),
         residues=(complex(a1.real), a2, a2.conjugate()),
-        delta=delta,
     )
 
 

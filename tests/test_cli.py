@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -461,10 +462,36 @@ class TestErrorMapping:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == {"code": 4, "message": "FloatingPointError: overflow encountered"}
 
+    @pytest.mark.parametrize("payload", [
+        pytest.param({"mode": "series", "gamma_bar": 1.0, "tau_max": 1e6, "tau_points": 3},
+                     id="series-overflow"),
+        pytest.param({"mode": "jc_closed_form", "gamma_bar": 1e300, "tau_max": 1.0,
+                      "tau_points": 5}, id="closed-form-1e300"),
+    ])
+    def test_numpy_warning_becomes_one_json_line(self, tmp_path, capsys, payload):
+        cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(tmp_path / "out")})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning escaping the CLI fails the test
+            assert main(["run", cfg]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["code"] == 4
+
+    def test_extreme_rate_sweep_ends_with_a_code(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"gamma_bar": [1e80], "tau": [0.0, 1e-81, 1.0], "output_path": str(tmp_path / "out")},
+        )
+        code = main(["sweep", cfg])  # an uncaught exception here is exit 1
+        assert code in (0, 4)
+        if code == 4:
+            assert json.loads(capsys.readouterr().err)["error"]["code"] == 4
+
     def test_large_rate_sweep_and_certify_exit_zero(self, tmp_path):
         sweep = write_config(
             tmp_path, "sweep.json",
-            {"gamma_bar": [1e6], "tau": [19.6], "output_path": str(tmp_path / "sweep")},
+            {"gamma_bar": [1e6, 3e8, 1e10, 1e12], "tau": [0.0, 1e-9, 19.6],
+             "output_path": str(tmp_path / "sweep")},
         )
         assert main(["sweep", sweep]) == 0
         certify = write_config(

@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -15,13 +16,16 @@ from nmcollide import (
     compose,
     partial_swap_channel,
     partial_trace,
+    reset_superop,
     run_discrete,
     run_discrete_thermal,
     sa_collision,
     tensor,
     thermal_weights,
     trace_distance,
+    unitary_evolution,
 )
+from nmcollide.collisions import _transfer_matrix
 from nmcollide.continuum import build_thermal_kernel_map
 from nmcollide.verify import purified_pair_ket
 
@@ -236,6 +240,31 @@ class TestThermal:
         cfg = pure_cfg(jc_h, t_c=0.1, p_s=0.5, n_steps=2)
         with pytest.raises(ConfigurationError):
             run_discrete_thermal(cfg, PROBE)
+
+
+class TestResetSplitting:
+    """The protocol step is the Lie-Trotter step of L = -i[H, .] + gamma (R - 1)."""
+
+    @pytest.mark.parametrize("weights", [
+        pytest.param((1.0, 0.0), id="pure"),
+        pytest.param(tuple(thermal_weights((0.0, 1.0), 0.7)), id="thermal"),
+    ])
+    @pytest.mark.parametrize("gamma, t_c", [(1.0, 0.05), (50.0, 0.002), (0.3, 1.7)])
+    def test_transfer_matrix_is_unitary_after_reset_semigroup(self, jc_h, weights, gamma, t_c):
+        fresh = np.diag(weights).astype(np.complex128)
+        u = unitary_evolution(jc_h, t_c)
+        reset = reset_superop(fresh, 2)
+        split = np.kron(u, u.conj()) @ scipy.linalg.expm(gamma * t_c * (reset - np.eye(16)))
+        step = _transfer_matrix(u, fresh, float(np.exp(-gamma * t_c)))
+        assert np.max(np.abs(split - step)) < 1e-14
+
+    def test_reset_is_idempotent_and_replaces_the_ancilla(self):
+        rho_a = np.diag([0.7, 0.3]).astype(np.complex128)
+        reset = reset_superop(rho_a, 2)
+        assert np.max(np.abs(reset @ reset - reset)) < 1e-15
+        w = np.kron(PROBE.data, np.diag([0.2, 0.8]))
+        out = (reset @ w.reshape(-1)).reshape(4, 4)
+        assert np.max(np.abs(out - np.kron(PROBE.data, rho_a))) < 1e-15
 
 
 def _extended(x) -> np.longdouble:

@@ -17,11 +17,12 @@ from nmcollide import (
     build_thermal_kernel_map,
     calibrated_swap_probability,
     jc_hamiltonian,
+    lambda_embedding,
     lambda_jc_superop,
-    lambda_resolvent,
     lambda_series,
     lindblad_limit,
     run_discrete,
+    thermal_weights,
     trace_distance,
 )
 from nmcollide.continuum import kraus_to_superop
@@ -94,15 +95,6 @@ class TestKernelMaps:
 
         for t in np.linspace(0.0, 8.0, 17):
             assert choi_of(jc_kernel.channel(t)).min_eigenvalue() >= -1e-10
-
-    def test_laplace_transform_matches_quadrature(self, jc_kernel):
-        # integrate e^{-st} E(t) numerically against the exact mode sum
-        s = 1.3
-        ts = np.linspace(0.0, 60.0, 60001)
-        samples = jc_kernel.superop_grid(ts) * np.exp(-s * ts)[:, None, None]
-        numeric = np.trapezoid(samples, ts, axis=0)
-        exact = jc_kernel.laplace_superop(s)
-        assert np.max(np.abs(numeric - exact)) < 1e-6
 
 
 class TestThermalKernel:
@@ -204,6 +196,15 @@ class TestLambdaSeries:
         peak = int(np.argmax(tails))
         assert np.all(np.diff(tails[peak:]) <= 1e-14)
 
+    def test_non_finite_term_raises(self, jc_kernel):
+        # on a grid this coarse the quadrature terms overflow; the series
+        # must stop at the first non-finite term, not run to k_max
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TruncationError) as err:
+                lambda_series(jc_kernel, 1.0, TimeGrid(t_max=1e6, n_points=3))
+        assert not np.isfinite(err.value.residual)
+        assert err.value.order < SeriesPolicy().k_max
+
     def test_truncation_failure_raises_with_residual(self, jc_kernel):
         with pytest.raises(TruncationError) as err:
             lambda_series(jc_kernel, 5.0, TimeGrid(t_max=4.0, n_points=101),
@@ -259,42 +260,41 @@ class TestLambdaSeries:
         assert max(m.trace_defect() for m in result.maps) < 1e-6
 
 
-class TestLambdaResolvent:
-    def test_matches_closed_form(self, jc_kernel):
-        grid = TimeGrid(t_max=5.0, n_points=26)
-        maps = lambda_resolvent(jc_kernel, 1.0, grid)
+class TestLambdaEmbedding:
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 50.0])
+    def test_matches_closed_form(self, gamma):
+        # gamma = 2 is the generator's defective point
+        maps = lambda_embedding(jc_hamiltonian(), (1.0, 0.0), gamma, TimeGrid(5.0, 5001))
         worst = max(
-            float(np.max(np.abs(m.superop - lambda_jc_superop(m.time, 1.0)))) for m in maps
+            float(np.max(np.abs(m.superop - lambda_jc_superop(m.time, gamma))))
+            for m in maps[::25]
         )
-        assert worst < 1e-6
+        assert worst < 1e-12
 
     def test_agrees_with_series(self, jc_kernel):
-        grid = TimeGrid(t_max=3.0, n_points=16)
-        res_maps = lambda_resolvent(jc_kernel, 2.0, grid)
-        fine = TimeGrid(t_max=3.0, n_points=3001)
-        ser = lambda_series(jc_kernel, 2.0, fine)
-        stride = (fine.n_points - 1) // (grid.n_points - 1)
-        for i, m in enumerate(res_maps):
-            assert np.max(np.abs(m.superop - ser.maps[stride * i].superop)) < 1e-4
+        grid = TimeGrid(t_max=3.0, n_points=3001)
+        maps = lambda_embedding(jc_hamiltonian(), (1.0, 0.0), 2.0, grid)
+        ser = lambda_series(jc_kernel, 2.0, grid)
+        worst = max(np.max(np.abs(m.superop - s.superop)) for m, s in zip(maps, ser))
+        assert worst < 1e-5
 
-    def test_thermal_kernel_cross_check(self):
+    def test_thermal_matches_series(self):
         kernel = build_thermal_kernel_map(
             jc_hamiltonian(), energies=(0.0, 1.0), inverse_temperature=0.8
         )
-        grid = TimeGrid(t_max=2.0, n_points=9)
-        res_maps = lambda_resolvent(kernel, 1.0, grid)
-        fine = lambda_series(kernel, 1.0, TimeGrid(t_max=2.0, n_points=2001))
-        for i, m in enumerate(res_maps):
-            assert np.max(np.abs(m.superop - fine.maps[250 * i].superop)) < 1e-4
+        grid = TimeGrid(t_max=2.0, n_points=2001)
+        weights = thermal_weights((0.0, 1.0), 0.8)
+        maps = lambda_embedding(jc_hamiltonian(), weights, 1.0, grid)
+        ser = lambda_series(kernel, 1.0, grid)
+        worst = max(np.max(np.abs(m.superop - s.superop)) for m, s in zip(maps, ser))
+        assert worst < 1e-6
 
-    def test_requires_mode_decomposition(self):
-        from nmcollide.continuum import MemoryKernelMap
-
-        bare = MemoryKernelMap(
-            builder=lambda t: None, system_dim=2, ancilla_dim=2, description="bare"
-        )
+    def test_validation(self):
+        grid = TimeGrid(t_max=1.0, n_points=3)
         with pytest.raises(ConfigurationError):
-            bare.laplace_superop(1.0)
+            lambda_embedding(jc_hamiltonian(), (1.0, 0.0), -0.5, grid)
+        with pytest.raises(ConfigurationError):
+            lambda_embedding(jc_hamiltonian(), (0.2, 0.2), 1.0, grid)
 
 
 class TestLindbladLimit:

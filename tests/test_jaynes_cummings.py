@@ -198,10 +198,22 @@ def _beta1_mpmath(tau: float, gamma: float) -> float:
         return float(mpmath.exp(-half) * shape)
 
 
+def _beta2_mpmath(taus, gamma: float) -> np.ndarray:
+    """The three-pole partial-fraction sum of beta2 evaluated at 60 digits."""
+    with mpmath.workdps(60):
+        g = mpmath.mpf(gamma)
+        poles = mpmath.polyroots([1, 2 * g, g * g + 4, 2 * g], maxsteps=200, extraprec=200)
+        residues = [((s + g) ** 2 + 2) / (3 * s * s + 4 * g * s + g * g + 4) for s in poles]
+        values = [
+            sum(a * mpmath.exp(s * mpmath.mpf(t)) for a, s in zip(residues, poles)) for t in taus
+        ]
+        return np.array([float(mpmath.re(v)) for v in values])
+
+
 class TestLargeRate:
     """Deep in the memoryless regime the slow rate must not cancel."""
 
-    @pytest.mark.parametrize("gamma", [1e3, 1e6, 1e8])
+    @pytest.mark.parametrize("gamma", [1e3, 1e6, 1e8, 3e8, 1e10, 1e12])
     def test_inequalities_within_slack(self, gamma):
         taus = np.linspace(0.0, 20.0, 2001)
         b1, b2 = beta_arrays(taus, gamma)  # raises on violation
@@ -213,6 +225,13 @@ class TestLargeRate:
         taus = np.linspace(0.0, 20.0, 41)
         ref = np.array([_beta1_mpmath(float(t), gamma) for t in taus])
         assert np.max(np.abs(beta1(taus, gamma) - ref)) < 1e-15
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 50.0, 1e8, 3e8, 1e10, 1e12])
+    def test_beta2_matches_high_precision_residues(self, gamma):
+        # above gamma_bar ~ 1e8 the conjugate pair is nearly degenerate in
+        # relative terms; it must come out complex, with residues summing to 1
+        taus = np.concatenate([np.linspace(0.0, 20.0, 41), np.logspace(-14, 0, 15)])
+        assert np.max(np.abs(beta2(taus, gamma) - _beta2_mpmath(taus, gamma))) < 1e-15
 
 
 class TestBetaArrays:
