@@ -24,12 +24,14 @@ from .continuum import (
     KernelModes,
     LambdaSeriesResult,
     LindbladGenerator,
+    MapStack,
     MemoryKernelMap,
     SeriesPolicy,
     TimeGrid,
     adc_decay_kernel,
     build_kernel_map,
     build_thermal_kernel_map,
+    discrete_maps,
     lambda_embedding,
     lambda_series,
     lindblad_limit,

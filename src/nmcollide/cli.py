@@ -17,13 +17,17 @@ Identical config and seed give byte-identical CSV output.
 The closed-form modes (``jc_closed_form``, ``certify``, ``sweep``) take one
 gamma_bar at a time over its whole tau array: vector betas, one (n, 4, 4)
 Choi stack, and one batched Hermitian eigensolve for its spectra. The
-``series`` and ``thermal`` modes likewise take every Choi spectrum and every
-trace distance to the discrete trajectory from one batched eigensolve.
+``series``, ``thermal`` and ``discrete`` modes get one MapStack (the series,
+or the protocol's own maps from one propagation of its spanning states),
+read beta1 = S[1,1] and beta2 = S[3,3] off it where they report betas, and
+take every Choi spectrum and every trace distance from one batched eigensolve.
 
 Exit codes, each failure with a JSON error on stderr: 0 success, 2
-unparseable or invalid config, 3 certification failure, 4 numerical failure
-(a series that did not converge, a diverged quadrature, a provably bounded
-quantity out of range, or a numpy linear-algebra or floating-point error).
+unparseable or invalid config (a closed-form gamma_bar or tau past the
+bound where its intermediates stay finite included), 3 certification
+failure, 4 numerical failure (a series that did not converge, a diverged
+quadrature, a provably bounded quantity out of range, or a numpy
+linear-algebra or floating-point error).
 A run treats numpy overflow, division by zero and invalid operations as
 errors rather than warnings, so stderr carries nothing but the JSON error.
 """
@@ -44,11 +48,12 @@ import scipy
 from . import __version__
 from .collisions import BathSpec, CollisionConfig, run_discrete, run_discrete_thermal
 from .continuum import (
+    MapStack,
     SeriesPolicy,
     TimeGrid,
     build_kernel_map,
     build_thermal_kernel_map,
-    choi_stack_from_superops,
+    discrete_maps,
     lambda_series,
 )
 from .errors import (
@@ -243,7 +248,7 @@ def _calibrated_gamma(collision: CollisionConfig) -> Optional[float]:
 # --- mode implementations ----------------------------------------------------
 
 
-def _closed_form_rows(taus, g: float, b1, b2, min_eigs=()):
+def _beta_rows(taus, g: float, b1, b2, min_eigs=()):
     rows = [{"tau": t, "gamma_bar": g, "beta1": x, "beta2": y} for t, x, y in zip(taus, b1, b2)]
     for row, e in zip(rows, min_eigs):
         row["min_choi_eig"] = e
@@ -254,7 +259,7 @@ def _mode_jc_closed_form(cfg: ExperimentConfig):
     taus = _tau_grid(cfg)
     rows = []
     for g in _gamma_list(cfg):
-        rows += _closed_form_rows(taus, g, *beta_arrays(taus, g))
+        rows += _beta_rows(taus, g, *beta_arrays(taus, g))
     return rows, {}, None
 
 
@@ -268,7 +273,7 @@ def _mode_certify(cfg: ExperimentConfig):
         b1, b2 = beta_arrays(taus, g)
         choi = choi_stack(b1, b2)
         report = certify_cpt(choi, tolerance, gamma_bar=g)
-        rows += _closed_form_rows(taus, g, b1, b2, report.min_choi_eigenvalue)
+        rows += _beta_rows(taus, g, b1, b2, report.min_choi_eigenvalue)
         reports[g] = report.as_dict()
         verdict = verdict and report.verdict
         # ~16 evenly spaced maps on each probe: out[n,p,a,b] = sum_ij C[n,ia,jb] rho_p[i,j]
@@ -291,32 +296,21 @@ def _mode_discrete(cfg: ExperimentConfig):
     collision = _collision_from_config(cfg.require("collision", dict))
     if collision.system_dim != 2:
         raise ConfigurationError("beta extraction requires a qubit system")
-    excited = DensityOperator.basis(2, 1)
-    plus = DensityOperator(np.full((2, 2), 0.5))
-    runner = run_discrete_thermal if collision.bath.kind == "thermal" else run_discrete
-    traj_pop = runner(collision, excited)
-    traj_coh = runner(collision, plus)
-    gamma = _calibrated_gamma(collision)
-    beta2 = traj_pop.matrices[:, 1, 1].real
-    beta1 = 2.0 * traj_coh.matrices[:, 0, 1].real
-    rows = [
-        {"tau": tau, "gamma_bar": gamma, "beta2": y, "beta1": x}
-        for tau, x, y in zip(traj_pop.times, beta1, beta2)
-    ]
-    return rows, {}, None
+    return _map_rows(discrete_maps(collision), _calibrated_gamma(collision), {}), {}, None
+
+
+def _map_rows(stack: MapStack, gamma, distances: dict):
+    """Rows of a qubit map stack: beta1 = S[1,1], beta2 = S[3,3], the minimum Choi eigenvalue."""
+    s = stack.superops
+    min_eigs = np.linalg.eigvalsh(stack.choi())[:, 0]
+    rows = _beta_rows(stack.times, gamma, s[:, 1, 1].real, s[:, 3, 3].real, min_eigs)
+    for j in distances:
+        rows[j]["trace_distance_vs_discrete"] = distances[j]
+    return rows
 
 
 # the state the series and thermal modes send through both the series and the protocol
 _PROBE = DensityOperator(np.array([[0.4, 0.25 + 0.2j], [0.25 - 0.2j, 0.6]]))
-
-
-def _apply_stack(superops: np.ndarray, rho: DensityOperator) -> np.ndarray:
-    """Each qubit map of an (n, 4, 4) superoperator stack applied to rho, as (n, 2, 2)."""
-    return (superops @ rho.data.reshape(-1)).reshape(-1, 2, 2)
-
-
-def _min_choi_eigenvalues(superops: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(choi_stack_from_superops(superops, 2))[:, 0]
 
 
 def _series_policy(cfg: ExperimentConfig) -> SeriesPolicy:
@@ -324,6 +318,11 @@ def _series_policy(cfg: ExperimentConfig) -> SeriesPolicy:
         k_max=_integer(cfg.optional("k_max", 200), "k_max", minimum=1),
         tail_tol=float(_number(cfg.optional("tail_tol", 1e-8), "tail_tol")),
     )
+
+
+def _series_report(gamma: float, result) -> dict:
+    return {"gamma_bar": gamma, "truncation_order": result.truncation_order,
+            "tail_norm": result.tail_norm}
 
 
 def _mode_series(cfg: ExperimentConfig):
@@ -336,7 +335,6 @@ def _mode_series(cfg: ExperimentConfig):
     extras = {}
     for g in _gamma_list(cfg):
         result = lambda_series(kernel, g, grid, policy)
-        superops = result.superops()
         distances = {}
         if compare and g > 0:
             t_c = float(_number(cfg.optional("t_c", grid.dt), "t_c"))
@@ -344,35 +342,15 @@ def _mode_series(cfg: ExperimentConfig):
             if stride < 1 or abs(stride * grid.dt - t_c) > 1e-9:
                 raise ConfigurationError("t_c must be a multiple of the tau grid spacing")
             collision = CollisionConfig(
-                system_dim=2,
-                ancilla_dim=2,
-                hamiltonian=jc_hamiltonian(),
-                t_c=t_c,
-                p_s=float(np.exp(-g * t_c)),
-                n_steps=(len(taus) - 1) // stride,
-                bath=BathSpec(kind="pure_ground"),
+                2, 2, jc_hamiltonian(), t_c=t_c, p_s=float(np.exp(-g * t_c)),
+                n_steps=(len(taus) - 1) // stride, bath=BathSpec(kind="pure_ground"),
             )
             traj = run_discrete(collision, _PROBE)
             sampled = stride * np.arange(len(traj))
-            applied = _apply_stack(superops[sampled], _PROBE)
+            applied = result.maps[sampled].apply(_PROBE)
             distances = dict(zip(sampled.tolist(), trace_distances(applied, traj.matrices)))
-        min_eigs = _min_choi_eigenvalues(superops)
-        for j, mp in enumerate(result.maps):
-            row = {
-                "tau": mp.time,
-                "gamma_bar": g,
-                "beta1": mp.superop[1, 1].real,
-                "beta2": mp.superop[3, 3].real,
-                "min_choi_eig": min_eigs[j],
-            }
-            if j in distances:
-                row["trace_distance_vs_discrete"] = distances[j]
-            rows.append(row)
-        extras[f"series_gamma_{g:g}.json"] = {
-            "gamma_bar": g,
-            "truncation_order": result.truncation_order,
-            "tail_norm": result.tail_norm,
-        }
+        rows += _map_rows(result.maps, g, distances)
+        extras[f"series_gamma_{g:g}.json"] = _series_report(g, result)
     return rows, extras, None
 
 
@@ -390,25 +368,16 @@ def _mode_thermal(cfg: ExperimentConfig):
         weights=collision.bath.weights,
         ancilla_dim=collision.ancilla_dim,
     )
-    grid = TimeGrid(
-        t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1
-    )
+    grid = TimeGrid(t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1)
     result = lambda_series(kernel, gamma, grid, _series_policy(cfg))
     traj = run_discrete_thermal(collision, _PROBE)
-    superops = result.superops()
-    distances = trace_distances(_apply_stack(superops, _PROBE), traj.matrices)
+    distances = trace_distances(result.maps.apply(_PROBE), traj.matrices)
+    min_eigs = np.linalg.eigvalsh(result.maps.choi())[:, 0]
     rows = [
-        {"tau": mp.time, "gamma_bar": gamma, "trace_distance_vs_discrete": td, "min_choi_eig": e}
-        for mp, td, e in zip(result.maps, distances, _min_choi_eigenvalues(superops))
+        {"tau": tau, "gamma_bar": gamma, "trace_distance_vs_discrete": td, "min_choi_eig": e}
+        for tau, td, e in zip(result.maps.times, distances, min_eigs)
     ]
-    extras = {
-        "series_thermal.json": {
-            "gamma_bar": gamma,
-            "truncation_order": result.truncation_order,
-            "tail_norm": result.tail_norm,
-        }
-    }
-    return rows, extras, None
+    return rows, {"series_thermal.json": _series_report(gamma, result)}, None
 
 
 def _mode_convergence(cfg: ExperimentConfig):
@@ -437,7 +406,7 @@ def _mode_sweep(cfg: ExperimentConfig):
                 f"Choi matrix is not positive semidefinite: min eigenvalue {min_eigs[j]:.3e} "
                 f"at tau={taus[j]}, gamma_bar={g}"
             )
-        rows += _closed_form_rows(taus, g, b1, b2, min_eigs)
+        rows += _beta_rows(taus, g, b1, b2, min_eigs)
     return rows, {}, None
 
 

@@ -6,32 +6,27 @@ collision, a 1-2 swap collision precedes S-2, then 2-3 precedes S-3, and
 so on. Step 1 ends after S-1; step n >= 2 ends once both the (n-1)-n and
 the S-n collisions are over.
 
-The engine exploits the fact that ancilla i never interacts again after
-the i-(i+1) swap: it is traced out immediately, so the simulation carries
-only the joint state of the system and the single upcoming ancilla (the
-sliding window). With the fresh ancilla state rho_A, one step is
+Ancilla i never interacts again after the i-(i+1) swap, so it is traced
+out at once and the engine carries only the window W: the joint state of
+the system and the one upcoming ancilla. With the fresh ancilla state
+rho_A (|0><0|, or the mixed Boltzmann state diag(w) of a thermal bath),
+one step is W <- U (p_s W + (1 - p_s) Tr_A(W) (x) rho_A) U^dag, one fixed
+linear map built once as the transfer matrix (U (x) U*)(p_s 1 + (1 - p_s) R)
+on the row-major vec(W), with the reset R(W) = Tr_A(W) (x) rho_A. Cost is
+linear in the step count; the literal full-chain simulation lives in
+:mod:`nmcollide.verify` as the oracle for this reduction.
 
-    W <- U (p_s W + (1 - p_s) Tr_A(W) (x) rho_A) U^dag:
-
-the swap branch carries the window onto the fresh ancilla, the identity
-branch leaves the fresh ancilla beside the reduced system state. This is
-one fixed linear map on the window, so it is built once as the transfer
-matrix (U (x) U*)(p_s 1 + (1 - p_s) R) acting on the row-major vec(W),
-with the reset R(W) = Tr_A(W) (x) rho_A, and each step is one mat-vec.
-Cost is linear in the step count instead of exponential. The literal
-full-chain simulation lives in :mod:`nmcollide.verify` as the oracle for
-this reduction.
-
-After each mat-vec the window is made Hermitian again and renormalized
-to unit trace. The exact map preserves both, but rounding does not: over
-2000 steps at t_c = 0.01 the repair keeps the reduced states within
-~1e-14 of a long-double recursion, against 1e-13 to 3e-13 without it.
-The reduced states are collected as one (n_steps + 1, d, d) stack and
-validated once, by the same check a single DensityOperator goes through.
-
-Finite bath temperature needs no extra machinery: every ancilla simply
-starts in the mixed Boltzmann state rho_A = diag(w) instead of |0><0|,
-and the same window loop runs for both baths.
+One loop propagates windows under any fixed step matrix, k at a time as
+the columns of a (d^2, k) array. After each mat-vec every column is made
+Hermitian again and renormalized to unit trace: the exact map preserves
+both, rounding does not, and over 2000 steps at t_c = 0.01 the repair keeps
+the reduced states within ~1e-14 of a long-double recursion, against 1e-13
+to 3e-13 without it. ``run_discrete`` and ``run_discrete_thermal`` carry
+one state (k = 1) and validate its (n_steps + 1, d, d) trajectory once, by
+the same check a single DensityOperator goes through. ``propagate_maps``
+carries the d^2 spanning states and solves for the maps themselves; the
+discrete maps and the continuum embedding (stepping expm(L dt)) of
+:mod:`nmcollide.continuum` both come from it.
 """
 
 from __future__ import annotations
@@ -57,6 +52,8 @@ __all__ = [
     "CollisionConfig",
     "TrajectoryRecord",
     "partial_swap_channel",
+    "propagate_maps",
+    "protocol_step",
     "reset_superop",
     "sa_collision",
     "run_discrete",
@@ -222,27 +219,56 @@ def _transfer_matrix(u: np.ndarray, fresh: np.ndarray, p_s: float) -> np.ndarray
     return np.kron(u, u.conj()) @ (p_s * np.eye(u.size) + (1.0 - p_s) * reset)
 
 
+def protocol_step(cfg: CollisionConfig):
+    """The protocol's transfer matrix and the fresh ancilla state rho_A = diag(bath weights)."""
+    fresh = np.diag(cfg.bath.weight_vector(cfg.ancilla_dim)).astype(np.complex128)
+    return _transfer_matrix(unitary_evolution(cfg.hamiltonian, cfg.t_c), fresh, cfg.p_s), fresh
+
+
+def _propagate(step: np.ndarray, inputs: np.ndarray, fresh: np.ndarray, n_steps: int):
+    """Tr_A W_j, j = 0..n_steps, of W_j = step W_{j-1} from each W_0 = rho (x) rho_A.
+
+    The k states rho of the (k, d_s, d_s) stack ``inputs`` run together as
+    the columns of one (d^2, k) array; after every mat-vec each column is
+    made Hermitian again and renormalized to unit trace. Returns an
+    (n_steps + 1, d_s, d_s, k) array.
+    """
+    k, ds, da = len(inputs), inputs.shape[1], fresh.shape[0]
+    d = ds * da
+    dagger = np.arange(d * d).reshape(d, d).T.reshape(-1)  # vec(W^T) = vec(W)[dagger]
+    diagonal = np.arange(0, d * d, d + 1)
+    history = np.empty((n_steps + 1, d * d, k), dtype=np.complex128)
+    history[0] = np.einsum("kst,ab->satbk", inputs, fresh).reshape(d * d, k)
+    for j in range(1, n_steps + 1):
+        w = np.matmul(step, history[j - 1], out=history[j])
+        # the exact map preserves Hermiticity and trace; restoring both each
+        # step keeps rounding from drifting systematically over long runs
+        w += w[dagger].conj()  # (W + W^dag) / its trace = Hermitian part / its trace
+        w /= w[diagonal].sum(axis=0).real
+    return np.einsum("nsatak->nstk", history.reshape(n_steps + 1, ds, da, ds, da, k))
+
+
+def propagate_maps(step: np.ndarray, fresh: np.ndarray, system_dim: int, n_steps: int):
+    """Superoperators of rho -> Tr_A W_j, j = 0..n_steps, as an (n_steps + 1, d_s^2, d_s^2) array.
+
+    The d_s^2 spanning states X (|i><i| and, for i < j, the projectors on
+    |i> + |j> and |i> + i|j>) run through the window propagator together;
+    with Y their reduced states, each map is S = Y X^{-1}.
+    """
+    eye = np.eye(system_dim, dtype=np.complex128)
+    pairs = [(i, j) for i in range(system_dim) for j in range(i + 1, system_dim)]
+    kets = list(eye) + [eye[i] + c * eye[j] for i, j in pairs for c in (1, 1j)]
+    x = np.array([np.outer(v, v.conj()) / np.vdot(v, v).real for v in kets])
+    y = _propagate(step, x, fresh, n_steps).reshape(n_steps + 1, len(x), len(x))
+    return y @ np.linalg.inv(x.reshape(len(x), -1).T)
+
+
 def _window_run(cfg: CollisionConfig, rho0: DensityOperator) -> TrajectoryRecord:
     if rho0.dim != cfg.system_dim:
         raise ConfigurationError(f"initial state dim {rho0.dim} != system dim {cfg.system_dim}")
-    ds, da, n = cfg.system_dim, cfg.ancilla_dim, cfg.n_steps
-    d = ds * da
-    fresh = np.diag(cfg.bath.weight_vector(da)).astype(np.complex128)
-    step = _transfer_matrix(unitary_evolution(cfg.hamiltonian, cfg.t_c), fresh, cfg.p_s)
-    dagger = np.arange(d * d).reshape(d, d).T.reshape(-1)  # vec(W^T) = vec(W)[dagger]
-    diagonal = np.arange(0, d * d, d + 1)
-
-    windows = np.empty((n + 1, d * d), dtype=np.complex128)
-    windows[0] = np.kron(rho0.data, fresh).reshape(-1)
-    for k in range(1, n + 1):
-        w = step @ windows[k - 1]
-        # the exact map preserves Hermiticity and trace; restoring both each
-        # step keeps rounding from drifting systematically over long runs
-        w = 0.5 * (w + w[dagger].conj())
-        windows[k] = w / w[diagonal].sum().real
-    reduced = np.einsum("nsata->nst", windows[1:].reshape(n, ds, da, ds, da))
-
-    times = tuple(k * cfg.t_c for k in range(n + 1))
+    step, fresh = protocol_step(cfg)
+    reduced = _propagate(step, rho0.data[None], fresh, cfg.n_steps)[1:, :, :, 0]
+    times = tuple(k * cfg.t_c for k in range(cfg.n_steps + 1))
     return TrajectoryRecord(np.concatenate([rho0.data[None], reduced]), times)
 
 

@@ -9,8 +9,9 @@ where * is convolution of superoperator-valued functions of time with
 composition as the product. The series is the Dyson expansion, in the
 reset term, of one generator on system (x) a single ancilla,
 L = -i[H, .] + Gamma (R - 1) with R(W) = Tr_A(W) (x) rho_A, so that
-Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A). Three evaluation routes are
-provided:
+Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A). The routes below return one
+MapStack, an (n, d^2, d^2) superoperator array on row-major vectorized
+density matrices with its times:
 
 * ``lambda_series``: the convolution series on a uniform grid. Each term
   is a positively weighted sum of compositions of CPT maps, so every
@@ -19,13 +20,12 @@ provided:
   which stay O(1) for any Gamma (no overflow at large rates).
 * ``lambda_embedding``: the generator L itself, stepped with one matrix
   exponential; the double-precision cross-check of the series.
-* ``lindblad_limit``: the memoryless semigroup generated by the kernel's
-  short-time derivative, for the infinite-rate regime.
+* ``discrete_maps``: the discrete protocol's own maps at the times n t_c.
+  It and the embedding share the collision engine's window propagator.
 
-During convolution, maps are carried as d^2 x d^2 matrices acting on
-row-major vectorized density matrices (convolution needs linear-map
-addition, which Kraus lists do not support); Kraus form is recovered on
-demand through the Choi eigendecomposition.
+``lindblad_limit`` gives the memoryless semigroup of the kernel's
+short-time derivative (the infinite-rate regime). Kraus form is recovered
+on demand from the Choi eigendecomposition; convolution needs map addition.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .collisions import reset_superop, thermal_weights
+from .collisions import (CollisionConfig, propagate_maps, protocol_step, reset_superop,
+                         thermal_weights)
 from .errors import ConfigurationError, TruncationError
 from .quantum import (
     ChoiMatrix,
@@ -54,6 +55,7 @@ __all__ = [
     "KernelModes",
     "MemoryKernelMap",
     "DynamicalMap",
+    "MapStack",
     "LambdaSeriesResult",
     "LindbladGenerator",
     "kraus_to_superop",
@@ -64,6 +66,7 @@ __all__ = [
     "adc_decay_kernel",
     "lambda_series",
     "lambda_embedding",
+    "discrete_maps",
     "lindblad_limit",
 ]
 
@@ -89,9 +92,9 @@ def choi_stack_from_superops(superops: np.ndarray, dim: int) -> np.ndarray:
     return 0.5 * (choi + choi.conj().transpose(0, 2, 1))  # symmetrize away rounding noise
 
 
-def apply_superop(superop: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    d = mat.shape[0]
-    return (superop @ mat.reshape(-1)).reshape(d, d)
+def _vec(rho) -> np.ndarray:
+    """Row-major vec of a state or matrix."""
+    return (rho.data if isinstance(rho, DensityOperator) else np.asarray(rho)).reshape(-1)
 
 
 # --- grids and policies -----------------------------------------------------
@@ -336,8 +339,7 @@ class DynamicalMap:
     dim: int
 
     def apply(self, rho) -> np.ndarray:
-        mat = rho.data if isinstance(rho, DensityOperator) else np.asarray(rho)
-        return apply_superop(self.superop, mat)
+        return (self.superop @ _vec(rho)).reshape(self.dim, self.dim)
 
     def choi(self) -> ChoiMatrix:
         return choi_from_superop(self.superop, self.dim)
@@ -357,26 +359,43 @@ class DynamicalMap:
 
 
 @dataclass(frozen=True)
+class MapStack:
+    """Dynamical maps at a sequence of times, as one (n, d^2, d^2) superoperator array.
+
+    An int index gives the DynamicalMap at that time, sharing the array;
+    any other index (a slice, an index array) gives a MapStack. Like
+    DynamicalMap, construction performs no positivity check.
+    """
+
+    times: np.ndarray
+    superops: np.ndarray
+    dim: int
+
+    def __len__(self) -> int:
+        return len(self.superops)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, (int, np.integer)):
+            return DynamicalMap(float(self.times[idx]), self.superops[idx], self.dim)
+        return MapStack(self.times[idx], self.superops[idx], self.dim)
+
+    def choi(self) -> np.ndarray:
+        """The (n, d^2, d^2) stack of Choi matrices."""
+        return choi_stack_from_superops(self.superops, self.dim)
+
+    def apply(self, rho) -> np.ndarray:
+        """Each map applied to rho, as an (n, d, d) array."""
+        return (self.superops @ _vec(rho)).reshape(-1, self.dim, self.dim)
+
+
+@dataclass(frozen=True)
 class LambdaSeriesResult:
     """Grid-indexed dynamical maps plus truncation diagnostics."""
 
-    maps: tuple
+    maps: MapStack
     truncation_order: int
     tail_norm: float
     tail_history: tuple = field(default=(), repr=False)
-
-    def __iter__(self):
-        return iter(self.maps)
-
-    def __len__(self):
-        return len(self.maps)
-
-    def __getitem__(self, idx):
-        return self.maps[idx]
-
-    def superops(self) -> np.ndarray:
-        """The maps' superoperators as one (n, d^2, d^2) array."""
-        return np.stack([mp.superop for mp in self.maps])
 
 
 class _FftConvolver:
@@ -470,28 +489,24 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
                     order=policy.k_max,
                 )
             tail = residual
-    d = kernel.system_dim
-    maps = tuple(
-        DynamicalMap(time=float(t), superop=total[j], dim=d) for j, t in enumerate(times)
-    )
-    return LambdaSeriesResult(
-        maps=maps, truncation_order=order, tail_norm=tail, tail_history=tuple(tail_history)
-    )
+    maps = MapStack(times, total, kernel.system_dim)
+    return LambdaSeriesResult(maps, order, tail, tuple(tail_history))
 
 
 # --- Markovian embedding ------------------------------------------------------
 
 
-def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid) -> tuple:
+def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid) -> MapStack:
     """Dynamical maps Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A) on the grid.
 
     L = -i[H, .] + gamma (R - 1) acts on system (x) one ancilla, with
     rho_A = diag(weights) and the reset R(W) = Tr_A(W) (x) rho_A shared
     with the discrete engine. The maps are stepped with one
-    P = expm(L dt), never an eigendecomposition: for the exchange coupling
-    L is defective at gamma = 2. Sharing only H and rho_A with
-    ``lambda_series``, this is the series' double-precision cross-check;
-    it is no oracle for the discrete engine, which uses the same R.
+    P = expm(L dt) through the engine's window propagator, never an
+    eigendecomposition: for the exchange coupling L is defective at
+    gamma = 2. Sharing only H and rho_A with ``lambda_series``, this is
+    the series' double-precision cross-check; it is no oracle for the
+    discrete engine, which uses the same R and the same propagator.
     """
     if gamma < 0:
         raise ConfigurationError("memory-loss rate must be nonnegative")
@@ -504,19 +519,13 @@ def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid
         reset_superop(rho_a, ds) - np.eye(d * d)
     )
     step = scipy.linalg.expm(generator * grid.dt)
-    # column (s', t') holds vec(|s'><t'| (x) rho_A)
-    eye_s = np.eye(ds)
-    windows = np.empty((grid.n_points, d * d, ds * ds), dtype=np.complex128)
-    windows[0] = np.einsum("sS,tT,ab->satbST", eye_s, eye_s, rho_a).reshape(d * d, ds * ds)
-    for k in range(1, grid.n_points):
-        windows[k] = step @ windows[k - 1]
-    superops = np.einsum(
-        "nsatam->nstm", windows.reshape(grid.n_points, ds, ancilla_dim, ds, ancilla_dim, -1)
-    ).reshape(grid.n_points, ds * ds, ds * ds)
-    return tuple(
-        DynamicalMap(time=float(t), superop=superops[j], dim=ds)
-        for j, t in enumerate(grid.times())
-    )
+    return MapStack(grid.times(), propagate_maps(step, rho_a, ds, grid.n_points - 1), ds)
+
+
+def discrete_maps(cfg: CollisionConfig) -> MapStack:
+    """The protocol's maps rho_0 -> rho_n at times n * t_c, n = 0..n_steps, for either bath."""
+    superops = propagate_maps(*protocol_step(cfg), cfg.system_dim, cfg.n_steps)
+    return MapStack(np.arange(cfg.n_steps + 1) * cfg.t_c, superops, cfg.system_dim)
 
 
 # --- memoryless limit --------------------------------------------------------

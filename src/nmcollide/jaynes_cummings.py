@@ -109,6 +109,28 @@ def _sinhc_sqrt(w: np.ndarray) -> np.ndarray:
     return out
 
 
+# gamma_bar, tau and gamma_bar * tau up to this bound keep every intermediate
+# finite: gamma_bar^2 and 3 gamma_bar^2 (the cubic and its derivative),
+# w = (gamma_bar^2/4 - 1) tau^2 and tau^2 (beta1), alpha * tau (beta2)
+DOMAIN_BOUND = math.sqrt(np.finfo(float).max) / 2.0  # ~6.7e153
+
+
+def _domain(tau, gamma_bar: float) -> np.ndarray:
+    """tau as a 1-d array, once (tau, gamma_bar) is checked to lie in the closed form's domain."""
+    if gamma_bar < 0:
+        raise ConfigurationError("memory-loss rate must be nonnegative")
+    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
+    if np.any(tau_arr < 0):
+        raise ConfigurationError("tau must be nonnegative")
+    t = float(tau_arr.max(initial=0.0))
+    if max(gamma_bar, t, gamma_bar * t) > DOMAIN_BOUND:
+        raise ConfigurationError(
+            f"gamma_bar = {gamma_bar:g}, tau = {t:g}: gamma_bar, tau and gamma_bar * tau must not "
+            f"exceed {DOMAIN_BOUND:.4g}, beyond which the closed form overflows"
+        )
+    return tau_arr
+
+
 def beta1(tau, gamma_bar: float):
     """Coherence factor of the dynamical map.
 
@@ -120,14 +142,8 @@ def beta1(tau, gamma_bar: float):
     (equal to gamma_bar*tau/2 - sqrt(w), since w - (gamma_bar*tau/2)^2 =
     -tau^2) so that it does not cancel at large gamma_bar.
     """
-    if gamma_bar < 0:
-        raise ConfigurationError("memory-loss rate must be nonnegative")
-    tau_arr = np.asarray(tau, dtype=float)
-    scalar = tau_arr.ndim == 0
-    tau_arr = np.atleast_1d(tau_arr)
-    if np.any(tau_arr < 0):
-        raise ConfigurationError("tau must be nonnegative")
-
+    scalar = np.ndim(tau) == 0
+    tau_arr = _domain(tau, gamma_bar)
     half = 0.5 * gamma_bar * tau_arr
     w = (0.25 * gamma_bar * gamma_bar - 1.0) * tau_arr * tau_arr
 
@@ -265,11 +281,8 @@ def cubic_spectrum_cardano(gamma_bar: float) -> CubicSpectrum:
 
 def beta2(tau, gamma_bar: float):
     """Excited-population factor of the dynamical map."""
-    tau_arr = np.asarray(tau, dtype=float)
-    scalar = tau_arr.ndim == 0
-    if np.any(np.atleast_1d(tau_arr) < 0):
-        raise ConfigurationError("tau must be nonnegative")
-    vals = cubic_spectrum(float(gamma_bar)).evaluate(tau_arr)
+    scalar = np.ndim(tau) == 0
+    vals = cubic_spectrum(float(gamma_bar)).evaluate(_domain(tau, gamma_bar))
     return float(vals[0]) if scalar else vals
 
 
@@ -362,10 +375,6 @@ class QubitStateParams:
                 [[1.0 - self.p, self.r], [np.conj(self.r), self.p]], dtype=np.complex128
             )
         )
-
-    @classmethod
-    def from_density(cls, rho: DensityOperator) -> "QubitStateParams":
-        return cls(p=float(rho.data[1, 1].real), r=complex(rho.data[0, 1]))
 
 
 def lambda_jc(tau: float, gamma_bar: float, rho0: QubitStateParams) -> DensityOperator:

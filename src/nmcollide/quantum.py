@@ -187,11 +187,6 @@ class KrausChannel:
     def identity(cls, dim: int) -> "KrausChannel":
         return cls((np.eye(dim, dtype=np.complex128),), dim_in=dim, dim_out=dim)
 
-    @classmethod
-    def from_unitary(cls, u: np.ndarray) -> "KrausChannel":
-        u = np.asarray(u, dtype=np.complex128)
-        return cls((u,), dim_in=u.shape[1], dim_out=u.shape[0])
-
     def trace_defect(self) -> float:
         return self.trace_defect_of(self.kraus, self.dim_in)
 
@@ -218,12 +213,6 @@ class ChoiMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.data).real)
-
-    def trace_preservation_defect(self) -> float:
-        """Max deviation of the output-trace marginal from the identity."""
-        t = self.data.reshape(self.dim, self.dim, self.dim, self.dim)
-        marginal = np.einsum("iaja->ij", t)
-        return float(np.max(np.abs(marginal - np.eye(self.dim))))
 
 
 def tensor(a, b):
@@ -269,14 +258,10 @@ def partial_trace(joint: DensityOperator, dims: Sequence[int], keep) -> DensityO
     return DensityOperator(_partial_trace_matrix(joint.data, dims, tuple(keep)))
 
 
-def _apply_kraus_matrix(ops: Sequence[np.ndarray], mat: np.ndarray) -> np.ndarray:
-    return sum(k @ mat @ k.conj().T for k in ops)
-
-
 def apply_channel(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
     if ch.dim_in != rho.dim:
         raise ConfigurationError(f"channel input dim {ch.dim_in} != state dim {rho.dim}")
-    return DensityOperator(_apply_kraus_matrix(ch.kraus, rho.data))
+    return DensityOperator(sum(k @ rho.data @ k.conj().T for k in ch.kraus))
 
 
 def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:

@@ -433,12 +433,16 @@ class TestErrorMapping:
         err = json.loads(capsys.readouterr().err)
         assert "not positive semidefinite" in err["error"]["message"]
 
-    def test_linalg_failure_exits_4(self, tmp_path, capsys):
-        # gamma_bar^2 + 4 overflows in the closed form's cubic and np.roots
-        # raises LinAlgError
+    def test_linalg_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        import nmcollide.cli as cli_mod
+
+        def singular(taus, g):
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+
+        monkeypatch.setattr(cli_mod, "beta_arrays", singular)
         cfg = write_config(
             tmp_path, "cfg.json",
-            {"gamma_bar": [1e200], "tau": [1.0], "output_path": str(tmp_path / "out")},
+            {"gamma_bar": [1.0], "tau": [1.0], "output_path": str(tmp_path / "out")},
         )
         assert main(["sweep", cfg]) == 4
         stderr = capsys.readouterr().err
@@ -462,20 +466,21 @@ class TestErrorMapping:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == {"code": 4, "message": "FloatingPointError: overflow encountered"}
 
-    @pytest.mark.parametrize("payload", [
-        pytest.param({"mode": "series", "gamma_bar": 1.0, "tau_max": 1e6, "tau_points": 3},
+    @pytest.mark.parametrize("payload, code", [
+        pytest.param({"mode": "series", "gamma_bar": 1.0, "tau_max": 1e6, "tau_points": 3}, 4,
                      id="series-overflow"),
+        # now refused by the closed form's domain check before any arithmetic
         pytest.param({"mode": "jc_closed_form", "gamma_bar": 1e300, "tau_max": 1.0,
-                      "tau_points": 5}, id="closed-form-1e300"),
+                      "tau_points": 5}, 2, id="closed-form-1e300"),
     ])
-    def test_numpy_warning_becomes_one_json_line(self, tmp_path, capsys, payload):
+    def test_numpy_warning_becomes_one_json_line(self, tmp_path, capsys, payload, code):
         cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(tmp_path / "out")})
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning escaping the CLI fails the test
-            assert main(["run", cfg]) == 4
+            assert main(["run", cfg]) == code
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"]["code"] == 4
+        assert json.loads(lines[0])["error"]["code"] == code
 
     def test_extreme_rate_sweep_ends_with_a_code(self, tmp_path, capsys):
         cfg = write_config(
@@ -589,6 +594,88 @@ class TestBatchedChoiSpectra:
         monkeypatch.undo()
         per_map = [f"{mp.choi().min_eigenvalue():.17g}" for r in results for mp in r.maps]
         assert [row[5] for row in read_rows(tmp_path / "out")] == per_map
+
+
+class TestClosedFormDomain:
+    """gamma_bar, tau and gamma_bar * tau beyond the bound exit 2 and name it."""
+
+    @pytest.mark.parametrize("subcommand, payload", [
+        pytest.param("sweep", {"gamma_bar": [1e200], "tau": [1.0]}, id="sweep-1e200"),
+        pytest.param("run", {"mode": "jc_closed_form", "gamma_bar": 1e300, "tau_max": 1.0,
+                             "tau_points": 5}, id="closed-form-1e300"),
+        pytest.param("run", {"mode": "jc_closed_form", "gamma_bar": 0.0, "tau_max": 1e200,
+                             "tau_points": 5}, id="closed-form-long-tau"),
+    ])
+    def test_beyond_the_bound_exits_2(self, tmp_path, capsys, subcommand, payload):
+        from nmcollide.jaynes_cummings import DOMAIN_BOUND
+
+        cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(tmp_path / "out")})
+        assert main([subcommand, cfg]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == 2
+        assert "gamma_bar = " in err["message"] and "tau = " in err["message"]
+        assert f"{DOMAIN_BOUND:.4g}" in err["message"]
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_at_the_bound_exits_0(self, tmp_path):
+        from nmcollide.jaynes_cummings import DOMAIN_BOUND
+
+        # gamma_bar and gamma_bar * tau both equal the bound
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"gamma_bar": [DOMAIN_BOUND], "tau": [0.0, 1.0], "output_path": str(tmp_path / "out")},
+        )
+        assert main(["sweep", cfg]) == 0
+        rows = read_rows(tmp_path / "out")
+        assert float(rows[1][1]) == DOMAIN_BOUND
+        assert all(np.isfinite(float(v)) for row in rows for v in row[2:4] + row[5:])
+
+
+class TestDiscreteMapMode:
+    """The discrete mode reads the betas and the Choi spectrum off one discrete_maps stack."""
+
+    BATHS = {
+        "pure": {"kind": "pure_ground"},
+        "thermal": {"kind": "thermal", "energies": [0.0, 1.0], "inverse_temperature": 0.8},
+    }
+
+    @pytest.mark.parametrize("bath", sorted(BATHS))
+    def test_columns_come_from_the_stack(self, tmp_path, monkeypatch, bath):
+        import nmcollide.cli as cli_mod
+        from nmcollide import DensityOperator, run_discrete, run_discrete_thermal
+        from nmcollide.quantum import ChoiMatrix
+
+        discrete_maps, stacks = cli_mod.discrete_maps, []
+
+        def recording(collision):
+            stacks.append(discrete_maps(collision))
+            return stacks[-1]
+
+        def forbidden(self):
+            raise AssertionError("per-map ChoiMatrix built by the CLI")
+
+        monkeypatch.setattr(cli_mod, "discrete_maps", recording)
+        monkeypatch.setattr(ChoiMatrix, "__post_init__", forbidden)
+        collision = {"t_c": 0.05, "p_s": 0.95, "n_steps": 200, "bath": self.BATHS[bath]}
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"mode": "discrete", "collision": collision, "output_path": str(tmp_path / "out")},
+        )
+        assert main(["run", cfg]) == 0
+        monkeypatch.undo()
+        (stack,) = stacks
+        rows = read_rows(tmp_path / "out")
+        assert [row[5] for row in rows] == [f"{m.choi().min_eigenvalue():.17g}" for m in stack]
+        assert min(float(row[5]) for row in rows) > -1e-14
+        # the betas agree with the single-state trajectories they replace
+        col = cli_mod._collision_from_config(collision)
+        run = run_discrete_thermal if bath == "thermal" else run_discrete
+        excited = run(col, DensityOperator.basis(2, 1)).matrices
+        plus = run(col, DensityOperator(np.full((2, 2), 0.5))).matrices
+        b1 = np.array([float(row[2]) for row in rows])
+        b2 = np.array([float(row[3]) for row in rows])
+        assert np.max(np.abs(b2 - excited[:, 1, 1].real)) < 1e-14
+        assert np.max(np.abs(b1 - 2.0 * plus[:, 0, 1].real)) < 1e-14
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -13,9 +13,12 @@ from nmcollide import (
     TrajectoryRecord,
     ValidationError,
     apply_channel,
+    brute_force_chain,
     compose,
+    discrete_maps,
     partial_swap_channel,
     partial_trace,
+    random_density_operator,
     reset_superop,
     run_discrete,
     run_discrete_thermal,
@@ -317,6 +320,52 @@ class TestLongRunAccuracy:
         # 7e-15 (pure) and 9e-15 (thermal) with the engine's per-step Hermitize
         # and trace renormalization; 1e-13 (pure) and 3e-13 (thermal) without it
         assert float(np.max(np.abs(traj.matrices - reference))) < 5e-14
+
+
+# the baths and step of TestLongRunAccuracy
+LONG_RUN_WEIGHTS = [
+    pytest.param((1.0, 0.0), id="pure"),
+    pytest.param((1.0 / (1.0 + np.exp(-1.3)), np.exp(-1.3) / (1.0 + np.exp(-1.3))), id="thermal"),
+]
+
+
+def long_run_cfg(h, weights, t_c=0.01, n_steps=2000):
+    pure = weights[1] == 0.0
+    bath = BathSpec(kind="pure_ground") if pure else BathSpec(kind="thermal", weights=weights)
+    return CollisionConfig(2, 2, h, t_c=t_c, p_s=float(np.exp(-1.5 * t_c)), n_steps=n_steps,
+                           bath=bath)
+
+
+class TestDiscreteMaps:
+    """The protocol's own map stack, from the spanning states through the one window loop."""
+
+    @pytest.mark.parametrize("bath, n_steps", [
+        pytest.param(BathSpec(kind="pure_ground"), 6, id="pure"),
+        pytest.param(BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=0.7), 4,
+                     id="thermal"),
+    ])
+    def test_matches_brute_force_chain(self, jc_h, bath, n_steps):
+        rho = random_density_operator(2, np.random.default_rng(17))
+        cfg = CollisionConfig(2, 2, jc_h, t_c=0.4, p_s=0.6, n_steps=n_steps, bath=bath)
+        stack = discrete_maps(cfg)
+        reference = brute_force_chain(cfg, rho, n_max=n_steps)
+        assert np.array_equal(stack.times, reference.times)
+        assert float(np.max(np.abs(stack.apply(rho) - reference.matrices))) < 1e-12
+
+    @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
+    def test_matches_extended_precision(self, jc_h, weights):
+        cfg = long_run_cfg(jc_h, weights)
+        reference = extended_window_recursion(
+            jc_h.data, cfg.t_c, cfg.p_s, weights, PROBE.data, cfg.n_steps
+        )
+        assert float(np.max(np.abs(discrete_maps(cfg).apply(PROBE) - reference))) < 5e-14
+
+    @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
+    def test_maps_are_cptp(self, jc_h, weights):
+        stack = discrete_maps(long_run_cfg(jc_h, weights, t_c=0.05, n_steps=200))
+        assert np.max(np.abs(stack.superops[0] - np.eye(4))) < 1e-15
+        assert float(np.linalg.eigvalsh(stack.choi()).min()) > -1e-14
+        assert max(m.trace_defect() for m in stack) < 1e-14
 
 
 def _corrupted(kind):

@@ -7,7 +7,9 @@ from nmcollide import (
     CollisionConfig,
     ConfigurationError,
     DensityOperator,
+    DynamicalMap,
     HermitianOperator,
+    MapStack,
     SeriesPolicy,
     TimeGrid,
     TruncationError,
@@ -165,7 +167,7 @@ class TestLambdaSeries:
         grid = TimeGrid(t_max=2.0, n_points=101)
         a = lambda_series(jc_kernel, 1.0, grid, method="fft")
         b = lambda_series(jc_kernel, 1.0, grid, method="direct")
-        worst = max(np.max(np.abs(x.superop - y.superop)) for x, y in zip(a, b))
+        worst = max(np.max(np.abs(x.superop - y.superop)) for x, y in zip(a.maps, b.maps))
         assert worst < 1e-12
 
     @given(density_operators())
@@ -275,7 +277,7 @@ class TestLambdaEmbedding:
         grid = TimeGrid(t_max=3.0, n_points=3001)
         maps = lambda_embedding(jc_hamiltonian(), (1.0, 0.0), 2.0, grid)
         ser = lambda_series(jc_kernel, 2.0, grid)
-        worst = max(np.max(np.abs(m.superop - s.superop)) for m, s in zip(maps, ser))
+        worst = max(np.max(np.abs(m.superop - s.superop)) for m, s in zip(maps, ser.maps))
         assert worst < 1e-5
 
     def test_thermal_matches_series(self):
@@ -286,7 +288,7 @@ class TestLambdaEmbedding:
         weights = thermal_weights((0.0, 1.0), 0.8)
         maps = lambda_embedding(jc_hamiltonian(), weights, 1.0, grid)
         ser = lambda_series(kernel, 1.0, grid)
-        worst = max(np.max(np.abs(m.superop - s.superop)) for m, s in zip(maps, ser))
+        worst = max(np.max(np.abs(m.superop - s.superop)) for m, s in zip(maps, ser.maps))
         assert worst < 1e-6
 
     def test_validation(self):
@@ -295,6 +297,39 @@ class TestLambdaEmbedding:
             lambda_embedding(jc_hamiltonian(), (1.0, 0.0), -0.5, grid)
         with pytest.raises(ConfigurationError):
             lambda_embedding(jc_hamiltonian(), (0.2, 0.2), 1.0, grid)
+
+
+class TestMapStack:
+    @pytest.fixture(scope="class")
+    def stack(self):
+        return lambda_embedding(jc_hamiltonian(), (1.0, 0.0), 1.0, TimeGrid(2.0, 21))
+
+    def test_int_index_is_a_view_and_slices_stay_stacks(self, stack):
+        assert isinstance(stack, MapStack) and len(stack) == 21
+        m = stack[5]
+        assert isinstance(m, DynamicalMap) and m.time == stack.times[5] and m.dim == 2
+        assert np.shares_memory(m.superop, stack.superops)
+        for part in (stack[::4], stack[np.arange(0, 21, 4)]):
+            assert isinstance(part, MapStack) and len(part) == 6
+            assert np.array_equal(part.superops, stack.superops[::4])
+            assert np.array_equal(part.times, stack.times[::4])
+        assert [mp.time for mp in stack] == list(stack.times)
+
+    def test_choi_and_apply_agree_with_each_map(self, stack):
+        chois, applied = stack.choi(), stack.apply(PROBE)
+        assert chois.shape == (21, 4, 4) and applied.shape == (21, 2, 2)
+        for j, m in enumerate(stack):
+            assert np.array_equal(chois[j], m.choi().data)
+            assert np.max(np.abs(applied[j] - m.apply(PROBE))) < 1e-15
+
+    def test_no_positivity_check(self):
+        # like DynamicalMap, a stack carries candidate maps that certification rejects
+        stack = MapStack(np.zeros(1), -np.eye(4)[None], 2)
+        assert stack.choi()[0, 0, 0] == -1.0
+
+    def test_series_result_holds_a_stack(self, jc_kernel):
+        result = lambda_series(jc_kernel, 1.0, TimeGrid(1.0, 11))
+        assert isinstance(result.maps, MapStack) and len(result.maps) == 11
 
 
 class TestLindbladLimit:
