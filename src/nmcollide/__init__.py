@@ -21,7 +21,6 @@ from .collisions import (
 )
 from .continuum import (
     DynamicalMap,
-    KernelModes,
     LambdaSeriesResult,
     LindbladGenerator,
     MapStack,
@@ -54,11 +53,10 @@ from .jaynes_cummings import (
     beta_arrays,
     beta_laplace,
     beta_pair,
-    choi_stack,
     cubic_spectrum,
     cubic_spectrum_cardano,
-    evolved_states,
     jc_hamiltonian,
+    jc_maps,
     lambda_jc,
     lambda_jc_channel,
     lambda_jc_superop,

@@ -14,17 +14,18 @@ Every run writes ``results.csv`` with the fixed header
 ``manifest.json`` echoing the config, library versions, and timings.
 Identical config and seed give byte-identical CSV output.
 
-The closed-form modes (``jc_closed_form``, ``certify``, ``sweep``) take one
-gamma_bar at a time over its whole tau array: vector betas, one (n, 4, 4)
-Choi stack, and one batched Hermitian eigensolve for its spectra. The
-``series``, ``thermal`` and ``discrete`` modes get one MapStack (the series,
-or the protocol's own maps from one propagation of its spanning states),
-read beta1 = S[1,1] and beta2 = S[3,3] off it where they report betas, and
-take every Choi spectrum and every trace distance from one batched eigensolve.
+Every map family is one MapStack: the closed form's, one gamma_bar at a
+time over its whole tau array (``jc_closed_form``, ``certify``, ``sweep``),
+the series' (``series``, ``thermal``) and the protocol's own (``discrete``).
+Each mode returns column tables, one CSV column to a sequence with None for
+an empty cell. One function makes them from a stack: beta1 = S[1,1],
+beta2 = S[3,3], and the minimum Choi eigenvalues of one batched eigensolve
+(or of the CPT report, in ``certify``).
 
 Exit codes, each failure with a JSON error on stderr: 0 success, 2
 unparseable or invalid config (a closed-form gamma_bar or tau past the
-bound where its intermediates stay finite included), 3 certification
+bound where its intermediates stay finite, or a count past MAX_POINTS,
+checked before anything is allocated, included), 3 certification
 failure, 4 numerical failure (a series that did not converge, a diverged
 quadrature, a provably bounded quantity out of range, or a numpy
 linear-algebra or floating-point error).
@@ -63,13 +64,21 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .jaynes_cummings import beta_arrays, choi_stack, jc_hamiltonian
+from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .quantum import DensityOperator, trace_distances
 from .tolerances import DEFAULT_TOLERANCES
 from .verify import certify_cpt, convergence_study, random_density_operator
 
 CSV_HEADER = "tau,gamma_bar,beta1,beta2,trace_distance_vs_discrete,min_choi_eig"
+CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 MODES = ("discrete", "series", "jc_closed_form", "thermal", "convergence", "certify")
+
+# Point, step and probe-state counts, and the rows of a run, stay at or below
+# MAX_POINTS. The series mode peaks at ~2.8 kB per point (tracemalloc, 20 001
+# points), the most of any mode; POINT_BYTES rounds that up.
+MEMORY_BUDGET = 2**30  # bytes
+POINT_BYTES = 4096
+MAX_POINTS = MEMORY_BUDGET // POINT_BYTES  # 262 144
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,22 +107,22 @@ class ExperimentConfig:
         return self.raw.get(key, default)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{float(value):.17g}"
+_FMT = "{:.17g}".format
 
 
-def _write_csv(path: Path, rows) -> None:
+def _cells(column, n: int) -> list:
+    """A column's CSV cells: 17 significant digits, empty for None or an absent column."""
+    if column is None:
+        return [""] * n
+    return ["" if v is None else _FMT(v) for v in np.asarray(column).tolist()]
+
+
+def _write_csv(path: Path, tables) -> None:
+    """The rows of each column table in turn."""
     lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _fmt(row.get(col))
-                for col in ("tau", "gamma_bar", "beta1", "beta2",
-                            "trace_distance_vs_discrete", "min_choi_eig")
-            )
-        )
+    for table in tables:
+        n = len(table["tau"])
+        lines += map(",".join, zip(*(_cells(table.get(name), n) for name in CSV_COLUMNS)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -146,20 +155,18 @@ def load_config(path: str, *, default_mode: Optional[str] = None) -> ExperimentC
     )
 
 
-def _tau_grid(cfg: ExperimentConfig):
+def _tau_gamma_grid(cfg: ExperimentConfig):
+    """The tau grid and the gamma_bar list, checked before the grid is allocated."""
     tau_max = float(_number(cfg.require("tau_max"), "tau_max"))
-    n = _integer(cfg.require("tau_points"), "tau_points", minimum=2)
+    n = _count(cfg.require("tau_points"), "tau_points", minimum=2)
     if tau_max <= 0:
         raise ConfigurationError("need tau_max > 0")
-    return np.linspace(0.0, tau_max, n)
-
-
-def _gamma_list(cfg: ExperimentConfig):
     g = cfg.require("gamma_bar")
-    values = [float(v) for v in _numbers(g if isinstance(g, list) else [g], "gamma_bar")]
-    if min(values) < 0:
+    gammas = [float(v) for v in _numbers(g if isinstance(g, list) else [g], "gamma_bar")]
+    if min(gammas) < 0:
         raise ConfigurationError("gamma_bar must be nonnegative")
-    return values
+    _within_budget(len(gammas) * n, "the row count (gamma_bar values x tau points)")
+    return np.linspace(0.0, tau_max, n), gammas
 
 
 def _range_values(spec, name: str):
@@ -170,7 +177,7 @@ def _range_values(spec, name: str):
             if key not in spec:
                 raise ConfigurationError(f"range '{name}' is missing field '{key}'")
         start, stop = (float(_number(spec[key], f"{name}.{key}")) for key in ("start", "stop"))
-        return list(np.linspace(start, stop, _integer(spec["count"], f"{name}.count", minimum=1)))
+        return list(np.linspace(start, stop, _count(spec["count"], f"{name}.count", minimum=1)))
     raise ConfigurationError(f"field '{name}' must be a list or a start/stop/count object")
 
 
@@ -188,6 +195,20 @@ def _integer(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+def _count(value, name: str, minimum: int) -> int:
+    """A point, step or probe-state count: an integer from minimum to MAX_POINTS."""
+    return _within_budget(_integer(value, name, minimum), f"field '{name}'")
+
+
+def _within_budget(count, what: str):
+    if count > MAX_POINTS:
+        raise ConfigurationError(
+            f"{what} = {count} exceeds {MAX_POINTS}, the point and step bound "
+            f"that keeps a run within its {MEMORY_BUDGET >> 20} MiB memory budget"
+        )
+    return count
+
+
 def _numbers(value, name: str) -> tuple:
     if not isinstance(value, list) or not value:
         raise ConfigurationError(f"field '{name}' must be a nonempty list of numbers")
@@ -199,7 +220,7 @@ def _collision_from_config(spec: dict) -> CollisionConfig:
         if key not in spec:
             raise ConfigurationError(f"collision config is missing field '{key}'")
     t_c, p_s = (_number(spec[key], key) for key in ("t_c", "p_s"))
-    n_steps = _integer(spec["n_steps"], "n_steps", minimum=1)
+    n_steps = _count(spec["n_steps"], "n_steps", minimum=1)
     bath_spec = spec.get("bath", {"kind": "pure_ground"})
     if not isinstance(bath_spec, dict):
         raise ConfigurationError("field 'bath' must be an object with a 'kind' field")
@@ -248,65 +269,51 @@ def _calibrated_gamma(collision: CollisionConfig) -> Optional[float]:
 # --- mode implementations ----------------------------------------------------
 
 
-def _beta_rows(taus, g: float, b1, b2, min_eigs=()):
-    rows = [{"tau": t, "gamma_bar": g, "beta1": x, "beta2": y} for t, x, y in zip(taus, b1, b2)]
-    for row, e in zip(rows, min_eigs):
-        row["min_choi_eig"] = e
-    return rows
+def _min_choi_eigs(stack: MapStack) -> np.ndarray:
+    return np.linalg.eigvalsh(stack.choi())[:, 0]
+
+
+def _map_table(stack: MapStack, gamma, min_eigs) -> dict:
+    """CSV columns of a qubit map stack; the beta columns are copies, so the stack can be freed."""
+    s = stack.superops
+    return {"tau": stack.times, "gamma_bar": [gamma] * len(stack), "beta1": s[:, 1, 1].real.copy(),
+            "beta2": s[:, 3, 3].real.copy(), "min_choi_eig": min_eigs}
 
 
 def _mode_jc_closed_form(cfg: ExperimentConfig):
-    taus = _tau_grid(cfg)
-    rows = []
-    for g in _gamma_list(cfg):
-        rows += _beta_rows(taus, g, *beta_arrays(taus, g))
-    return rows, {}, None
+    taus, gammas = _tau_gamma_grid(cfg)
+    return [_map_table(jc_maps(taus, g), g, None) for g in gammas], {}, None
 
 
 def _mode_certify(cfg: ExperimentConfig):
-    taus = _tau_grid(cfg)
     tolerance = float(_number(cfg.optional("tolerance", 1e-9), "tolerance"))
-    n_probes = _integer(cfg.optional("probe_states", 3), "probe_states", minimum=0)
+    n_probes = _count(cfg.optional("probe_states", 3), "probe_states", minimum=0)
+    taus, gammas = _tau_gamma_grid(cfg)
     probes = _probe_states(cfg.seed, n_probes)
-    rows, reports, verdict, probe_defect = [], {}, True, 0.0
-    for g in _gamma_list(cfg):
-        b1, b2 = beta_arrays(taus, g)
-        choi = choi_stack(b1, b2)
+    tables, reports, verdict, probe_defect = [], {}, True, 0.0
+    for g in gammas:
+        stack = jc_maps(taus, g)
+        choi = stack.choi()
         report = certify_cpt(choi, tolerance, gamma_bar=g)
-        rows += _beta_rows(taus, g, b1, b2, report.min_choi_eigenvalue)
-        reports[g] = report.as_dict()
+        tables.append(_map_table(stack, g, report.min_choi_eigenvalue))
+        reports[g] = report.summary(taus)
         verdict = verdict and report.verdict
         # ~16 evenly spaced maps on each probe: out[n,p,a,b] = sum_ij C[n,ia,jb] rho_p[i,j]
         sampled = choi[:: max(1, len(choi) // 16)].reshape(-1, 2, 2, 2, 2)
         out = np.einsum("niajb,pij->npab", sampled, probes)
         traces = np.trace(out, axis1=2, axis2=3).real
         probe_defect = max(probe_defect, float(np.max(np.abs(traces - 1.0), initial=0.0)))
-    extras = {
-        "cpt_report.json": {
-            "tolerance": tolerance,
-            "verdict": verdict,
-            "per_gamma": reports,
-            "max_random_state_trace_defect": probe_defect,
-        }
-    }
-    return rows, extras, verdict
+    report = {"tolerance": tolerance, "verdict": verdict, "per_gamma": reports,
+              "max_random_state_trace_defect": probe_defect}
+    return tables, {"cpt_report.json": report}, verdict
 
 
 def _mode_discrete(cfg: ExperimentConfig):
     collision = _collision_from_config(cfg.require("collision", dict))
     if collision.system_dim != 2:
         raise ConfigurationError("beta extraction requires a qubit system")
-    return _map_rows(discrete_maps(collision), _calibrated_gamma(collision), {}), {}, None
-
-
-def _map_rows(stack: MapStack, gamma, distances: dict):
-    """Rows of a qubit map stack: beta1 = S[1,1], beta2 = S[3,3], the minimum Choi eigenvalue."""
-    s = stack.superops
-    min_eigs = np.linalg.eigvalsh(stack.choi())[:, 0]
-    rows = _beta_rows(stack.times, gamma, s[:, 1, 1].real, s[:, 3, 3].real, min_eigs)
-    for j in distances:
-        rows[j]["trace_distance_vs_discrete"] = distances[j]
-    return rows
+    stack = discrete_maps(collision)
+    return [_map_table(stack, _calibrated_gamma(collision), _min_choi_eigs(stack))], {}, None
 
 
 # the state the series and thermal modes send through both the series and the protocol
@@ -326,16 +333,15 @@ def _series_report(gamma: float, result) -> dict:
 
 
 def _mode_series(cfg: ExperimentConfig):
-    taus = _tau_grid(cfg)
+    taus, gammas = _tau_gamma_grid(cfg)
     grid = TimeGrid(t_max=float(taus[-1]), n_points=len(taus))
     kernel = build_kernel_map(jc_hamiltonian())
     policy = _series_policy(cfg)
     compare = bool(cfg.optional("compare_discrete", False))
-    rows = []
-    extras = {}
-    for g in _gamma_list(cfg):
+    tables, extras = [], {}
+    for g in gammas:
         result = lambda_series(kernel, g, grid, policy)
-        distances = {}
+        table = _map_table(result.maps, g, _min_choi_eigs(result.maps))
         if compare and g > 0:
             t_c = float(_number(cfg.optional("t_c", grid.dt), "t_c"))
             stride = round(t_c / grid.dt)
@@ -346,12 +352,13 @@ def _mode_series(cfg: ExperimentConfig):
                 n_steps=(len(taus) - 1) // stride, bath=BathSpec(kind="pure_ground"),
             )
             traj = run_discrete(collision, _PROBE)
-            sampled = stride * np.arange(len(traj))
-            applied = result.maps[sampled].apply(_PROBE)
-            distances = dict(zip(sampled.tolist(), trace_distances(applied, traj.matrices)))
-        rows += _map_rows(result.maps, g, distances)
+            applied = result.maps[::stride].apply(_PROBE)
+            distances = [None] * len(taus)
+            distances[::stride] = trace_distances(applied, traj.matrices)
+            table["trace_distance_vs_discrete"] = distances
+        tables.append(table)
         extras[f"series_gamma_{g:g}.json"] = _series_report(g, result)
-    return rows, extras, None
+    return tables, extras, None
 
 
 def _mode_thermal(cfg: ExperimentConfig):
@@ -371,24 +378,25 @@ def _mode_thermal(cfg: ExperimentConfig):
     grid = TimeGrid(t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1)
     result = lambda_series(kernel, gamma, grid, _series_policy(cfg))
     traj = run_discrete_thermal(collision, _PROBE)
-    distances = trace_distances(result.maps.apply(_PROBE), traj.matrices)
-    min_eigs = np.linalg.eigvalsh(result.maps.choi())[:, 0]
-    rows = [
-        {"tau": tau, "gamma_bar": gamma, "trace_distance_vs_discrete": td, "min_choi_eig": e}
-        for tau, td, e in zip(result.maps.times, distances, min_eigs)
-    ]
-    return rows, {"series_thermal.json": _series_report(gamma, result)}, None
+    table = {
+        "tau": result.maps.times,
+        "gamma_bar": [gamma] * len(result.maps),
+        "trace_distance_vs_discrete": trace_distances(result.maps.apply(_PROBE), traj.matrices),
+        "min_choi_eig": _min_choi_eigs(result.maps),
+    }
+    return [table], {"series_thermal.json": _series_report(gamma, result)}, None
 
 
 def _mode_convergence(cfg: ExperimentConfig):
     gamma, tau_max = (float(_number(cfg.require(key), key)) for key in ("gamma_bar", "tau_max"))
     t_c_list = [float(t) for t in _numbers(cfg.require("t_c_list"), "t_c_list")]
+    if min(t_c_list) <= 0:
+        raise ConfigurationError("every entry of 't_c_list' must be positive")
+    _within_budget(tau_max / min(t_c_list), "the step count tau_max / t_c")
     report = convergence_study(gamma, tau_max, t_c_list)
-    rows = [
-        {"tau": t_c, "gamma_bar": gamma, "trace_distance_vs_discrete": err}
-        for t_c, err in zip(report.t_c_values, report.errors)
-    ]
-    return rows, {"convergence_report.json": report.as_dict()}, None
+    table = {"tau": report.t_c_values, "gamma_bar": [gamma] * len(t_c_list),
+             "trace_distance_vs_discrete": report.errors}
+    return [table], {"convergence_report.json": report.as_dict()}, None
 
 
 def _mode_sweep(cfg: ExperimentConfig):
@@ -396,18 +404,19 @@ def _mode_sweep(cfg: ExperimentConfig):
     taus = np.array(_range_values(cfg.require("tau"), "tau"))
     if min(gammas) < 0 or taus.min() < 0:
         raise ConfigurationError("gamma_bar and tau must be nonnegative")
-    rows = []
+    _within_budget(len(gammas) * len(taus), "the row count (gamma_bar values x tau points)")
+    tables = []
     for g in gammas:
-        b1, b2 = beta_arrays(taus, g)
-        min_eigs = np.linalg.eigvalsh(choi_stack(b1, b2))[:, 0]
+        stack = jc_maps(taus, g)
+        min_eigs = _min_choi_eigs(stack)
         j = int(np.argmin(min_eigs))
         if min_eigs[j] < -DEFAULT_TOLERANCES.choi_positivity:
             raise InternalConsistencyError(
                 f"Choi matrix is not positive semidefinite: min eigenvalue {min_eigs[j]:.3e} "
                 f"at tau={taus[j]}, gamma_bar={g}"
             )
-        rows += _beta_rows(taus, g, b1, b2, min_eigs)
-    return rows, {}, None
+        tables.append(_map_table(stack, g, min_eigs))
+    return tables, {}, None
 
 
 # --- orchestration -----------------------------------------------------------
@@ -435,9 +444,9 @@ def _execute(cfg: ExperimentConfig, output_dir: Optional[str]) -> int:
     out_dir = Path(output_dir) if output_dir else cfg.output_path
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows, extras, verdict = _MODE_RUNNERS[cfg.mode](cfg)
+    tables, extras, verdict = _MODE_RUNNERS[cfg.mode](cfg)
 
-    _write_csv(out_dir / "results.csv", rows)
+    _write_csv(out_dir / "results.csv", tables)
     outputs = ["results.csv"]
     for name, payload in extras.items():
         (out_dir / name).write_text(

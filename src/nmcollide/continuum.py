@@ -23,6 +23,9 @@ density matrices with its times:
 * ``discrete_maps``: the discrete protocol's own maps at the times n t_c.
   It and the embedding share the collision engine's window propagator.
 
+The closed form for the exchange coupling (``jaynes_cummings.jc_maps``)
+returns a MapStack too; it imports this module, never the reverse.
+
 ``lindblad_limit`` gives the memoryless semigroup of the kernel's
 short-time derivative (the infinite-rate regime). Kraus form is recovered
 on demand from the Choi eigendecomposition; convolution needs map addition.
@@ -47,12 +50,10 @@ from .quantum import (
     KrausChannel,
     kraus_from_choi,
 )
-from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
 
 __all__ = [
     "TimeGrid",
     "SeriesPolicy",
-    "KernelModes",
     "MemoryKernelMap",
     "DynamicalMap",
     "MapStack",
@@ -139,47 +140,32 @@ class SeriesPolicy:
 
 
 @dataclass(frozen=True)
-class KernelModes:
-    """Exponential-mode decomposition of the kernel superoperator.
-
-    S(t) = sum_p e^{rates[p] * t} mats[p]. Hamiltonian-generated kernels
-    always admit this form (rates are i * eigenvalue differences); it gives
-    vectorized grid sampling.
-    """
-
-    rates: np.ndarray  # (P,) complex
-    mats: np.ndarray  # (P, d^2, d^2) complex
-
-    def superop_grid(self, times: np.ndarray) -> np.ndarray:
-        phases = np.exp(np.outer(self.rates, times))  # (P, n)
-        return np.einsum("pj,pab->jab", phases, self.mats)
-
-    def superop(self, t: float) -> np.ndarray:
-        return np.einsum("p,pab->ab", np.exp(self.rates * t), self.mats)
-
-
-@dataclass(frozen=True)
 class MemoryKernelMap:
     """Time-parametrized CPT channel family E(t) on the system.
 
-    ``builder`` returns the Kraus channel at a given time; ``modes`` is the
-    equivalent superoperator decomposition that every evaluation path uses.
+    ``builder`` returns the Kraus channel at a given time. Every evaluation
+    path uses the equivalent exponential-mode decomposition of the
+    superoperator, S(t) = sum_p e^{rates[p] t} mats[p]: Hamiltonian-generated
+    kernels always admit it (rates are i * eigenvalue differences), and it
+    samples a whole grid at once.
     """
 
     builder: Callable[[float], KrausChannel]
     system_dim: int
     ancilla_dim: int
     description: str
-    modes: KernelModes
+    rates: np.ndarray  # (P,) complex
+    mats: np.ndarray  # (P, d^2, d^2) complex
 
     def channel(self, t: float) -> KrausChannel:
         return self.builder(t)
 
     def superop(self, t: float) -> np.ndarray:
-        return self.modes.superop(t)
+        return np.einsum("p,pab->ab", np.exp(self.rates * t), self.mats)
 
     def superop_grid(self, times: np.ndarray) -> np.ndarray:
-        return self.modes.superop_grid(times)
+        phases = np.exp(np.outer(self.rates, times))  # (P, n)
+        return np.einsum("pj,pab->jab", phases, self.mats)
 
 
 def _dilation_modes(h: HermitianOperator, system_dim: int, ancilla_dim: int, weights: np.ndarray):
@@ -229,7 +215,8 @@ def _kernel_from_weights(h: HermitianOperator, system_dim: int, ancilla_dim: int
         system_dim=system_dim,
         ancilla_dim=ancilla_dim,
         description=description,
-        modes=KernelModes(rates=rates, mats=mats),
+        rates=rates,
+        mats=mats,
     )
 
 
@@ -313,13 +300,11 @@ def adc_decay_kernel(rate: float) -> MemoryKernelMap:
     m0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(np.complex128) + e03
     m1 = np.diag([0.0, 1.0, 1.0, 0.0]).astype(np.complex128)
     m2 = np.diag([0.0, 0.0, 0.0, 1.0]).astype(np.complex128) - e03
-    modes = KernelModes(
-        rates=np.array([0.0, -rate, -2.0 * rate], dtype=np.complex128),
-        mats=np.stack([m0, m1, m2]),
-    )
     return MemoryKernelMap(
         builder=builder, system_dim=2, ancilla_dim=2,
-        description=f"synthetic amplitude-decay kernel, rate {rate}", modes=modes,
+        description=f"synthetic amplitude-decay kernel, rate {rate}",
+        rates=np.array([0.0, -rate, -2.0 * rate], dtype=np.complex128),
+        mats=np.stack([m0, m1, m2]),
     )
 
 
@@ -344,13 +329,13 @@ class DynamicalMap:
     def choi(self) -> ChoiMatrix:
         return choi_from_superop(self.superop, self.dim)
 
-    def to_kraus(self, tol: ToleranceProfile = DEFAULT_TOLERANCES) -> KrausChannel:
+    def to_kraus(self) -> KrausChannel:
         """Kraus form via the Choi eigendecomposition.
 
         Channel validation is strict: a map carrying a quadrature-level trace
         defect (or a negative Choi eigenvalue) is refused, never repaired.
         """
-        return kraus_from_choi(self.choi(), tol)
+        return kraus_from_choi(self.choi())
 
     def trace_defect(self) -> float:
         t = self.superop.reshape(self.dim, self.dim, self.dim, self.dim)

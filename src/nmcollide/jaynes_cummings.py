@@ -18,6 +18,11 @@ finds the cubic's roots numerically and takes residues (partial
 fractions); an independent Cardano evaluation of the same roots is kept
 as a cross-check. Physical validity requires 0 <= beta2 <= 1 and
 beta1^2 <= beta2; violations raise instead of clipping.
+
+``jc_maps`` is the one place the map is assembled: a continuum MapStack
+with S[0,0] = 1, S[0,3] = 1 - beta2, S[1,1] = S[2,2] = beta1 and
+S[3,3] = beta2 on row-major vectorized qubit states. The single-point
+state, superoperator, Choi matrix and Kraus channel all read from it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .continuum import MapStack
 from .errors import ConfigurationError, InternalConsistencyError
 from .quantum import ChoiMatrix, DensityOperator, HermitianOperator, KrausChannel, kraus_from_choi
 from .tolerances import DEFAULT_TOLERANCES
@@ -42,13 +48,12 @@ __all__ = [
     "beta2",
     "beta_pair",
     "beta_arrays",
-    "choi_stack",
+    "jc_maps",
     "cubic_spectrum",
     "cubic_spectrum_cardano",
     "cosine_power_laplace",
     "beta_laplace",
     "lambda_jc",
-    "evolved_states",
     "lambda_jc_superop",
     "lambda_jc_choi",
     "lambda_jc_channel",
@@ -377,56 +382,31 @@ class QubitStateParams:
         )
 
 
+def jc_maps(taus, gamma_bar: float) -> MapStack:
+    """The map at each tau as one MapStack, its betas held to beta_arrays' inequalities."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    b1, b2 = beta_arrays(taus, gamma_bar)
+    s = np.zeros((len(taus), 4, 4), dtype=np.complex128)
+    s[:, 0, 0] = 1.0
+    s[:, 0, 3] = 1.0 - b2
+    s[:, 1, 1] = b1
+    s[:, 2, 2] = b1
+    s[:, 3, 3] = b2
+    return MapStack(taus, s, 2)
+
+
 def lambda_jc(tau: float, gamma_bar: float, rho0: QubitStateParams) -> DensityOperator:
     """Evolved state: population scaled by beta2, coherence by beta1."""
-    pair = beta_pair(tau, gamma_bar)
-    return DensityOperator(evolved_states(pair.beta1, pair.beta2, rho0)[0])
-
-
-def evolved_states(b1, b2, rho0: QubitStateParams) -> np.ndarray:
-    """States [[1 - beta2 p, beta1 r], [beta1 r*, beta2 p]] at each (beta1, beta2), as (n, 2, 2)."""
-    b1 = np.atleast_1d(b1)
-    b2 = np.atleast_1d(b2)
-    out = np.empty((b1.shape[0], 2, 2), dtype=np.complex128)
-    out[:, 0, 0] = 1.0 - b2 * rho0.p
-    out[:, 0, 1] = b1 * rho0.r
-    out[:, 1, 0] = b1 * np.conj(rho0.r)
-    out[:, 1, 1] = b2 * rho0.p
-    return out
+    return DensityOperator(jc_maps(tau, gamma_bar).apply(rho0.to_density())[0])
 
 
 def lambda_jc_superop(tau: float, gamma_bar: float) -> np.ndarray:
     """The map as a 4x4 matrix on row-major vectorized qubit density matrices."""
-    pair = beta_pair(tau, gamma_bar)
-    s = np.zeros((4, 4), dtype=np.complex128)
-    s[0, 0] = 1.0
-    s[0, 3] = 1.0 - pair.beta2
-    s[1, 1] = pair.beta1
-    s[2, 2] = pair.beta1
-    s[3, 3] = pair.beta2
-    return s
-
-
-def choi_stack(b1, b2) -> np.ndarray:
-    """Choi matrices of the map at each (beta1, beta2) pair, as an (n, 4, 4) array."""
-    b1 = np.atleast_1d(b1)
-    b2 = np.atleast_1d(b2)
-    c = np.zeros((b1.shape[0], 4, 4), dtype=np.complex128)
-    c[:, 0, 0] = 1.0
-    c[:, 0, 3] = b1
-    c[:, 3, 0] = b1
-    c[:, 2, 2] = 1.0 - b2
-    c[:, 3, 3] = b2
-    return c
-
-
-def _choi_from_betas(b1: float, b2: float) -> ChoiMatrix:
-    return ChoiMatrix(choi_stack(b1, b2)[0], dim=2)
+    return jc_maps(tau, gamma_bar).superops[0]
 
 
 def lambda_jc_choi(tau: float, gamma_bar: float) -> ChoiMatrix:
-    pair = beta_pair(tau, gamma_bar)
-    return _choi_from_betas(pair.beta1, pair.beta2)
+    return jc_maps(tau, gamma_bar)[0].choi()
 
 
 def lambda_jc_channel(tau: float, gamma_bar: float) -> KrausChannel:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InternalConsistencyError, ValidationError
-from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
+from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "DensityOperator",
@@ -284,15 +284,16 @@ def choi_of(ch: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(acc, dim=d)
 
 
-def kraus_from_choi(choi: ChoiMatrix, tol: ToleranceProfile = DEFAULT_TOLERANCES) -> KrausChannel:
+def kraus_from_choi(choi: ChoiMatrix) -> KrausChannel:
     """Kraus operators of a CP map from the eigendecomposition of its Choi matrix.
 
-    Eigenvalues below -tol.choi_positivity signal a non-CP map and raise,
-    never clip; slightly negative rounding noise is set to zero.
+    Eigenvalues below -DEFAULT_TOLERANCES.choi_positivity signal a non-CP
+    map and raise, never clip; slightly negative rounding noise is set to
+    zero.
     """
     d = choi.dim
     evals, evecs = np.linalg.eigh(choi.data)
-    if evals[0] < -tol.choi_positivity:
+    if evals[0] < -DEFAULT_TOLERANCES.choi_positivity:
         raise InternalConsistencyError(
             f"Choi matrix is not positive semidefinite: min eigenvalue {evals[0]:.3e}"
         )

@@ -1,9 +1,8 @@
 """Numerical tolerances used by type validation and certification.
 
-A single profile keeps every threshold in one auditable place. Functions
-that validate or certify accept an optional profile and fall back to
-``DEFAULT_TOLERANCES``, so experiment configs can tighten or relax the
-whole stack coherently instead of scattering magic numbers.
+A single profile, ``DEFAULT_TOLERANCES``, keeps every threshold that type
+validation and certification apply in one auditable place instead of
+scattering magic numbers. No config field changes it.
 """
 
 from __future__ import annotations

@@ -23,15 +23,9 @@ import mpmath
 import numpy as np
 
 from .collisions import BathSpec, CollisionConfig, TrajectoryRecord, run_discrete
-from .continuum import DynamicalMap, TimeGrid
+from .continuum import MapStack, TimeGrid
 from .errors import ConfigurationError, DivergenceError, ValidationError
-from .jaynes_cummings import (
-    QubitStateParams,
-    beta_arrays,
-    evolved_states,
-    jc_hamiltonian,
-    lambda_jc_superop,
-)
+from .jaynes_cummings import QubitStateParams, jc_hamiltonian, jc_maps
 from .quantum import (
     DensityOperator,
     KrausChannel,
@@ -191,24 +185,35 @@ class CptReport:
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.as_dict(), **kwargs)
 
+    def summary(self, times) -> dict:
+        """as_dict, each per-point list replaced by its worst value and the tau where it sits."""
+        i = int(np.argmin(self.min_choi_eigenvalue))
+        k = int(np.argmax(self.max_trace_defect))
+        return {
+            **self.as_dict(),
+            "min_choi_eigenvalue": {"value": self.min_choi_eigenvalue[i], "tau": float(times[i])},
+            "max_trace_defect": {"value": self.max_trace_defect[k], "tau": float(times[k])},
+        }
+
 
 def certify_cpt(maps, tolerance: float = 1e-9, *,
                 grid: Optional[TimeGrid] = None,
                 gamma_bar: Optional[float] = None) -> CptReport:
     """Certify complete positivity and trace preservation of each map.
 
-    Accepts a sequence of Kraus channels or superoperator-backed dynamical
-    maps, or the Choi matrices themselves as an (n, d^2, d^2) array; a
-    stack that is not Hermitian within the hermiticity tolerance is
-    rejected. The spectra come from one batched Hermitian eigensolve and
-    the trace defects from the Choi output-trace marginal. The verdict is
-    true iff every Choi minimum eigenvalue is >= -tolerance and every trace
-    defect is <= tolerance.
+    Accepts a sequence of Kraus channels, a MapStack, or the Choi matrices
+    themselves as an (n, d^2, d^2) array; a stack that is not Hermitian
+    within the hermiticity tolerance is rejected. The spectra come from one
+    batched Hermitian eigensolve and the trace defects from the Choi
+    output-trace marginal. The verdict is true iff every Choi minimum
+    eigenvalue is >= -tolerance and every trace defect is <= tolerance.
     """
     if len(maps) == 0:
         raise ConfigurationError("cannot certify an empty map family")
     if isinstance(maps, np.ndarray):
         stack = maps
+    elif isinstance(maps, MapStack):
+        stack = maps.choi()
     else:
         stack = np.stack([_choi_data(mp) for mp in maps])
     n, d2 = stack.shape[0], stack.shape[-1]
@@ -235,25 +240,20 @@ def certify_cpt(maps, tolerance: float = 1e-9, *,
 def _choi_data(mp) -> np.ndarray:
     if isinstance(mp, KrausChannel):
         return choi_of(mp).data
-    if isinstance(mp, DynamicalMap):
-        return mp.choi().data
     raise ConfigurationError(f"cannot certify object of type {type(mp)!r}")
 
 
-def corrupted_beta_maps(gamma_bar: float, taus, inflation: float = 1.05) -> list:
+def corrupted_beta_maps(gamma_bar: float, taus, inflation: float = 1.05) -> MapStack:
     """Closed-form map family with the coherence factor inflated.
 
     The inflation breaks the beta1^2 <= beta2 inequality (already at
     tau = 0, where both factors equal 1), producing a non-CP family. Used
     as the mandatory negative control for the certifier.
     """
-    out = []
-    for tau in np.atleast_1d(taus):
-        s = lambda_jc_superop(float(tau), gamma_bar).copy()
-        s[1, 1] *= inflation
-        s[2, 2] *= inflation
-        out.append(DynamicalMap(time=float(tau), superop=s, dim=2))
-    return out
+    maps = jc_maps(taus, gamma_bar)
+    maps.superops[:, 1, 1] *= inflation
+    maps.superops[:, 2, 2] *= inflation
+    return maps
 
 
 # --- discrete/continuous convergence ------------------------------------------
@@ -331,7 +331,7 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list,
             bath=BathSpec(kind="pure_ground"),
         )
         traj = run_discrete(cfg, rho0)
-        reference = evolved_states(*beta_arrays(traj.times, gamma_bar), probe)
+        reference = jc_maps(traj.times, gamma_bar).apply(rho0)
         errors.append(float(np.max(trace_distances(traj.matrices, reference))))
     if len(t_c_values) >= 2:
         slope = np.polyfit(np.log(t_c_values), np.log(np.maximum(errors, 1e-300)), 1)[0]

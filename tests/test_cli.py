@@ -400,13 +400,13 @@ class TestErrorMapping:
         [("ValidationError", 2), ("InternalConsistencyError", 4)],
     )
     def test_package_error_exits_with_json(self, tmp_path, capsys, monkeypatch, error, code):
-        import nmcollide.cli as cli_mod
+        import nmcollide.jaynes_cummings as jc_mod
         import nmcollide.errors as errors
 
         def broken(taus, g):
             raise getattr(errors, error)("injected failure")
 
-        monkeypatch.setattr(cli_mod, "beta_arrays", broken)
+        monkeypatch.setattr(jc_mod, "beta_arrays", broken)
         cfg = write_config(
             tmp_path, "cfg.json",
             {"mode": "jc_closed_form", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 5,
@@ -417,14 +417,14 @@ class TestErrorMapping:
         assert err["error"] == {"code": code, "message": "injected failure"}
 
     def test_sweep_rejects_indefinite_choi_within_beta_slack(self, tmp_path, capsys, monkeypatch):
-        import nmcollide.cli as cli_mod
+        import nmcollide.jaynes_cummings as jc_mod
 
         # beta1^2 - beta2 = 5e-10 passes BETA_SLACK, but the Choi matrix has
         # min eigenvalue ~ -2.5e-10, below -choi_positivity
         def nearly_cp(taus, g):
             return np.full(len(taus), np.sqrt(0.999 + 5e-10)), np.full(len(taus), 0.999)
 
-        monkeypatch.setattr(cli_mod, "beta_arrays", nearly_cp)
+        monkeypatch.setattr(jc_mod, "beta_arrays", nearly_cp)
         cfg = write_config(
             tmp_path, "cfg.json",
             {"gamma_bar": [1.0], "tau": [0.5, 1.0], "output_path": str(tmp_path / "out")},
@@ -434,12 +434,12 @@ class TestErrorMapping:
         assert "not positive semidefinite" in err["error"]["message"]
 
     def test_linalg_failure_exits_4(self, tmp_path, capsys, monkeypatch):
-        import nmcollide.cli as cli_mod
+        import nmcollide.jaynes_cummings as jc_mod
 
         def singular(taus, g):
             raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
 
-        monkeypatch.setattr(cli_mod, "beta_arrays", singular)
+        monkeypatch.setattr(jc_mod, "beta_arrays", singular)
         cfg = write_config(
             tmp_path, "cfg.json",
             {"gamma_bar": [1.0], "tau": [1.0], "output_path": str(tmp_path / "out")},
@@ -452,12 +452,12 @@ class TestErrorMapping:
         assert err["error"]["message"].startswith("LinAlgError: ")
 
     def test_floating_point_error_exits_4(self, tmp_path, capsys, monkeypatch):
-        import nmcollide.cli as cli_mod
+        import nmcollide.jaynes_cummings as jc_mod
 
         def overflowing(taus, g):
             raise FloatingPointError("overflow encountered")
 
-        monkeypatch.setattr(cli_mod, "beta_arrays", overflowing)
+        monkeypatch.setattr(jc_mod, "beta_arrays", overflowing)
         cfg = write_config(
             tmp_path, "cfg.json",
             {"gamma_bar": [1.0], "tau": [1.0], "output_path": str(tmp_path / "out")},
@@ -676,6 +676,108 @@ class TestDiscreteMapMode:
         b2 = np.array([float(row[3]) for row in rows])
         assert np.max(np.abs(b2 - excited[:, 1, 1].real)) < 1e-14
         assert np.max(np.abs(b1 - 2.0 * plus[:, 0, 1].real)) < 1e-14
+
+
+class TestSizeCaps:
+    """Counts past MAX_POINTS exit 2, naming the field and the bound, before any allocation."""
+
+    PROBES = [
+        pytest.param("run", {"mode": "jc_closed_form", "gamma_bar": 1.0, "tau_max": 1.0,
+                             "tau_points": 1e12}, "'tau_points'", id="tau_points"),
+        pytest.param("run", {"mode": "discrete", "collision": {
+            "t_c": 0.01, "p_s": 0.9, "n_steps": 1e12}}, "'n_steps'", id="n_steps"),
+        pytest.param("sweep", {"gamma_bar": {"start": 0.0, "stop": 1.0, "count": 1e12},
+                               "tau": [1.0]}, "'gamma_bar.count'", id="count"),
+        pytest.param("certify", {"mode": "certify", "gamma_bar": 1.0, "tau_max": 1.0,
+                                 "tau_points": 11, "probe_states": 1e12},
+                     "'probe_states'", id="probe_states"),
+        pytest.param("run", {"mode": "series", "gamma_bar": [0.5, 1.0, 2.0], "tau_max": 1.0,
+                             "tau_points": 100_000}, "row count", id="rows"),
+        pytest.param("sweep", {"gamma_bar": {"start": 0.0, "stop": 1.0, "count": 1000},
+                               "tau": {"start": 0.0, "stop": 1.0, "count": 1000}},
+                     "row count", id="sweep-rows"),
+        pytest.param("run", {"mode": "convergence", "gamma_bar": 1.0, "tau_max": 1e6,
+                             "t_c_list": [1e-6]}, "tau_max / t_c", id="convergence-steps"),
+    ]
+
+    @pytest.mark.parametrize("subcommand, payload, field", PROBES)
+    def test_rejected_before_allocation(self, tmp_path, capsys, monkeypatch, subcommand,
+                                        payload, field):
+        import nmcollide.cli as cli_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a count past the bound reached an allocation")
+
+        def small_linspace(start, stop, num, **kwargs):
+            assert num <= cli_mod.MAX_POINTS, "a grid past the bound reached np.linspace"
+            return real_linspace(start, stop, num, **kwargs)
+
+        real_linspace = np.linspace
+        monkeypatch.setattr(np, "linspace", small_linspace)
+        for name in ("discrete_maps", "random_density_operator", "convergence_study",
+                     "lambda_series", "jc_maps"):
+            monkeypatch.setattr(cli_mod, name, forbidden)
+        cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(tmp_path / "out")})
+        assert main([subcommand, cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["error"]["message"]
+        assert field in message and str(cli_mod.MAX_POINTS) in message
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_one_past_the_bound_is_refused(self, tmp_path, capsys, monkeypatch):
+        from nmcollide.cli import MAX_POINTS
+
+        monkeypatch.setattr(np, "linspace", lambda *a: pytest.fail("allocated"))
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"mode": "jc_closed_form", "gamma_bar": 1.0, "tau_max": 1.0,
+                            "tau_points": MAX_POINTS + 1, "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        assert f"= {MAX_POINTS + 1} exceeds" in capsys.readouterr().err
+
+    def test_nonpositive_collision_time_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"mode": "convergence", "gamma_bar": 1.0, "tau_max": 1.0,
+                            "t_c_list": [0.1, 0.0], "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2  # was a ZeroDivisionError traceback
+        assert "t_c_list" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    @pytest.mark.parametrize("config", sorted(
+        (Path(__file__).resolve().parent.parent / "configs").glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_configs_are_far_below_the_bound(self, config):
+        from nmcollide.cli import MAX_POINTS
+
+        raw = json.loads(config.read_text())
+        counts = [raw.get("probe_states", 0), raw.get("collision", {}).get("n_steps", 0)]
+        gammas = raw.get("gamma_bar", [])
+        if "tau_points" in raw:
+            counts.append(raw["tau_points"] * (len(gammas) if isinstance(gammas, list) else 1))
+        if isinstance(gammas, dict):
+            counts.append(gammas["count"] * raw["tau"]["count"])
+        if "t_c_list" in raw:
+            counts.append(raw["tau_max"] / min(raw["t_c_list"]))
+        assert 10 * max(counts) < MAX_POINTS
+
+
+class TestCptReport:
+    def test_each_gamma_keeps_its_worst_point(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"mode": "certify", "gamma_bar": [0.0, 2.0, 75.0], "tau_max": 20.0,
+             "tau_points": 201, "output_path": str(tmp_path / "out")},
+        )
+        assert main(["certify", cfg]) == 0
+        report = json.loads((tmp_path / "out" / "cpt_report.json").read_text())
+        assert set(report) == {"tolerance", "verdict", "per_gamma",
+                               "max_random_state_trace_defect"}
+        rows = read_rows(tmp_path / "out")
+        for key, entry in report["per_gamma"].items():
+            mine = [row for row in rows if float(row[1]) == float(key)]
+            eigs = [float(row[5]) for row in mine]
+            j = int(np.argmin(eigs))
+            assert entry["min_choi_eigenvalue"] == {"value": eigs[j], "tau": float(mine[j][0])}
+            assert entry["max_trace_defect"]["value"] <= 1e-15
+            assert entry["verdict"] is True
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -1,0 +1,74 @@
+"""The package's import graph, read from the source with ast.
+
+The layers run quantum -> collisions -> continuum -> jaynes_cummings ->
+verify -> cli: the closed form builds its maps as a continuum MapStack, so
+continuum must never import it back, and the engine below both knows
+nothing of either.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nmcollide"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def _imports(path: Path) -> set:
+    """Modules of the package that one source file imports; the package itself is __init__."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:  # from . import name: a submodule, or a name of the package
+                found |= {a.name if a.name in MODULES else "__init__" for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nmcollide"):
+            found.add((node.module.split(".") + ["__init__"])[1])
+        elif isinstance(node, ast.Import):
+            found |= {(a.name.split(".") + ["__init__"])[1]
+                      for a in node.names if a.name.split(".")[0] == "nmcollide"}
+    return found
+
+
+GRAPH = {name: _imports(PACKAGE / f"{name}.py") for name in MODULES}
+
+
+def test_every_module_is_read():
+    assert {"cli", "collisions", "continuum", "jaynes_cummings", "verify"} <= set(GRAPH)
+    assert set().union(*GRAPH.values()) <= set(MODULES)
+
+
+def test_nothing_imports_cli():
+    assert [name for name, deps in GRAPH.items() if "cli" in deps] == []
+
+
+@pytest.mark.parametrize("module, forbidden", [
+    ("collisions", {"continuum", "jaynes_cummings", "verify", "cli", "__init__"}),
+    ("continuum", {"jaynes_cummings", "verify", "cli", "__init__"}),
+    ("jaynes_cummings", {"verify", "cli", "__init__"}),
+])
+def test_lower_layers_do_not_import_upper_ones(module, forbidden):
+    assert GRAPH[module] & forbidden == set()
+
+
+def test_closed_form_reads_map_stack_from_continuum():
+    assert "continuum" in GRAPH["jaynes_cummings"]
+
+
+def test_graph_is_acyclic():
+    done, active = set(), []
+
+    def visit(name):
+        assert name not in active, f"import cycle {' -> '.join(active + [name])}"
+        if name in done:
+            return
+        active.append(name)
+        for dep in sorted(GRAPH[name]):
+            visit(dep)
+        active.pop()
+        done.add(name)
+
+    for name in MODULES:
+        visit(name)

@@ -28,7 +28,7 @@ from nmcollide.jaynes_cummings import (
     BetaPair,
     beta1_degenerate_series,
     beta_arrays,
-    choi_stack,
+    jc_maps,
     lambda_jc_choi,
 )
 
@@ -253,11 +253,58 @@ class TestBetaArrays:
 
     def test_choi_stack_is_the_single_layout(self):
         taus = np.array([0.0, 0.7, 3.0])
-        b1, b2 = beta_arrays(taus, 1.3)
-        stack = choi_stack(b1, b2)
+        stack = jc_maps(taus, 1.3).choi()
         assert stack.shape == (3, 4, 4)
         for k, tau in enumerate(taus):
             assert np.array_equal(stack[k], lambda_jc_choi(tau, 1.3).data)
+
+
+class TestJcMaps:
+    """jc_maps writes the closed-form layout once; everything else reads it."""
+
+    TAUS = np.linspace(0.0, 20.0, 81)
+
+    @pytest.mark.parametrize("gamma", [0.0, 2.0, 75.0])
+    def test_betas_are_bitwise_beta_pair(self, gamma):
+        s = jc_maps(self.TAUS, gamma).superops
+        for k, tau in enumerate(self.TAUS):
+            pair = beta_pair(tau, gamma)
+            assert s[k, 1, 1] == pair.beta1 and s[k, 2, 2] == pair.beta1
+            assert s[k, 3, 3] == pair.beta2 and s[k, 0, 3] == 1.0 - pair.beta2
+            assert s[k, 0, 0] == 1.0
+        layout = np.zeros((4, 4), dtype=bool)
+        layout[0, 0] = layout[0, 3] = layout[1, 1] = layout[2, 2] = layout[3, 3] = True
+        assert not np.any(s[:, ~layout])
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 5.0])
+    def test_apply_is_the_hand_written_state(self, gamma):
+        p, r = 0.6, 0.25 + 0.2j
+        stack = jc_maps(self.TAUS, gamma)
+        b1, b2 = beta_arrays(self.TAUS, gamma)
+        hand = np.empty((len(self.TAUS), 2, 2), dtype=complex)
+        hand[:, 0, 0] = 1.0 - b2 * p
+        hand[:, 0, 1] = b1 * r
+        hand[:, 1, 0] = b1 * np.conj(r)
+        hand[:, 1, 1] = b2 * p
+        rho = QubitStateParams(p=p, r=r).to_density()
+        assert np.max(np.abs(stack.apply(rho) - hand)) <= 1e-15
+        assert np.array_equal(stack.times, self.TAUS)
+
+    def test_violation_names_first_bad_tau(self, monkeypatch):
+        import nmcollide.jaynes_cummings as jc
+
+        real = jc.beta2
+        monkeypatch.setattr(jc, "beta2", lambda t, g: real(t, g) - np.where(t >= 1.5, 2.0, 0.0))
+        with pytest.raises(InternalConsistencyError, match="tau=1.5, gamma_bar=0.5"):
+            jc_maps(np.linspace(0.0, 3.0, 7), 0.5)
+
+    def test_single_point_views_read_the_stack(self):
+        stack = jc_maps([0.0, 0.9, 4.0], 1.5)
+        params = QubitStateParams(p=0.6, r=0.25 + 0.2j)
+        states = stack.apply(params.to_density())
+        for k, tau in enumerate(stack.times):
+            assert np.array_equal(lambda_jc_superop(tau, 1.5), stack.superops[k])
+            assert np.array_equal(lambda_jc(tau, 1.5, params).data, states[k])
 
 
 class TestLambdaJc:
@@ -324,10 +371,11 @@ class TestLambdaJc:
 
     def test_corrupted_pair_raises_in_channel_construction(self):
         from nmcollide.quantum import kraus_from_choi
-        from nmcollide.jaynes_cummings import _choi_from_betas
+        from nmcollide.verify import corrupted_beta_maps
 
+        # (beta1, beta2) = (1.05, 1.0): the map at tau = 0 with beta1 inflated by 5%
         with pytest.raises(InternalConsistencyError):
-            kraus_from_choi(_choi_from_betas(1.05, 1.0))
+            kraus_from_choi(corrupted_beta_maps(1.0, [0.0], inflation=1.05)[0].choi())
 
     def test_state_params_validation(self):
         with pytest.raises(ConfigurationError):

@@ -13,14 +13,13 @@ from nmcollide import (
     ValidationError,
     beta1,
     beta2,
-    beta_arrays,
     beta_laplace,
     brute_force_chain,
     calibrated_swap_probability,
     certify_cpt,
-    choi_stack,
     convergence_study,
     inverse_laplace,
+    jc_maps,
     lambda_jc_channel,
     random_density_operator,
     run_discrete,
@@ -136,8 +135,7 @@ class TestCertify:
 
     def test_stack_agrees_with_channel_family(self):
         taus = np.linspace(0.0, 10.0, 26)
-        b1, b2 = beta_arrays(taus, 2.0)
-        from_stack = certify_cpt(choi_stack(b1, b2), 1e-9)
+        from_stack = certify_cpt(jc_maps(taus, 2.0).choi(), 1e-9)
         from_channels = certify_cpt([lambda_jc_channel(t, 2.0) for t in taus], 1e-9)
         assert from_stack.verdict and from_channels.verdict
         assert np.allclose(from_stack.min_choi_eigenvalue, from_channels.min_choi_eigenvalue,
