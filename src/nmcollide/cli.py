@@ -17,6 +17,9 @@ Identical config and seed give byte-identical CSV output.
 Every map family is one MapStack: the closed form's, one gamma_bar at a
 time over its whole tau array (``jc_closed_form``, ``certify``, ``sweep``),
 the series' (``series``, ``thermal``) and the protocol's own (``discrete``).
+The series and thermal modes share one comparison through ``discrete_maps``.
+A collision is always jc_hamiltonian() on qubit (x) qubit, times in units
+of 1/Omega; the fields ``omega``, ``system_dim`` and ``ancilla_dim`` are refused.
 Each mode returns column tables, one CSV column to a sequence with None for
 an empty cell. One function makes them from a stack: beta1 = S[1,1],
 beta2 = S[3,3], and the minimum Choi eigenvalues of one batched eigensolve
@@ -47,13 +50,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .collisions import BathSpec, CollisionConfig, run_discrete, run_discrete_thermal
+from .collisions import BathSpec, CollisionConfig
 from .continuum import (
     MapStack,
     SeriesPolicy,
     TimeGrid,
-    build_kernel_map,
-    build_thermal_kernel_map,
+    collision_kernel,
     discrete_maps,
     lambda_series,
 )
@@ -65,7 +67,7 @@ from .errors import (
     ValidationError,
 )
 from .jaynes_cummings import jc_hamiltonian, jc_maps
-from .quantum import DensityOperator, trace_distances
+from .quantum import DensityOperator, density_stack, trace_distances
 from .tolerances import DEFAULT_TOLERANCES
 from .verify import certify_cpt, convergence_study, random_density_operator
 
@@ -216,6 +218,12 @@ def _numbers(value, name: str) -> tuple:
 
 
 def _collision_from_config(spec: dict) -> CollisionConfig:
+    for key in ("omega", "system_dim", "ancilla_dim"):
+        if key in spec:
+            raise ConfigurationError(
+                f"collision field '{key}' is not accepted: the Hamiltonian is the qubit-qubit "
+                "exchange coupling jc_hamiltonian(), with times in units of 1/Omega"
+            )
     for key in ("t_c", "p_s", "n_steps"):
         if key not in spec:
             raise ConfigurationError(f"collision config is missing field '{key}'")
@@ -243,16 +251,8 @@ def _collision_from_config(spec: dict) -> CollisionConfig:
             )
     else:
         raise ConfigurationError(f"unknown bath kind {kind!r}")
-    omega = float(_number(spec.get("omega", 1.0), "omega"))
-    return CollisionConfig(
-        system_dim=int(_number(spec.get("system_dim", 2), "system_dim")),
-        ancilla_dim=int(_number(spec.get("ancilla_dim", 2), "ancilla_dim")),
-        hamiltonian=jc_hamiltonian(omega),
-        t_c=float(t_c),
-        p_s=float(p_s),
-        n_steps=n_steps,
-        bath=bath,
-    )
+    return CollisionConfig(2, 2, jc_hamiltonian(), t_c=float(t_c), p_s=float(p_s),
+                           n_steps=n_steps, bath=bath)
 
 
 def _probe_states(seed: int, count: int) -> np.ndarray:
@@ -310,8 +310,6 @@ def _mode_certify(cfg: ExperimentConfig):
 
 def _mode_discrete(cfg: ExperimentConfig):
     collision = _collision_from_config(cfg.require("collision", dict))
-    if collision.system_dim != 2:
-        raise ConfigurationError("beta extraction requires a qubit system")
     stack = discrete_maps(collision)
     return [_map_table(stack, _calibrated_gamma(collision), _min_choi_eigs(stack))], {}, None
 
@@ -332,30 +330,40 @@ def _series_report(gamma: float, result) -> dict:
             "tail_norm": result.tail_norm}
 
 
+def _series_vs_protocol(collision: CollisionConfig, gamma: float, grid: TimeGrid,
+                        policy: SeriesPolicy, stride: Optional[int]):
+    """The series of the collision's H and bath and, given a stride, its trace distances on
+    _PROBE from the validated discrete_maps(collision) trajectory every stride points."""
+    result = lambda_series(collision_kernel(collision), gamma, grid, policy)
+    if stride is None:
+        return result, None
+    protocol = density_stack(discrete_maps(collision).apply(_PROBE))
+    distances = [None] * len(result.maps)
+    distances[::stride] = trace_distances(result.maps[::stride].apply(_PROBE), protocol)
+    return result, distances
+
+
 def _mode_series(cfg: ExperimentConfig):
     taus, gammas = _tau_gamma_grid(cfg)
     grid = TimeGrid(t_max=float(taus[-1]), n_points=len(taus))
-    kernel = build_kernel_map(jc_hamiltonian())
     policy = _series_policy(cfg)
-    compare = bool(cfg.optional("compare_discrete", False))
+    compare = cfg.optional("compare_discrete", False)
+    if not isinstance(compare, bool):
+        raise ConfigurationError(f"field 'compare_discrete' must be true or false, got {compare!r}")
+    t_c = float(_number(cfg.optional("t_c", grid.dt), "t_c")) if compare else grid.dt
+    stride = round(t_c / grid.dt)
+    if stride < 1 or abs(stride * grid.dt - t_c) > 1e-9:
+        raise ConfigurationError("t_c must be a multiple of the tau grid spacing")
     tables, extras = [], {}
     for g in gammas:
-        result = lambda_series(kernel, g, grid, policy)
+        collision = CollisionConfig(
+            2, 2, jc_hamiltonian(), t_c=t_c, p_s=float(np.exp(-g * t_c)),
+            n_steps=(len(taus) - 1) // stride, bath=BathSpec(kind="pure_ground"),
+        )
+        result, distances = _series_vs_protocol(collision, g, grid, policy,
+                                                stride if compare and g > 0 else None)
         table = _map_table(result.maps, g, _min_choi_eigs(result.maps))
-        if compare and g > 0:
-            t_c = float(_number(cfg.optional("t_c", grid.dt), "t_c"))
-            stride = round(t_c / grid.dt)
-            if stride < 1 or abs(stride * grid.dt - t_c) > 1e-9:
-                raise ConfigurationError("t_c must be a multiple of the tau grid spacing")
-            collision = CollisionConfig(
-                2, 2, jc_hamiltonian(), t_c=t_c, p_s=float(np.exp(-g * t_c)),
-                n_steps=(len(taus) - 1) // stride, bath=BathSpec(kind="pure_ground"),
-            )
-            traj = run_discrete(collision, _PROBE)
-            applied = result.maps[::stride].apply(_PROBE)
-            distances = [None] * len(taus)
-            distances[::stride] = trace_distances(applied, traj.matrices)
-            table["trace_distance_vs_discrete"] = distances
+        table["trace_distance_vs_discrete"] = distances
         tables.append(table)
         extras[f"series_gamma_{g:g}.json"] = _series_report(g, result)
     return tables, extras, None
@@ -368,20 +376,12 @@ def _mode_thermal(cfg: ExperimentConfig):
     gamma = _calibrated_gamma(collision)
     if gamma is None:
         raise ConfigurationError("thermal mode needs p_s > 0 to calibrate the rate")
-    kernel = build_thermal_kernel_map(
-        jc_hamiltonian(),
-        energies=collision.bath.energies,
-        inverse_temperature=collision.bath.inverse_temperature,
-        weights=collision.bath.weights,
-        ancilla_dim=collision.ancilla_dim,
-    )
     grid = TimeGrid(t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1)
-    result = lambda_series(kernel, gamma, grid, _series_policy(cfg))
-    traj = run_discrete_thermal(collision, _PROBE)
+    result, distances = _series_vs_protocol(collision, gamma, grid, _series_policy(cfg), 1)
     table = {
         "tau": result.maps.times,
         "gamma_bar": [gamma] * len(result.maps),
-        "trace_distance_vs_discrete": trace_distances(result.maps.apply(_PROBE), traj.matrices),
+        "trace_distance_vs_discrete": distances,
         "min_choi_eig": _min_choi_eigs(result.maps),
     }
     return [table], {"series_thermal.json": _series_report(gamma, result)}, None

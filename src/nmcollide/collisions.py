@@ -9,12 +9,15 @@ the S-n collisions are over.
 Ancilla i never interacts again after the i-(i+1) swap, so it is traced
 out at once and the engine carries only the window W: the joint state of
 the system and the one upcoming ancilla. With the fresh ancilla state
-rho_A (|0><0|, or the mixed Boltzmann state diag(w) of a thermal bath),
-one step is W <- U (p_s W + (1 - p_s) Tr_A(W) (x) rho_A) U^dag, one fixed
-linear map built once as the transfer matrix (U (x) U*)(p_s 1 + (1 - p_s) R)
-on the row-major vec(W), with the reset R(W) = Tr_A(W) (x) rho_A. Cost is
-linear in the step count; the literal full-chain simulation lives in
-:mod:`nmcollide.verify` as the oracle for this reduction.
+rho_A = diag(bath.weight_vector) (|0><0|, or a thermal bath's Boltzmann
+mixture), one step is W <- U (p_s W + (1 - p_s) Tr_A(W) (x) rho_A) U^dag,
+built once as the transfer matrix (U (x) U*)(p_s 1 + (1 - p_s) R) on the
+row-major vec(W). The system (x) ancilla bookkeeping is written once, as
+two matrices: ``attach_superop`` (vec rho -> vec(rho (x) rho_A)) and
+``trace_ancilla_superop`` (vec W -> vec Tr_A W); the reset
+R = attach Tr_A, the first windows and the reduced states come from them.
+Cost is linear in the step count; the literal full-chain simulation lives
+in :mod:`nmcollide.verify` as the oracle for this reduction.
 
 One loop propagates windows under any fixed step matrix, k at a time as
 the columns of a (d^2, k) array. After each mat-vec every column is made
@@ -22,11 +25,10 @@ Hermitian again and renormalized to unit trace: the exact map preserves
 both, rounding does not, and over 2000 steps at t_c = 0.01 the repair keeps
 the reduced states within ~1e-14 of a long-double recursion, against 1e-13
 to 3e-13 without it. ``run_discrete`` and ``run_discrete_thermal`` carry
-one state (k = 1) and validate its (n_steps + 1, d, d) trajectory once, by
-the same check a single DensityOperator goes through. ``propagate_maps``
-carries the d^2 spanning states and solves for the maps themselves; the
-discrete maps and the continuum embedding (stepping expm(L dt)) of
-:mod:`nmcollide.continuum` both come from it.
+one state (k = 1) and validate its (n_steps + 1, d, d) trajectory once.
+``propagate_maps`` carries the d^2 spanning states and solves for the maps
+themselves; the discrete maps and the continuum embedding (stepping
+expm(L dt)) of :mod:`nmcollide.continuum` both come from it.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "BathSpec",
     "CollisionConfig",
     "TrajectoryRecord",
+    "attach_superop",
     "partial_swap_channel",
     "propagate_maps",
     "protocol_step",
@@ -59,6 +62,7 @@ __all__ = [
     "run_discrete",
     "run_discrete_thermal",
     "thermal_weights",
+    "trace_ancilla_superop",
 ]
 
 
@@ -203,14 +207,20 @@ def sa_collision(rho_joint: DensityOperator, h: HermitianOperator, t_c: float) -
     return DensityOperator(u @ rho_joint.data @ u.conj().T)
 
 
+def attach_superop(rho_a: np.ndarray, system_dim: int) -> np.ndarray:
+    """vec rho -> vec(rho (x) rho_A), row-major, (d^2, d_s^2): columns vec(E_st (x) rho_A)."""
+    units = np.eye(system_dim * system_dim).reshape(-1, system_dim, system_dim)
+    return np.kron(units, rho_a).reshape(system_dim * system_dim, -1).T
+
+
+def trace_ancilla_superop(system_dim: int, ancilla_dim: int) -> np.ndarray:
+    """vec W -> vec(Tr_A W), row-major, (d_s^2, d^2): the adjoint of attaching 1."""
+    return attach_superop(np.eye(ancilla_dim), system_dim).T
+
+
 def reset_superop(rho_a: np.ndarray, system_dim: int) -> np.ndarray:
     """R(W) = Tr_A(W) (x) rho_A as a matrix on row-major vec(W) of system (x) ancilla."""
-    d = system_dim * rho_a.shape[0]
-    eye_s = np.eye(system_dim)
-    # R[(s,a,t,b), (s',c,t',c')] = delta_ss' delta_tt' delta_cc' rho_A[a,b]
-    return np.einsum(
-        "sS,tT,cC,ab->satbScTC", eye_s, eye_s, np.eye(rho_a.shape[0]), rho_a
-    ).reshape(d * d, d * d)
+    return attach_superop(rho_a, system_dim) @ trace_ancilla_superop(system_dim, rho_a.shape[0])
 
 
 def _transfer_matrix(u: np.ndarray, fresh: np.ndarray, p_s: float) -> np.ndarray:
@@ -238,14 +248,14 @@ def _propagate(step: np.ndarray, inputs: np.ndarray, fresh: np.ndarray, n_steps:
     dagger = np.arange(d * d).reshape(d, d).T.reshape(-1)  # vec(W^T) = vec(W)[dagger]
     diagonal = np.arange(0, d * d, d + 1)
     history = np.empty((n_steps + 1, d * d, k), dtype=np.complex128)
-    history[0] = np.einsum("kst,ab->satbk", inputs, fresh).reshape(d * d, k)
+    history[0] = attach_superop(fresh, ds) @ inputs.reshape(k, -1).T
     for j in range(1, n_steps + 1):
         w = np.matmul(step, history[j - 1], out=history[j])
         # the exact map preserves Hermiticity and trace; restoring both each
         # step keeps rounding from drifting systematically over long runs
         w += w[dagger].conj()  # (W + W^dag) / its trace = Hermitian part / its trace
         w /= w[diagonal].sum(axis=0).real
-    return np.einsum("nsatak->nstk", history.reshape(n_steps + 1, ds, da, ds, da, k))
+    return (trace_ancilla_superop(ds, da) @ history).reshape(n_steps + 1, ds, ds, k)
 
 
 def propagate_maps(step: np.ndarray, fresh: np.ndarray, system_dim: int, n_steps: int):

@@ -6,12 +6,14 @@ auto-convolutions of the kernel channel E(t),
     Lambda(t) = e^{-Gamma t} * sum_{k>=1} Gamma^{k-1} (E^{*k})(t),
 
 where * is convolution of superoperator-valued functions of time with
-composition as the product. The series is the Dyson expansion, in the
-reset term, of one generator on system (x) a single ancilla,
-L = -i[H, .] + Gamma (R - 1) with R(W) = Tr_A(W) (x) rho_A, so that
-Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A). The routes below return one
-MapStack, an (n, d^2, d^2) superoperator array on row-major vectorized
-density matrices with its times:
+composition as the product, and E(t) rho = Tr_A e^{-iHt}(rho (x) rho_A)e^{iHt}.
+The series is the Dyson expansion, in the reset term, of one generator
+on system (x) a single ancilla, L = -i[H, .] + Gamma (R - 1) with
+R(W) = Tr_A(W) (x) rho_A, so that Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A).
+Every route takes one H and rho_A = diag(bath.weight_vector), the
+protocol's own, and the collision engine's attach and trace matrices.
+The routes below return one MapStack, an (n, d^2, d^2) superoperator
+array on row-major vectorized density matrices with its times:
 
 * ``lambda_series``: the convolution series on a uniform grid. Each term
   is a positively weighted sum of compositions of CPT maps, so every
@@ -40,8 +42,8 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .collisions import (CollisionConfig, propagate_maps, protocol_step, reset_superop,
-                         thermal_weights)
+from .collisions import (BathSpec, CollisionConfig, attach_superop, propagate_maps, protocol_step,
+                         reset_superop, trace_ancilla_superop)
 from .errors import ConfigurationError, TruncationError
 from .quantum import (
     ChoiMatrix,
@@ -49,6 +51,7 @@ from .quantum import (
     HermitianOperator,
     KrausChannel,
     kraus_from_choi,
+    unitary_evolution,
 )
 
 __all__ = [
@@ -64,6 +67,7 @@ __all__ = [
     "choi_stack_from_superops",
     "build_kernel_map",
     "build_thermal_kernel_map",
+    "collision_kernel",
     "adc_decay_kernel",
     "lambda_series",
     "lambda_embedding",
@@ -152,8 +156,6 @@ class MemoryKernelMap:
 
     builder: Callable[[float], KrausChannel]
     system_dim: int
-    ancilla_dim: int
-    description: str
     rates: np.ndarray  # (P,) complex
     mats: np.ndarray  # (P, d^2, d^2) complex
 
@@ -168,116 +170,67 @@ class MemoryKernelMap:
         return np.einsum("pj,pab->jab", phases, self.mats)
 
 
-def _dilation_modes(h: HermitianOperator, system_dim: int, ancilla_dim: int, weights: np.ndarray):
-    """Mode data for K_{nu,k}(t) = sqrt(w_k) <nu| e^{-iHt} |k> acting on the system."""
+def _dilation_modes(h: HermitianOperator, system_dim: int, weights: np.ndarray):
+    """Modes of E(t) = Tr_A (U (x) U*)(t) attach, U = e^{-iHt} = V e^{-i lambda t} V^dag.
+
+    In the basis V (x) V*, U (x) U* is diagonal with entries e^{-i(lambda_a - lambda_b) t}:
+    mode (a, b) is column ab of Tr_A (V (x) V*) times row ab of (V (x) V*)^dag attach.
+    """
     evals, evecs = np.linalg.eigh(h.data)
-    m = h.dim
-    # V[a, s, nu]: eigenvector a reshaped over (system, ancilla)
-    v = evecs.T.reshape(m, system_dim, ancilla_dim)
-    d2 = system_dim * system_dim
-    rates = np.empty(m * m, dtype=np.complex128)
-    mats = np.empty((m * m, d2, d2), dtype=np.complex128)
-    idx = 0
-    for a in range(m):
-        for b in range(m):
-            rates[idx] = -1j * (evals[a] - evals[b])
-            # sum over Kraus labels (nu, kappa) of W^(a) (x) conj(W^(b)), where
-            # W^(a)_{nu,kappa}[s', s] = sqrt(w_kappa) v_a[s', nu] conj(v_a[s, kappa]);
-            # the row pair and column pair of the superoperator factorize separately
-            left = np.einsum("xn,yn->xy", v[a], v[b].conj())  # sum over nu
-            right = np.einsum("k,xk,yk->xy", weights, v[a].conj(), v[b])  # sum over kappa
-            mats[idx] = np.outer(left.reshape(-1), right.reshape(-1))
-            idx += 1
-    return rates, mats
+    rates = (-1j * (evals[:, None] - evals[None, :])).reshape(-1)
+    basis = np.kron(evecs, evecs.conj())
+    left = trace_ancilla_superop(system_dim, len(weights)) @ basis  # (d_s^2, modes)
+    right = basis.conj().T @ attach_superop(np.diag(weights), system_dim)  # (modes, d_s^2)
+    return rates, np.einsum("xp,py->pxy", left, right, order="C")  # superop_grid keeps this layout
 
 
 def _dilation_kraus(h: HermitianOperator, system_dim: int, ancilla_dim: int,
                     weights: np.ndarray, t: float) -> KrausChannel:
-    evals, evecs = np.linalg.eigh(h.data)
-    u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-    u = u.reshape(system_dim, ancilla_dim, system_dim, ancilla_dim)
-    ops = []
-    for kappa in range(ancilla_dim):
-        w = np.sqrt(weights[kappa])
-        if w == 0.0:
-            continue
-        for nu in range(ancilla_dim):
-            ops.append(w * u[:, nu, :, kappa])
-    return KrausChannel(tuple(ops), dim_in=system_dim, dim_out=system_dim)
+    """Kraus operators sqrt(w_k) <nu| e^{-iHt} |k>, the reference the modes are checked against."""
+    u = unitary_evolution(h, t).reshape(system_dim, ancilla_dim, system_dim, ancilla_dim)
+    ops = tuple(np.sqrt(w) * u[:, nu, :, k] for k, w in enumerate(weights) if w > 0
+                for nu in range(ancilla_dim))
+    return KrausChannel(ops, dim_in=system_dim, dim_out=system_dim)
 
 
-def _kernel_from_weights(h: HermitianOperator, system_dim: int, ancilla_dim: int,
-                         weights: np.ndarray, description: str) -> MemoryKernelMap:
-    rates, mats = _dilation_modes(h, system_dim, ancilla_dim, weights)
-    builder = lambda t: _dilation_kraus(h, system_dim, ancilla_dim, weights, t)
-    return MemoryKernelMap(
-        builder=builder,
-        system_dim=system_dim,
-        ancilla_dim=ancilla_dim,
-        description=description,
-        rates=rates,
-        mats=mats,
-    )
-
-
-def _split_dims(h: HermitianOperator, ancilla_dim: int):
+def _system_dim_and_weights(h: HermitianOperator, bath: BathSpec, ancilla_dim: int):
+    """The system dimension of H on system (x) ancilla, and rho_A's diagonal, bath.weight_vector."""
     if h.dim % ancilla_dim != 0:
-        raise ConfigurationError(
-            f"hamiltonian dim {h.dim} is not divisible by ancilla dim {ancilla_dim}"
-        )
-    return h.dim // ancilla_dim
+        raise ConfigurationError(f"hamiltonian dim {h.dim} is not divisible by "
+                                 f"ancilla dim {ancilla_dim}")
+    return h.dim // ancilla_dim, bath.weight_vector(ancilla_dim)
 
 
-def _probability_vector(weights, ancilla_dim: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (ancilla_dim,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-        raise ConfigurationError("weights must be a probability vector of ancilla length")
-    return w
+def _bath_kernel(h: HermitianOperator, bath: BathSpec, ancilla_dim: int) -> MemoryKernelMap:
+    """E(t) rho = Tr_A e^{-iHt} (rho (x) rho_A) e^{iHt}, a unitary dilation: CPT at every t."""
+    system_dim, weights = _system_dim_and_weights(h, bath, ancilla_dim)
+    rates, mats = _dilation_modes(h, system_dim, weights)
+    builder = lambda t: _dilation_kraus(h, system_dim, ancilla_dim, weights, t)
+    return MemoryKernelMap(builder=builder, system_dim=system_dim, rates=rates, mats=mats)
 
 
 def build_kernel_map(h: HermitianOperator, ancilla_init: int = 0, *,
                      ancilla_dim: int = 2) -> MemoryKernelMap:
-    """Kernel from continuous coupling to one ancilla prepared in a basis state.
-
-    Kraus operators are <nu| e^{-iHt} |ancilla_init>, a unitary dilation,
-    so the channel is CPT by construction at every t.
-    """
-    system_dim = _split_dims(h, ancilla_dim)
+    """Kernel for an ancilla in a basis state: Kraus operators <nu| e^{-iHt} |ancilla_init>."""
     if not 0 <= ancilla_init < ancilla_dim:
         raise ConfigurationError(f"ancilla_init {ancilla_init} out of range")
-    weights = np.zeros(ancilla_dim)
-    weights[ancilla_init] = 1.0
-    return _kernel_from_weights(
-        h, system_dim, ancilla_dim, weights,
-        description=f"unitary-dilation kernel, ancilla in |{ancilla_init}>",
-    )
+    basis_state = BathSpec(kind="thermal", weights=tuple(np.eye(ancilla_dim)[ancilla_init]))
+    return _bath_kernel(h, basis_state, ancilla_dim)
 
 
 def build_thermal_kernel_map(h: HermitianOperator, energies=None,
                              inverse_temperature: Optional[float] = None, *,
                              weights=None, ancilla_dim: int = 2) -> MemoryKernelMap:
-    """Kernel for an ancilla prepared in a thermal mixture.
+    """Kernel for an ancilla in a thermal mixture: the Boltzmann-weighted sum of the basis-state
+    kernels. Explicit weights reach the zero-temperature endpoint exactly."""
+    bath = BathSpec(kind="thermal", energies=energies,
+                    inverse_temperature=inverse_temperature, weights=weights)
+    return _bath_kernel(h, bath, ancilla_dim)
 
-    Equals the convex combination over Boltzmann weights of the pure
-    basis-state kernels; weights can be passed explicitly to reach the
-    zero-temperature endpoint exactly.
-    """
-    system_dim = _split_dims(h, ancilla_dim)
-    if weights is not None:
-        w = _probability_vector(weights, ancilla_dim)
-    else:
-        if energies is None or inverse_temperature is None:
-            raise ConfigurationError("need energies and inverse_temperature, or weights")
-        e = np.asarray(energies, dtype=float)
-        if e.shape != (ancilla_dim,):
-            raise ConfigurationError(
-                f"energy list has length {e.shape[0]}, ancilla dim is {ancilla_dim}"
-            )
-        w = thermal_weights(e, inverse_temperature)
-    return _kernel_from_weights(
-        h, system_dim, ancilla_dim, w,
-        description="thermal-mixture kernel",
-    )
+
+def collision_kernel(cfg: CollisionConfig) -> MemoryKernelMap:
+    """The kernel of the protocol's own H and bath: the p_s = 1 protocol samples it at n t_c."""
+    return _bath_kernel(cfg.hamiltonian, cfg.bath, cfg.ancilla_dim)
 
 
 def adc_decay_kernel(rate: float) -> MemoryKernelMap:
@@ -301,8 +254,7 @@ def adc_decay_kernel(rate: float) -> MemoryKernelMap:
     m1 = np.diag([0.0, 1.0, 1.0, 0.0]).astype(np.complex128)
     m2 = np.diag([0.0, 0.0, 0.0, 1.0]).astype(np.complex128) - e03
     return MemoryKernelMap(
-        builder=builder, system_dim=2, ancilla_dim=2,
-        description=f"synthetic amplitude-decay kernel, rate {rate}",
+        builder=builder, system_dim=2,
         rates=np.array([0.0, -rate, -2.0 * rate], dtype=np.complex128),
         mats=np.stack([m0, m1, m2]),
     )
@@ -495,9 +447,9 @@ def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid
     """
     if gamma < 0:
         raise ConfigurationError("memory-loss rate must be nonnegative")
-    ancilla_dim = len(weights)
-    ds = _split_dims(h, ancilla_dim)
-    rho_a = np.diag(_probability_vector(weights, ancilla_dim)).astype(np.complex128)
+    bath = BathSpec(kind="thermal", weights=tuple(weights))
+    ds, w = _system_dim_and_weights(h, bath, len(weights))
+    rho_a = np.diag(w).astype(np.complex128)
     d = h.dim
     eye = np.eye(d)
     generator = -1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T)) + gamma * (

@@ -132,13 +132,17 @@ class TestRun:
             ({"p_s": "0.5"}, "p_s"),
             ({"p_s": True}, "p_s"),
             ({"omega": "x"}, "omega"),
+            ({"omega": 2.0}, "omega"),
+            ({"system_dim": 2}, "system_dim"),
+            ({"ancilla_dim": 4}, "ancilla_dim"),
             ({"bath": {"kind": "thermal", "energies": "ab", "inverse_temperature": 1.0}},
              "energies"),
             ({"bath": {"kind": "thermal", "energies": [0.0, 1.0], "inverse_temperature": "hot"}},
              "inverse_temperature"),
         ],
         ids=["bath-string", "n_steps-string", "n_steps-fraction", "t_c-null", "p_s-string",
-             "p_s-bool", "omega-string", "energies-string", "inverse_temperature-string"],
+             "p_s-bool", "omega-string", "omega-number", "system_dim", "ancilla_dim",
+             "energies-string", "inverse_temperature-string"],
     )
     def test_malformed_collision_exits_2(self, tmp_path, capsys, override, field):
         collision = {"t_c": 0.05, "p_s": 0.5, "n_steps": 4, **override}
@@ -380,10 +384,12 @@ class TestConfigNumbers:
                          "tolerance": "tight"}, "tolerance"),
             ("run", {"mode": "convergence", "gamma_bar": 1.0, "tau_max": 1.0,
                      "t_c_list": ["a"]}, "t_c_list"),
+            ("run", {"mode": "series", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 11,
+                     "compare_discrete": "false"}, "compare_discrete"),
         ],
         ids=["tau_points-string", "gamma_bar-string", "tau_max-string", "tau_points-fraction",
              "count-string", "start-string", "gamma_bar-empty", "probe_states-string",
-             "tolerance-string", "t_c_list-string"],
+             "tolerance-string", "t_c_list-string", "compare_discrete-string"],
     )
     def test_malformed_number_exits_2(self, tmp_path, capsys, subcommand, payload, field):
         cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(tmp_path / "out")})
@@ -676,6 +682,71 @@ class TestDiscreteMapMode:
         b2 = np.array([float(row[3]) for row in rows])
         assert np.max(np.abs(b2 - excited[:, 1, 1].real)) < 1e-14
         assert np.max(np.abs(b1 - 2.0 * plus[:, 0, 1].real)) < 1e-14
+
+
+def _forbid_series_and_protocol(monkeypatch):
+    import nmcollide.cli as cli_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refused config reached a series or the protocol")
+
+    for name in ("lambda_series", "discrete_maps"):
+        monkeypatch.setattr(cli_mod, name, forbidden)
+
+
+class TestSeriesVsProtocol:
+    """series and thermal build the series from the collision's own H and rho_A."""
+
+    THERMAL_BATH = {"kind": "thermal", "energies": [0.0, 1.0], "inverse_temperature": 0.8}
+
+    @pytest.mark.parametrize("mode", ["discrete", "thermal"])
+    @pytest.mark.parametrize("override", [
+        pytest.param({"omega": 2.0}, id="omega"),
+        pytest.param({"system_dim": 1, "ancilla_dim": 4}, id="1x4"),
+        pytest.param({"system_dim": 4, "ancilla_dim": 1}, id="4x1"),
+    ])
+    def test_refused_collision_fields_exit_2_first(self, tmp_path, capsys, monkeypatch, mode,
+                                                   override):
+        _forbid_series_and_protocol(monkeypatch)
+        collision = {"t_c": 0.05, "p_s": 0.9, "n_steps": 20, "bath": self.THERMAL_BATH,
+                     **override}
+        cfg = write_config(tmp_path, "cfg.json", {"mode": mode, "collision": collision,
+                                                  "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["error"]["message"]
+        assert any(f"'{key}'" in message for key in override)
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_t_c_off_the_grid_exits_2_before_any_series(self, tmp_path, capsys, monkeypatch):
+        _forbid_series_and_protocol(monkeypatch)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "mode": "series", "gamma_bar": [1.0, 2.0], "tau_max": 1.0, "tau_points": 101,
+            "compare_discrete": True, "t_c": 0.015, "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "t_c" in json.loads(lines[0])["error"]["message"]
+
+    def test_t_c_unread_without_comparison(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "mode": "series", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 11,
+            "compare_discrete": False, "t_c": "abc", "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        assert all(row[4] == "" for row in read_rows(tmp_path / "out"))
+
+    @pytest.mark.parametrize("beta", [0.5, 3.0])
+    def test_full_swap_series_is_the_sampled_kernel(self, tmp_path, beta):
+        # p_s = 1 gives gamma = 0: the series is the kernel itself and the protocol
+        # samples the same kernel at n t_c, so only a shared H and rho_A make them agree
+        collision = {"t_c": 0.05, "p_s": 1.0, "n_steps": 200,
+                     "bath": {**self.THERMAL_BATH, "inverse_temperature": beta}}
+        cfg = write_config(tmp_path, "cfg.json", {"mode": "thermal", "collision": collision,
+                                                  "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        rows = read_rows(tmp_path / "out")
+        assert len(rows) == 201
+        assert max(float(row[4]) for row in rows) <= 1e-13
 
 
 class TestSizeCaps:

@@ -28,7 +28,7 @@ from nmcollide import (
     trace_distance,
     unitary_evolution,
 )
-from nmcollide.collisions import _transfer_matrix
+from nmcollide.collisions import _transfer_matrix, attach_superop, trace_ancilla_superop
 from nmcollide.continuum import build_thermal_kernel_map
 from nmcollide.verify import purified_pair_ket
 
@@ -268,6 +268,47 @@ class TestResetSplitting:
         w = np.kron(PROBE.data, np.diag([0.2, 0.8]))
         out = (reset @ w.reshape(-1)).reshape(4, 4)
         assert np.max(np.abs(out - np.kron(PROBE.data, rho_a))) < 1e-15
+
+
+class TestAncillaBookkeeping:
+    """attach and Tr_A against np.kron, quantum.partial_trace and the reset written by index."""
+
+    @pytest.mark.parametrize("ds", [1, 2, 3])
+    @pytest.mark.parametrize("da", [2, 3])
+    def test_attach_is_kron(self, ds, da):
+        rng = np.random.default_rng(10 * ds + da)
+        for _ in range(5):
+            rho = random_density_operator(ds, rng).data
+            # the diagonal rho_A every route builds: products with real entries, no rounding
+            rho_a = np.diag(rng.dirichlet(np.ones(da))).astype(np.complex128)
+            assert np.array_equal(attach_superop(rho_a, ds) @ rho.reshape(-1),
+                                  np.kron(rho, rho_a).reshape(-1))
+            # a general state: complex products may round differently (fused multiply-add)
+            rho_a = random_density_operator(da, rng).data
+            out = attach_superop(rho_a, ds) @ rho.reshape(-1)
+            assert np.max(np.abs(out - np.kron(rho, rho_a).reshape(-1))) <= 1e-15
+
+    @pytest.mark.parametrize("ds", [1, 2, 3])
+    @pytest.mark.parametrize("da", [2, 3])
+    def test_trace_is_partial_trace(self, ds, da):
+        rng = np.random.default_rng(20 * ds + da)
+        tr_a = trace_ancilla_superop(ds, da)
+        for _ in range(5):
+            w = random_density_operator(ds * da, rng)
+            expected = partial_trace(w, (ds, da), [0]).data.reshape(-1)
+            assert np.max(np.abs(tr_a @ w.data.reshape(-1) - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("ds", [1, 2, 3])
+    @pytest.mark.parametrize("da", [2, 3])
+    def test_reset_matches_index_formula(self, ds, da):
+        rng = np.random.default_rng(30 * ds + da)
+        rho_a = random_density_operator(da, rng).data
+        eye_s, d = np.eye(ds), ds * da
+        # R[(s,a,t,b), (s',c,t',c')] = delta_ss' delta_tt' delta_cc' rho_A[a,b]
+        expected = np.einsum(
+            "sS,tT,cC,ab->satbScTC", eye_s, eye_s, np.eye(da), rho_a
+        ).reshape(d * d, d * d)
+        assert np.array_equal(reset_superop(rho_a, ds), expected)
 
 
 def _extended(x) -> np.longdouble:

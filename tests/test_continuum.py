@@ -92,6 +92,11 @@ class TestKernelMaps:
             direct = kraus_to_superop(jc_kernel.channel(t))
             assert np.max(np.abs(jc_kernel.superop(t) - direct)) < 1e-12
 
+    def test_mode_stack_is_c_contiguous(self, jc_kernel):
+        # superop_grid inherits the mode stack's layout, and every series order reads it
+        assert jc_kernel.mats.flags.c_contiguous
+        assert jc_kernel.superop_grid(np.linspace(0.0, 1.0, 5)).flags.c_contiguous
+
     def test_kernel_channels_are_cp(self, jc_kernel):
         from nmcollide import choi_of
 
