@@ -76,7 +76,7 @@ CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 MODES = ("discrete", "series", "jc_closed_form", "thermal", "convergence", "certify")
 
 # Point, step and probe-state counts, and the rows of a run, stay at or below
-# MAX_POINTS. The series mode peaks at ~2.8 kB per point (tracemalloc, 20 001
+# MAX_POINTS. The series mode peaks at ~1.7 kB per point (tracemalloc, 20 001
 # points), the most of any mode; POINT_BYTES rounds that up.
 MEMORY_BUDGET = 2**30  # bytes
 POINT_BYTES = 4096
@@ -263,7 +263,7 @@ def _probe_states(seed: int, count: int) -> np.ndarray:
 def _calibrated_gamma(collision: CollisionConfig) -> Optional[float]:
     if collision.p_s <= 0 or collision.t_c <= 0:
         return None
-    return float(-np.log(collision.p_s) / collision.t_c)
+    return float((0.0 - np.log(collision.p_s)) / collision.t_c)  # +0.0 at p_s = 1, never -0.0
 
 
 # --- mode implementations ----------------------------------------------------

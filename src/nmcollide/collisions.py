@@ -114,15 +114,15 @@ class BathSpec:
             w = np.zeros(ancilla_dim)
             w[0] = 1.0
             return w
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-        else:
+        if self.weights is None:  # thermal_weights normalizes already
             w = thermal_weights(self.energies, self.inverse_temperature)
+        else:  # explicit weights are validated only to 1e-12, so they are renormalized
+            w = np.asarray(self.weights, dtype=float) / np.sum(self.weights)
         if w.shape != (ancilla_dim,):
             raise ConfigurationError(
                 f"bath weight vector has length {w.shape[0]}, ancilla dim is {ancilla_dim}"
             )
-        return w / w.sum()
+        return w
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,25 @@ class TestRun:
         rows = read_rows(tmp_path / "out")
         assert all(float(r[5]) >= -1e-8 for r in rows)
 
+    def test_thermal_mode_at_unit_swap_probability_writes_zero_rate(self, tmp_path):
+        # -log(1) is -0.0; the gamma_bar cells must read 0, not -0
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {
+                "mode": "thermal",
+                "collision": {
+                    "t_c": 0.05,
+                    "p_s": 1.0,
+                    "n_steps": 200,
+                    "bath": {"kind": "thermal", "energies": [0.0, 1.0],
+                             "inverse_temperature": 0.8},
+                },
+                "output_path": str(tmp_path / "out"),
+            },
+        )
+        assert main(["run", cfg]) == 0
+        assert {r[1] for r in read_rows(tmp_path / "out")} == {"0"}
+
 
 class TestSweep:
     def test_four_point_sweep(self, tmp_path):

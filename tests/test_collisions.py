@@ -205,6 +205,12 @@ class TestThermal:
         b = run_discrete(cfg_p, PROBE)
         assert max(trace_distance(x, y) for x, y in zip(a.states, b.states)) < 1e-12
 
+    def test_weight_vector_is_thermal_weights_bitwise(self):
+        # thermal_weights is normalized already; a second division moved the last bit
+        for beta in np.linspace(0.0, 5.0, 501):
+            bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=float(beta))
+            assert np.array_equal(bath.weight_vector(2), thermal_weights((0, 1), beta))
+
     def test_infinite_temperature_fresh_marginal(self):
         bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=0.0)
         assert np.allclose(bath.weight_vector(2), [0.5, 0.5])

@@ -9,7 +9,9 @@ from nmcollide import (
     DensityOperator,
     DynamicalMap,
     HermitianOperator,
+    InternalConsistencyError,
     MapStack,
+    MemoryKernelMap,
     SeriesPolicy,
     TimeGrid,
     TruncationError,
@@ -34,6 +36,29 @@ from conftest import density_operators
 PROBE = DensityOperator(np.array([[0.4, 0.25 + 0.2j], [0.25 - 0.2j, 0.6]]))
 
 _FINE_MAPS = None
+
+
+def _causal_convolve_direct(f, g):
+    """sum_{m <= j} f[m] g[j - m] on (n, d^2, d^2) stacks, by the O(n^2) direct sum."""
+    n = f.shape[0]
+    out = np.zeros_like(f)
+    for j in range(n):
+        out[j] = np.einsum("mab,mbc->ac", f[: j + 1], g[j::-1])
+    return out
+
+
+def _direct_series(kernel, gamma, grid, orders):
+    """The series' first ``orders`` terms by direct trapezoid quadrature, on complex
+    (n, d^2, d^2) stacks in the row-major vec basis: the reference for lambda_series,
+    sharing neither its basis, nor its layout, nor its FFTs and end corrections."""
+    times = grid.times()
+    b1 = kernel.superop_grid(times) * np.exp(-gamma * times)[:, None, None]
+    total, term = b1.copy(), b1
+    for _ in range(orders - 1):
+        ends = 0.5 * (np.einsum("ab,jbc->jac", b1[0], term) + np.einsum("jab,bc->jac", b1, term[0]))
+        term = gamma * (grid.dt * (_causal_convolve_direct(b1, term) - ends))
+        total += term
+    return total
 
 
 def _fine_series_maps():
@@ -93,7 +118,7 @@ class TestKernelMaps:
             assert np.max(np.abs(jc_kernel.superop(t) - direct)) < 1e-12
 
     def test_mode_stack_is_c_contiguous(self, jc_kernel):
-        # superop_grid inherits the mode stack's layout, and every series order reads it
+        # superop_grid inherits the mode stack's layout
         assert jc_kernel.mats.flags.c_contiguous
         assert jc_kernel.superop_grid(np.linspace(0.0, 1.0, 5)).flags.c_contiguous
 
@@ -169,11 +194,27 @@ class TestLambdaSeries:
         assert worst < 1e-4
 
     def test_fft_equals_direct_quadrature(self, jc_kernel):
+        # beyond the pure qubit: a thermal ancilla, and a qutrit (d_s = 3) under a random H
+        a = np.random.default_rng(7).standard_normal((2, 6, 6))
+        m = a[0] + 1j * a[1]
+        kernels = [
+            jc_kernel,
+            build_thermal_kernel_map(jc_hamiltonian(), energies=(0.0, 1.0), inverse_temperature=0.8),
+            build_kernel_map(HermitianOperator(0.5 * (m + m.conj().T)), ancilla_dim=2),
+        ]
         grid = TimeGrid(t_max=2.0, n_points=101)
-        a = lambda_series(jc_kernel, 1.0, grid, method="fft")
-        b = lambda_series(jc_kernel, 1.0, grid, method="direct")
-        worst = max(np.max(np.abs(x.superop - y.superop)) for x, y in zip(a.maps, b.maps))
-        assert worst < 1e-12
+        for kernel in kernels:
+            result = lambda_series(kernel, 1.0, grid)
+            reference = _direct_series(kernel, 1.0, grid, result.truncation_order)
+            worst = np.max(np.abs(result.maps.superops - reference))
+            assert worst < 1e-12
+
+    def test_non_hermiticity_preserving_kernel_raises(self):
+        # an imaginary part beyond rounding in the Hermitian basis is refused, never dropped
+        kernel = MemoryKernelMap(builder=None, system_dim=2, rates=np.zeros(1, dtype=complex),
+                                 mats=1j * np.eye(4, dtype=complex)[None])
+        with pytest.raises(InternalConsistencyError):
+            lambda_series(kernel, 1.0, TimeGrid(t_max=1.0, n_points=11))
 
     @given(density_operators())
     @settings(max_examples=25)

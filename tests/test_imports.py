@@ -3,10 +3,14 @@
 The layers run quantum -> collisions -> continuum -> jaynes_cummings ->
 verify -> cli: the closed form builds its maps as a continuum MapStack, so
 continuum must never import it back, and the engine below both knows
-nothing of either.
+nothing of either. One more check runs a fresh interpreter: importing the
+CLI must not load scipy.signal, whose import alone costs ~1.6 s.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +76,12 @@ def test_graph_is_acyclic():
 
     for name in MODULES:
         visit(name)
+
+
+def test_cli_import_loads_no_scipy_signal():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = "import sys, nmcollide.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "False"
