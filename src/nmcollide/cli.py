@@ -147,14 +147,12 @@ def load_config(path: str, *, default_mode: Optional[str] = None) -> ExperimentC
     if mode not in MODES and mode != "sweep":
         raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigurationError("field 'seed' must be a nonnegative integer")
-    return ExperimentConfig(
-        mode=mode,
-        raw=raw,
-        output_path=Path(raw.get("output_path", ".")),
-        seed=seed,
-    )
+    output_path = raw.get("output_path", ".")
+    if not isinstance(output_path, str):
+        raise ConfigurationError(f"field 'output_path' must be a string, got {output_path!r}")
+    return ExperimentConfig(mode=mode, raw=raw, output_path=Path(output_path), seed=seed)
 
 
 def _tau_gamma_grid(cfg: ExperimentConfig):

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import mpmath
 import numpy as np
 
 from .collisions import BathSpec, CollisionConfig, TrajectoryRecord, run_discrete
@@ -66,6 +65,8 @@ def inverse_laplace(transform: Callable, t: float, n_nodes: int = 64) -> float:
     proportional to the node count, which keeps the documented 1e-9
     target comfortably for the rational transforms arising here.
     """
+    import mpmath  # only the oracle needs it; no CLI mode calls this
+
     if t <= 0:
         raise ConfigurationError("inversion time must be positive")
     if n_nodes < 4:

@@ -405,13 +405,18 @@ class TestConfigNumbers:
                      "t_c_list": ["a"]}, "t_c_list"),
             ("run", {"mode": "series", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 11,
                      "compare_discrete": "false"}, "compare_discrete"),
+            ("run", {"mode": "jc_closed_form", "gamma_bar": 1.0, "tau_max": 1.0,
+                     "tau_points": 5, "seed": True}, "seed"),
+            ("run", {"mode": "jc_closed_form", "gamma_bar": 1.0, "tau_max": 1.0,
+                     "tau_points": 5, "output_path": None}, "output_path"),
         ],
         ids=["tau_points-string", "gamma_bar-string", "tau_max-string", "tau_points-fraction",
              "count-string", "start-string", "gamma_bar-empty", "probe_states-string",
-             "tolerance-string", "t_c_list-string", "compare_discrete-string"],
+             "tolerance-string", "t_c_list-string", "compare_discrete-string", "seed-boolean",
+             "output_path-null"],
     )
     def test_malformed_number_exits_2(self, tmp_path, capsys, subcommand, payload, field):
-        cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(tmp_path / "out")})
+        cfg = write_config(tmp_path, "cfg.json", {"output_path": str(tmp_path / "out"), **payload})
         assert main([subcommand, cfg]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == 2

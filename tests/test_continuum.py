@@ -29,7 +29,9 @@ from nmcollide import (
     thermal_weights,
     trace_distance,
 )
-from nmcollide.continuum import kraus_to_superop
+import scipy.fft
+
+from nmcollide.continuum import _fast_len, kraus_to_superop
 
 from conftest import density_operators
 
@@ -209,6 +211,16 @@ class TestLambdaSeries:
             worst = np.max(np.abs(result.maps.superops - reference))
             assert worst < 1e-12
 
+    def test_fast_len_is_scipy_next_fast_len(self):
+        # the padded FFT length, and with it every bit of the series, follows scipy's choice
+        assert [_fast_len(m) for m in range(1, 20001)] == [
+            scipy.fft.next_fast_len(m, real=True) for m in range(1, 20001)]
+
+    @pytest.mark.parametrize("gamma", [-0.5, float("nan")])
+    def test_invalid_rate_is_a_configuration_error(self, jc_kernel, gamma):
+        with pytest.raises(ConfigurationError):
+            lambda_series(jc_kernel, gamma, TimeGrid(t_max=1.0, n_points=11))
+
     def test_non_hermiticity_preserving_kernel_raises(self):
         # an imaginary part beyond rounding in the Hermitian basis is refused, never dropped
         kernel = MemoryKernelMap(builder=None, system_dim=2, rates=np.zeros(1, dtype=complex),
@@ -343,6 +355,10 @@ class TestLambdaEmbedding:
             lambda_embedding(jc_hamiltonian(), (1.0, 0.0), -0.5, grid)
         with pytest.raises(ConfigurationError):
             lambda_embedding(jc_hamiltonian(), (0.2, 0.2), 1.0, grid)
+
+    def test_nan_rate_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError):
+            lambda_embedding(jc_hamiltonian(), (1.0, 0.0), float("nan"), TimeGrid(1.0, 3))
 
 
 class TestMapStack:

@@ -4,10 +4,15 @@ The layers run quantum -> collisions -> continuum -> jaynes_cummings ->
 verify -> cli: the closed form builds its maps as a continuum MapStack, so
 continuum must never import it back, and the engine below both knows
 nothing of either. One more check runs a fresh interpreter: importing the
-CLI must not load scipy.signal, whose import alone costs ~1.6 s.
+CLI and running every shipped config must not load scipy.fft, scipy.linalg,
+scipy.special, scipy.signal or mpmath. Together they cost more than the rest
+of the import (~0.5 s), and no CLI mode calls them: the series transforms with
+numpy.fft, and scipy.linalg and mpmath are imported inside the embedding, the
+semigroup and the Talbot oracle, the only functions that use them.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -78,10 +83,27 @@ def test_graph_is_acyclic():
         visit(name)
 
 
-def test_cli_import_loads_no_scipy_signal():
+CONFIGS = PACKAGE.parent.parent / "configs"
+UNUSED_BY_THE_CLI = ("scipy.fft", "scipy.linalg", "scipy.special", "scipy.signal", "mpmath")
+
+_RUN_EVERY_CONFIG = """
+import json, sys
+from pathlib import Path
+from nmcollide.cli import main
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+codes = {p.stem: main(["sweep" if p.stem == "sweep" else "run", str(p), "--output-dir",
+                       str(out / p.stem)]) for p in sorted(configs.glob("*.json"))}
+print(json.dumps({"codes": codes, "loaded": [m for m in sys.argv[3:] if m in sys.modules]}))
+"""
+
+
+def test_cli_runs_load_no_module_it_does_not_call(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    code = "import sys, nmcollide.cli; print('scipy.signal' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_EVERY_CONFIG, str(CONFIGS), str(tmp_path), *UNUSED_BY_THE_CLI],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(done.stdout)
+    assert len(result["codes"]) == len(list(CONFIGS.glob("*.json"))) >= 7
+    assert set(result["codes"].values()) == {0}
+    assert result["loaded"] == []
