@@ -4,7 +4,8 @@
 Runs the memoryless protocol (p_s = 0) with every ancilla starting in
 the mixed thermal state, for a range of inverse temperatures, and prints
 the stationary excited population next to the Boltzmann value of the
-bath ancillas.
+bath ancillas. ``run_discrete`` runs either bath; the bath enters only
+through the fresh ancilla state rho_A.
 
 Usage: python scripts/thermal_relaxation.py
 """
@@ -14,7 +15,7 @@ from nmcollide import (
     CollisionConfig,
     DensityOperator,
     jc_hamiltonian,
-    run_discrete_thermal,
+    run_discrete,
     thermal_weights,
 )
 
@@ -32,7 +33,7 @@ def main() -> int:
             n_steps=150,
             bath=BathSpec(kind="thermal", energies=ENERGIES, inverse_temperature=beta),
         )
-        traj = run_discrete_thermal(cfg, DensityOperator.basis(2, 1))
+        traj = run_discrete(cfg, DensityOperator.basis(2, 1))
         bath_weight = thermal_weights(ENERGIES, beta)[1]
         print(f"{beta:>6g} | {bath_weight:>20.6f} | {traj.populations(1)[-1]:>22.6f}")
     return 0

@@ -15,7 +15,6 @@ from .collisions import (
     partial_swap_channel,
     reset_superop,
     run_discrete,
-    run_discrete_thermal,
     sa_collision,
     thermal_weights,
 )
@@ -44,22 +43,16 @@ from .errors import (
     ValidationError,
 )
 from .jaynes_cummings import (
-    BetaPair,
     CubicSpectrum,
-    QubitStateParams,
     adc_channel,
     beta1,
     beta2,
     beta_arrays,
     beta_laplace,
-    beta_pair,
     cubic_spectrum,
     cubic_spectrum_cardano,
     jc_hamiltonian,
     jc_maps,
-    lambda_jc,
-    lambda_jc_channel,
-    lambda_jc_superop,
 )
 from .quantum import (
     ChoiMatrix,

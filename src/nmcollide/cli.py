@@ -67,9 +67,10 @@ from .errors import (
     ValidationError,
 )
 from .jaynes_cummings import jc_hamiltonian, jc_maps
-from .quantum import DensityOperator, density_stack, trace_distances
+from .quantum import density_stack, trace_distances
 from .tolerances import DEFAULT_TOLERANCES
-from .verify import certify_cpt, convergence_study, random_density_operator
+from .verify import (_PROBE, calibrated_swap_probability, certify_cpt, convergence_study,
+                     random_density_operator)
 
 CSV_HEADER = "tau,gamma_bar,beta1,beta2,trace_distance_vs_discrete,min_choi_eig"
 CSV_COLUMNS = tuple(CSV_HEADER.split(","))
@@ -285,6 +286,10 @@ def _mode_jc_closed_form(cfg: ExperimentConfig):
 
 def _mode_certify(cfg: ExperimentConfig):
     tolerance = float(_number(cfg.optional("tolerance", 1e-9), "tolerance"))
+    if not 0.0 <= tolerance <= 1e-6:
+        raise ConfigurationError(f"field 'tolerance' = {tolerance!r} must lie in [0, 1e-6]: below "
+                                 "0 it fails exact CPT maps, above 1e-6 it passes maps far from "
+                                 "CPT (the closed form is exact to ~1e-15)")
     n_probes = _count(cfg.optional("probe_states", 3), "probe_states", minimum=0)
     taus, gammas = _tau_gamma_grid(cfg)
     probes = _probe_states(cfg.seed, n_probes)
@@ -310,10 +315,6 @@ def _mode_discrete(cfg: ExperimentConfig):
     collision = _collision_from_config(cfg.require("collision", dict))
     stack = discrete_maps(collision)
     return [_map_table(stack, _calibrated_gamma(collision), _min_choi_eigs(stack))], {}, None
-
-
-# the state the series and thermal modes send through both the series and the protocol
-_PROBE = DensityOperator(np.array([[0.4, 0.25 + 0.2j], [0.25 - 0.2j, 0.6]]))
 
 
 def _series_policy(cfg: ExperimentConfig) -> SeriesPolicy:
@@ -355,7 +356,7 @@ def _mode_series(cfg: ExperimentConfig):
     tables, extras = [], {}
     for g in gammas:
         collision = CollisionConfig(
-            2, 2, jc_hamiltonian(), t_c=t_c, p_s=float(np.exp(-g * t_c)),
+            2, 2, jc_hamiltonian(), t_c=t_c, p_s=calibrated_swap_probability(g, t_c),
             n_steps=(len(taus) - 1) // stride, bath=BathSpec(kind="pure_ground"),
         )
         result, distances = _series_vs_protocol(collision, g, grid, policy,

@@ -10,25 +10,31 @@ Ancilla i never interacts again after the i-(i+1) swap, so it is traced
 out at once and the engine carries only the window W: the joint state of
 the system and the one upcoming ancilla. With the fresh ancilla state
 rho_A = diag(bath.weight_vector) (|0><0|, or a thermal bath's Boltzmann
-mixture), one step is W <- U (p_s W + (1 - p_s) Tr_A(W) (x) rho_A) U^dag,
-built once as the transfer matrix (U (x) U*)(p_s 1 + (1 - p_s) R) on the
-row-major vec(W). The system (x) ancilla bookkeeping is written once, as
-two matrices: ``attach_superop`` (vec rho -> vec(rho (x) rho_A)) and
+mixture), one step is W <- U (p_s W + (1 - p_s) Tr_A(W) (x) rho_A) U^dag.
+The system (x) ancilla bookkeeping is written once, as two matrices:
+``attach_superop`` (vec rho -> vec(rho (x) rho_A)) and
 ``trace_ancilla_superop`` (vec W -> vec Tr_A W); the reset
 R = attach Tr_A, the first windows and the reduced states come from them.
 Cost is linear in the step count; the literal full-chain simulation lives
 in :mod:`nmcollide.verify` as the oracle for this reduction.
+
+The step is the Lie-Trotter splitting e^{A t_c} e^{B t_c} of L = A + B
+(``reset_generator``), A = -i[H, .], B = gamma (R - 1): e^{A t_c} = U (x) U*,
+and R^2 = R makes e^{B t_c} = p_s 1 + (1 - p_s) R at p_s = e^{-gamma t_c}.
+It converges at second order in t_c, like the Strang splitting
+e^{B t_c/2} e^{A t_c} e^{B t_c/2}, whose half resets at the ends of a run
+change nothing: R fixes W_0 = rho (x) rho_A, and Tr_A R = Tr_A.
 
 One loop propagates windows under any fixed step matrix, k at a time as
 the columns of a (d^2, k) array. After each mat-vec every column is made
 Hermitian again and renormalized to unit trace: the exact map preserves
 both, rounding does not, and over 2000 steps at t_c = 0.01 the repair keeps
 the reduced states within ~1e-14 of a long-double recursion, against 1e-13
-to 3e-13 without it. ``run_discrete`` and ``run_discrete_thermal`` carry
-one state (k = 1) and validate its (n_steps + 1, d, d) trajectory once.
+to 3e-13 without it. ``run_discrete`` carries one state (k = 1), for
+either bath, and validates its (n_steps + 1, d, d) trajectory once.
 ``propagate_maps`` carries the d^2 spanning states and solves for the maps
-themselves; the discrete maps and the continuum embedding (stepping
-expm(L dt)) of :mod:`nmcollide.continuum` both come from it.
+themselves; the discrete maps and the continuum embedding of
+:mod:`nmcollide.continuum` both come from it.
 """
 
 from __future__ import annotations
@@ -57,10 +63,10 @@ __all__ = [
     "partial_swap_channel",
     "propagate_maps",
     "protocol_step",
+    "reset_generator",
     "reset_superop",
     "sa_collision",
     "run_discrete",
-    "run_discrete_thermal",
     "thermal_weights",
     "trace_ancilla_superop",
 ]
@@ -223,16 +229,20 @@ def reset_superop(rho_a: np.ndarray, system_dim: int) -> np.ndarray:
     return attach_superop(rho_a, system_dim) @ trace_ancilla_superop(system_dim, rho_a.shape[0])
 
 
-def _transfer_matrix(u: np.ndarray, fresh: np.ndarray, p_s: float) -> np.ndarray:
-    """(U (x) U*)(p_s 1 + (1 - p_s) R) on row-major vec(W), with R the reset."""
-    reset = reset_superop(fresh, u.shape[0] // fresh.shape[0])
-    return np.kron(u, u.conj()) @ (p_s * np.eye(u.size) + (1.0 - p_s) * reset)
+def reset_generator(h: HermitianOperator, weights):
+    """(A, R, rho_A) of L = A + gamma (R - 1) on row-major vec(W) of system (x) ancilla: the
+    commutator A = -i[H, .], the reset R(W) = Tr_A(W) (x) rho_A and rho_A = diag(weights)."""
+    rho_a = np.diag(weights).astype(np.complex128)
+    eye = np.eye(h.dim)
+    commutator = -1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T))
+    return commutator, reset_superop(rho_a, h.dim // len(rho_a)), rho_a
 
 
 def protocol_step(cfg: CollisionConfig):
-    """The protocol's transfer matrix and the fresh ancilla state rho_A = diag(bath weights)."""
-    fresh = np.diag(cfg.bath.weight_vector(cfg.ancilla_dim)).astype(np.complex128)
-    return _transfer_matrix(unitary_evolution(cfg.hamiltonian, cfg.t_c), fresh, cfg.p_s), fresh
+    """The transfer matrix e^{A t_c} e^{B t_c} = (U (x) U*)(p_s 1 + (1 - p_s) R), and rho_A."""
+    _, reset, fresh = reset_generator(cfg.hamiltonian, cfg.bath.weight_vector(cfg.ancilla_dim))
+    u = unitary_evolution(cfg.hamiltonian, cfg.t_c)
+    return np.kron(u, u.conj()) @ (cfg.p_s * np.eye(u.size) + (1.0 - cfg.p_s) * reset), fresh
 
 
 def _propagate(step: np.ndarray, inputs: np.ndarray, fresh: np.ndarray, n_steps: int):
@@ -273,24 +283,11 @@ def propagate_maps(step: np.ndarray, fresh: np.ndarray, system_dim: int, n_steps
     return y @ np.linalg.inv(x.reshape(len(x), -1).T)
 
 
-def _window_run(cfg: CollisionConfig, rho0: DensityOperator) -> TrajectoryRecord:
+def run_discrete(cfg: CollisionConfig, rho0: DensityOperator) -> TrajectoryRecord:
+    """Run the protocol from rho0, for either bath: the system state after every step."""
     if rho0.dim != cfg.system_dim:
         raise ConfigurationError(f"initial state dim {rho0.dim} != system dim {cfg.system_dim}")
     step, fresh = protocol_step(cfg)
     reduced = _propagate(step, rho0.data[None], fresh, cfg.n_steps)[1:, :, :, 0]
     times = tuple(k * cfg.t_c for k in range(cfg.n_steps + 1))
     return TrajectoryRecord(np.concatenate([rho0.data[None], reduced]), times)
-
-
-def run_discrete(cfg: CollisionConfig, rho0: DensityOperator) -> TrajectoryRecord:
-    """Run the protocol with every ancilla initially in the pure ground state."""
-    if cfg.bath.kind != "pure_ground":
-        raise ConfigurationError("run_discrete expects a pure_ground bath; see run_discrete_thermal")
-    return _window_run(cfg, rho0)
-
-
-def run_discrete_thermal(cfg: CollisionConfig, rho0: DensityOperator) -> TrajectoryRecord:
-    """Run the protocol with every ancilla initially in the thermal mixture."""
-    if cfg.bath.kind != "thermal":
-        raise ConfigurationError("run_discrete_thermal expects a thermal bath")
-    return _window_run(cfg, rho0)

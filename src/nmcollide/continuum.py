@@ -26,8 +26,11 @@ array on row-major vectorized density matrices with its times:
   in the vec basis.
 * ``lambda_embedding``: the generator L itself, stepped with one matrix
   exponential; the double-precision cross-check of the series.
-* ``discrete_maps``: the discrete protocol's own maps at the times n t_c.
-  It and the embedding share the collision engine's window propagator.
+* ``discrete_maps``: the protocol's own maps at the times n t_c. Its step
+  is the splitting e^{A t_c} e^{B t_c} of L = A + B, A = -i[H, .] and
+  B = Gamma (R - 1), with the Strang splitting's O(t_c^2) error: R fixes
+  rho (x) rho_A and Tr_A R = Tr_A, so half resets at both ends change
+  nothing. It shares the engine's window propagator with the embedding.
 
 The closed form for the exchange coupling (``jaynes_cummings.jc_maps``)
 returns a MapStack too; it imports this module, never the reverse.
@@ -39,13 +42,14 @@ on demand from the Choi eigendecomposition; convolution needs map addition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .collisions import (BathSpec, CollisionConfig, attach_superop, propagate_maps, protocol_step,
-                         reset_superop, trace_ancilla_superop)
+                         reset_generator, trace_ancilla_superop)
 from .errors import ConfigurationError, InternalConsistencyError, TruncationError
 from .quantum import (
     ChoiMatrix,
@@ -364,6 +368,16 @@ def _fast_len(m: int) -> int:
     return best
 
 
+def _dropped_term_bound(gamma: float, grid: TimeGrid, k_max: int, system_dim: int) -> float:
+    """A lower bound on the vec-basis sup-norm of the series term of order k_max + 1. The kernel
+    is trace preserving, so that term B obeys Tr B(t)(X) = w(t) Tr X with the Poisson weight
+    w = e^{-x} x^k_max / k_max!, x = gamma t, and some entry of B(t) is at least w(t) / d_s."""
+    x = gamma * grid.times()
+    with np.errstate(divide="ignore"):  # log 0 = -inf at t = 0, where w = 0
+        log_w = k_max * np.log(x) - x - math.lgamma(k_max + 1)
+    return float(np.exp(log_w.max())) / system_dim
+
+
 def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
                   policy: SeriesPolicy = SeriesPolicy()) -> LambdaSeriesResult:
     """Evaluate the dynamical map on the grid by the auto-convolution series.
@@ -378,7 +392,8 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
     falls below ``policy.tail_tol`` after the series' peak order (terms
     follow a Poisson-like profile in k, so the threshold only applies past
     k > gamma * t_max); exhausting ``policy.k_max`` first raises
-    TruncationError with the residual norm.
+    TruncationError with the residual norm, at once when the peak order is
+    past k_max and half ``_dropped_term_bound`` is above ``policy.tail_tol``.
     """
     if not gamma >= 0:  # a NaN rate fails too
         raise ConfigurationError("memory-loss rate must be nonnegative")
@@ -392,6 +407,14 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
     if not residue <= DEFAULT_TOLERANCES.imaginary_residue:
         raise InternalConsistencyError(f"the kernel does not preserve Hermiticity: imaginary part "
                                        f"{residue:.3e} in a Hermitian basis")
+    if gamma * grid.t_max > policy.k_max - 1:  # the peak order ceil(gamma t_max) + 1 > k_max
+        # half the bound: the trapezoid terms are not exactly trace preserving
+        floor = 0.5 * _dropped_term_bound(gamma, grid, policy.k_max, kernel.system_dim)
+        if floor > policy.tail_tol:
+            raise TruncationError(f"series cannot converge by order {policy.k_max}: gamma * "
+                                  f"t_max = {gamma * grid.t_max:.6g} puts its peak order past it "
+                                  f"(residual term norm at least {floor:.3e}); raise k_max or "
+                                  "tail_tol", residual=floor, order=policy.k_max)
     b1 = sampled.real * np.exp(-gamma * times)
     size = _fast_len(2 * n - 1)
     b1_padded = np.zeros((d2, d2, size))
@@ -456,27 +479,21 @@ def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid
     """Dynamical maps Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A) on the grid.
 
     L = -i[H, .] + gamma (R - 1) acts on system (x) one ancilla, with
-    rho_A = diag(weights) and the reset R(W) = Tr_A(W) (x) rho_A shared
-    with the discrete engine. The maps are stepped with one
-    P = expm(L dt) through the engine's window propagator, never an
-    eigendecomposition: for the exchange coupling L is defective at
-    gamma = 2. Sharing only H and rho_A with ``lambda_series``, this is
-    the series' double-precision cross-check; it is no oracle for the
-    discrete engine, which uses the same R and the same propagator.
+    rho_A = diag(weights), both from ``collisions.reset_generator``. The
+    maps are stepped with one P = expm(L dt) through the engine's window
+    propagator, never an eigendecomposition: for the exchange coupling L is
+    defective at gamma = 2. Sharing only H and rho_A with ``lambda_series``,
+    this is the series' double-precision cross-check; it is no oracle for
+    the discrete engine, whose step is the splitting of the same L.
     """
     if not gamma >= 0:  # a NaN rate fails too
         raise ConfigurationError("memory-loss rate must be nonnegative")
     bath = BathSpec(kind="thermal", weights=tuple(weights))
     ds, w = _system_dim_and_weights(h, bath, len(weights))
-    rho_a = np.diag(w).astype(np.complex128)
-    d = h.dim
-    eye = np.eye(d)
-    generator = -1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T)) + gamma * (
-        reset_superop(rho_a, ds) - np.eye(d * d)
-    )
+    commutator, reset, rho_a = reset_generator(h, w)
     import scipy.linalg  # no CLI mode runs the embedding; scipy.linalg costs ~0.3 s to import
 
-    step = scipy.linalg.expm(generator * grid.dt)
+    step = scipy.linalg.expm((commutator + gamma * (reset - np.eye(len(reset)))) * grid.dt)
     return MapStack(grid.times(), propagate_maps(step, rho_a, ds, grid.n_points - 1), ds)
 
 

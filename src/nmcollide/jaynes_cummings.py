@@ -19,10 +19,11 @@ fractions); an independent Cardano evaluation of the same roots is kept
 as a cross-check. Physical validity requires 0 <= beta2 <= 1 and
 beta1^2 <= beta2; violations raise instead of clipping.
 
-``jc_maps`` is the one place the map is assembled: a continuum MapStack
-with S[0,0] = 1, S[0,3] = 1 - beta2, S[1,1] = S[2,2] = beta1 and
-S[3,3] = beta2 on row-major vectorized qubit states. The single-point
-state, superoperator, Choi matrix and Kraus channel all read from it.
+``jc_maps`` is the one map constructor: a continuum MapStack with
+S[0,0] = 1, S[0,3] = 1 - beta2, S[1,1] = S[2,2] = beta1 and S[3,3] = beta2
+on row-major vectorized qubit states. One point, ``jc_maps(tau, g)[0]``,
+gives the evolved state, Choi matrix and Kraus channel by ``apply``,
+``choi`` and ``to_kraus``.
 """
 
 from __future__ import annotations
@@ -35,28 +36,21 @@ import numpy as np
 
 from .continuum import MapStack
 from .errors import ConfigurationError, InternalConsistencyError
-from .quantum import ChoiMatrix, DensityOperator, HermitianOperator, KrausChannel, kraus_from_choi
+from .quantum import HermitianOperator, KrausChannel
 from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "jc_hamiltonian",
     "adc_channel",
-    "BetaPair",
     "CubicSpectrum",
-    "QubitStateParams",
     "beta1",
     "beta2",
-    "beta_pair",
     "beta_arrays",
     "jc_maps",
     "cubic_spectrum",
     "cubic_spectrum_cardano",
     "cosine_power_laplace",
     "beta_laplace",
-    "lambda_jc",
-    "lambda_jc_superop",
-    "lambda_jc_choi",
-    "lambda_jc_channel",
 ]
 
 BETA_SLACK = 1e-9  # allowed numerical excursion on the CPT inequalities
@@ -291,38 +285,8 @@ def beta2(tau, gamma_bar: float):
     return float(vals[0]) if scalar else vals
 
 
-@dataclass(frozen=True)
-class BetaPair:
-    """The (beta1, beta2) pair specifying the map at one (tau, gamma_bar) point."""
-
-    tau: float
-    beta1: float
-    beta2: float
-    gamma_bar: float
-
-    def __post_init__(self):
-        if not -BETA_SLACK <= self.beta2 <= 1.0 + BETA_SLACK:
-            raise InternalConsistencyError(
-                f"beta2 = {self.beta2} outside [0, 1] at tau={self.tau}, gamma_bar={self.gamma_bar}"
-            )
-        if self.beta1 * self.beta1 > self.beta2 + BETA_SLACK:
-            raise InternalConsistencyError(
-                f"beta1^2 = {self.beta1**2} exceeds beta2 = {self.beta2} "
-                f"at tau={self.tau}, gamma_bar={self.gamma_bar}"
-            )
-
-
-def beta_pair(tau: float, gamma_bar: float) -> BetaPair:
-    return BetaPair(
-        tau=float(tau),
-        beta1=float(beta1(tau, gamma_bar)),
-        beta2=float(beta2(tau, gamma_bar)),
-        gamma_bar=float(gamma_bar),
-    )
-
-
 def beta_arrays(taus, gamma_bar: float):
-    """(beta1, beta2) over a whole tau array, held to BetaPair's inequalities.
+    """(beta1, beta2) over a whole tau array, held to 0 <= beta1^2 <= beta2 <= 1 (BETA_SLACK).
 
     Raises InternalConsistencyError naming the first (tau, gamma_bar) that
     violates them (a NaN counts as a violation); values are never clipped.
@@ -361,29 +325,9 @@ def beta_laplace(ell: int, s, gamma_bar: float):
 # --- assembled map ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QubitStateParams:
-    """Qubit state as excited population p and coherence r, with |r|^2 <= p(1-p)."""
-
-    p: float
-    r: complex
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigurationError(f"population {self.p} outside [0, 1]")
-        if abs(self.r) ** 2 > self.p * (1.0 - self.p) + 1e-12:
-            raise ConfigurationError("coherence too large for a positive state")
-
-    def to_density(self) -> DensityOperator:
-        return DensityOperator(
-            np.array(
-                [[1.0 - self.p, self.r], [np.conj(self.r), self.p]], dtype=np.complex128
-            )
-        )
-
-
 def jc_maps(taus, gamma_bar: float) -> MapStack:
-    """The map at each tau as one MapStack, its betas held to beta_arrays' inequalities."""
+    """The map at each tau as one MapStack (one map for a scalar tau), its betas held to
+    beta_arrays' inequalities."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     b1, b2 = beta_arrays(taus, gamma_bar)
     s = np.zeros((len(taus), 4, 4), dtype=np.complex128)
@@ -393,26 +337,3 @@ def jc_maps(taus, gamma_bar: float) -> MapStack:
     s[:, 2, 2] = b1
     s[:, 3, 3] = b2
     return MapStack(taus, s, 2)
-
-
-def lambda_jc(tau: float, gamma_bar: float, rho0: QubitStateParams) -> DensityOperator:
-    """Evolved state: population scaled by beta2, coherence by beta1."""
-    return DensityOperator(jc_maps(tau, gamma_bar).apply(rho0.to_density())[0])
-
-
-def lambda_jc_superop(tau: float, gamma_bar: float) -> np.ndarray:
-    """The map as a 4x4 matrix on row-major vectorized qubit density matrices."""
-    return jc_maps(tau, gamma_bar).superops[0]
-
-
-def lambda_jc_choi(tau: float, gamma_bar: float) -> ChoiMatrix:
-    return jc_maps(tau, gamma_bar)[0].choi()
-
-
-def lambda_jc_channel(tau: float, gamma_bar: float) -> KrausChannel:
-    """Kraus form of the map, obtained from its Choi eigendecomposition.
-
-    Raises InternalConsistencyError if the (beta1, beta2) inequalities fail,
-    which would make the Choi matrix indefinite; values are never clipped.
-    """
-    return kraus_from_choi(lambda_jc_choi(tau, gamma_bar))

@@ -24,7 +24,7 @@ import numpy as np
 from .collisions import BathSpec, CollisionConfig, TrajectoryRecord, run_discrete
 from .continuum import MapStack, TimeGrid
 from .errors import ConfigurationError, DivergenceError, ValidationError
-from .jaynes_cummings import QubitStateParams, jc_hamiltonian, jc_maps
+from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .quantum import (
     DensityOperator,
     KrausChannel,
@@ -263,11 +263,12 @@ def corrupted_beta_maps(gamma_bar: float, taus, inflation: float = 1.05) -> MapS
 def calibrated_swap_probability(gamma_bar: float, t_c: float) -> float:
     """Swap probability reproducing memory-loss rate gamma_bar at collision time t_c.
 
-    Convention p_s = e^{-gamma_bar * t_c} (rescaled time units): n swap
-    collisions then weight the surviving kernel by p_s^n = e^{-gamma_bar * tau}.
-    It matches both published endpoints, p_s = 1 at zero rate and p_s -> 0
-    in the memoryless limit, and is validated empirically by the
-    convergence study rather than assumed.
+    p_s = e^{-gamma_bar * t_c} (rescaled time units) is the exact coefficient
+    of the reset semigroup: e^{B t_c} = p_s 1 + (1 - p_s) R for
+    B = gamma_bar (R - 1), since R^2 = R. With it the protocol step is the
+    splitting e^{A t_c} e^{B t_c} of the generator of the continuous limit
+    (``collisions.reset_generator``), which the protocol approaches at
+    second order in t_c.
     """
     return float(np.exp(-gamma_bar * t_c))
 
@@ -298,11 +299,12 @@ class ConvergenceReport:
         return json.dumps(self.as_dict(), **kwargs)
 
 
-_DEFAULT_PROBE = QubitStateParams(p=0.6, r=0.25 + 0.2j)
+# the state a protocol run and its reference are compared on, here and in the CLI's series modes
+_PROBE = DensityOperator(np.array([[0.4, 0.25 + 0.2j], [0.25 - 0.2j, 0.6]]))
 
 
 def convergence_study(gamma_bar: float, tau_max: float, t_c_list,
-                      probe: QubitStateParams = _DEFAULT_PROBE) -> ConvergenceReport:
+                      probe: DensityOperator = _PROBE) -> ConvergenceReport:
     """Measure how fast the discrete protocol approaches the closed-form map.
 
     For each collision time, the swap probability is calibrated to
@@ -313,7 +315,6 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list,
     t_c_values = sorted((float(t) for t in t_c_list), reverse=True)
     if len(t_c_values) != len(set(t_c_values)):
         raise ConfigurationError("collision times must be distinct")
-    rho0 = probe.to_density()
     h = jc_hamiltonian()
     errors = []
     for t_c in t_c_values:
@@ -331,8 +332,8 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list,
             n_steps=n_steps,
             bath=BathSpec(kind="pure_ground"),
         )
-        traj = run_discrete(cfg, rho0)
-        reference = jc_maps(traj.times, gamma_bar).apply(rho0)
+        traj = run_discrete(cfg, probe)
+        reference = jc_maps(traj.times, gamma_bar).apply(probe)
         errors.append(float(np.max(trace_distances(traj.matrices, reference))))
     if len(t_c_values) >= 2:
         slope = np.polyfit(np.log(t_c_values), np.log(np.maximum(errors, 1e-300)), 1)[0]

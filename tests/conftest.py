@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from nmcollide import DensityOperator, KrausChannel, QubitStateParams, jc_hamiltonian
+from nmcollide import DensityOperator, KrausChannel, jc_hamiltonian
 
 settings.register_profile("numeric", deadline=None, max_examples=40)
 settings.load_profile("numeric")
@@ -41,10 +41,14 @@ def kraus_channels(draw, dim=2, n_ops=2):
     return KrausChannel(ops, dim_in=dim, dim_out=dim)
 
 
+def qubit_state(p: float, r: complex) -> DensityOperator:
+    """The qubit state with excited population p and coherence r: [[1 - p, r], [r*, p]]."""
+    return DensityOperator(np.array([[1.0 - p, r], [np.conj(r), p]], dtype=np.complex128))
+
+
 @st.composite
-def qubit_params(draw):
+def qubit_states(draw):
     p = draw(st.floats(min_value=0.0, max_value=1.0))
     frac = draw(st.floats(min_value=0.0, max_value=0.999))
     phase = draw(st.floats(min_value=0.0, max_value=2.0 * np.pi))
-    r = frac * np.sqrt(p * (1.0 - p)) * np.exp(1j * phase)
-    return QubitStateParams(p=p, r=complex(r))
+    return qubit_state(p, complex(frac * np.sqrt(p * (1.0 - p)) * np.exp(1j * phase)))

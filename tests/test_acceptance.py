@@ -4,7 +4,9 @@ Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
 as they complete). Tolerances are pinned here, not configurable.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from nmcollide import (
     BathSpec,
     CollisionConfig,
     DensityOperator,
-    QubitStateParams,
     SeriesPolicy,
     TimeGrid,
     adc_decay_kernel,
@@ -27,24 +28,23 @@ from nmcollide import (
     certify_cpt,
     choi_of,
     convergence_study,
+    discrete_maps,
     inverse_laplace,
     jc_hamiltonian,
-    lambda_jc,
-    lambda_jc_channel,
-    lambda_jc_superop,
+    jc_maps,
+    lambda_embedding,
     lambda_series,
     lindblad_limit,
     run_discrete,
-    run_discrete_thermal,
     trace_distance,
 )
 from nmcollide.verify import corrupted_beta_maps
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GAMMAS_CERT = (0.0, 0.5, 1.0, 2.0, 5.0, 50.0)
 TAUS_CERT = np.round(np.arange(0.0, 20.0 + 1e-9, 0.01), 10)
 
-PROBE_PARAMS = QubitStateParams(p=0.6, r=0.25 + 0.2j)
-PROBE = PROBE_PARAMS.to_density()
+PROBE = DensityOperator(np.array([[0.4, 0.25 + 0.2j], [0.25 - 0.2j, 0.6]]))
 
 
 def report(number: int, description: str, passed: bool, detail: str = ""):
@@ -59,8 +59,8 @@ def test_criterion_01_cpt_certification_sweep():
     worst_eig = 0.0
     worst_defect = 0.0
     for gamma in GAMMAS_CERT:
-        for tau in TAUS_CERT:
-            ch = lambda_jc_channel(float(tau), gamma)
+        for m in jc_maps(TAUS_CERT, gamma):
+            ch = m.to_kraus()
             worst_eig = min(worst_eig, choi_of(ch).min_eigenvalue())
             worst_defect = max(worst_defect, ch.trace_defect())
     elapsed = time.perf_counter() - started
@@ -118,10 +118,9 @@ def test_criterion_04_series_vs_closed_form():
     grid = TimeGrid(t_max=5.0, n_points=5001)  # dt = 1e-3
     worst = 0.0
     for gamma in (0.0, 1.0, 2.0):
-        result = lambda_series(kernel, gamma, grid, SeriesPolicy(k_max=200, tail_tol=1e-8))
-        for m in result.maps:
-            target = lambda_jc_superop(m.time, gamma)
-            worst = max(worst, float(np.max(np.abs(m.superop - target))))
+        maps = lambda_series(kernel, gamma, grid, SeriesPolicy(k_max=200, tail_tol=1e-8)).maps
+        target = jc_maps(maps.times, gamma).superops
+        worst = max(worst, float(np.max(np.abs(maps.superops - target))))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-4 and elapsed < 120.0
     report(
@@ -133,7 +132,7 @@ def test_criterion_04_series_vs_closed_form():
 
 
 def test_criterion_05_discrete_continuum_convergence():
-    result = convergence_study(1.0, 5.0, [0.1, 0.05, 0.025], probe=PROBE_PARAMS)
+    result = convergence_study(1.0, 5.0, [0.1, 0.05, 0.025], probe=PROBE)
     errors = result.errors
     monotone = errors[0] > errors[1] > errors[2]
     ok = monotone and result.estimated_order is not None and result.estimated_order >= 0.8
@@ -143,6 +142,34 @@ def test_criterion_05_discrete_continuum_convergence():
         ok,
         f"errors {[f'{e:.2e}' for e in errors]}, order {result.estimated_order:.2f}",
     )
+
+
+def _slope(t_c_values, errors) -> float:
+    return float(np.polyfit(np.log(t_c_values), np.log(errors), 1)[0])
+
+
+def test_splitting_is_second_order_on_the_convergence_grid():
+    # the protocol is the Lie-Trotter splitting of L = -i[H, .] + gamma (R - 1), and its
+    # reduced states are those of the symmetric (Strang) splitting: order 2, not 1
+    config = json.loads((CONFIG_DIR / "convergence.json").read_text(encoding="utf-8"))
+    result = convergence_study(config["gamma_bar"], config["tau_max"], config["t_c_list"])
+    assert abs(result.estimated_order - 2.0) <= 0.05, result.estimated_order
+
+
+def test_thermal_discrete_maps_converge_at_second_order():
+    # the superoperators themselves, for a thermal bath, against the generator's exact maps
+    h, gamma, weights = jc_hamiltonian(), 1.0, (0.7, 0.3)
+    t_c_values = [0.1, 0.05, 0.025, 0.0125]
+    errors = []
+    for t_c in t_c_values:
+        n_steps = round(5.0 / t_c)
+        cfg = CollisionConfig(
+            system_dim=2, ancilla_dim=2, hamiltonian=h, t_c=t_c, p_s=float(np.exp(-gamma * t_c)),
+            n_steps=n_steps, bath=BathSpec(kind="thermal", weights=weights),
+        )
+        exact = lambda_embedding(h, weights, gamma, TimeGrid(t_max=5.0, n_points=n_steps + 1))
+        errors.append(float(np.max(np.abs(discrete_maps(cfg).superops - exact.superops))))
+    assert abs(_slope(t_c_values, errors) - 2.0) <= 0.05, errors
 
 
 def test_criterion_06_zero_rate_exactness():
@@ -170,17 +197,16 @@ def test_criterion_06_zero_rate_exactness():
 def test_criterion_07_sliding_window_oracle():
     h = jc_hamiltonian()
     worst = 0.0
-    for bath, runner in (
-        (BathSpec(kind="pure_ground"), run_discrete),
-        (BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=0.7),
-         run_discrete_thermal),
+    for bath in (
+        BathSpec(kind="pure_ground"),
+        BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=0.7),
     ):
         for p_s in (0.0, 0.3, 1.0):
             cfg = CollisionConfig(
                 system_dim=2, ancilla_dim=2, hamiltonian=h, t_c=0.4, p_s=p_s,
                 n_steps=4, bath=bath,
             )
-            fast = runner(cfg, PROBE)
+            fast = run_discrete(cfg, PROBE)
             slow = brute_force_chain(cfg, PROBE)
             for a, b in zip(fast.states, slow.states):
                 worst = max(worst, trace_distance(a, b))
@@ -202,7 +228,7 @@ def test_criterion_08_thermal_reduction():
         system_dim=2, ancilla_dim=2, hamiltonian=h, t_c=0.3, p_s=0.4,
         n_steps=12, bath=BathSpec(kind="pure_ground"),
     )
-    traj_t = run_discrete_thermal(cfg_thermal, PROBE)
+    traj_t = run_discrete(cfg_thermal, PROBE)
     traj_p = run_discrete(cfg_pure, PROBE)
     worst_run = max(trace_distance(a, b) for a, b in zip(traj_t.states, traj_p.states))
 

@@ -359,6 +359,18 @@ class TestCertify:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == 3
 
+    # at 0 the closed form's rounding (Choi eigenvalues down to -2.7e-16 here) fails it
+    @pytest.mark.parametrize("tolerance, code", [(0.0, 3), (1e-6, 0)])
+    def test_tolerance_bounds_are_accepted(self, tmp_path, tolerance, code):
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"mode": "certify", "gamma_bar": [0.0, 1.0], "tau_max": 5.0, "tau_points": 26,
+             "tolerance": tolerance, "output_path": str(tmp_path / "out")},
+        )
+        assert main(["certify", cfg]) == code
+        report = json.loads((tmp_path / "out" / "cpt_report.json").read_text())
+        assert report["tolerance"] == tolerance
+
     def test_certify_subcommand_requires_certify_mode(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "cfg.json",
@@ -401,6 +413,12 @@ class TestConfigNumbers:
                          "probe_states": "3"}, "probe_states"),
             ("certify", {"mode": "certify", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 5,
                          "tolerance": "tight"}, "tolerance"),
+            ("certify", {"mode": "certify", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 5,
+                         "tolerance": -1}, "tolerance"),
+            ("certify", {"mode": "certify", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 5,
+                         "tolerance": 1e-5}, "tolerance"),
+            ("certify", {"mode": "certify", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 5,
+                         "tolerance": 1e300}, "tolerance"),
             ("run", {"mode": "convergence", "gamma_bar": 1.0, "tau_max": 1.0,
                      "t_c_list": ["a"]}, "t_c_list"),
             ("run", {"mode": "series", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 11,
@@ -412,7 +430,8 @@ class TestConfigNumbers:
         ],
         ids=["tau_points-string", "gamma_bar-string", "tau_max-string", "tau_points-fraction",
              "count-string", "start-string", "gamma_bar-empty", "probe_states-string",
-             "tolerance-string", "t_c_list-string", "compare_discrete-string", "seed-boolean",
+             "tolerance-string", "tolerance-negative", "tolerance-above-1e-6", "tolerance-1e300",
+             "t_c_list-string", "compare_discrete-string", "seed-boolean",
              "output_path-null"],
     )
     def test_malformed_number_exits_2(self, tmp_path, capsys, subcommand, payload, field):
@@ -556,28 +575,26 @@ class TestBatchedClosedForm:
 
     @pytest.mark.parametrize("subcommand", ["certify", "sweep"])
     def test_rows_match_per_point_route(self, tmp_path, subcommand):
-        from nmcollide import beta_pair, choi_of, lambda_jc_channel
+        from nmcollide import beta1, beta2, choi_of, jc_maps
 
         rows = self._run(tmp_path, subcommand)
         assert len(rows) == len(self.GAMMAS) * 41
         for row in rows:
             tau, gamma = float(row[0]), float(row[1])
-            pair = beta_pair(tau, gamma)
-            assert float(row[2]) == pair.beta1
-            assert float(row[3]) == pair.beta2
-            per_point = choi_of(lambda_jc_channel(tau, gamma)).min_eigenvalue()
+            assert float(row[2]) == beta1(tau, gamma)
+            assert float(row[3]) == beta2(tau, gamma)
+            per_point = choi_of(jc_maps(tau, gamma)[0].to_kraus()).min_eigenvalue()
             assert abs(float(row[5]) - per_point) < 1e-14
 
     def test_no_per_point_kraus_route(self, tmp_path, monkeypatch):
-        # every per-point object of the old route (BetaPair, ChoiMatrix,
-        # KrausChannel, hence kraus_from_choi) now raises on construction
-        from nmcollide.jaynes_cummings import BetaPair
+        # every per-point object of a Kraus route (ChoiMatrix, KrausChannel,
+        # hence kraus_from_choi) now raises on construction
         from nmcollide.quantum import ChoiMatrix, KrausChannel
 
         def forbidden(self):
             raise AssertionError(f"per-point {type(self).__name__} built by the CLI")
 
-        for cls in (BetaPair, ChoiMatrix, KrausChannel):
+        for cls in (ChoiMatrix, KrausChannel):
             monkeypatch.setattr(cls, "__post_init__", forbidden)
         for subcommand in ("certify", "sweep"):
             assert len(self._run(tmp_path, subcommand)) == len(self.GAMMAS) * 41
@@ -672,7 +689,7 @@ class TestDiscreteMapMode:
     @pytest.mark.parametrize("bath", sorted(BATHS))
     def test_columns_come_from_the_stack(self, tmp_path, monkeypatch, bath):
         import nmcollide.cli as cli_mod
-        from nmcollide import DensityOperator, run_discrete, run_discrete_thermal
+        from nmcollide import DensityOperator, run_discrete
         from nmcollide.quantum import ChoiMatrix
 
         discrete_maps, stacks = cli_mod.discrete_maps, []
@@ -699,9 +716,8 @@ class TestDiscreteMapMode:
         assert min(float(row[5]) for row in rows) > -1e-14
         # the betas agree with the single-state trajectories they replace
         col = cli_mod._collision_from_config(collision)
-        run = run_discrete_thermal if bath == "thermal" else run_discrete
-        excited = run(col, DensityOperator.basis(2, 1)).matrices
-        plus = run(col, DensityOperator(np.full((2, 2), 0.5))).matrices
+        excited = run_discrete(col, DensityOperator.basis(2, 1)).matrices
+        plus = run_discrete(col, DensityOperator(np.full((2, 2), 0.5))).matrices
         b1 = np.array([float(row[2]) for row in rows])
         b2 = np.array([float(row[3]) for row in rows])
         assert np.max(np.abs(b2 - excited[:, 1, 1].real)) < 1e-14

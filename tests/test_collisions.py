@@ -21,14 +21,13 @@ from nmcollide import (
     random_density_operator,
     reset_superop,
     run_discrete,
-    run_discrete_thermal,
     sa_collision,
     tensor,
     thermal_weights,
     trace_distance,
-    unitary_evolution,
 )
-from nmcollide.collisions import _transfer_matrix, attach_superop, trace_ancilla_superop
+from nmcollide.collisions import (attach_superop, protocol_step, reset_generator,
+                                  trace_ancilla_superop)
 from nmcollide.continuum import build_thermal_kernel_map
 from nmcollide.verify import purified_pair_ket
 
@@ -139,14 +138,6 @@ class TestRunDiscrete:
             assert abs(np.trace(state.data) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(state.data)[0] >= -1e-10
 
-    def test_rejects_thermal_bath(self, jc_h):
-        cfg = CollisionConfig(
-            system_dim=2, ancilla_dim=2, hamiltonian=jc_h, t_c=0.1, p_s=0.5,
-            n_steps=2, bath=BathSpec(kind="thermal", weights=(1.0, 0.0)),
-        )
-        with pytest.raises(ConfigurationError):
-            run_discrete(cfg, PROBE)
-
     def test_rejects_bad_initial_dimension(self, jc_h):
         cfg = pure_cfg(jc_h, t_c=0.1, p_s=0.5, n_steps=2)
         with pytest.raises(ConfigurationError):
@@ -201,7 +192,7 @@ class TestThermal:
         bath = BathSpec(kind="thermal", weights=(1.0, 0.0))
         cfg_t = CollisionConfig(2, 2, jc_h, t_c=0.3, p_s=0.4, n_steps=12, bath=bath)
         cfg_p = pure_cfg(jc_h, t_c=0.3, p_s=0.4, n_steps=12)
-        a = run_discrete_thermal(cfg_t, PROBE)
+        a = run_discrete(cfg_t, PROBE)
         b = run_discrete(cfg_p, PROBE)
         assert max(trace_distance(x, y) for x, y in zip(a.states, b.states)) < 1e-12
 
@@ -220,7 +211,7 @@ class TestThermal:
         # one collision map, found independently by iterating to convergence
         bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=1.0)
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.5, p_s=0.0, n_steps=120, bath=bath)
-        traj = run_discrete_thermal(cfg, DensityOperator.basis(2, 1))
+        traj = run_discrete(cfg, DensityOperator.basis(2, 1))
         kernel = build_thermal_kernel_map(jc_h, energies=(0.0, 1.0), inverse_temperature=1.0)
         ch = kernel.channel(0.5)
         fixed = DensityOperator.basis(2, 1)
@@ -238,17 +229,12 @@ class TestThermal:
         bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=0.9)
         kernel = build_thermal_kernel_map(jc_h, energies=(0.0, 1.0), inverse_temperature=0.9)
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.05, p_s=1.0, n_steps=80, bath=bath)
-        traj = run_discrete_thermal(cfg, PROBE)
+        traj = run_discrete(cfg, PROBE)
         worst = max(
             trace_distance(state, apply_channel(kernel.channel(t), PROBE))
             for state, t in zip(traj.states, traj.times)
         )
         assert worst < 1e-12
-
-    def test_rejects_pure_bath(self, jc_h):
-        cfg = pure_cfg(jc_h, t_c=0.1, p_s=0.5, n_steps=2)
-        with pytest.raises(ConfigurationError):
-            run_discrete_thermal(cfg, PROBE)
 
 
 class TestResetSplitting:
@@ -260,12 +246,23 @@ class TestResetSplitting:
     ])
     @pytest.mark.parametrize("gamma, t_c", [(1.0, 0.05), (50.0, 0.002), (0.3, 1.7)])
     def test_transfer_matrix_is_unitary_after_reset_semigroup(self, jc_h, weights, gamma, t_c):
-        fresh = np.diag(weights).astype(np.complex128)
-        u = unitary_evolution(jc_h, t_c)
-        reset = reset_superop(fresh, 2)
-        split = np.kron(u, u.conj()) @ scipy.linalg.expm(gamma * t_c * (reset - np.eye(16)))
-        step = _transfer_matrix(u, fresh, float(np.exp(-gamma * t_c)))
+        commutator, reset, fresh = reset_generator(jc_h, weights)
+        split = scipy.linalg.expm(commutator * t_c) @ scipy.linalg.expm(
+            gamma * t_c * (reset - np.eye(16)))
+        bath = BathSpec(kind="thermal", weights=weights)
+        cfg = CollisionConfig(2, 2, jc_h, t_c=t_c, p_s=float(np.exp(-gamma * t_c)), n_steps=1,
+                              bath=bath)
+        step, rho_a = protocol_step(cfg)
         assert np.max(np.abs(split - step)) < 1e-14
+        assert np.array_equal(rho_a, fresh)
+
+    def test_generator_parts(self, jc_h):
+        commutator, reset, rho_a = reset_generator(jc_h, (0.7, 0.3))
+        w = random_density_operator(4, np.random.default_rng(3)).data
+        expected = -1j * (jc_h.data @ w - w @ jc_h.data)
+        assert np.max(np.abs(commutator @ w.reshape(-1) - expected.reshape(-1))) < 1e-15
+        assert np.array_equal(reset, reset_superop(rho_a, 2))
+        assert np.array_equal(rho_a, np.diag([0.7, 0.3]))
 
     def test_reset_is_idempotent_and_replaces_the_ancilla(self):
         rho_a = np.diag([0.7, 0.3]).astype(np.complex128)
@@ -362,7 +359,7 @@ class TestLongRunAccuracy:
         bath = BathSpec(kind="pure_ground") if pure else BathSpec(kind="thermal", weights=weights)
         cfg = CollisionConfig(2, 2, jc_h, t_c=t_c, p_s=p_s, n_steps=n_steps, bath=bath)
         excited = DensityOperator.basis(2, 1)
-        traj = (run_discrete if pure else run_discrete_thermal)(cfg, excited)
+        traj = run_discrete(cfg, excited)
         reference = extended_window_recursion(jc_h.data, t_c, p_s, weights, excited.data, n_steps)
         # 7e-15 (pure) and 9e-15 (thermal) with the engine's per-step Hermitize
         # and trace renormalization; 1e-13 (pure) and 3e-13 (thermal) without it

@@ -21,8 +21,8 @@ from nmcollide import (
     build_thermal_kernel_map,
     calibrated_swap_probability,
     jc_hamiltonian,
+    jc_maps,
     lambda_embedding,
-    lambda_jc_superop,
     lambda_series,
     lindblad_limit,
     run_discrete,
@@ -31,7 +31,8 @@ from nmcollide import (
 )
 import scipy.fft
 
-from nmcollide.continuum import _fast_len, kraus_to_superop
+from nmcollide.continuum import (_dropped_term_bound, _fast_len, collision_kernel,
+                                 kraus_to_superop)
 
 from conftest import density_operators
 
@@ -188,12 +189,8 @@ class TestLambdaSeries:
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_matches_closed_form(self, jc_kernel, gamma):
         grid = TimeGrid(t_max=3.0, n_points=601)
-        result = lambda_series(jc_kernel, gamma, grid)
-        worst = max(
-            float(np.max(np.abs(m.superop - lambda_jc_superop(m.time, gamma))))
-            for m in result.maps
-        )
-        assert worst < 1e-4
+        maps = lambda_series(jc_kernel, gamma, grid).maps
+        assert float(np.max(np.abs(maps.superops - jc_maps(maps.times, gamma).superops))) < 1e-4
 
     def test_fft_equals_direct_quadrature(self, jc_kernel):
         # beyond the pure qubit: a thermal ancilla, and a qutrit (d_s = 3) under a random H
@@ -272,6 +269,36 @@ class TestLambdaSeries:
         assert err.value.residual > 0
         assert err.value.order == 5
 
+    @pytest.mark.parametrize("thermal", [False, True], ids=["pure", "thermal"])
+    @pytest.mark.parametrize("gamma, t_max, n_points, k_max", [
+        (5.0, 4.0, 101, 5), (10.0, 2.0, 401, 8), (20.0, 3.0, 601, 30), (1.0, 10.0, 1001, 5),
+    ])
+    def test_dropped_term_bound_is_below_the_residual(self, jc_kernel, thermal, gamma, t_max,
+                                                      n_points, k_max):
+        kernel = (build_thermal_kernel_map(jc_hamiltonian(), weights=(0.7, 0.3)) if thermal
+                  else jc_kernel)
+        grid = TimeGrid(t_max=t_max, n_points=n_points)
+        # a tail_tol this loose accepts the first dropped term and reports its norm
+        result = lambda_series(kernel, gamma, grid, SeriesPolicy(k_max=k_max, tail_tol=1e3))
+        bound = _dropped_term_bound(gamma, grid, k_max, 2)
+        assert 0.0 < bound <= result.tail_norm
+
+    def test_hopeless_truncation_raises_before_the_first_fft(self, monkeypatch):
+        # a thermal config whose peak order ceil(gamma t_max) + 1 = 203 lies past k_max = 200
+        def no_fft(*args, **kwargs):
+            raise AssertionError("the series ran an FFT")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        collision = CollisionConfig(
+            2, 2, jc_hamiltonian(), t_c=0.01, p_s=0.99, n_steps=20000,
+            bath=BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=1.0),
+        )
+        gamma = -np.log(0.99) / 0.01
+        with pytest.raises(TruncationError, match="cannot converge by order 200") as err:
+            lambda_series(collision_kernel(collision), gamma, TimeGrid(200.0, 20001))
+        assert err.value.order == 200
+        assert err.value.residual > SeriesPolicy().tail_tol
+
     def test_large_rate_matches_discrete_protocol(self, jc_kernel):
         # both routes approximate the same map; tolerance is loose because
         # each side carries its own discretization error
@@ -324,12 +351,8 @@ class TestLambdaEmbedding:
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 50.0])
     def test_matches_closed_form(self, gamma):
         # gamma = 2 is the generator's defective point
-        maps = lambda_embedding(jc_hamiltonian(), (1.0, 0.0), gamma, TimeGrid(5.0, 5001))
-        worst = max(
-            float(np.max(np.abs(m.superop - lambda_jc_superop(m.time, gamma))))
-            for m in maps[::25]
-        )
-        assert worst < 1e-12
+        maps = lambda_embedding(jc_hamiltonian(), (1.0, 0.0), gamma, TimeGrid(5.0, 5001))[::25]
+        assert float(np.max(np.abs(maps.superops - jc_maps(maps.times, gamma).superops))) < 1e-12
 
     def test_agrees_with_series(self, jc_kernel):
         grid = TimeGrid(t_max=3.0, n_points=3001)

@@ -9,30 +9,24 @@ from nmcollide import (
     DensityOperator,
     InternalConsistencyError,
     KrausChannel,
-    QubitStateParams,
+    ValidationError,
     adc_channel,
     apply_channel,
     beta1,
     beta2,
-    beta_pair,
     choi_of,
     cubic_spectrum,
     cubic_spectrum_cardano,
-    lambda_jc,
-    lambda_jc_channel,
-    lambda_jc_superop,
     trace_distance,
 )
 from nmcollide.jaynes_cummings import (
     BETA_SLACK,
-    BetaPair,
     beta1_degenerate_series,
     beta_arrays,
     jc_maps,
-    lambda_jc_choi,
 )
 
-from conftest import density_operators, qubit_params
+from conftest import density_operators, qubit_state, qubit_states
 
 GAMMA_GRID = [0.0, 0.1, 0.5, 1.0, 2.0 - 1e-6, 2.0, 2.0 + 1e-6, 5.0, 20.0, 50.0]
 
@@ -63,11 +57,11 @@ class TestAdc:
         direct = adc_channel(eta1 * eta2)
         assert trace_distance(apply_channel(combined, rho), apply_channel(direct, rho)) < 1e-12
 
-    @given(st.floats(min_value=0.0, max_value=1.0), qubit_params())
-    def test_action_on_parameters(self, eta, params):
-        out = apply_channel(adc_channel(eta), params.to_density())
-        assert abs(out.data[1, 1].real - eta**2 * params.p) < 1e-12
-        assert abs(out.data[0, 1] - eta * params.r) < 1e-12
+    @given(st.floats(min_value=0.0, max_value=1.0), qubit_states())
+    def test_action_on_parameters(self, eta, rho):
+        out = apply_channel(adc_channel(eta), rho)
+        assert abs(out.data[1, 1].real - eta**2 * rho.data[1, 1].real) < 1e-12
+        assert abs(out.data[0, 1] - eta * rho.data[0, 1]) < 1e-12
 
 
 class TestBeta1:
@@ -165,9 +159,9 @@ class TestBeta2:
         st.floats(min_value=0.0, max_value=50.0),
     )
     def test_inequalities_hold(self, tau, gamma):
-        pair = beta_pair(tau, gamma)  # raises on violation
-        assert -1e-9 <= pair.beta2 <= 1.0 + 1e-9
-        assert pair.beta1**2 <= pair.beta2 + 1e-9
+        (b1,), (b2,) = beta_arrays(tau, gamma)  # raises on violation
+        assert -1e-9 <= b2 <= 1.0 + 1e-9
+        assert b1**2 <= b2 + 1e-9
 
     @pytest.mark.parametrize("gamma", GAMMA_GRID)
     def test_inequalities_on_dense_grid(self, gamma):
@@ -176,10 +170,6 @@ class TestBeta2:
         b2 = beta2(taus, gamma)
         assert np.all(b2 >= -1e-9) and np.all(b2 <= 1.0 + 1e-9)
         assert np.all(b1 * b1 <= b2 + 1e-9)
-
-    def test_beta_pair_rejects_violation(self):
-        with pytest.raises(InternalConsistencyError):
-            BetaPair(tau=0.0, beta1=1.05, beta2=1.0, gamma_bar=1.0)
 
 
 def _beta1_mpmath(tau: float, gamma: float) -> float:
@@ -240,8 +230,7 @@ class TestBetaArrays:
         for gamma in (0.0, 2.0, 75.0):
             b1, b2 = beta_arrays(taus, gamma)
             for t, x, y in zip(taus, b1, b2):
-                pair = beta_pair(t, gamma)
-                assert (x, y) == (pair.beta1, pair.beta2)
+                assert (x, y) == (beta1(t, gamma), beta2(t, gamma))
 
     def test_violation_names_first_bad_point(self, monkeypatch):
         import nmcollide.jaynes_cummings as jc
@@ -256,7 +245,7 @@ class TestBetaArrays:
         stack = jc_maps(taus, 1.3).choi()
         assert stack.shape == (3, 4, 4)
         for k, tau in enumerate(taus):
-            assert np.array_equal(stack[k], lambda_jc_choi(tau, 1.3).data)
+            assert np.array_equal(stack[k], jc_maps(tau, 1.3)[0].choi().data)
 
 
 class TestJcMaps:
@@ -268,9 +257,9 @@ class TestJcMaps:
     def test_betas_are_bitwise_beta_pair(self, gamma):
         s = jc_maps(self.TAUS, gamma).superops
         for k, tau in enumerate(self.TAUS):
-            pair = beta_pair(tau, gamma)
-            assert s[k, 1, 1] == pair.beta1 and s[k, 2, 2] == pair.beta1
-            assert s[k, 3, 3] == pair.beta2 and s[k, 0, 3] == 1.0 - pair.beta2
+            b1, b2 = beta1(tau, gamma), beta2(tau, gamma)
+            assert s[k, 1, 1] == b1 and s[k, 2, 2] == b1
+            assert s[k, 3, 3] == b2 and s[k, 0, 3] == 1.0 - b2
             assert s[k, 0, 0] == 1.0
         layout = np.zeros((4, 4), dtype=bool)
         layout[0, 0] = layout[0, 3] = layout[1, 1] = layout[2, 2] = layout[3, 3] = True
@@ -286,7 +275,7 @@ class TestJcMaps:
         hand[:, 0, 1] = b1 * r
         hand[:, 1, 0] = b1 * np.conj(r)
         hand[:, 1, 1] = b2 * p
-        rho = QubitStateParams(p=p, r=r).to_density()
+        rho = qubit_state(p, r)
         assert np.max(np.abs(stack.apply(rho) - hand)) <= 1e-15
         assert np.array_equal(stack.times, self.TAUS)
 
@@ -299,33 +288,43 @@ class TestJcMaps:
             jc_maps(np.linspace(0.0, 3.0, 7), 0.5)
 
     def test_single_point_views_read_the_stack(self):
+        # a stack of one map at a scalar tau is bitwise the batched stack's map
         stack = jc_maps([0.0, 0.9, 4.0], 1.5)
-        params = QubitStateParams(p=0.6, r=0.25 + 0.2j)
-        states = stack.apply(params.to_density())
+        rho = qubit_state(0.6, 0.25 + 0.2j)
+        states = stack.apply(rho)
         for k, tau in enumerate(stack.times):
-            assert np.array_equal(lambda_jc_superop(tau, 1.5), stack.superops[k])
-            assert np.array_equal(lambda_jc(tau, 1.5, params).data, states[k])
+            assert np.array_equal(jc_maps(tau, 1.5).superops[0], stack.superops[k])
+            assert np.array_equal(jc_maps(tau, 1.5)[0].apply(rho), states[k])
+
+
+def _state_at(tau: float, gamma: float, rho: DensityOperator) -> DensityOperator:
+    return DensityOperator(jc_maps(tau, gamma)[0].apply(rho))
+
+
+def _channel_at(tau: float, gamma: float) -> KrausChannel:
+    return jc_maps(tau, gamma)[0].to_kraus()
 
 
 class TestLambdaJc:
+    """The closed-form map at single points: one-map jc_maps stacks and their Kraus form."""
+
     def test_zero_time_is_identity(self):
-        params = QubitStateParams(p=0.4, r=0.2 + 0.1j)
-        out = lambda_jc(0.0, 1.7, params)
-        assert trace_distance(out, params.to_density()) < 1e-14
+        rho = qubit_state(0.4, 0.2 + 0.1j)
+        assert trace_distance(_state_at(0.0, 1.7, rho), rho) < 1e-14
 
     def test_full_rabi_transfer(self):
-        out = lambda_jc(np.pi / 2, 0.0, QubitStateParams(p=1.0, r=0.0))
+        out = _state_at(np.pi / 2, 0.0, DensityOperator.basis(2, 1))
         assert trace_distance(out, DensityOperator.basis(2, 0)) < 1e-12
 
-    @given(qubit_params(), st.floats(min_value=0.0, max_value=10.0),
+    @given(qubit_states(), st.floats(min_value=0.0, max_value=10.0),
            st.floats(min_value=0.0, max_value=10.0))
-    def test_matrix_form_equals_channel_action(self, params, tau, gamma):
-        direct = lambda_jc(tau, gamma, params)
-        via_channel = apply_channel(lambda_jc_channel(tau, gamma), params.to_density())
+    def test_matrix_form_equals_channel_action(self, rho, tau, gamma):
+        direct = _state_at(tau, gamma, rho)
+        via_channel = apply_channel(_channel_at(tau, gamma), rho)
         assert trace_distance(direct, via_channel) < 1e-10
 
     def test_channel_at_zero_time_is_identity(self):
-        ch = lambda_jc_channel(0.0, 3.0)
+        ch = _channel_at(0.0, 3.0)
         rho = DensityOperator(np.array([[0.2, 0.1j], [-0.1j, 0.8]]))
         assert trace_distance(apply_channel(ch, rho), rho) < 1e-12
 
@@ -333,7 +332,7 @@ class TestLambdaJc:
         # at zero memory loss the map is pure damping with transmission cos(tau),
         # up to the sign of the coherence factor
         for tau in [0.3, 1.0, 2.0]:
-            ch = lambda_jc_channel(tau, 0.0)
+            ch = _channel_at(tau, 0.0)
             eta = abs(np.cos(tau))
             rho = DensityOperator(np.array([[0.4, 0.25], [0.25, 0.6]]))
             out = apply_channel(ch, rho)
@@ -343,30 +342,29 @@ class TestLambdaJc:
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 5.0])
     def test_channel_family_is_cp(self, gamma):
-        for tau in np.linspace(0.0, 20.0, 101):
-            assert choi_of(lambda_jc_channel(tau, gamma)).min_eigenvalue() >= -1e-10
+        for m in jc_maps(np.linspace(0.0, 20.0, 101), gamma):
+            assert choi_of(m.to_kraus()).min_eigenvalue() >= -1e-10
 
     def test_three_operator_closed_form(self):
         # documented identity: {diag(1, b1), sqrt(b2 - b1^2)|1><1|, sqrt(1 - b2)|0><1|}
         for tau, gamma in [(0.7, 1.0), (2.0, 0.5), (1.3, 5.0)]:
-            pair = beta_pair(tau, gamma)
-            k1 = np.diag([1.0, pair.beta1]).astype(complex)
-            k2 = np.sqrt(max(pair.beta2 - pair.beta1**2, 0.0)) * np.diag([0.0, 1.0]).astype(complex)
+            b1, b2 = beta1(tau, gamma), beta2(tau, gamma)
+            k1 = np.diag([1.0, b1]).astype(complex)
+            k2 = np.sqrt(max(b2 - b1**2, 0.0)) * np.diag([0.0, 1.0]).astype(complex)
             k3 = np.zeros((2, 2), dtype=complex)
-            k3[0, 1] = np.sqrt(max(1.0 - pair.beta2, 0.0))
+            k3[0, 1] = np.sqrt(max(1.0 - b2, 0.0))
             hand = KrausChannel((k1, k2, k3), dim_in=2, dim_out=2)
             rho = DensityOperator(np.array([[0.35, 0.2 - 0.15j], [0.2 + 0.15j, 0.65]]))
             a = apply_channel(hand, rho)
-            b = apply_channel(lambda_jc_channel(tau, gamma), rho)
+            b = apply_channel(_channel_at(tau, gamma), rho)
             assert trace_distance(a, b) < 1e-12
 
     def test_superop_matches_choi(self):
-        from nmcollide.continuum import choi_from_superop
-
+        # the reshuffled superoperator against the Choi matrix of its own Kraus form
         for tau, gamma in [(0.5, 0.0), (1.5, 2.0)]:
-            s = lambda_jc_superop(tau, gamma)
-            c1 = choi_from_superop(s, 2).data
-            c2 = lambda_jc_choi(tau, gamma).data
+            m = jc_maps(tau, gamma)[0]
+            c1 = m.choi().data
+            c2 = choi_of(m.to_kraus()).data
             assert np.max(np.abs(c1 - c2)) < 1e-12
 
     def test_corrupted_pair_raises_in_channel_construction(self):
@@ -378,7 +376,8 @@ class TestLambdaJc:
             kraus_from_choi(corrupted_beta_maps(1.0, [0.0], inflation=1.05)[0].choi())
 
     def test_state_params_validation(self):
-        with pytest.raises(ConfigurationError):
-            QubitStateParams(p=0.5, r=0.6)
-        with pytest.raises(ConfigurationError):
-            QubitStateParams(p=1.2, r=0.0)
+        # |r|^2 > p(1 - p) and p outside [0, 1] are not states: DensityOperator refuses both
+        with pytest.raises(ValidationError, match="not positive semidefinite"):
+            qubit_state(0.5, 0.6)
+        with pytest.raises(ValidationError, match="not positive semidefinite"):
+            qubit_state(1.2, 0.0)

@@ -20,10 +20,8 @@ from nmcollide import (
     convergence_study,
     inverse_laplace,
     jc_maps,
-    lambda_jc_channel,
     random_density_operator,
     run_discrete,
-    run_discrete_thermal,
     trace_distance,
 )
 from nmcollide.verify import corrupted_beta_maps
@@ -80,7 +78,7 @@ class TestBruteForceChain:
         # the engine's mixed ancillas against the oracle's purified pairs
         bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=beta)
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.4, p_s=p_s, n_steps=3, bath=bath)
-        a = run_discrete_thermal(cfg, PROBE)
+        a = run_discrete(cfg, PROBE)
         b = brute_force_chain(cfg, PROBE)
         assert max(trace_distance(x, y) for x, y in zip(a.states, b.states)) < 1e-12
 
@@ -108,9 +106,9 @@ class TestCertify:
 
     def test_closed_form_family_passes(self):
         channels = [
-            lambda_jc_channel(tau, gamma)
+            m.to_kraus()
             for gamma in (0.0, 1.0, 5.0)
-            for tau in np.linspace(0.0, 10.0, 26)
+            for m in jc_maps(np.linspace(0.0, 10.0, 26), gamma)
         ]
         assert certify_cpt(channels, 1e-9).verdict
 
@@ -136,7 +134,7 @@ class TestCertify:
     def test_stack_agrees_with_channel_family(self):
         taus = np.linspace(0.0, 10.0, 26)
         from_stack = certify_cpt(jc_maps(taus, 2.0).choi(), 1e-9)
-        from_channels = certify_cpt([lambda_jc_channel(t, 2.0) for t in taus], 1e-9)
+        from_channels = certify_cpt([jc_maps(t, 2.0)[0].to_kraus() for t in taus], 1e-9)
         assert from_stack.verdict and from_channels.verdict
         assert np.allclose(from_stack.min_choi_eigenvalue, from_channels.min_choi_eigenvalue,
                            rtol=0.0, atol=1e-14)
