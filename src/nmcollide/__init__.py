@@ -28,7 +28,6 @@ from .continuum import (
     TimeGrid,
     adc_decay_kernel,
     build_kernel_map,
-    build_thermal_kernel_map,
     discrete_maps,
     lambda_embedding,
     lambda_series,

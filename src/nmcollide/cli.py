@@ -47,7 +47,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .collisions import BathSpec, CollisionConfig
@@ -55,7 +54,7 @@ from .continuum import (
     MapStack,
     SeriesPolicy,
     TimeGrid,
-    collision_kernel,
+    build_kernel_map,
     discrete_maps,
     lambda_series,
 )
@@ -333,7 +332,9 @@ def _series_vs_protocol(collision: CollisionConfig, gamma: float, grid: TimeGrid
                         policy: SeriesPolicy, stride: Optional[int]):
     """The series of the collision's H and bath and, given a stride, its trace distances on
     _PROBE from the validated discrete_maps(collision) trajectory every stride points."""
-    result = lambda_series(collision_kernel(collision), gamma, grid, policy)
+    kernel = build_kernel_map(collision.hamiltonian,
+                              collision.bath.weight_vector(collision.ancilla_dim))
+    result = lambda_series(kernel, gamma, grid, policy)
     if stride is None:
         return result, None
     protocol = density_stack(discrete_maps(collision).apply(_PROBE))
@@ -461,7 +462,6 @@ def _execute(cfg: ExperimentConfig, output_dir: Optional[str]) -> int:
         "versions": {
             "nmcollide": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "timings": {"total_seconds": time.perf_counter() - started},

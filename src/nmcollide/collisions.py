@@ -75,7 +75,9 @@ __all__ = [
 def thermal_weights(energies, inverse_temperature: float) -> np.ndarray:
     """Boltzmann weights e^{-beta e_k} / Z, computed stably for large beta."""
     e = np.asarray(energies, dtype=float)
-    if inverse_temperature < 0:
+    if not np.all(np.isfinite(e)):
+        raise ConfigurationError("level energies must be finite")
+    if not inverse_temperature >= 0:  # a NaN inverse temperature fails too
         raise ConfigurationError("inverse temperature must be nonnegative")
     logw = -inverse_temperature * (e - e.min())
     w = np.exp(logw)
@@ -104,14 +106,14 @@ class BathSpec:
         elif self.kind == "thermal":
             if self.weights is not None:
                 w = np.asarray(self.weights, dtype=float)
-                if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+                if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):  # NaN fails too
                     raise ConfigurationError("explicit weights must be a probability vector")
             elif self.energies is None or self.inverse_temperature is None:
                 raise ConfigurationError(
                     "thermal bath needs energies and inverse_temperature, or explicit weights"
                 )
-            elif self.inverse_temperature < 0:
-                raise ConfigurationError("inverse temperature must be nonnegative")
+            else:  # the checks of thermal_weights, which weight_vector calls
+                thermal_weights(self.energies, self.inverse_temperature)
         else:
             raise ConfigurationError(f"unknown bath kind {self.kind!r}")
 
@@ -154,7 +156,7 @@ class CollisionConfig:
         if not 0.0 <= self.p_s <= 1.0:
             raise ConfigurationError(f"swap probability {self.p_s} outside [0, 1]")
         # t_c = 0 is allowed as a degenerate no-dynamics case
-        if self.t_c < 0:
+        if not self.t_c >= 0:  # a NaN t_c fails too
             raise ConfigurationError("collision time must be nonnegative")
         if self.n_steps < 1:
             raise ConfigurationError("need at least one step")

@@ -12,8 +12,11 @@ on system (x) a single ancilla, L = -i[H, .] + Gamma (R - 1) with
 R(W) = Tr_A(W) (x) rho_A, so that Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A).
 Every route takes one H and rho_A = diag(bath.weight_vector), the
 protocol's own, and the collision engine's attach and trace matrices.
-The routes below return one MapStack, an (n, d^2, d^2) superoperator
-array on row-major vectorized density matrices with its times:
+The kernel has one constructor, ``build_kernel_map(h, weights)``: E(t) as
+its exponential modes on H and rho_A = diag(weights), which
+``MemoryKernelMap.maps(times)`` samples. It and the routes below return
+one MapStack, an (n, d^2, d^2) superoperator array on row-major
+vectorized density matrices with its times:
 
 * ``lambda_series``: the convolution series on a uniform grid. Each term
   is a positively weighted sum of compositions of CPT maps, so every
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -57,7 +59,6 @@ from .quantum import (
     HermitianOperator,
     KrausChannel,
     kraus_from_choi,
-    unitary_evolution,
 )
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -73,8 +74,6 @@ __all__ = [
     "choi_from_superop",
     "choi_stack_from_superops",
     "build_kernel_map",
-    "build_thermal_kernel_map",
-    "collision_kernel",
     "adc_decay_kernel",
     "lambda_series",
     "lambda_embedding",
@@ -120,7 +119,7 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
-        if self.t_max <= 0:
+        if not self.t_max > 0:  # a NaN t_max fails too
             raise ConfigurationError("t_max must be positive")
         if self.n_points < 2:
             raise ConfigurationError("need at least two grid points")
@@ -143,7 +142,7 @@ class SeriesPolicy:
     def __post_init__(self):
         if self.k_max < 1:
             raise ConfigurationError("k_max must be at least 1")
-        if self.tail_tol <= 0:
+        if not self.tail_tol > 0:  # a NaN tail_tol fails too
             raise ConfigurationError("tail_tol must be positive")
 
 
@@ -152,92 +151,52 @@ class SeriesPolicy:
 
 @dataclass(frozen=True)
 class MemoryKernelMap:
-    """Time-parametrized CPT channel family E(t) on the system.
+    """Time-parametrized CPT channel family E(t) on the system, as its exponential modes.
 
-    ``builder`` returns the Kraus channel at a given time. Every evaluation
-    path uses the equivalent exponential-mode decomposition of the
-    superoperator, S(t) = sum_p e^{rates[p] t} mats[p]: Hamiltonian-generated
+    The superoperator is S(t) = sum_p e^{rates[p] t} mats[p]: Hamiltonian-generated
     kernels always admit it (rates are i * eigenvalue differences), and it
     samples a whole grid at once.
     """
 
-    builder: Callable[[float], KrausChannel]
     system_dim: int
     rates: np.ndarray  # (P,) complex
     mats: np.ndarray  # (P, d^2, d^2) complex
 
-    def channel(self, t: float) -> KrausChannel:
-        return self.builder(t)
-
-    def superop(self, t: float) -> np.ndarray:
-        return np.einsum("p,pab->ab", np.exp(self.rates * t), self.mats)
-
-    def superop_grid(self, times: np.ndarray) -> np.ndarray:
+    def maps(self, times) -> MapStack:
+        """E(t) at each time as one MapStack (one map for a scalar time)."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
         phases = np.exp(np.outer(self.rates, times))  # (P, n)
-        return np.einsum("pj,pab->jab", phases, self.mats)
+        return MapStack(times, np.einsum("pj,pab->jab", phases, self.mats), self.system_dim)
 
 
-def _dilation_modes(h: HermitianOperator, system_dim: int, weights: np.ndarray):
-    """Modes of E(t) = Tr_A (U (x) U*)(t) attach, U = e^{-iHt} = V e^{-i lambda t} V^dag.
+def _system_dim_and_weights(h: HermitianOperator, weights):
+    """The system dimension of H on system (x) len(weights)-level ancilla, and rho_A's diagonal:
+    the weights as given, once BathSpec has checked them as a probability vector. They are not
+    renormalized: a second w / w.sum() moves the bits of thermal_weights' output."""
+    w = np.asarray(BathSpec(kind="thermal", weights=tuple(weights)).weights, dtype=float)
+    if h.dim % len(w) != 0:
+        raise ConfigurationError(f"hamiltonian dim {h.dim} is not divisible by "
+                                 f"ancilla dim {len(w)}")
+    return h.dim // len(w), w
 
-    In the basis V (x) V*, U (x) U* is diagonal with entries e^{-i(lambda_a - lambda_b) t}:
-    mode (a, b) is column ab of Tr_A (V (x) V*) times row ab of (V (x) V*)^dag attach.
+
+def build_kernel_map(h: HermitianOperator, weights=(1.0, 0.0)) -> MemoryKernelMap:
+    """E(t) rho = Tr_A e^{-iHt} (rho (x) rho_A) e^{iHt}, rho_A = diag(weights): a unitary
+    dilation, CPT at every t. (1, 0) is the ground-state ancilla; a bath passes its
+    ``BathSpec.weight_vector``.
+
+    With U = e^{-iHt} = V e^{-i lambda t} V^dag, U (x) U* is diagonal in the basis V (x) V*
+    with entries e^{-i(lambda_a - lambda_b) t}: mode (a, b) is column ab of Tr_A (V (x) V*)
+    times row ab of (V (x) V*)^dag attach.
     """
+    system_dim, w = _system_dim_and_weights(h, weights)
     evals, evecs = np.linalg.eigh(h.data)
     rates = (-1j * (evals[:, None] - evals[None, :])).reshape(-1)
     basis = np.kron(evecs, evecs.conj())
-    left = trace_ancilla_superop(system_dim, len(weights)) @ basis  # (d_s^2, modes)
-    right = basis.conj().T @ attach_superop(np.diag(weights), system_dim)  # (modes, d_s^2)
-    return rates, np.einsum("xp,py->pxy", left, right, order="C")  # superop_grid keeps this layout
-
-
-def _dilation_kraus(h: HermitianOperator, system_dim: int, ancilla_dim: int,
-                    weights: np.ndarray, t: float) -> KrausChannel:
-    """Kraus operators sqrt(w_k) <nu| e^{-iHt} |k>, the reference the modes are checked against."""
-    u = unitary_evolution(h, t).reshape(system_dim, ancilla_dim, system_dim, ancilla_dim)
-    ops = tuple(np.sqrt(w) * u[:, nu, :, k] for k, w in enumerate(weights) if w > 0
-                for nu in range(ancilla_dim))
-    return KrausChannel(ops, dim_in=system_dim, dim_out=system_dim)
-
-
-def _system_dim_and_weights(h: HermitianOperator, bath: BathSpec, ancilla_dim: int):
-    """The system dimension of H on system (x) ancilla, and rho_A's diagonal, bath.weight_vector."""
-    if h.dim % ancilla_dim != 0:
-        raise ConfigurationError(f"hamiltonian dim {h.dim} is not divisible by "
-                                 f"ancilla dim {ancilla_dim}")
-    return h.dim // ancilla_dim, bath.weight_vector(ancilla_dim)
-
-
-def _bath_kernel(h: HermitianOperator, bath: BathSpec, ancilla_dim: int) -> MemoryKernelMap:
-    """E(t) rho = Tr_A e^{-iHt} (rho (x) rho_A) e^{iHt}, a unitary dilation: CPT at every t."""
-    system_dim, weights = _system_dim_and_weights(h, bath, ancilla_dim)
-    rates, mats = _dilation_modes(h, system_dim, weights)
-    builder = lambda t: _dilation_kraus(h, system_dim, ancilla_dim, weights, t)
-    return MemoryKernelMap(builder=builder, system_dim=system_dim, rates=rates, mats=mats)
-
-
-def build_kernel_map(h: HermitianOperator, ancilla_init: int = 0, *,
-                     ancilla_dim: int = 2) -> MemoryKernelMap:
-    """Kernel for an ancilla in a basis state: Kraus operators <nu| e^{-iHt} |ancilla_init>."""
-    if not 0 <= ancilla_init < ancilla_dim:
-        raise ConfigurationError(f"ancilla_init {ancilla_init} out of range")
-    basis_state = BathSpec(kind="thermal", weights=tuple(np.eye(ancilla_dim)[ancilla_init]))
-    return _bath_kernel(h, basis_state, ancilla_dim)
-
-
-def build_thermal_kernel_map(h: HermitianOperator, energies=None,
-                             inverse_temperature: Optional[float] = None, *,
-                             weights=None, ancilla_dim: int = 2) -> MemoryKernelMap:
-    """Kernel for an ancilla in a thermal mixture: the Boltzmann-weighted sum of the basis-state
-    kernels. Explicit weights reach the zero-temperature endpoint exactly."""
-    bath = BathSpec(kind="thermal", energies=energies,
-                    inverse_temperature=inverse_temperature, weights=weights)
-    return _bath_kernel(h, bath, ancilla_dim)
-
-
-def collision_kernel(cfg: CollisionConfig) -> MemoryKernelMap:
-    """The kernel of the protocol's own H and bath: the p_s = 1 protocol samples it at n t_c."""
-    return _bath_kernel(cfg.hamiltonian, cfg.bath, cfg.ancilla_dim)
+    left = trace_ancilla_superop(system_dim, len(w)) @ basis  # (d_s^2, modes)
+    right = basis.conj().T @ attach_superop(np.diag(w), system_dim)  # (modes, d_s^2)
+    mats = np.einsum("xp,py->pxy", left, right, order="C")  # maps() keeps this layout
+    return MemoryKernelMap(system_dim, rates, mats)
 
 
 def adc_decay_kernel(rate: float) -> MemoryKernelMap:
@@ -246,22 +205,15 @@ def adc_decay_kernel(rate: float) -> MemoryKernelMap:
     Its short-time derivative is a genuine Lindblad generator, which makes
     it the reference case for the memoryless-limit extraction.
     """
-    if rate < 0:
+    if not rate >= 0:  # a NaN rate fails too
         raise ConfigurationError("decay rate must be nonnegative")
-
-    def builder(t: float) -> KrausChannel:
-        eta = float(np.exp(-rate * t))
-        k0 = np.array([[1.0, 0.0], [0.0, eta]], dtype=np.complex128)
-        k1 = np.array([[0.0, np.sqrt(1.0 - eta * eta)], [0.0, 0.0]], dtype=np.complex128)
-        return KrausChannel((k0, k1), dim_in=2, dim_out=2)
-
     e03 = np.zeros((4, 4), dtype=np.complex128)
     e03[0, 3] = 1.0
     m0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(np.complex128) + e03
     m1 = np.diag([0.0, 1.0, 1.0, 0.0]).astype(np.complex128)
     m2 = np.diag([0.0, 0.0, 0.0, 1.0]).astype(np.complex128) - e03
     return MemoryKernelMap(
-        builder=builder, system_dim=2,
+        system_dim=2,
         rates=np.array([0.0, -rate, -2.0 * rate], dtype=np.complex128),
         mats=np.stack([m0, m1, m2]),
     )
@@ -488,8 +440,7 @@ def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid
     """
     if not gamma >= 0:  # a NaN rate fails too
         raise ConfigurationError("memory-loss rate must be nonnegative")
-    bath = BathSpec(kind="thermal", weights=tuple(weights))
-    ds, w = _system_dim_and_weights(h, bath, len(weights))
+    ds, w = _system_dim_and_weights(h, weights)
     commutator, reset, rho_a = reset_generator(h, w)
     import scipy.linalg  # no CLI mode runs the embedding; scipy.linalg costs ~0.3 s to import
 
@@ -532,15 +483,13 @@ def lindblad_limit(kernel: MemoryKernelMap, h: float, *, order: int = 1) -> Lind
     second-order one-sided difference. Both annihilate the trace
     functional exactly, so e^{G t} is trace preserving.
     """
-    if h <= 0:
+    if not h > 0:  # a NaN step fails too
         raise ConfigurationError("finite-difference step must be positive")
-    d2 = kernel.system_dim ** 2
-    eye = np.eye(d2, dtype=np.complex128)
-    s1 = kernel.superop(h)
+    eye = np.eye(kernel.system_dim ** 2, dtype=np.complex128)
+    s1, s2 = kernel.maps([h, 2.0 * h]).superops
     if order == 1:
         gen = (s1 - eye) / h
     elif order == 2:
-        s2 = kernel.superop(2.0 * h)
         gen = (4.0 * s1 - s2 - 3.0 * eye) / (2.0 * h)
     else:
         raise ConfigurationError("difference order must be 1 or 2")

@@ -18,13 +18,11 @@ from nmcollide import (
     SeriesPolicy,
     TimeGrid,
     adc_decay_kernel,
-    apply_channel,
     beta1,
     beta2,
     beta_laplace,
     brute_force_chain,
     build_kernel_map,
-    build_thermal_kernel_map,
     certify_cpt,
     choi_of,
     convergence_study,
@@ -232,22 +230,14 @@ def test_criterion_08_thermal_reduction():
     traj_p = run_discrete(cfg_pure, PROBE)
     worst_run = max(trace_distance(a, b) for a, b in zip(traj_t.states, traj_p.states))
 
-    pure_kernel = build_kernel_map(h)
-    zero_t_kernel = build_thermal_kernel_map(h, weights=(1.0, 0.0))
-    worst_kernel = max(
-        trace_distance(
-            apply_channel(zero_t_kernel.channel(t), PROBE),
-            apply_channel(pure_kernel.channel(t), PROBE),
-        )
-        for t in np.linspace(0.0, 6.0, 25)
-    )
+    times = np.linspace(0.0, 6.0, 25)
+    pure_states = build_kernel_map(h).maps(times).apply(PROBE)
+    zero_t_states = build_kernel_map(h, (1.0, 0.0)).maps(times).apply(PROBE)
+    worst_kernel = max(trace_distance(a, b) for a, b in zip(zero_t_states, pure_states))
 
-    hot_kernel = build_thermal_kernel_map(h, weights=(0.5, 0.5))
     mixed = DensityOperator.maximally_mixed(2)
-    worst_fixed = max(
-        trace_distance(apply_channel(hot_kernel.channel(t), mixed), mixed)
-        for t in np.linspace(0.0, 6.0, 25)
-    )
+    hot_states = build_kernel_map(h, (0.5, 0.5)).maps(times).apply(mixed)
+    worst_fixed = max(trace_distance(state, mixed) for state in hot_states)
     ok = worst_run <= 1e-12 and worst_kernel <= 1e-12 and worst_fixed <= 1e-10
     report(
         8,

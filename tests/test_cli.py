@@ -59,7 +59,7 @@ class TestRun:
         assert manifest["mode"] == "jc_closed_form"
         assert manifest["seed"] == 42
         assert manifest["config"]["gamma_bar"] == 1.0
-        assert "nmcollide" in manifest["versions"]
+        assert sorted(manifest["versions"]) == ["nmcollide", "numpy", "python"]
         assert "total_seconds" in manifest["timings"]
 
     def test_empty_config_exits_2(self, tmp_path, capsys):

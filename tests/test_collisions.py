@@ -14,7 +14,6 @@ from nmcollide import (
     ValidationError,
     apply_channel,
     brute_force_chain,
-    compose,
     discrete_maps,
     partial_swap_channel,
     partial_trace,
@@ -28,7 +27,7 @@ from nmcollide import (
 )
 from nmcollide.collisions import (attach_superop, protocol_step, reset_generator,
                                   trace_ancilla_superop)
-from nmcollide.continuum import build_thermal_kernel_map
+from nmcollide.continuum import build_kernel_map
 from nmcollide.verify import purified_pair_ket
 
 PROBE = DensityOperator(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
@@ -100,15 +99,13 @@ class TestRunDiscrete:
         assert np.max(np.abs(traj.populations(1) - expect)) < 1e-12
 
     def test_memoryless_equals_composed_channel(self, jc_h):
-        from nmcollide.continuum import build_kernel_map
-
         cfg = pure_cfg(jc_h, t_c=0.4, p_s=0.0, n_steps=5)
         traj = run_discrete(cfg, PROBE)
-        step_channel = build_kernel_map(jc_h).channel(0.4)
-        composed = step_channel
-        for _ in range(4):
-            composed = compose(step_channel, composed)
-        assert trace_distance(apply_channel(composed, PROBE), traj.states[-1]) < 1e-12
+        step = build_kernel_map(jc_h).maps(0.4)[0]
+        state = PROBE.data
+        for _ in range(5):
+            state = step.apply(state)
+        assert trace_distance(state, traj.states[-1]) < 1e-12
 
     @pytest.mark.parametrize("p_s", [0.0, 0.5, 1.0])
     def test_single_step_is_one_collision(self, jc_h, p_s):
@@ -212,12 +209,11 @@ class TestThermal:
         bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=1.0)
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.5, p_s=0.0, n_steps=120, bath=bath)
         traj = run_discrete(cfg, DensityOperator.basis(2, 1))
-        kernel = build_thermal_kernel_map(jc_h, energies=(0.0, 1.0), inverse_temperature=1.0)
-        ch = kernel.channel(0.5)
-        fixed = DensityOperator.basis(2, 1)
+        step = build_kernel_map(jc_h, bath.weight_vector(2)).maps(0.5)[0]
+        fixed = DensityOperator.basis(2, 1).data
         for _ in range(500):
-            fixed = apply_channel(ch, fixed)
-        target = fixed.data[1, 1].real
+            fixed = step.apply(fixed)
+        target = fixed[1, 1].real
         assert target > 0.05  # relaxes to the thermal value, not to zero
         assert abs(traj.populations(1)[-1] - target) < 1e-9
 
@@ -227,12 +223,12 @@ class TestThermal:
         # kernel channel at stroboscopic times; this pins down the swap
         # convention against the continuum construction
         bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=0.9)
-        kernel = build_thermal_kernel_map(jc_h, energies=(0.0, 1.0), inverse_temperature=0.9)
+        kernel = build_kernel_map(jc_h, bath.weight_vector(2))
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.05, p_s=1.0, n_steps=80, bath=bath)
         traj = run_discrete(cfg, PROBE)
         worst = max(
-            trace_distance(state, apply_channel(kernel.channel(t), PROBE))
-            for state, t in zip(traj.states, traj.times)
+            trace_distance(state, out)
+            for state, out in zip(traj.states, kernel.maps(traj.times).apply(PROBE))
         )
         assert worst < 1e-12
 

@@ -16,9 +16,7 @@ from nmcollide import (
     TimeGrid,
     TruncationError,
     adc_decay_kernel,
-    apply_channel,
     build_kernel_map,
-    build_thermal_kernel_map,
     calibrated_swap_probability,
     jc_hamiltonian,
     jc_maps,
@@ -28,15 +26,16 @@ from nmcollide import (
     run_discrete,
     thermal_weights,
     trace_distance,
+    unitary_evolution,
 )
 import scipy.fft
 
-from nmcollide.continuum import (_dropped_term_bound, _fast_len, collision_kernel,
-                                 kraus_to_superop)
+from nmcollide.continuum import _dropped_term_bound, _fast_len
 
 from conftest import density_operators
 
 PROBE = DensityOperator(np.array([[0.4, 0.25 + 0.2j], [0.25 - 0.2j, 0.6]]))
+WARM = tuple(thermal_weights((0.0, 1.0), 0.8))  # rho_A of a thermal bath at beta = 0.8
 
 _FINE_MAPS = None
 
@@ -55,7 +54,7 @@ def _direct_series(kernel, gamma, grid, orders):
     (n, d^2, d^2) stacks in the row-major vec basis: the reference for lambda_series,
     sharing neither its basis, nor its layout, nor its FFTs and end corrections."""
     times = grid.times()
-    b1 = kernel.superop_grid(times) * np.exp(-gamma * times)[:, None, None]
+    b1 = kernel.maps(times).superops * np.exp(-gamma * times)[:, None, None]
     total, term = b1.copy(), b1
     for _ in range(orders - 1):
         ends = 0.5 * (np.einsum("ab,jbc->jac", b1[0], term) + np.einsum("jab,bc->jac", b1, term[0]))
@@ -71,6 +70,24 @@ def _fine_series_maps():
         grid = TimeGrid(t_max=1.0, n_points=5001)
         _FINE_MAPS = lambda_series(build_kernel_map(jc_hamiltonian()), 1.0, grid).maps
     return _FINE_MAPS
+
+
+def _random_qutrit_hamiltonian():
+    """A random Hermitian H on qutrit (x) qubit: a kernel beyond the exchange coupling."""
+    a = np.random.default_rng(7).standard_normal((2, 6, 6))
+    m = a[0] + 1j * a[1]
+    return HermitianOperator(0.5 * (m + m.conj().T))
+
+
+def _kraus_reference(h, weights, t):
+    """The superoperator of the Kraus operators sqrt(w_k) <nu| e^{-iHt} |k>, built from the
+    unitary alone: the reference for the kernel's exponential modes."""
+    da = len(weights)
+    ds = h.dim // da
+    u = unitary_evolution(h, t).reshape(ds, da, ds, da)
+    ops = [np.sqrt(w) * u[:, nu, :, k] for k, w in enumerate(weights) if w > 0
+           for nu in range(da)]
+    return sum(np.kron(k, k.conj()) for k in ops)
 
 
 @pytest.fixture(scope="module")
@@ -97,81 +114,103 @@ class TestGridAndPolicy:
             SeriesPolicy(tail_tol=0.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: BathSpec(kind="thermal", weights=(NAN, 1.0)), id="bath-weights"),
+    pytest.param(lambda: BathSpec(kind="thermal", energies=(0.0, NAN), inverse_temperature=1.0),
+                 id="bath-energy"),
+    pytest.param(lambda: BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=NAN),
+                 id="bath-beta"),
+    pytest.param(lambda: thermal_weights((0.0, 1.0), NAN), id="thermal-weights-beta"),
+    pytest.param(lambda: thermal_weights((0.0, NAN), 1.0), id="thermal-weights-energy"),
+    pytest.param(lambda: CollisionConfig(2, 2, jc_hamiltonian(), t_c=NAN, p_s=0.5, n_steps=1,
+                                         bath=BathSpec(kind="pure_ground")), id="t_c"),
+    pytest.param(lambda: TimeGrid(t_max=NAN, n_points=5), id="t_max"),
+    pytest.param(lambda: SeriesPolicy(tail_tol=NAN), id="tail_tol"),
+    pytest.param(lambda: build_kernel_map(jc_hamiltonian(), (NAN, 1.0)), id="kernel-weights"),
+    pytest.param(lambda: lambda_embedding(jc_hamiltonian(), (NAN, 1.0), 1.0, TimeGrid(1.0, 3)),
+                 id="embedding-weights"),
+    pytest.param(lambda: adc_decay_kernel(NAN), id="decay-rate"),
+    pytest.param(lambda: lindblad_limit(build_kernel_map(jc_hamiltonian()), NAN), id="step"),
+])
+def test_nan_fails_the_range_checks(build):
+    with pytest.raises(ConfigurationError):
+        build()
+
+
 class TestKernelMaps:
     def test_starts_at_identity(self, jc_kernel):
         rho = PROBE
-        assert trace_distance(apply_channel(jc_kernel.channel(0.0), rho), rho) < 1e-12
+        assert trace_distance(jc_kernel.maps(0.0)[0].apply(rho), rho) < 1e-12
 
     def test_zero_hamiltonian_stays_identity(self):
         kernel = build_kernel_map(HermitianOperator(np.zeros((4, 4))))
-        for t in [0.0, 0.7, 3.0]:
-            out = apply_channel(kernel.channel(t), PROBE)
+        for out in kernel.maps([0.0, 0.7, 3.0]).apply(PROBE):
             assert trace_distance(out, PROBE) < 1e-12
 
     def test_jc_kernel_is_cosine_damping(self, jc_kernel):
-        for t in np.linspace(0.0, 6.0, 25):
-            out = apply_channel(jc_kernel.channel(t), PROBE)
+        maps = jc_kernel.maps(np.linspace(0.0, 6.0, 25))
+        for t, out in zip(maps.times, maps.apply(PROBE)):
             eta = np.cos(t)
-            assert abs(out.data[1, 1].real - eta**2 * 0.6) < 1e-12
-            assert abs(out.data[0, 1] - eta * (0.25 + 0.2j)) < 1e-12
+            assert abs(out[1, 1].real - eta**2 * 0.6) < 1e-12
+            assert abs(out[0, 1] - eta * (0.25 + 0.2j)) < 1e-12
 
-    def test_modes_match_kraus_superop(self, jc_kernel):
-        for t in [0.0, 0.4, 1.9, 5.0]:
-            direct = kraus_to_superop(jc_kernel.channel(t))
-            assert np.max(np.abs(jc_kernel.superop(t) - direct)) < 1e-12
+    def test_modes_match_kraus_superop(self):
+        # the pure and a thermal qubit kernel, and a qutrit one under a random H
+        for h, weights in [(jc_hamiltonian(), (1.0, 0.0)), (jc_hamiltonian(), WARM),
+                           (_random_qutrit_hamiltonian(), (1.0, 0.0))]:
+            maps = build_kernel_map(h, weights).maps([0.0, 0.4, 1.9, 5.0])
+            for m in maps:
+                direct = _kraus_reference(h, weights, m.time)
+                assert np.max(np.abs(m.superop - direct)) < 1e-12
 
     def test_mode_stack_is_c_contiguous(self, jc_kernel):
-        # superop_grid inherits the mode stack's layout
+        # maps() inherits the mode stack's layout
         assert jc_kernel.mats.flags.c_contiguous
-        assert jc_kernel.superop_grid(np.linspace(0.0, 1.0, 5)).flags.c_contiguous
+        assert jc_kernel.maps(np.linspace(0.0, 1.0, 5)).superops.flags.c_contiguous
 
     def test_kernel_channels_are_cp(self, jc_kernel):
-        from nmcollide import choi_of
-
-        for t in np.linspace(0.0, 8.0, 17):
-            assert choi_of(jc_kernel.channel(t)).min_eigenvalue() >= -1e-10
+        times = np.linspace(0.0, 8.0, 17)
+        for kernel in (jc_kernel, build_kernel_map(jc_hamiltonian(), WARM)):
+            assert np.linalg.eigvalsh(kernel.maps(times).choi()).min() >= -1e-10
 
 
 class TestThermalKernel:
     def test_zero_temperature_matches_pure(self, jc_kernel):
-        thermal = build_thermal_kernel_map(jc_hamiltonian(), weights=(1.0, 0.0))
-        for t in np.linspace(0.0, 6.0, 13):
-            a = apply_channel(thermal.channel(t), PROBE)
-            b = apply_channel(jc_kernel.channel(t), PROBE)
+        thermal = build_kernel_map(jc_hamiltonian(), weights=(1.0, 0.0))
+        times = np.linspace(0.0, 6.0, 13)
+        for a, b in zip(thermal.maps(times).apply(PROBE), jc_kernel.maps(times).apply(PROBE)):
             assert trace_distance(a, b) < 1e-12
 
     def test_infinite_temperature_fixed_point(self):
-        thermal = build_thermal_kernel_map(jc_hamiltonian(), weights=(0.5, 0.5))
+        thermal = build_kernel_map(jc_hamiltonian(), weights=(0.5, 0.5))
         mm = DensityOperator.maximally_mixed(2)
-        for t in np.linspace(0.0, 6.0, 25):
-            assert trace_distance(apply_channel(thermal.channel(t), mm), mm) < 1e-10
+        for out in thermal.maps(np.linspace(0.0, 6.0, 25)).apply(mm):
+            assert trace_distance(out, mm) < 1e-10
 
     def test_starts_at_identity(self):
-        thermal = build_thermal_kernel_map(
-            jc_hamiltonian(), energies=(0.0, 1.0), inverse_temperature=0.8
-        )
-        assert trace_distance(apply_channel(thermal.channel(0.0), PROBE), PROBE) < 1e-12
+        thermal = build_kernel_map(jc_hamiltonian(), WARM)
+        assert trace_distance(thermal.maps(0.0)[0].apply(PROBE), PROBE) < 1e-12
 
     def test_equals_convex_combination(self):
         weights = (0.65, 0.35)
-        thermal = build_thermal_kernel_map(jc_hamiltonian(), weights=weights)
-        pure0 = build_kernel_map(jc_hamiltonian(), 0)
-        pure1 = build_kernel_map(jc_hamiltonian(), 1)
-        for t in [0.3, 1.1, 2.7]:
-            mixed = apply_channel(thermal.channel(t), PROBE).data
-            combo = (
-                weights[0] * apply_channel(pure0.channel(t), PROBE).data
-                + weights[1] * apply_channel(pure1.channel(t), PROBE).data
-            )
-            assert np.max(np.abs(mixed - combo)) < 1e-12
+        times = [0.3, 1.1, 2.7]
+        mixed = build_kernel_map(jc_hamiltonian(), weights).maps(times).apply(PROBE)
+        pure0 = build_kernel_map(jc_hamiltonian(), (1.0, 0.0)).maps(times).apply(PROBE)
+        pure1 = build_kernel_map(jc_hamiltonian(), (0.0, 1.0)).maps(times).apply(PROBE)
+        for j in range(len(times)):
+            combo = weights[0] * pure0[j] + weights[1] * pure1[j]
+            assert np.max(np.abs(mixed[j] - combo)) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            build_thermal_kernel_map(jc_hamiltonian())
+            build_kernel_map(jc_hamiltonian(), (1.5, -0.5))
+        with pytest.raises(ConfigurationError):  # a 3-level ancilla does not divide dim 4
+            build_kernel_map(jc_hamiltonian(), (0.5, 0.25, 0.25))
         with pytest.raises(ConfigurationError):
-            build_thermal_kernel_map(jc_hamiltonian(), energies=(0.0,), inverse_temperature=1.0)
-        with pytest.raises(ConfigurationError):
-            build_thermal_kernel_map(jc_hamiltonian(), weights=(0.2, 0.2))
+            build_kernel_map(jc_hamiltonian(), weights=(0.2, 0.2))
 
 
 class TestLambdaSeries:
@@ -179,8 +218,8 @@ class TestLambdaSeries:
         grid = TimeGrid(t_max=4.0, n_points=81)
         result = lambda_series(jc_kernel, 0.0, grid)
         assert result.truncation_order == 1
-        for m in result.maps:
-            assert np.max(np.abs(m.superop - jc_kernel.superop(m.time))) < 1e-12
+        for m, kernel_map in zip(result.maps, jc_kernel.maps(result.maps.times)):
+            assert np.max(np.abs(m.superop - kernel_map.superop)) < 1e-12
 
     def test_identity_at_time_zero(self, jc_kernel):
         result = lambda_series(jc_kernel, 1.5, TimeGrid(t_max=1.0, n_points=51))
@@ -194,12 +233,10 @@ class TestLambdaSeries:
 
     def test_fft_equals_direct_quadrature(self, jc_kernel):
         # beyond the pure qubit: a thermal ancilla, and a qutrit (d_s = 3) under a random H
-        a = np.random.default_rng(7).standard_normal((2, 6, 6))
-        m = a[0] + 1j * a[1]
         kernels = [
             jc_kernel,
-            build_thermal_kernel_map(jc_hamiltonian(), energies=(0.0, 1.0), inverse_temperature=0.8),
-            build_kernel_map(HermitianOperator(0.5 * (m + m.conj().T)), ancilla_dim=2),
+            build_kernel_map(jc_hamiltonian(), WARM),
+            build_kernel_map(_random_qutrit_hamiltonian(), (1.0, 0.0)),
         ]
         grid = TimeGrid(t_max=2.0, n_points=101)
         for kernel in kernels:
@@ -220,7 +257,7 @@ class TestLambdaSeries:
 
     def test_non_hermiticity_preserving_kernel_raises(self):
         # an imaginary part beyond rounding in the Hermitian basis is refused, never dropped
-        kernel = MemoryKernelMap(builder=None, system_dim=2, rates=np.zeros(1, dtype=complex),
+        kernel = MemoryKernelMap(system_dim=2, rates=np.zeros(1, dtype=complex),
                                  mats=1j * np.eye(4, dtype=complex)[None])
         with pytest.raises(InternalConsistencyError):
             lambda_series(kernel, 1.0, TimeGrid(t_max=1.0, n_points=11))
@@ -275,8 +312,7 @@ class TestLambdaSeries:
     ])
     def test_dropped_term_bound_is_below_the_residual(self, jc_kernel, thermal, gamma, t_max,
                                                       n_points, k_max):
-        kernel = (build_thermal_kernel_map(jc_hamiltonian(), weights=(0.7, 0.3)) if thermal
-                  else jc_kernel)
+        kernel = build_kernel_map(jc_hamiltonian(), (0.7, 0.3)) if thermal else jc_kernel
         grid = TimeGrid(t_max=t_max, n_points=n_points)
         # a tail_tol this loose accepts the first dropped term and reports its norm
         result = lambda_series(kernel, gamma, grid, SeriesPolicy(k_max=k_max, tail_tol=1e3))
@@ -294,8 +330,9 @@ class TestLambdaSeries:
             bath=BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=1.0),
         )
         gamma = -np.log(0.99) / 0.01
+        kernel = build_kernel_map(collision.hamiltonian, collision.bath.weight_vector(2))
         with pytest.raises(TruncationError, match="cannot converge by order 200") as err:
-            lambda_series(collision_kernel(collision), gamma, TimeGrid(200.0, 20001))
+            lambda_series(kernel, gamma, TimeGrid(200.0, 20001))
         assert err.value.order == 200
         assert err.value.residual > SeriesPolicy().tail_tol
 
@@ -339,9 +376,7 @@ class TestLambdaSeries:
             result.maps[-1].to_kraus()
 
     def test_thermal_kernel_series_is_cpt(self):
-        kernel = build_thermal_kernel_map(
-            jc_hamiltonian(), energies=(0.0, 1.0), inverse_temperature=0.8
-        )
+        kernel = build_kernel_map(jc_hamiltonian(), WARM)
         result = lambda_series(kernel, 1.0, TimeGrid(t_max=2.0, n_points=2001))
         assert min(m.choi().min_eigenvalue() for m in result.maps) >= -1e-8
         assert max(m.trace_defect() for m in result.maps) < 1e-6
@@ -362,12 +397,9 @@ class TestLambdaEmbedding:
         assert worst < 1e-5
 
     def test_thermal_matches_series(self):
-        kernel = build_thermal_kernel_map(
-            jc_hamiltonian(), energies=(0.0, 1.0), inverse_temperature=0.8
-        )
+        kernel = build_kernel_map(jc_hamiltonian(), WARM)
         grid = TimeGrid(t_max=2.0, n_points=2001)
-        weights = thermal_weights((0.0, 1.0), 0.8)
-        maps = lambda_embedding(jc_hamiltonian(), weights, 1.0, grid)
+        maps = lambda_embedding(jc_hamiltonian(), WARM, 1.0, grid)
         ser = lambda_series(kernel, 1.0, grid)
         worst = max(np.max(np.abs(m.superop - s.superop)) for m, s in zip(maps, ser.maps))
         assert worst < 1e-6

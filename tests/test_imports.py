@@ -4,14 +4,16 @@ The layers run quantum -> collisions -> continuum -> jaynes_cummings ->
 verify -> cli: the closed form builds its maps as a continuum MapStack, so
 continuum must never import it back, and the engine below both knows
 nothing of either. One more check runs a fresh interpreter: importing the
-CLI and running every shipped config must not load scipy.fft, scipy.linalg,
-scipy.special, scipy.signal or mpmath. Together they cost more than the rest
-of the import (~0.5 s), and no CLI mode calls them: the series transforms with
-numpy.fft, and scipy.linalg and mpmath are imported inside the embedding, the
-semigroup and the Talbot oracle, the only functions that use them.
+CLI and running every shipped config must load no scipy or mpmath module at
+all. scipy.fft, scipy.linalg and mpmath cost more than the rest of the import
+(~0.5 s), the bare scipy package ~14 ms, and no CLI mode calls them: the
+series transforms with numpy.fft, the manifest records no scipy version, and
+scipy.linalg and mpmath are imported inside the embedding, the semigroup and
+the Talbot oracle, the only functions that use them.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -84,7 +86,7 @@ def test_graph_is_acyclic():
 
 
 CONFIGS = PACKAGE.parent.parent / "configs"
-UNUSED_BY_THE_CLI = ("scipy.fft", "scipy.linalg", "scipy.special", "scipy.signal", "mpmath")
+UNUSED_BY_THE_CLI = ("scipy", "mpmath")  # top-level packages: every submodule counts
 
 _RUN_EVERY_CONFIG = """
 import json, sys
@@ -93,7 +95,8 @@ from nmcollide.cli import main
 configs, out = Path(sys.argv[1]), Path(sys.argv[2])
 codes = {p.stem: main(["sweep" if p.stem == "sweep" else "run", str(p), "--output-dir",
                        str(out / p.stem)]) for p in sorted(configs.glob("*.json"))}
-print(json.dumps({"codes": codes, "loaded": [m for m in sys.argv[3:] if m in sys.modules]}))
+print(json.dumps({"codes": codes,
+                  "loaded": sorted(m for m in sys.modules if m.split(".")[0] in sys.argv[3:])}))
 """
 
 
@@ -107,3 +110,38 @@ def test_cli_runs_load_no_module_it_does_not_call(tmp_path):
     assert len(result["codes"]) == len(list(CONFIGS.glob("*.json"))) >= 7
     assert set(result["codes"].values()) == {0}
     assert result["loaded"] == []
+
+
+BENCH = PACKAGE.parent.parent / "bench"
+
+
+def _bench_imports() -> list:
+    """(file:line, module, name) for every import of nmcollide in bench/, name None for a plain
+    ``import nmcollide.x``; read with ast, so nothing from bench/ is imported."""
+    found = []
+    for path in sorted(BENCH.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.relative_to(BENCH.parent)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nmcollide":
+                found += [(where, node.module, a.name) for a in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(where, a.name, None) for a in node.names
+                          if a.name.split(".")[0] == "nmcollide"]
+    return found
+
+
+def test_bench_imports_of_the_package_resolve():
+    # bench/ changes only with the benchmark, so a rename here would otherwise
+    # show up only as a failed benchmark run
+    imports = _bench_imports()
+    assert len(imports) >= 10
+    missing = []
+    for where, module, name in imports:
+        try:
+            mod = importlib.import_module(module)
+        except ImportError:
+            missing.append(f"{where} {module}")
+            continue
+        if name is not None and not hasattr(mod, name):
+            missing.append(f"{where} {module}.{name}")
+    assert missing == []
