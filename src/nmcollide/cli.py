@@ -14,9 +14,10 @@ Every run writes ``results.csv`` with the fixed header
 ``manifest.json`` echoing the config, library versions, and timings.
 Identical config and seed give byte-identical CSV output.
 
-Every map family is one MapStack: the closed form's, one gamma_bar at a
-time over its whole tau array (``jc_closed_form``, ``certify``, ``sweep``),
-the series' (``series``, ``thermal``) and the protocol's own (``discrete``).
+Every map family is one MapStack: the closed form's, one stack for the
+whole gamma_bar x tau grid in ``sweep`` and one per gamma_bar over its
+whole tau array in the tau-dense ``jc_closed_form`` and ``certify``, the
+series' (``series``, ``thermal``) and the protocol's own (``discrete``).
 The series and thermal modes share one comparison through ``discrete_maps``.
 A collision is always jc_hamiltonian() on qubit (x) qubit, times in units
 of 1/Omega; the fields ``omega``, ``system_dim`` and ``ancilla_dim`` are refused.
@@ -77,7 +78,8 @@ MODES = ("discrete", "series", "jc_closed_form", "thermal", "convergence", "cert
 
 # Point, step and probe-state counts, and the rows of a run, stay at or below
 # MAX_POINTS. The series mode peaks at ~1.7 kB per point (tracemalloc, 20 001
-# points), the most of any mode; POINT_BYTES rounds that up.
+# points), the most of any mode; the one-grid sweep at ~1.05 kB per row
+# (tracemalloc, a whole 256 x 256 sweep run). POINT_BYTES rounds that up.
 MEMORY_BUDGET = 2**30  # bytes
 POINT_BYTES = 4096
 MAX_POINTS = MEMORY_BUDGET // POINT_BYTES  # 262 144
@@ -272,9 +274,11 @@ def _min_choi_eigs(stack: MapStack) -> np.ndarray:
 
 
 def _map_table(stack: MapStack, gamma, min_eigs) -> dict:
-    """CSV columns of a qubit map stack; the beta columns are copies, so the stack can be freed."""
+    """CSV columns of a qubit map stack, gamma one gamma_bar for every row or a column of them;
+    the beta columns are copies, so the stack can be freed."""
     s = stack.superops
-    return {"tau": stack.times, "gamma_bar": [gamma] * len(stack), "beta1": s[:, 1, 1].real.copy(),
+    gammas = gamma if np.ndim(gamma) else [gamma] * len(stack)
+    return {"tau": stack.times, "gamma_bar": gammas, "beta1": s[:, 1, 1].real.copy(),
             "beta2": s[:, 3, 3].real.copy(), "min_choi_eig": min_eigs}
 
 
@@ -405,18 +409,20 @@ def _mode_sweep(cfg: ExperimentConfig):
     if min(gammas) < 0 or taus.min() < 0:
         raise ConfigurationError("gamma_bar and tau must be nonnegative")
     _within_budget(len(gammas) * len(taus), "the row count (gamma_bar values x tau points)")
-    tables = []
-    for g in gammas:
-        stack = jc_maps(taus, g)
-        min_eigs = _min_choi_eigs(stack)
-        j = int(np.argmin(min_eigs))
-        if min_eigs[j] < -DEFAULT_TOLERANCES.choi_positivity:
-            raise InternalConsistencyError(
-                f"Choi matrix is not positive semidefinite: min eigenvalue {min_eigs[j]:.3e} "
-                f"at tau={taus[j]}, gamma_bar={g}"
-            )
-        tables.append(_map_table(stack, g, min_eigs))
-    return tables, {}, None
+    # one gamma_bar-major grid: row i * len(taus) + j is (taus[j], gammas[i])
+    gamma_column = np.repeat(gammas, len(taus))
+    stack = jc_maps(np.tile(taus, len(gammas)), gamma_column)
+    min_eigs = _min_choi_eigs(stack)
+    failing = min_eigs < -DEFAULT_TOLERANCES.choi_positivity
+    if np.any(failing):
+        i = int(np.argmax(failing)) // len(taus)
+        own = min_eigs[i * len(taus):(i + 1) * len(taus)]
+        j = int(np.argmin(own))
+        raise InternalConsistencyError(
+            f"Choi matrix is not positive semidefinite: min eigenvalue {own[j]:.3e} "
+            f"at tau={taus[j]}, gamma_bar={gammas[i]}"
+        )
+    return [_map_table(stack, gamma_column, min_eigs)], {}, None
 
 
 # --- orchestration -----------------------------------------------------------

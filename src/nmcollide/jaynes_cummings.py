@@ -15,22 +15,24 @@ switch is seamless.
 
 beta2 is a three-pole inverse Laplace transform. The authoritative route
 finds the cubic's roots numerically and takes residues (partial
-fractions); an independent Cardano evaluation of the same roots is kept
+fractions), in one batched solve over the distinct gamma_bar of a call,
+with no cache; an independent Cardano evaluation of the same roots is kept
 as a cross-check. Physical validity requires 0 <= beta2 <= 1 and
 beta1^2 <= beta2; violations raise instead of clipping.
 
+gamma_bar is an array axis like tau: every function here that takes both
+broadcasts them and treats each (tau, gamma_bar) pair as one point.
 ``jc_maps`` is the one map constructor: a continuum MapStack with
 S[0,0] = 1, S[0,3] = 1 - beta2, S[1,1] = S[2,2] = beta1 and S[3,3] = beta2
-on row-major vectorized qubit states. One point, ``jc_maps(tau, g)[0]``,
-gives the evolved state, Choi matrix and Kraus channel by ``apply``,
-``choi`` and ``to_kraus``.
+on row-major vectorized qubit states, one map per pair. One point,
+``jc_maps(tau, g)[0]``, gives the evolved state, Choi matrix and Kraus
+channel by ``apply``, ``choi`` and ``to_kraus``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -114,24 +116,31 @@ def _sinhc_sqrt(w: np.ndarray) -> np.ndarray:
 DOMAIN_BOUND = math.sqrt(np.finfo(float).max) / 2.0  # ~6.7e153
 
 
-def _domain(tau, gamma_bar: float) -> np.ndarray:
-    """tau as a 1-d array, once (tau, gamma_bar) is checked to lie in the closed form's domain."""
-    if gamma_bar < 0:
+def _domain(tau, gamma_bar):
+    """tau and gamma_bar broadcast to one shape (at least 1-d), once every (tau, gamma_bar) pair
+    is checked to lie in the closed form's domain."""
+    tau_arr, g = np.broadcast_arrays(np.atleast_1d(np.asarray(tau, dtype=float)),
+                                     np.asarray(gamma_bar, dtype=float))
+    if np.isnan(g).any() or np.isnan(tau_arr).any():
+        raise ConfigurationError("gamma_bar and tau must be numbers, not NaN")
+    if np.any(g < 0):
         raise ConfigurationError("memory-loss rate must be nonnegative")
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
     if np.any(tau_arr < 0):
         raise ConfigurationError("tau must be nonnegative")
-    t = float(tau_arr.max(initial=0.0))
-    if max(gamma_bar, t, gamma_bar * t) > DOMAIN_BOUND:
+    # the product of the capped factors is at most DOMAIN_BOUND^2 and cannot overflow
+    capped = np.minimum(g, DOMAIN_BOUND) * np.minimum(tau_arr, DOMAIN_BOUND)
+    beyond = (g > DOMAIN_BOUND) | (tau_arr > DOMAIN_BOUND) | (capped > DOMAIN_BOUND)
+    if np.any(beyond):
+        j = np.unravel_index(np.argmax(beyond), beyond.shape)
         raise ConfigurationError(
-            f"gamma_bar = {gamma_bar:g}, tau = {t:g}: gamma_bar, tau and gamma_bar * tau must not "
-            f"exceed {DOMAIN_BOUND:.4g}, beyond which the closed form overflows"
+            f"gamma_bar = {g[j]:g}, tau = {tau_arr[j]:g}: gamma_bar, tau and gamma_bar * tau "
+            f"must not exceed {DOMAIN_BOUND:.4g}, beyond which the closed form overflows"
         )
-    return tau_arr
+    return tau_arr, g
 
 
-def beta1(tau, gamma_bar: float):
-    """Coherence factor of the dynamical map.
+def beta1(tau, gamma_bar):
+    """Coherence factor of the dynamical map at each (tau, gamma_bar) pair, the two broadcast.
 
     Below gamma_bar = 2 this is a damped oscillation, above it a
     biexponential decay; the degenerate boundary value is
@@ -141,20 +150,20 @@ def beta1(tau, gamma_bar: float):
     (equal to gamma_bar*tau/2 - sqrt(w), since w - (gamma_bar*tau/2)^2 =
     -tau^2) so that it does not cancel at large gamma_bar.
     """
-    scalar = np.ndim(tau) == 0
-    tau_arr = _domain(tau, gamma_bar)
-    half = 0.5 * gamma_bar * tau_arr
-    w = (0.25 * gamma_bar * gamma_bar - 1.0) * tau_arr * tau_arr
+    scalar = np.ndim(tau) == 0 and np.ndim(gamma_bar) == 0
+    tau_arr, g = _domain(tau, gamma_bar)
+    half = 0.5 * g * tau_arr
+    w = (0.25 * g * g - 1.0) * tau_arr * tau_arr
 
     out = np.empty_like(tau_arr)
     # split-exponential form for strongly hyperbolic w, immune to overflow
     big = w > 50.0
     if np.any(big):
-        g = np.sqrt(w[big])
+        root = np.sqrt(w[big])
         hb = half[big]
-        ratio = hb / g
-        slow = np.exp(-tau_arr[big] ** 2 / (g + hb))
-        out[big] = 0.5 * (1.0 + ratio) * slow + 0.5 * (1.0 - ratio) * np.exp(-(g + hb))
+        ratio = hb / root
+        slow = np.exp(-tau_arr[big] ** 2 / (root + hb))
+        out[big] = 0.5 * (1.0 + ratio) * slow + 0.5 * (1.0 - ratio) * np.exp(-(root + hb))
     rest = ~big
     out[rest] = np.exp(-half[rest]) * (
         half[rest] * _sinhc_sqrt(w[rest]) + _cosh_sqrt(w[rest])
@@ -179,6 +188,30 @@ def beta1_degenerate_series(tau, gamma_bar: float):
 # --- beta2: three-pole spectrum --------------------------------------------
 
 
+def _residue_check(residues: np.ndarray, rates=None) -> None:
+    """beta2(0) = 1: every row of residues sums to 1 (a NaN sum fails)."""
+    total = residues.sum(axis=-1)
+    bad = ~(np.abs(total - 1.0) <= 1e-10)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        where = "" if rates is None else f" at gamma_bar={rates[j]}"
+        raise InternalConsistencyError(
+            f"residues must sum to 1 (beta2(0) = 1), got {total[j]}{where}"
+        )
+
+
+def _evaluate(alphas: np.ndarray, residues: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """beta2 = sum_i A_i e^{alpha_i tau}, with alphas and residues (..., 3) broadcast against
+    tau; raises if the sum is not real."""
+    acc = np.zeros(np.broadcast_shapes(alphas.shape[:-1], tau.shape), dtype=np.complex128)
+    for k in range(3):
+        acc += residues[..., k] * np.exp(alphas[..., k] * tau)
+    imag = float(np.max(np.abs(acc.imag))) if acc.size else 0.0
+    if imag > DEFAULT_TOLERANCES.imaginary_residue:
+        raise InternalConsistencyError(f"beta2 imaginary residue {imag:.3e}")
+    return acc.real
+
+
 @dataclass(frozen=True)
 class CubicSpectrum:
     """Poles and residues of the population factor: beta2(tau) = sum A_i e^{alpha_i tau}.
@@ -191,58 +224,57 @@ class CubicSpectrum:
     residues: tuple
 
     def __post_init__(self):
-        total = sum(self.residues)
-        if abs(total - 1.0) > 1e-10:
-            raise InternalConsistencyError(
-                f"residues must sum to 1 (beta2(0) = 1), got {total}"
-            )
+        _residue_check(np.array([self.residues]))
 
     def evaluate(self, tau) -> np.ndarray:
-        tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        acc = np.zeros(tau_arr.shape, dtype=np.complex128)
-        for a, r in zip(self.alphas, self.residues):
-            acc += r * np.exp(a * tau_arr)
-        imag = float(np.max(np.abs(acc.imag))) if acc.size else 0.0
-        if imag > DEFAULT_TOLERANCES.imaginary_residue:
-            raise InternalConsistencyError(f"beta2 imaginary residue {imag:.3e}")
-        return acc.real
+        return _evaluate(np.array(self.alphas), np.array(self.residues),
+                         np.atleast_1d(np.asarray(tau, dtype=float)))
 
 
-def _beta2_cubic_coeffs(gamma_bar: float) -> np.ndarray:
-    # denominator of the Laplace transform of beta2, as a cubic in s
-    g = gamma_bar
-    return np.array([1.0, 2.0 * g, g * g + 4.0, 2.0 * g])
+def _spectra(rates: np.ndarray):
+    """Poles and residues of beta2, two (G, 3) complex arrays, for a 1-d array of rates
+    inside the domain; each row is laid out as in CubicSpectrum.
 
-
-@lru_cache(maxsize=256)
-def cubic_spectrum(gamma_bar: float) -> CubicSpectrum:
-    """Pole/residue data for beta2 via numerical roots and partial fractions.
-
-    The real pole r is the root of smallest magnitude (about -2/gamma_bar at
-    large rates), tightened by one Newton step. The conjugate pair follows
-    from Vieta's relations, Re = -(2 gamma_bar + r)/2 and
+    The real pole r is the eigenvalue of smallest magnitude (about -2/gamma_bar
+    at large rates) of the cubic's companion matrix, the matrix np.roots
+    builds, tightened by one Newton step. The conjugate pair follows from
+    Vieta's relations, Re = -(2 gamma_bar + r)/2 and
     Im^2 = 4 + gamma_bar r + 3 r^2 / 4, which do not cancel: above
-    gamma_bar ~ 1e8 the root finder alone can return the pair as two
-    nearby reals.
+    gamma_bar ~ 1e8 the eigensolver alone can return the pair as two
+    nearby reals. The residues are the partial fractions
+    ((s + gamma_bar)^2 + 2) / p'(s) of the Laplace transform's
+    denominator p(s) = s^3 + 2 gamma_bar s^2 + (gamma_bar^2 + 4) s + 2 gamma_bar.
     """
-    if gamma_bar < 0:
-        raise ConfigurationError("memory-loss rate must be nonnegative")
-    g = float(gamma_bar)
-    coeffs = _beta2_cubic_coeffs(g)
-    roots = np.roots(coeffs)
-    if roots.shape != (3,):
-        raise InternalConsistencyError(f"cubic root finding failed at gamma_bar={g}")
-    dcoeffs = np.array([3.0, 4.0 * g, g * g + 4.0])
-    r = float(roots[np.argmin(np.abs(roots))].real)
-    r -= float(np.polyval(coeffs, r) / np.polyval(dcoeffs, r))
-    pair = complex(-(2.0 * g + r) / 2.0, math.sqrt(4.0 + g * r + 0.75 * r * r))
-    real_res, pair_res = (
-        complex(((s + g) ** 2 + 2.0) / np.polyval(dcoeffs, s)) for s in (r, pair)
-    )
-    return CubicSpectrum(
-        alphas=(complex(r), pair, pair.conjugate()),
-        residues=(complex(real_res.real), pair_res, pair_res.conjugate()),
-    )
+    g = rates
+    c1, c2 = 2.0 * g, g * g + 4.0
+    coeffs = np.array([np.ones_like(g), c1, c2, c1])
+    dcoeffs = np.array([np.full_like(g, 3.0), 4.0 * g, c2])
+    companion = np.zeros((len(g), 3, 3))
+    companion[:, 0, :] = -coeffs[1:].T
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    r = roots[np.arange(len(g)), np.argmin(np.abs(roots), axis=1)].real
+    r = r - np.polyval(coeffs, r) / np.polyval(dcoeffs, r)
+    x, y = -(2.0 * g + r) / 2.0, np.sqrt(4.0 + g * r + 0.75 * r * r)
+    pair = x + 1j * y
+    # (r + g)^2 through libm's pow, as Python's float ** 2 computes it: (r + g) * (r + g)
+    # rounds differently for about 1 rate in 2000, which would move beta2 in the last bit
+    real_res = (np.array([v ** 2 for v in (r + g).tolist()]) + 2.0) / np.polyval(dcoeffs, r)
+    # (s + g)^2 + 2 rounded as Python's complex product does it, component by component
+    xs = x + g
+    pair_res = ((xs * xs - y * y + 2.0) + 1j * (xs * y + y * xs)) / np.polyval(dcoeffs, pair)
+    alphas = np.stack([r.astype(np.complex128), pair, pair.conj()], axis=1)
+    residues = np.stack([real_res.astype(np.complex128), pair_res, pair_res.conj()], axis=1)
+    _residue_check(residues, g)
+    return alphas, residues
+
+
+def cubic_spectrum(gamma_bar: float) -> CubicSpectrum:
+    """Pole/residue data for beta2: the one-row view of the batched spectrum solve."""
+    _, g = _domain(0.0, gamma_bar)
+    alphas, residues = _spectra(g)
+    return CubicSpectrum(alphas=tuple(map(complex, alphas[0])),
+                         residues=tuple(map(complex, residues[0])))
 
 
 def cubic_spectrum_cardano(gamma_bar: float) -> CubicSpectrum:
@@ -278,15 +310,21 @@ def cubic_spectrum_cardano(gamma_bar: float) -> CubicSpectrum:
     )
 
 
-def beta2(tau, gamma_bar: float):
-    """Excited-population factor of the dynamical map."""
-    scalar = np.ndim(tau) == 0
-    vals = cubic_spectrum(float(gamma_bar)).evaluate(_domain(tau, gamma_bar))
+def beta2(tau, gamma_bar):
+    """Excited-population factor of the dynamical map at each (tau, gamma_bar) pair, the two
+    broadcast; one spectrum solve covers every distinct gamma_bar."""
+    scalar = np.ndim(tau) == 0 and np.ndim(gamma_bar) == 0
+    tau_arr, g = _domain(tau, gamma_bar)
+    rates, row = np.unique(g, return_inverse=True)
+    alphas, residues = _spectra(rates)
+    row = row.reshape(g.shape)
+    vals = _evaluate(alphas[row], residues[row], tau_arr)
     return float(vals[0]) if scalar else vals
 
 
-def beta_arrays(taus, gamma_bar: float):
-    """(beta1, beta2) over a whole tau array, held to 0 <= beta1^2 <= beta2 <= 1 (BETA_SLACK).
+def beta_arrays(taus, gamma_bar):
+    """(beta1, beta2) at each (tau, gamma_bar) pair, taus and gamma_bar broadcast to one 1-d
+    array, held to 0 <= beta1^2 <= beta2 <= 1 (BETA_SLACK).
 
     Raises InternalConsistencyError naming the first (tau, gamma_bar) that
     violates them (a NaN counts as a violation); values are never clipped.
@@ -297,9 +335,11 @@ def beta_arrays(taus, gamma_bar: float):
     ok = (b2 >= -BETA_SLACK) & (b2 <= 1.0 + BETA_SLACK) & (b1 * b1 <= b2 + BETA_SLACK)
     if not np.all(ok):
         j = int(np.argmin(ok))
+        tau_j = np.broadcast_to(taus, ok.shape)[j]
+        gamma_j = np.broadcast_to(np.asarray(gamma_bar, dtype=float), ok.shape)[j]
         raise InternalConsistencyError(
             f"beta1 = {b1[j]}, beta2 = {b2[j]} violate 0 <= beta1^2 <= beta2 <= 1 "
-            f"at tau={taus[j]}, gamma_bar={gamma_bar}"
+            f"at tau={tau_j}, gamma_bar={gamma_j}"
         )
     return b1, b2
 
@@ -325,15 +365,15 @@ def beta_laplace(ell: int, s, gamma_bar: float):
 # --- assembled map ----------------------------------------------------------
 
 
-def jc_maps(taus, gamma_bar: float) -> MapStack:
-    """The map at each tau as one MapStack (one map for a scalar tau), its betas held to
-    beta_arrays' inequalities."""
+def jc_maps(taus, gamma_bar) -> MapStack:
+    """The map at each (tau, gamma_bar) pair as one MapStack, taus and gamma_bar broadcast to
+    one 1-d array (one map for a scalar pair), its betas held to beta_arrays' inequalities."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     b1, b2 = beta_arrays(taus, gamma_bar)
-    s = np.zeros((len(taus), 4, 4), dtype=np.complex128)
+    s = np.zeros((len(b1), 4, 4), dtype=np.complex128)
     s[:, 0, 0] = 1.0
     s[:, 0, 3] = 1.0 - b2
     s[:, 1, 1] = b1
     s[:, 2, 2] = b1
     s[:, 3, 3] = b2
-    return MapStack(taus, s, 2)
+    return MapStack(np.broadcast_to(taus, b1.shape), s, 2)

@@ -468,19 +468,22 @@ class TestErrorMapping:
     def test_sweep_rejects_indefinite_choi_within_beta_slack(self, tmp_path, capsys, monkeypatch):
         import nmcollide.jaynes_cummings as jc_mod
 
-        # beta1^2 - beta2 = 5e-10 passes BETA_SLACK, but the Choi matrix has
-        # min eigenvalue ~ -2.5e-10, below -choi_positivity
+        # at gamma_bar = 3, beta1^2 - beta2 = 5e-10 passes BETA_SLACK, but the Choi
+        # matrix has min eigenvalue ~ -2.5e-10, below -choi_positivity; gamma_bar = 1
+        # is CP
         def nearly_cp(taus, g):
-            return np.full(len(taus), np.sqrt(0.999 + 5e-10)), np.full(len(taus), 0.999)
+            excess = np.where(np.asarray(g) == 3.0, 5e-10, -1e-3)
+            return np.sqrt(0.999 + excess) * np.ones(len(taus)), np.full(len(taus), 0.999)
 
         monkeypatch.setattr(jc_mod, "beta_arrays", nearly_cp)
         cfg = write_config(
             tmp_path, "cfg.json",
-            {"gamma_bar": [1.0], "tau": [0.5, 1.0], "output_path": str(tmp_path / "out")},
+            {"gamma_bar": [1.0, 3.0], "tau": [0.5, 1.0], "output_path": str(tmp_path / "out")},
         )
         assert main(["sweep", cfg]) == 4
-        err = json.loads(capsys.readouterr().err)
-        assert "not positive semidefinite" in err["error"]["message"]
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "not positive semidefinite" in message
+        assert message.endswith("at tau=0.5, gamma_bar=3.0")
 
     def test_linalg_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         import nmcollide.jaynes_cummings as jc_mod
@@ -604,6 +607,29 @@ class TestBatchedClosedForm:
              "tau_points": 41, "output_path": str(tmp_path / "jc")},
         )
         assert main(["run", cfg]) == 0
+
+    def test_sweep_is_one_grid(self, tmp_path, monkeypatch):
+        # a per-gamma_bar loop would call jc_maps and eigvalsh once per gamma_bar
+        import nmcollide.cli as cli_mod
+
+        calls = {"jc_maps": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli_mod, "jc_maps", counted("jc_maps", cli_mod.jc_maps))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"gamma_bar": {"start": 0.0, "stop": 6.0, "count": 7}, "tau": [0.0, 1.0, 2.5],
+             "output_path": str(tmp_path / "out")},
+        )
+        assert main(["sweep", cfg]) == 0
+        assert calls == {"jc_maps": 1, "eigvalsh": 1}
+        assert len(read_rows(tmp_path / "out")) == 21
 
 
 class TestBatchedChoiSpectra:

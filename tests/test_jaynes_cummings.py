@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from nmcollide import (
 )
 from nmcollide.jaynes_cummings import (
     BETA_SLACK,
+    DOMAIN_BOUND,
+    _spectra,
     beta1_degenerate_series,
     beta_arrays,
     jc_maps,
@@ -145,6 +149,16 @@ class TestCubicSpectrum:
             assert 6 * gamma**4 - 39 * gamma**2 + 192 > 0
 
 
+    def test_scalar_call_is_the_batched_row(self):
+        # the Vieta regime, the bound and the usual grid in one batched solve
+        grid = GAMMA_GRID + [1e6, 3e8, 1e10, 1e12, DOMAIN_BOUND]
+        alphas, residues = _spectra(np.array(grid))
+        for k, gamma in enumerate(grid):
+            sp = cubic_spectrum(gamma)
+            assert sp.alphas == tuple(map(complex, alphas[k]))
+            assert sp.residues == tuple(map(complex, residues[k]))
+
+
 class TestBeta2:
     @pytest.mark.parametrize("gamma", GAMMA_GRID)
     def test_starts_at_one(self, gamma):
@@ -246,6 +260,61 @@ class TestBetaArrays:
         assert stack.shape == (3, 4, 4)
         for k, tau in enumerate(taus):
             assert np.array_equal(stack[k], jc_maps(tau, 1.3)[0].choi().data)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: beta1(1.0, NAN), id="beta1-gamma"),
+    pytest.param(lambda: beta1(NAN, 1.0), id="beta1-tau"),
+    pytest.param(lambda: beta2(NAN, 1.0), id="beta2-tau"),
+    pytest.param(lambda: beta2(1.0, NAN), id="beta2-gamma"),
+    pytest.param(lambda: beta_arrays([0.0, NAN], 1.0), id="beta_arrays-tau"),
+    pytest.param(lambda: beta_arrays([0.0, 1.0], [1.0, NAN]), id="beta_arrays-gamma"),
+    pytest.param(lambda: jc_maps([0.5, 1.0], [2.0, NAN]), id="jc_maps-gamma"),
+    pytest.param(lambda: jc_maps(NAN, 2.0), id="jc_maps-tau"),
+    pytest.param(lambda: cubic_spectrum(NAN), id="cubic_spectrum"),
+])
+def test_nan_fails_the_domain_check(call):
+    with pytest.raises(ConfigurationError, match="NaN"):
+        call()
+
+
+class TestGammaAxis:
+    """gamma_bar broadcasts against tau: each (tau, gamma_bar) pair is one map."""
+
+    @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=30.0),
+                              st.sampled_from(GAMMA_GRID + [1e3, 1e8]) | st.floats(0.0, 200.0)),
+                    min_size=1, max_size=30))
+    def test_pairs_are_the_one_gamma_calls(self, pairs):
+        taus, gammas = map(np.array, zip(*pairs))
+        stack = jc_maps(taus, gammas)
+        assert np.array_equal(stack.times, taus)
+        for k, (tau, gamma) in enumerate(pairs):
+            assert np.all(stack.superops[k] == jc_maps(tau, gamma).superops[0])
+
+    def test_scalar_tau_against_a_gamma_array(self):
+        gammas = np.array([0.0, 2.0, 75.0])
+        stack = jc_maps(1.5, gammas)
+        assert np.array_equal(stack.times, [1.5, 1.5, 1.5])
+        b1, b2 = beta1(1.5, gammas), beta2(1.5, gammas)
+        for k, gamma in enumerate(gammas):
+            assert (b1[k], b2[k]) == (beta1(1.5, gamma), beta2(1.5, gamma))
+            assert np.all(stack.superops[k] == jc_maps(1.5, gamma).superops[0])
+
+    def test_violation_names_the_failing_pair(self, monkeypatch):
+        import nmcollide.jaynes_cummings as jc
+
+        real = jc.beta2
+        monkeypatch.setattr(jc, "beta2",
+                            lambda t, g: real(t, g) - np.where(np.asarray(g) > 1.0, 2.0, 0.0))
+        with pytest.raises(InternalConsistencyError, match="tau=0.25, gamma_bar=3.0"):
+            jc_maps([0.5, 0.25, 0.75], [0.5, 3.0, 4.0])
+
+    def test_domain_bound_names_the_first_pair_beyond_it(self):
+        with pytest.raises(ConfigurationError, match=re.escape("gamma_bar = 1e+100, tau = 1e+60")):
+            beta1([1.0, 1e60, 1e70], [1e100, 1e100, 1e100])
 
 
 class TestJcMaps:
