@@ -117,23 +117,24 @@ DOMAIN_BOUND = math.sqrt(np.finfo(float).max) / 2.0  # ~6.7e153
 
 
 def _domain(tau, gamma_bar):
-    """tau and gamma_bar broadcast to one shape (at least 1-d), once every (tau, gamma_bar) pair
-    is checked to lie in the closed form's domain."""
-    tau_arr, g = np.broadcast_arrays(np.atleast_1d(np.asarray(tau, dtype=float)),
-                                     np.asarray(gamma_bar, dtype=float))
+    """tau (at least 1-d) and gamma_bar as float arrays, once every (tau, gamma_bar) pair of
+    their broadcast is checked to lie in the closed form's domain."""
+    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
+    g = np.asarray(gamma_bar, dtype=float)
     if np.isnan(g).any() or np.isnan(tau_arr).any():
         raise ConfigurationError("gamma_bar and tau must be numbers, not NaN")
-    if np.any(g < 0):
+    if (g < 0).any():
         raise ConfigurationError("memory-loss rate must be nonnegative")
-    if np.any(tau_arr < 0):
+    if (tau_arr < 0).any():
         raise ConfigurationError("tau must be nonnegative")
-    # the product of the capped factors is at most DOMAIN_BOUND^2 and cannot overflow
-    capped = np.minimum(g, DOMAIN_BOUND) * np.minimum(tau_arr, DOMAIN_BOUND)
-    beyond = (g > DOMAIN_BOUND) | (tau_arr > DOMAIN_BOUND) | (capped > DOMAIN_BOUND)
-    if np.any(beyond):
-        j = np.unravel_index(np.argmax(beyond), beyond.shape)
+    beyond = (g > DOMAIN_BOUND) | (tau_arr > DOMAIN_BOUND)
+    if not beyond.any():  # both factors at most DOMAIN_BOUND: the product cannot overflow
+        beyond = g * tau_arr > DOMAIN_BOUND
+    if beyond.any():
+        j = np.argmax(beyond)
+        t, gj = (np.broadcast_to(v, beyond.shape).flat[j] for v in (tau_arr, g))
         raise ConfigurationError(
-            f"gamma_bar = {g[j]:g}, tau = {tau_arr[j]:g}: gamma_bar, tau and gamma_bar * tau "
+            f"gamma_bar = {gj:g}, tau = {t:g}: gamma_bar, tau and gamma_bar * tau "
             f"must not exceed {DOMAIN_BOUND:.4g}, beyond which the closed form overflows"
         )
     return tau_arr, g
@@ -154,6 +155,7 @@ def beta1(tau, gamma_bar):
     tau_arr, g = _domain(tau, gamma_bar)
     half = 0.5 * g * tau_arr
     w = (0.25 * g * g - 1.0) * tau_arr * tau_arr
+    tau_arr = np.broadcast_to(tau_arr, w.shape)
 
     out = np.empty_like(tau_arr)
     # split-exponential form for strongly hyperbolic w, immune to overflow
@@ -191,9 +193,9 @@ def beta1_degenerate_series(tau, gamma_bar: float):
 def _residue_check(residues: np.ndarray, rates=None) -> None:
     """beta2(0) = 1: every row of residues sums to 1 (a NaN sum fails)."""
     total = residues.sum(axis=-1)
-    bad = ~(np.abs(total - 1.0) <= 1e-10)
-    if np.any(bad):
-        j = int(np.argmax(bad))
+    ok = np.abs(total - 1.0) <= 1e-10
+    if not ok.all():
+        j = int(np.argmin(ok))
         where = "" if rates is None else f" at gamma_bar={rates[j]}"
         raise InternalConsistencyError(
             f"residues must sum to 1 (beta2(0) = 1), got {total[j]}{where}"
@@ -247,22 +249,26 @@ def _spectra(rates: np.ndarray):
     """
     g = rates
     c1, c2 = 2.0 * g, g * g + 4.0
-    coeffs = np.array([np.ones_like(g), c1, c2, c1])
-    dcoeffs = np.array([np.full_like(g, 3.0), 4.0 * g, c2])
     companion = np.zeros((len(g), 3, 3))
-    companion[:, 0, :] = -coeffs[1:].T
+    companion[:, 0, 0] = companion[:, 0, 2] = -c1
+    companion[:, 0, 1] = -c2
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
     roots = np.linalg.eigvals(companion)
     r = roots[np.arange(len(g)), np.argmin(np.abs(roots), axis=1)].real
-    r = r - np.polyval(coeffs, r) / np.polyval(dcoeffs, r)
+
+    def dp(s):  # p'(s) by Horner's rule, as np.polyval evaluates it
+        return (3.0 * s + 4.0 * g) * s + c2
+
+    r = r - (((r + c1) * r + c2) * r + c1) / dp(r)
     x, y = -(2.0 * g + r) / 2.0, np.sqrt(4.0 + g * r + 0.75 * r * r)
     pair = x + 1j * y
     # (r + g)^2 through libm's pow, as Python's float ** 2 computes it: (r + g) * (r + g)
     # rounds differently for about 1 rate in 2000, which would move beta2 in the last bit
-    real_res = (np.array([v ** 2 for v in (r + g).tolist()]) + 2.0) / np.polyval(dcoeffs, r)
-    # (s + g)^2 + 2 rounded as Python's complex product does it, component by component
+    real_res = (np.array([v ** 2 for v in (r + g).tolist()]) + 2.0) / dp(r)
+    # the pair's (s + g)^2 + 2 written out component by component, each part rounded like
+    # the real arithmetic above, with no complex-multiply kernel in between
     xs = x + g
-    pair_res = ((xs * xs - y * y + 2.0) + 1j * (xs * y + y * xs)) / np.polyval(dcoeffs, pair)
+    pair_res = ((xs * xs - y * y + 2.0) + 1j * (xs * y + y * xs)) / dp(pair)
     alphas = np.stack([r.astype(np.complex128), pair, pair.conj()], axis=1)
     residues = np.stack([real_res.astype(np.complex128), pair_res, pair_res.conj()], axis=1)
     _residue_check(residues, g)
@@ -272,7 +278,7 @@ def _spectra(rates: np.ndarray):
 def cubic_spectrum(gamma_bar: float) -> CubicSpectrum:
     """Pole/residue data for beta2: the one-row view of the batched spectrum solve."""
     _, g = _domain(0.0, gamma_bar)
-    alphas, residues = _spectra(g)
+    alphas, residues = _spectra(g.reshape(1))
     return CubicSpectrum(alphas=tuple(map(complex, alphas[0])),
                          residues=tuple(map(complex, residues[0])))
 
@@ -317,7 +323,7 @@ def beta2(tau, gamma_bar):
     tau_arr, g = _domain(tau, gamma_bar)
     rates, row = np.unique(g, return_inverse=True)
     alphas, residues = _spectra(rates)
-    row = row.reshape(g.shape)
+    row = row.reshape(g.shape)  # a scalar gamma_bar picks one row, broadcast against tau
     vals = _evaluate(alphas[row], residues[row], tau_arr)
     return float(vals[0]) if scalar else vals
 

@@ -1,3 +1,4 @@
+import math
 import re
 
 import mpmath
@@ -148,6 +149,25 @@ class TestCubicSpectrum:
         for gamma in np.linspace(0.0, 100.0, 401):
             assert 6 * gamma**4 - 39 * gamma**2 + 192 > 0
 
+
+    def test_bitwise_the_scalar_root_route(self):
+        # the loop reference: np.roots on one cubic, Newton, Vieta and residues in Python
+        # scalars; the batched solve must reproduce it bit for bit
+        rng = np.random.default_rng(7)
+        for g in GAMMA_GRID + [1e6, 3e8, 1e10, 1e12, DOMAIN_BOUND] + list(rng.uniform(0, 12, 200)):
+            g = float(g)
+            coeffs = np.array([1.0, 2.0 * g, g * g + 4.0, 2.0 * g])
+            dcoeffs = np.array([3.0, 4.0 * g, g * g + 4.0])
+            roots = np.roots(coeffs)
+            r = float(roots[np.argmin(np.abs(roots))].real)
+            r -= float(np.polyval(coeffs, r) / np.polyval(dcoeffs, r))
+            pair = complex(-(2.0 * g + r) / 2.0, math.sqrt(4.0 + g * r + 0.75 * r * r))
+            real_res, pair_res = (
+                complex(((s + g) ** 2 + 2.0) / np.polyval(dcoeffs, s)) for s in (r, pair)
+            )
+            sp = cubic_spectrum(g)
+            assert sp.alphas == (complex(r), pair, pair.conjugate()), g
+            assert sp.residues == (complex(real_res.real), pair_res, pair_res.conjugate()), g
 
     def test_scalar_call_is_the_batched_row(self):
         # the Vieta regime, the bound and the usual grid in one batched solve
