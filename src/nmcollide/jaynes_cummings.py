@@ -263,7 +263,8 @@ def _spectra(rates: np.ndarray):
     x, y = -(2.0 * g + r) / 2.0, np.sqrt(4.0 + g * r + 0.75 * r * r)
     pair = x + 1j * y
     # (r + g)^2 through libm's pow, as Python's float ** 2 computes it: (r + g) * (r + g)
-    # rounds differently for about 1 rate in 2000, which would move beta2 in the last bit
+    # rounds differently for about 1 rate in 2000, and the tests hold every pole and residue
+    # to the scalar np.roots route bit for bit
     real_res = (np.array([v ** 2 for v in (r + g).tolist()]) + 2.0) / dp(r)
     # the pair's (s + g)^2 + 2 written out component by component, each part rounded like
     # the real arithmetic above, with no complex-multiply kernel in between

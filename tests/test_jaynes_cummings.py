@@ -149,7 +149,6 @@ class TestCubicSpectrum:
         for gamma in np.linspace(0.0, 100.0, 401):
             assert 6 * gamma**4 - 39 * gamma**2 + 192 > 0
 
-
     def test_bitwise_the_scalar_root_route(self):
         # the loop reference: np.roots on one cubic, Newton, Vieta and residues in Python
         # scalars; the batched solve must reproduce it bit for bit
