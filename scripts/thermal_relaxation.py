@@ -4,7 +4,7 @@
 Runs the memoryless protocol (p_s = 0) with every ancilla starting in
 the mixed thermal state, for a range of inverse temperatures, and prints
 the stationary excited population next to the Boltzmann value of the
-bath ancillas. ``run_discrete`` runs either bath; the bath enters only
+bath ancillas. ``discrete_maps`` runs either bath; the bath enters only
 through the fresh ancilla state rho_A.
 
 Usage: python scripts/thermal_relaxation.py
@@ -14,8 +14,8 @@ from nmcollide import (
     BathSpec,
     CollisionConfig,
     DensityOperator,
+    discrete_maps,
     jc_hamiltonian,
-    run_discrete,
     thermal_weights,
 )
 
@@ -33,9 +33,9 @@ def main() -> int:
             n_steps=150,
             bath=BathSpec(kind="thermal", energies=ENERGIES, inverse_temperature=beta),
         )
-        traj = run_discrete(cfg, DensityOperator.basis(2, 1))
+        final = discrete_maps(cfg)[-1].apply(DensityOperator.basis(2, 1))
         bath_weight = thermal_weights(ENERGIES, beta)[1]
-        print(f"{beta:>6g} | {bath_weight:>20.6f} | {traj.populations(1)[-1]:>22.6f}")
+        print(f"{beta:>6g} | {bath_weight:>20.6f} | {final[1, 1].real:>22.6f}")
     return 0
 
 

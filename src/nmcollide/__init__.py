@@ -14,7 +14,6 @@ from .collisions import (
     TrajectoryRecord,
     partial_swap_channel,
     reset_superop,
-    run_discrete,
     sa_collision,
     thermal_weights,
 )

@@ -28,11 +28,12 @@ beta2 = S[3,3], and the minimum Choi eigenvalues of one batched eigensolve
 
 Exit codes, each failure with a JSON error on stderr: 0 success, 2
 unparseable or invalid config (a closed-form gamma_bar or tau past the
-bound where its intermediates stay finite, or a count past MAX_POINTS,
-checked before anything is allocated, included), 3 certification
-failure, 4 numerical failure (a series that did not converge, a diverged
-quadrature, a provably bounded quantity out of range, or a numpy
-linear-algebra or floating-point error).
+bound where its intermediates stay finite, a collision past PHASE_BOUND or
+with a rate that is not finite, or a count past MAX_POINTS, checked before
+anything is allocated, included), 3 certification failure, 4 numerical
+failure (a series that did not converge, a diverged quadrature, a
+provably bounded quantity out of range, or a numpy linear-algebra or
+floating-point error).
 A run treats numpy overflow, division by zero and invalid operations as
 errors rather than warnings, so stderr carries nothing but the JSON error.
 """
@@ -83,6 +84,11 @@ MODES = ("discrete", "series", "jc_closed_form", "thermal", "convergence", "cert
 MEMORY_BUDGET = 2**30  # bytes
 POINT_BYTES = 4096
 MAX_POINTS = MEMORY_BUDGET // POINT_BYTES  # 262 144
+
+# A phase Omega * tau is known to about tau * 2^-53: the rounding of tau itself, or of
+# the step angle t_c compounded over a run. Up to PHASE_BOUND that error stays below
+# 1e-8, so a collision block's last time n_steps * t_c keeps 8 decimal digits of its phase.
+PHASE_BOUND = 2.0**53 * 1e-8  # ~9.007e7
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -229,6 +235,11 @@ def _collision_from_config(spec: dict) -> CollisionConfig:
             raise ConfigurationError(f"collision config is missing field '{key}'")
     t_c, p_s = (_number(spec[key], key) for key in ("t_c", "p_s"))
     n_steps = _count(spec["n_steps"], "n_steps", minimum=1)
+    if not n_steps * t_c <= PHASE_BOUND:
+        raise ConfigurationError(
+            f"collision 'n_steps' * 't_c' = {n_steps * t_c:g} exceeds PHASE_BOUND = "
+            f"{PHASE_BOUND:.4g}, the last time whose phase keeps 8 decimal digits"
+        )
     bath_spec = spec.get("bath", {"kind": "pure_ground"})
     if not isinstance(bath_spec, dict):
         raise ConfigurationError("field 'bath' must be an object with a 'kind' field")
@@ -261,9 +272,16 @@ def _probe_states(seed: int, count: int) -> np.ndarray:
 
 
 def _calibrated_gamma(collision: CollisionConfig) -> Optional[float]:
+    """-ln(p_s) / t_c, or None at p_s = 0 or t_c = 0; a rate past the largest double is refused."""
     if collision.p_s <= 0 or collision.t_c <= 0:
         return None
-    return float((0.0 - np.log(collision.p_s)) / collision.t_c)  # +0.0 at p_s = 1, never -0.0
+    rate = (0.0 - float(np.log(collision.p_s))) / collision.t_c  # +0.0 at p_s = 1; inf past max
+    if not np.isfinite(rate):
+        raise ConfigurationError(
+            f"collision 't_c' = {collision.t_c!r} and 'p_s' = {collision.p_s!r} calibrate a "
+            "rate -ln(p_s) / t_c that is not a finite double"
+        )
+    return rate
 
 
 # --- mode implementations ----------------------------------------------------
@@ -316,8 +334,9 @@ def _mode_certify(cfg: ExperimentConfig):
 
 def _mode_discrete(cfg: ExperimentConfig):
     collision = _collision_from_config(cfg.require("collision", dict))
+    gamma = _calibrated_gamma(collision)
     stack = discrete_maps(collision)
-    return [_map_table(stack, _calibrated_gamma(collision), _min_choi_eigs(stack))], {}, None
+    return [_map_table(stack, gamma, _min_choi_eigs(stack))], {}, None
 
 
 def _series_policy(cfg: ExperimentConfig) -> SeriesPolicy:

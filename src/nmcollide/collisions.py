@@ -25,16 +25,16 @@ It converges at second order in t_c, like the Strang splitting
 e^{B t_c/2} e^{A t_c} e^{B t_c/2}, whose half resets at the ends of a run
 change nothing: R fixes W_0 = rho (x) rho_A, and Tr_A R = Tr_A.
 
-One loop propagates windows under any fixed step matrix, k at a time as
-the columns of a (d^2, k) array. After each mat-vec every column is made
-Hermitian again and renormalized to unit trace: the exact map preserves
-both, rounding does not, and over 2000 steps at t_c = 0.01 the repair keeps
-the reduced states within ~1e-14 of a long-double recursion, against 1e-13
-to 3e-13 without it. ``run_discrete`` carries one state (k = 1), for
-either bath, and validates its (n_steps + 1, d, d) trajectory once.
-``propagate_maps`` carries the d^2 spanning states and solves for the maps
-themselves; the discrete maps and the continuum embedding of
-:mod:`nmcollide.continuum` both come from it.
+One loop, ``propagate_maps``, propagates windows under any fixed step
+matrix: d_s^2 system inputs at once, each window as its real
+coefficients in an orthonormal Hermitian basis, so every window is
+Hermitian by construction. After each step every column is
+renormalized to unit trace: the exact map preserves it, rounding does
+not, and over 2000 steps at t_c = 0.01 the repair keeps the reduced
+states within 1e-14 of a long-double recursion, against 3e-14 to 3e-13
+without it. It solves for the maps themselves; the discrete maps and the
+continuum embedding of :mod:`nmcollide.continuum` both come from it, and
+a trajectory from rho_0 is ``discrete_maps(cfg).apply(rho_0)``.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ from .quantum import (
     DensityOperator,
     HermitianOperator,
     KrausChannel,
+    _hermitian_basis,
+    _hermitian_real,
     density_stack,
     swap_operator,
     unitary_evolution,
@@ -66,7 +68,6 @@ __all__ = [
     "reset_generator",
     "reset_superop",
     "sa_collision",
-    "run_discrete",
     "thermal_weights",
     "trace_ancilla_superop",
 ]
@@ -164,7 +165,8 @@ class CollisionConfig:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """System states rho_n for n = 0..n_steps and the times n * t_c.
+    """System states rho_n for n = 0..n_steps and the times n * t_c, as the brute-force chain
+    of :mod:`nmcollide.verify` returns them.
 
     ``matrices`` is the (n_steps + 1, d, d) stack of states, validated once
     as a whole; ``states`` gives the same states as DensityOperator objects,
@@ -190,12 +192,6 @@ class TrajectoryRecord:
 
     def __len__(self) -> int:
         return len(self.matrices)
-
-    def populations(self, level: int = 1) -> np.ndarray:
-        return self.matrices[:, level, level].real.copy()
-
-    def coherences(self) -> np.ndarray:
-        return self.matrices[:, 0, 1].copy()
 
 
 def partial_swap_channel(d: int, p_s: float) -> KrausChannel:
@@ -247,49 +243,31 @@ def protocol_step(cfg: CollisionConfig):
     return np.kron(u, u.conj()) @ (cfg.p_s * np.eye(u.size) + (1.0 - cfg.p_s) * reset), fresh
 
 
-def _propagate(step: np.ndarray, inputs: np.ndarray, fresh: np.ndarray, n_steps: int):
-    """Tr_A W_j, j = 0..n_steps, of W_j = step W_{j-1} from each W_0 = rho (x) rho_A.
-
-    The k states rho of the (k, d_s, d_s) stack ``inputs`` run together as
-    the columns of one (d^2, k) array; after every mat-vec each column is
-    made Hermitian again and renormalized to unit trace. Returns an
-    (n_steps + 1, d_s, d_s, k) array.
-    """
-    k, ds, da = len(inputs), inputs.shape[1], fresh.shape[0]
-    d = ds * da
-    dagger = np.arange(d * d).reshape(d, d).T.reshape(-1)  # vec(W^T) = vec(W)[dagger]
-    diagonal = np.arange(0, d * d, d + 1)
-    history = np.empty((n_steps + 1, d * d, k), dtype=np.complex128)
-    history[0] = attach_superop(fresh, ds) @ inputs.reshape(k, -1).T
-    for j in range(1, n_steps + 1):
-        w = np.matmul(step, history[j - 1], out=history[j])
-        # the exact map preserves Hermiticity and trace; restoring both each
-        # step keeps rounding from drifting systematically over long runs
-        w += w[dagger].conj()  # (W + W^dag) / its trace = Hermitian part / its trace
-        w /= w[diagonal].sum(axis=0).real
-    return (trace_ancilla_superop(ds, da) @ history).reshape(n_steps + 1, ds, ds, k)
-
-
 def propagate_maps(step: np.ndarray, fresh: np.ndarray, system_dim: int, n_steps: int):
-    """Superoperators of rho -> Tr_A W_j, j = 0..n_steps, as an (n_steps + 1, d_s^2, d_s^2) array.
+    """Superoperators of rho -> Tr_A W_j, W_j = step W_{j-1} from W_0 = rho (x) rho_A, for
+    j = 0..n_steps, as an (n_steps + 1, d_s^2, d_s^2) array.
 
-    The d_s^2 spanning states X (|i><i| and, for i < j, the projectors on
-    |i> + |j> and |i> + i|j>) run through the window propagator together;
-    with Y their reduced states, each map is S = Y X^{-1}.
+    The step acts as T = Q step Q^dagger on real coefficients in the basis Q of
+    ``quantum._hermitian_basis``; a T with an imaginary part above ``imaginary_residue`` raises
+    InternalConsistencyError. The inputs X are the system's basis matrices G_b, plus |0><0|
+    where Tr G_b = 0, so every window has unit trace and is renormalized to it after each
+    step; with Y their reduced states, each map is S = Y X^{-1}, brought back to the vec basis.
     """
-    eye = np.eye(system_dim, dtype=np.complex128)
-    pairs = [(i, j) for i in range(system_dim) for j in range(i + 1, system_dim)]
-    kets = list(eye) + [eye[i] + c * eye[j] for i, j in pairs for c in (1, 1j)]
-    x = np.array([np.outer(v, v.conj()) / np.vdot(v, v).real for v in kets])
-    y = _propagate(step, x, fresh, n_steps).reshape(n_steps + 1, len(x), len(x))
-    return y @ np.linalg.inv(x.reshape(len(x), -1).T)
-
-
-def run_discrete(cfg: CollisionConfig, rho0: DensityOperator) -> TrajectoryRecord:
-    """Run the protocol from rho0, for either bath: the system state after every step."""
-    if rho0.dim != cfg.system_dim:
-        raise ConfigurationError(f"initial state dim {rho0.dim} != system dim {cfg.system_dim}")
-    step, fresh = protocol_step(cfg)
-    reduced = _propagate(step, rho0.data[None], fresh, cfg.n_steps)[1:, :, :, 0]
-    times = tuple(k * cfg.t_c for k in range(cfg.n_steps + 1))
-    return TrajectoryRecord(np.concatenate([rho0.data[None], reduced]), times)
+    ds, d = system_dim, system_dim * fresh.shape[0]
+    q, qs = _hermitian_basis(d), _hermitian_basis(ds)
+    t = _hermitian_real(q @ step @ q.conj().T, "the step").copy()
+    trace_row = (q @ np.eye(d).reshape(-1)).real  # Tr G_a, so Tr W = trace_row @ w
+    eye = np.eye(ds * ds)
+    x = eye + np.outer(eye[0], 1.0 - (qs @ np.eye(ds).reshape(-1)).real)
+    history = np.empty((n_steps + 1, d * d, ds * ds))
+    history[0] = (q @ attach_superop(fresh, ds) @ qs.conj().T).real @ x
+    for j in range(1, n_steps + 1):
+        w = np.matmul(t, history[j - 1], out=history[j])
+        w /= trace_row @ w
+    reduced = (qs @ trace_ancilla_superop(ds, fresh.shape[0]) @ q.conj().T).real
+    maps = (reduced @ history @ np.linalg.inv(x)).reshape(n_steps + 1, -1)
+    back = np.kron(qs.conj().T, qs.T)  # vec(Qs^dagger M Qs) = (Qs^dagger (x) Qs^T) vec M
+    superops = np.empty(maps.shape, dtype=np.complex128)  # filled by parts: no complex copy of maps
+    superops.real = maps @ back.real.T
+    superops.imag = maps @ back.imag.T
+    return superops.reshape(n_steps + 1, ds * ds, ds * ds)

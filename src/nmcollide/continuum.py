@@ -23,17 +23,17 @@ vectorized density matrices with its times:
   truncation is completely positive by construction, and preserves
   Hermiticity. The recursion runs on exponentially damped terms
   B_k = e^{-Gamma t} Gamma^{k-1} E^{*k}, which stay O(1) for any Gamma,
-  as real (d^2, d^2, n) arrays, time last, in an orthonormal Hermitian
-  basis (a Pauli transfer matrix for a qubit), through numpy's real FFTs
-  on terms zero-padded to the FFT length; the truncation tail is measured
-  in the vec basis.
+  as real (d^2, d^2, n) arrays, time last, in the window loop's
+  orthonormal Hermitian basis (a Pauli transfer matrix for a qubit),
+  through numpy's real FFTs on terms zero-padded to the FFT length; the
+  truncation tail is measured in the vec basis.
 * ``lambda_embedding``: the generator L itself, stepped with one matrix
   exponential; the double-precision cross-check of the series.
 * ``discrete_maps``: the protocol's own maps at the times n t_c. Its step
   is the splitting e^{A t_c} e^{B t_c} of L = A + B, A = -i[H, .] and
   B = Gamma (R - 1), with the Strang splitting's O(t_c^2) error: R fixes
   rho (x) rho_A and Tr_A R = Tr_A, so half resets at both ends change
-  nothing. It shares the engine's window propagator with the embedding.
+  nothing. It shares the engine's one window loop with the embedding.
 
 The closed form for the exchange coupling (``jaynes_cummings.jc_maps``)
 returns a MapStack too; it imports this module, never the reverse.
@@ -52,15 +52,16 @@ import numpy as np
 
 from .collisions import (BathSpec, CollisionConfig, attach_superop, propagate_maps, protocol_step,
                          reset_generator, trace_ancilla_superop)
-from .errors import ConfigurationError, InternalConsistencyError, TruncationError
+from .errors import ConfigurationError, TruncationError
 from .quantum import (
     ChoiMatrix,
     DensityOperator,
     HermitianOperator,
     KrausChannel,
+    _hermitian_basis,
+    _hermitian_real,
     kraus_from_choi,
 )
-from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "TimeGrid",
@@ -294,16 +295,6 @@ class LambdaSeriesResult:
     tail_history: tuple = field(default=(), repr=False)
 
 
-def _hermitian_basis(dim: int) -> np.ndarray:
-    """Q, whose row a = (i, j) is vec(G_a)^dagger for the orthonormal Hermitian basis G_ii = E_ii,
-    G_ij = (E_ij + E_ji)/sqrt2 (i < j), G_ij = i(E_ij - E_ji)/sqrt2 (i > j). T = Q S Q^dagger
-    holds Tr(G_a S(G_b)), real whenever S maps Hermitian matrices to Hermitian ones."""
-    e = np.eye(dim * dim).reshape(dim, dim, dim * dim)  # e[i, j] = vec(E_ij)
-    i, j = np.indices((dim, dim))[..., None]
-    sym, anti = np.sqrt(0.5) * (e + e.transpose(1, 0, 2)), np.sqrt(0.5) * (e - e.transpose(1, 0, 2))
-    return np.where(i < j, sym, np.where(i > j, -1j * anti, e)).reshape(dim * dim, dim * dim)
-
-
 def _fast_len(m: int) -> int:
     """The smallest 2^a 3^b 5^c >= m: a length pocketfft transforms fast, the same as
     scipy.fft.next_fast_len(m, real=True) without importing scipy.fft (~0.3 s)."""
@@ -353,12 +344,8 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
     q = _hermitian_basis(kernel.system_dim)
     back = np.kron(q.conj().T, q.T)  # vec(T) -> vec(Q^dagger T Q), the vec-basis superoperator
     back_parts = np.concatenate([back.real, back.imag])
-    sampled = np.einsum("pj,pab->abj", np.exp(np.outer(kernel.rates, times)),
-                        q @ kernel.mats @ q.conj().T)
-    residue = float(np.max(np.abs(sampled.imag)))
-    if not residue <= DEFAULT_TOLERANCES.imaginary_residue:
-        raise InternalConsistencyError(f"the kernel does not preserve Hermiticity: imaginary part "
-                                       f"{residue:.3e} in a Hermitian basis")
+    sampled = _hermitian_real(np.einsum("pj,pab->abj", np.exp(np.outer(kernel.rates, times)),
+                                        q @ kernel.mats @ q.conj().T), "the kernel")
     if gamma * grid.t_max > policy.k_max - 1:  # the peak order ceil(gamma t_max) + 1 > k_max
         # half the bound: the trapezoid terms are not exactly trace preserving
         floor = 0.5 * _dropped_term_bound(gamma, grid, policy.k_max, kernel.system_dim)
@@ -367,7 +354,7 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
                                   f"t_max = {gamma * grid.t_max:.6g} puts its peak order past it "
                                   f"(residual term norm at least {floor:.3e}); raise k_max or "
                                   "tail_tol", residual=floor, order=policy.k_max)
-    b1 = sampled.real * np.exp(-gamma * times)
+    b1 = sampled * np.exp(-gamma * times)
     size = _fast_len(2 * n - 1)
     b1_padded = np.zeros((d2, d2, size))
     b1_padded[:, :, :n] = b1
@@ -433,10 +420,11 @@ def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid
     L = -i[H, .] + gamma (R - 1) acts on system (x) one ancilla, with
     rho_A = diag(weights), both from ``collisions.reset_generator``. The
     maps are stepped with one P = expm(L dt) through the engine's window
-    propagator, never an eigendecomposition: for the exchange coupling L is
-    defective at gamma = 2. Sharing only H and rho_A with ``lambda_series``,
-    this is the series' double-precision cross-check; it is no oracle for
-    the discrete engine, whose step is the splitting of the same L.
+    loop, ``collisions.propagate_maps``, never an eigendecomposition: for
+    the exchange coupling L is defective at gamma = 2. Sharing only H and
+    rho_A with ``lambda_series``, this is the series' double-precision
+    cross-check; it is no oracle for the discrete engine, whose step is the
+    splitting of the same L.
     """
     if not gamma >= 0:  # a NaN rate fails too
         raise ConfigurationError("memory-loss rate must be nonnegative")
@@ -449,7 +437,8 @@ def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid
 
 
 def discrete_maps(cfg: CollisionConfig) -> MapStack:
-    """The protocol's maps rho_0 -> rho_n at times n * t_c, n = 0..n_steps, for either bath."""
+    """The protocol's maps rho_0 -> rho_n at times n * t_c, n = 0..n_steps, for either bath,
+    from ``collisions.propagate_maps``: ``discrete_maps(cfg).apply(rho_0)`` is the trajectory."""
     superops = propagate_maps(*protocol_step(cfg), cfg.system_dim, cfg.n_steps)
     return MapStack(np.arange(cfg.n_steps + 1) * cfg.t_c, superops, cfg.system_dim)
 

@@ -58,11 +58,12 @@ __all__ = [
 BETA_SLACK = 1e-9  # allowed numerical excursion on the CPT inequalities
 
 
-def jc_hamiltonian(omega: float = 1.0) -> HermitianOperator:
-    """Resonant excitation-exchange coupling omega * (s+ a- + s- a+) on qubit (x) qubit."""
+def jc_hamiltonian() -> HermitianOperator:
+    """Resonant excitation-exchange coupling Omega (s+ a- + s- a+) on qubit (x) qubit at
+    Omega = 1: times are in units of 1/Omega, (Omega, t) being the run (1, Omega t)."""
     h = np.zeros((4, 4), dtype=np.complex128)
-    h[2, 1] = omega  # |0,1> -> |1,0|
-    h[1, 2] = omega
+    h[2, 1] = 1.0  # |0,1> -> |1,0|
+    h[1, 2] = 1.0
     return HermitianOperator(h)
 
 

@@ -323,6 +323,26 @@ def trace_distances(a, b) -> np.ndarray:
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b)), axis=-1)
 
 
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """Q, whose row a = (i, j) is vec(G_a)^dagger for the orthonormal Hermitian basis G_ii = E_ii,
+    G_ij = (E_ij + E_ji)/sqrt2 (i < j), G_ij = i(E_ij - E_ji)/sqrt2 (i > j). T = Q S Q^dagger
+    holds Tr(G_a S(G_b)), real whenever S maps Hermitian matrices to Hermitian ones."""
+    e = np.eye(dim * dim).reshape(dim, dim, dim * dim)  # e[i, j] = vec(E_ij)
+    i, j = np.indices((dim, dim))[..., None]
+    sym, anti = np.sqrt(0.5) * (e + e.transpose(1, 0, 2)), np.sqrt(0.5) * (e - e.transpose(1, 0, 2))
+    return np.where(i < j, sym, np.where(i > j, -1j * anti, e)).reshape(dim * dim, dim * dim)
+
+
+def _hermitian_real(coeffs: np.ndarray, what: str) -> np.ndarray:
+    """The real part of a map's coefficients in the basis of ``_hermitian_basis``, once their
+    imaginary part is within imaginary_residue; else ``what`` does not preserve Hermiticity."""
+    residue = float(np.max(np.abs(coeffs.imag)))
+    if not residue <= DEFAULT_TOLERANCES.imaginary_residue:
+        raise InternalConsistencyError(f"{what} does not preserve Hermiticity: imaginary part "
+                                       f"{residue:.3e} in a Hermitian basis")
+    return coeffs.real
+
+
 def unitary_evolution(h, t: float) -> np.ndarray:
     """e^{-i H t} via Hermitian eigendecomposition (exact for these small dims)."""
     mat = h.data if isinstance(h, HermitianOperator) else np.asarray(h, dtype=np.complex128)

@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .collisions import BathSpec, CollisionConfig, TrajectoryRecord, run_discrete
-from .continuum import MapStack, TimeGrid
+from .collisions import BathSpec, CollisionConfig, TrajectoryRecord
+from .continuum import MapStack, TimeGrid, discrete_maps
 from .errors import ConfigurationError, DivergenceError, ValidationError
 from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .quantum import (
@@ -30,6 +30,7 @@ from .quantum import (
     KrausChannel,
     _partial_trace_matrix,
     choi_of,
+    density_stack,
     embed_operator,
     ket,
     swap_operator,
@@ -308,9 +309,10 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list,
     """Measure how fast the discrete protocol approaches the closed-form map.
 
     For each collision time, the swap probability is calibrated to
-    gamma_bar, the protocol runs out to tau_max, and the error is the
-    maximum trace distance along the whole trajectory (endpoint-only
-    checks miss transients). The order estimate is the log-log slope.
+    gamma_bar, ``discrete_maps`` runs out to tau_max, and the error is the
+    maximum trace distance from ``jc_maps`` along the probe's whole
+    trajectory, validated as a density-matrix stack (endpoint-only checks
+    miss transients). The order estimate is the log-log slope.
     """
     t_c_values = sorted((float(t) for t in t_c_list), reverse=True)
     if len(t_c_values) != len(set(t_c_values)):
@@ -332,9 +334,9 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list,
             n_steps=n_steps,
             bath=BathSpec(kind="pure_ground"),
         )
-        traj = run_discrete(cfg, probe)
-        reference = jc_maps(traj.times, gamma_bar).apply(probe)
-        errors.append(float(np.max(trace_distances(traj.matrices, reference))))
+        stack = discrete_maps(cfg)
+        reference = jc_maps(stack.times, gamma_bar).apply(probe)
+        errors.append(float(np.max(trace_distances(density_stack(stack.apply(probe)), reference))))
     if len(t_c_values) >= 2:
         slope = np.polyfit(np.log(t_c_values), np.log(np.maximum(errors, 1e-300)), 1)[0]
         estimated_order = float(slope)

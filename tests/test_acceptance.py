@@ -33,7 +33,6 @@ from nmcollide import (
     lambda_embedding,
     lambda_series,
     lindblad_limit,
-    run_discrete,
     trace_distance,
 )
 from nmcollide.verify import corrupted_beta_maps
@@ -178,11 +177,12 @@ def test_criterion_06_zero_rate_exactness():
         system_dim=2, ancilla_dim=2, hamiltonian=h, t_c=t_c, p_s=1.0,
         n_steps=n_steps, bath=BathSpec(kind="pure_ground"),
     )
-    excited = run_discrete(cfg, DensityOperator.basis(2, 1))
-    plus = run_discrete(cfg, DensityOperator(np.full((2, 2), 0.5)))
-    taus = np.array(excited.times)
-    err_b2 = float(np.max(np.abs(excited.populations(1) - np.cos(taus) ** 2)))
-    err_b1 = float(np.max(np.abs(2.0 * np.real(plus.coherences()) - np.cos(taus))))
+    stack = discrete_maps(cfg)
+    excited = stack.apply(DensityOperator.basis(2, 1))
+    plus = stack.apply(DensityOperator(np.full((2, 2), 0.5)))
+    taus = stack.times
+    err_b2 = float(np.max(np.abs(excited[:, 1, 1].real - np.cos(taus) ** 2)))
+    err_b1 = float(np.max(np.abs(2.0 * plus[:, 0, 1].real - np.cos(taus))))
     ok = err_b1 <= 5e-3 and err_b2 <= 5e-3
     report(
         6,
@@ -204,9 +204,9 @@ def test_criterion_07_sliding_window_oracle():
                 system_dim=2, ancilla_dim=2, hamiltonian=h, t_c=0.4, p_s=p_s,
                 n_steps=4, bath=bath,
             )
-            fast = run_discrete(cfg, PROBE)
+            fast = discrete_maps(cfg).apply(PROBE)
             slow = brute_force_chain(cfg, PROBE)
-            for a, b in zip(fast.states, slow.states):
+            for a, b in zip(fast, slow.states):
                 worst = max(worst, trace_distance(a, b))
     report(
         7,
@@ -226,9 +226,9 @@ def test_criterion_08_thermal_reduction():
         system_dim=2, ancilla_dim=2, hamiltonian=h, t_c=0.3, p_s=0.4,
         n_steps=12, bath=BathSpec(kind="pure_ground"),
     )
-    traj_t = run_discrete(cfg_thermal, PROBE)
-    traj_p = run_discrete(cfg_pure, PROBE)
-    worst_run = max(trace_distance(a, b) for a, b in zip(traj_t.states, traj_p.states))
+    traj_t = discrete_maps(cfg_thermal).apply(PROBE)
+    traj_p = discrete_maps(cfg_pure).apply(PROBE)
+    worst_run = max(trace_distance(a, b) for a, b in zip(traj_t, traj_p))
 
     times = np.linspace(0.0, 6.0, 25)
     pure_states = build_kernel_map(h).maps(times).apply(PROBE)

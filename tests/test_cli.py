@@ -139,10 +139,13 @@ class TestRun:
              "energies"),
             ({"bath": {"kind": "thermal", "energies": [0.0, 1.0], "inverse_temperature": "hot"}},
              "inverse_temperature"),
+            ({"t_c": 1e-320}, "'t_c'"),
+            ({"t_c": 1e-320}, "'p_s'"),
         ],
         ids=["bath-string", "n_steps-string", "n_steps-fraction", "t_c-null", "p_s-string",
              "p_s-bool", "omega-string", "omega-number", "system_dim", "ancilla_dim",
-             "energies-string", "inverse_temperature-string"],
+             "energies-string", "inverse_temperature-string", "rate-overflow-t_c",
+             "rate-overflow-p_s"],
     )
     def test_malformed_collision_exits_2(self, tmp_path, capsys, override, field):
         collision = {"t_c": 0.05, "p_s": 0.5, "n_steps": 4, **override}
@@ -715,7 +718,7 @@ class TestDiscreteMapMode:
     @pytest.mark.parametrize("bath", sorted(BATHS))
     def test_columns_come_from_the_stack(self, tmp_path, monkeypatch, bath):
         import nmcollide.cli as cli_mod
-        from nmcollide import DensityOperator, run_discrete
+        from nmcollide import DensityOperator
         from nmcollide.quantum import ChoiMatrix
 
         discrete_maps, stacks = cli_mod.discrete_maps, []
@@ -740,10 +743,11 @@ class TestDiscreteMapMode:
         rows = read_rows(tmp_path / "out")
         assert [row[5] for row in rows] == [f"{m.choi().min_eigenvalue():.17g}" for m in stack]
         assert min(float(row[5]) for row in rows) > -1e-14
-        # the betas agree with the single-state trajectories they replace
+        # beta2 is the excited population of the trajectory from |1>, beta1 twice the
+        # coherence of the one from |+>
         col = cli_mod._collision_from_config(collision)
-        excited = run_discrete(col, DensityOperator.basis(2, 1)).matrices
-        plus = run_discrete(col, DensityOperator(np.full((2, 2), 0.5))).matrices
+        excited = discrete_maps(col).apply(DensityOperator.basis(2, 1))
+        plus = discrete_maps(col).apply(DensityOperator(np.full((2, 2), 0.5)))
         b1 = np.array([float(row[2]) for row in rows])
         b2 = np.array([float(row[3]) for row in rows])
         assert np.max(np.abs(b2 - excited[:, 1, 1].real)) < 1e-14
@@ -770,6 +774,7 @@ class TestSeriesVsProtocol:
         pytest.param({"omega": 2.0}, id="omega"),
         pytest.param({"system_dim": 1, "ancilla_dim": 4}, id="1x4"),
         pytest.param({"system_dim": 4, "ancilla_dim": 1}, id="4x1"),
+        pytest.param({"t_c": 1e-320}, id="rate-overflow"),
     ])
     def test_refused_collision_fields_exit_2_first(self, tmp_path, capsys, monkeypatch, mode,
                                                    override):
@@ -813,6 +818,38 @@ class TestSeriesVsProtocol:
         rows = read_rows(tmp_path / "out")
         assert len(rows) == 201
         assert max(float(row[4]) for row in rows) <= 1e-13
+
+
+class TestPhaseBound:
+    """A collision block whose last time n_steps * t_c passes PHASE_BOUND exits 2 naming it."""
+
+    @pytest.mark.parametrize("mode", ["discrete", "thermal"])
+    def test_beyond_the_bound_exits_2(self, tmp_path, capsys, monkeypatch, mode):
+        from nmcollide.cli import PHASE_BOUND
+
+        _forbid_series_and_protocol(monkeypatch)
+        collision = {"t_c": 1e300, "p_s": 0.5, "n_steps": 3,
+                     "bath": TestSeriesVsProtocol.THERMAL_BATH}
+        cfg = write_config(tmp_path, "cfg.json", {"mode": mode, "collision": collision,
+                                                  "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["error"]["message"]
+        assert "'n_steps' * 't_c' = 3e+300" in message
+        assert f"PHASE_BOUND = {PHASE_BOUND:.4g}" in message
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_at_the_bound_exits_0(self, tmp_path):
+        from nmcollide.cli import PHASE_BOUND
+
+        collision = {"t_c": PHASE_BOUND / 4, "p_s": 0.5, "n_steps": 4}
+        cfg = write_config(tmp_path, "cfg.json", {"mode": "discrete", "collision": collision,
+                                                  "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        rows = read_rows(tmp_path / "out")
+        assert float(rows[-1][0]) == PHASE_BOUND
+        assert all(np.isfinite(float(v)) for row in rows for v in row[1:4] + row[5:])
 
 
 class TestSizeCaps:

@@ -10,6 +10,7 @@ from nmcollide import (
     CollisionConfig,
     ConfigurationError,
     DensityOperator,
+    InternalConsistencyError,
     TrajectoryRecord,
     ValidationError,
     apply_channel,
@@ -19,14 +20,13 @@ from nmcollide import (
     partial_trace,
     random_density_operator,
     reset_superop,
-    run_discrete,
     sa_collision,
     tensor,
     thermal_weights,
     trace_distance,
 )
-from nmcollide.collisions import (attach_superop, protocol_step, reset_generator,
-                                  trace_ancilla_superop)
+from nmcollide.collisions import (attach_superop, propagate_maps, protocol_step,
+                                  reset_generator, trace_ancilla_superop)
 from nmcollide.continuum import build_kernel_map
 from nmcollide.verify import purified_pair_ket
 
@@ -91,54 +91,48 @@ class TestSaCollision:
 
 
 class TestRunDiscrete:
+    """A run from one state: the trajectory discrete_maps(cfg).apply(rho)."""
+
     def test_memoryless_populations_compose(self, jc_h):
         # with no AA collisions every step applies the same damping channel
         cfg = pure_cfg(jc_h, t_c=0.3, p_s=0.0, n_steps=10)
-        traj = run_discrete(cfg, DensityOperator.basis(2, 1))
+        states = discrete_maps(cfg).apply(DensityOperator.basis(2, 1))
         expect = np.cos(0.3) ** (2 * np.arange(11))
-        assert np.max(np.abs(traj.populations(1) - expect)) < 1e-12
+        assert np.max(np.abs(states[:, 1, 1].real - expect)) < 1e-12
 
     def test_memoryless_equals_composed_channel(self, jc_h):
         cfg = pure_cfg(jc_h, t_c=0.4, p_s=0.0, n_steps=5)
-        traj = run_discrete(cfg, PROBE)
+        states = discrete_maps(cfg).apply(PROBE)
         step = build_kernel_map(jc_h).maps(0.4)[0]
         state = PROBE.data
         for _ in range(5):
             state = step.apply(state)
-        assert trace_distance(state, traj.states[-1]) < 1e-12
+        assert trace_distance(state, states[-1]) < 1e-12
 
     @pytest.mark.parametrize("p_s", [0.0, 0.5, 1.0])
     def test_single_step_is_one_collision(self, jc_h, p_s):
         cfg = pure_cfg(jc_h, t_c=0.7, p_s=p_s, n_steps=1)
-        traj = run_discrete(cfg, PROBE)
+        states = discrete_maps(cfg).apply(PROBE)
         joint = tensor(PROBE, DensityOperator.basis(2, 0))
         expect = partial_trace(sa_collision(joint, jc_h, 0.7), [2, 2], {0})
-        assert trace_distance(traj.states[1], expect) < 1e-14
+        assert trace_distance(states[1], expect) < 1e-14
 
     def test_perfect_swap_is_stroboscopic_kernel(self, jc_h):
         # p_s = 1 hands each fresh ancilla the full state of its predecessor,
         # so rho_n equals the single-ancilla coherent evolution at t = n t_c
-        cfg = pure_cfg(jc_h, t_c=0.05, p_s=1.0, n_steps=60)
-        traj = run_discrete(cfg, DensityOperator.basis(2, 1))
-        taus = np.array(traj.times)
-        assert np.max(np.abs(traj.populations(1) - np.cos(taus) ** 2)) < 1e-12
+        stack = discrete_maps(pure_cfg(jc_h, t_c=0.05, p_s=1.0, n_steps=60))
+        states = stack.apply(DensityOperator.basis(2, 1))
+        assert np.max(np.abs(states[:, 1, 1].real - np.cos(stack.times) ** 2)) < 1e-12
 
     def test_times_are_exact_multiples(self, jc_h):
-        cfg = pure_cfg(jc_h, t_c=0.1, p_s=0.3, n_steps=7)
-        traj = run_discrete(cfg, PROBE)
-        assert traj.times == tuple(n * 0.1 for n in range(8))
+        stack = discrete_maps(pure_cfg(jc_h, t_c=0.1, p_s=0.3, n_steps=7))
+        assert tuple(stack.times) == tuple(n * 0.1 for n in range(8))
 
     def test_all_states_valid(self, jc_h):
         cfg = pure_cfg(jc_h, t_c=0.35, p_s=0.6, n_steps=25)
-        traj = run_discrete(cfg, PROBE)
-        for state in traj.states:
-            assert abs(np.trace(state.data) - 1.0) < 1e-12
-            assert np.linalg.eigvalsh(state.data)[0] >= -1e-10
-
-    def test_rejects_bad_initial_dimension(self, jc_h):
-        cfg = pure_cfg(jc_h, t_c=0.1, p_s=0.5, n_steps=2)
-        with pytest.raises(ConfigurationError):
-            run_discrete(cfg, DensityOperator.maximally_mixed(3))
+        for state in discrete_maps(cfg).apply(PROBE):
+            assert abs(np.trace(state) - 1.0) < 1e-12
+            assert np.linalg.eigvalsh(state)[0] >= -1e-10
 
 
 class TestConfigValidation:
@@ -189,9 +183,9 @@ class TestThermal:
         bath = BathSpec(kind="thermal", weights=(1.0, 0.0))
         cfg_t = CollisionConfig(2, 2, jc_h, t_c=0.3, p_s=0.4, n_steps=12, bath=bath)
         cfg_p = pure_cfg(jc_h, t_c=0.3, p_s=0.4, n_steps=12)
-        a = run_discrete(cfg_t, PROBE)
-        b = run_discrete(cfg_p, PROBE)
-        assert max(trace_distance(x, y) for x, y in zip(a.states, b.states)) < 1e-12
+        a = discrete_maps(cfg_t).apply(PROBE)
+        b = discrete_maps(cfg_p).apply(PROBE)
+        assert max(trace_distance(x, y) for x, y in zip(a, b)) < 1e-12
 
     def test_weight_vector_is_thermal_weights_bitwise(self):
         # thermal_weights is normalized already; a second division moved the last bit
@@ -208,14 +202,14 @@ class TestThermal:
         # one collision map, found independently by iterating to convergence
         bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=1.0)
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.5, p_s=0.0, n_steps=120, bath=bath)
-        traj = run_discrete(cfg, DensityOperator.basis(2, 1))
+        states = discrete_maps(cfg).apply(DensityOperator.basis(2, 1))
         step = build_kernel_map(jc_h, bath.weight_vector(2)).maps(0.5)[0]
         fixed = DensityOperator.basis(2, 1).data
         for _ in range(500):
             fixed = step.apply(fixed)
         target = fixed[1, 1].real
         assert target > 0.05  # relaxes to the thermal value, not to zero
-        assert abs(traj.populations(1)[-1] - target) < 1e-9
+        assert abs(states[-1, 1, 1].real - target) < 1e-9
 
     def test_perfect_swap_tracks_thermal_kernel(self, jc_h):
         # swaps hand each fresh ancilla the full predecessor state including
@@ -225,10 +219,10 @@ class TestThermal:
         bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=0.9)
         kernel = build_kernel_map(jc_h, bath.weight_vector(2))
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.05, p_s=1.0, n_steps=80, bath=bath)
-        traj = run_discrete(cfg, PROBE)
+        stack = discrete_maps(cfg)
         worst = max(
             trace_distance(state, out)
-            for state, out in zip(traj.states, kernel.maps(traj.times).apply(PROBE))
+            for state, out in zip(stack.apply(PROBE), kernel.maps(stack.times).apply(PROBE))
         )
         assert worst < 1e-12
 
@@ -340,29 +334,7 @@ def extended_window_recursion(h, t_c, p_s, weights, rho0, n_steps):
     return np.array(states)
 
 
-class TestLongRunAccuracy:
-    """2000 steps against an extended-precision recursion that shares no engine code."""
-
-    @pytest.mark.parametrize("weights", [
-        pytest.param((1.0, 0.0), id="pure"),
-        pytest.param((1.0 / (1.0 + np.exp(-1.3)), np.exp(-1.3) / (1.0 + np.exp(-1.3))),
-                     id="thermal"),
-    ])
-    def test_matches_extended_precision(self, jc_h, weights):
-        t_c, n_steps = 0.01, 2000
-        p_s = float(np.exp(-1.5 * t_c))
-        pure = weights[1] == 0.0
-        bath = BathSpec(kind="pure_ground") if pure else BathSpec(kind="thermal", weights=weights)
-        cfg = CollisionConfig(2, 2, jc_h, t_c=t_c, p_s=p_s, n_steps=n_steps, bath=bath)
-        excited = DensityOperator.basis(2, 1)
-        traj = run_discrete(cfg, excited)
-        reference = extended_window_recursion(jc_h.data, t_c, p_s, weights, excited.data, n_steps)
-        # 7e-15 (pure) and 9e-15 (thermal) with the engine's per-step Hermitize
-        # and trace renormalization; 1e-13 (pure) and 3e-13 (thermal) without it
-        assert float(np.max(np.abs(traj.matrices - reference))) < 5e-14
-
-
-# the baths and step of TestLongRunAccuracy
+# the baths and step of the long runs against the extended-precision recursion
 LONG_RUN_WEIGHTS = [
     pytest.param((1.0, 0.0), id="pure"),
     pytest.param((1.0 / (1.0 + np.exp(-1.3)), np.exp(-1.3) / (1.0 + np.exp(-1.3))), id="thermal"),
@@ -377,7 +349,7 @@ def long_run_cfg(h, weights, t_c=0.01, n_steps=2000):
 
 
 class TestDiscreteMaps:
-    """The protocol's own map stack, from the spanning states through the one window loop."""
+    """The protocol's own map stack, from spanning inputs through the one window loop."""
 
     @pytest.mark.parametrize("bath, n_steps", [
         pytest.param(BathSpec(kind="pure_ground"), 6, id="pure"),
@@ -392,13 +364,20 @@ class TestDiscreteMaps:
         assert np.array_equal(stack.times, reference.times)
         assert float(np.max(np.abs(stack.apply(rho) - reference.matrices))) < 1e-12
 
+    @pytest.mark.parametrize("rho", [
+        pytest.param(DensityOperator.basis(2, 1), id="excited"),
+        pytest.param(PROBE, id="probe"),
+    ])
     @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
-    def test_matches_extended_precision(self, jc_h, weights):
+    def test_matches_extended_precision(self, jc_h, weights, rho):
+        # 2000 steps against a recursion that shares no engine code. Largest deviation,
+        # excited / probe: 7.3e-15 / 2.4e-15 (pure) and 9.9e-15 / 9.8e-15 (thermal) with
+        # the per-step trace renormalization; 9.6e-14 / 2.9e-14 and 2.7e-13 / 2.4e-13 without
         cfg = long_run_cfg(jc_h, weights)
         reference = extended_window_recursion(
-            jc_h.data, cfg.t_c, cfg.p_s, weights, PROBE.data, cfg.n_steps
+            jc_h.data, cfg.t_c, cfg.p_s, weights, rho.data, cfg.n_steps
         )
-        assert float(np.max(np.abs(discrete_maps(cfg).apply(PROBE) - reference))) < 5e-14
+        assert float(np.max(np.abs(discrete_maps(cfg).apply(rho) - reference))) < 5e-14
 
     @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
     def test_maps_are_cptp(self, jc_h, weights):
@@ -406,6 +385,12 @@ class TestDiscreteMaps:
         assert np.max(np.abs(stack.superops[0] - np.eye(4))) < 1e-15
         assert float(np.linalg.eigvalsh(stack.choi()).min()) > -1e-14
         assert max(m.trace_defect() for m in stack) < 1e-14
+
+    def test_refuses_a_step_that_breaks_hermiticity(self):
+        rng = np.random.default_rng(5)
+        step = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        with pytest.raises(InternalConsistencyError, match="does not preserve Hermiticity"):
+            propagate_maps(step, np.diag([1.0, 0.0]).astype(np.complex128), 2, 3)
 
 
 def _corrupted(kind):
@@ -421,7 +406,8 @@ def _corrupted(kind):
 
 class TestTrajectoryStack:
     def test_states_index_the_stack(self, jc_h):
-        traj = run_discrete(pure_cfg(jc_h, t_c=0.2, p_s=0.5, n_steps=6), PROBE)
+        cfg = pure_cfg(jc_h, t_c=0.2, p_s=0.5, n_steps=6)
+        traj = brute_force_chain(cfg, PROBE)
         assert len(traj.states) == len(traj) == 7
         for i, state in enumerate(traj.states):
             assert isinstance(state, DensityOperator)

@@ -18,12 +18,12 @@ from nmcollide import (
     adc_decay_kernel,
     build_kernel_map,
     calibrated_swap_probability,
+    discrete_maps,
     jc_hamiltonian,
     jc_maps,
     lambda_embedding,
     lambda_series,
     lindblad_limit,
-    run_discrete,
     thermal_weights,
     trace_distance,
     unitary_evolution,
@@ -349,11 +349,11 @@ class TestLambdaSeries:
             p_s=calibrated_swap_probability(gamma, t_c), n_steps=2500,
             bath=BathSpec(kind="pure_ground"),
         )
-        traj = run_discrete(cfg, PROBE)
+        stack = discrete_maps(cfg)
         worst = 0.0
-        for i, state in enumerate(traj.states):
+        for i, state in enumerate(stack.apply(PROBE)):
             mp = result.maps[stride * i]
-            assert abs(mp.time - traj.times[i]) < 1e-9
+            assert abs(mp.time - stack.times[i]) < 1e-9
             worst = max(worst, trace_distance(mp.apply(PROBE), state))
         assert worst <= 5e-2
 

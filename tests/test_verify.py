@@ -20,8 +20,8 @@ from nmcollide import (
     convergence_study,
     inverse_laplace,
     jc_maps,
+    discrete_maps,
     random_density_operator,
-    run_discrete,
     trace_distance,
 )
 from nmcollide.verify import corrupted_beta_maps
@@ -68,9 +68,9 @@ class TestBruteForceChain:
     def test_matches_sliding_window_pure(self, jc_h, p_s):
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.4, p_s=p_s, n_steps=4,
                               bath=BathSpec(kind="pure_ground"))
-        a = run_discrete(cfg, PROBE)
+        a = discrete_maps(cfg).apply(PROBE)
         b = brute_force_chain(cfg, PROBE)
-        assert max(trace_distance(x, y) for x, y in zip(a.states, b.states)) < 1e-12
+        assert max(trace_distance(x, y) for x, y in zip(a, b.states)) < 1e-12
 
     @pytest.mark.parametrize("p_s", [0.0, 0.3, 0.9, 1.0])
     @pytest.mark.parametrize("beta", [0.0, 0.7, 3.0])
@@ -78,9 +78,9 @@ class TestBruteForceChain:
         # the engine's mixed ancillas against the oracle's purified pairs
         bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=beta)
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.4, p_s=p_s, n_steps=3, bath=bath)
-        a = run_discrete(cfg, PROBE)
+        a = discrete_maps(cfg).apply(PROBE)
         b = brute_force_chain(cfg, PROBE)
-        assert max(trace_distance(x, y) for x, y in zip(a.states, b.states)) < 1e-12
+        assert max(trace_distance(x, y) for x, y in zip(a, b.states)) < 1e-12
 
     def test_zero_collision_time_freezes_state(self, jc_h):
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.0, p_s=0.5, n_steps=3,
@@ -162,6 +162,21 @@ class TestConvergenceStudy:
         # the rounding floor for any collision time
         report = convergence_study(0.0, 2.0, [0.1, 0.05, 0.025])
         assert max(report.errors) < 1e-12
+
+    def test_each_collision_time_is_one_window_loop(self, monkeypatch):
+        import nmcollide
+        import nmcollide.continuum as continuum
+
+        calls, loop = [], continuum.propagate_maps
+
+        def counting(*args):
+            calls.append(args[-1])
+            return loop(*args)
+
+        monkeypatch.setattr(continuum, "propagate_maps", counting)
+        convergence_study(1.0, 1.0, [0.1, 0.05, 0.025])
+        assert calls == [10, 20, 40]  # one loop per collision time, over its n_steps
+        assert not hasattr(nmcollide, "run_discrete")
 
     def test_single_point_has_no_order(self):
         report = convergence_study(1.0, 2.0, [0.1])
