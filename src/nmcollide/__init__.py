@@ -11,10 +11,7 @@ certification of every produced map.
 from .collisions import (
     BathSpec,
     CollisionConfig,
-    TrajectoryRecord,
-    partial_swap_channel,
     reset_superop,
-    sa_collision,
     thermal_weights,
 )
 from .continuum import (
@@ -42,7 +39,6 @@ from .errors import (
 )
 from .jaynes_cummings import (
     CubicSpectrum,
-    adc_channel,
     beta1,
     beta2,
     beta_arrays,
@@ -57,13 +53,9 @@ from .quantum import (
     DensityOperator,
     HermitianOperator,
     KrausChannel,
-    apply_channel,
     choi_of,
-    compose,
     density_stack,
     kraus_from_choi,
-    partial_trace,
-    tensor,
     trace_distance,
     trace_distances,
     unitary_evolution,
@@ -72,6 +64,7 @@ from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
 from .verify import (
     ConvergenceReport,
     CptReport,
+    TrajectoryRecord,
     brute_force_chain,
     calibrated_swap_probability,
     certify_cpt,

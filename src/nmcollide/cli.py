@@ -27,7 +27,8 @@ beta2 = S[3,3], and the minimum Choi eigenvalues of one batched eigensolve
 (or of the CPT report, in ``certify``).
 
 Exit codes, each failure with a JSON error on stderr: 0 success, 2
-unparseable or invalid config (a closed-form gamma_bar or tau past the
+unreadable, unparseable or invalid config, or an output directory that
+cannot be created (a closed-form gamma_bar or tau past the
 bound where its intermediates stay finite, a collision past PHASE_BOUND or
 with a rate that is not finite, or a count past MAX_POINTS, checked before
 anything is allocated, included), 3 certification failure, 4 numerical
@@ -140,7 +141,10 @@ def load_config(path: str, *, default_mode: Optional[str] = None) -> ExperimentC
     p = Path(path)
     if not p.exists():
         raise ConfigurationError(f"config file {path!r} does not exist")
-    text = p.read_text(encoding="utf-8")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes that are not UTF-8
+        raise ConfigurationError(f"config file {path!r} cannot be read: {exc}") from exc
     if not text.strip():
         raise ConfigurationError("config file is empty; missing required field 'mode'")
     try:
@@ -467,7 +471,11 @@ _MODE_RUNNERS = {
 def _execute(cfg: ExperimentConfig, output_dir: Optional[str]) -> int:
     started = time.perf_counter()
     out_dir = Path(output_dir) if output_dir else cfg.output_path
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path below one
+        raise ConfigurationError(
+            f"output directory {str(out_dir)!r} cannot be created: {exc}") from exc
 
     tables, extras, verdict = _MODE_RUNNERS[cfg.mode](cfg)
 

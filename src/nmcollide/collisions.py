@@ -40,34 +40,21 @@ a trajectory from rho_0 is ``discrete_maps(cfg).apply(rho_0)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .quantum import (
-    DensityOperator,
-    HermitianOperator,
-    KrausChannel,
-    _hermitian_basis,
-    _hermitian_real,
-    density_stack,
-    swap_operator,
-    unitary_evolution,
-)
+from .quantum import HermitianOperator, _hermitian_basis, _hermitian_real, unitary_evolution
 
 __all__ = [
     "BathSpec",
     "CollisionConfig",
-    "TrajectoryRecord",
     "attach_superop",
-    "partial_swap_channel",
     "propagate_maps",
     "protocol_step",
     "reset_generator",
     "reset_superop",
-    "sa_collision",
     "thermal_weights",
     "trace_ancilla_superop",
 ]
@@ -161,54 +148,6 @@ class CollisionConfig:
             raise ConfigurationError("collision time must be nonnegative")
         if self.n_steps < 1:
             raise ConfigurationError("need at least one step")
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """System states rho_n for n = 0..n_steps and the times n * t_c, as the brute-force chain
-    of :mod:`nmcollide.verify` returns them.
-
-    ``matrices`` is the (n_steps + 1, d, d) stack of states, validated once
-    as a whole; ``states`` gives the same states as DensityOperator objects,
-    built on first use.
-    """
-
-    matrices: np.ndarray
-    times: tuple
-
-    def __post_init__(self):
-        matrices = density_stack(self.matrices)
-        if len(matrices) != len(self.times):
-            raise ConfigurationError("states and times must have equal length")
-        times = tuple(float(t) for t in self.times)
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ConfigurationError("times must be nondecreasing")
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "times", times)
-
-    @cached_property
-    def states(self) -> tuple:
-        return tuple(DensityOperator(m) for m in self.matrices)
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-
-def partial_swap_channel(d: int, p_s: float) -> KrausChannel:
-    """Incoherent partial swap on d (x) d: identity branch plus swap branch."""
-    if not 0.0 <= p_s <= 1.0:
-        raise ConfigurationError(f"swap probability {p_s} outside [0, 1]")
-    eye = np.eye(d * d, dtype=np.complex128)
-    ops = (np.sqrt(1.0 - p_s) * eye, np.sqrt(p_s) * swap_operator(d))
-    return KrausChannel(ops, dim_in=d * d, dim_out=d * d)
-
-
-def sa_collision(rho_joint: DensityOperator, h: HermitianOperator, t_c: float) -> DensityOperator:
-    """One unitary collision: conjugation by e^{-i H t_c}."""
-    if rho_joint.dim != h.dim:
-        raise ConfigurationError(f"state dim {rho_joint.dim} != hamiltonian dim {h.dim}")
-    u = unitary_evolution(h, t_c)
-    return DensityOperator(u @ rho_joint.data @ u.conj().T)
 
 
 def attach_superop(rho_a: np.ndarray, system_dim: int) -> np.ndarray:

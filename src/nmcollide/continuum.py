@@ -71,8 +71,6 @@ __all__ = [
     "MapStack",
     "LambdaSeriesResult",
     "LindbladGenerator",
-    "kraus_to_superop",
-    "choi_from_superop",
     "choi_stack_from_superops",
     "build_kernel_map",
     "adc_decay_kernel",
@@ -84,16 +82,6 @@ __all__ = [
 
 
 # --- vectorization conventions ---------------------------------------------
-
-
-def kraus_to_superop(ch: KrausChannel) -> np.ndarray:
-    """Channel as a matrix on row-major vectorized density matrices."""
-    return sum(np.kron(k, k.conj()) for k in ch.kraus)
-
-
-def choi_from_superop(superop: np.ndarray, dim: int) -> ChoiMatrix:
-    """Reshuffle a superoperator matrix into the corresponding Choi matrix."""
-    return ChoiMatrix(choi_stack_from_superops(superop[None], dim)[0], dim=dim)
 
 
 def choi_stack_from_superops(superops: np.ndarray, dim: int) -> np.ndarray:
@@ -239,7 +227,8 @@ class DynamicalMap:
         return (self.superop @ _vec(rho)).reshape(self.dim, self.dim)
 
     def choi(self) -> ChoiMatrix:
-        return choi_from_superop(self.superop, self.dim)
+        """The Choi matrix, the superoperator reshuffled."""
+        return ChoiMatrix(choi_stack_from_superops(self.superop[None], self.dim)[0], dim=self.dim)
 
     def to_kraus(self) -> KrausChannel:
         """Kraus form via the Choi eigendecomposition.

@@ -38,12 +38,11 @@ import numpy as np
 
 from .continuum import MapStack
 from .errors import ConfigurationError, InternalConsistencyError
-from .quantum import HermitianOperator, KrausChannel
+from .quantum import HermitianOperator
 from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "jc_hamiltonian",
-    "adc_channel",
     "CubicSpectrum",
     "beta1",
     "beta2",
@@ -65,15 +64,6 @@ def jc_hamiltonian() -> HermitianOperator:
     h[2, 1] = 1.0  # |0,1> -> |1,0|
     h[1, 2] = 1.0
     return HermitianOperator(h)
-
-
-def adc_channel(eta: float) -> KrausChannel:
-    """Amplitude damping channel: coherence scaled by eta, excited population by eta^2."""
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigurationError(f"amplitude transmission {eta} outside [0, 1]")
-    k0 = np.array([[1.0, 0.0], [0.0, eta]], dtype=np.complex128)
-    k1 = np.array([[0.0, math.sqrt(max(0.0, 1.0 - eta * eta))], [0.0, 0.0]], dtype=np.complex128)
-    return KrausChannel((k0, k1), dim_in=2, dim_out=2)
 
 
 # --- beta1: two-pole closed form ------------------------------------------

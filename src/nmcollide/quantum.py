@@ -7,7 +7,7 @@ speed and simplicity. Positivity checks always go through Hermitian
 eigensolvers, never a general eigensolver.
 
 Index convention: a composite space is the Kronecker product with the
-first factor slowest, i.e. ``tensor(a, b)`` puts ``a`` on the leading
+first factor slowest, i.e. ``np.kron(a, b)`` puts ``a`` on the leading
 index. Subsystem slots are counted from 0.
 """
 
@@ -28,10 +28,6 @@ __all__ = [
     "HermitianOperator",
     "KrausChannel",
     "ChoiMatrix",
-    "tensor",
-    "partial_trace",
-    "apply_channel",
-    "compose",
     "choi_of",
     "kraus_from_choi",
     "trace_distance",
@@ -215,15 +211,6 @@ class ChoiMatrix:
         return float(np.trace(self.data).real)
 
 
-def tensor(a, b):
-    """Kronecker product of two states or two Hermitian operators (a slowest)."""
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(np.kron(a.data, b.data))
-    if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
-        return HermitianOperator(np.kron(a.data, b.data))
-    raise ConfigurationError("tensor expects two values of the same kind")
-
-
 @lru_cache(maxsize=None)
 def _ptrace_recipe(dims: tuple, keep: tuple):
     # traced slots share one letter between row and column index; kept slots keep both
@@ -238,6 +225,7 @@ def _ptrace_recipe(dims: tuple, keep: tuple):
 
 
 def _partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Reduced matrix over the kept slots (0-based indices into dims) of a joint matrix."""
     dims = tuple(int(d) for d in dims)
     keep = tuple(sorted(int(k) for k in keep))
     total = int(np.prod(dims))
@@ -251,25 +239,6 @@ def _partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Sequence[i
     t = mat.reshape(dims + dims)
     kept_dim = int(np.prod([dims[k] for k in keep]))
     return np.einsum(spec, t).reshape(kept_dim, kept_dim)
-
-
-def partial_trace(joint: DensityOperator, dims: Sequence[int], keep) -> DensityOperator:
-    """Reduced state over the kept slots (0-based indices into dims)."""
-    return DensityOperator(_partial_trace_matrix(joint.data, dims, tuple(keep)))
-
-
-def apply_channel(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
-    if ch.dim_in != rho.dim:
-        raise ConfigurationError(f"channel input dim {ch.dim_in} != state dim {rho.dim}")
-    return DensityOperator(sum(k @ rho.data @ k.conj().T for k in ch.kraus))
-
-
-def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
-    """Channel applying ``inner`` first, then ``outer``."""
-    if inner.dim_out != outer.dim_in:
-        raise ConfigurationError("cannot compose: inner output dim != outer input dim")
-    ops = tuple(a @ b for a in outer.kraus for b in inner.kraus)
-    return KrausChannel(ops, dim_in=inner.dim_in, dim_out=outer.dim_out)
 
 
 def choi_of(ch: KrausChannel) -> ChoiMatrix:

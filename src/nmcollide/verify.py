@@ -17,11 +17,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .collisions import BathSpec, CollisionConfig, TrajectoryRecord
+from .collisions import BathSpec, CollisionConfig
 from .continuum import MapStack, TimeGrid, discrete_maps
 from .errors import ConfigurationError, DivergenceError, ValidationError
 from .jaynes_cummings import jc_hamiltonian, jc_maps
@@ -42,6 +43,7 @@ from .tolerances import DEFAULT_TOLERANCES
 __all__ = [
     "CptReport",
     "ConvergenceReport",
+    "TrajectoryRecord",
     "inverse_laplace",
     "brute_force_chain",
     "purified_pair_ket",
@@ -94,6 +96,37 @@ def inverse_laplace(transform: Callable, t: float, n_nodes: int = 64) -> float:
 
 
 # --- brute-force chain oracle ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TrajectoryRecord:
+    """System states rho_n for n = 0..n_steps and the times n * t_c, as ``brute_force_chain``
+    returns them.
+
+    ``matrices`` is the (n_steps + 1, d, d) stack of states, validated once
+    as a whole; ``states`` gives the same states as DensityOperator objects,
+    built on first use.
+    """
+
+    matrices: np.ndarray
+    times: tuple
+
+    def __post_init__(self):
+        matrices = density_stack(self.matrices)
+        if len(matrices) != len(self.times):
+            raise ConfigurationError("states and times must have equal length")
+        times = tuple(float(t) for t in self.times)
+        if any(b < a for a, b in zip(times, times[1:])):
+            raise ConfigurationError("times must be nondecreasing")
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "times", times)
+
+    @cached_property
+    def states(self) -> tuple:
+        return tuple(DensityOperator(m) for m in self.matrices)
+
+    def __len__(self) -> int:
+        return len(self.matrices)
 
 
 def purified_pair_ket(weights) -> np.ndarray:

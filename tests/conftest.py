@@ -41,6 +41,11 @@ def kraus_channels(draw, dim=2, n_ops=2):
     return KrausChannel(ops, dim_in=dim, dim_out=dim)
 
 
+def kraus_action(ch: KrausChannel, rho: DensityOperator) -> np.ndarray:
+    """sum_k K_k rho K_k^dagger, written out as the reference for a map's action on rho."""
+    return sum(k @ rho.data @ k.conj().T for k in ch.kraus)
+
+
 def qubit_state(p: float, r: complex) -> DensityOperator:
     """The qubit state with excited population p and coherence r: [[1 - p, r], [r*, p]]."""
     return DensityOperator(np.array([[1.0 - p, r], [np.conj(r), p]], dtype=np.complex128))

@@ -2,9 +2,11 @@
 
 Whatever the config holds, a run ends with an exit code in {0, 2, 3, 4},
 and stderr is empty on success, else exactly one JSON error line carrying
-that code: never a traceback. Two sources of input: arbitrary JSON
-documents, and each shipped config with one field (nested ones included)
-replaced by a value from a fixed hostile set, or deleted. Counts past the
+that code: never a traceback. Three sources of input: arbitrary bytes,
+arbitrary JSON documents, and each shipped config with one field (nested
+ones included) replaced by a value from a fixed hostile set, or deleted.
+A config path that is a directory and an output directory that cannot be
+created exit 2 with a message naming the path. Counts past the
 point budget are refused before anything is allocated, so values like
 1e12 cost nothing; every drawn case runs in well under a second.
 """
@@ -16,6 +18,7 @@ import tempfile
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from nmcollide.cli import MODES, main
@@ -60,15 +63,25 @@ _documents = st.recursive(
 )
 
 
-def _run(subcommand: str, document) -> tuple:
-    """Exit code and stderr lines of one CLI run on a config file holding document."""
+def _main(argv: list) -> tuple:
+    """Exit code and stderr lines of one CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def _run_bytes(subcommand: str, data: bytes) -> tuple:
+    """Exit code and stderr lines of one CLI run on a config file holding these bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(document), encoding="utf-8")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([subcommand, str(path), "--output-dir", str(Path(tmp) / "out")])
-    return code, err.getvalue().splitlines()
+        path.write_bytes(data)
+        return _main([subcommand, str(path), "--output-dir", str(Path(tmp) / "out")])
+
+
+def _run(subcommand: str, document) -> tuple:
+    """Exit code and stderr lines of one CLI run on a config file holding document."""
+    return _run_bytes(subcommand, json.dumps(document).encode("utf-8"))
 
 
 def _assert_contract(code, lines):
@@ -97,3 +110,41 @@ def test_single_field_mutation_of_a_shipped_config(mutation, value):
 @given(st.sampled_from(("run", "sweep", "certify")), _documents)
 def test_arbitrary_json(subcommand, document):
     _assert_contract(*_run(subcommand, document))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("run", "sweep", "certify")), st.binary(max_size=64))
+def test_arbitrary_bytes(subcommand, data):
+    _assert_contract(*_run_bytes(subcommand, data))
+
+
+def _assert_refused_naming(result, path):
+    code, lines = result
+    _assert_contract(code, lines)
+    assert code == 2
+    assert repr(str(path)) in json.loads(lines[0])["error"]["message"]
+
+
+def test_config_that_is_not_utf8(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'\xff\xfe{"mode": 1}')
+    _assert_refused_naming(_main(["run", str(path), "--output-dir", str(tmp_path / "out")]), path)
+
+
+def test_directory_as_config(tmp_path):
+    _assert_refused_naming(_main(["run", str(tmp_path), "--output-dir", str(tmp_path / "out")]),
+                           tmp_path)
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+@pytest.mark.parametrize("via", ["option", "config"])
+def test_output_directory_that_cannot_be_created(tmp_path, below, via):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out = blocker / "out" if below else blocker
+    config = dict(SHIPPED["jc_closed_form"], output_path=str(out))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["run", str(path)] + (["--output-dir", str(out)] if via == "option" else [])
+    _assert_refused_naming(_main(argv), out)
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"

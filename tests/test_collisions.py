@@ -2,8 +2,6 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
-import hypothesis.strategies as st
 
 from nmcollide import (
     BathSpec,
@@ -13,21 +11,18 @@ from nmcollide import (
     InternalConsistencyError,
     TrajectoryRecord,
     ValidationError,
-    apply_channel,
     brute_force_chain,
     discrete_maps,
-    partial_swap_channel,
-    partial_trace,
     random_density_operator,
     reset_superop,
-    sa_collision,
-    tensor,
     thermal_weights,
     trace_distance,
+    unitary_evolution,
 )
 from nmcollide.collisions import (attach_superop, propagate_maps, protocol_step,
                                   reset_generator, trace_ancilla_superop)
 from nmcollide.continuum import build_kernel_map
+from nmcollide.quantum import _partial_trace_matrix
 from nmcollide.verify import purified_pair_ket
 
 PROBE = DensityOperator(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
@@ -40,53 +35,34 @@ def pure_cfg(h, t_c, p_s, n_steps):
     )
 
 
-class TestPartialSwap:
-    def test_zero_probability_is_identity(self):
-        ch = partial_swap_channel(2, 0.0)
-        rho = tensor(DensityOperator.basis(2, 0), DensityOperator.basis(2, 1))
-        assert trace_distance(apply_channel(ch, rho), rho) < 1e-14
-
-    def test_unit_probability_swaps(self):
-        ch = partial_swap_channel(2, 1.0)
-        rho = tensor(DensityOperator.basis(2, 0), DensityOperator.basis(2, 1))
-        out = apply_channel(ch, rho)
-        expect = tensor(DensityOperator.basis(2, 1), DensityOperator.basis(2, 0))
-        assert trace_distance(out, expect) < 1e-14
-
-    def test_half_probability_mixes(self):
-        ch = partial_swap_channel(2, 0.5)
-        rho = tensor(DensityOperator.basis(2, 0), DensityOperator.basis(2, 1))
-        out = apply_channel(ch, rho)
-        expect = 0.5 * rho.data + 0.5 * tensor(
-            DensityOperator.basis(2, 1), DensityOperator.basis(2, 0)
-        ).data
-        assert np.max(np.abs(out.data - expect)) < 1e-14
-
-    def test_probability_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            partial_swap_channel(2, 1.2)
-
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    def test_always_trace_preserving(self, p):
-        assert partial_swap_channel(3, p).trace_defect() < 1e-14
+def ground_window(rho: DensityOperator) -> np.ndarray:
+    """rho (x) |0><0|: the first window of a pure bath, written with np.kron."""
+    return np.kron(rho.data, DensityOperator.basis(2, 0).data)
 
 
 class TestSaCollision:
+    """One SA collision is the protocol step at p_s = 1, where no ancilla is reset: U W U^dag."""
+
+    @staticmethod
+    def collide(window: np.ndarray, h, t_c: float) -> np.ndarray:
+        step, _ = protocol_step(pure_cfg(h, t_c=t_c, p_s=1.0, n_steps=1))
+        return (step @ window.reshape(-1)).reshape(window.shape)
+
     def test_zero_time_is_identity(self, jc_h):
-        joint = tensor(PROBE, DensityOperator.basis(2, 0))
-        out = sa_collision(joint, jc_h, 0.0)
+        joint = ground_window(PROBE)
+        out = self.collide(joint, jc_h, 0.0)
         assert trace_distance(out, joint) < 1e-14
 
     @pytest.mark.parametrize("theta", [0.2, 0.9, np.pi / 2, 2.4])
     def test_single_rabi_oscillation(self, jc_h, theta):
-        joint = tensor(DensityOperator.basis(2, 1), DensityOperator.basis(2, 0))
-        out = sa_collision(joint, jc_h, theta)
-        system = partial_trace(out, [2, 2], {0})
-        assert abs(system.data[1, 1].real - np.cos(theta) ** 2) < 1e-12
+        joint = ground_window(DensityOperator.basis(2, 1))
+        out = self.collide(joint, jc_h, theta)
+        system = _partial_trace_matrix(out, [2, 2], [0])
+        assert abs(system[1, 1].real - np.cos(theta) ** 2) < 1e-12
 
     def test_ground_state_is_stationary(self, jc_h):
-        joint = tensor(DensityOperator.basis(2, 0), DensityOperator.basis(2, 0))
-        out = sa_collision(joint, jc_h, 1.3)
+        joint = ground_window(DensityOperator.basis(2, 0))
+        out = self.collide(joint, jc_h, 1.3)
         assert trace_distance(out, joint) < 1e-14
 
 
@@ -113,8 +89,8 @@ class TestRunDiscrete:
     def test_single_step_is_one_collision(self, jc_h, p_s):
         cfg = pure_cfg(jc_h, t_c=0.7, p_s=p_s, n_steps=1)
         states = discrete_maps(cfg).apply(PROBE)
-        joint = tensor(PROBE, DensityOperator.basis(2, 0))
-        expect = partial_trace(sa_collision(joint, jc_h, 0.7), [2, 2], {0})
+        u = unitary_evolution(jc_h, 0.7)
+        expect = _partial_trace_matrix(u @ ground_window(PROBE) @ u.conj().T, [2, 2], [0])
         assert trace_distance(states[1], expect) < 1e-14
 
     def test_perfect_swap_is_stroboscopic_kernel(self, jc_h):
@@ -176,8 +152,8 @@ class TestThermal:
         w = np.array([0.7, 0.3])
         psi = purified_pair_ket(w)
         pair = DensityOperator.from_ket(psi)
-        marginal = partial_trace(pair, [2, 2], {0})
-        assert np.max(np.abs(marginal.data - np.diag(w))) < 1e-12
+        marginal = _partial_trace_matrix(pair.data, [2, 2], [0])
+        assert np.max(np.abs(marginal - np.diag(w))) < 1e-12
 
     def test_zero_temperature_weights_match_pure(self, jc_h):
         bath = BathSpec(kind="thermal", weights=(1.0, 0.0))
@@ -264,7 +240,7 @@ class TestResetSplitting:
 
 
 class TestAncillaBookkeeping:
-    """attach and Tr_A against np.kron, quantum.partial_trace and the reset written by index."""
+    """attach and Tr_A against np.kron, quantum._partial_trace_matrix and the reset by index."""
 
     @pytest.mark.parametrize("ds", [1, 2, 3])
     @pytest.mark.parametrize("da", [2, 3])
@@ -288,7 +264,7 @@ class TestAncillaBookkeeping:
         tr_a = trace_ancilla_superop(ds, da)
         for _ in range(5):
             w = random_density_operator(ds * da, rng)
-            expected = partial_trace(w, (ds, da), [0]).data.reshape(-1)
+            expected = _partial_trace_matrix(w.data, (ds, da), [0]).reshape(-1)
             assert np.max(np.abs(tr_a @ w.data.reshape(-1) - expected)) <= 1e-15
 
     @pytest.mark.parametrize("ds", [1, 2, 3])

@@ -10,11 +10,10 @@ import hypothesis.strategies as st
 from nmcollide import (
     ConfigurationError,
     DensityOperator,
+    DynamicalMap,
     InternalConsistencyError,
     KrausChannel,
     ValidationError,
-    adc_channel,
-    apply_channel,
     beta1,
     beta2,
     choi_of,
@@ -31,42 +30,46 @@ from nmcollide.jaynes_cummings import (
     jc_maps,
 )
 
-from conftest import density_operators, qubit_state, qubit_states
+from conftest import density_operators, kraus_action, qubit_state, qubit_states
 
 GAMMA_GRID = [0.0, 0.1, 0.5, 1.0, 2.0 - 1e-6, 2.0, 2.0 + 1e-6, 5.0, 20.0, 50.0]
 
 
 class TestAdc:
+    """Amplitude damping is the closed form at zero memory loss, with transmission cos(tau)."""
+
     def test_identity_at_unit_transmission(self):
         rho = DensityOperator(np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]]))
-        assert trace_distance(apply_channel(adc_channel(1.0), rho), rho) < 1e-14
+        assert trace_distance(jc_maps(0.0, 0.0)[0].apply(rho), rho) < 1e-14
 
     def test_full_damping(self):
         rho = DensityOperator(np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]]))
-        out = apply_channel(adc_channel(0.0), rho)
+        out = jc_maps(np.pi / 2, 0.0)[0].apply(rho)
         assert trace_distance(out, DensityOperator.basis(2, 0)) < 1e-14
 
     def test_out_of_range(self):
         with pytest.raises(ConfigurationError):
-            adc_channel(1.2)
+            jc_maps(-0.1, 0.0)
 
     @given(
-        st.floats(min_value=0.0, max_value=1.0),
-        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=np.pi / 2),
+        st.floats(min_value=0.0, max_value=np.pi / 2),
         density_operators(),
     )
-    def test_composition_property(self, eta1, eta2, rho):
-        from nmcollide import compose
+    def test_composition_property(self, tau1, tau2, rho):
+        # transmissions multiply: the product of the superoperators is the damping by
+        # cos(tau1) cos(tau2) = cos(tau3)
+        tau3 = math.acos(math.cos(tau1) * math.cos(tau2))
+        product = jc_maps(tau1, 0.0)[0].superop @ jc_maps(tau2, 0.0)[0].superop
+        combined = DynamicalMap(0.0, product, 2)
+        assert trace_distance(combined.apply(rho), jc_maps(tau3, 0.0)[0].apply(rho)) < 1e-12
 
-        combined = compose(adc_channel(eta1), adc_channel(eta2))
-        direct = adc_channel(eta1 * eta2)
-        assert trace_distance(apply_channel(combined, rho), apply_channel(direct, rho)) < 1e-12
-
-    @given(st.floats(min_value=0.0, max_value=1.0), qubit_states())
-    def test_action_on_parameters(self, eta, rho):
-        out = apply_channel(adc_channel(eta), rho)
-        assert abs(out.data[1, 1].real - eta**2 * rho.data[1, 1].real) < 1e-12
-        assert abs(out.data[0, 1] - eta * rho.data[0, 1]) < 1e-12
+    @given(st.floats(min_value=0.0, max_value=10.0), qubit_states())
+    def test_action_on_parameters(self, tau, rho):
+        out = jc_maps(tau, 0.0)[0].apply(rho)
+        eta = math.cos(tau)
+        assert abs(out[1, 1].real - eta**2 * rho.data[1, 1].real) < 1e-12
+        assert abs(out[0, 1] - eta * rho.data[0, 1]) < 1e-12
 
 
 class TestBeta1:
@@ -408,13 +411,13 @@ class TestLambdaJc:
            st.floats(min_value=0.0, max_value=10.0))
     def test_matrix_form_equals_channel_action(self, rho, tau, gamma):
         direct = _state_at(tau, gamma, rho)
-        via_channel = apply_channel(_channel_at(tau, gamma), rho)
+        via_channel = kraus_action(_channel_at(tau, gamma), rho)
         assert trace_distance(direct, via_channel) < 1e-10
 
     def test_channel_at_zero_time_is_identity(self):
         ch = _channel_at(0.0, 3.0)
         rho = DensityOperator(np.array([[0.2, 0.1j], [-0.1j, 0.8]]))
-        assert trace_distance(apply_channel(ch, rho), rho) < 1e-12
+        assert trace_distance(kraus_action(ch, rho), rho) < 1e-12
 
     def test_zero_rate_channel_is_amplitude_damping(self):
         # at zero memory loss the map is pure damping with transmission cos(tau),
@@ -423,10 +426,13 @@ class TestLambdaJc:
             ch = _channel_at(tau, 0.0)
             eta = abs(np.cos(tau))
             rho = DensityOperator(np.array([[0.4, 0.25], [0.25, 0.6]]))
-            out = apply_channel(ch, rho)
-            ref = apply_channel(adc_channel(eta), rho)
-            assert abs(out.data[1, 1] - ref.data[1, 1]) < 1e-12
-            assert abs(abs(out.data[0, 1]) - abs(ref.data[0, 1])) < 1e-12
+            out = kraus_action(ch, rho)
+            # amplitude damping with transmission eta, written out as its two Kraus operators
+            k0 = np.diag([1.0, eta])
+            k1 = np.array([[0.0, np.sqrt(1.0 - eta * eta)], [0.0, 0.0]])
+            ref = k0 @ rho.data @ k0.T + k1 @ rho.data @ k1.T
+            assert abs(out[1, 1] - ref[1, 1]) < 1e-12
+            assert abs(abs(out[0, 1]) - abs(ref[0, 1])) < 1e-12
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 5.0])
     def test_channel_family_is_cp(self, gamma):
@@ -443,8 +449,8 @@ class TestLambdaJc:
             k3[0, 1] = np.sqrt(max(1.0 - b2, 0.0))
             hand = KrausChannel((k1, k2, k3), dim_in=2, dim_out=2)
             rho = DensityOperator(np.array([[0.35, 0.2 - 0.15j], [0.2 + 0.15j, 0.65]]))
-            a = apply_channel(hand, rho)
-            b = apply_channel(_channel_at(tau, gamma), rho)
+            a = kraus_action(hand, rho)
+            b = kraus_action(_channel_at(tau, gamma), rho)
             assert trace_distance(a, b) < 1e-12
 
     def test_superop_matches_choi(self):

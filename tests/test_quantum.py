@@ -6,22 +6,18 @@ from nmcollide import (
     ChoiMatrix,
     ConfigurationError,
     DensityOperator,
+    DynamicalMap,
     HermitianOperator,
     KrausChannel,
     ValidationError,
-    adc_channel,
-    apply_channel,
     choi_of,
-    compose,
     kraus_from_choi,
-    partial_trace,
-    tensor,
     trace_distance,
     unitary_evolution,
 )
-from nmcollide.quantum import embed_operator, swap_operator
+from nmcollide.quantum import _partial_trace_matrix, embed_operator, swap_operator
 
-from conftest import density_operators, kraus_channels
+from conftest import density_operators, kraus_action, kraus_channels
 
 
 def ketbra(dim, i):
@@ -48,56 +44,54 @@ class TestDensityOperator:
 
 
 class TestTensorAndPartialTrace:
-    def test_basis_product(self):
-        joint = tensor(ketbra(2, 0), ketbra(2, 1))
-        assert np.allclose(joint.data, np.outer([0, 1, 0, 0], [0, 1, 0, 0]))
-
-    def test_maximally_mixed_product(self):
-        joint = tensor(DensityOperator.maximally_mixed(2), DensityOperator.maximally_mixed(2))
-        assert np.allclose(joint.data, np.eye(4) / 4)
+    """Partial traces of np.kron products through the brute-force oracle's own partial trace."""
 
     def test_basis_marginal(self):
-        joint = tensor(ketbra(2, 0), ketbra(2, 1))
-        first = partial_trace(joint, [2, 2], {0})
-        assert np.allclose(first.data, ketbra(2, 0).data)
-        second = partial_trace(joint, [2, 2], {1})
-        assert np.allclose(second.data, ketbra(2, 1).data)
+        joint = np.kron(ketbra(2, 0).data, ketbra(2, 1).data)
+        first = _partial_trace_matrix(joint, [2, 2], [0])
+        assert np.allclose(first, ketbra(2, 0).data)
+        second = _partial_trace_matrix(joint, [2, 2], [1])
+        assert np.allclose(second, ketbra(2, 1).data)
 
     def test_bell_state_marginal(self):
         bell = DensityOperator.from_ket(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        reduced = partial_trace(bell, [2, 2], {0})
-        assert np.allclose(reduced.data, np.eye(2) / 2, atol=1e-12)
+        reduced = _partial_trace_matrix(bell.data, [2, 2], [0])
+        assert np.allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
     @given(density_operators(dim=2), density_operators(dim=3))
     def test_product_round_trip(self, a, b):
-        joint = tensor(a, b)
-        assert np.max(np.abs(partial_trace(joint, [2, 3], {0}).data - a.data)) < 1e-12
-        assert np.max(np.abs(partial_trace(joint, [2, 3], {1}).data - b.data)) < 1e-12
+        joint = np.kron(a.data, b.data)
+        assert np.max(np.abs(_partial_trace_matrix(joint, [2, 3], [0]) - a.data)) < 1e-12
+        assert np.max(np.abs(_partial_trace_matrix(joint, [2, 3], [1]) - b.data)) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
-            partial_trace(DensityOperator.maximally_mixed(4), [2, 3], {0})
+            _partial_trace_matrix(DensityOperator.maximally_mixed(4).data, [2, 3], [0])
+
+
+def _superop(ch: KrausChannel) -> np.ndarray:
+    """sum_k K_k (x) K_k^*: the channel on row-major vectorized density matrices."""
+    return sum(np.kron(k, k.conj()) for k in ch.kraus)
 
 
 class TestChannels:
     def test_identity_channel(self):
         rho = DensityOperator(np.array([[0.25, 0.1j], [-0.1j, 0.75]]))
-        out = apply_channel(KrausChannel.identity(2), rho)
-        assert np.allclose(out.data, rho.data)
+        out = DynamicalMap(0.0, _superop(KrausChannel.identity(2)), 2).apply(rho)
+        assert np.allclose(out, rho.data)
 
     def test_full_swap_moves_excitation(self):
-        from nmcollide import partial_swap_channel
-
-        sw = partial_swap_channel(2, 1.0)
-        rho = tensor(ketbra(2, 0), ketbra(2, 1))
-        out = apply_channel(sw, rho)
-        assert np.allclose(out.data, tensor(ketbra(2, 1), ketbra(2, 0)).data)
+        # the exchange of the brute-force chain's swap collisions, on a product state
+        sw = swap_operator(2)
+        out = sw @ np.kron(ketbra(2, 0).data, ketbra(2, 1).data) @ sw.conj().T
+        assert np.allclose(out, np.kron(ketbra(2, 1).data, ketbra(2, 0).data))
 
     def test_adc_at_zero_kills_everything(self):
-        ch = adc_channel(0.0)
+        full_damping = KrausChannel((np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])),
+                                    dim_in=2, dim_out=2)
         rho = DensityOperator(np.array([[0.3, 0.2], [0.2, 0.7]]))
-        out = apply_channel(ch, rho)
-        assert np.allclose(out.data, ketbra(2, 0).data, atol=1e-12)
+        out = DynamicalMap(0.0, _superop(full_damping), 2).apply(rho)
+        assert np.allclose(out, ketbra(2, 0).data, atol=1e-12)
 
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(ValidationError):
@@ -105,17 +99,16 @@ class TestChannels:
 
     @given(kraus_channels(dim=2, n_ops=3), density_operators(dim=2))
     def test_channel_output_is_valid_state(self, ch, rho):
-        out = apply_channel(ch, rho)  # construction re-validates all invariants
-        assert abs(np.trace(out.data) - 1.0) < 1e-12
+        out = DynamicalMap(0.0, _superop(ch), 2).apply(rho)
+        assert np.max(np.abs(out - kraus_action(ch, rho))) < 1e-12
+        assert abs(np.trace(DensityOperator(out).data) - 1.0) < 1e-12  # validates all invariants
 
     @given(kraus_channels(dim=2), kraus_channels(dim=2))
     def test_composition_choi_consistency(self, a, b):
-        composed = compose(a, b)
+        # b first, then a: the Kraus products against the product of the superoperators
+        composed = KrausChannel.from_operators([ka @ kb for ka in a.kraus for kb in b.kraus])
         direct = choi_of(composed).data
-        # same Choi from multiplying superoperator representations
-        from nmcollide.continuum import choi_from_superop, kraus_to_superop
-
-        via_superop = choi_from_superop(kraus_to_superop(a) @ kraus_to_superop(b), 2).data
+        via_superop = DynamicalMap(0.0, _superop(a) @ _superop(b), 2).choi().data
         assert np.max(np.abs(direct - via_superop)) < 1e-10
 
 
@@ -139,15 +132,16 @@ class TestChoi:
 
     def test_adc_family_is_cp(self):
         for eta in np.linspace(0.0, 1.0, 21):
-            assert choi_of(adc_channel(eta)).min_eigenvalue() >= -1e-12
+            k0 = np.diag([1.0, eta])
+            k1 = np.array([[0.0, np.sqrt(1.0 - eta * eta)], [0.0, 0.0]])
+            damping = KrausChannel((k0, k1), dim_in=2, dim_out=2)
+            assert choi_of(damping).min_eigenvalue() >= -1e-12
 
     @given(kraus_channels(dim=2, n_ops=3))
     def test_kraus_choi_round_trip(self, ch):
         rebuilt = kraus_from_choi(choi_of(ch))
         rho = DensityOperator(np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, 0.7]]))
-        a = apply_channel(ch, rho)
-        b = apply_channel(rebuilt, rho)
-        assert trace_distance(a, b) < 1e-10
+        assert trace_distance(kraus_action(ch, rho), kraus_action(rebuilt, rho)) < 1e-10
 
     def test_choi_requires_hermitian(self):
         with pytest.raises(ValidationError):
@@ -214,7 +208,3 @@ class TestOperators:
         swapped = s @ v
         expect = np.kron(np.ones(3), np.arange(3)) + 1j * np.kron(np.arange(3), np.ones(3))
         assert np.allclose(swapped, expect)
-
-    def test_tensor_requires_same_kind(self):
-        with pytest.raises(ConfigurationError):
-            tensor(DensityOperator.maximally_mixed(2), HermitianOperator(np.eye(2)))
