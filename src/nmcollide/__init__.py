@@ -44,7 +44,6 @@ from .jaynes_cummings import (
     beta_arrays,
     beta_laplace,
     cubic_spectrum,
-    cubic_spectrum_cardano,
     jc_hamiltonian,
     jc_maps,
 )

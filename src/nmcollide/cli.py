@@ -79,7 +79,7 @@ CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 MODES = ("discrete", "series", "jc_closed_form", "thermal", "convergence", "certify")
 
 # Point, step and probe-state counts, and the rows of a run, stay at or below
-# MAX_POINTS. The series mode peaks at ~1.7 kB per point (tracemalloc, 20 001
+# MAX_POINTS. The series mode peaks at ~1.4 kB per point (tracemalloc, 20 001
 # points), the most of any mode; the one-grid sweep at ~1.05 kB per row
 # (tracemalloc, a whole 256 x 256 sweep run). POINT_BYTES rounds that up.
 MEMORY_BUDGET = 2**30  # bytes
@@ -151,6 +151,8 @@ def load_config(path: str, *, default_mode: Optional[str] = None) -> ExperimentC
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # each nested array or object takes one interpreter frame
+        raise ConfigurationError(f"config nests too deeply to parse: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
     mode = raw.get("mode", default_mode)

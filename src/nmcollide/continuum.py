@@ -26,7 +26,13 @@ vectorized density matrices with its times:
   as real (d^2, d^2, n) arrays, time last, in the window loop's
   orthonormal Hermitian basis (a Pauli transfer matrix for a qubit),
   through numpy's real FFTs on terms zero-padded to the FFT length; the
-  truncation tail is measured in the vec basis.
+  truncation tail is measured in the vec basis. Each order runs on the
+  invariant blocks of B_1 alone, the connected components of its exact-zero
+  pattern: products of block-diagonal maps stay block diagonal, and the
+  dense recursion only adds exact zeros off the blocks, so the maps are
+  its own bit for bit. An order costs one real FFT pair, a product per
+  frequency and the end corrections per block: for the exchange coupling,
+  which conserves the excitation number, at most 8 of the 16 entries.
 * ``lambda_embedding``: the generator L itself, stepped with one matrix
   exponential; the double-precision cross-check of the series.
 * ``discrete_maps``: the protocol's own maps at the times n t_c. Its step
@@ -310,6 +316,25 @@ def _dropped_term_bound(gamma: float, grid: TimeGrid, k_max: int, system_dim: in
     return float(np.exp(log_w.max())) / system_dim
 
 
+def _hermitian_samples(kernel: MemoryKernelMap, times: np.ndarray) -> np.ndarray:
+    """E(t) at the times in the basis of ``_hermitian_basis``: a real (d^2, d^2, n) array, time
+    last. A kernel that keeps an imaginary part there raises InternalConsistencyError."""
+    q = _hermitian_basis(kernel.system_dim)
+    return _hermitian_real(np.einsum("pj,pab->abj", np.exp(np.outer(kernel.rates, times)),
+                                     q @ kernel.mats @ q.conj().T), "the kernel")
+
+
+def _invariant_blocks(b1: np.ndarray) -> list:
+    """The index sets that B_1 never links: the connected components of its nonzero pattern
+    over all times, symmetrized, as sorted index arrays. Every term is a product of B_1s, so
+    every term is block diagonal on them; a kernel without exact zeros is one block."""
+    reach = np.any(b1 != 0, axis=-1) | np.eye(len(b1), dtype=bool)
+    reach |= reach.T
+    while not np.array_equal(reach, grown := reach @ reach):
+        reach = grown
+    return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
+
+
 def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
                   policy: SeriesPolicy = SeriesPolicy()) -> LambdaSeriesResult:
     """Evaluate the dynamical map on the grid by the auto-convolution series.
@@ -320,6 +345,14 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
     trapezoidal weights, on real terms in the basis of ``_hermitian_basis``.
     A kernel whose B_1 keeps an imaginary part in that basis does not
     preserve Hermiticity, and raises InternalConsistencyError.
+    Each order runs on the invariant blocks of B_1 (``_invariant_blocks``)
+    alone: an entry off them is an exact zero in every term of the dense
+    recursion, and adding an exact zero changes no sum, so the maps are the
+    dense recursion's bit for bit. Per block an order costs a real FFT of
+    the term, a product per frequency, an inverse real FFT and the two
+    trapezoid end corrections, then one vec-basis product of the whole term
+    for the tail. The exchange coupling conserves the excitation number, so
+    no block mixes populations with coherences: at most 8 of 16 entries run.
     Truncation stops once the term sup-norm in the row-major vec basis
     falls below ``policy.tail_tol`` after the series' peak order (terms
     follow a Poisson-like profile in k, so the threshold only applies past
@@ -333,8 +366,7 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
     q = _hermitian_basis(kernel.system_dim)
     back = np.kron(q.conj().T, q.T)  # vec(T) -> vec(Q^dagger T Q), the vec-basis superoperator
     back_parts = np.concatenate([back.real, back.imag])
-    sampled = _hermitian_real(np.einsum("pj,pab->abj", np.exp(np.outer(kernel.rates, times)),
-                                        q @ kernel.mats @ q.conj().T), "the kernel")
+    sampled = _hermitian_samples(kernel, times)
     if gamma * grid.t_max > policy.k_max - 1:  # the peak order ceil(gamma t_max) + 1 > k_max
         # half the bound: the trapezoid terms are not exactly trace preserving
         floor = 0.5 * _dropped_term_bound(gamma, grid, policy.k_max, kernel.system_dim)
@@ -345,41 +377,58 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
                                   "tail_tol", residual=floor, order=policy.k_max)
     b1 = sampled * np.exp(-gamma * times)
     size = _fast_len(2 * n - 1)
-    b1_padded = np.zeros((d2, d2, size))
-    b1_padded[:, :, :n] = b1
-    b1_hat = np.fft.rfft(b1_padded, axis=-1)
+    cuts = [np.ix_(block, block) for block in _invariant_blocks(b1)]
 
-    def next_term(padded: np.ndarray) -> np.ndarray:
-        """gamma dt sum'' B_1[m] T[j - m]: half weight at m = 0 and m = j. Terms are carried
-        zero-padded to the FFT length: numpy's rfft pads them ~30% slower itself (n=size)."""
+    def padded(block: np.ndarray) -> np.ndarray:
+        out = np.zeros(block.shape[:2] + (size,))
+        out[:, :, :n] = block
+        return out
+
+    terms = [padded(b1[cut]) for cut in cuts]
+    kernels = [(b1[cut], np.fft.rfft(term, axis=-1)) for cut, term in zip(cuts, terms)]
+
+    def next_term(b1_block: np.ndarray, b1_hat: np.ndarray, padded: np.ndarray) -> np.ndarray:
+        """gamma dt sum'' B_1[m] T[j - m] on one block: half weight at m = 0 and m = j. Terms
+        are carried zero-padded to the FFT length: numpy's rfft pads them ~30% slower itself."""
         t_hat = np.fft.rfft(padded, axis=-1)
         conv = np.fft.irfft(np.einsum("abj,bcj->acj", b1_hat, t_hat), n=size, axis=-1)
         term, out = padded[:, :, :n], conv[:, :, :n]
-        out -= 0.5 * (np.tensordot(b1[:, :, 0], term, 1) + term[:, :, 0].T @ b1)
+        out -= 0.5 * (np.tensordot(b1_block[:, :, 0], term, 1) + term[:, :, 0].T @ b1_block)
         out *= gamma * grid.dt
         conv[:, :, n:] = 0.0
         return conv
 
-    def vec_blocks(term: np.ndarray):
-        """The term in the vec basis as (real, imaginary) column blocks of at most 2^18
+    def next_terms(terms: list) -> list:
+        return [next_term(*kernel, term) for kernel, term in zip(kernels, terms)]
+
+    dense = np.zeros((d2, d2, n))
+
+    def scattered(blocks: list) -> np.ndarray:
+        """The blocks' entries in one reused (d^2, d^2, n) array, exact zeros off them."""
+        for cut, block in zip(cuts, blocks):
+            dense[cut] = block[:, :, :n]
+        return dense
+
+    def vec_chunks(term: np.ndarray):
+        """The term in the vec basis as (real, imaginary) column chunks of at most 2^18
         multiply-adds, which OpenBLAS keeps on one thread: no idle threads woken to spin."""
-        flat, block = term.reshape(d2 * d2, n), max(1, 2**18 // back_parts.size)
-        for j in range(0, n, block):
-            parts = back_parts @ flat[:, j:j + block]
+        flat, chunk = term.reshape(d2 * d2, n), max(1, 2**18 // back_parts.size)
+        for j in range(0, n, chunk):
+            parts = back_parts @ flat[:, j:j + chunk]
             yield parts[: d2 * d2], parts[d2 * d2:]
 
     def sup_norm(term: np.ndarray) -> float:
-        return float(np.sqrt(np.max([np.max(re * re + im * im) for re, im in vec_blocks(term)])))
+        return float(np.sqrt(np.max([np.max(re * re + im * im) for re, im in vec_chunks(term)])))
 
-    total, padded, tail_history = b1.copy(), b1_padded, []
+    totals, tail_history = [b1[cut] for cut in cuts], []
     peak_order = int(np.ceil(gamma * grid.t_max)) + 1
     order, tail = 1, 0.0
     if gamma != 0.0:  # at zero rate the single term is exact
         for order in range(2, policy.k_max + 1):
-            padded = next_term(padded)
-            term = padded[:, :, :n]
-            total += term
-            tail = sup_norm(term)
+            terms = next_terms(terms)
+            for total, term in zip(totals, terms):
+                total += term[:, :, :n]
+            tail = sup_norm(scattered(terms))
             if not np.isfinite(tail):
                 raise TruncationError(f"series term of order {order} is not finite; refine the grid",
                                       residual=tail, order=order)
@@ -389,13 +438,14 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
         else:
             # the order cap was hit; measure the residual from the first
             # dropped term and accept only if it is within tolerance
-            tail = sup_norm(next_term(padded)[:, :, :n])
+            tail = sup_norm(scattered(next_terms(terms)))
             if not tail <= policy.tail_tol:  # a NaN residual fails too
                 raise TruncationError(
                     f"series did not converge by order {policy.k_max} "
                     f"(residual term norm {tail:.3e}); raise k_max or tail_tol",
                     residual=tail, order=policy.k_max)
-    superops = np.hstack([re + 1j * im for re, im in vec_blocks(total)]).T.reshape(n, d2, d2)
+    superops = np.hstack([re + 1j * im for re, im in vec_chunks(scattered(totals))])
+    superops = superops.T.reshape(n, d2, d2)
     return LambdaSeriesResult(MapStack(times, superops, kernel.system_dim), order, tail,
                               tuple(tail_history))
 

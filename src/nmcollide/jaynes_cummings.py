@@ -16,9 +16,9 @@ switch is seamless.
 beta2 is a three-pole inverse Laplace transform. The authoritative route
 finds the cubic's roots numerically and takes residues (partial
 fractions), in one batched solve over the distinct gamma_bar of a call,
-with no cache; an independent Cardano evaluation of the same roots is kept
-as a cross-check. Physical validity requires 0 <= beta2 <= 1 and
-beta1^2 <= beta2; violations raise instead of clipping.
+with no cache; the tests cross-check it against an independent Cardano
+evaluation of the same roots. Physical validity requires 0 <= beta2 <= 1
+and beta1^2 <= beta2; violations raise instead of clipping.
 
 gamma_bar is an array axis like tau: every function here that takes both
 broadcasts them and treats each (tau, gamma_bar) pair as one point.
@@ -49,7 +49,6 @@ __all__ = [
     "beta_arrays",
     "jc_maps",
     "cubic_spectrum",
-    "cubic_spectrum_cardano",
     "cosine_power_laplace",
     "beta_laplace",
 ]
@@ -164,20 +163,6 @@ def beta1(tau, gamma_bar):
     return float(out[0]) if scalar else out
 
 
-def beta1_degenerate_series(tau, gamma_bar: float):
-    """Taylor-in-w evaluation around the gamma_bar = 2 degeneracy.
-
-    Used to verify branch continuity; at gamma_bar = 2 exactly it reduces
-    to e^{-tau} (1 + tau).
-    """
-    tau_arr = np.asarray(tau, dtype=float)
-    half = 0.5 * gamma_bar * tau_arr
-    w = (0.25 * gamma_bar * gamma_bar - 1.0) * tau_arr * tau_arr
-    sinhc = 1.0 + w / 6.0 + w * w / 120.0 + w * w * w / 5040.0
-    cosh = 1.0 + w / 2.0 + w * w / 24.0 + w * w * w / 720.0
-    return np.exp(-half) * (half * sinhc + cosh)
-
-
 # --- beta2: three-pole spectrum --------------------------------------------
 
 
@@ -273,39 +258,6 @@ def cubic_spectrum(gamma_bar: float) -> CubicSpectrum:
     alphas, residues = _spectra(g.reshape(1))
     return CubicSpectrum(alphas=tuple(map(complex, alphas[0])),
                          residues=tuple(map(complex, residues[0])))
-
-
-def cubic_spectrum_cardano(gamma_bar: float) -> CubicSpectrum:
-    """The same spectrum from explicit Cardano radicals (cross-check route).
-
-    The radicals use the principal real cube root; the pole parameters are
-    the exponential rates themselves, so beta2(tau) = sum A_i e^{alpha_i tau}
-    with no extra factor of i in the exponent.
-    """
-    g = float(gamma_bar)
-    if g < 0:
-        raise ConfigurationError("memory-loss rate must be nonnegative")
-    delta = math.sqrt(6.0 * g**4 - 39.0 * g**2 + 192.0)
-    c = (g**3 + 3.0 * delta + 9.0 * g) ** (1.0 / 3.0)
-    alpha1 = complex(((g - c) ** 2 - 12.0) / (3.0 * c))
-    alpha2 = (
-        1j * (math.sqrt(3.0) + 1j) * c
-        - (1.0 + 1j * math.sqrt(3.0)) * (g * g - 12.0) / c
-        - 4.0 * g
-    ) / 6.0
-    alpha3 = alpha2.conjugate()
-    a1 = (2.0 * g * alpha1 + alpha1**2 + g * g + 2.0) / (
-        abs(alpha1) ** 2 + abs(alpha2) ** 2 - 2.0 * alpha1.real * alpha2.real
-    )
-    a2 = (
-        1j
-        * (2.0 * g * alpha2 + alpha2**2 + g * g + 2.0)
-        / (2.0 * (alpha1 - alpha2) * alpha2.imag)
-    )
-    return CubicSpectrum(
-        alphas=(alpha1, alpha2, alpha3),
-        residues=(complex(a1.real), a2, a2.conjugate()),
-    )
 
 
 def beta2(tau, gamma_bar):

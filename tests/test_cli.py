@@ -69,6 +69,14 @@ class TestRun:
         err = json.loads(capsys.readouterr().err)
         assert "mode" in err["error"]["message"]
 
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == 2
+        assert "nests too deeply" in err["error"]["message"]
+
     def test_unknown_mode_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {"mode": "interpretive_dance"})
         assert main(["run", cfg]) == 2

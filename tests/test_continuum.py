@@ -30,7 +30,8 @@ from nmcollide import (
 )
 import scipy.fft
 
-from nmcollide.continuum import _dropped_term_bound, _fast_len
+from nmcollide.continuum import (_dropped_term_bound, _fast_len, _hermitian_samples,
+                                 _invariant_blocks)
 
 from conftest import density_operators
 
@@ -77,6 +78,26 @@ def _random_qutrit_hamiltonian():
     a = np.random.default_rng(7).standard_normal((2, 6, 6))
     m = a[0] + 1j * a[1]
     return HermitianOperator(0.5 * (m + m.conj().T))
+
+
+def _detuned(h, detuning):
+    """H plus a system level shift, detuning |1><1| (x) 1: it commutes with the excitation
+    number, as the exchange coupling does, and rotates every coherence in time."""
+    levels = h.dim // 2
+    return HermitianOperator(h.data + np.kron(np.diag(detuning * np.arange(levels)), np.eye(2)))
+
+
+def _exchange_qutrit_hamiltonian():
+    """An excitation-conserving H on qutrit (x) qubit: hops |n, 0> <-> |n - 1, 1> at rates 1 and
+    1.3, detuned. Its invariant blocks follow |i - j|: 3 populations, 4 and 2 coherences."""
+    hop = np.kron(np.diag([1.0, 1.3], 1), np.array([[0.0, 0.0], [1.0, 0.0]]))
+    return _detuned(HermitianOperator(hop + hop.T), 0.7)
+
+
+def _kernel_blocks(kernel):
+    """The series' invariant blocks of a kernel, from its own sampling on [0, 10]."""
+    samples = _hermitian_samples(kernel, np.linspace(0.0, 10.0, 201))
+    return [block.tolist() for block in _invariant_blocks(samples)]
 
 
 def _kraus_reference(h, weights, t):
@@ -380,6 +401,63 @@ class TestLambdaSeries:
         result = lambda_series(kernel, 1.0, TimeGrid(t_max=2.0, n_points=2001))
         assert min(m.choi().min_eigenvalue() for m in result.maps) >= -1e-8
         assert max(m.trace_defect() for m in result.maps) < 1e-6
+
+
+class TestInvariantBlocks:
+    """The series runs each order on the invariant blocks of its kernel alone."""
+
+    @pytest.mark.parametrize("weights", [(1.0, 0.0)] + [
+        tuple(thermal_weights((0.0, 1.0), beta)) for beta in (0.5, 1.55, 3.0)])
+    def test_exchange_kernel_never_mixes_populations_with_coherences(self, weights):
+        # E00, E11 are basis indices 0 and 3, the coherences 1 and 2. At resonance the
+        # coherence factor is real, and rounding may split the coherences further
+        blocks = _kernel_blocks(build_kernel_map(jc_hamiltonian(), weights))
+        assert [0, 3] in blocks
+        assert sorted(i for block in blocks if block != [0, 3] for i in block) == [1, 2]
+
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), WARM])
+    def test_detuned_exchange_kernel_blocks_are_populations_and_coherences(self, weights):
+        kernel = build_kernel_map(_detuned(jc_hamiltonian(), 0.4), weights)
+        assert sorted(_kernel_blocks(kernel)) == [[0, 3], [1, 2]]
+
+    def test_unequal_blocks_match_direct_quadrature(self):
+        kernel = build_kernel_map(_exchange_qutrit_hamiltonian(), (1.0, 0.0))
+        assert sorted(len(block) for block in _kernel_blocks(kernel)) == [2, 3, 4]
+        grid = TimeGrid(t_max=2.0, n_points=101)
+        result = lambda_series(kernel, 1.0, grid)
+        reference = _direct_series(kernel, 1.0, grid, result.truncation_order)
+        assert np.max(np.abs(result.maps.superops - reference)) < 1e-12
+
+    @pytest.mark.parametrize("h, weights", [
+        (jc_hamiltonian(), (1.0, 0.0)),
+        (jc_hamiltonian(), WARM),
+        (_detuned(jc_hamiltonian(), 0.4), WARM),
+        (_exchange_qutrit_hamiltonian(), (0.7, 0.3)),
+    ], ids=["pure", "thermal", "detuned", "qutrit"])
+    def test_entries_between_coherence_orders_are_exact_zeros(self, h, weights):
+        # vec index (i, j) carries the coherence order |i - j|; a block never mixes two orders
+        kernel = build_kernel_map(h, weights)
+        maps = lambda_series(kernel, 1.5, TimeGrid(t_max=3.0, n_points=301)).maps.superops
+        i, j = np.divmod(np.arange(kernel.system_dim ** 2), kernel.system_dim)
+        order = np.abs(i - j)
+        assert np.all(maps[:, order[:, None] != order[None, :]] == 0.0)
+
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), WARM])
+    def test_rotated_kernel_is_one_block_and_rotates_back(self, weights):
+        # E'(t) = V E(t) V^dagger for a random system unitary V: no exact zeros, one dense
+        # block, and its series rotated back is the block route's
+        a = np.random.default_rng(11).standard_normal((2, 2, 2))
+        v = np.linalg.qr(a[0] + 1j * a[1])[0]
+        big = np.kron(v, np.eye(2))
+        rotated = build_kernel_map(HermitianOperator(big @ jc_hamiltonian().data @ big.conj().T),
+                                   weights)
+        assert _kernel_blocks(rotated) == [[0, 1, 2, 3]]
+        grid = TimeGrid(t_max=2.0, n_points=101)
+        blocked = lambda_series(build_kernel_map(jc_hamiltonian(), weights), 1.0, grid)
+        dense = lambda_series(rotated, 1.0, grid)
+        conj = np.kron(v, v.conj())  # rho -> V rho V^dagger on row-major vec
+        back = conj.conj().T @ dense.maps.superops @ conj
+        assert np.max(np.abs(back - blocked.maps.superops)) < 1e-13
 
 
 class TestLambdaEmbedding:

@@ -17,15 +17,14 @@ from nmcollide import (
     beta1,
     beta2,
     choi_of,
+    CubicSpectrum,
     cubic_spectrum,
-    cubic_spectrum_cardano,
     trace_distance,
 )
 from nmcollide.jaynes_cummings import (
     BETA_SLACK,
     DOMAIN_BOUND,
     _spectra,
-    beta1_degenerate_series,
     beta_arrays,
     jc_maps,
 )
@@ -33,6 +32,50 @@ from nmcollide.jaynes_cummings import (
 from conftest import density_operators, kraus_action, qubit_state, qubit_states
 
 GAMMA_GRID = [0.0, 0.1, 0.5, 1.0, 2.0 - 1e-6, 2.0, 2.0 + 1e-6, 5.0, 20.0, 50.0]
+
+
+def beta1_degenerate_series(tau, gamma_bar: float):
+    """Taylor-in-w evaluation of beta1 around the gamma_bar = 2 degeneracy: the reference
+    for branch continuity; at gamma_bar = 2 exactly it reduces to e^{-tau} (1 + tau)."""
+    tau_arr = np.asarray(tau, dtype=float)
+    half = 0.5 * gamma_bar * tau_arr
+    w = (0.25 * gamma_bar * gamma_bar - 1.0) * tau_arr * tau_arr
+    sinhc = 1.0 + w / 6.0 + w * w / 120.0 + w * w * w / 5040.0
+    cosh = 1.0 + w / 2.0 + w * w / 24.0 + w * w * w / 720.0
+    return np.exp(-half) * (half * sinhc + cosh)
+
+
+def cubic_spectrum_cardano(gamma_bar: float) -> CubicSpectrum:
+    """beta2's spectrum from explicit Cardano radicals: the cross-check of ``cubic_spectrum``.
+
+    The radicals use the principal real cube root; the pole parameters are
+    the exponential rates themselves, so beta2(tau) = sum A_i e^{alpha_i tau}
+    with no extra factor of i in the exponent.
+    """
+    g = float(gamma_bar)
+    if g < 0:
+        raise ConfigurationError("memory-loss rate must be nonnegative")
+    delta = math.sqrt(6.0 * g**4 - 39.0 * g**2 + 192.0)
+    c = (g**3 + 3.0 * delta + 9.0 * g) ** (1.0 / 3.0)
+    alpha1 = complex(((g - c) ** 2 - 12.0) / (3.0 * c))
+    alpha2 = (
+        1j * (math.sqrt(3.0) + 1j) * c
+        - (1.0 + 1j * math.sqrt(3.0)) * (g * g - 12.0) / c
+        - 4.0 * g
+    ) / 6.0
+    alpha3 = alpha2.conjugate()
+    a1 = (2.0 * g * alpha1 + alpha1**2 + g * g + 2.0) / (
+        abs(alpha1) ** 2 + abs(alpha2) ** 2 - 2.0 * alpha1.real * alpha2.real
+    )
+    a2 = (
+        1j
+        * (2.0 * g * alpha2 + alpha2**2 + g * g + 2.0)
+        / (2.0 * (alpha1 - alpha2) * alpha2.imag)
+    )
+    return CubicSpectrum(
+        alphas=(alpha1, alpha2, alpha3),
+        residues=(complex(a1.real), a2, a2.conjugate()),
+    )
 
 
 class TestAdc:
