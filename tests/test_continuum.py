@@ -81,8 +81,8 @@ def _random_qutrit_hamiltonian():
 
 
 def _detuned(h, detuning):
-    """H plus a system level shift, detuning |1><1| (x) 1: it commutes with the excitation
-    number, as the exchange coupling does, and rotates every coherence in time."""
+    """H plus the system level shift detuning * n (x) 1, n the system's level: it commutes with
+    the excitation number, as the exchange coupling does, and rotates every coherence."""
     levels = h.dim // 2
     return HermitianOperator(h.data + np.kron(np.diag(detuning * np.arange(levels)), np.eye(2)))
 
@@ -410,7 +410,8 @@ class TestInvariantBlocks:
         tuple(thermal_weights((0.0, 1.0), beta)) for beta in (0.5, 1.55, 3.0)])
     def test_exchange_kernel_never_mixes_populations_with_coherences(self, weights):
         # E00, E11 are basis indices 0 and 3, the coherences 1 and 2. At resonance the
-        # coherence factor is real, and rounding may split the coherences further
+        # coherence factor is real, so the two coherences may be blocks of their own (exact
+        # zeros between them, pure) or one block (rounding noise between them, thermal)
         blocks = _kernel_blocks(build_kernel_map(jc_hamiltonian(), weights))
         assert [0, 3] in blocks
         assert sorted(i for block in blocks if block != [0, 3] for i in block) == [1, 2]
