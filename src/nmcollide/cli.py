@@ -2,7 +2,11 @@
 
 Experiments are described by a single declarative JSON config; the CLI adds
 nothing beyond the config path and an optional output-directory override,
-so archived configs reproduce runs exactly.
+so archived configs reproduce runs exactly. One table, ``SCHEMA``, gives
+each mode's runner and the fields it reads, each with its reader and its
+default; nested tables do the same for a collision block, each bath kind
+and a sweep range. A config is read in full, and any field its table lacks
+refused, before a mode runs.
 
     nmcollide run <config.json>          one experiment
     nmcollide sweep <config.json>        closed-form map over parameter ranges
@@ -20,7 +24,7 @@ whole tau array in the tau-dense ``jc_closed_form`` and ``certify``, the
 series' (``series``, ``thermal``) and the protocol's own (``discrete``).
 The series and thermal modes share one comparison through ``discrete_maps``.
 A collision is always jc_hamiltonian() on qubit (x) qubit, times in units
-of 1/Omega; the fields ``omega``, ``system_dim`` and ``ancilla_dim`` are refused.
+of 1/Omega, so ``omega``, ``system_dim`` and ``ancilla_dim`` are not fields.
 Each mode returns column tables, one CSV column to a sequence with None for
 an empty cell. One function makes them from a stack: beta1 = S[1,1],
 beta2 = S[3,3], and the minimum Choi eigenvalues of one batched eigensolve
@@ -28,7 +32,8 @@ beta2 = S[3,3], and the minimum Choi eigenvalues of one batched eigensolve
 
 Exit codes, each failure with a JSON error on stderr: 0 success, 2
 unreadable, unparseable or invalid config, or an output directory that
-cannot be created (a closed-form gamma_bar or tau past the
+cannot be created (an unknown field at any level, named with the accepted
+fields, every missing required field, a closed-form gamma_bar or tau past the
 bound where its intermediates stay finite, a collision past PHASE_BOUND or
 with a rate that is not finite, or a count past MAX_POINTS, checked before
 anything is allocated, included), 3 certification failure, 4 numerical
@@ -45,7 +50,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -76,7 +81,6 @@ from .verify import (_PROBE, calibrated_swap_probability, certify_cpt, convergen
 
 CSV_HEADER = "tau,gamma_bar,beta1,beta2,trace_distance_vs_discrete,min_choi_eig"
 CSV_COLUMNS = tuple(CSV_HEADER.split(","))
-MODES = ("discrete", "series", "jc_closed_form", "thermal", "convergence", "certify")
 
 # Point, step and probe-state counts, and the rows of a run, stay at or below
 # MAX_POINTS. The series mode peaks at ~1.4 kB per point (tracemalloc, 20 001
@@ -95,28 +99,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CERTIFICATION = 3
 EXIT_NUMERICAL = 4
-
-
-@dataclass
-class ExperimentConfig:
-    """Validated experiment description."""
-
-    mode: str
-    raw: dict
-    output_path: Path
-    seed: int = 0
-
-    def require(self, key: str, kind=None):
-        if key not in self.raw:
-            raise ConfigurationError(f"missing required field '{key}' for mode '{self.mode}'")
-        value = self.raw[key]
-        if kind is not None and not isinstance(value, kind):
-            raise ConfigurationError(f"field '{key}' has the wrong type")
-        return value
-
-    def optional(self, key: str, default=None):
-        return self.raw.get(key, default)
-
 
 _FMT = "{:.17g}".format
 
@@ -137,7 +119,40 @@ def _write_csv(path: Path, tables) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_config(path: str, *, default_mode: Optional[str] = None) -> ExperimentConfig:
+# --- config reading ----------------------------------------------------------
+
+REQUIRED = object()  # the default of a field that a config must give
+
+
+def _fields(raw: dict, table: dict, prefix: str = "") -> dict:
+    """Every field of table, read from the JSON object raw or set to its default; each field is
+    named prefix + key. The first key of raw that table lacks is refused, naming the accepted
+    fields, and so are the required fields that raw lacks, every one of them named."""
+    for key in raw:
+        if key not in table:
+            raise ConfigurationError(
+                f"unknown field {prefix + key!r}; accepted fields: {', '.join(table)}")
+    missing = [prefix + key for key, (_, default) in table.items()
+               if default is REQUIRED and key not in raw]
+    if missing:
+        raise ConfigurationError(f"missing required field(s) {', '.join(map(repr, missing))}")
+    return {key: reader(raw[key], prefix + key) if key in raw else default
+            for key, (reader, default) in table.items()}
+
+
+def _tag(raw: dict, key: str, tables: dict, default: Optional[str] = None) -> str:
+    """The field of raw that picks its table among tables (default where raw lacks it)."""
+    tag = raw.get(key, default)
+    if tag is None:
+        raise ConfigurationError(f"missing required field {key!r}")
+    if not isinstance(tag, str) or tag not in tables:
+        raise ConfigurationError(f"field {key!r} must be one of {', '.join(tables)}, got {tag!r}")
+    return tag
+
+
+def load_config(path: str, *, default_mode: Optional[str] = None) -> tuple:
+    """(fields, raw): the fields of a JSON config file as its mode's SCHEMA table reads them,
+    and the parsed JSON itself, which the manifest echoes."""
     p = Path(path)
     if not p.exists():
         raise ConfigurationError(f"config file {path!r} does not exist")
@@ -155,44 +170,8 @@ def load_config(path: str, *, default_mode: Optional[str] = None) -> ExperimentC
         raise ConfigurationError(f"config nests too deeply to parse: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
-    mode = raw.get("mode", default_mode)
-    if mode is None:
-        raise ConfigurationError("missing required field 'mode'")
-    if mode not in MODES and mode != "sweep":
-        raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigurationError("field 'seed' must be a nonnegative integer")
-    output_path = raw.get("output_path", ".")
-    if not isinstance(output_path, str):
-        raise ConfigurationError(f"field 'output_path' must be a string, got {output_path!r}")
-    return ExperimentConfig(mode=mode, raw=raw, output_path=Path(output_path), seed=seed)
-
-
-def _tau_gamma_grid(cfg: ExperimentConfig):
-    """The tau grid and the gamma_bar list, checked before the grid is allocated."""
-    tau_max = float(_number(cfg.require("tau_max"), "tau_max"))
-    n = _count(cfg.require("tau_points"), "tau_points", minimum=2)
-    if tau_max <= 0:
-        raise ConfigurationError("need tau_max > 0")
-    g = cfg.require("gamma_bar")
-    gammas = [float(v) for v in _numbers(g if isinstance(g, list) else [g], "gamma_bar")]
-    if min(gammas) < 0:
-        raise ConfigurationError("gamma_bar must be nonnegative")
-    _within_budget(len(gammas) * n, "the row count (gamma_bar values x tau points)")
-    return np.linspace(0.0, tau_max, n), gammas
-
-
-def _range_values(spec, name: str):
-    if isinstance(spec, list):
-        return [float(v) for v in _numbers(spec, name)]
-    if isinstance(spec, dict):
-        for key in ("start", "stop", "count"):
-            if key not in spec:
-                raise ConfigurationError(f"range '{name}' is missing field '{key}'")
-        start, stop = (float(_number(spec[key], f"{name}.{key}")) for key in ("start", "stop"))
-        return list(np.linspace(start, stop, _count(spec["count"], f"{name}.count", minimum=1)))
-    raise ConfigurationError(f"field '{name}' must be a list or a start/stop/count object")
+    mode = _tag(raw, "mode", SCHEMA, default_mode)
+    return {**_fields(raw, {**COMMON, **SCHEMA[mode][1]}), "mode": mode}, raw
 
 
 def _number(value, name: str):
@@ -200,6 +179,10 @@ def _number(value, name: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
         raise ConfigurationError(f"field '{name}' must be a finite number, got {value!r}")
     return value
+
+
+def _float(value, name: str) -> float:
+    return float(_number(value, name))
 
 
 def _integer(value, name: str, minimum: int) -> int:
@@ -229,47 +212,72 @@ def _numbers(value, name: str) -> tuple:
     return tuple(_number(v, name) for v in value)
 
 
-def _collision_from_config(spec: dict) -> CollisionConfig:
-    for key in ("omega", "system_dim", "ancilla_dim"):
-        if key in spec:
-            raise ConfigurationError(
-                f"collision field '{key}' is not accepted: the Hamiltonian is the qubit-qubit "
-                "exchange coupling jc_hamiltonian(), with times in units of 1/Omega"
-            )
-    for key in ("t_c", "p_s", "n_steps"):
-        if key not in spec:
-            raise ConfigurationError(f"collision config is missing field '{key}'")
-    t_c, p_s = (_number(spec[key], key) for key in ("t_c", "p_s"))
-    n_steps = _count(spec["n_steps"], "n_steps", minimum=1)
-    if not n_steps * t_c <= PHASE_BOUND:
+def _floats(value, name: str) -> list:
+    return [float(v) for v in _numbers(value, name)]
+
+
+def _gammas(value, name: str) -> list:
+    """One gamma_bar or a list of them."""
+    return _floats(value if isinstance(value, list) else [value], name)
+
+
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"field '{name}' must be true or false, got {value!r}")
+    return value
+
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"field '{name}' must be a string, got {value!r}")
+    return value
+
+
+def _seed(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigurationError(f"field '{name}' must be a nonnegative integer")
+    return value
+
+
+def _range(value, name: str) -> list:
+    """A sweep range: a list of numbers, or a RANGE object of evenly spaced ones."""
+    if isinstance(value, list):
+        return _floats(value, name)
+    if isinstance(value, dict):
+        spec = _fields(value, RANGE, f"{name}.")
+        return list(np.linspace(spec["start"], spec["stop"], spec["count"]))
+    raise ConfigurationError(f"field '{name}' must be a list or a start/stop/count object")
+
+
+def _bath(value, name: str) -> BathSpec:
+    """A bath block, read by the BATHS table of its kind."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"field '{name}' must be an object with a 'kind' field")
+    return BathSpec(**_fields(value, BATHS[_tag(value, "kind", BATHS)]))
+
+
+def _collision(value, name: str) -> CollisionConfig:
+    """A collision block: jc_hamiltonian() on qubit (x) qubit, its last time within PHASE_BOUND."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"field '{name}' must be an object")
+    spec = _fields(value, COLLISION)
+    if not spec["n_steps"] * spec["t_c"] <= PHASE_BOUND:
         raise ConfigurationError(
-            f"collision 'n_steps' * 't_c' = {n_steps * t_c:g} exceeds PHASE_BOUND = "
-            f"{PHASE_BOUND:.4g}, the last time whose phase keeps 8 decimal digits"
+            f"collision 'n_steps' * 't_c' = {spec['n_steps'] * spec['t_c']:g} exceeds "
+            f"PHASE_BOUND = {PHASE_BOUND:.4g}, the last time whose phase keeps 8 decimal digits"
         )
-    bath_spec = spec.get("bath", {"kind": "pure_ground"})
-    if not isinstance(bath_spec, dict):
-        raise ConfigurationError("field 'bath' must be an object with a 'kind' field")
-    kind = bath_spec.get("kind")
-    if kind == "pure_ground":
-        bath = BathSpec(kind="pure_ground")
-    elif kind == "thermal":
-        if "weights" in bath_spec:
-            bath = BathSpec(kind="thermal", weights=_numbers(bath_spec["weights"], "weights"))
-        else:
-            for key in ("energies", "inverse_temperature"):
-                if key not in bath_spec:
-                    raise ConfigurationError(f"thermal bath is missing field '{key}'")
-            bath = BathSpec(
-                kind="thermal",
-                energies=_numbers(bath_spec["energies"], "energies"),
-                inverse_temperature=float(
-                    _number(bath_spec["inverse_temperature"], "inverse_temperature")
-                ),
-            )
-    else:
-        raise ConfigurationError(f"unknown bath kind {kind!r}")
-    return CollisionConfig(2, 2, jc_hamiltonian(), t_c=float(t_c), p_s=float(p_s),
-                           n_steps=n_steps, bath=bath)
+    return CollisionConfig(2, 2, jc_hamiltonian(), **spec)
+
+
+def _tau_gamma_grid(cfg: dict):
+    """The tau grid and the gamma_bar list, checked before the grid is allocated."""
+    n, gammas = cfg["tau_points"], cfg["gamma_bar"]
+    if cfg["tau_max"] <= 0:
+        raise ConfigurationError("need tau_max > 0")
+    if min(gammas) < 0:
+        raise ConfigurationError("gamma_bar must be nonnegative")
+    _within_budget(len(gammas) * n, "the row count (gamma_bar values x tau points)")
+    return np.linspace(0.0, cfg["tau_max"], n), gammas
 
 
 def _probe_states(seed: int, count: int) -> np.ndarray:
@@ -306,20 +314,19 @@ def _map_table(stack: MapStack, gamma, min_eigs) -> dict:
             "beta2": s[:, 3, 3].real.copy(), "min_choi_eig": min_eigs}
 
 
-def _mode_jc_closed_form(cfg: ExperimentConfig):
+def _mode_jc_closed_form(cfg: dict):
     taus, gammas = _tau_gamma_grid(cfg)
     return [_map_table(jc_maps(taus, g), g, None) for g in gammas], {}, None
 
 
-def _mode_certify(cfg: ExperimentConfig):
-    tolerance = float(_number(cfg.optional("tolerance", 1e-9), "tolerance"))
+def _mode_certify(cfg: dict):
+    tolerance = cfg["tolerance"]
     if not 0.0 <= tolerance <= 1e-6:
         raise ConfigurationError(f"field 'tolerance' = {tolerance!r} must lie in [0, 1e-6]: below "
                                  "0 it fails exact CPT maps, above 1e-6 it passes maps far from "
                                  "CPT (the closed form is exact to ~1e-15)")
-    n_probes = _count(cfg.optional("probe_states", 3), "probe_states", minimum=0)
     taus, gammas = _tau_gamma_grid(cfg)
-    probes = _probe_states(cfg.seed, n_probes)
+    probes = _probe_states(cfg["seed"], cfg["probe_states"])
     tables, reports, verdict, probe_defect = [], {}, True, 0.0
     for g in gammas:
         stack = jc_maps(taus, g)
@@ -338,18 +345,11 @@ def _mode_certify(cfg: ExperimentConfig):
     return tables, {"cpt_report.json": report}, verdict
 
 
-def _mode_discrete(cfg: ExperimentConfig):
-    collision = _collision_from_config(cfg.require("collision", dict))
+def _mode_discrete(cfg: dict):
+    collision = cfg["collision"]
     gamma = _calibrated_gamma(collision)
     stack = discrete_maps(collision)
     return [_map_table(stack, gamma, _min_choi_eigs(stack))], {}, None
-
-
-def _series_policy(cfg: ExperimentConfig) -> SeriesPolicy:
-    return SeriesPolicy(
-        k_max=_integer(cfg.optional("k_max", 200), "k_max", minimum=1),
-        tail_tol=float(_number(cfg.optional("tail_tol", 1e-8), "tail_tol")),
-    )
 
 
 def _series_report(gamma: float, result) -> dict:
@@ -372,17 +372,18 @@ def _series_vs_protocol(collision: CollisionConfig, gamma: float, grid: TimeGrid
     return result, distances
 
 
-def _mode_series(cfg: ExperimentConfig):
+def _mode_series(cfg: dict):
     taus, gammas = _tau_gamma_grid(cfg)
     grid = TimeGrid(t_max=float(taus[-1]), n_points=len(taus))
-    policy = _series_policy(cfg)
-    compare = cfg.optional("compare_discrete", False)
-    if not isinstance(compare, bool):
-        raise ConfigurationError(f"field 'compare_discrete' must be true or false, got {compare!r}")
-    t_c = float(_number(cfg.optional("t_c", grid.dt), "t_c")) if compare else grid.dt
+    compare = cfg["compare_discrete"]
+    if cfg["t_c"] is not None and not compare:
+        raise ConfigurationError("field 't_c' is the collision time of the discrete comparison; "
+                                 "it needs 'compare_discrete': true")
+    t_c = grid.dt if cfg["t_c"] is None else cfg["t_c"]
     stride = round(t_c / grid.dt)
     if stride < 1 or abs(stride * grid.dt - t_c) > 1e-9:
         raise ConfigurationError("t_c must be a multiple of the tau grid spacing")
+    policy = SeriesPolicy(k_max=cfg["k_max"], tail_tol=cfg["tail_tol"])
     tables, extras = [], {}
     for g in gammas:
         collision = CollisionConfig(
@@ -398,15 +399,16 @@ def _mode_series(cfg: ExperimentConfig):
     return tables, extras, None
 
 
-def _mode_thermal(cfg: ExperimentConfig):
-    collision = _collision_from_config(cfg.require("collision", dict))
+def _mode_thermal(cfg: dict):
+    collision = cfg["collision"]
     if collision.bath.kind != "thermal":
         raise ConfigurationError("thermal mode needs a thermal bath")
     gamma = _calibrated_gamma(collision)
     if gamma is None:
         raise ConfigurationError("thermal mode needs p_s > 0 to calibrate the rate")
     grid = TimeGrid(t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1)
-    result, distances = _series_vs_protocol(collision, gamma, grid, _series_policy(cfg), 1)
+    policy = SeriesPolicy(k_max=cfg["k_max"], tail_tol=cfg["tail_tol"])
+    result, distances = _series_vs_protocol(collision, gamma, grid, policy, 1)
     table = {
         "tau": result.maps.times,
         "gamma_bar": [gamma] * len(result.maps),
@@ -416,9 +418,8 @@ def _mode_thermal(cfg: ExperimentConfig):
     return [table], {"series_thermal.json": _series_report(gamma, result)}, None
 
 
-def _mode_convergence(cfg: ExperimentConfig):
-    gamma, tau_max = (float(_number(cfg.require(key), key)) for key in ("gamma_bar", "tau_max"))
-    t_c_list = [float(t) for t in _numbers(cfg.require("t_c_list"), "t_c_list")]
+def _mode_convergence(cfg: dict):
+    gamma, tau_max, t_c_list = cfg["gamma_bar"], cfg["tau_max"], cfg["t_c_list"]
     if min(t_c_list) <= 0:
         raise ConfigurationError("every entry of 't_c_list' must be positive")
     _within_budget(tau_max / min(t_c_list), "the step count tau_max / t_c")
@@ -428,9 +429,8 @@ def _mode_convergence(cfg: ExperimentConfig):
     return [table], {"convergence_report.json": report.as_dict()}, None
 
 
-def _mode_sweep(cfg: ExperimentConfig):
-    gammas = _range_values(cfg.require("gamma_bar"), "gamma_bar")
-    taus = np.array(_range_values(cfg.require("tau"), "tau"))
+def _mode_sweep(cfg: dict):
+    gammas, taus = cfg["gamma_bar"], np.array(cfg["tau"])
     if min(gammas) < 0 or taus.min() < 0:
         raise ConfigurationError("gamma_bar and tau must be nonnegative")
     _within_budget(len(gammas) * len(taus), "the row count (gamma_bar values x tau points)")
@@ -450,6 +450,42 @@ def _mode_sweep(cfg: ExperimentConfig):
     return [_map_table(stack, gamma_column, min_eigs)], {}, None
 
 
+# --- config schema -----------------------------------------------------------
+# Each table maps a field to (reader, default): reader(value, name) checks the JSON value and
+# returns what a run uses; a default is used as it stands. A mode accepts COMMON's fields and
+# its own, and nothing else; cross-field checks stay in the mode's runner.
+
+COMMON = {"mode": (_string, None), "seed": (_seed, 0), "output_path": (_string, ".")}
+GRID = {"gamma_bar": (_gammas, REQUIRED), "tau_max": (_float, REQUIRED),
+        "tau_points": (partial(_count, minimum=2), REQUIRED)}
+POLICY = {"k_max": (partial(_integer, minimum=1), SeriesPolicy.k_max),
+          "tail_tol": (_float, SeriesPolicy.tail_tol)}
+RANGE = {"start": (_float, REQUIRED), "stop": (_float, REQUIRED),
+         "count": (partial(_count, minimum=1), REQUIRED)}
+BATHS = {
+    "pure_ground": {"kind": (_string, REQUIRED)},
+    "thermal": {"kind": (_string, REQUIRED), "energies": (_numbers, None),
+                "inverse_temperature": (_float, None), "weights": (_numbers, None)},
+}
+COLLISION = {"t_c": (_float, REQUIRED), "p_s": (_float, REQUIRED),
+             "n_steps": (partial(_count, minimum=1), REQUIRED),
+             "bath": (_bath, BathSpec(kind="pure_ground"))}
+SCHEMA = {
+    "discrete": (_mode_discrete, {"collision": (_collision, REQUIRED)}),
+    "series": (_mode_series, {**GRID, **POLICY, "compare_discrete": (_flag, False),
+                              "t_c": (_float, None)}),
+    "jc_closed_form": (_mode_jc_closed_form, GRID),
+    "thermal": (_mode_thermal, {"collision": (_collision, REQUIRED), **POLICY}),
+    "convergence": (_mode_convergence, {"gamma_bar": (_float, REQUIRED),
+                                        "tau_max": (_float, REQUIRED),
+                                        "t_c_list": (_floats, REQUIRED)}),
+    "certify": (_mode_certify, {**GRID, "tolerance": (_float, 1e-9),
+                                "probe_states": (partial(_count, minimum=0), 3)}),
+    "sweep": (_mode_sweep, {"gamma_bar": (_range, REQUIRED), "tau": (_range, REQUIRED)}),
+}
+MODES = tuple(mode for mode in SCHEMA if mode != "sweep")  # the modes of the run subcommand
+
+
 # --- orchestration -----------------------------------------------------------
 
 
@@ -459,27 +495,16 @@ def _emit_error(code: int, message: str, **details) -> int:
     return code
 
 
-_MODE_RUNNERS = {
-    "jc_closed_form": _mode_jc_closed_form,
-    "certify": _mode_certify,
-    "discrete": _mode_discrete,
-    "series": _mode_series,
-    "thermal": _mode_thermal,
-    "convergence": _mode_convergence,
-    "sweep": _mode_sweep,
-}
-
-
-def _execute(cfg: ExperimentConfig, output_dir: Optional[str]) -> int:
+def _execute(cfg: dict, raw: dict, output_dir: Optional[str]) -> int:
     started = time.perf_counter()
-    out_dir = Path(output_dir) if output_dir else cfg.output_path
+    out_dir = Path(output_dir or cfg["output_path"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # an existing file, or a path below one
         raise ConfigurationError(
             f"output directory {str(out_dir)!r} cannot be created: {exc}") from exc
 
-    tables, extras, verdict = _MODE_RUNNERS[cfg.mode](cfg)
+    tables, extras, verdict = SCHEMA[cfg["mode"]][0](cfg)
 
     _write_csv(out_dir / "results.csv", tables)
     outputs = ["results.csv"]
@@ -490,9 +515,9 @@ def _execute(cfg: ExperimentConfig, output_dir: Optional[str]) -> int:
         outputs.append(name)
 
     manifest = {
-        "config": cfg.raw,
-        "mode": cfg.mode,
-        "seed": cfg.seed,
+        "config": raw,
+        "mode": cfg["mode"],
+        "seed": cfg["seed"],
         "outputs": sorted(outputs),
         "versions": {
             "nmcollide": __version__,
@@ -516,23 +541,14 @@ def _execute(cfg: ExperimentConfig, output_dir: Optional[str]) -> int:
 
 def _dispatch(subcommand: str, config_path: str, output_dir: Optional[str]) -> int:
     try:
-        if subcommand == "sweep":
-            cfg = load_config(config_path, default_mode="sweep")
-            if cfg.mode != "sweep":
-                raise ConfigurationError(
-                    "the sweep subcommand needs a config without a mode field "
-                    "(or with mode 'sweep') and range fields 'gamma_bar' and 'tau'"
-                )
-        else:
-            cfg = load_config(config_path)
-            if cfg.mode == "sweep":
-                raise ConfigurationError("mode 'sweep' runs through the sweep subcommand")
-            if subcommand == "certify" and cfg.mode != "certify":
-                raise ConfigurationError(
-                    "the certify subcommand needs a config with mode 'certify'"
-                )
+        # a sweep config may leave its mode out; sweep and certify run their own mode alone
+        cfg, raw = load_config(config_path, default_mode="sweep" if subcommand == "sweep" else None)
+        accepted = MODES if subcommand == "run" else (subcommand,)
+        if cfg["mode"] not in accepted:
+            raise ConfigurationError(f"the {subcommand} subcommand takes mode "
+                                     f"{' or '.join(map(repr, accepted))}, not {cfg['mode']!r}")
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _execute(cfg, output_dir)
+            return _execute(cfg, raw, output_dir)
     except (ConfigurationError, ValidationError) as exc:
         return _emit_error(EXIT_CONFIG, str(exc))
     except (TruncationError, DivergenceError, InternalConsistencyError) as exc:

@@ -79,7 +79,9 @@ class BathSpec:
     ``pure_ground`` starts every ancilla in |0>. ``thermal`` starts every
     ancilla in the Boltzmann mixture of the given level energies; the
     zero-temperature endpoint can be expressed directly through an explicit
-    ``weights`` vector such as (1, 0), which beta alone cannot reach.
+    ``weights`` vector such as (1, 0), which beta alone cannot reach. A
+    thermal bath takes either ``weights`` or both ``energies`` and
+    ``inverse_temperature``, never a mixture.
     """
 
     kind: str
@@ -93,6 +95,11 @@ class BathSpec:
                 raise ConfigurationError("pure_ground bath takes no thermal parameters")
         elif self.kind == "thermal":
             if self.weights is not None:
+                if self.energies is not None or self.inverse_temperature is not None:
+                    raise ConfigurationError(
+                        "thermal bath takes 'weights' or 'energies' and "
+                        "'inverse_temperature', not both"
+                    )
                 w = np.asarray(self.weights, dtype=float)
                 if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):  # NaN fails too
                     raise ConfigurationError("explicit weights must be a probability vector")

@@ -1,10 +1,18 @@
+import contextlib
+import importlib.util
+import io
 import json
+import re
+import sys
 import warnings
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import nmcollide.cli as cli
 from nmcollide.cli import CSV_HEADER, main
 
 
@@ -753,7 +761,7 @@ class TestDiscreteMapMode:
         assert min(float(row[5]) for row in rows) > -1e-14
         # beta2 is the excited population of the trajectory from |1>, beta1 twice the
         # coherence of the one from |+>
-        col = cli_mod._collision_from_config(collision)
+        col = cli_mod._collision(collision, "collision")
         excited = discrete_maps(col).apply(DensityOperator.basis(2, 1))
         plus = discrete_maps(col).apply(DensityOperator(np.full((2, 2), 0.5)))
         b1 = np.array([float(row[2]) for row in rows])
@@ -807,12 +815,18 @@ class TestSeriesVsProtocol:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "t_c" in json.loads(lines[0])["error"]["message"]
 
-    def test_t_c_unread_without_comparison(self, tmp_path):
+    def test_t_c_without_comparison_exits_2(self, tmp_path, capsys, monkeypatch):
+        # t_c is the comparison's collision time; with no comparison it would be dropped
+        _forbid_series_and_protocol(monkeypatch)
         cfg = write_config(tmp_path, "cfg.json", {
             "mode": "series", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 11,
-            "compare_discrete": False, "t_c": "abc", "output_path": str(tmp_path / "out")})
-        assert main(["run", cfg]) == 0
-        assert all(row[4] == "" for row in read_rows(tmp_path / "out"))
+            "compare_discrete": False, "t_c": 0.1, "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["error"]["message"]
+        assert "'t_c'" in message and "'compare_discrete'" in message
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     @pytest.mark.parametrize("beta", [0.5, 3.0])
     def test_full_swap_series_is_the_sampled_kernel(self, tmp_path, beta):
@@ -975,3 +989,121 @@ def test_shipped_config_runs_and_reruns_identically(tmp_path, config):
     assert first.decode().split("\n", 1)[0] == CSV_HEADER
     assert main([subcommand, str(config), "--output-dir", str(out)]) == 0
     assert (out / "results.csv").read_bytes() == first
+
+
+SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
+ROOT = CONFIG_DIR.parent
+
+
+def _with(name, path, /, **fields):
+    """The shipped config name with fields set in its object at path, a None value deleting."""
+    config = json.loads(json.dumps(SHIPPED[name]))
+    target = config
+    for key in path:
+        target = target[key]
+    for key, value in fields.items():
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return config
+
+
+def _run_config(tmp_path, config) -> tuple:
+    """Exit code and stderr lines of the config run through its mode's subcommand."""
+    mode = config.get("mode", "sweep")
+    subcommand = mode if mode in ("sweep", "certify") else "run"
+    cfg = write_config(tmp_path, "cfg.json", {**config, "output_path": str(tmp_path / "out")})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([subcommand, cfg])
+    return code, err.getvalue().splitlines()
+
+
+def _objects(config: dict, path=()):
+    """The path of config's every JSON object, itself included."""
+    yield path
+    for key, value in config.items():
+        if isinstance(value, dict):
+            yield from _objects(value, path + (key,))
+
+
+OBJECTS = [(name, path) for name, config in SHIPPED.items() for path in _objects(config)]
+KNOWN_FIELDS = set(cli.COMMON) | set(cli.COLLISION) | set(cli.RANGE) | {
+    key for table in cli.BATHS.values() for key in table} | {
+    key for _, table in cli.SCHEMA.values() for key in table}
+
+
+class TestSchema:
+    """Each mode reads exactly the fields of its SCHEMA table; any other field exits 2."""
+
+    @pytest.mark.parametrize("config, key", [
+        pytest.param(_with("discrete", ("collision", "bath"), temperature=3), "temperature",
+                     id="pure_ground-temperature"),
+        pytest.param(_with("certify", (), tolerence=-1), "tolerence", id="tolerence"),
+        pytest.param(_with("series_vs_discrete", (), tail_tool=1e-300), "tail_tool",
+                     id="tail_tool"),
+        pytest.param(_with("discrete", ("collision",), omgea=2), "omgea", id="omgea"),
+        pytest.param(_with("series_vs_discrete", (), compare_discrete=None), "t_c",
+                     id="t_c-without-compare_discrete"),
+        pytest.param(_with("convergence", (), k_max=10), "k_max", id="k_max-in-convergence"),
+        pytest.param(_with("sweep", (), tau_max=5.0), "tau_max", id="tau_max-in-sweep"),
+        pytest.param(_with("thermal", (), tolerance=1e-9), "tolerance",
+                     id="tolerance-in-thermal"),
+        pytest.param(_with("thermal", ("collision", "bath"), weights=[0.7, 0.3],
+                           inverse_temperature=5.0), "weights", id="mixed-thermal-bath"),
+    ])
+    def test_unread_field_exits_2_naming_it(self, tmp_path, config, key):
+        code, lines = _run_config(tmp_path, config)
+        assert code == 2
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == 2 and repr(key) in error["message"]
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_every_nested_object_is_drawn(self):
+        assert {path for _, path in OBJECTS} == {
+            (), ("collision",), ("collision", "bath"), ("gamma_bar",), ("tau",)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(OBJECTS), st.text(max_size=8).filter(lambda k: k not in KNOWN_FIELDS),
+           st.sampled_from([1, "x", [], {}]))
+    def test_random_unknown_key_exits_2_naming_it(self, tmp_path_factory, where, key, value):
+        name, path = where
+        config = _with(name, path, **{key: value})
+        code, lines = _run_config(tmp_path_factory.mktemp("unknown"), config)
+        assert code == 2 and len(lines) == 1
+        # a sweep range names its fields after the range: 'gamma_bar.count'
+        named = f"{path[-1]}.{key}" if path and name == "sweep" else key
+        assert json.loads(lines[0])["error"]["message"].startswith(f"unknown field {named!r};")
+
+    def test_readme_table_lists_every_field(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = re.search(r"^(\|.*\|\n)+", text.split("### Config fields", 1)[1], re.M)
+        listed = {}
+        for row in table.group(0).splitlines()[2:]:  # below the header and its rule
+            blocks, field = (cell.strip() for cell in row.split("|")[1:3])
+            for block in blocks.split(","):
+                listed.setdefault(block.strip().strip("`"), set()).add(field.strip("`"))
+        tables = {"every mode": cli.COMMON, "collision": cli.COLLISION, "range": cli.RANGE,
+                  **{f"bath {kind}": table for kind, table in cli.BATHS.items()},
+                  **{mode: table for mode, (_, table) in cli.SCHEMA.items()}}
+        assert listed == {block: set(table) for block, table in tables.items()}
+
+    def test_benchmark_configs_are_read(self, tmp_path, monkeypatch):
+        # bench/ changes only with the benchmark, so a config the schema refused would
+        # otherwise show up only as a failed benchmark run
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                      ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        calls = [call for workload in workloads.WORKLOADS for seed in range(20)
+                 for call in workloads.build(workload, seed)]
+        assert len(calls) >= 20 * len(workloads.WORKLOADS) >= 60
+        for call in calls:
+            path = write_config(tmp_path, "cfg.json", call.config)
+            cfg, raw = cli.load_config(
+                path, default_mode="sweep" if call.subcommand == "sweep" else None)
+            assert raw == call.config and call.subcommand in ("run", cfg["mode"])

@@ -137,6 +137,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             BathSpec(kind="thermal", weights=(0.7, 0.7))
 
+    @pytest.mark.parametrize("mixed", [
+        {"energies": (0.0, 1.0), "inverse_temperature": 5.0},
+        {"energies": (0.0, 1.0)},
+        {"inverse_temperature": 5.0},
+    ], ids=["both", "energies", "inverse_temperature"])
+    def test_weights_with_thermal_parameters_are_refused(self, mixed):
+        # explicit weights would win and the other fields be dropped unread
+        with pytest.raises(ConfigurationError, match="'weights'"):
+            BathSpec(kind="thermal", weights=(0.7, 0.3), **mixed)
+
 
 class TestThermal:
     def test_weights_normalize(self):
