@@ -38,12 +38,10 @@ from .errors import (
     ValidationError,
 )
 from .jaynes_cummings import (
-    CubicSpectrum,
     beta1,
     beta2,
     beta_arrays,
     beta_laplace,
-    cubic_spectrum,
     jc_hamiltonian,
     jc_maps,
 )

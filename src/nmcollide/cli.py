@@ -34,8 +34,10 @@ Exit codes, each failure with a JSON error on stderr: 0 success, 2
 unreadable, unparseable or invalid config, or an output directory that
 cannot be created (an unknown field at any level, named with the accepted
 fields, every missing required field, a closed-form gamma_bar or tau past the
-bound where its intermediates stay finite, a collision past PHASE_BOUND or
-with a rate that is not finite, or a count past MAX_POINTS, checked before
+bound where its intermediates stay finite, a collision, tau_max or sweep tau
+past PHASE_BOUND, a collision with a rate that is not finite, a thermal bath
+whose energies or weights do not list two numbers, a convergence gamma_bar
+below 0 or tau_max not above 0, or a count past MAX_POINTS, checked before
 anything is allocated, included), 3 certification failure, 4 numerical
 failure (a series that did not converge, a diverged quadrature, a
 provably bounded quantity out of range, or a numpy linear-algebra or
@@ -206,10 +208,27 @@ def _within_budget(count, what: str):
     return count
 
 
+def _within_phase_bound(last_time: float, what: str) -> None:
+    if not last_time <= PHASE_BOUND:
+        raise ConfigurationError(
+            f"{what} = {last_time:g} exceeds PHASE_BOUND = {PHASE_BOUND:.4g}, the last time "
+            "whose phase keeps 8 decimal digits"
+        )
+
+
 def _numbers(value, name: str) -> tuple:
     if not isinstance(value, list) or not value:
         raise ConfigurationError(f"field '{name}' must be a nonempty list of numbers")
     return tuple(_number(v, name) for v in value)
+
+
+def _qubit_levels(value, name: str) -> tuple:
+    """One number per level of a bath ancilla, which in the CLI is always a qubit."""
+    numbers = _numbers(value, name)
+    if len(numbers) != 2:
+        raise ConfigurationError(f"field '{name}' must list 2 numbers, one per level of the "
+                                 f"qubit ancilla, got {len(numbers)}")
+    return numbers
 
 
 def _floats(value, name: str) -> list:
@@ -261,11 +280,7 @@ def _collision(value, name: str) -> CollisionConfig:
     if not isinstance(value, dict):
         raise ConfigurationError(f"field '{name}' must be an object")
     spec = _fields(value, COLLISION)
-    if not spec["n_steps"] * spec["t_c"] <= PHASE_BOUND:
-        raise ConfigurationError(
-            f"collision 'n_steps' * 't_c' = {spec['n_steps'] * spec['t_c']:g} exceeds "
-            f"PHASE_BOUND = {PHASE_BOUND:.4g}, the last time whose phase keeps 8 decimal digits"
-        )
+    _within_phase_bound(spec["n_steps"] * spec["t_c"], "collision 'n_steps' * 't_c'")
     return CollisionConfig(2, 2, jc_hamiltonian(), **spec)
 
 
@@ -274,6 +289,7 @@ def _tau_gamma_grid(cfg: dict):
     n, gammas = cfg["tau_points"], cfg["gamma_bar"]
     if cfg["tau_max"] <= 0:
         raise ConfigurationError("need tau_max > 0")
+    _within_phase_bound(cfg["tau_max"], "field 'tau_max'")
     if min(gammas) < 0:
         raise ConfigurationError("gamma_bar must be nonnegative")
     _within_budget(len(gammas) * n, "the row count (gamma_bar values x tau points)")
@@ -420,6 +436,11 @@ def _mode_thermal(cfg: dict):
 
 def _mode_convergence(cfg: dict):
     gamma, tau_max, t_c_list = cfg["gamma_bar"], cfg["tau_max"], cfg["t_c_list"]
+    if gamma < 0:
+        raise ConfigurationError(f"field 'gamma_bar' = {gamma!r} must be nonnegative")
+    if tau_max <= 0:
+        raise ConfigurationError(f"field 'tau_max' = {tau_max!r} must be positive")
+    _within_phase_bound(tau_max, "field 'tau_max'")
     if min(t_c_list) <= 0:
         raise ConfigurationError("every entry of 't_c_list' must be positive")
     _within_budget(tau_max / min(t_c_list), "the step count tau_max / t_c")
@@ -433,6 +454,7 @@ def _mode_sweep(cfg: dict):
     gammas, taus = cfg["gamma_bar"], np.array(cfg["tau"])
     if min(gammas) < 0 or taus.min() < 0:
         raise ConfigurationError("gamma_bar and tau must be nonnegative")
+    _within_phase_bound(taus.max(), "the largest value of field 'tau'")
     _within_budget(len(gammas) * len(taus), "the row count (gamma_bar values x tau points)")
     # one gamma_bar-major grid: row i * len(taus) + j is (taus[j], gammas[i])
     gamma_column = np.repeat(gammas, len(taus))
@@ -464,8 +486,8 @@ RANGE = {"start": (_float, REQUIRED), "stop": (_float, REQUIRED),
          "count": (partial(_count, minimum=1), REQUIRED)}
 BATHS = {
     "pure_ground": {"kind": (_string, REQUIRED)},
-    "thermal": {"kind": (_string, REQUIRED), "energies": (_numbers, None),
-                "inverse_temperature": (_float, None), "weights": (_numbers, None)},
+    "thermal": {"kind": (_string, REQUIRED), "energies": (_qubit_levels, None),
+                "inverse_temperature": (_float, None), "weights": (_qubit_levels, None)},
 }
 COLLISION = {"t_c": (_float, REQUIRED), "p_s": (_float, REQUIRED),
              "n_steps": (partial(_count, minimum=1), REQUIRED),

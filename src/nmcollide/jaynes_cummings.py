@@ -13,12 +13,14 @@ e^{-tau}(1 + tau) at the boundary; all three are evaluated here through
 one analytic function of w = (gamma_bar^2/4 - 1) * tau^2, so the branch
 switch is seamless.
 
-beta2 is a three-pole inverse Laplace transform. The authoritative route
-finds the cubic's roots numerically and takes residues (partial
-fractions), in one batched solve over the distinct gamma_bar of a call,
-with no cache; the tests cross-check it against an independent Cardano
-evaluation of the same roots. Physical validity requires 0 <= beta2 <= 1
-and beta1^2 <= beta2; violations raise instead of clipping.
+beta2 is a three-pole inverse Laplace transform. Its one pole/residue
+solve, ``_spectra``, finds the cubic's roots numerically and takes
+residues (partial fractions) in one batched solve over the distinct
+gamma_bar of a call, with no cache; the tests cross-check its rows against
+an independent Cardano evaluation of the same roots. ``beta_laplace``
+gives either factor's Laplace transform, for the inverse-transform oracle.
+Physical validity requires 0 <= beta2 <= 1 and beta1^2 <= beta2;
+violations raise instead of clipping.
 
 gamma_bar is an array axis like tau: every function here that takes both
 broadcasts them and treats each (tau, gamma_bar) pair as one point.
@@ -32,7 +34,6 @@ channel by ``apply``, ``choi`` and ``to_kraus``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +44,10 @@ from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "jc_hamiltonian",
-    "CubicSpectrum",
     "beta1",
     "beta2",
     "beta_arrays",
     "jc_maps",
-    "cubic_spectrum",
-    "cosine_power_laplace",
     "beta_laplace",
 ]
 
@@ -70,34 +68,19 @@ def jc_hamiltonian() -> HermitianOperator:
 _SERIES_SWITCH = 1e-6  # |w| below this uses the Taylor forms (error ~ w^4/4e5)
 
 
-def _cosh_sqrt(w: np.ndarray) -> np.ndarray:
-    """cosh(sqrt(w)) continued through w < 0, where it equals cos(sqrt(-w))."""
-    w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
+def _cosh_sinhc_sqrt(w: np.ndarray):
+    """(cosh(sqrt(w)), sinh(sqrt(w))/sqrt(w)) continued through w < 0, where they are
+    cos(sqrt(-w)) and sin(sqrt(-w))/sqrt(-w)."""
+    cosh, sinhc = np.empty_like(w), np.empty_like(w)
     small = np.abs(w) < _SERIES_SWITCH
     ws = w[small]
-    out[small] = 1.0 + ws / 2.0 + ws * ws / 24.0 + ws * ws * ws / 720.0
-    pos = ~small & (w > 0)
-    out[pos] = np.cosh(np.sqrt(w[pos]))
-    neg = ~small & (w < 0)
-    out[neg] = np.cos(np.sqrt(-w[neg]))
-    return out
-
-
-def _sinhc_sqrt(w: np.ndarray) -> np.ndarray:
-    """sinh(sqrt(w))/sqrt(w) continued through w < 0 as sin(sqrt(-w))/sqrt(-w)."""
-    w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    small = np.abs(w) < _SERIES_SWITCH
-    ws = w[small]
-    out[small] = 1.0 + ws / 6.0 + ws * ws / 120.0 + ws * ws * ws / 5040.0
-    pos = ~small & (w > 0)
-    x = np.sqrt(w[pos])
-    out[pos] = np.sinh(x) / x
-    neg = ~small & (w < 0)
-    x = np.sqrt(-w[neg])
-    out[neg] = np.sin(x) / x
-    return out
+    cosh[small] = 1.0 + ws / 2.0 + ws * ws / 24.0 + ws * ws * ws / 720.0
+    sinhc[small] = 1.0 + ws / 6.0 + ws * ws / 120.0 + ws * ws * ws / 5040.0
+    for branch, even, odd in ((w > 0, np.cosh, np.sinh), (w < 0, np.cos, np.sin)):
+        mask = ~small & branch
+        x = np.sqrt(np.abs(w[mask]))
+        cosh[mask], sinhc[mask] = even(x), odd(x) / x
+    return cosh, sinhc
 
 
 # gamma_bar, tau and gamma_bar * tau up to this bound keep every intermediate
@@ -157,61 +140,19 @@ def beta1(tau, gamma_bar):
         slow = np.exp(-tau_arr[big] ** 2 / (root + hb))
         out[big] = 0.5 * (1.0 + ratio) * slow + 0.5 * (1.0 - ratio) * np.exp(-(root + hb))
     rest = ~big
-    out[rest] = np.exp(-half[rest]) * (
-        half[rest] * _sinhc_sqrt(w[rest]) + _cosh_sqrt(w[rest])
-    )
+    cosh, sinhc = _cosh_sinhc_sqrt(w[rest])
+    out[rest] = np.exp(-half[rest]) * (half[rest] * sinhc + cosh)
     return float(out[0]) if scalar else out
 
 
 # --- beta2: three-pole spectrum --------------------------------------------
 
 
-def _residue_check(residues: np.ndarray, rates=None) -> None:
-    """beta2(0) = 1: every row of residues sums to 1 (a NaN sum fails)."""
-    total = residues.sum(axis=-1)
-    ok = np.abs(total - 1.0) <= 1e-10
-    if not ok.all():
-        j = int(np.argmin(ok))
-        where = "" if rates is None else f" at gamma_bar={rates[j]}"
-        raise InternalConsistencyError(
-            f"residues must sum to 1 (beta2(0) = 1), got {total[j]}{where}"
-        )
-
-
-def _evaluate(alphas: np.ndarray, residues: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """beta2 = sum_i A_i e^{alpha_i tau}, with alphas and residues (..., 3) broadcast against
-    tau; raises if the sum is not real."""
-    acc = np.zeros(np.broadcast_shapes(alphas.shape[:-1], tau.shape), dtype=np.complex128)
-    for k in range(3):
-        acc += residues[..., k] * np.exp(alphas[..., k] * tau)
-    imag = float(np.max(np.abs(acc.imag))) if acc.size else 0.0
-    if imag > DEFAULT_TOLERANCES.imaginary_residue:
-        raise InternalConsistencyError(f"beta2 imaginary residue {imag:.3e}")
-    return acc.real
-
-
-@dataclass(frozen=True)
-class CubicSpectrum:
-    """Poles and residues of the population factor: beta2(tau) = sum A_i e^{alpha_i tau}.
-
-    alphas[0] is the real pole; alphas[1] and alphas[2] are a conjugate
-    pair (the cubic's discriminant is negative for every gamma_bar >= 0).
-    """
-
-    alphas: tuple
-    residues: tuple
-
-    def __post_init__(self):
-        _residue_check(np.array([self.residues]))
-
-    def evaluate(self, tau) -> np.ndarray:
-        return _evaluate(np.array(self.alphas), np.array(self.residues),
-                         np.atleast_1d(np.asarray(tau, dtype=float)))
-
-
 def _spectra(rates: np.ndarray):
-    """Poles and residues of beta2, two (G, 3) complex arrays, for a 1-d array of rates
-    inside the domain; each row is laid out as in CubicSpectrum.
+    """Poles and residues of beta2(tau) = sum_i A_i e^{alpha_i tau}, two (G, 3) complex arrays
+    for a 1-d array of rates inside the domain: the one pole/residue solve. Column 0 holds
+    the real pole and its residue, columns 1 and 2 the conjugate pair (the cubic's
+    discriminant is negative for every gamma_bar >= 0) and theirs.
 
     The real pole r is the eigenvalue of smallest magnitude (about -2/gamma_bar
     at large rates) of the cubic's companion matrix, the matrix np.roots
@@ -248,16 +189,13 @@ def _spectra(rates: np.ndarray):
     pair_res = ((xs * xs - y * y + 2.0) + 1j * (xs * y + y * xs)) / dp(pair)
     alphas = np.stack([r.astype(np.complex128), pair, pair.conj()], axis=1)
     residues = np.stack([real_res.astype(np.complex128), pair_res, pair_res.conj()], axis=1)
-    _residue_check(residues, g)
+    total = residues.sum(axis=-1)  # beta2(0) = 1; a NaN sum fails
+    ok = np.abs(total - 1.0) <= 1e-10
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise InternalConsistencyError(
+            f"residues must sum to 1 (beta2(0) = 1), got {total[j]} at gamma_bar={g[j]}")
     return alphas, residues
-
-
-def cubic_spectrum(gamma_bar: float) -> CubicSpectrum:
-    """Pole/residue data for beta2: the one-row view of the batched spectrum solve."""
-    _, g = _domain(0.0, gamma_bar)
-    alphas, residues = _spectra(g.reshape(1))
-    return CubicSpectrum(alphas=tuple(map(complex, alphas[0])),
-                         residues=tuple(map(complex, residues[0])))
 
 
 def beta2(tau, gamma_bar):
@@ -268,8 +206,12 @@ def beta2(tau, gamma_bar):
     rates, row = np.unique(g, return_inverse=True)
     alphas, residues = _spectra(rates)
     row = row.reshape(g.shape)  # a scalar gamma_bar picks one row, broadcast against tau
-    vals = _evaluate(alphas[row], residues[row], tau_arr)
-    return float(vals[0]) if scalar else vals
+    alphas, residues = alphas[row], residues[row]
+    vals = sum(residues[..., k] * np.exp(alphas[..., k] * tau_arr) for k in range(3))
+    imag = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
+    if imag > DEFAULT_TOLERANCES.imaginary_residue:
+        raise InternalConsistencyError(f"beta2 imaginary residue {imag:.3e}")
+    return float(vals.real[0]) if scalar else vals.real
 
 
 def beta_arrays(taus, gamma_bar):
@@ -297,18 +239,16 @@ def beta_arrays(taus, gamma_bar):
 # --- Laplace-domain forms (consumed by the inverse-transform oracle) -------
 
 
-def cosine_power_laplace(ell: int, s):
-    """Laplace transform of cos(tau)^ell for ell in {1, 2}; generic arithmetic."""
-    if ell == 1:
-        return s / (s * s + 1)
-    if ell == 2:
-        return (s * s + 2) / (s * (s * s + 4))
-    raise ConfigurationError(f"cosine power {ell} not supported")
-
-
 def beta_laplace(ell: int, s, gamma_bar: float):
-    """Laplace transform of beta_ell: shifted cosine transform through the resolvent."""
-    c = cosine_power_laplace(ell, s + gamma_bar)
+    """Laplace transform of beta_ell for ell in {1, 2}: the transform c of cos(tau)^ell at
+    s + gamma_bar, through the resolvent c / (1 - gamma_bar c); generic arithmetic."""
+    z = s + gamma_bar
+    if ell == 1:
+        c = z / (z * z + 1)
+    elif ell == 2:
+        c = (z * z + 2) / (z * (z * z + 4))
+    else:
+        raise ConfigurationError(f"cosine power {ell} not supported")
     return c / (1 - gamma_bar * c)
 
 

@@ -175,6 +175,21 @@ class TestRun:
         assert field in err["error"]["message"]
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    @pytest.mark.parametrize("field, bath", [
+        ("energies", {"energies": [0.0, 1.0, 2.0], "inverse_temperature": 1.0}),
+        ("weights", {"weights": [0.5, 0.25, 0.25]}),
+    ], ids=["energies", "weights"])
+    def test_thermal_bath_lists_one_number_per_qubit_level(self, tmp_path, capsys, field, bath):
+        collision = {"t_c": 0.05, "p_s": 0.5, "n_steps": 4, "bath": {"kind": "thermal", **bath}}
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"mode": "discrete", "collision": collision, "output_path": str(tmp_path / "out")},
+        )
+        assert main(["run", cfg]) == 2
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert f"'{field}'" in message and "qubit" in message
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_convergence_mode_writes_report(self, tmp_path):
         cfg = write_config(
             tmp_path, "cfg.json",
@@ -440,6 +455,12 @@ class TestConfigNumbers:
                          "tolerance": 1e300}, "tolerance"),
             ("run", {"mode": "convergence", "gamma_bar": 1.0, "tau_max": 1.0,
                      "t_c_list": ["a"]}, "t_c_list"),
+            ("run", {"mode": "convergence", "gamma_bar": -1, "tau_max": 1.0,
+                     "t_c_list": [0.1]}, "'gamma_bar'"),
+            ("run", {"mode": "convergence", "gamma_bar": 1.0, "tau_max": -1,
+                     "t_c_list": [0.1]}, "'tau_max'"),
+            ("run", {"mode": "convergence", "gamma_bar": 1.0, "tau_max": 0,
+                     "t_c_list": [0.1]}, "'tau_max'"),
             ("run", {"mode": "series", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 11,
                      "compare_discrete": "false"}, "compare_discrete"),
             ("run", {"mode": "jc_closed_form", "gamma_bar": 1.0, "tau_max": 1.0,
@@ -450,8 +471,9 @@ class TestConfigNumbers:
         ids=["tau_points-string", "gamma_bar-string", "tau_max-string", "tau_points-fraction",
              "count-string", "start-string", "gamma_bar-empty", "probe_states-string",
              "tolerance-string", "tolerance-negative", "tolerance-above-1e-6", "tolerance-1e300",
-             "t_c_list-string", "compare_discrete-string", "seed-boolean",
-             "output_path-null"],
+             "t_c_list-string", "convergence-gamma_bar-negative",
+             "convergence-tau_max-negative", "convergence-tau_max-zero",
+             "compare_discrete-string", "seed-boolean", "output_path-null"],
     )
     def test_malformed_number_exits_2(self, tmp_path, capsys, subcommand, payload, field):
         cfg = write_config(tmp_path, "cfg.json", {"output_path": str(tmp_path / "out"), **payload})
@@ -695,7 +717,9 @@ class TestClosedFormDomain:
         pytest.param("sweep", {"gamma_bar": [1e200], "tau": [1.0]}, id="sweep-1e200"),
         pytest.param("run", {"mode": "jc_closed_form", "gamma_bar": 1e300, "tau_max": 1.0,
                              "tau_points": 5}, id="closed-form-1e300"),
-        pytest.param("run", {"mode": "jc_closed_form", "gamma_bar": 0.0, "tau_max": 1e200,
+        # a tau past the domain is past PHASE_BOUND too (TestPhaseBound); inside it, tau times
+        # a large gamma_bar still reaches the domain bound
+        pytest.param("run", {"mode": "jc_closed_form", "gamma_bar": 1e150, "tau_max": 1e7,
                              "tau_points": 5}, id="closed-form-long-tau"),
     ])
     def test_beyond_the_bound_exits_2(self, tmp_path, capsys, subcommand, payload):
@@ -843,7 +867,9 @@ class TestSeriesVsProtocol:
 
 
 class TestPhaseBound:
-    """A collision block whose last time n_steps * t_c passes PHASE_BOUND exits 2 naming it."""
+    """A last time past PHASE_BOUND exits 2 naming its field: a collision block's
+    n_steps * t_c, the tau_max of a closed-form grid, a series or a convergence study, and a
+    sweep's largest tau."""
 
     @pytest.mark.parametrize("mode", ["discrete", "thermal"])
     def test_beyond_the_bound_exits_2(self, tmp_path, capsys, monkeypatch, mode):
@@ -872,6 +898,43 @@ class TestPhaseBound:
         rows = read_rows(tmp_path / "out")
         assert float(rows[-1][0]) == PHASE_BOUND
         assert all(np.isfinite(float(v)) for row in rows for v in row[1:4] + row[5:])
+
+
+    @pytest.mark.parametrize("subcommand, payload, field", [
+        pytest.param("run", {"mode": "jc_closed_form", "gamma_bar": [0.0], "tau_max": 1e150,
+                             "tau_points": 3}, "'tau_max' = 1e+150", id="jc_closed_form"),
+        pytest.param("certify", {"mode": "certify", "gamma_bar": [0.0], "tau_max": 1e150,
+                                 "tau_points": 3}, "'tau_max' = 1e+150", id="certify"),
+        pytest.param("run", {"mode": "series", "gamma_bar": [0.0], "tau_max": 1e150,
+                             "tau_points": 3}, "'tau_max' = 1e+150", id="series"),
+        pytest.param("sweep", {"gamma_bar": [0.0], "tau": [1.0, 1e150]}, "'tau' = 1e+150",
+                     id="sweep"),
+        pytest.param("run", {"mode": "convergence", "gamma_bar": 1.0, "tau_max": 1e150,
+                             "t_c_list": [1e147]}, "'tau_max' = 1e+150", id="convergence"),
+    ])
+    def test_tau_beyond_the_bound_exits_2(self, tmp_path, capsys, monkeypatch, subcommand,
+                                          payload, field):
+        from nmcollide.cli import PHASE_BOUND
+
+        _forbid_series_and_protocol(monkeypatch)
+        monkeypatch.setattr(cli, "jc_maps", lambda *a: pytest.fail("closed form evaluated"))
+        monkeypatch.setattr(cli, "convergence_study", lambda *a: pytest.fail("study ran"))
+        cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(tmp_path / "out")})
+        assert main([subcommand, cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["error"]["message"]
+        assert field in message and f"PHASE_BOUND = {PHASE_BOUND:.4g}" in message
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_closed_form_at_the_bound_exits_0(self, tmp_path):
+        from nmcollide.cli import PHASE_BOUND
+
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"mode": "jc_closed_form", "gamma_bar": [0.0], "tau_max": PHASE_BOUND,
+                            "tau_points": 3, "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        assert float(read_rows(tmp_path / "out")[-1][0]) == PHASE_BOUND
 
 
 class TestSizeCaps:

@@ -85,6 +85,25 @@ def test_graph_is_acyclic():
         visit(name)
 
 
+LOADED = {name: importlib.import_module(f"nmcollide.{name}") for name in MODULES
+          if name != "__init__"}
+EXPORTS = {name: mod.__all__ for name, mod in LOADED.items() if hasattr(mod, "__all__")}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_every_export_is_defined(module):
+    # a stale __all__ entry breaks only ``from module import *``, not a plain import
+    assert [name for name in EXPORTS[module] if not hasattr(LOADED[module], name)] == []
+
+
+def test_the_package_imports_only_exports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    unlisted = [f"{node.module}.{a.name}" for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in EXPORTS
+                for a in node.names if a.name not in EXPORTS[node.module]]
+    assert unlisted == []
+
+
 CONFIGS = PACKAGE.parent.parent / "configs"
 UNUSED_BY_THE_CLI = ("scipy", "mpmath")  # top-level packages: every submodule counts
 

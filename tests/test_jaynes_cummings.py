@@ -17,8 +17,6 @@ from nmcollide import (
     beta1,
     beta2,
     choi_of,
-    CubicSpectrum,
-    cubic_spectrum,
     trace_distance,
 )
 from nmcollide.jaynes_cummings import (
@@ -26,8 +24,10 @@ from nmcollide.jaynes_cummings import (
     DOMAIN_BOUND,
     _spectra,
     beta_arrays,
+    beta_laplace,
     jc_maps,
 )
+from nmcollide.tolerances import DEFAULT_TOLERANCES
 
 from conftest import density_operators, kraus_action, qubit_state, qubit_states
 
@@ -45,8 +45,14 @@ def beta1_degenerate_series(tau, gamma_bar: float):
     return np.exp(-half) * (half * sinhc + cosh)
 
 
-def cubic_spectrum_cardano(gamma_bar: float) -> CubicSpectrum:
-    """beta2's spectrum from explicit Cardano radicals: the cross-check of ``cubic_spectrum``.
+def spectrum(gamma_bar: float):
+    """beta2's (poles, residues) at one rate, each a 3-tuple: the row of the batched solve."""
+    alphas, residues = _spectra(np.array([float(gamma_bar)]))
+    return tuple(map(complex, alphas[0])), tuple(map(complex, residues[0]))
+
+
+def spectrum_cardano(gamma_bar: float):
+    """beta2's (poles, residues) from explicit Cardano radicals: the cross-check of ``_spectra``.
 
     The radicals use the principal real cube root; the pole parameters are
     the exponential rates themselves, so beta2(tau) = sum A_i e^{alpha_i tau}
@@ -72,10 +78,7 @@ def cubic_spectrum_cardano(gamma_bar: float) -> CubicSpectrum:
         * (2.0 * g * alpha2 + alpha2**2 + g * g + 2.0)
         / (2.0 * (alpha1 - alpha2) * alpha2.imag)
     )
-    return CubicSpectrum(
-        alphas=(alpha1, alpha2, alpha3),
-        residues=(complex(a1.real), a2, a2.conjugate()),
-    )
+    return (alpha1, alpha2, alpha3), (complex(a1.real), a2, a2.conjugate())
 
 
 class TestAdc:
@@ -159,27 +162,27 @@ class TestBeta1:
 
 class TestCubicSpectrum:
     def test_zero_rate_poles_and_residues(self):
-        sp = cubic_spectrum(0.0)
-        assert abs(sp.alphas[0]) < 1e-12
-        assert abs(sp.alphas[1] - 2j) < 1e-12
-        assert abs(sp.alphas[2] + 2j) < 1e-12
-        assert np.allclose(sp.residues, [0.5, 0.25, 0.25], atol=1e-12)
+        alphas, residues = spectrum(0.0)
+        assert abs(alphas[0]) < 1e-12
+        assert abs(alphas[1] - 2j) < 1e-12
+        assert abs(alphas[2] + 2j) < 1e-12
+        assert np.allclose(residues, [0.5, 0.25, 0.25], atol=1e-12)
 
     @pytest.mark.parametrize("gamma", GAMMA_GRID)
     def test_residues_sum_to_one(self, gamma):
-        assert abs(sum(cubic_spectrum(gamma).residues) - 1.0) < 1e-10
+        assert abs(sum(spectrum(gamma)[1]) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("gamma", GAMMA_GRID)
     def test_conjugate_pair_structure(self, gamma):
-        sp = cubic_spectrum(gamma)
-        assert abs(sp.alphas[1].conjugate() - sp.alphas[2]) < 1e-12
-        assert abs(sp.residues[1].conjugate() - sp.residues[2]) < 1e-12
-        assert abs(sp.alphas[0].imag) < 1e-12
+        alphas, residues = spectrum(gamma)
+        assert abs(alphas[1].conjugate() - alphas[2]) < 1e-12
+        assert abs(residues[1].conjugate() - residues[2]) < 1e-12
+        assert abs(alphas[0].imag) < 1e-12
 
     @pytest.mark.parametrize("gamma", GAMMA_GRID)
     def test_poles_are_stable(self, gamma):
         # all exponential rates must have nonpositive real part
-        for a in cubic_spectrum(gamma).alphas:
+        for a in spectrum(gamma)[0]:
             assert a.real < 1e-12
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0, 2.0, 5.0, 20.0, 50.0])
@@ -187,9 +190,11 @@ class TestCubicSpectrum:
         # the radical expressions and the numerical partial fractions must
         # produce the same population factor
         taus = np.linspace(0.0, 10.0, 201)
-        a = cubic_spectrum(gamma).evaluate(taus)
-        b = cubic_spectrum_cardano(gamma).evaluate(taus)
-        assert np.max(np.abs(a - b)) < 1e-8
+        alphas, residues = spectrum_cardano(gamma)
+        assert abs(sum(residues) - 1.0) <= 1e-10
+        b = sum(a * np.exp(s * taus) for a, s in zip(residues, alphas))
+        assert np.max(np.abs(b.imag)) <= DEFAULT_TOLERANCES.imaginary_residue
+        assert np.max(np.abs(beta2(taus, gamma) - b.real)) < 1e-8
 
     def test_delta_radical_positive_everywhere(self):
         for gamma in np.linspace(0.0, 100.0, 401):
@@ -197,10 +202,13 @@ class TestCubicSpectrum:
 
     def test_bitwise_the_scalar_root_route(self):
         # the loop reference: np.roots on one cubic, Newton, Vieta and residues in Python
-        # scalars; the batched solve must reproduce it bit for bit
+        # scalars; every row of one batched solve over the whole grid must reproduce it
+        # bit for bit
         rng = np.random.default_rng(7)
-        for g in GAMMA_GRID + [1e6, 3e8, 1e10, 1e12, DOMAIN_BOUND] + list(rng.uniform(0, 12, 200)):
-            g = float(g)
+        grid = [float(g) for g in GAMMA_GRID + [1e6, 3e8, 1e10, 1e12, DOMAIN_BOUND]
+                + list(rng.uniform(0, 12, 200))]
+        alphas, residues = _spectra(np.array(grid))
+        for k, g in enumerate(grid):
             coeffs = np.array([1.0, 2.0 * g, g * g + 4.0, 2.0 * g])
             dcoeffs = np.array([3.0, 4.0 * g, g * g + 4.0])
             roots = np.roots(coeffs)
@@ -210,18 +218,9 @@ class TestCubicSpectrum:
             real_res, pair_res = (
                 complex(((s + g) ** 2 + 2.0) / np.polyval(dcoeffs, s)) for s in (r, pair)
             )
-            sp = cubic_spectrum(g)
-            assert sp.alphas == (complex(r), pair, pair.conjugate()), g
-            assert sp.residues == (complex(real_res.real), pair_res, pair_res.conjugate()), g
-
-    def test_scalar_call_is_the_batched_row(self):
-        # the Vieta regime, the bound and the usual grid in one batched solve
-        grid = GAMMA_GRID + [1e6, 3e8, 1e10, 1e12, DOMAIN_BOUND]
-        alphas, residues = _spectra(np.array(grid))
-        for k, gamma in enumerate(grid):
-            sp = cubic_spectrum(gamma)
-            assert sp.alphas == tuple(map(complex, alphas[k]))
-            assert sp.residues == tuple(map(complex, residues[k]))
+            assert tuple(map(complex, alphas[k])) == (complex(r), pair, pair.conjugate()), g
+            assert tuple(map(complex, residues[k])) == (
+                complex(real_res.real), pair_res, pair_res.conjugate()), g
 
 
 class TestBeta2:
@@ -327,6 +326,12 @@ class TestBetaArrays:
             assert np.array_equal(stack[k], jc_maps(tau, 1.3)[0].choi().data)
 
 
+@pytest.mark.parametrize("ell", [0, 3])
+def test_beta_laplace_takes_only_the_two_factors(ell):
+    with pytest.raises(ConfigurationError, match=f"cosine power {ell} not supported"):
+        beta_laplace(ell, 1.0 + 0.5j, 0.5)
+
+
 NAN = float("nan")
 
 
@@ -339,7 +344,6 @@ NAN = float("nan")
     pytest.param(lambda: beta_arrays([0.0, 1.0], [1.0, NAN]), id="beta_arrays-gamma"),
     pytest.param(lambda: jc_maps([0.5, 1.0], [2.0, NAN]), id="jc_maps-gamma"),
     pytest.param(lambda: jc_maps(NAN, 2.0), id="jc_maps-tau"),
-    pytest.param(lambda: cubic_spectrum(NAN), id="cubic_spectrum"),
 ])
 def test_nan_fails_the_domain_check(call):
     with pytest.raises(ConfigurationError, match="NaN"):
@@ -380,6 +384,8 @@ class TestGammaAxis:
     def test_domain_bound_names_the_first_pair_beyond_it(self):
         with pytest.raises(ConfigurationError, match=re.escape("gamma_bar = 1e+100, tau = 1e+60")):
             beta1([1.0, 1e60, 1e70], [1e100, 1e100, 1e100])
+        with pytest.raises(ConfigurationError, match=re.escape("gamma_bar = 0, tau = 1e+200")):
+            beta2([1.0, 1e200], 0.0)
 
 
 class TestJcMaps:
