@@ -206,8 +206,7 @@ def beta2(tau, gamma_bar):
     rates, row = np.unique(g, return_inverse=True)
     alphas, residues = _spectra(rates)
     row = row.reshape(g.shape)  # a scalar gamma_bar picks one row, broadcast against tau
-    alphas, residues = alphas[row], residues[row]
-    vals = sum(residues[..., k] * np.exp(alphas[..., k] * tau_arr) for k in range(3))
+    vals = sum(residues[row, k] * np.exp(alphas[row, k] * tau_arr) for k in range(3))
     imag = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
     if imag > DEFAULT_TOLERANCES.imaginary_residue:
         raise InternalConsistencyError(f"beta2 imaginary residue {imag:.3e}")
