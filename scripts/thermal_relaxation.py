@@ -33,7 +33,7 @@ def main() -> int:
             n_steps=150,
             bath=BathSpec(kind="thermal", energies=ENERGIES, inverse_temperature=beta),
         )
-        final = discrete_maps(cfg)[-1].apply(DensityOperator.basis(2, 1))
+        final = discrete_maps(cfg)[-1].apply(DensityOperator.basis(2, 1))[0]
         bath_weight = thermal_weights(ENERGIES, beta)[1]
         print(f"{beta:>6g} | {bath_weight:>20.6f} | {final[1, 1].real:>22.6f}")
     return 0

@@ -15,7 +15,6 @@ from .collisions import (
     thermal_weights,
 )
 from .continuum import (
-    DynamicalMap,
     LambdaSeriesResult,
     LindbladGenerator,
     MapStack,
@@ -46,7 +45,6 @@ from .jaynes_cummings import (
     jc_maps,
 )
 from .quantum import (
-    ChoiMatrix,
     DensityOperator,
     HermitianOperator,
     KrausChannel,

@@ -37,8 +37,9 @@ fields, every missing required field, a closed-form gamma_bar or tau past the
 bound where its intermediates stay finite, a collision, tau_max or sweep tau
 past PHASE_BOUND, a collision with a rate that is not finite, a thermal bath
 whose energies or weights do not list two numbers, a convergence gamma_bar
-below 0 or tau_max not above 0, or a count past MAX_POINTS, checked before
-anything is allocated, included), 3 certification failure, 4 numerical
+below 0 or tau_max not above 0, two series gamma_bar values that name one
+report file, or a count past MAX_POINTS, checked before anything is
+allocated, included), 3 certification failure, 4 numerical
 failure (a series that did not converge, a diverged quadrature, a
 provably bounded quantity out of range, or a numpy linear-algebra or
 floating-point error).
@@ -400,8 +401,14 @@ def _mode_series(cfg: dict):
     if stride < 1 or abs(stride * grid.dt - t_c) > 1e-9:
         raise ConfigurationError("t_c must be a multiple of the tau grid spacing")
     policy = SeriesPolicy(k_max=cfg["k_max"], tail_tol=cfg["tail_tol"])
+    names, first = [f"series_gamma_{g:g}.json" for g in gammas], {}
+    for i, name in enumerate(names):
+        j = first.setdefault(name, i)
+        if j < i:  # one report file would hold only the later gamma_bar
+            raise ConfigurationError(f"gamma_bar values {gammas[j]!r} and {gammas[i]!r} both "
+                                     f"name the report {name!r}")
     tables, extras = [], {}
-    for g in gammas:
+    for g, name in zip(gammas, names):
         collision = CollisionConfig(
             2, 2, jc_hamiltonian(), t_c=t_c, p_s=calibrated_swap_probability(g, t_c),
             n_steps=(len(taus) - 1) // stride, bath=BathSpec(kind="pure_ground"),
@@ -411,7 +418,7 @@ def _mode_series(cfg: dict):
         table = _map_table(result.maps, g, _min_choi_eigs(result.maps))
         table["trace_distance_vs_discrete"] = distances
         tables.append(table)
-        extras[f"series_gamma_{g:g}.json"] = _series_report(g, result)
+        extras[name] = _series_report(g, result)
     return tables, extras, None
 
 

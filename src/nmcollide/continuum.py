@@ -45,8 +45,10 @@ The closed form for the exchange coupling (``jaynes_cummings.jc_maps``)
 returns a MapStack too; it imports this module, never the reverse.
 
 ``lindblad_limit`` gives the memoryless semigroup of the kernel's
-short-time derivative (the infinite-rate regime). Kraus form is recovered
-on demand from the Choi eigendecomposition; convolution needs map addition.
+short-time derivative (the infinite-rate regime). Every index of a MapStack
+is a MapStack, one map included. A map's Kraus form is
+``quantum.kraus_from_choi`` of its row of ``MapStack.choi()``; the routes
+stay superoperators, since convolution needs map addition.
 """
 
 from __future__ import annotations
@@ -59,25 +61,15 @@ import numpy as np
 from .collisions import (BathSpec, CollisionConfig, attach_superop, propagate_maps, protocol_step,
                          reset_generator, trace_ancilla_superop)
 from .errors import ConfigurationError, TruncationError
-from .quantum import (
-    ChoiMatrix,
-    DensityOperator,
-    HermitianOperator,
-    KrausChannel,
-    _hermitian_basis,
-    _hermitian_real,
-    kraus_from_choi,
-)
+from .quantum import DensityOperator, HermitianOperator, _hermitian_basis, _hermitian_real
 
 __all__ = [
     "TimeGrid",
     "SeriesPolicy",
     "MemoryKernelMap",
-    "DynamicalMap",
     "MapStack",
     "LambdaSeriesResult",
     "LindbladGenerator",
-    "choi_stack_from_superops",
     "build_kernel_map",
     "adc_decay_kernel",
     "lambda_series",
@@ -88,14 +80,6 @@ __all__ = [
 
 
 # --- vectorization conventions ---------------------------------------------
-
-
-def choi_stack_from_superops(superops: np.ndarray, dim: int) -> np.ndarray:
-    """Choi matrices of an (n, d^2, d^2) superoperator stack, as an (n, d^2, d^2) array."""
-    n = superops.shape[0]
-    t = superops.reshape(n, dim, dim, dim, dim)
-    choi = t.transpose(0, 3, 1, 4, 2).reshape(n, dim * dim, dim * dim)
-    return 0.5 * (choi + choi.conj().transpose(0, 2, 1))  # symmetrize away rounding noise
 
 
 def _vec(rho) -> np.ndarray:
@@ -218,45 +202,14 @@ def adc_decay_kernel(rate: float) -> MemoryKernelMap:
 
 
 @dataclass(frozen=True)
-class DynamicalMap:
-    """One time slice of a dynamical map, carried as a superoperator matrix.
-
-    Construction performs no positivity check: this type also carries
-    candidate maps that certification is meant to reject.
-    """
-
-    time: float
-    superop: np.ndarray
-    dim: int
-
-    def apply(self, rho) -> np.ndarray:
-        return (self.superop @ _vec(rho)).reshape(self.dim, self.dim)
-
-    def choi(self) -> ChoiMatrix:
-        """The Choi matrix, the superoperator reshuffled."""
-        return ChoiMatrix(choi_stack_from_superops(self.superop[None], self.dim)[0], dim=self.dim)
-
-    def to_kraus(self) -> KrausChannel:
-        """Kraus form via the Choi eigendecomposition.
-
-        Channel validation is strict: a map carrying a quadrature-level trace
-        defect (or a negative Choi eigenvalue) is refused, never repaired.
-        """
-        return kraus_from_choi(self.choi())
-
-    def trace_defect(self) -> float:
-        t = self.superop.reshape(self.dim, self.dim, self.dim, self.dim)
-        marginal = np.einsum("aaij->ij", t)
-        return float(np.max(np.abs(marginal - np.eye(self.dim))))
-
-
-@dataclass(frozen=True)
 class MapStack:
     """Dynamical maps at a sequence of times, as one (n, d^2, d^2) superoperator array.
 
-    An int index gives the DynamicalMap at that time, sharing the array;
-    any other index (a slice, an index array) gives a MapStack. Like
-    DynamicalMap, construction performs no positivity check.
+    Every index gives a MapStack: an int j the one-map stack at that time
+    (``slice(j, j + 1)``, sharing the array; an int past either end raises
+    IndexError), a slice or an index array the maps it selects. Construction
+    performs no positivity check: a stack also carries candidate maps that
+    certification is meant to reject.
     """
 
     times: np.ndarray
@@ -268,12 +221,19 @@ class MapStack:
 
     def __getitem__(self, idx):
         if isinstance(idx, (int, np.integer)):
-            return DynamicalMap(float(self.times[idx]), self.superops[idx], self.dim)
+            j = idx + len(self) if idx < 0 else idx
+            if not 0 <= j < len(self):
+                raise IndexError(f"map index {idx} out of range for {len(self)} maps")
+            idx = slice(j, j + 1)
         return MapStack(self.times[idx], self.superops[idx], self.dim)
 
     def choi(self) -> np.ndarray:
-        """The (n, d^2, d^2) stack of Choi matrices."""
-        return choi_stack_from_superops(self.superops, self.dim)
+        """The (n, d^2, d^2) stack of Choi matrices: each superoperator reshuffled, then
+        symmetrized to remove rounding noise."""
+        n, d = len(self.superops), self.dim
+        t = self.superops.reshape(n, d, d, d, d)
+        choi = t.transpose(0, 3, 1, 4, 2).reshape(n, d * d, d * d)
+        return 0.5 * (choi + choi.conj().transpose(0, 2, 1))
 
     def apply(self, rho) -> np.ndarray:
         """Each map applied to rho, as an (n, d, d) array."""
@@ -496,12 +456,11 @@ class LindbladGenerator:
     def norm(self) -> float:
         return float(np.max(np.abs(self.generator)))
 
-    def semigroup(self, t: float) -> DynamicalMap:
+    def semigroup(self, t: float) -> MapStack:
+        """e^{G t} as a one-map MapStack."""
         import scipy.linalg  # no CLI mode runs the semigroup; scipy.linalg costs ~0.3 s to import
 
-        return DynamicalMap(
-            time=float(t), superop=scipy.linalg.expm(self.generator * t), dim=self.dim
-        )
+        return MapStack(np.array([float(t)]), scipy.linalg.expm(self.generator * t)[None], self.dim)
 
 
 def lindblad_limit(kernel: MemoryKernelMap, h: float, *, order: int = 1) -> LindbladGenerator:

@@ -27,8 +27,9 @@ broadcasts them and treats each (tau, gamma_bar) pair as one point.
 ``jc_maps`` is the one map constructor: a continuum MapStack with
 S[0,0] = 1, S[0,3] = 1 - beta2, S[1,1] = S[2,2] = beta1 and S[3,3] = beta2
 on row-major vectorized qubit states, one map per pair. One point,
-``jc_maps(tau, g)[0]``, gives the evolved state, Choi matrix and Kraus
-channel by ``apply``, ``choi`` and ``to_kraus``.
+``jc_maps(tau, g)``, is a one-map stack: ``apply(rho)[0]`` is the evolved
+state, ``choi()[0]`` the Choi matrix, and ``quantum.kraus_from_choi`` of
+that the Kraus channel.
 """
 
 from __future__ import annotations
@@ -113,6 +114,13 @@ def _domain(tau, gamma_bar):
     return tau_arr, g
 
 
+def _on_domain(factor, tau, gamma_bar):
+    """factor (``_beta1`` or ``_beta2``) on the arrays ``_domain`` checks, as a float for a
+    scalar pair."""
+    out = factor(*_domain(tau, gamma_bar))
+    return float(out[0]) if np.ndim(tau) == 0 and np.ndim(gamma_bar) == 0 else out
+
+
 def beta1(tau, gamma_bar):
     """Coherence factor of the dynamical map at each (tau, gamma_bar) pair, the two broadcast.
 
@@ -124,8 +132,11 @@ def beta1(tau, gamma_bar):
     (equal to gamma_bar*tau/2 - sqrt(w), since w - (gamma_bar*tau/2)^2 =
     -tau^2) so that it does not cancel at large gamma_bar.
     """
-    scalar = np.ndim(tau) == 0 and np.ndim(gamma_bar) == 0
-    tau_arr, g = _domain(tau, gamma_bar)
+    return _on_domain(_beta1, tau, gamma_bar)
+
+
+def _beta1(tau_arr: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """beta1 on arrays ``_domain`` has checked."""
     half = 0.5 * g * tau_arr
     w = (0.25 * g * g - 1.0) * tau_arr * tau_arr
     tau_arr = np.broadcast_to(tau_arr, w.shape)
@@ -142,7 +153,7 @@ def beta1(tau, gamma_bar):
     rest = ~big
     cosh, sinhc = _cosh_sinhc_sqrt(w[rest])
     out[rest] = np.exp(-half[rest]) * (half[rest] * sinhc + cosh)
-    return float(out[0]) if scalar else out
+    return out
 
 
 # --- beta2: three-pole spectrum --------------------------------------------
@@ -201,8 +212,11 @@ def _spectra(rates: np.ndarray):
 def beta2(tau, gamma_bar):
     """Excited-population factor of the dynamical map at each (tau, gamma_bar) pair, the two
     broadcast; one spectrum solve covers every distinct gamma_bar."""
-    scalar = np.ndim(tau) == 0 and np.ndim(gamma_bar) == 0
-    tau_arr, g = _domain(tau, gamma_bar)
+    return _on_domain(_beta2, tau, gamma_bar)
+
+
+def _beta2(tau_arr: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """beta2 on arrays ``_domain`` has checked."""
     rates, row = np.unique(g, return_inverse=True)
     alphas, residues = _spectra(rates)
     row = row.reshape(g.shape)  # a scalar gamma_bar picks one row, broadcast against tau
@@ -210,7 +224,7 @@ def beta2(tau, gamma_bar):
     imag = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
     if imag > DEFAULT_TOLERANCES.imaginary_residue:
         raise InternalConsistencyError(f"beta2 imaginary residue {imag:.3e}")
-    return float(vals.real[0]) if scalar else vals.real
+    return vals.real
 
 
 def beta_arrays(taus, gamma_bar):
@@ -218,16 +232,16 @@ def beta_arrays(taus, gamma_bar):
     array, held to 0 <= beta1^2 <= beta2 <= 1 (BETA_SLACK).
 
     Raises InternalConsistencyError naming the first (tau, gamma_bar) that
-    violates them (a NaN counts as a violation); values are never clipped.
+    violates them (a NaN counts as a violation); values are never clipped. The domain is
+    checked once for both factors.
     """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    b1 = beta1(taus, gamma_bar)
-    b2 = beta2(taus, gamma_bar)
+    tau_arr, g = _domain(taus, gamma_bar)
+    b1, b2 = _beta1(tau_arr, g), _beta2(tau_arr, g)
     ok = (b2 >= -BETA_SLACK) & (b2 <= 1.0 + BETA_SLACK) & (b1 * b1 <= b2 + BETA_SLACK)
     if not np.all(ok):
         j = int(np.argmin(ok))
-        tau_j = np.broadcast_to(taus, ok.shape)[j]
-        gamma_j = np.broadcast_to(np.asarray(gamma_bar, dtype=float), ok.shape)[j]
+        tau_j = np.broadcast_to(tau_arr, ok.shape)[j]
+        gamma_j = np.broadcast_to(g, ok.shape)[j]
         raise InternalConsistencyError(
             f"beta1 = {b1[j]}, beta2 = {b2[j]} violate 0 <= beta1^2 <= beta2 <= 1 "
             f"at tau={tau_j}, gamma_bar={gamma_j}"

@@ -13,6 +13,7 @@ index. Subsystem slots are counted from 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -27,7 +28,6 @@ __all__ = [
     "density_stack",
     "HermitianOperator",
     "KrausChannel",
-    "ChoiMatrix",
     "choi_of",
     "kraus_from_choi",
     "trace_distance",
@@ -148,67 +148,31 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map as an ordered Kraus list."""
+    """Completely positive trace-preserving map as an ordered list of square Kraus operators,
+    all of one size, the channel's dimension."""
 
     kraus: tuple
-    dim_in: int
-    dim_out: int
 
     def __post_init__(self):
         ops = tuple(_frozen(_as_complex_matrix(k)) for k in self.kraus)
         if not ops:
             raise ValidationError("channel needs at least one Kraus operator")
+        d = ops[0].shape[0]
         for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise ValidationError(
-                    f"Kraus operator shape {k.shape} does not match "
-                    f"({self.dim_out}, {self.dim_in})"
-                )
-        defect = self.trace_defect_of(ops, self.dim_in)
+            if k.shape != (d, d):
+                raise ValidationError(f"Kraus operator shape {k.shape} is not ({d}, {d})")
+        object.__setattr__(self, "kraus", ops)
+        defect = self.trace_defect()
         if defect > DEFAULT_TOLERANCES.kraus_completeness:
             raise ValidationError(f"channel is not trace preserving: defect {defect:.3e}")
-        object.__setattr__(self, "kraus", ops)
 
-    @staticmethod
-    def trace_defect_of(ops: Sequence[np.ndarray], dim_in: int) -> float:
-        acc = sum(k.conj().T @ k for k in ops)
-        return float(np.max(np.abs(acc - np.eye(dim_in))))
-
-    @classmethod
-    def from_operators(cls, ops: Sequence[np.ndarray]) -> "KrausChannel":
-        first = np.asarray(ops[0])
-        return cls(tuple(ops), dim_in=first.shape[1], dim_out=first.shape[0])
-
-    @classmethod
-    def identity(cls, dim: int) -> "KrausChannel":
-        return cls((np.eye(dim, dtype=np.complex128),), dim_in=dim, dim_out=dim)
+    @property
+    def dim(self) -> int:
+        return self.kraus[0].shape[0]
 
     def trace_defect(self) -> float:
-        return self.trace_defect_of(self.kraus, self.dim_in)
-
-
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Choi matrix of a channel on a dim-dimensional space (dim^2 x dim^2)."""
-
-    data: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        mat = _as_complex_matrix(self.data)
-        d2 = self.dim * self.dim
-        if mat.shape != (d2, d2):
-            raise ValidationError(f"Choi matrix shape {mat.shape} != ({d2}, {d2})")
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > DEFAULT_TOLERANCES.hermiticity:
-            raise ValidationError(f"Choi matrix not Hermitian: deviation {herm:.3e}")
-        object.__setattr__(self, "data", _frozen(mat))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.data)[0])
-
-    def trace(self) -> float:
-        return float(np.trace(self.data).real)
+        acc = sum(k.conj().T @ k for k in self.kraus)
+        return float(np.max(np.abs(acc - np.eye(self.dim))))
 
 
 @lru_cache(maxsize=None)
@@ -241,27 +205,33 @@ def _partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Sequence[i
     return np.einsum(spec, t).reshape(kept_dim, kept_dim)
 
 
-def choi_of(ch: KrausChannel) -> ChoiMatrix:
-    """Choi matrix (id (x) ch) applied to the unnormalized maximally entangled operator."""
-    if ch.dim_in != ch.dim_out:
-        raise ConfigurationError("Choi certification expects a square channel")
-    d = ch.dim_in
+def choi_of(ch: KrausChannel) -> np.ndarray:
+    """The (d^2, d^2) Choi matrix, (id (x) ch) applied to the unnormalized maximally entangled
+    operator."""
+    d = ch.dim
     acc = np.zeros((d * d, d * d), dtype=np.complex128)
     for k in ch.kraus:
         w = k.T.reshape(-1)  # w[(i, a)] = K[a, i]
         acc += np.outer(w, w.conj())
-    return ChoiMatrix(acc, dim=d)
+    return acc
 
 
-def kraus_from_choi(choi: ChoiMatrix) -> KrausChannel:
-    """Kraus operators of a CP map from the eigendecomposition of its Choi matrix.
+def kraus_from_choi(choi) -> KrausChannel:
+    """Kraus operators of a CP map from the eigendecomposition of its (d^2, d^2) Choi matrix.
 
-    Eigenvalues below -DEFAULT_TOLERANCES.choi_positivity signal a non-CP
-    map and raise, never clip; slightly negative rounding noise is set to
-    zero.
+    A matrix of another shape, or one that is not Hermitian within the
+    hermiticity tolerance, raises ValidationError. Eigenvalues below
+    -DEFAULT_TOLERANCES.choi_positivity signal a non-CP map and raise, never
+    clip; slightly negative rounding noise is set to zero.
     """
-    d = choi.dim
-    evals, evecs = np.linalg.eigh(choi.data)
+    choi = np.asarray(choi, dtype=np.complex128)
+    d = math.isqrt(choi.shape[0]) if choi.ndim == 2 else 0
+    if d == 0 or choi.shape != (d * d, d * d):
+        raise ValidationError(f"expected a (d^2, d^2) Choi matrix, got shape {choi.shape}")
+    herm = np.max(np.abs(choi - choi.conj().T))
+    if herm > DEFAULT_TOLERANCES.hermiticity:
+        raise ValidationError(f"Choi matrix not Hermitian: deviation {herm:.3e}")
+    evals, evecs = np.linalg.eigh(choi)
     if evals[0] < -DEFAULT_TOLERANCES.choi_positivity:
         raise InternalConsistencyError(
             f"Choi matrix is not positive semidefinite: min eigenvalue {evals[0]:.3e}"
@@ -274,7 +244,7 @@ def kraus_from_choi(choi: ChoiMatrix) -> KrausChannel:
         ops.append(np.sqrt(lam) * vec.reshape(d, d).T)
     if not ops:
         raise InternalConsistencyError("Choi matrix has no positive eigenvalues")
-    return KrausChannel(tuple(ops), dim_in=d, dim_out=d)
+    return KrausChannel(tuple(ops))
 
 
 def trace_distance(a, b) -> float:

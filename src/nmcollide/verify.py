@@ -274,7 +274,7 @@ def certify_cpt(maps, tolerance: float = 1e-9, *,
 
 def _choi_data(mp) -> np.ndarray:
     if isinstance(mp, KrausChannel):
-        return choi_of(mp).data
+        return choi_of(mp)
     raise ConfigurationError(f"cannot certify object of type {type(mp)!r}")
 
 

@@ -38,7 +38,7 @@ def kraus_channels(draw, dim=2, n_ops=2):
     g = g + 0.1 * np.vstack([np.eye(dim)] * n_ops)  # keep full column rank
     q, _ = np.linalg.qr(g)
     ops = tuple(q[i * dim : (i + 1) * dim, :] for i in range(n_ops))
-    return KrausChannel(ops, dim_in=dim, dim_out=dim)
+    return KrausChannel(ops)
 
 
 def kraus_action(ch: KrausChannel, rho: DensityOperator) -> np.ndarray:

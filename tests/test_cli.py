@@ -619,7 +619,7 @@ class TestBatchedClosedForm:
 
     @pytest.mark.parametrize("subcommand", ["certify", "sweep"])
     def test_rows_match_per_point_route(self, tmp_path, subcommand):
-        from nmcollide import beta1, beta2, choi_of, jc_maps
+        from nmcollide import beta1, beta2, choi_of, jc_maps, kraus_from_choi
 
         rows = self._run(tmp_path, subcommand)
         assert len(rows) == len(self.GAMMAS) * 41
@@ -627,19 +627,18 @@ class TestBatchedClosedForm:
             tau, gamma = float(row[0]), float(row[1])
             assert float(row[2]) == beta1(tau, gamma)
             assert float(row[3]) == beta2(tau, gamma)
-            per_point = choi_of(jc_maps(tau, gamma)[0].to_kraus()).min_eigenvalue()
+            per_point = np.linalg.eigvalsh(choi_of(kraus_from_choi(jc_maps(tau, gamma).choi()[0])))[0]
             assert abs(float(row[5]) - per_point) < 1e-14
 
     def test_no_per_point_kraus_route(self, tmp_path, monkeypatch):
-        # every per-point object of a Kraus route (ChoiMatrix, KrausChannel,
-        # hence kraus_from_choi) now raises on construction
-        from nmcollide.quantum import ChoiMatrix, KrausChannel
+        # the per-point object of a Kraus route (KrausChannel, hence kraus_from_choi) now
+        # raises on construction
+        from nmcollide.quantum import KrausChannel
 
         def forbidden(self):
             raise AssertionError(f"per-point {type(self).__name__} built by the CLI")
 
-        for cls in (ChoiMatrix, KrausChannel):
-            monkeypatch.setattr(cls, "__post_init__", forbidden)
+        monkeypatch.setattr(KrausChannel, "__post_init__", forbidden)
         for subcommand in ("certify", "sweep"):
             assert len(self._run(tmp_path, subcommand)) == len(self.GAMMAS) * 41
         cfg = write_config(
@@ -688,7 +687,6 @@ class TestBatchedChoiSpectra:
     @pytest.mark.parametrize("mode", sorted(CONFIGS))
     def test_bitwise_equal_to_per_map_choi(self, tmp_path, monkeypatch, mode):
         import nmcollide.cli as cli_mod
-        from nmcollide.quantum import ChoiMatrix
 
         lambda_series, results = cli_mod.lambda_series, []
 
@@ -696,17 +694,13 @@ class TestBatchedChoiSpectra:
             results.append(lambda_series(*args, **kwargs))
             return results[-1]
 
-        def forbidden(self):
-            raise AssertionError("per-map ChoiMatrix built by the CLI")
-
         monkeypatch.setattr(cli_mod, "lambda_series", recording)
-        monkeypatch.setattr(ChoiMatrix, "__post_init__", forbidden)
         cfg = write_config(
             tmp_path, "cfg.json", {**self.CONFIGS[mode], "output_path": str(tmp_path / "out")}
         )
         assert main(["run", cfg]) == 0
         monkeypatch.undo()
-        per_map = [f"{mp.choi().min_eigenvalue():.17g}" for r in results for mp in r.maps]
+        per_map = [f"{np.linalg.eigvalsh(mp.choi())[0, 0]:.17g}" for r in results for mp in r.maps]
         assert [row[5] for row in read_rows(tmp_path / "out")] == per_map
 
 
@@ -759,7 +753,6 @@ class TestDiscreteMapMode:
     def test_columns_come_from_the_stack(self, tmp_path, monkeypatch, bath):
         import nmcollide.cli as cli_mod
         from nmcollide import DensityOperator
-        from nmcollide.quantum import ChoiMatrix
 
         discrete_maps, stacks = cli_mod.discrete_maps, []
 
@@ -767,11 +760,7 @@ class TestDiscreteMapMode:
             stacks.append(discrete_maps(collision))
             return stacks[-1]
 
-        def forbidden(self):
-            raise AssertionError("per-map ChoiMatrix built by the CLI")
-
         monkeypatch.setattr(cli_mod, "discrete_maps", recording)
-        monkeypatch.setattr(ChoiMatrix, "__post_init__", forbidden)
         collision = {"t_c": 0.05, "p_s": 0.95, "n_steps": 200, "bath": self.BATHS[bath]}
         cfg = write_config(
             tmp_path, "cfg.json",
@@ -781,7 +770,8 @@ class TestDiscreteMapMode:
         monkeypatch.undo()
         (stack,) = stacks
         rows = read_rows(tmp_path / "out")
-        assert [row[5] for row in rows] == [f"{m.choi().min_eigenvalue():.17g}" for m in stack]
+        assert [row[5] for row in rows] == [f"{np.linalg.eigvalsh(m.choi())[0, 0]:.17g}"
+                                            for m in stack]
         assert min(float(row[5]) for row in rows) > -1e-14
         # beta2 is the excited population of the trajectory from |1>, beta1 twice the
         # coherence of the one from |+>
@@ -851,6 +841,26 @@ class TestSeriesVsProtocol:
         message = json.loads(lines[0])["error"]["message"]
         assert "'t_c'" in message and "'compare_discrete'" in message
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("gammas, named", [
+        pytest.param([1.0, 1.0000001], "1.0 and 1.0000001 both name the report "
+                     "'series_gamma_1.json'", id="same-name"),
+        pytest.param([2.0, 0.5, 2.0], "2.0 and 2.0 both name the report 'series_gamma_2.json'",
+                     id="duplicate"),
+    ])
+    def test_gamma_bar_values_naming_one_report_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                      gammas, named):
+        # each gamma_bar writes series_gamma_{gamma_bar:g}.json: a shared name would keep
+        # only the later report
+        _forbid_series_and_protocol(monkeypatch)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "mode": "series", "gamma_bar": gammas, "tau_max": 1.0, "tau_points": 11,
+            "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert named in json.loads(lines[0])["error"]["message"]
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("beta", [0.5, 3.0])
     def test_full_swap_series_is_the_sampled_kernel(self, tmp_path, beta):

@@ -79,10 +79,10 @@ class TestRunDiscrete:
     def test_memoryless_equals_composed_channel(self, jc_h):
         cfg = pure_cfg(jc_h, t_c=0.4, p_s=0.0, n_steps=5)
         states = discrete_maps(cfg).apply(PROBE)
-        step = build_kernel_map(jc_h).maps(0.4)[0]
+        step = build_kernel_map(jc_h).maps(0.4)
         state = PROBE.data
         for _ in range(5):
-            state = step.apply(state)
+            state = step.apply(state)[0]
         assert trace_distance(state, states[-1]) < 1e-12
 
     @pytest.mark.parametrize("p_s", [0.0, 0.5, 1.0])
@@ -189,10 +189,10 @@ class TestThermal:
         bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=1.0)
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.5, p_s=0.0, n_steps=120, bath=bath)
         states = discrete_maps(cfg).apply(DensityOperator.basis(2, 1))
-        step = build_kernel_map(jc_h, bath.weight_vector(2)).maps(0.5)[0]
+        step = build_kernel_map(jc_h, bath.weight_vector(2)).maps(0.5)
         fixed = DensityOperator.basis(2, 1).data
         for _ in range(500):
-            fixed = step.apply(fixed)
+            fixed = step.apply(fixed)[0]
         target = fixed[1, 1].real
         assert target > 0.05  # relaxes to the thermal value, not to zero
         assert abs(states[-1, 1, 1].real - target) < 1e-9
@@ -370,7 +370,8 @@ class TestDiscreteMaps:
         stack = discrete_maps(long_run_cfg(jc_h, weights, t_c=0.05, n_steps=200))
         assert np.max(np.abs(stack.superops[0] - np.eye(4))) < 1e-15
         assert float(np.linalg.eigvalsh(stack.choi()).min()) > -1e-14
-        assert max(m.trace_defect() for m in stack) < 1e-14
+        marginal = np.einsum("naaij->nij", stack.superops.reshape(-1, 2, 2, 2, 2))
+        assert np.max(np.abs(marginal - np.eye(2))) < 1e-14
 
     def test_refuses_a_step_that_breaks_hermiticity(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from nmcollide import (
     CollisionConfig,
     ConfigurationError,
     DensityOperator,
-    DynamicalMap,
     HermitianOperator,
     InternalConsistencyError,
     MapStack,
@@ -18,9 +19,11 @@ from nmcollide import (
     adc_decay_kernel,
     build_kernel_map,
     calibrated_swap_probability,
+    certify_cpt,
     discrete_maps,
     jc_hamiltonian,
     jc_maps,
+    kraus_from_choi,
     lambda_embedding,
     lambda_series,
     lindblad_limit,
@@ -164,7 +167,7 @@ def test_nan_fails_the_range_checks(build):
 class TestKernelMaps:
     def test_starts_at_identity(self, jc_kernel):
         rho = PROBE
-        assert trace_distance(jc_kernel.maps(0.0)[0].apply(rho), rho) < 1e-12
+        assert trace_distance(jc_kernel.maps(0.0).apply(rho)[0], rho) < 1e-12
 
     def test_zero_hamiltonian_stays_identity(self):
         kernel = build_kernel_map(HermitianOperator(np.zeros((4, 4))))
@@ -183,9 +186,9 @@ class TestKernelMaps:
         for h, weights in [(jc_hamiltonian(), (1.0, 0.0)), (jc_hamiltonian(), WARM),
                            (_random_qutrit_hamiltonian(), (1.0, 0.0))]:
             maps = build_kernel_map(h, weights).maps([0.0, 0.4, 1.9, 5.0])
-            for m in maps:
-                direct = _kraus_reference(h, weights, m.time)
-                assert np.max(np.abs(m.superop - direct)) < 1e-12
+            for t, superop in zip(maps.times, maps.superops):
+                direct = _kraus_reference(h, weights, t)
+                assert np.max(np.abs(superop - direct)) < 1e-12
 
     def test_mode_stack_is_c_contiguous(self, jc_kernel):
         # maps() inherits the mode stack's layout
@@ -213,7 +216,7 @@ class TestThermalKernel:
 
     def test_starts_at_identity(self):
         thermal = build_kernel_map(jc_hamiltonian(), WARM)
-        assert trace_distance(thermal.maps(0.0)[0].apply(PROBE), PROBE) < 1e-12
+        assert trace_distance(thermal.maps(0.0).apply(PROBE)[0], PROBE) < 1e-12
 
     def test_equals_convex_combination(self):
         weights = (0.65, 0.35)
@@ -239,12 +242,12 @@ class TestLambdaSeries:
         grid = TimeGrid(t_max=4.0, n_points=81)
         result = lambda_series(jc_kernel, 0.0, grid)
         assert result.truncation_order == 1
-        for m, kernel_map in zip(result.maps, jc_kernel.maps(result.maps.times)):
-            assert np.max(np.abs(m.superop - kernel_map.superop)) < 1e-12
+        kernel_maps = jc_kernel.maps(result.maps.times)
+        assert np.max(np.abs(result.maps.superops - kernel_maps.superops)) < 1e-12
 
     def test_identity_at_time_zero(self, jc_kernel):
         result = lambda_series(jc_kernel, 1.5, TimeGrid(t_max=1.0, n_points=51))
-        assert np.max(np.abs(result.maps[0].superop - np.eye(4))) < 1e-12
+        assert np.max(np.abs(result.maps.superops[0] - np.eye(4))) < 1e-12
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_matches_closed_form(self, jc_kernel, gamma):
@@ -287,8 +290,8 @@ class TestLambdaSeries:
     @settings(max_examples=25)
     def test_trace_preservation(self, rho):
         maps = _fine_series_maps()
-        for m in maps[:: len(maps) // 8]:
-            assert abs(np.trace(m.apply(rho)).real - 1.0) < 1e-8
+        for out in maps[:: len(maps) // 8].apply(rho):
+            assert abs(np.trace(out).real - 1.0) < 1e-8
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, 5.0, 50.0])
     def test_complete_positivity_across_rates(self, jc_kernel, gamma):
@@ -296,14 +299,14 @@ class TestLambdaSeries:
         # truncation, not just in the converged limit
         grid = TimeGrid(t_max=2.0, n_points=201)
         result = lambda_series(jc_kernel, gamma, grid, SeriesPolicy(k_max=400))
-        assert min(m.choi().min_eigenvalue() for m in result.maps) >= -1e-8
+        assert np.linalg.eigvalsh(result.maps.choi())[:, 0].min() >= -1e-8
 
     def test_partial_sums_are_cp(self, jc_kernel):
         grid = TimeGrid(t_max=2.0, n_points=101)
         policies = [SeriesPolicy(k_max=k, tail_tol=1e30) for k in (1, 2, 3, 5)]
         for policy in policies:
             maps = lambda_series(jc_kernel, 1.0, grid, policy).maps
-            assert min(m.choi().min_eigenvalue() for m in maps) >= -1e-8
+            assert np.linalg.eigvalsh(maps.choi())[:, 0].min() >= -1e-8
 
     def test_tail_decreases_past_onset(self, jc_kernel):
         result = lambda_series(jc_kernel, 3.0, TimeGrid(t_max=3.0, n_points=301))
@@ -374,16 +377,16 @@ class TestLambdaSeries:
         worst = 0.0
         for i, state in enumerate(stack.apply(PROBE)):
             mp = result.maps[stride * i]
-            assert abs(mp.time - stack.times[i]) < 1e-9
-            worst = max(worst, trace_distance(mp.apply(PROBE), state))
+            assert abs(mp.times[0] - stack.times[i]) < 1e-9
+            worst = max(worst, trace_distance(mp.apply(PROBE)[0], state))
         assert worst <= 5e-2
 
     def test_map_kraus_extraction_matches_action(self, jc_kernel):
         # zero-rate series is exact, so the maps are strictly trace preserving
         result = lambda_series(jc_kernel, 0.0, TimeGrid(t_max=2.0, n_points=401))
-        for m in result.maps[::100]:
-            ch = m.to_kraus()
-            direct = m.apply(PROBE)
+        maps = result.maps[::100]
+        for choi, direct in zip(maps.choi(), maps.apply(PROBE)):
+            ch = kraus_from_choi(choi)
             via_kraus = sum(k @ PROBE.data @ k.conj().T for k in ch.kraus)
             assert np.max(np.abs(direct - via_kraus)) < 1e-9
 
@@ -393,14 +396,14 @@ class TestLambdaSeries:
         from nmcollide import ValidationError
 
         result = lambda_series(jc_kernel, 1.0, TimeGrid(t_max=2.0, n_points=41))
-        with pytest.raises(ValidationError):
-            result.maps[-1].to_kraus()
+        with pytest.raises(ValidationError, match="not trace preserving"):
+            kraus_from_choi(result.maps.choi()[-1])
 
     def test_thermal_kernel_series_is_cpt(self):
         kernel = build_kernel_map(jc_hamiltonian(), WARM)
         result = lambda_series(kernel, 1.0, TimeGrid(t_max=2.0, n_points=2001))
-        assert min(m.choi().min_eigenvalue() for m in result.maps) >= -1e-8
-        assert max(m.trace_defect() for m in result.maps) < 1e-6
+        assert np.linalg.eigvalsh(result.maps.choi())[:, 0].min() >= -1e-8
+        assert max(certify_cpt(result.maps).max_trace_defect) < 1e-6
 
 
 class TestInvariantBlocks:
@@ -472,16 +475,14 @@ class TestLambdaEmbedding:
         grid = TimeGrid(t_max=3.0, n_points=3001)
         maps = lambda_embedding(jc_hamiltonian(), (1.0, 0.0), 2.0, grid)
         ser = lambda_series(jc_kernel, 2.0, grid)
-        worst = max(np.max(np.abs(m.superop - s.superop)) for m, s in zip(maps, ser.maps))
-        assert worst < 1e-5
+        assert np.max(np.abs(maps.superops - ser.maps.superops)) < 1e-5
 
     def test_thermal_matches_series(self):
         kernel = build_kernel_map(jc_hamiltonian(), WARM)
         grid = TimeGrid(t_max=2.0, n_points=2001)
         maps = lambda_embedding(jc_hamiltonian(), WARM, 1.0, grid)
         ser = lambda_series(kernel, 1.0, grid)
-        worst = max(np.max(np.abs(m.superop - s.superop)) for m, s in zip(maps, ser.maps))
-        assert worst < 1e-6
+        assert np.max(np.abs(maps.superops - ser.maps.superops)) < 1e-6
 
     def test_validation(self):
         grid = TimeGrid(t_max=1.0, n_points=3)
@@ -502,24 +503,37 @@ class TestMapStack:
 
     def test_int_index_is_a_view_and_slices_stay_stacks(self, stack):
         assert isinstance(stack, MapStack) and len(stack) == 21
-        m = stack[5]
-        assert isinstance(m, DynamicalMap) and m.time == stack.times[5] and m.dim == 2
-        assert np.shares_memory(m.superop, stack.superops)
+        for j in (5, np.int64(5), -1, -21):
+            m = stack[j]
+            assert isinstance(m, MapStack) and len(m) == 1 and m.dim == 2
+            assert m.times[0] == stack.times[j]
+            assert np.array_equal(m.superops[0], stack.superops[j])
+            assert np.shares_memory(m.superops, stack.superops)
         for part in (stack[::4], stack[np.arange(0, 21, 4)]):
             assert isinstance(part, MapStack) and len(part) == 6
             assert np.array_equal(part.superops, stack.superops[::4])
             assert np.array_equal(part.times, stack.times[::4])
-        assert [mp.time for mp in stack] == list(stack.times)
+
+    @pytest.mark.parametrize("j", [21, -22])
+    def test_int_index_past_either_end_raises(self, stack, j):
+        with pytest.raises(IndexError):
+            stack[j]
+
+    def test_iteration_stops_after_the_last_map(self, stack):
+        # islice bounds the loop, so an iteration that never stops fails instead of hanging
+        maps = list(itertools.islice(stack, len(stack) + 1))
+        assert len(maps) == len(stack)
+        assert [mp.times[0] for mp in maps] == list(stack.times)
 
     def test_choi_and_apply_agree_with_each_map(self, stack):
         chois, applied = stack.choi(), stack.apply(PROBE)
         assert chois.shape == (21, 4, 4) and applied.shape == (21, 2, 2)
         for j, m in enumerate(stack):
-            assert np.array_equal(chois[j], m.choi().data)
-            assert np.max(np.abs(applied[j] - m.apply(PROBE))) < 1e-15
+            assert np.array_equal(chois[j], m.choi()[0])
+            assert np.max(np.abs(applied[j] - m.apply(PROBE)[0])) < 1e-15
 
     def test_no_positivity_check(self):
-        # like DynamicalMap, a stack carries candidate maps that certification rejects
+        # a stack carries candidate maps that certification rejects
         stack = MapStack(np.zeros(1), -np.eye(4)[None], 2)
         assert stack.choi()[0, 0, 0] == -1.0
 
@@ -541,7 +555,7 @@ class TestLindbladLimit:
             gen = lindblad_limit(kernel, h, order=1)
             excited = DensityOperator.basis(2, 1)
             errors[h] = max(
-                abs(gen.semigroup(t).apply(excited)[1, 1].real - np.exp(-2 * rate * t))
+                abs(gen.semigroup(t).apply(excited)[0, 1, 1].real - np.exp(-2 * rate * t))
                 for t in (0.5, 1.0, 2.0)
             )
         # first-order extraction: error shrinks linearly with the step
@@ -553,7 +567,7 @@ class TestLindbladLimit:
         gen = lindblad_limit(kernel, 1e-3, order=2)
         excited = DensityOperator.basis(2, 1)
         err = max(
-            abs(gen.semigroup(t).apply(excited)[1, 1].real - np.exp(-2 * rate * t))
+            abs(gen.semigroup(t).apply(excited)[0, 1, 1].real - np.exp(-2 * rate * t))
             for t in (0.5, 1.0, 2.0)
         )
         assert err < 1e-6
@@ -583,7 +597,7 @@ class TestLindbladLimit:
         kernel = adc_decay_kernel(0.4)
         gen = lindblad_limit(kernel, 1e-3)
         for t in (0.5, 2.0, 10.0):
-            assert gen.semigroup(t).trace_defect() < 1e-8
+            assert certify_cpt(gen.semigroup(t)).max_trace_defect[0] < 1e-8
 
     def test_step_validation(self, jc_kernel):
         with pytest.raises(ConfigurationError):

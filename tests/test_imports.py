@@ -164,3 +164,24 @@ def test_bench_imports_of_the_package_resolve():
         if name is not None and not hasattr(mod, name):
             missing.append(f"{where} {module}.{name}")
     assert missing == []
+
+
+@pytest.mark.parametrize("bath", [{"kind": "pure_ground"},
+                                  {"kind": "thermal", "energies": (0.0, 1.0),
+                                   "inverse_temperature": 0.8}], ids=["pure", "thermal"])
+def test_bench_reads_brute_force_states_as_matrices(bath):
+    # bench's reference check reads its betas from brute_force_chain(...).states[k].data,
+    # starting from DensityOperator.basis(2, 1) and the |+> state
+    import numpy as np
+    from nmcollide.collisions import BathSpec, CollisionConfig
+    from nmcollide.jaynes_cummings import jc_hamiltonian
+    from nmcollide.quantum import DensityOperator
+    from nmcollide.verify import brute_force_chain
+
+    cfg = CollisionConfig(system_dim=2, ancilla_dim=2, hamiltonian=jc_hamiltonian(), t_c=0.1,
+                          p_s=0.9, n_steps=3, bath=BathSpec(**bath))
+    for rho in (DensityOperator.basis(2, 1), DensityOperator(np.full((2, 2), 0.5))):
+        states = brute_force_chain(cfg, rho, n_max=3).states
+        assert len(states) == 4
+        for state in states:
+            assert isinstance(state.data, np.ndarray) and state.data.shape == (2, 2)

@@ -21,6 +21,7 @@ from nmcollide import (
     inverse_laplace,
     jc_maps,
     discrete_maps,
+    kraus_from_choi,
     random_density_operator,
     trace_distance,
 )
@@ -98,7 +99,7 @@ class TestBruteForceChain:
 
 class TestCertify:
     def test_identity_family_passes(self):
-        maps = [KrausChannel.identity(2) for _ in range(5)]
+        maps = [KrausChannel((np.eye(2),)) for _ in range(5)]
         report = certify_cpt(maps, 1e-9)
         assert report.verdict
         assert all(abs(e) < 1e-12 for e in report.min_choi_eigenvalue)
@@ -106,9 +107,9 @@ class TestCertify:
 
     def test_closed_form_family_passes(self):
         channels = [
-            m.to_kraus()
+            kraus_from_choi(choi)
             for gamma in (0.0, 1.0, 5.0)
-            for m in jc_maps(np.linspace(0.0, 10.0, 26), gamma)
+            for choi in jc_maps(np.linspace(0.0, 10.0, 26), gamma).choi()
         ]
         assert certify_cpt(channels, 1e-9).verdict
 
@@ -120,7 +121,7 @@ class TestCertify:
 
     def test_corrupted_choi_stack_flagged(self):
         maps = corrupted_beta_maps(1.0, np.linspace(0.0, 5.0, 11))
-        stack = np.stack([m.choi().data for m in maps])
+        stack = np.stack([m.choi()[0] for m in maps])
         report = certify_cpt(stack, 1e-9)
         assert not report.verdict
         assert min(report.min_choi_eigenvalue) < -1e-3
@@ -134,7 +135,8 @@ class TestCertify:
     def test_stack_agrees_with_channel_family(self):
         taus = np.linspace(0.0, 10.0, 26)
         from_stack = certify_cpt(jc_maps(taus, 2.0).choi(), 1e-9)
-        from_channels = certify_cpt([jc_maps(t, 2.0)[0].to_kraus() for t in taus], 1e-9)
+        from_channels = certify_cpt([kraus_from_choi(jc_maps(t, 2.0).choi()[0]) for t in taus],
+                                    1e-9)
         assert from_stack.verdict and from_channels.verdict
         assert np.allclose(from_stack.min_choi_eigenvalue, from_channels.min_choi_eigenvalue,
                            rtol=0.0, atol=1e-14)
@@ -145,7 +147,7 @@ class TestCertify:
             certify_cpt([], 1e-9)
 
     def test_report_serialization(self):
-        report = certify_cpt([KrausChannel.identity(2)], 1e-9, gamma_bar=0.5)
+        report = certify_cpt([KrausChannel((np.eye(2),))], 1e-9, gamma_bar=0.5)
         payload = json.loads(report.to_json())
         assert set(payload) == {
             "grid", "gamma_bar", "min_choi_eigenvalue", "max_trace_defect",
