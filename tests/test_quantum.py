@@ -160,7 +160,7 @@ class TestChoi:
         assert trace_distance(kraus_action(ch, rho), kraus_action(rebuilt, rho)) < 1e-10
 
     def test_choi_requires_hermitian(self):
-        # eigh reads one triangle only: without the check this matrix would pass as the identity
+        # eigh reads one triangle only: without the check this matrix is taken for the identity
         with pytest.raises(ValidationError, match="not Hermitian"):
             kraus_from_choi(np.triu(np.ones((4, 4))))
 
