@@ -65,8 +65,8 @@ def thermal_weights(energies, inverse_temperature: float) -> np.ndarray:
     e = np.asarray(energies, dtype=float)
     if not np.all(np.isfinite(e)):
         raise ConfigurationError("level energies must be finite")
-    if not inverse_temperature >= 0:  # a NaN inverse temperature fails too
-        raise ConfigurationError("inverse temperature must be nonnegative")
+    if not 0 <= inverse_temperature < np.inf:  # a NaN inverse temperature fails too
+        raise ConfigurationError("inverse_temperature must be nonnegative and finite")
     logw = -inverse_temperature * (e - e.min())
     w = np.exp(logw)
     return w / w.sum()
@@ -151,8 +151,8 @@ class CollisionConfig:
         if not 0.0 <= self.p_s <= 1.0:
             raise ConfigurationError(f"swap probability {self.p_s} outside [0, 1]")
         # t_c = 0 is allowed as a degenerate no-dynamics case
-        if not self.t_c >= 0:  # a NaN t_c fails too
-            raise ConfigurationError("collision time must be nonnegative")
+        if not 0 <= self.t_c < np.inf:  # a NaN t_c fails too
+            raise ConfigurationError("collision time t_c must be nonnegative and finite")
         if self.n_steps < 1:
             raise ConfigurationError("need at least one step")
 

@@ -98,8 +98,8 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
-        if not self.t_max > 0:  # a NaN t_max fails too
-            raise ConfigurationError("t_max must be positive")
+        if not 0 < self.t_max < math.inf:  # a NaN t_max fails too
+            raise ConfigurationError("t_max must be positive and finite")
         if self.n_points < 2:
             raise ConfigurationError("need at least two grid points")
 
@@ -184,8 +184,8 @@ def adc_decay_kernel(rate: float) -> MemoryKernelMap:
     Its short-time derivative is a genuine Lindblad generator, which makes
     it the reference case for the memoryless-limit extraction.
     """
-    if not rate >= 0:  # a NaN rate fails too
-        raise ConfigurationError("decay rate must be nonnegative")
+    if not 0 <= rate < math.inf:  # a NaN rate fails too
+        raise ConfigurationError("decay rate must be nonnegative and finite")
     e03 = np.zeros((4, 4), dtype=np.complex128)
     e03[0, 3] = 1.0
     m0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(np.complex128) + e03
@@ -320,8 +320,8 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
     TruncationError with the residual norm, at once when the peak order is
     past k_max and half ``_dropped_term_bound`` is above ``policy.tail_tol``.
     """
-    if not gamma >= 0:  # a NaN rate fails too
-        raise ConfigurationError("memory-loss rate must be nonnegative")
+    if not 0 <= gamma < math.inf:  # a NaN rate fails too
+        raise ConfigurationError("memory-loss rate gamma must be nonnegative and finite")
     times, n, d2 = grid.times(), grid.n_points, kernel.system_dim ** 2
     q = _hermitian_basis(kernel.system_dim)
     back = np.kron(q.conj().T, q.T)  # vec(T) -> vec(Q^dagger T Q), the vec-basis superoperator
@@ -425,8 +425,8 @@ def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid
     cross-check; it is no oracle for the discrete engine, whose step is the
     splitting of the same L.
     """
-    if not gamma >= 0:  # a NaN rate fails too
-        raise ConfigurationError("memory-loss rate must be nonnegative")
+    if not 0 <= gamma < math.inf:  # a NaN rate fails too
+        raise ConfigurationError("memory-loss rate gamma must be nonnegative and finite")
     ds, w = _system_dim_and_weights(h, weights)
     commutator, reset, rho_a = reset_generator(h, w)
     import scipy.linalg  # no CLI mode runs the embedding; scipy.linalg costs ~0.3 s to import
@@ -470,8 +470,8 @@ def lindblad_limit(kernel: MemoryKernelMap, h: float, *, order: int = 1) -> Lind
     second-order one-sided difference. Both annihilate the trace
     functional exactly, so e^{G t} is trace preserving.
     """
-    if not h > 0:  # a NaN step fails too
-        raise ConfigurationError("finite-difference step must be positive")
+    if not 0 < h < math.inf:  # a NaN step fails too
+        raise ConfigurationError("finite-difference step h must be positive and finite")
     eye = np.eye(kernel.system_dim ** 2, dtype=np.complex128)
     s1, s2 = kernel.maps([h, 2.0 * h]).superops
     if order == 1:

@@ -8,15 +8,13 @@ eigensolvers, never a general eigensolver.
 
 Index convention: a composite space is the Kronecker product with the
 first factor slowest, i.e. ``np.kron(a, b)`` puts ``a`` on the leading
-index. Subsystem slots are counted from 0.
+index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -33,16 +31,14 @@ __all__ = [
     "trace_distance",
     "trace_distances",
     "unitary_evolution",
-    "embed_operator",
-    "swap_operator",
     "ket",
 ]
 
 
 def _as_complex_matrix(data) -> np.ndarray:
     mat = np.array(data, dtype=np.complex128, copy=True)
-    if mat.ndim != 2:
-        raise ValidationError(f"expected a matrix, got ndim={mat.ndim}")
+    if mat.ndim != 2 or 0 in mat.shape:  # an empty matrix would fail inside numpy's reductions
+        raise ValidationError(f"expected a nonempty matrix, got shape {mat.shape}")
     return mat
 
 
@@ -175,36 +171,6 @@ class KrausChannel:
         return float(np.max(np.abs(acc - np.eye(self.dim))))
 
 
-@lru_cache(maxsize=None)
-def _ptrace_recipe(dims: tuple, keep: tuple):
-    # traced slots share one letter between row and column index; kept slots keep both
-    m = len(dims)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * m > len(letters):
-        raise ConfigurationError("too many subsystems for the partial trace")
-    row = letters[:m]
-    col = "".join(letters[m + s] if s in keep else letters[s] for s in range(m))
-    out = "".join(row[s] for s in keep) + "".join(letters[m + s] for s in keep)
-    return row + col + "->" + out
-
-
-def _partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Reduced matrix over the kept slots (0-based indices into dims) of a joint matrix."""
-    dims = tuple(int(d) for d in dims)
-    keep = tuple(sorted(int(k) for k in keep))
-    total = int(np.prod(dims))
-    if mat.shape != (total, total):
-        raise ConfigurationError(
-            f"joint dimension {mat.shape[0]} does not match prod(dims)={total}"
-        )
-    if not keep or any(k < 0 or k >= len(dims) for k in keep) or len(set(keep)) != len(keep):
-        raise ConfigurationError(f"invalid keep set {keep} for {len(dims)} slots")
-    spec = _ptrace_recipe(dims, keep)
-    t = mat.reshape(dims + dims)
-    kept_dim = int(np.prod([dims[k] for k in keep]))
-    return np.einsum(spec, t).reshape(kept_dim, kept_dim)
-
-
 def choi_of(ch: KrausChannel) -> np.ndarray:
     """The (d^2, d^2) Choi matrix, (id (x) ch) applied to the unnormalized maximally entangled
     operator."""
@@ -287,34 +253,3 @@ def unitary_evolution(h, t: float) -> np.ndarray:
     mat = h.data if isinstance(h, HermitianOperator) else np.asarray(h, dtype=np.complex128)
     evals, evecs = np.linalg.eigh(mat)
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-
-
-def swap_operator(d: int) -> np.ndarray:
-    """Unitary exchanging the two factors of a d (x) d space."""
-    s = np.zeros((d * d, d * d), dtype=np.complex128)
-    for a in range(d):
-        for b in range(d):
-            s[b * d + a, a * d + b] = 1.0
-    return s
-
-
-def embed_operator(op: np.ndarray, dims: Sequence[int], slots: Sequence[int]) -> np.ndarray:
-    """Lift an operator acting on the given slots (in that order) to the full space."""
-    dims = [int(d) for d in dims]
-    slots = [int(s) for s in slots]
-    m = len(dims)
-    if len(set(slots)) != len(slots) or any(s < 0 or s >= m for s in slots):
-        raise ConfigurationError(f"invalid slots {slots} for {m} subsystems")
-    sub = int(np.prod([dims[s] for s in slots]))
-    op = np.asarray(op, dtype=np.complex128)
-    if op.shape != (sub, sub):
-        raise ConfigurationError(f"operator shape {op.shape} does not act on dims {sub}")
-    rest = [k for k in range(m) if k not in slots]
-    order = slots + rest
-    d_rest = int(np.prod([dims[k] for k in rest])) if rest else 1
-    big = np.kron(op, np.eye(d_rest, dtype=np.complex128))
-    total = int(np.prod(dims))
-    t = big.reshape([dims[k] for k in order] * 2)
-    inv = np.argsort(order)
-    axes = list(inv) + [m + i for i in inv]
-    return np.ascontiguousarray(t.transpose(axes).reshape(total, total))

@@ -10,6 +10,14 @@ Only the oracle purifies: where the engine starts each thermal ancilla in
 its mixed Boltzmann state, the brute-force chain holds every ancilla as a
 pure entangled pair whose first half couples to the system, and swaps
 whole pairs. The pair marginal is the thermal state, so both must agree.
+
+The brute-force chain holds its joint state as one tensor with an axis
+per subsystem, row axes first: (s, 1..n, s', 1'..n') for the system s
+and the bath units 1..n (single ancillas, or purified pairs). A partial
+swap of two units permutes their axes, an SA collision contracts U with
+the system axes and one unit's axes, and the system state is the trace
+over every unit axis. Beyond the config it is given (the bath's weights
+among it), the chain calls nothing of the engine or the continuum layer.
 """
 
 from __future__ import annotations
@@ -29,12 +37,9 @@ from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .quantum import (
     DensityOperator,
     KrausChannel,
-    _partial_trace_matrix,
     choi_of,
     density_stack,
-    embed_operator,
     ket,
-    swap_operator,
     trace_distances,
     unitary_evolution,
 )
@@ -169,24 +174,26 @@ def brute_force_chain(cfg: CollisionConfig, rho0: DensityOperator,
     if rho0.dim != cfg.system_dim:
         raise ConfigurationError("initial state dimension mismatch")
     unit, u_dim, h_full = _bath_unit(cfg)
-    n = cfg.n_steps
-    ds = cfg.system_dim
-    dims = [ds] + [u_dim] * n
+    n, ds = cfg.n_steps, cfg.system_dim
+    m = n + 1  # row axes: the system, then units 1..n; column axes follow at m..2m-1
 
     sigma = rho0.data
     for _ in range(n):
         sigma = np.kron(sigma, unit)
+    sigma = sigma.reshape([ds] + [u_dim] * n + [ds] + [u_dim] * n)
 
-    u_pair = unitary_evolution(h_full, cfg.t_c)
-    swap = swap_operator(u_dim)
+    u = unitary_evolution(h_full, cfg.t_c).reshape(ds, u_dim, ds, u_dim)
     states = [rho0.data]
-    for step in range(1, n + 1):
-        if step >= 2:
-            s_emb = embed_operator(swap, dims, [step - 1, step])
-            sigma = (1.0 - cfg.p_s) * sigma + cfg.p_s * (s_emb @ sigma @ s_emb.conj().T)
-        u_emb = embed_operator(u_pair, dims, [0, step])
-        sigma = u_emb @ sigma @ u_emb.conj().T
-        states.append(_partial_trace_matrix(sigma, dims, (0,)))
+    for k in range(1, n + 1):
+        if k >= 2:
+            swapped = sigma.swapaxes(k - 1, k).swapaxes(m + k - 1, m + k)
+            sigma = (1.0 - cfg.p_s) * sigma + cfg.p_s * swapped
+        # U sigma U^dag on the system and unit k: U's column pair meets the row axes, U^*'s
+        # column pair the column axes, and each new pair of axes moves back into place
+        sigma = np.moveaxis(np.tensordot(u, sigma, axes=([2, 3], [0, k])), 1, k)
+        sigma = np.moveaxis(np.tensordot(sigma, u.conj(), axes=([m, m + k], [2, 3])),
+                            (-2, -1), (m, m + k))
+        states.append(np.einsum("iaja->ij", sigma.reshape(ds, u_dim ** n, ds, u_dim ** n)))
     times = tuple(k * cfg.t_c for k in range(n + 1))
     return TrajectoryRecord(np.array(states), times)
 
@@ -347,7 +354,11 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list,
     trajectory, validated as a density-matrix stack (endpoint-only checks
     miss transients). The order estimate is the log-log slope.
     """
+    if not 0 < tau_max < math.inf:  # a NaN tau_max fails too
+        raise ConfigurationError("tau_max must be positive and finite")
     t_c_values = sorted((float(t) for t in t_c_list), reverse=True)
+    if not all(0 < t_c < math.inf for t_c in t_c_values):  # NaN fails too
+        raise ConfigurationError("every collision time in t_c_list must be positive and finite")
     if len(t_c_values) != len(set(t_c_values)):
         raise ConfigurationError("collision times must be distinct")
     h = jc_hamiltonian()

@@ -22,7 +22,6 @@ from nmcollide import (
 from nmcollide.collisions import (attach_superop, propagate_maps, protocol_step,
                                   reset_generator, trace_ancilla_superop)
 from nmcollide.continuum import build_kernel_map
-from nmcollide.quantum import _partial_trace_matrix
 from nmcollide.verify import purified_pair_ket
 
 PROBE = DensityOperator(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
@@ -33,6 +32,11 @@ def pure_cfg(h, t_c, p_s, n_steps):
         system_dim=2, ancilla_dim=2, hamiltonian=h, t_c=t_c, p_s=p_s,
         n_steps=n_steps, bath=BathSpec(kind="pure_ground"),
     )
+
+
+def trace_ancilla(joint: np.ndarray, ds: int = 2, da: int = 2) -> np.ndarray:
+    """Tr_A of a matrix on system (x) ancilla, np.kron order, written with np.einsum."""
+    return np.einsum("iaja->ij", joint.reshape(ds, da, ds, da))
 
 
 def ground_window(rho: DensityOperator) -> np.ndarray:
@@ -57,7 +61,7 @@ class TestSaCollision:
     def test_single_rabi_oscillation(self, jc_h, theta):
         joint = ground_window(DensityOperator.basis(2, 1))
         out = self.collide(joint, jc_h, theta)
-        system = _partial_trace_matrix(out, [2, 2], [0])
+        system = trace_ancilla(out)
         assert abs(system[1, 1].real - np.cos(theta) ** 2) < 1e-12
 
     def test_ground_state_is_stationary(self, jc_h):
@@ -90,7 +94,7 @@ class TestRunDiscrete:
         cfg = pure_cfg(jc_h, t_c=0.7, p_s=p_s, n_steps=1)
         states = discrete_maps(cfg).apply(PROBE)
         u = unitary_evolution(jc_h, 0.7)
-        expect = _partial_trace_matrix(u @ ground_window(PROBE) @ u.conj().T, [2, 2], [0])
+        expect = trace_ancilla(u @ ground_window(PROBE) @ u.conj().T)
         assert trace_distance(states[1], expect) < 1e-14
 
     def test_perfect_swap_is_stroboscopic_kernel(self, jc_h):
@@ -162,7 +166,7 @@ class TestThermal:
         w = np.array([0.7, 0.3])
         psi = purified_pair_ket(w)
         pair = DensityOperator.from_ket(psi)
-        marginal = _partial_trace_matrix(pair.data, [2, 2], [0])
+        marginal = trace_ancilla(pair.data)
         assert np.max(np.abs(marginal - np.diag(w))) < 1e-12
 
     def test_zero_temperature_weights_match_pure(self, jc_h):
@@ -250,7 +254,7 @@ class TestResetSplitting:
 
 
 class TestAncillaBookkeeping:
-    """attach and Tr_A against np.kron, quantum._partial_trace_matrix and the reset by index."""
+    """attach and Tr_A against np.kron, an np.einsum partial trace and the reset by index."""
 
     @pytest.mark.parametrize("ds", [1, 2, 3])
     @pytest.mark.parametrize("da", [2, 3])
@@ -274,7 +278,7 @@ class TestAncillaBookkeeping:
         tr_a = trace_ancilla_superop(ds, da)
         for _ in range(5):
             w = random_density_operator(ds * da, rng)
-            expected = _partial_trace_matrix(w.data, (ds, da), [0]).reshape(-1)
+            expected = trace_ancilla(w.data, ds, da).reshape(-1)
             assert np.max(np.abs(tr_a @ w.data.reshape(-1) - expected)) <= 1e-15
 
     @pytest.mark.parametrize("ds", [1, 2, 3])

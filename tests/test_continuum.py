@@ -20,6 +20,7 @@ from nmcollide import (
     build_kernel_map,
     calibrated_swap_probability,
     certify_cpt,
+    convergence_study,
     discrete_maps,
     jc_hamiltonian,
     jc_maps,
@@ -161,6 +162,31 @@ NAN = float("nan")
 ])
 def test_nan_fails_the_range_checks(build):
     with pytest.raises(ConfigurationError):
+        build()
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("name, build", [
+    ("inverse_temperature", lambda: thermal_weights((0.0, 1.0), INF)),
+    ("inverse_temperature",
+     lambda: BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=INF)),
+    ("t_c", lambda: CollisionConfig(2, 2, jc_hamiltonian(), t_c=INF, p_s=0.5, n_steps=1,
+                                    bath=BathSpec(kind="pure_ground"))),
+    ("t_max", lambda: TimeGrid(t_max=INF, n_points=5)),
+    ("gamma", lambda: lambda_series(build_kernel_map(jc_hamiltonian()), INF, TimeGrid(1.0, 3))),
+    ("gamma", lambda: lambda_embedding(jc_hamiltonian(), (1.0, 0.0), INF, TimeGrid(1.0, 3))),
+    ("rate", lambda: adc_decay_kernel(INF)),
+    ("step h", lambda: lindblad_limit(build_kernel_map(jc_hamiltonian()), INF)),
+    ("tau_max", lambda: convergence_study(1.0, INF, [0.1])),
+    ("t_c_list", lambda: convergence_study(1.0, 1.0, [0.1, INF])),
+    ("t_c_list", lambda: convergence_study(1.0, 1.0, [0.0])),
+], ids=["thermal-weights-beta", "bath-beta", "t_c", "t_max", "series-gamma", "embedding-gamma",
+        "decay-rate", "step", "tau_max", "t_c_list-inf", "t_c_list-zero"])
+def test_infinity_fails_the_range_checks(name, build):
+    # each check refuses infinity by name instead of returning NaN or overflowing later
+    with pytest.raises(ConfigurationError, match=name):
         build()
 
 

@@ -16,6 +16,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,21 @@ def test_the_package_imports_only_exports():
                 if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in EXPORTS
                 for a in node.names if a.name not in EXPORTS[node.module]]
     assert unlisted == []
+
+
+DOCS = [PACKAGE.parent.parent / "README.md", *sorted(PACKAGE.glob("*.py"))]
+# `module.name` or ``nmcollide.module.name.attr``: one optional attribute after the name
+DOC_REF = re.compile(r"`(?:nmcollide\.)?(%s)\.(\w+)(?:\.(\w+))?`" % "|".join(LOADED))
+
+
+def test_doc_references_resolve():
+    refs = [(path.name, ref) for path in DOCS
+            for ref in DOC_REF.finditer(path.read_text(encoding="utf-8"))]
+    assert len(refs) >= 10
+    stale = [f"{where}: {ref[0]}" for where, ref in refs
+             if not hasattr(LOADED[ref[1]], ref[2])
+             or (ref[3] and not hasattr(getattr(LOADED[ref[1]], ref[2]), ref[3]))]
+    assert stale == []
 
 
 CONFIGS = PACKAGE.parent.parent / "configs"

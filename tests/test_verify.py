@@ -25,6 +25,7 @@ from nmcollide import (
     random_density_operator,
     trace_distance,
 )
+from nmcollide import collisions, continuum, quantum, verify
 from nmcollide.verify import corrupted_beta_maps
 
 PROBE = DensityOperator(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
@@ -89,6 +90,30 @@ class TestBruteForceChain:
         traj = brute_force_chain(cfg, PROBE)
         for state in traj.states:
             assert trace_distance(state, PROBE) < 1e-14
+
+    def test_calls_nothing_of_the_engine(self, jc_h, monkeypatch):
+        # an oracle is never rebuilt on the code it checks: with the engine's entry points made
+        # to raise, the chain still reproduces the trajectories the engine gave before
+        cfgs = [CollisionConfig(2, 2, jc_h, t_c=0.4, p_s=0.6, n_steps=4,
+                                bath=BathSpec(kind="pure_ground")),
+                CollisionConfig(2, 2, jc_h, t_c=0.4, p_s=0.6, n_steps=3,
+                                bath=BathSpec(kind="thermal", energies=(0.0, 1.0),
+                                              inverse_temperature=0.7))]
+        stored = [discrete_maps(cfg).apply(PROBE) for cfg in cfgs]
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the engine was called")
+
+        for module in (quantum, collisions, continuum, verify):
+            for name in ("propagate_maps", "protocol_step", "reset_generator", "attach_superop",
+                         "trace_ancilla_superop", "discrete_maps", "_hermitian_basis"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(RuntimeError, match="engine"):  # the patches reach the engine's calls
+            discrete_maps(cfgs[0])
+        for cfg, states in zip(cfgs, stored):
+            traj = brute_force_chain(cfg, PROBE)
+            assert max(trace_distance(x, y) for x, y in zip(states, traj.states)) < 1e-12
 
     def test_step_cap(self, jc_h):
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.1, p_s=0.5, n_steps=9,
