@@ -25,10 +25,11 @@ series' (``series``, ``thermal``) and the protocol's own (``discrete``).
 The series and thermal modes share one comparison through ``discrete_maps``.
 A collision is always jc_hamiltonian() on qubit (x) qubit, times in units
 of 1/Omega, so ``omega``, ``system_dim`` and ``ancilla_dim`` are not fields.
-Each mode returns column tables, one CSV column to a sequence with None for
-an empty cell. One function makes them from a stack: beta1 = S[1,1],
-beta2 = S[3,3], and the minimum Choi eigenvalues of one batched eigensolve
-(or of the CPT report, in ``certify``).
+Each mode returns its rows as one (n, 6) float array in CSV column order,
+NaN marking an empty cell. Two functions make every row: ``_rows`` stacks
+the columns it is given, and ``_map_rows`` reads a stack's beta1 = S[1,1]
+and beta2 = S[3,3] beside the minimum Choi eigenvalues of one batched
+eigensolve (or of the CPT report, in ``certify``).
 
 Exit codes, each failure with a JSON error on stderr: 0 success, 2
 unreadable, unparseable or invalid config, or an output directory that
@@ -103,23 +104,28 @@ EXIT_CONFIG = 2
 EXIT_CERTIFICATION = 3
 EXIT_NUMERICAL = 4
 
-_FMT = "{:.17g}".format
+# One CSV row. "%.17g" prints NaN as "nan", which the writer blanks: NaN can mark an empty cell
+# because no computed column brings one to a row. beta_arrays counts NaN as a violation, eigvalsh
+# and density_stack refuse it, a run sits under np.errstate(invalid="raise"), and the config
+# readers refuse non-finite numbers.
+_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 
-def _cells(column, n: int) -> list:
-    """A column's CSV cells: 17 significant digits, empty for None or an absent column."""
-    if column is None:
-        return [""] * n
-    return ["" if v is None else _FMT(v) for v in np.asarray(column).tolist()]
+def _write_csv(path: Path, rows: np.ndarray) -> None:
+    """The header, then one line per row of the (n, 6) float array rows, NaN cells left empty."""
+    body = "".join(map(_ROW.__mod__, map(tuple, rows.tolist())))
+    path.write_text(CSV_HEADER + "\n" + body.replace("nan", ""), encoding="utf-8")
 
 
-def _write_csv(path: Path, tables) -> None:
-    """The rows of each column table in turn."""
-    lines = [CSV_HEADER]
-    for table in tables:
-        n = len(table["tau"])
-        lines += map(",".join, zip(*(_cells(table.get(name), n) for name in CSV_COLUMNS)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _rows(tau, gamma, beta1=np.nan, beta2=np.nan, distance=np.nan, min_eig=np.nan) -> np.ndarray:
+    """CSV rows from columns and scalars broadcast against each other; NaN is an empty cell."""
+    return np.column_stack(np.broadcast_arrays(tau, gamma, beta1, beta2, distance, min_eig))
+
+
+def _map_rows(stack: MapStack, gamma, min_eigs=np.nan, distances=np.nan) -> np.ndarray:
+    """CSV rows of a qubit map stack: beta1 = S[1,1] and beta2 = S[3,3] at each of its times."""
+    s = stack.superops
+    return _rows(stack.times, gamma, s[:, 1, 1].real, s[:, 3, 3].real, distances, min_eigs)
 
 
 # --- config reading ----------------------------------------------------------
@@ -302,10 +308,10 @@ def _probe_states(seed: int, count: int) -> np.ndarray:
     return np.array([random_density_operator(2, rng).data for _ in range(count)]).reshape(-1, 2, 2)
 
 
-def _calibrated_gamma(collision: CollisionConfig) -> Optional[float]:
-    """-ln(p_s) / t_c, or None at p_s = 0 or t_c = 0; a rate past the largest double is refused."""
+def _calibrated_gamma(collision: CollisionConfig) -> float:
+    """-ln(p_s) / t_c, or NaN at p_s = 0 or t_c = 0; a rate past the largest double is refused."""
     if collision.p_s <= 0 or collision.t_c <= 0:
-        return None
+        return np.nan
     rate = (0.0 - float(np.log(collision.p_s))) / collision.t_c  # +0.0 at p_s = 1; inf past max
     if not np.isfinite(rate):
         raise ConfigurationError(
@@ -322,18 +328,9 @@ def _min_choi_eigs(stack: MapStack) -> np.ndarray:
     return np.linalg.eigvalsh(stack.choi())[:, 0]
 
 
-def _map_table(stack: MapStack, gamma, min_eigs) -> dict:
-    """CSV columns of a qubit map stack, gamma one gamma_bar for every row or a column of them;
-    the beta columns are copies, so the stack can be freed."""
-    s = stack.superops
-    gammas = gamma if np.ndim(gamma) else [gamma] * len(stack)
-    return {"tau": stack.times, "gamma_bar": gammas, "beta1": s[:, 1, 1].real.copy(),
-            "beta2": s[:, 3, 3].real.copy(), "min_choi_eig": min_eigs}
-
-
 def _mode_jc_closed_form(cfg: dict):
     taus, gammas = _tau_gamma_grid(cfg)
-    return [_map_table(jc_maps(taus, g), g, None) for g in gammas], {}, None
+    return np.concatenate([_map_rows(jc_maps(taus, g), g) for g in gammas]), {}, None
 
 
 def _mode_certify(cfg: dict):
@@ -344,12 +341,12 @@ def _mode_certify(cfg: dict):
                                  "CPT (the closed form is exact to ~1e-15)")
     taus, gammas = _tau_gamma_grid(cfg)
     probes = _probe_states(cfg["seed"], cfg["probe_states"])
-    tables, reports, verdict, probe_defect = [], {}, True, 0.0
+    rows, reports, verdict, probe_defect = [], {}, True, 0.0
     for g in gammas:
         stack = jc_maps(taus, g)
         choi = stack.choi()
         report = certify_cpt(choi, tolerance, gamma_bar=g)
-        tables.append(_map_table(stack, g, report.min_choi_eigenvalue))
+        rows.append(_map_rows(stack, g, report.min_choi_eigenvalue))
         reports[g] = report.summary(taus)
         verdict = verdict and report.verdict
         # ~16 evenly spaced maps on each probe: out[n,p,a,b] = sum_ij C[n,ia,jb] rho_p[i,j]
@@ -359,14 +356,14 @@ def _mode_certify(cfg: dict):
         probe_defect = max(probe_defect, float(np.max(np.abs(traces - 1.0), initial=0.0)))
     report = {"tolerance": tolerance, "verdict": verdict, "per_gamma": reports,
               "max_random_state_trace_defect": probe_defect}
-    return tables, {"cpt_report.json": report}, verdict
+    return np.concatenate(rows), {"cpt_report.json": report}, verdict
 
 
 def _mode_discrete(cfg: dict):
     collision = cfg["collision"]
-    gamma = _calibrated_gamma(collision)
+    gamma = _calibrated_gamma(collision)  # refuses an overflowing rate before the protocol runs
     stack = discrete_maps(collision)
-    return [_map_table(stack, gamma, _min_choi_eigs(stack))], {}, None
+    return _map_rows(stack, gamma, _min_choi_eigs(stack)), {}, None
 
 
 def _series_report(gamma: float, result) -> dict:
@@ -376,16 +373,16 @@ def _series_report(gamma: float, result) -> dict:
 
 def _series_vs_protocol(collision: CollisionConfig, gamma: float, grid: TimeGrid,
                         policy: SeriesPolicy, stride: Optional[int]):
-    """The series of the collision's H and bath and, given a stride, its trace distances on
-    _PROBE from the validated discrete_maps(collision) trajectory every stride points."""
+    """The series of the collision's H and bath, and its distance column: NaN, or given a stride,
+    the trace distances on _PROBE from the validated discrete_maps(collision) trajectory at
+    every stride-th point."""
     kernel = build_kernel_map(collision.hamiltonian,
                               collision.bath.weight_vector(collision.ancilla_dim))
     result = lambda_series(kernel, gamma, grid, policy)
-    if stride is None:
-        return result, None
-    protocol = density_stack(discrete_maps(collision).apply(_PROBE))
-    distances = [None] * len(result.maps)
-    distances[::stride] = trace_distances(result.maps[::stride].apply(_PROBE), protocol)
+    distances = np.full(len(result.maps), np.nan)
+    if stride is not None:
+        protocol = density_stack(discrete_maps(collision).apply(_PROBE))
+        distances[::stride] = trace_distances(result.maps[::stride].apply(_PROBE), protocol)
     return result, distances
 
 
@@ -407,7 +404,7 @@ def _mode_series(cfg: dict):
         if j < i:  # one report file would hold only the later gamma_bar
             raise ConfigurationError(f"gamma_bar values {gammas[j]!r} and {gammas[i]!r} both "
                                      f"name the report {name!r}")
-    tables, extras = [], {}
+    rows, extras = [], {}
     for g, name in zip(gammas, names):
         collision = CollisionConfig(
             2, 2, jc_hamiltonian(), t_c=t_c, p_s=calibrated_swap_probability(g, t_c),
@@ -415,11 +412,9 @@ def _mode_series(cfg: dict):
         )
         result, distances = _series_vs_protocol(collision, g, grid, policy,
                                                 stride if compare and g > 0 else None)
-        table = _map_table(result.maps, g, _min_choi_eigs(result.maps))
-        table["trace_distance_vs_discrete"] = distances
-        tables.append(table)
+        rows.append(_map_rows(result.maps, g, _min_choi_eigs(result.maps), distances))
         extras[name] = _series_report(g, result)
-    return tables, extras, None
+    return np.concatenate(rows), extras, None
 
 
 def _mode_thermal(cfg: dict):
@@ -427,18 +422,13 @@ def _mode_thermal(cfg: dict):
     if collision.bath.kind != "thermal":
         raise ConfigurationError("thermal mode needs a thermal bath")
     gamma = _calibrated_gamma(collision)
-    if gamma is None:
+    if np.isnan(gamma):
         raise ConfigurationError("thermal mode needs p_s > 0 to calibrate the rate")
     grid = TimeGrid(t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1)
     policy = SeriesPolicy(k_max=cfg["k_max"], tail_tol=cfg["tail_tol"])
     result, distances = _series_vs_protocol(collision, gamma, grid, policy, 1)
-    table = {
-        "tau": result.maps.times,
-        "gamma_bar": [gamma] * len(result.maps),
-        "trace_distance_vs_discrete": distances,
-        "min_choi_eig": _min_choi_eigs(result.maps),
-    }
-    return [table], {"series_thermal.json": _series_report(gamma, result)}, None
+    rows = _rows(result.maps.times, gamma, distance=distances, min_eig=_min_choi_eigs(result.maps))
+    return rows, {"series_thermal.json": _series_report(gamma, result)}, None
 
 
 def _mode_convergence(cfg: dict):
@@ -452,9 +442,8 @@ def _mode_convergence(cfg: dict):
         raise ConfigurationError("every entry of 't_c_list' must be positive")
     _within_budget(tau_max / min(t_c_list), "the step count tau_max / t_c")
     report = convergence_study(gamma, tau_max, t_c_list)
-    table = {"tau": report.t_c_values, "gamma_bar": [gamma] * len(t_c_list),
-             "trace_distance_vs_discrete": report.errors}
-    return [table], {"convergence_report.json": report.as_dict()}, None
+    rows = _rows(report.t_c_values, gamma, distance=report.errors)
+    return rows, {"convergence_report.json": report.as_dict()}, None
 
 
 def _mode_sweep(cfg: dict):
@@ -476,7 +465,7 @@ def _mode_sweep(cfg: dict):
             f"Choi matrix is not positive semidefinite: min eigenvalue {own[j]:.3e} "
             f"at tau={taus[j]}, gamma_bar={gammas[i]}"
         )
-    return [_map_table(stack, gamma_column, min_eigs)], {}, None
+    return _map_rows(stack, gamma_column, min_eigs), {}, None
 
 
 # --- config schema -----------------------------------------------------------
@@ -533,9 +522,9 @@ def _execute(cfg: dict, raw: dict, output_dir: Optional[str]) -> int:
         raise ConfigurationError(
             f"output directory {str(out_dir)!r} cannot be created: {exc}") from exc
 
-    tables, extras, verdict = SCHEMA[cfg["mode"]][0](cfg)
+    rows, extras, verdict = SCHEMA[cfg["mode"]][0](cfg)
 
-    _write_csv(out_dir / "results.csv", tables)
+    _write_csv(out_dir / "results.csv", rows)
     outputs = ["results.csv"]
     for name, payload in extras.items():
         (out_dir / name).write_text(

@@ -25,13 +25,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .collisions import BathSpec, CollisionConfig
-from .continuum import MapStack, TimeGrid, discrete_maps
+from .continuum import MapStack, discrete_maps
 from .errors import ConfigurationError, DivergenceError, ValidationError
 from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .quantum import (
@@ -84,13 +84,8 @@ def inverse_laplace(transform: Callable, t: float, n_nodes: int = 64) -> float:
         tt = mpmath.mpf(t)
         r = mpmath.mpf(2) * m / (5 * tt)
         total = mpmath.exp(r * tt) * transform(r) / 2
-        for k in range(1, m):
-            theta = mpmath.pi * k / m
-            cot = mpmath.cot(theta)
-            s = r * theta * (cot + 1j)
-            sigma = theta + (theta * cot - 1) * cot
-            term = mpmath.exp(s * tt) * transform(s) * (1 + 1j * sigma)
-            total += term.real
+        for z, weight in _talbot_nodes(m):
+            total += (weight * transform(z / tt)).real
         total = total * r / m
         if not mpmath.isfinite(total):
             raise DivergenceError(
@@ -98,6 +93,24 @@ def inverse_laplace(transform: Callable, t: float, n_nodes: int = 64) -> float:
                 f"(contour base r={float(r):.6g})"
             )
         return float(total)
+
+
+@lru_cache(maxsize=None)
+def _talbot_nodes(m: int) -> tuple:
+    """The pairs (z_k, e^{z_k} (1 + i sigma_k)), k = 1..m-1, of the m-node fixed-Talbot contour at
+    working precision max(30, m): z_k = s_k t = (2m/5) theta_k (cot theta_k + i) at theta_k =
+    pi k / m, so neither depends on t, and the quadrature evaluates the transform at z_k / t."""
+    import mpmath
+
+    with mpmath.workdps(max(30, m)):
+        nodes = []
+        for k in range(1, m):
+            theta = mpmath.pi * k / m
+            cot = mpmath.cot(theta)
+            z = mpmath.mpf(2) * m / 5 * theta * (cot + 1j)
+            sigma = theta + (theta * cot - 1) * cot
+            nodes.append((z, mpmath.exp(z) * (1 + 1j * sigma)))
+        return tuple(nodes)
 
 
 # --- brute-force chain oracle ------------------------------------------------
@@ -209,14 +222,10 @@ class CptReport:
     max_trace_defect: tuple
     tolerance: float
     verdict: bool
-    grid: Optional[TimeGrid] = None
     gamma_bar: Optional[float] = None
 
     def as_dict(self) -> dict:
         return {
-            "grid": None
-            if self.grid is None
-            else {"t_max": self.grid.t_max, "n_points": self.grid.n_points, "dt": self.grid.dt},
             "gamma_bar": self.gamma_bar,
             "min_choi_eigenvalue": list(self.min_choi_eigenvalue),
             "max_trace_defect": list(self.max_trace_defect),
@@ -238,9 +247,7 @@ class CptReport:
         }
 
 
-def certify_cpt(maps, tolerance: float = 1e-9, *,
-                grid: Optional[TimeGrid] = None,
-                gamma_bar: Optional[float] = None) -> CptReport:
+def certify_cpt(maps, tolerance: float = 1e-9, *, gamma_bar: Optional[float] = None) -> CptReport:
     """Certify complete positivity and trace preservation of each map.
 
     Accepts a sequence of Kraus channels, a MapStack, or the Choi matrices
@@ -274,7 +281,6 @@ def certify_cpt(maps, tolerance: float = 1e-9, *,
         max_trace_defect=tuple(defects.tolist()),
         tolerance=tolerance,
         verdict=verdict,
-        grid=grid,
         gamma_bar=gamma_bar,
     )
 

@@ -138,6 +138,19 @@ class TestRun:
         b2 = np.array([float(r[3]) for r in rows])
         assert np.max(np.abs(b2 - np.cos(taus) ** 2)) < 1e-12
 
+    @pytest.mark.parametrize("collision", [{"t_c": 0.05, "p_s": 0.0, "n_steps": 40},
+                                           {"t_c": 0.0, "p_s": 0.5, "n_steps": 40}],
+                             ids=["p_s-0", "t_c-0"])
+    def test_uncalibrated_collision_leaves_gamma_bar_empty(self, tmp_path, collision):
+        # -ln(p_s) / t_c names no rate here, so gamma_bar is an empty cell and the betas are not
+        cfg = write_config(tmp_path, "cfg.json", {"mode": "discrete", "collision": collision,
+                                                  "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        rows = read_rows(tmp_path / "out")
+        assert len(rows) == 41
+        assert {r[1] for r in rows} == {""}
+        assert np.all(np.isfinite([[float(r[2]), float(r[3])] for r in rows]))
+
     @pytest.mark.parametrize(
         "override, field",
         [
@@ -1049,6 +1062,19 @@ class TestCptReport:
             assert entry["verdict"] is True
 
 
+class TestCsvWriter:
+    def test_rows_print_17_digits_with_nan_cells_empty(self, tmp_path):
+        # gamma_bar and the distance are all-NaN columns; one more NaN sits in the last column
+        rows = np.array([[0.1, np.nan, -0.0, 1.0, np.nan, 2.5],
+                         [1e-300, np.nan, 0.25, -3.0, np.nan, np.nan]])
+        cli._write_csv(tmp_path / "results.csv", rows)
+        assert (tmp_path / "results.csv").read_text() == (
+            CSV_HEADER + "\n"
+            "0.10000000000000001,,-0,1,,2.5\n"
+            "1e-300,,0.25,-3,,\n"
+        )
+
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -1059,7 +1085,9 @@ def test_shipped_config_runs_and_reruns_identically(tmp_path, config):
     out = tmp_path / "out"
     assert main([subcommand, str(config), "--output-dir", str(out)]) == 0
     first = (out / "results.csv").read_bytes()
-    assert first.decode().split("\n", 1)[0] == CSV_HEADER
+    header, body = first.decode().split("\n", 1)
+    assert header == CSV_HEADER
+    assert re.search("nan|inf", body) is None  # an empty cell is empty, and no value overflowed
     assert main([subcommand, str(config), "--output-dir", str(out)]) == 0
     assert (out / "results.csv").read_bytes() == first
 

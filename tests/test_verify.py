@@ -175,8 +175,7 @@ class TestCertify:
         report = certify_cpt([KrausChannel((np.eye(2),))], 1e-9, gamma_bar=0.5)
         payload = json.loads(report.to_json())
         assert set(payload) == {
-            "grid", "gamma_bar", "min_choi_eigenvalue", "max_trace_defect",
-            "tolerance", "verdict",
+            "gamma_bar", "min_choi_eigenvalue", "max_trace_defect", "tolerance", "verdict",
         }
         assert payload["verdict"] is True
         assert payload["gamma_bar"] == 0.5
