@@ -87,7 +87,7 @@ CSV_HEADER = "tau,gamma_bar,beta1,beta2,trace_distance_vs_discrete,min_choi_eig"
 CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 
 # Point, step and probe-state counts, and the rows of a run, stay at or below
-# MAX_POINTS. The series mode peaks at ~1.4 kB per point (tracemalloc, 20 001
+# MAX_POINTS. The series mode peaks at ~1.15 kB per point (tracemalloc, 20 001
 # points), the most of any mode; the one-grid sweep at ~1.05 kB per row
 # (tracemalloc, a whole 256 x 256 sweep run). POINT_BYTES rounds that up.
 MEMORY_BUDGET = 2**30  # bytes
@@ -423,7 +423,7 @@ def _mode_thermal(cfg: dict):
         raise ConfigurationError("thermal mode needs a thermal bath")
     gamma = _calibrated_gamma(collision)
     if np.isnan(gamma):
-        raise ConfigurationError("thermal mode needs p_s > 0 to calibrate the rate")
+        raise ConfigurationError("thermal mode needs p_s > 0 and t_c > 0 to calibrate the rate")
     grid = TimeGrid(t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1)
     policy = SeriesPolicy(k_max=cfg["k_max"], tail_tol=cfg["tail_tol"])
     result, distances = _series_vs_protocol(collision, gamma, grid, policy, 1)

@@ -45,7 +45,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .quantum import HermitianOperator, _hermitian_basis, _hermitian_real, unitary_evolution
+from .quantum import (HermitianOperator, _hermitian_basis, _hermitian_real, _hermitian_to_vec,
+                      unitary_evolution)
 
 __all__ = [
     "BathSpec",
@@ -197,7 +198,8 @@ def propagate_maps(step: np.ndarray, fresh: np.ndarray, system_dim: int, n_steps
     ``quantum._hermitian_basis``; a T with an imaginary part above ``imaginary_residue`` raises
     InternalConsistencyError. The inputs X are the system's basis matrices G_b, plus |0><0|
     where Tr G_b = 0, so every window has unit trace and is renormalized to it after each
-    step; with Y their reduced states, each map is S = Y X^{-1}, brought back to the vec basis.
+    step; with Y their reduced states, each map is S = Y X^{-1}, brought back to the vec basis
+    by ``quantum._hermitian_to_vec``.
     """
     ds, d = system_dim, system_dim * fresh.shape[0]
     q, qs = _hermitian_basis(d), _hermitian_basis(ds)
@@ -211,9 +213,4 @@ def propagate_maps(step: np.ndarray, fresh: np.ndarray, system_dim: int, n_steps
         w = np.matmul(t, history[j - 1], out=history[j])
         w /= trace_row @ w
     reduced = (qs @ trace_ancilla_superop(ds, fresh.shape[0]) @ q.conj().T).real
-    maps = (reduced @ history @ np.linalg.inv(x)).reshape(n_steps + 1, -1)
-    back = np.kron(qs.conj().T, qs.T)  # vec(Qs^dagger M Qs) = (Qs^dagger (x) Qs^T) vec M
-    superops = np.empty(maps.shape, dtype=np.complex128)  # filled by parts: no complex copy of maps
-    superops.real = maps @ back.real.T
-    superops.imag = maps @ back.imag.T
-    return superops.reshape(n_steps + 1, ds * ds, ds * ds)
+    return _hermitian_to_vec((reduced @ history @ np.linalg.inv(x)).reshape(n_steps + 1, -1), ds)

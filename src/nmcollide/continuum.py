@@ -25,14 +25,16 @@ vectorized density matrices with its times:
   B_k = e^{-Gamma t} Gamma^{k-1} E^{*k}, which stay O(1) for any Gamma,
   as real (d^2, d^2, n) arrays, time last, in the window loop's
   orthonormal Hermitian basis (a Pauli transfer matrix for a qubit),
-  through numpy's real FFTs on terms zero-padded to the FFT length; the
-  truncation tail is measured in the vec basis. Each order runs on the
-  invariant blocks of B_1 alone, the connected components of its exact-zero
-  pattern: products of block-diagonal maps stay block diagonal, and the
-  dense recursion only adds exact zeros off the blocks, so the maps are
-  its own bit for bit. An order costs one real FFT pair, a product per
-  frequency and the end corrections per block: for the exchange coupling,
-  which conserves the excitation number, at most 8 of the 16 entries.
+  through numpy's real FFTs on terms zero-padded to the FFT length. The
+  truncation tail is a term's largest Frobenius norm over the grid, the
+  same in every orthonormal basis, and the sum leaves the Hermitian basis
+  once, at the end. Each order runs on the invariant blocks of B_1 alone,
+  the connected components of its exact-zero pattern: products of
+  block-diagonal maps stay block diagonal, and the dense recursion only
+  adds exact zeros off the blocks, so the maps are its own bit for bit. An
+  order costs one real FFT pair, a product per frequency and the end
+  corrections per block: for the exchange coupling, which conserves the
+  excitation number, at most 8 of the 16 entries.
 * ``lambda_embedding``: the generator L itself, stepped with one matrix
   exponential; the double-precision cross-check of the series.
 * ``discrete_maps``: the protocol's own maps at the times n t_c. Its step
@@ -54,14 +56,15 @@ stay superoperators, since convolution needs map addition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .collisions import (BathSpec, CollisionConfig, attach_superop, propagate_maps, protocol_step,
                          reset_generator, trace_ancilla_superop)
 from .errors import ConfigurationError, TruncationError
-from .quantum import DensityOperator, HermitianOperator, _hermitian_basis, _hermitian_real
+from .quantum import (DensityOperator, HermitianOperator, _hermitian_basis, _hermitian_real,
+                      _hermitian_to_vec)
 
 __all__ = [
     "TimeGrid",
@@ -113,7 +116,8 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SeriesPolicy:
-    """Truncation control: hard order cap and tail threshold on the term sup-norm."""
+    """Truncation control: hard order cap, and tail threshold on the term's largest Frobenius
+    norm over the grid, which is the same in every orthonormal basis."""
 
     k_max: int = 200
     tail_tol: float = 1e-8
@@ -247,7 +251,6 @@ class LambdaSeriesResult:
     maps: MapStack
     truncation_order: int
     tail_norm: float
-    tail_history: tuple = field(default=(), repr=False)
 
 
 def _fast_len(m: int) -> int:
@@ -267,9 +270,10 @@ def _fast_len(m: int) -> int:
 
 
 def _dropped_term_bound(gamma: float, grid: TimeGrid, k_max: int, system_dim: int) -> float:
-    """A lower bound on the vec-basis sup-norm of the series term of order k_max + 1. The kernel
-    is trace preserving, so that term B obeys Tr B(t)(X) = w(t) Tr X with the Poisson weight
-    w = e^{-x} x^k_max / k_max!, x = gamma t, and some entry of B(t) is at least w(t) / d_s."""
+    """A lower bound on the tail of the series term of order k_max + 1: on its largest vec-basis
+    entry, so on its Frobenius norm too. The kernel is trace preserving, so that term B obeys
+    Tr B(t)(X) = w(t) Tr X with the Poisson weight w = e^{-x} x^k_max / k_max!, x = gamma t, and
+    some entry of B(t) is at least w(t) / d_s."""
     x = gamma * grid.times()
     with np.errstate(divide="ignore"):  # log 0 = -inf at t = 0, where w = 0
         log_w = k_max * np.log(x) - x - math.lgamma(k_max + 1)
@@ -310,10 +314,13 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
     recursion, and adding an exact zero changes no sum, so the maps are the
     dense recursion's bit for bit. Per block an order costs a real FFT of
     the term, a product per frequency, an inverse real FFT and the two
-    trapezoid end corrections, then one vec-basis product of the whole term
-    for the tail. The exchange coupling conserves the excitation number, so
-    no block mixes populations with coherences: at most 8 of 16 entries run.
-    Truncation stops once the term sup-norm in the row-major vec basis
+    trapezoid end corrections. The exchange coupling conserves the excitation
+    number, so no block mixes populations with coherences: at most 8 of 16
+    entries run. The tail of a term is its largest Frobenius norm over the
+    grid, summed over the blocks where they are: the basis is orthonormal, so
+    it is the vec-basis norm, and at least the term's largest vec-basis entry.
+    The totals are brought to the vec basis once, by
+    ``quantum._hermitian_to_vec``. Truncation stops once the tail
     falls below ``policy.tail_tol`` after the series' peak order (terms
     follow a Poisson-like profile in k, so the threshold only applies past
     k > gamma * t_max); exhausting ``policy.k_max`` first raises
@@ -323,9 +330,6 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
     if not 0 <= gamma < math.inf:  # a NaN rate fails too
         raise ConfigurationError("memory-loss rate gamma must be nonnegative and finite")
     times, n, d2 = grid.times(), grid.n_points, kernel.system_dim ** 2
-    q = _hermitian_basis(kernel.system_dim)
-    back = np.kron(q.conj().T, q.T)  # vec(T) -> vec(Q^dagger T Q), the vec-basis superoperator
-    back_parts = np.concatenate([back.real, back.imag])
     sampled = _hermitian_samples(kernel, times)
     if gamma * grid.t_max > policy.k_max - 1:  # the peak order ceil(gamma t_max) + 1 > k_max
         # half the bound: the trapezoid terms are not exactly trace preserving
@@ -361,26 +365,12 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
     def next_terms(terms: list) -> list:
         return [next_term(*kernel, term) for kernel, term in zip(kernels, terms)]
 
-    dense = np.zeros((d2, d2, n))
+    def frobenius(blocks: list) -> float:
+        """The term's largest Frobenius norm over the grid, from the squares of its blocks."""
+        squares = sum(np.einsum("abj,abj->j", b[:, :, :n], b[:, :, :n]) for b in blocks)
+        return float(np.sqrt(np.max(squares)))
 
-    def scattered(blocks: list) -> np.ndarray:
-        """The blocks' entries in one reused (d^2, d^2, n) array, exact zeros off them."""
-        for cut, block in zip(cuts, blocks):
-            dense[cut] = block[:, :, :n]
-        return dense
-
-    def vec_chunks(term: np.ndarray):
-        """The term in the vec basis as (real, imaginary) column chunks of at most 2^18
-        multiply-adds, which OpenBLAS keeps on one thread: no idle threads woken to spin."""
-        flat, chunk = term.reshape(d2 * d2, n), max(1, 2**18 // back_parts.size)
-        for j in range(0, n, chunk):
-            parts = back_parts @ flat[:, j:j + chunk]
-            yield parts[: d2 * d2], parts[d2 * d2:]
-
-    def sup_norm(term: np.ndarray) -> float:
-        return float(np.sqrt(np.max([np.max(re * re + im * im) for re, im in vec_chunks(term)])))
-
-    totals, tail_history = [b1[cut] for cut in cuts], []
+    totals = [b1[cut] for cut in cuts]
     peak_order = int(np.ceil(gamma * grid.t_max)) + 1
     order, tail = 1, 0.0
     if gamma != 0.0:  # at zero rate the single term is exact
@@ -388,26 +378,26 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
             terms = next_terms(terms)
             for total, term in zip(totals, terms):
                 total += term[:, :, :n]
-            tail = sup_norm(scattered(terms))
+            tail = frobenius(terms)
             if not np.isfinite(tail):
                 raise TruncationError(f"series term of order {order} is not finite; refine the grid",
                                       residual=tail, order=order)
-            tail_history.append(tail)
             if order >= peak_order and tail <= policy.tail_tol:
                 break
         else:
             # the order cap was hit; measure the residual from the first
             # dropped term and accept only if it is within tolerance
-            tail = sup_norm(scattered(next_terms(terms)))
+            tail = frobenius(next_terms(terms))
             if not tail <= policy.tail_tol:  # a NaN residual fails too
                 raise TruncationError(
                     f"series did not converge by order {policy.k_max} "
                     f"(residual term norm {tail:.3e}); raise k_max or tail_tol",
                     residual=tail, order=policy.k_max)
-    superops = np.hstack([re + 1j * im for re, im in vec_chunks(scattered(totals))])
-    superops = superops.T.reshape(n, d2, d2)
-    return LambdaSeriesResult(MapStack(times, superops, kernel.system_dim), order, tail,
-                              tuple(tail_history))
+    dense = np.zeros((d2, d2, n))  # exact zeros off the blocks
+    for cut, total in zip(cuts, totals):
+        dense[cut] = total
+    superops = _hermitian_to_vec(dense.reshape(d2 * d2, n).T, kernel.system_dim)
+    return LambdaSeriesResult(MapStack(times, superops, kernel.system_dim), order, tail)
 
 
 # --- Markovian embedding ------------------------------------------------------

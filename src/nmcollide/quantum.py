@@ -238,6 +238,21 @@ def _hermitian_basis(dim: int) -> np.ndarray:
     return np.where(i < j, sym, np.where(i > j, -1j * anti, e)).reshape(dim * dim, dim * dim)
 
 
+def _hermitian_to_vec(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """Superoperators S = Q^dagger T Q on row-major vec from the real coefficients T of
+    ``_hermitian_basis`` Q, given as an (n, dim^4) array of row-major vec(T): an (n, dim^2, dim^2)
+    complex array. Each product is a row chunk of at most 2^18 multiply-adds, which OpenBLAS
+    keeps on one thread: no idle threads woken to spin."""
+    q = _hermitian_basis(dim)
+    back = np.kron(q.conj().T, q.T)  # vec(Q^dagger T Q) = (Q^dagger (x) Q^T) vec T
+    out = np.empty((len(coeffs), len(back)), dtype=np.complex128)  # filled by parts: no copy
+    rows = max(1, 2**18 // back.size)
+    for j in range(0, len(coeffs), rows):
+        out.real[j:j + rows] = coeffs[j:j + rows] @ back.real.T
+        out.imag[j:j + rows] = coeffs[j:j + rows] @ back.imag.T
+    return out.reshape(len(coeffs), dim * dim, dim * dim)
+
+
 def _hermitian_real(coeffs: np.ndarray, what: str) -> np.ndarray:
     """The real part of a map's coefficients in the basis of ``_hermitian_basis``, once their
     imaginary part is within imaginary_residue; else ``what`` does not preserve Hermiticity."""

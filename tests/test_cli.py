@@ -151,6 +151,21 @@ class TestRun:
         assert {r[1] for r in rows} == {""}
         assert np.all(np.isfinite([[float(r[2]), float(r[3])] for r in rows]))
 
+    @pytest.mark.parametrize("collision", [{"t_c": 0.05, "p_s": 0.0, "n_steps": 40},
+                                           {"t_c": 0.0, "p_s": 0.5, "n_steps": 40}],
+                             ids=["p_s-0", "t_c-0"])
+    def test_uncalibrated_thermal_collision_names_both_conditions(self, tmp_path, capsys,
+                                                                   collision):
+        # the series needs the rate, so thermal mode refuses either case, naming both
+        bath = {"kind": "thermal", "energies": [0.0, 1.0], "inverse_temperature": 0.8}
+        cfg = write_config(tmp_path, "cfg.json", {"mode": "thermal",
+                                                  "collision": dict(collision, bath=bath),
+                                                  "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "p_s > 0" in message and "t_c > 0" in message
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     @pytest.mark.parametrize(
         "override, field",
         [

@@ -334,11 +334,19 @@ class TestLambdaSeries:
             maps = lambda_series(jc_kernel, 1.0, grid, policy).maps
             assert np.linalg.eigvalsh(maps.choi())[:, 0].min() >= -1e-8
 
-    def test_tail_decreases_past_onset(self, jc_kernel):
-        result = lambda_series(jc_kernel, 3.0, TimeGrid(t_max=3.0, n_points=301))
-        tails = np.array(result.tail_history)
-        peak = int(np.argmax(tails))
-        assert np.all(np.diff(tails[peak:]) <= 1e-14)
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), WARM], ids=["pure", "thermal"])
+    def test_tail_is_the_last_terms_frobenius_norm(self, weights):
+        # a tail_tol this loose stops at a term of O(1e-3), far above the routes' rounding
+        kernel = build_kernel_map(jc_hamiltonian(), weights)
+        grid = TimeGrid(t_max=2.0, n_points=101)
+        result = lambda_series(kernel, 1.0, grid, SeriesPolicy(tail_tol=3e-3))
+        order = result.truncation_order
+        partial = [_direct_series(kernel, 1.0, grid, k) for k in (order - 1, order)]
+        term = partial[1] - partial[0]
+        frobenius = np.sqrt(np.sum(np.abs(term) ** 2, axis=(1, 2))).max()
+        assert 1e-4 < frobenius < 3e-3
+        assert result.tail_norm == pytest.approx(frobenius, rel=1e-9)
+        assert result.tail_norm >= np.abs(term).max()
 
     def test_non_finite_term_raises(self, jc_kernel):
         # on a grid this coarse the quadrature terms overflow; the series
@@ -488,6 +496,9 @@ class TestInvariantBlocks:
         conj = np.kron(v, v.conj())  # rho -> V rho V^dagger on row-major vec
         back = conj.conj().T @ dense.maps.superops @ conj
         assert np.max(np.abs(back - blocked.maps.superops)) < 1e-13
+        # the tail is a Frobenius norm, which no change of basis moves
+        assert dense.truncation_order == blocked.truncation_order
+        assert dense.tail_norm == pytest.approx(blocked.tail_norm, rel=1e-12)
 
 
 class TestLambdaEmbedding:
