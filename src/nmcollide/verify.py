@@ -51,6 +51,7 @@ __all__ = [
     "TrajectoryRecord",
     "inverse_laplace",
     "brute_force_chain",
+    "discrete_jc_betas",
     "purified_pair_ket",
     "certify_cpt",
     "convergence_study",
@@ -209,6 +210,39 @@ def brute_force_chain(cfg: CollisionConfig, rho0: DensityOperator,
         states.append(np.einsum("iaja->ij", sigma.reshape(ds, u_dim ** n, ds, u_dim ** n)))
     times = tuple(k * cfg.t_c for k in range(n + 1))
     return TrajectoryRecord(np.array(states), times)
+
+
+def discrete_jc_betas(t_c: float, p_s: float, n_steps: int):
+    """The discrete protocol's beta1(n) and beta2(n), n = 0..n_steps, for the exchange coupling
+    and a pure bath, as two arrays: its map after n steps has S[1,1] = S[2,2] = beta1(n),
+    S[3,3] = beta2(n), S[0,3] = 1 - beta2(n) and S[0,0] = 1, as the closed form's does.
+
+    With c = cos t_c and s = sin t_c, beta1(n) = (T1^n)_00 with
+    T1 = [[c, -is], [-is, c]] diag(1, p_s), acting on the window's coherences |10><00| and
+    |01><00|: the reset scales the second by p_s, and the collision rotates the pair. And
+    beta2(n) = (T2^n)_00 with T2 = R3 diag(1, p_s, p_s), acting on P10, P01 and Im<10|W|01>,
+    R3 = [[c^2, s^2, 2cs], [s^2, c^2, -2cs], [-cs, cs, c^2 - s^2]]. Both are stepped one
+    product at a time from e_0; the imaginary part of (T1^n)_00 vanishes identically
+    (diag(1, i) T1 diag(1, -i) is real). The matrices are written here by hand, so this
+    checks the engine at any step count, where ``brute_force_chain`` stops at a few.
+    """
+    if not 0 <= t_c < math.inf:  # a NaN t_c fails too
+        raise ConfigurationError("collision time t_c must be nonnegative and finite")
+    if not 0.0 <= p_s <= 1.0:
+        raise ConfigurationError(f"swap probability {p_s} outside [0, 1]")
+    if n_steps < 0:
+        raise ConfigurationError("n_steps must be nonnegative")
+    c, s = math.cos(t_c), math.sin(t_c)
+    t1 = np.array([[c, -1j * s], [-1j * s, c]]) @ np.diag([1.0, p_s])
+    r3 = np.array([[c * c, s * s, 2 * c * s], [s * s, c * c, -2 * c * s],
+                   [-c * s, c * s, c * c - s * s]])
+    t2 = r3 @ np.diag([1.0, p_s, p_s])
+    v1, v2 = np.eye(2, dtype=np.complex128)[0], np.eye(3)[0]
+    betas = np.empty((2, n_steps + 1))
+    for n in range(n_steps + 1):
+        betas[:, n] = v1[0].real, v2[0]
+        v1, v2 = t1 @ v1, t2 @ v2
+    return betas[0], betas[1]
 
 
 # --- CPT certification --------------------------------------------------------

@@ -25,7 +25,7 @@ from nmcollide import (
     random_density_operator,
     trace_distance,
 )
-from nmcollide import collisions, continuum, quantum, verify
+from nmcollide import collisions, continuum, jaynes_cummings, quantum, verify
 from nmcollide.verify import corrupted_beta_maps
 
 PROBE = DensityOperator(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
@@ -92,21 +92,24 @@ class TestBruteForceChain:
             assert trace_distance(state, PROBE) < 1e-14
 
     def test_calls_nothing_of_the_engine(self, jc_h, monkeypatch):
-        # an oracle is never rebuilt on the code it checks: with the engine's entry points made
-        # to raise, the chain still reproduces the trajectories the engine gave before
+        # an oracle is never rebuilt on the code it checks: with the engine's and the closed
+        # form's entry points made to raise, the chain still reproduces the trajectories the
+        # engine gave before, and discrete_jc_betas its beta1 and beta2
         cfgs = [CollisionConfig(2, 2, jc_h, t_c=0.4, p_s=0.6, n_steps=4,
                                 bath=BathSpec(kind="pure_ground")),
                 CollisionConfig(2, 2, jc_h, t_c=0.4, p_s=0.6, n_steps=3,
                                 bath=BathSpec(kind="thermal", energies=(0.0, 1.0),
                                               inverse_temperature=0.7))]
-        stored = [discrete_maps(cfg).apply(PROBE) for cfg in cfgs]
+        stacks = [discrete_maps(cfg) for cfg in cfgs]
+        stored = [stack.apply(PROBE) for stack in stacks]
 
         def refuse(*args, **kwargs):
             raise RuntimeError("the engine was called")
 
-        for module in (quantum, collisions, continuum, verify):
+        for module in (quantum, collisions, continuum, jaynes_cummings, verify):
             for name in ("propagate_maps", "protocol_step", "reset_generator", "attach_superop",
-                         "trace_ancilla_superop", "discrete_maps", "_hermitian_basis"):
+                         "trace_ancilla_superop", "discrete_maps", "_hermitian_basis",
+                         "jc_maps", "beta1", "beta2", "beta_arrays"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         with pytest.raises(RuntimeError, match="engine"):  # the patches reach the engine's calls
@@ -114,12 +117,63 @@ class TestBruteForceChain:
         for cfg, states in zip(cfgs, stored):
             traj = brute_force_chain(cfg, PROBE)
             assert max(trace_distance(x, y) for x, y in zip(states, traj.states)) < 1e-12
+        b1, b2 = verify.discrete_jc_betas(0.4, 0.6, 4)
+        assert np.max(np.abs(stacks[0].superops[:, 1, 1] - b1)) < 1e-13
+        assert np.max(np.abs(stacks[0].superops[:, 3, 3] - b2)) < 1e-13
 
     def test_step_cap(self, jc_h):
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.1, p_s=0.5, n_steps=9,
                               bath=BathSpec(kind="pure_ground"))
         with pytest.raises(ConfigurationError):
             brute_force_chain(cfg, PROBE, n_max=6)
+
+
+def pure_run(jc_h, t_c, p_s, n_steps):
+    return discrete_maps(CollisionConfig(2, 2, jc_h, t_c=t_c, p_s=p_s, n_steps=n_steps,
+                                         bath=BathSpec(kind="pure_ground"))).superops
+
+
+class TestDiscreteJcBetas:
+    """The protocol's own closed form, from hand-written 2x2 and 3x3 transfer matrices."""
+
+    @pytest.mark.parametrize("gamma_bar", [0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("t_c", [0.01, 0.05])
+    def test_matches_discrete_maps_at_20000_steps(self, jc_h, t_c, gamma_bar):
+        # largest deviation over the six cases 1.9e-14, at t_c = 0.01 and gamma_bar = 0.5
+        p_s = calibrated_swap_probability(gamma_bar, t_c)
+        superops = pure_run(jc_h, t_c, p_s, 20000)
+        b1, b2 = verify.discrete_jc_betas(t_c, p_s, 20000)
+        assert b1.shape == b2.shape == (20001,)
+        assert np.max(np.abs(superops[:, 1, 1] - b1)) < 1e-13
+        assert np.max(np.abs(superops[:, 2, 2] - b1)) < 1e-13
+        assert np.max(np.abs(superops[:, 3, 3] - b2)) < 1e-13
+        assert np.max(np.abs(superops[:, 0, 3] - (1.0 - b2))) < 1e-13
+
+    @pytest.mark.parametrize("t_c", [0.01, 0.05])
+    def test_no_reset_is_the_cosine(self, jc_h, t_c):
+        # at p_s = 1 the system stays coupled to one ancilla: beta1 = cos(n t_c) and
+        # beta2 = cos^2(n t_c). Both loops drift in phase linearly in n; at 20000 steps and
+        # t_c = 0.01 beta1 is off by 2.3e-12 from the engine (2.5e-12 when it stepped one
+        # product at a time) and by 2.8e-13 from this oracle's own loop; at t_c = 0.05 the
+        # largest is 1.7e-12 (engine) and 1.5e-12 (oracle, beta2)
+        superops = pure_run(jc_h, t_c, 1.0, 20000)
+        cos = np.cos(np.arange(20001) * t_c)
+        for b1, b2 in (verify.discrete_jc_betas(t_c, 1.0, 20000),
+                       (superops[:, 1, 1], superops[:, 3, 3])):
+            assert np.max(np.abs(b1 - cos)) < 1e-11
+            assert np.max(np.abs(b2 - cos ** 2)) < 1e-11
+
+    def test_zero_steps_is_the_identity(self):
+        b1, b2 = verify.discrete_jc_betas(0.3, 0.5, 0)
+        assert b1.tolist() == b2.tolist() == [1.0]
+
+    @pytest.mark.parametrize("t_c, p_s, n_steps", [
+        (-0.1, 0.5, 3), (float("nan"), 0.5, 3), (0.1, 1.5, 3), (0.1, float("nan"), 3),
+        (0.1, 0.5, -1),
+    ])
+    def test_rejects_bad_parameters(self, t_c, p_s, n_steps):
+        with pytest.raises(ConfigurationError):
+            verify.discrete_jc_betas(t_c, p_s, n_steps)
 
 
 class TestCertify:
