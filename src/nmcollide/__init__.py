@@ -33,7 +33,6 @@ from .errors import (
     DivergenceError,
     InternalConsistencyError,
     NmcollideError,
-    TruncationError,
     ValidationError,
 )
 from .jaynes_cummings import (

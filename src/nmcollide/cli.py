@@ -39,11 +39,11 @@ bound where its intermediates stay finite, a collision, tau_max or sweep tau
 past PHASE_BOUND, a collision with a rate that is not finite, a thermal bath
 whose energies or weights do not list two numbers, a convergence gamma_bar
 below 0 or tau_max not above 0, two series gamma_bar values that name one
-report file, or a count past MAX_POINTS, checked before anything is
-allocated, included), 3 certification failure, 4 numerical
-failure (a series that did not converge, a diverged quadrature, a
-provably bounded quantity out of range, or a numpy linear-algebra or
-floating-point error).
+report file, a series gamma_bar times its step past 1e150, or a count past
+MAX_POINTS, checked before anything is allocated, included), 3
+certification failure, 4 numerical failure (a diverged quadrature, a
+provably bounded quantity out of range, such as a series that is not
+finite, or a numpy linear-algebra or floating-point error).
 A run treats numpy overflow, division by zero and invalid operations as
 errors rather than warnings, so stderr carries nothing but the JSON error.
 """
@@ -74,7 +74,6 @@ from .errors import (
     ConfigurationError,
     DivergenceError,
     InternalConsistencyError,
-    TruncationError,
     ValidationError,
 )
 from .jaynes_cummings import jc_hamiltonian, jc_maps
@@ -87,9 +86,10 @@ CSV_HEADER = "tau,gamma_bar,beta1,beta2,trace_distance_vs_discrete,min_choi_eig"
 CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 
 # Point, step and probe-state counts, and the rows of a run, stay at or below
-# MAX_POINTS. The series mode peaks at ~1.15 kB per point (tracemalloc, 20 001
-# points), the most of any mode; the one-grid sweep at ~1.05 kB per row
-# (tracemalloc, a whole 256 x 256 sweep run). POINT_BYTES rounds that up.
+# MAX_POINTS. The series mode peaks at ~1.06 kB per point (tracemalloc, the series_vs_discrete
+# config at 20 001 points, with or without its discrete comparison), the most of any mode; the
+# one-grid sweep at ~1.05 kB per row (tracemalloc, a whole 256 x 256 sweep run). POINT_BYTES
+# rounds that up.
 MEMORY_BUDGET = 2**30  # bytes
 POINT_BYTES = 4096
 MAX_POINTS = MEMORY_BUDGET // POINT_BYTES  # 262 144
@@ -366,24 +366,27 @@ def _mode_discrete(cfg: dict):
     return _map_rows(stack, gamma, _min_choi_eigs(stack)), {}, None
 
 
-def _series_report(gamma: float, result) -> dict:
-    return {"gamma_bar": gamma, "truncation_order": result.truncation_order,
-            "tail_norm": result.tail_norm}
+def _series_report(gamma: float, maps: MapStack) -> dict:
+    """A series JSON: gamma_bar, and the largest |Tr S(E_ab) - Tr E_ab| over the maps S and the
+    matrix units E_ab, read from the stack's trace row vec(1) S in one product."""
+    unit = np.eye(maps.dim).reshape(-1)
+    return {"gamma_bar": gamma,
+            "max_trace_defect": float(np.max(np.abs(unit @ maps.superops - unit)))}
 
 
 def _series_vs_protocol(collision: CollisionConfig, gamma: float, grid: TimeGrid,
                         policy: SeriesPolicy, stride: Optional[int]):
-    """The series of the collision's H and bath, and its distance column: NaN, or given a stride,
-    the trace distances on _PROBE from the validated discrete_maps(collision) trajectory at
-    every stride-th point."""
+    """The series maps of the collision's H and bath, and their distance column: NaN, or given a
+    stride, the trace distances on _PROBE from the validated discrete_maps(collision) trajectory
+    at every stride-th point. The policy is checked and not read (``lambda_series``)."""
     kernel = build_kernel_map(collision.hamiltonian,
                               collision.bath.weight_vector(collision.ancilla_dim))
-    result = lambda_series(kernel, gamma, grid, policy)
-    distances = np.full(len(result.maps), np.nan)
+    maps = lambda_series(kernel, gamma, grid, policy).maps
+    distances = np.full(len(maps), np.nan)
     if stride is not None:
         protocol = density_stack(discrete_maps(collision).apply(_PROBE))
-        distances[::stride] = trace_distances(result.maps[::stride].apply(_PROBE), protocol)
-    return result, distances
+        distances[::stride] = trace_distances(maps[::stride].apply(_PROBE), protocol)
+    return maps, distances
 
 
 def _mode_series(cfg: dict):
@@ -410,10 +413,10 @@ def _mode_series(cfg: dict):
             2, 2, jc_hamiltonian(), t_c=t_c, p_s=calibrated_swap_probability(g, t_c),
             n_steps=(len(taus) - 1) // stride, bath=BathSpec(kind="pure_ground"),
         )
-        result, distances = _series_vs_protocol(collision, g, grid, policy,
-                                                stride if compare and g > 0 else None)
-        rows.append(_map_rows(result.maps, g, _min_choi_eigs(result.maps), distances))
-        extras[name] = _series_report(g, result)
+        maps, distances = _series_vs_protocol(collision, g, grid, policy,
+                                              stride if compare and g > 0 else None)
+        rows.append(_map_rows(maps, g, _min_choi_eigs(maps), distances))
+        extras[name] = _series_report(g, maps)
     return np.concatenate(rows), extras, None
 
 
@@ -426,9 +429,9 @@ def _mode_thermal(cfg: dict):
         raise ConfigurationError("thermal mode needs p_s > 0 and t_c > 0 to calibrate the rate")
     grid = TimeGrid(t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1)
     policy = SeriesPolicy(k_max=cfg["k_max"], tail_tol=cfg["tail_tol"])
-    result, distances = _series_vs_protocol(collision, gamma, grid, policy, 1)
-    rows = _rows(result.maps.times, gamma, distance=distances, min_eig=_min_choi_eigs(result.maps))
-    return rows, {"series_thermal.json": _series_report(gamma, result)}, None
+    maps, distances = _series_vs_protocol(collision, gamma, grid, policy, 1)
+    rows = _rows(maps.times, gamma, distance=distances, min_eig=_min_choi_eigs(maps))
+    return rows, {"series_thermal.json": _series_report(gamma, maps)}, None
 
 
 def _mode_convergence(cfg: dict):
@@ -476,6 +479,8 @@ def _mode_sweep(cfg: dict):
 COMMON = {"mode": (_string, None), "seed": (_seed, 0), "output_path": (_string, ".")}
 GRID = {"gamma_bar": (_gammas, REQUIRED), "tau_max": (_float, REQUIRED),
         "tau_points": (partial(_count, minimum=2), REQUIRED)}
+# k_max and tail_tol are read and checked (a bad value exits 2) and change nothing: the series
+# truncates nothing. They stay only while bench/ still sends them (ROADMAP.md, benchmark upkeep).
 POLICY = {"k_max": (partial(_integer, minimum=1), SeriesPolicy.k_max),
           "tail_tol": (_float, SeriesPolicy.tail_tol)}
 RANGE = {"start": (_float, REQUIRED), "stop": (_float, REQUIRED),
@@ -569,7 +574,7 @@ def _dispatch(subcommand: str, config_path: str, output_dir: Optional[str]) -> i
             return _execute(cfg, raw, output_dir)
     except (ConfigurationError, ValidationError) as exc:
         return _emit_error(EXIT_CONFIG, str(exc))
-    except (TruncationError, DivergenceError, InternalConsistencyError) as exc:
+    except (DivergenceError, InternalConsistencyError) as exc:
         return _emit_error(EXIT_NUMERICAL, str(exc))
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         return _emit_error(EXIT_NUMERICAL, f"{type(exc).__name__}: {exc}")

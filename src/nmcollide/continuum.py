@@ -18,23 +18,20 @@ its exponential modes on H and rho_A = diag(weights), which
 one MapStack, an (n, d^2, d^2) superoperator array on row-major
 vectorized density matrices with its times:
 
-* ``lambda_series``: the convolution series on a uniform grid. Each term
-  is a positively weighted sum of compositions of CPT maps, so every
-  truncation is completely positive by construction, and preserves
-  Hermiticity. The recursion runs on exponentially damped terms
-  B_k = e^{-Gamma t} Gamma^{k-1} E^{*k}, which stay O(1) for any Gamma,
-  as real (d^2, d^2, n) arrays, time last, in the window loop's
-  orthonormal Hermitian basis (a Pauli transfer matrix for a qubit),
-  through numpy's real FFTs on terms zero-padded to the FFT length. The
-  truncation tail is a term's largest Frobenius norm over the grid, the
-  same in every orthonormal basis, and the sum leaves the Hermitian basis
-  once, at the end. Each order runs on the invariant blocks of B_1 alone,
-  the connected components of its exact-zero pattern: products of
-  block-diagonal maps stay block diagonal, and the dense recursion only
-  adds exact zeros off the blocks, so the maps are its own bit for bit. An
-  order costs one real FFT pair, a product per frequency and the end
-  corrections per block: for the exchange coupling, which conserves the
-  excitation number, at most 8 of the 16 entries.
+* ``lambda_series``: the whole series on a uniform grid, as the solution
+  of its Volterra equation X(t) = B1(t) + Gamma int_0^t B1(s) X(t - s) ds,
+  B1 = e^{-Gamma t} E(t), by product integration: X is linear between
+  nodes, and each distinct rate's mode of B1 is integrated exactly against
+  the hat functions. Every weight operator is an integral of CP maps
+  against a nonnegative function, and the weights integrate e^{-Gamma s}
+  exactly, so the maps are CP and trace preserving at every Gamma and
+  step, and the error is second order in the step. E(t) is a finite sum
+  of exponentials, so each rate's running convolution sum has a one-step
+  recurrence: with the geometric forcing, the solve is the orbit of one
+  fixed transfer matrix on 2 R d_s^2 rows (R distinct rates; 40 rows for
+  the exchange coupling), read out in blocks of about sqrt(n) points per
+  numpy call. Nothing is truncated, and the cost is linear in the grid
+  and independent of Gamma.
 * ``lambda_embedding``: the generator L itself, stepped with one matrix
   exponential; the double-precision cross-check of the series.
 * ``discrete_maps``: the protocol's own maps at the times n t_c. Its step
@@ -50,21 +47,22 @@ returns a MapStack too; it imports this module, never the reverse.
 short-time derivative (the infinite-rate regime). Every index of a MapStack
 is a MapStack, one map included. A map's Kraus form is
 ``quantum.kraus_from_choi`` of its row of ``MapStack.choi()``; the routes
-stay superoperators, since convolution needs map addition.
+stay superoperators, since the series adds maps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .collisions import (BathSpec, CollisionConfig, attach_superop, propagate_maps, protocol_step,
                          reset_generator, trace_ancilla_superop)
-from .errors import ConfigurationError, TruncationError
-from .quantum import (DensityOperator, HermitianOperator, _hermitian_basis, _hermitian_real,
-                      _hermitian_to_vec)
+from .errors import ConfigurationError, InternalConsistencyError
+from .quantum import DensityOperator, HermitianOperator, _hermitian_basis
+from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "TimeGrid",
@@ -116,8 +114,10 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SeriesPolicy:
-    """Truncation control: hard order cap, and tail threshold on the term's largest Frobenius
-    norm over the grid, which is the same in every orthonormal basis."""
+    """The truncation control of the series before it was solved exactly: an order cap and a
+    tail threshold. Still checked on construction, and read by nothing: ``lambda_series``
+    truncates nothing. It stays only while ``bench/`` still builds one (ROADMAP.md, benchmark
+    upkeep)."""
 
     k_max: int = 200
     tail_tol: float = 1e-8
@@ -246,158 +246,129 @@ class MapStack:
 
 @dataclass(frozen=True)
 class LambdaSeriesResult:
-    """Grid-indexed dynamical maps plus truncation diagnostics."""
+    """Grid-indexed dynamical maps. The solve truncates nothing, so ``truncation_order`` and
+    ``tail_norm`` are always 0; they stay only while ``bench/`` still reads them (ROADMAP.md,
+    benchmark upkeep)."""
 
     maps: MapStack
-    truncation_order: int
-    tail_norm: float
+    truncation_order: int = 0
+    tail_norm: float = 0.0
 
 
-def _fast_len(m: int) -> int:
-    """The smallest 2^a 3^b 5^c >= m: a length pocketfft transforms fast, the same as
-    scipy.fft.next_fast_len(m, real=True) without importing scipy.fft (~0.3 s)."""
-    best, p5 = 2 * m, 1  # a power of two in [m, 2m) always qualifies
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < m:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
+# 1 / (k + 2)!, k = 0..19: the Taylor coefficients of phi2 below; the first dropped term is below
+# 1/22! ~ 9e-22 where |x| < 1
+_TAYLOR = 1.0 / np.cumprod(np.arange(2.0, 22.0))
+# |x| past which psi(x) ~ 1/x^2 leaves the normal doubles and the weights lose their digits
+_X_BOUND = 1e150
 
 
-def _dropped_term_bound(gamma: float, grid: TimeGrid, k_max: int, system_dim: int) -> float:
-    """A lower bound on the tail of the series term of order k_max + 1: on its largest vec-basis
-    entry, so on its Frobenius norm too. The kernel is trace preserving, so that term B obeys
-    Tr B(t)(X) = w(t) Tr X with the Poisson weight w = e^{-x} x^k_max / k_max!, x = gamma t, and
-    some entry of B(t) is at least w(t) / d_s."""
-    x = gamma * grid.times()
-    with np.errstate(divide="ignore"):  # log 0 = -inf at t = 0, where w = 0
-        log_w = k_max * np.log(x) - x - math.lgamma(k_max + 1)
-    return float(np.exp(log_w.max())) / system_dim
+def _hat_integrals(x: np.ndarray) -> tuple:
+    """phi2(x) = int_0^1 (1 - v) e^{xv} dv and psi(x) = int_0^1 v e^{xv} dv, elementwise for
+    complex x: e^{xv} against the falling and the rising half of a hat function. A Taylor series
+    where |x| < 1, where the closed forms (e^x - 1 - x)/x^2 and (1 - e^x (1 - x))/x^2 cancel;
+    the closed forms, through expm1, elsewhere, divided by x twice so that x^2 never overflows.
+    Neither overflows where Re x <= 0."""
+    small = np.abs(x) < 1.0
+    powers = np.where(small, x, 0.0)[:, None] ** np.arange(len(_TAYLOR))
+    big = np.where(small, 1.0, x)  # a stand-in 1 where the series is used: nothing divides by 0
+    phi2 = np.where(small, powers @ _TAYLOR, (np.expm1(big) - big) / big / big)
+    psi = np.where(small, powers @ (_TAYLOR * np.arange(1, len(_TAYLOR) + 1)),
+                   (1.0 - np.exp(big) * (1.0 - big)) / big / big)
+    return phi2, psi
 
 
-def _hermitian_samples(kernel: MemoryKernelMap, times: np.ndarray) -> np.ndarray:
-    """E(t) at the times in the basis of ``_hermitian_basis``: a real (d^2, d^2, n) array, time
-    last. A kernel that keeps an imaginary part there raises InternalConsistencyError."""
+def _distinct_modes(kernel: MemoryKernelMap) -> tuple:
+    """(rates, mats): the kernel's modes with equal rates summed, each rate once.
+
+    Raises InternalConsistencyError unless E(t) preserves Hermiticity: its coefficients in the
+    basis Q of ``_hermitian_basis`` are real at every t iff the mode of each rate r is the
+    conjugate of the mode of r* (zero where r* is no rate), since distinct exponentials are
+    independent. Half the largest mismatch bounds the imaginary part the modes give E(t). Raises
+    ConfigurationError unless E(0) = 1, where every solve starts."""
+    rates, which = np.unique(kernel.rates, return_inverse=True)
+    mats = np.zeros((len(rates),) + kernel.mats.shape[1:], dtype=np.complex128)
+    np.add.at(mats, which, kernel.mats)
     q = _hermitian_basis(kernel.system_dim)
-    return _hermitian_real(np.einsum("pj,pab->abj", np.exp(np.outer(kernel.rates, times)),
-                                     q @ kernel.mats @ q.conj().T), "the kernel")
-
-
-def _invariant_blocks(b1: np.ndarray) -> list:
-    """The index sets that B_1 never links: the connected components of its nonzero pattern
-    over all times, symmetrized, as sorted index arrays. Every term is a product of B_1s, so
-    every term is block diagonal on them; a kernel without exact zeros is one block."""
-    reach = np.any(b1 != 0, axis=-1) | np.eye(len(b1), dtype=bool)
-    reach |= reach.T
-    while not np.array_equal(reach, grown := reach @ reach):
-        reach = grown
-    return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
+    coeffs = q @ mats @ q.conj().T
+    partner = rates[:, None] == rates.conj()[None, :]  # at most one partner: the rates differ
+    residue = 0.5 * float(np.max(np.abs(coeffs - np.einsum("rs,sab->rab", partner, coeffs.conj()))))
+    if not residue <= DEFAULT_TOLERANCES.imaginary_residue:
+        raise InternalConsistencyError(f"the kernel does not preserve Hermiticity: imaginary part "
+                                       f"{residue:.3e} in a Hermitian basis")
+    start = float(np.max(np.abs(mats.sum(axis=0) - np.eye(len(q)))))
+    if not start <= DEFAULT_TOLERANCES.kernel_identity:
+        raise ConfigurationError(f"the kernel's E(0) is not the identity map: max entry "
+                                 f"difference {start:.3e}")
+    return rates, mats
 
 
 def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
-                  policy: SeriesPolicy = SeriesPolicy()) -> LambdaSeriesResult:
-    """Evaluate the dynamical map on the grid by the auto-convolution series.
+                  policy: Optional[SeriesPolicy] = None) -> LambdaSeriesResult:
+    """Solve X(t) = B1(t) + gamma int_0^t B1(s) X(t - s) ds on the grid, B1 = e^{-gamma t} E(t),
+    by product integration: the whole convolution series, with no truncation.
 
-    The k-th term is accumulated in exponentially damped form
-    B_k = e^{-gamma t} gamma^{k-1} E^{*k}, computed iteratively by one
-    quadrature pass per order: B_{k+1} = gamma * (B_1 conv B_k) with
-    trapezoidal weights, on real terms in the basis of ``_hermitian_basis``.
-    A kernel whose B_1 keeps an imaginary part in that basis does not
-    preserve Hermiticity, and raises InternalConsistencyError.
-    Each order runs on the invariant blocks of B_1 (``_invariant_blocks``)
-    alone: an entry off them is an exact zero in every term of the dense
-    recursion, and adding an exact zero changes no sum, so the maps are the
-    dense recursion's bit for bit. Per block an order costs a real FFT of
-    the term, a product per frequency, an inverse real FFT and the two
-    trapezoid end corrections. The exchange coupling conserves the excitation
-    number, so no block mixes populations with coherences: at most 8 of 16
-    entries run. The tail of a term is its largest Frobenius norm over the
-    grid, summed over the blocks where they are: the basis is orthonormal, so
-    it is the vec-basis norm, and at least the term's largest vec-basis entry.
-    The totals are brought to the vec basis once, by
-    ``quantum._hermitian_to_vec``. Truncation stops once the tail
-    falls below ``policy.tail_tol`` after the series' peak order (terms
-    follow a Poisson-like profile in k, so the threshold only applies past
-    k > gamma * t_max); exhausting ``policy.k_max`` first raises
-    TruncationError with the residual norm, at once when the peak order is
-    past k_max and half ``_dropped_term_bound`` is above ``policy.tail_tol``.
+    X is interpolated linearly between nodes, and each distinct rate's mode e^{(r - gamma) s} M_r
+    of B1 is integrated exactly against the hat functions. With x = (r - gamma) dt, the node at
+    s = m dt weighs dt phi2(x) at m = 0, dt e^{x(m-1)} (e^x phi2(x) + psi(x)) inside and
+    dt e^{x(j-1)} psi(x) at m = j (``_hat_integrals``). So each weight operator is an integral of
+    CP maps against a nonnegative function, and the weights integrate e^{-gamma s} exactly: the
+    maps are CP and trace preserving at every gamma and dt, up to rounding.
+
+    Each rate's running sum S_r(j) = sum_{m=1}^{j-1} e^{x(m-1)} X_{j-m} obeys
+    S_r(j + 1) = X_j + e^x S_r(j), and the forcing G_r(j) = e^{x(j-1)} is geometric. Solving
+    the implicit m = 0 term, X_j = K Z_j with Z_j = (S_1..S_R, G_1..G_R)(j), 2 R d_s^2 rows,
+    and Z_{j+1} = T Z_j for one fixed T. K = A [w_r M_r .., c_r M_r ..] with
+    w_r = gamma dt (e^x phi2 + psi) and c_r = e^x + gamma dt psi, and A the inverse of
+    1 - gamma dt sum_r phi2(x_r) M_r = sum_r (phi1(x_r) - r dt phi2(x_r)) M_r, phi1 = phi2 + psi:
+    the right side uses E(0) = sum_r M_r = 1 and cancels nothing at large gamma dt. The grid is
+    read out b = ceil(sqrt(n - 2)) points per numpy call: the stack K T, .., K T^b, built once
+    row by row, times the block's first state gives the block's maps, written in place, and the
+    next state is the running sums advanced over the block's maps. No state is kept per point.
+
+    ``kernel`` must preserve Hermiticity and start at E(0) = 1 (``_distinct_modes``), and
+    gamma dt and every |r dt| stay within 1e150, where the weights keep their digits (else
+    ConfigurationError). A result that is not finite raises InternalConsistencyError. ``policy``
+    is checked and not read: nothing is truncated. It stays only while ``bench/`` still passes
+    one (ROADMAP.md, benchmark upkeep).
     """
     if not 0 <= gamma < math.inf:  # a NaN rate fails too
         raise ConfigurationError("memory-loss rate gamma must be nonnegative and finite")
-    times, n, d2 = grid.times(), grid.n_points, kernel.system_dim ** 2
-    sampled = _hermitian_samples(kernel, times)
-    if gamma * grid.t_max > policy.k_max - 1:  # the peak order ceil(gamma t_max) + 1 > k_max
-        # half the bound: the trapezoid terms are not exactly trace preserving
-        floor = 0.5 * _dropped_term_bound(gamma, grid, policy.k_max, kernel.system_dim)
-        if floor > policy.tail_tol:
-            raise TruncationError(f"series cannot converge by order {policy.k_max}: gamma * "
-                                  f"t_max = {gamma * grid.t_max:.6g} puts its peak order past it "
-                                  f"(residual term norm at least {floor:.3e}); raise k_max or "
-                                  "tail_tol", residual=floor, order=policy.k_max)
-    b1 = sampled * np.exp(-gamma * times)
-    size = _fast_len(2 * n - 1)
-    cuts = [np.ix_(block, block) for block in _invariant_blocks(b1)]
-
-    def padded(block: np.ndarray) -> np.ndarray:
-        out = np.zeros(block.shape[:2] + (size,))
-        out[:, :, :n] = block
-        return out
-
-    terms = [padded(b1[cut]) for cut in cuts]
-    kernels = [(b1[cut], np.fft.rfft(term, axis=-1)) for cut, term in zip(cuts, terms)]
-
-    def next_term(b1_block: np.ndarray, b1_hat: np.ndarray, padded: np.ndarray) -> np.ndarray:
-        """gamma dt sum'' B_1[m] T[j - m] on one block: half weight at m = 0 and m = j. Terms
-        are carried zero-padded to the FFT length: numpy's rfft pads them ~30% slower itself."""
-        t_hat = np.fft.rfft(padded, axis=-1)
-        conv = np.fft.irfft(np.einsum("abj,bcj->acj", b1_hat, t_hat), n=size, axis=-1)
-        term, out = padded[:, :, :n], conv[:, :, :n]
-        out -= 0.5 * (np.tensordot(b1_block[:, :, 0], term, 1) + term[:, :, 0].T @ b1_block)
-        out *= gamma * grid.dt
-        conv[:, :, n:] = 0.0
-        return conv
-
-    def next_terms(terms: list) -> list:
-        return [next_term(*kernel, term) for kernel, term in zip(kernels, terms)]
-
-    def frobenius(blocks: list) -> float:
-        """The term's largest Frobenius norm over the grid, from the squares of its blocks."""
-        squares = sum(np.einsum("abj,abj->j", b[:, :, :n], b[:, :, :n]) for b in blocks)
-        return float(np.sqrt(np.max(squares)))
-
-    totals = [b1[cut] for cut in cuts]
-    peak_order = int(np.ceil(gamma * grid.t_max)) + 1
-    order, tail = 1, 0.0
-    if gamma != 0.0:  # at zero rate the single term is exact
-        for order in range(2, policy.k_max + 1):
-            terms = next_terms(terms)
-            for total, term in zip(totals, terms):
-                total += term[:, :, :n]
-            tail = frobenius(terms)
-            if not np.isfinite(tail):
-                raise TruncationError(f"series term of order {order} is not finite; refine the grid",
-                                      residual=tail, order=order)
-            if order >= peak_order and tail <= policy.tail_tol:
-                break
-        else:
-            # the order cap was hit; measure the residual from the first
-            # dropped term and accept only if it is within tolerance
-            tail = frobenius(next_terms(terms))
-            if not tail <= policy.tail_tol:  # a NaN residual fails too
-                raise TruncationError(
-                    f"series did not converge by order {policy.k_max} "
-                    f"(residual term norm {tail:.3e}); raise k_max or tail_tol",
-                    residual=tail, order=policy.k_max)
-    dense = np.zeros((d2, d2, n))  # exact zeros off the blocks
-    for cut, total in zip(cuts, totals):
-        dense[cut] = total
-    superops = _hermitian_to_vec(dense.reshape(d2 * d2, n).T, kernel.system_dim)
-    return LambdaSeriesResult(MapStack(times, superops, kernel.system_dim), order, tail)
+    if policy is not None and not isinstance(policy, SeriesPolicy):
+        raise ConfigurationError(f"policy must be a SeriesPolicy, got {policy!r}")
+    rates, mats = _distinct_modes(kernel)
+    n, d2, dt = grid.n_points, kernel.system_dim ** 2, grid.dt
+    x = (rates - gamma) * dt
+    if not np.max(np.abs(x)) <= _X_BOUND:
+        raise ConfigurationError(f"gamma = {gamma:g} on a step dt = {dt:g} puts a weight's "
+                                 f"exponent past {_X_BOUND:g}, where the weights lose their digits")
+    phi2, psi = _hat_integrals(x)
+    decay, gdt = np.exp(x), gamma * dt
+    implicit = np.tensordot(phi2 + psi - rates * dt * phi2, mats, 1)
+    weights = np.concatenate([gdt * (decay * phi2 + psi), decay + gdt * psi])  # w_r, then c_r
+    k = np.linalg.solve(implicit, np.hstack(weights[:, None, None] * np.concatenate([mats, mats])))
+    block = max(1, math.ceil(math.sqrt(n - 2)))
+    readout = np.empty((block,) + k.shape, dtype=np.complex128)  # K T^i, i = 1..block
+    row, sums, diagonal = k, len(rates) * d2, np.tile(decay, 2).repeat(d2)
+    for i in range(block):  # row T = row diag(e^x) + (row's S columns summed) K
+        row = row * diagonal + row[:, :sums].reshape(d2, -1, d2).sum(1) @ k
+        readout[i] = row
+    z = np.zeros((2, len(rates), d2, d2), dtype=np.complex128)
+    z[1] = np.eye(d2)  # S_r(1) = 0, G_r(1) = 1
+    out = np.empty((n, d2, d2), dtype=np.complex128)
+    out[0] = np.eye(d2)
+    out[1] = k @ z.reshape(-1, d2)
+    lags = np.exp(np.outer(x, np.arange(block - 1, -1, -1)))  # e^{x (block - 1 - i)}
+    readout = readout.reshape(block * d2, -1)  # one product per block: (b d2, m) @ (m, d2)
+    for j in range(1, n - 1, block):
+        size = min(block, n - 1 - j)  # the last block may be short
+        maps = out[j + 1:j + 1 + size].reshape(-1, d2)  # a view: the product writes in place
+        np.matmul(readout[:size * d2], z.reshape(-1, d2), out=maps)
+        z *= np.exp(x * size)[:, None, None]  # Z_j -> Z_{j + size}, over X_j .. X_{j+size-1}
+        z[0] += (lags[:, block - size:] @ out[j:j + size].reshape(size, -1)).reshape(z[0].shape)
+    if not np.all(np.isfinite(out)):
+        raise InternalConsistencyError(f"the series at gamma = {gamma:g} on {n} points over "
+                                       f"[0, {grid.t_max:g}] is not finite")
+    return LambdaSeriesResult(MapStack(grid.times(), out, kernel.system_dim))
 
 
 # --- Markovian embedding ------------------------------------------------------

@@ -13,15 +13,6 @@ class ConfigurationError(NmcollideError, ValueError):
     """Inconsistent dimensions, parameters out of range, or a bad config."""
 
 
-class TruncationError(NmcollideError, RuntimeError):
-    """The convolution series did not converge within the allowed order."""
-
-    def __init__(self, message: str, *, residual: float, order: int):
-        super().__init__(message)
-        self.residual = residual
-        self.order = order
-
-
 class DivergenceError(NmcollideError, RuntimeError):
     """A numerical quadrature produced a non-finite result."""
 

@@ -24,6 +24,8 @@ class ToleranceProfile:
     choi_positivity: float = 1e-10
     # residual imaginary part allowed when a result is provably real
     imaginary_residue: float = 1e-10
+    # max |E(0) - 1| entry for a memory kernel, whose series starts at the identity map
+    kernel_identity: float = 1e-12
 
 
 DEFAULT_TOLERANCES = ToleranceProfile()

@@ -15,7 +15,6 @@ from nmcollide import (
     BathSpec,
     CollisionConfig,
     DensityOperator,
-    SeriesPolicy,
     TimeGrid,
     adc_decay_kernel,
     beta1,
@@ -116,7 +115,7 @@ def test_criterion_04_series_vs_closed_form():
     grid = TimeGrid(t_max=5.0, n_points=5001)  # dt = 1e-3
     worst = 0.0
     for gamma in (0.0, 1.0, 2.0):
-        maps = lambda_series(kernel, gamma, grid, SeriesPolicy(k_max=200, tail_tol=1e-8)).maps
+        maps = lambda_series(kernel, gamma, grid).maps
         target = jc_maps(maps.times, gamma).superops
         worst = max(worst, float(np.max(np.abs(maps.superops - target))))
     elapsed = time.perf_counter() - started

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import nmcollide.cli as cli
+from nmcollide import LambdaSeriesResult, MapStack, certify_cpt, jc_maps, lambda_series
 from nmcollide.cli import CSV_HEADER, main
 
 
@@ -253,7 +254,9 @@ class TestRun:
         assert len(distances) == 21
         assert max(distances) < 5e-3
 
-    def test_series_truncation_failure_exits_4(self, tmp_path, capsys):
+    def test_former_truncation_failure_matches_closed_form(self, tmp_path):
+        # this config's k_max once cut the series short (exit 4); nothing is truncated now, and
+        # the second-order error at dt = 0.04 and gamma_bar = 5 is 2.0e-4
         cfg = write_config(
             tmp_path, "cfg.json",
             {
@@ -266,10 +269,55 @@ class TestRun:
                 "output_path": str(tmp_path / "out"),
             },
         )
-        assert main(["run", cfg]) == 4
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["code"] == 4
-        assert "residual" in err["error"]["message"]
+        assert main(["run", cfg]) == 0
+        rows = np.array(read_rows(tmp_path / "out"))[:, :4].astype(float)
+        exact = jc_maps(rows[:, 0], 5.0).superops
+        assert np.max(np.abs(rows[:, 2] - exact[:, 1, 1].real)) <= 5e-4
+        assert np.max(np.abs(rows[:, 3] - exact[:, 3, 3].real)) <= 5e-4
+
+    @pytest.mark.parametrize("payload", [
+        # gamma_bar * t_max = 201: the peak order of the old series lay past k_max = 200
+        pytest.param({"mode": "thermal", "collision": {
+            "t_c": 0.01, "p_s": 0.99, "n_steps": 20000,
+            "bath": {"kind": "thermal", "energies": [0.0, 1.0], "inverse_temperature": 1.0}}},
+            id="thermal-gamma-t-201"),
+        pytest.param({"mode": "series", "gamma_bar": 1e4, "tau_max": 5.0, "tau_points": 1001},
+                     id="series-gamma-1e4"),
+    ])
+    def test_large_rate_series_exits_0_and_stays_cp(self, tmp_path, payload):
+        cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        assert min(float(r[5]) for r in read_rows(tmp_path / "out")) >= -1e-12
+
+    @pytest.mark.parametrize("payload, report", [
+        ({"mode": "series", "gamma_bar": 2.0, "tau_max": 3.0, "tau_points": 301},
+         "series_gamma_2.json"),
+        ({"mode": "thermal", "collision": {
+            "t_c": 0.02, "p_s": 0.98, "n_steps": 150,
+            "bath": {"kind": "thermal", "weights": [0.731, 0.269]}}},
+         "series_thermal.json"),
+    ], ids=["series", "thermal"])
+    def test_series_report_holds_the_trace_defect(self, tmp_path, monkeypatch, payload, report):
+        cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        written = json.loads((tmp_path / "out" / report).read_text())
+        assert sorted(written) == ["gamma_bar", "max_trace_defect"]
+        assert written["max_trace_defect"] < 1e-12  # trace preserving by construction
+        # maps scaled by 1 + 1e-6 give the field a defect to find; the Choi matrices'
+        # output-trace marginal (certify_cpt) recomputes it
+        seen = []
+
+        def scaled(*args):
+            maps = lambda_series(*args).maps
+            seen.append(MapStack(maps.times, (1.0 + 1e-6) * maps.superops, maps.dim))
+            return LambdaSeriesResult(seen[-1])
+
+        monkeypatch.setattr(cli, "lambda_series", scaled)
+        assert main(["run", cfg]) == 0
+        written = json.loads((tmp_path / "out" / report).read_text())
+        defect = max(certify_cpt(seen[0]).max_trace_defect)
+        assert 0.9e-6 < defect < 1.1e-6
+        assert written["max_trace_defect"] == pytest.approx(defect, rel=1e-9)
 
     def test_thermal_mode(self, tmp_path):
         cfg = write_config(
@@ -588,7 +636,8 @@ class TestErrorMapping:
         assert err["error"] == {"code": 4, "message": "FloatingPointError: overflow encountered"}
 
     @pytest.mark.parametrize("payload, code", [
-        pytest.param({"mode": "series", "gamma_bar": 1.0, "tau_max": 1e6, "tau_points": 3}, 4,
+        # gamma_bar * dt = 5e308 overflows before any weight is formed
+        pytest.param({"mode": "series", "gamma_bar": 1e303, "tau_max": 1e6, "tau_points": 3}, 4,
                      id="series-overflow"),
         # now refused by the closed form's domain check before any arithmetic
         pytest.param({"mode": "jc_closed_form", "gamma_bar": 1e300, "tau_max": 1.0,
@@ -1176,6 +1225,26 @@ class TestSchema:
         error = json.loads(lines[0])["error"]
         assert error["code"] == 2 and repr(key) in error["message"]
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("name", ["series_vs_discrete", "thermal"])
+    @pytest.mark.parametrize("fields", [{"k_max": 0}, {"k_max": 2.5}, {"tail_tol": 0.0},
+                                        {"tail_tol": -1e-8}, {"tail_tol": "1e-8"}],
+                             ids=["k_max-0", "k_max-fraction", "tail_tol-0", "tail_tol-negative",
+                                  "tail_tol-string"])
+    def test_bad_policy_field_exits_2(self, tmp_path, name, fields):
+        # the series truncates nothing, yet k_max and tail_tol are still checked
+        code, lines = _run_config(tmp_path, _with(name, (), **fields))
+        assert code == 2 and len(lines) == 1
+        assert next(iter(fields)) in json.loads(lines[0])["error"]["message"]
+
+    @pytest.mark.parametrize("name", ["series_vs_discrete", "thermal"])
+    def test_policy_fields_change_nothing(self, tmp_path, name):
+        runs = []
+        for i, config in enumerate([SHIPPED[name], _with(name, (), k_max=1, tail_tol=1e30)]):
+            (tmp_path / str(i)).mkdir()
+            assert _run_config(tmp_path / str(i), config)[0] == 0
+            runs.append((tmp_path / str(i) / "out" / "results.csv").read_bytes())
+        assert runs[0] == runs[1]
 
     def test_every_nested_object_is_drawn(self):
         assert {path for _, path in OBJECTS} == {

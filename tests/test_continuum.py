@@ -15,7 +15,6 @@ from nmcollide import (
     MemoryKernelMap,
     SeriesPolicy,
     TimeGrid,
-    TruncationError,
     adc_decay_kernel,
     build_kernel_map,
     calibrated_swap_probability,
@@ -32,10 +31,10 @@ from nmcollide import (
     trace_distance,
     unitary_evolution,
 )
-import scipy.fft
+import mpmath
 
-from nmcollide.continuum import (_dropped_term_bound, _fast_len, _hermitian_samples,
-                                 _invariant_blocks)
+from nmcollide.continuum import _hat_integrals
+from nmcollide.quantum import _hermitian_basis
 
 from conftest import density_operators
 
@@ -45,27 +44,30 @@ WARM = tuple(thermal_weights((0.0, 1.0), 0.8))  # rho_A of a thermal bath at bet
 _FINE_MAPS = None
 
 
-def _causal_convolve_direct(f, g):
-    """sum_{m <= j} f[m] g[j - m] on (n, d^2, d^2) stacks, by the O(n^2) direct sum."""
-    n = f.shape[0]
-    out = np.zeros_like(f)
-    for j in range(n):
-        out[j] = np.einsum("mab,mbc->ac", f[: j + 1], g[j::-1])
-    return out
-
-
-def _direct_series(kernel, gamma, grid, orders):
-    """The series' first ``orders`` terms by direct trapezoid quadrature, on complex
-    (n, d^2, d^2) stacks in the row-major vec basis: the reference for lambda_series,
-    sharing neither its basis, nor its layout, nor its FFTs and end corrections."""
+def _direct_product_integration(kernel, gamma, grid):
+    """X_j = B1(t_j) + gamma sum_{m=0}^{j} W_m X_{j-m}, B1 = e^{-gamma t} E(t), solved for each j
+    in turn by the O(n^2) direct sum, on complex (n, d^2, d^2) stacks in the row-major vec basis:
+    the reference for lambda_series. W_m = int hat_m(s) B1(s) ds, the hat function of node m
+    cut off at 0 and t_j, comes from 8-point Gauss-Legendre quadrature of the sampled kernel on
+    each step. So it shares neither the weights' closed forms, nor the rate grouping, nor the
+    transfer form."""
+    n, dt, d2 = grid.n_points, grid.dt, kernel.system_dim ** 2
+    u, w = np.polynomial.legendre.leggauss(8)
+    v, w = 0.5 * (u + 1.0), 0.5 * dt * w
+    s = (np.arange(n - 1)[:, None] + v) * dt  # the nodes on step m, from m dt to (m + 1) dt
+    b1 = (kernel.maps(s.reshape(-1)).superops.reshape(n - 1, len(v), d2, d2)
+          * np.exp(-gamma * s)[:, :, None, None])
+    falling = np.einsum("q,mqab->mab", w * (1.0 - v), b1)  # hat_m on step m
+    rising = np.einsum("q,mqab->mab", w * v, b1)  # hat_{m+1} on step m
     times = grid.times()
-    b1 = kernel.maps(times).superops * np.exp(-gamma * times)[:, None, None]
-    total, term = b1.copy(), b1
-    for _ in range(orders - 1):
-        ends = 0.5 * (np.einsum("ab,jbc->jac", b1[0], term) + np.einsum("jab,bc->jac", b1, term[0]))
-        term = gamma * (grid.dt * (_causal_convolve_direct(b1, term) - ends))
-        total += term
-    return total
+    out = kernel.maps(times).superops * np.exp(-gamma * times)[:, None, None]  # B1(t_j)
+    implicit = np.linalg.inv(np.eye(d2) - gamma * falling[0])
+    for j in range(1, n):
+        # W_m = falling[m] + rising[m - 1]: falling for m = 1..j-1, rising for m = 1..j
+        out[j] = implicit @ (out[j] + gamma * (
+            np.einsum("mab,mbc->ac", falling[1:j], out[j - 1:0:-1])
+            + np.einsum("mab,mbc->ac", rising[:j], out[j - 1::-1])))
+    return out
 
 
 def _fine_series_maps():
@@ -98,10 +100,15 @@ def _exchange_qutrit_hamiltonian():
     return _detuned(HermitianOperator(hop + hop.T), 0.7)
 
 
-def _kernel_blocks(kernel):
-    """The series' invariant blocks of a kernel, from its own sampling on [0, 10]."""
-    samples = _hermitian_samples(kernel, np.linspace(0.0, 10.0, 201))
-    return [block.tolist() for block in _invariant_blocks(samples)]
+def _map_blocks(maps):
+    """The index sets that the maps never link in the basis of ``_hermitian_basis``: the
+    connected components of their nonzero pattern over all times, symmetrized."""
+    q = _hermitian_basis(maps.dim)
+    reach = np.any(q @ maps.superops @ q.conj().T != 0, axis=0) | np.eye(len(q), dtype=bool)
+    reach |= reach.T
+    while not np.array_equal(reach, grown := reach @ reach):
+        reach = grown
+    return [np.flatnonzero(row).tolist() for row in np.unique(reach, axis=0)]
 
 
 def _kraus_reference(h, weights, t):
@@ -267,7 +274,6 @@ class TestLambdaSeries:
     def test_zero_rate_reproduces_kernel(self, jc_kernel):
         grid = TimeGrid(t_max=4.0, n_points=81)
         result = lambda_series(jc_kernel, 0.0, grid)
-        assert result.truncation_order == 1
         kernel_maps = jc_kernel.maps(result.maps.times)
         assert np.max(np.abs(result.maps.superops - kernel_maps.superops)) < 1e-12
 
@@ -281,7 +287,7 @@ class TestLambdaSeries:
         maps = lambda_series(jc_kernel, gamma, grid).maps
         assert float(np.max(np.abs(maps.superops - jc_maps(maps.times, gamma).superops))) < 1e-4
 
-    def test_fft_equals_direct_quadrature(self, jc_kernel):
+    def test_equals_direct_product_integration(self, jc_kernel):
         # beyond the pure qubit: a thermal ancilla, and a qutrit (d_s = 3) under a random H
         kernels = [
             jc_kernel,
@@ -291,14 +297,58 @@ class TestLambdaSeries:
         grid = TimeGrid(t_max=2.0, n_points=101)
         for kernel in kernels:
             result = lambda_series(kernel, 1.0, grid)
-            reference = _direct_series(kernel, 1.0, grid, result.truncation_order)
+            reference = _direct_product_integration(kernel, 1.0, grid)
             worst = np.max(np.abs(result.maps.superops - reference))
             assert worst < 1e-12
 
-    def test_fast_len_is_scipy_next_fast_len(self):
-        # the padded FFT length, and with it every bit of the series, follows scipy's choice
-        assert [_fast_len(m) for m in range(1, 20001)] == [
-            scipy.fft.next_fast_len(m, real=True) for m in range(1, 20001)]
+    @pytest.mark.parametrize("gamma", [0.0, 0.2, 1.0, 2.0, 20.0, 1e4])
+    def test_matches_closed_form_across_rates(self, jc_kernel, gamma):
+        maps = lambda_series(jc_kernel, gamma, TimeGrid(t_max=5.0, n_points=1001)).maps
+        assert float(np.max(np.abs(maps.superops - jc_maps(maps.times, gamma).superops))) <= 1e-5
+
+    def test_error_is_second_order(self, jc_kernel):
+        errors = []
+        for n_points in (1001, 2001):
+            maps = lambda_series(jc_kernel, 20.0, TimeGrid(t_max=5.0, n_points=n_points)).maps
+            errors.append(np.max(np.abs(maps.superops - jc_maps(maps.times, 20.0).superops)))
+        assert errors[0] / errors[1] >= 3.5
+
+    def test_large_rate_is_cpt_and_trace_preserving(self, jc_kernel):
+        report = certify_cpt(lambda_series(jc_kernel, 1e4, TimeGrid(t_max=5.0, n_points=1001)).maps)
+        assert max(report.max_trace_defect) <= 1e-10
+        assert min(report.min_choi_eigenvalue) >= -1e-12
+
+    @pytest.mark.parametrize("gamma", [1.0, 20.0, 100.0])
+    def test_thermal_kernel_matches_embedding(self, gamma):
+        weights = (0.731, 0.269)
+        grid = TimeGrid(t_max=5.0, n_points=1001)
+        series = lambda_series(build_kernel_map(jc_hamiltonian(), weights), gamma, grid).maps
+        exact = lambda_embedding(jc_hamiltonian(), weights, gamma, grid)
+        assert np.max(np.abs(series.superops - exact.superops)) <= 1e-5
+
+    @pytest.mark.parametrize("x", [0.0, 1e-9, -0.3 + 0.4j, 0.999j, -1.001, 1.0 + 0.5j, -1.0j,
+                                   -50.0 + 3.0j, -1e6 + 2.0j, -1e140])
+    def test_hat_integrals_match_high_precision(self, x):
+        # both sides of the |x| = 1 switch between the Taylor series and the closed forms
+        phi2, psi = _hat_integrals(np.array([x], dtype=complex))
+        with mpmath.workdps(60):
+            z = mpmath.mpc(x)
+            if z == 0:
+                exact = (mpmath.mpf(1) / 2, mpmath.mpf(1) / 2)
+            else:
+                exact = ((mpmath.exp(z) - 1 - z) / z**2, (1 - mpmath.exp(z) * (1 - z)) / z**2)
+            for got, want in zip((phi2[0], psi[0]), exact):
+                assert abs(complex(got) - complex(want)) <= 1e-15 * abs(complex(want))
+
+    def test_weights_past_double_precision_are_refused(self, jc_kernel):
+        with pytest.raises(ConfigurationError, match="loses? their digits"):
+            lambda_series(jc_kernel, 1e160, TimeGrid(t_max=1.0, n_points=11))
+
+    def test_kernel_that_does_not_start_at_the_identity_is_refused(self):
+        kernel = MemoryKernelMap(system_dim=2, rates=np.zeros(1, dtype=complex),
+                                 mats=0.5 * np.eye(4, dtype=complex)[None])
+        with pytest.raises(ConfigurationError, match="E\\(0\\) is not the identity"):
+            lambda_series(kernel, 1.0, TimeGrid(t_max=1.0, n_points=11))
 
     @pytest.mark.parametrize("gamma", [-0.5, float("nan")])
     def test_invalid_rate_is_a_configuration_error(self, jc_kernel, gamma):
@@ -324,82 +374,35 @@ class TestLambdaSeries:
         # positive combinations of channel compositions: CP holds at every
         # truncation, not just in the converged limit
         grid = TimeGrid(t_max=2.0, n_points=201)
-        result = lambda_series(jc_kernel, gamma, grid, SeriesPolicy(k_max=400))
+        result = lambda_series(jc_kernel, gamma, grid)
         assert np.linalg.eigvalsh(result.maps.choi())[:, 0].min() >= -1e-8
 
-    def test_partial_sums_are_cp(self, jc_kernel):
+    def test_policy_is_checked_and_not_read(self, jc_kernel):
+        # nothing is truncated: every policy gives the same maps, and a policy is still checked
         grid = TimeGrid(t_max=2.0, n_points=101)
-        policies = [SeriesPolicy(k_max=k, tail_tol=1e30) for k in (1, 2, 3, 5)]
-        for policy in policies:
-            maps = lambda_series(jc_kernel, 1.0, grid, policy).maps
-            assert np.linalg.eigvalsh(maps.choi())[:, 0].min() >= -1e-8
+        plain = lambda_series(jc_kernel, 1.0, grid)
+        assert (plain.truncation_order, plain.tail_norm) == (0, 0.0)
+        for policy in [SeriesPolicy(k_max=k, tail_tol=1e30) for k in (1, 2, 3, 5)]:
+            result = lambda_series(jc_kernel, 1.0, grid, policy)
+            assert np.array_equal(result.maps.superops, plain.maps.superops)
+        with pytest.raises(ConfigurationError, match="SeriesPolicy"):
+            lambda_series(jc_kernel, 1.0, grid, {"k_max": 5})
 
-    @pytest.mark.parametrize("weights", [(1.0, 0.0), WARM], ids=["pure", "thermal"])
-    def test_tail_is_the_last_terms_frobenius_norm(self, weights):
-        # a tail_tol this loose stops at a term of O(1e-3), far above the routes' rounding
-        kernel = build_kernel_map(jc_hamiltonian(), weights)
-        grid = TimeGrid(t_max=2.0, n_points=101)
-        result = lambda_series(kernel, 1.0, grid, SeriesPolicy(tail_tol=3e-3))
-        order = result.truncation_order
-        partial = [_direct_series(kernel, 1.0, grid, k) for k in (order - 1, order)]
-        term = partial[1] - partial[0]
-        frobenius = np.sqrt(np.sum(np.abs(term) ** 2, axis=(1, 2))).max()
-        assert 1e-4 < frobenius < 3e-3
-        assert result.tail_norm == pytest.approx(frobenius, rel=1e-9)
-        assert result.tail_norm >= np.abs(term).max()
-
-    def test_non_finite_term_raises(self, jc_kernel):
-        # on a grid this coarse the quadrature terms overflow; the series
-        # must stop at the first non-finite term, not run to k_max
+    def test_non_finite_term_raises(self):
+        # a kernel growing as e^{800 t} overflows; the solve names gamma and the grid
+        kernel = MemoryKernelMap(system_dim=2, rates=np.array([800.0 + 0j]),
+                                 mats=np.eye(4, dtype=complex)[None])
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TruncationError) as err:
-                lambda_series(jc_kernel, 1.0, TimeGrid(t_max=1e6, n_points=3))
-        assert not np.isfinite(err.value.residual)
-        assert err.value.order < SeriesPolicy().k_max
-
-    def test_truncation_failure_raises_with_residual(self, jc_kernel):
-        with pytest.raises(TruncationError) as err:
-            lambda_series(jc_kernel, 5.0, TimeGrid(t_max=4.0, n_points=101),
-                          SeriesPolicy(k_max=5, tail_tol=1e-8))
-        assert err.value.residual > 0
-        assert err.value.order == 5
-
-    @pytest.mark.parametrize("thermal", [False, True], ids=["pure", "thermal"])
-    @pytest.mark.parametrize("gamma, t_max, n_points, k_max", [
-        (5.0, 4.0, 101, 5), (10.0, 2.0, 401, 8), (20.0, 3.0, 601, 30), (1.0, 10.0, 1001, 5),
-    ])
-    def test_dropped_term_bound_is_below_the_residual(self, jc_kernel, thermal, gamma, t_max,
-                                                      n_points, k_max):
-        kernel = build_kernel_map(jc_hamiltonian(), (0.7, 0.3)) if thermal else jc_kernel
-        grid = TimeGrid(t_max=t_max, n_points=n_points)
-        # a tail_tol this loose accepts the first dropped term and reports its norm
-        result = lambda_series(kernel, gamma, grid, SeriesPolicy(k_max=k_max, tail_tol=1e3))
-        bound = _dropped_term_bound(gamma, grid, k_max, 2)
-        assert 0.0 < bound <= result.tail_norm
-
-    def test_hopeless_truncation_raises_before_the_first_fft(self, monkeypatch):
-        # a thermal config whose peak order ceil(gamma t_max) + 1 = 203 lies past k_max = 200
-        def no_fft(*args, **kwargs):
-            raise AssertionError("the series ran an FFT")
-
-        monkeypatch.setattr(np.fft, "rfft", no_fft)
-        collision = CollisionConfig(
-            2, 2, jc_hamiltonian(), t_c=0.01, p_s=0.99, n_steps=20000,
-            bath=BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=1.0),
-        )
-        gamma = -np.log(0.99) / 0.01
-        kernel = build_kernel_map(collision.hamiltonian, collision.bath.weight_vector(2))
-        with pytest.raises(TruncationError, match="cannot converge by order 200") as err:
-            lambda_series(kernel, gamma, TimeGrid(200.0, 20001))
-        assert err.value.order == 200
-        assert err.value.residual > SeriesPolicy().tail_tol
+            with pytest.raises(InternalConsistencyError,
+                               match=r"gamma = 1 on 101 points over \[0, 1\]"):
+                lambda_series(kernel, 1.0, TimeGrid(t_max=1.0, n_points=101))
 
     def test_large_rate_matches_discrete_protocol(self, jc_kernel):
         # both routes approximate the same map; tolerance is loose because
         # each side carries its own discretization error
         gamma = 50.0
         grid = TimeGrid(t_max=5.0, n_points=10001)
-        result = lambda_series(jc_kernel, gamma, grid, SeriesPolicy(k_max=500))
+        result = lambda_series(jc_kernel, gamma, grid)
         t_c = 0.002
         stride = round(t_c / grid.dt)
         cfg = CollisionConfig(
@@ -425,13 +428,15 @@ class TestLambdaSeries:
             assert np.max(np.abs(direct - via_kraus)) < 1e-9
 
     def test_map_kraus_extraction_rejects_quadrature_defect(self, jc_kernel):
-        # a coarse grid leaves a real trace defect in the converged series;
-        # the validated channel type must refuse it rather than paper over it
+        # a quadrature that does not integrate e^{-gamma s} exactly leaves a trace defect, as the
+        # trapezoid series did; the validated channel type must refuse it rather than paper over it
         from nmcollide import ValidationError
 
         result = lambda_series(jc_kernel, 1.0, TimeGrid(t_max=2.0, n_points=41))
+        defective = MapStack(result.maps.times, (1.0 + 1e-6) * result.maps.superops, 2)
         with pytest.raises(ValidationError, match="not trace preserving"):
-            kraus_from_choi(result.maps.choi()[-1])
+            kraus_from_choi(defective.choi()[-1])
+        kraus_from_choi(result.maps.choi()[-1])  # the series itself is trace preserving
 
     def test_thermal_kernel_series_is_cpt(self):
         kernel = build_kernel_map(jc_hamiltonian(), WARM)
@@ -441,29 +446,33 @@ class TestLambdaSeries:
 
 
 class TestInvariantBlocks:
-    """The series runs each order on the invariant blocks of its kernel alone."""
+    """The series keeps the kernel's symmetry exactly: the index sets that E(t) never links
+    stay unlinked, as exact zeros, in every map."""
 
     @pytest.mark.parametrize("weights", [(1.0, 0.0)] + [
         tuple(thermal_weights((0.0, 1.0), beta)) for beta in (0.5, 1.55, 3.0)])
     def test_exchange_kernel_never_mixes_populations_with_coherences(self, weights):
         # E00, E11 are basis indices 0 and 3, the coherences 1 and 2. At resonance the
         # coherence factor is real, so the two coherences may be blocks of their own (exact
-        # zeros between them, pure) or one block (rounding noise between them, thermal)
-        blocks = _kernel_blocks(build_kernel_map(jc_hamiltonian(), weights))
+        # zeros between them) or one block (rounding noise between them)
+        maps = lambda_series(build_kernel_map(jc_hamiltonian(), weights), 1.0,
+                             TimeGrid(t_max=10.0, n_points=201)).maps
+        blocks = _map_blocks(maps)
         assert [0, 3] in blocks
         assert sorted(i for block in blocks if block != [0, 3] for i in block) == [1, 2]
 
     @pytest.mark.parametrize("weights", [(1.0, 0.0), WARM])
     def test_detuned_exchange_kernel_blocks_are_populations_and_coherences(self, weights):
         kernel = build_kernel_map(_detuned(jc_hamiltonian(), 0.4), weights)
-        assert sorted(_kernel_blocks(kernel)) == [[0, 3], [1, 2]]
+        maps = lambda_series(kernel, 1.0, TimeGrid(t_max=10.0, n_points=201)).maps
+        assert sorted(_map_blocks(maps)) == [[0, 3], [1, 2]]
 
     def test_unequal_blocks_match_direct_quadrature(self):
         kernel = build_kernel_map(_exchange_qutrit_hamiltonian(), (1.0, 0.0))
-        assert sorted(len(block) for block in _kernel_blocks(kernel)) == [2, 3, 4]
         grid = TimeGrid(t_max=2.0, n_points=101)
         result = lambda_series(kernel, 1.0, grid)
-        reference = _direct_series(kernel, 1.0, grid, result.truncation_order)
+        assert sorted(len(block) for block in _map_blocks(result.maps)) == [2, 3, 4]
+        reference = _direct_product_integration(kernel, 1.0, grid)
         assert np.max(np.abs(result.maps.superops - reference)) < 1e-12
 
     @pytest.mark.parametrize("h, weights", [
@@ -483,22 +492,19 @@ class TestInvariantBlocks:
     @pytest.mark.parametrize("weights", [(1.0, 0.0), WARM])
     def test_rotated_kernel_is_one_block_and_rotates_back(self, weights):
         # E'(t) = V E(t) V^dagger for a random system unitary V: no exact zeros, one dense
-        # block, and its series rotated back is the block route's
+        # block, and its series rotated back is the unrotated kernel's
         a = np.random.default_rng(11).standard_normal((2, 2, 2))
         v = np.linalg.qr(a[0] + 1j * a[1])[0]
         big = np.kron(v, np.eye(2))
         rotated = build_kernel_map(HermitianOperator(big @ jc_hamiltonian().data @ big.conj().T),
                                    weights)
-        assert _kernel_blocks(rotated) == [[0, 1, 2, 3]]
         grid = TimeGrid(t_max=2.0, n_points=101)
         blocked = lambda_series(build_kernel_map(jc_hamiltonian(), weights), 1.0, grid)
         dense = lambda_series(rotated, 1.0, grid)
+        assert _map_blocks(dense.maps) == [[0, 1, 2, 3]]
         conj = np.kron(v, v.conj())  # rho -> V rho V^dagger on row-major vec
         back = conj.conj().T @ dense.maps.superops @ conj
         assert np.max(np.abs(back - blocked.maps.superops)) < 1e-13
-        # the tail is a Frobenius norm, which no change of basis moves
-        assert dense.truncation_order == blocked.truncation_order
-        assert dense.tail_norm == pytest.approx(blocked.tail_norm, rel=1e-12)
 
 
 class TestLambdaEmbedding:

@@ -7,13 +7,14 @@ nothing of either. One more check runs a fresh interpreter: importing the
 CLI and running every shipped config must load no scipy or mpmath module at
 all. scipy.fft, scipy.linalg and mpmath cost more than the rest of the import
 (~0.5 s), the bare scipy package ~14 ms, and no CLI mode calls them: the
-series transforms with numpy.fft, the manifest records no scipy version, and
-scipy.linalg and mpmath are imported inside the embedding, the semigroup and
-the Talbot oracle, the only functions that use them.
+manifest records no scipy version, and scipy.linalg and mpmath are imported
+inside the embedding, the semigroup and the Talbot oracle, the only functions
+that use them.
 """
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -180,6 +181,21 @@ def test_bench_imports_of_the_package_resolve():
         if name is not None and not hasattr(mod, name):
             missing.append(f"{where} {module}.{name}")
     assert missing == []
+
+
+def test_bench_reads_the_work_of_a_series_result(monkeypatch):
+    # bench/spans.py records each lambda_series call's work from its result's
+    # truncation_order, which stays 0 now that nothing is truncated
+    from nmcollide.continuum import TimeGrid, build_kernel_map, lambda_series
+    from nmcollide.jaynes_cummings import jc_hamiltonian
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    args = (build_kernel_map(jc_hamiltonian()), 1.0, TimeGrid(1.0, 11))
+    assert spans._series_work(args, {}, lambda_series(*args)) == {"orders": 0, "point_orders": 0}
 
 
 @pytest.mark.parametrize("bath", [{"kind": "pure_ground"},
