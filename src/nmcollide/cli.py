@@ -28,11 +28,14 @@ of 1/Omega, so ``omega``, ``system_dim`` and ``ancilla_dim`` are not fields.
 Each mode returns its rows as one (n, 6) float array in CSV column order,
 NaN marking an empty cell. Two functions make every row: ``_rows`` stacks
 the columns it is given, and ``_map_rows`` reads a stack's beta1 = S[1,1]
-and beta2 = S[3,3] beside the minimum Choi eigenvalues of one batched
-eigensolve (or of the CPT report, in ``certify``).
+and beta2 = S[3,3] beside the minimum Choi eigenvalues it is given. The CLI
+solves no spectrum itself: every Choi spectrum and trace defect comes from
+one ``verify.certify_cpt`` call per stack, and every probe distance from
+``verify.probe_distances``.
 
-Exit codes, each failure with a JSON error on stderr: 0 success, 2
-unreadable, unparseable or invalid config, or an output directory that
+Exit codes, each failure with a JSON error on stderr: 0 success, 2 a
+command line the parser refuses (``--help`` still exits 0), an unreadable,
+unparseable or invalid config, or an output directory that is empty or
 cannot be created (an unknown field at any level, named with the accepted
 fields, every missing required field, a closed-form gamma_bar or tau past the
 bound where its intermediates stay finite, a collision, tau_max or sweep tau
@@ -77,10 +80,9 @@ from .errors import (
     ValidationError,
 )
 from .jaynes_cummings import jc_hamiltonian, jc_maps
-from .quantum import density_stack, trace_distances
 from .tolerances import DEFAULT_TOLERANCES
-from .verify import (_PROBE, calibrated_swap_probability, certify_cpt, convergence_study,
-                     random_density_operator)
+from .verify import (calibrated_swap_probability, certify_cpt, convergence_study,
+                     probe_distances, random_density_operator)
 
 CSV_HEADER = "tau,gamma_bar,beta1,beta2,trace_distance_vs_discrete,min_choi_eig"
 CSV_COLUMNS = tuple(CSV_HEADER.split(","))
@@ -105,9 +107,9 @@ EXIT_CERTIFICATION = 3
 EXIT_NUMERICAL = 4
 
 # One CSV row. "%.17g" prints NaN as "nan", which the writer blanks: NaN can mark an empty cell
-# because no computed column brings one to a row. beta_arrays counts NaN as a violation, eigvalsh
-# and density_stack refuse it, a run sits under np.errstate(invalid="raise"), and the config
-# readers refuse non-finite numbers.
+# because no computed column brings one to a row. beta_arrays counts NaN as a violation, the
+# eigensolves of certify_cpt and probe_distances refuse it, a run sits under
+# np.errstate(invalid="raise"), and the config readers refuse non-finite numbers.
 _ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 
@@ -324,10 +326,6 @@ def _calibrated_gamma(collision: CollisionConfig) -> float:
 # --- mode implementations ----------------------------------------------------
 
 
-def _min_choi_eigs(stack: MapStack) -> np.ndarray:
-    return np.linalg.eigvalsh(stack.choi())[:, 0]
-
-
 def _mode_jc_closed_form(cfg: dict):
     taus, gammas = _tau_gamma_grid(cfg)
     return np.concatenate([_map_rows(jc_maps(taus, g), g) for g in gammas]), {}, None
@@ -344,13 +342,12 @@ def _mode_certify(cfg: dict):
     rows, reports, verdict, probe_defect = [], {}, True, 0.0
     for g in gammas:
         stack = jc_maps(taus, g)
-        choi = stack.choi()
-        report = certify_cpt(choi, tolerance, gamma_bar=g)
+        report = certify_cpt(stack, tolerance, gamma_bar=g)
         rows.append(_map_rows(stack, g, report.min_choi_eigenvalue))
         reports[g] = report.summary(taus)
         verdict = verdict and report.verdict
         # ~16 evenly spaced maps on each probe: out[n,p,a,b] = sum_ij C[n,ia,jb] rho_p[i,j]
-        sampled = choi[:: max(1, len(choi) // 16)].reshape(-1, 2, 2, 2, 2)
+        sampled = stack[:: max(1, len(stack) // 16)].choi().reshape(-1, 2, 2, 2, 2)
         out = np.einsum("niajb,pij->npab", sampled, probes)
         traces = np.trace(out, axis1=2, axis2=3).real
         probe_defect = max(probe_defect, float(np.max(np.abs(traces - 1.0), initial=0.0)))
@@ -363,30 +360,25 @@ def _mode_discrete(cfg: dict):
     collision = cfg["collision"]
     gamma = _calibrated_gamma(collision)  # refuses an overflowing rate before the protocol runs
     stack = discrete_maps(collision)
-    return _map_rows(stack, gamma, _min_choi_eigs(stack)), {}, None
-
-
-def _series_report(gamma: float, maps: MapStack) -> dict:
-    """A series JSON: gamma_bar, and the largest |Tr S(E_ab) - Tr E_ab| over the maps S and the
-    matrix units E_ab, read from the stack's trace row vec(1) S in one product."""
-    unit = np.eye(maps.dim).reshape(-1)
-    return {"gamma_bar": gamma,
-            "max_trace_defect": float(np.max(np.abs(unit @ maps.superops - unit)))}
+    return _map_rows(stack, gamma, certify_cpt(stack).min_choi_eigenvalue), {}, None
 
 
 def _series_vs_protocol(collision: CollisionConfig, gamma: float, grid: TimeGrid,
                         policy: SeriesPolicy, stride: Optional[int]):
-    """The series maps of the collision's H and bath, and their distance column: NaN, or given a
-    stride, the trace distances on _PROBE from the validated discrete_maps(collision) trajectory
-    at every stride-th point. The policy is checked and not read (``lambda_series``)."""
+    """The rows and the series JSON (gamma_bar and the largest trace defect) of the series maps
+    of the collision's H and bath, both from one certify_cpt report. The distance column is NaN,
+    or given a stride, ``probe_distances`` from discrete_maps(collision) at every stride-th
+    point. The maps do not outlive the call, so no caller holds one series' maps while the next
+    is built. The policy is checked and not read (``lambda_series``)."""
     kernel = build_kernel_map(collision.hamiltonian,
                               collision.bath.weight_vector(collision.ancilla_dim))
     maps = lambda_series(kernel, gamma, grid, policy).maps
+    report = certify_cpt(maps)
     distances = np.full(len(maps), np.nan)
     if stride is not None:
-        protocol = density_stack(discrete_maps(collision).apply(_PROBE))
-        distances[::stride] = trace_distances(maps[::stride].apply(_PROBE), protocol)
-    return maps, distances
+        distances[::stride] = probe_distances(maps[::stride], discrete_maps(collision))
+    return _map_rows(maps, gamma, report.min_choi_eigenvalue, distances), {
+        "gamma_bar": gamma, "max_trace_defect": float(report.max_trace_defect.max())}
 
 
 def _mode_series(cfg: dict):
@@ -413,10 +405,9 @@ def _mode_series(cfg: dict):
             2, 2, jc_hamiltonian(), t_c=t_c, p_s=calibrated_swap_probability(g, t_c),
             n_steps=(len(taus) - 1) // stride, bath=BathSpec(kind="pure_ground"),
         )
-        maps, distances = _series_vs_protocol(collision, g, grid, policy,
-                                              stride if compare and g > 0 else None)
-        rows.append(_map_rows(maps, g, _min_choi_eigs(maps), distances))
-        extras[name] = _series_report(g, maps)
+        series_rows, extras[name] = _series_vs_protocol(collision, g, grid, policy,
+                                                        stride if compare and g > 0 else None)
+        rows.append(series_rows)
     return np.concatenate(rows), extras, None
 
 
@@ -429,9 +420,9 @@ def _mode_thermal(cfg: dict):
         raise ConfigurationError("thermal mode needs p_s > 0 and t_c > 0 to calibrate the rate")
     grid = TimeGrid(t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1)
     policy = SeriesPolicy(k_max=cfg["k_max"], tail_tol=cfg["tail_tol"])
-    maps, distances = _series_vs_protocol(collision, gamma, grid, policy, 1)
-    rows = _rows(maps.times, gamma, distance=distances, min_eig=_min_choi_eigs(maps))
-    return rows, {"series_thermal.json": _series_report(gamma, maps)}, None
+    rows, report = _series_vs_protocol(collision, gamma, grid, policy, 1)
+    rows[:, 2:4] = np.nan  # thermal rows leave beta1 and beta2 empty
+    return rows, {"series_thermal.json": report}, None
 
 
 def _mode_convergence(cfg: dict):
@@ -458,15 +449,12 @@ def _mode_sweep(cfg: dict):
     # one gamma_bar-major grid: row i * len(taus) + j is (taus[j], gammas[i])
     gamma_column = np.repeat(gammas, len(taus))
     stack = jc_maps(np.tile(taus, len(gammas)), gamma_column)
-    min_eigs = _min_choi_eigs(stack)
-    failing = min_eigs < -DEFAULT_TOLERANCES.choi_positivity
-    if np.any(failing):
-        i = int(np.argmax(failing)) // len(taus)
-        own = min_eigs[i * len(taus):(i + 1) * len(taus)]
-        j = int(np.argmin(own))
+    min_eigs = certify_cpt(stack).min_choi_eigenvalue
+    j = int(np.argmin(min_eigs))
+    if min_eigs[j] < -DEFAULT_TOLERANCES.choi_positivity:
         raise InternalConsistencyError(
-            f"Choi matrix is not positive semidefinite: min eigenvalue {own[j]:.3e} "
-            f"at tau={taus[j]}, gamma_bar={gammas[i]}"
+            f"Choi matrix is not positive semidefinite: min eigenvalue {min_eigs[j]:.3e} "
+            f"at tau={stack.times[j]}, gamma_bar={gamma_column[j]}"
         )
     return _map_rows(stack, gamma_column, min_eigs), {}, None
 
@@ -520,7 +508,11 @@ def _emit_error(code: int, message: str, **details) -> int:
 
 def _execute(cfg: dict, raw: dict, output_dir: Optional[str]) -> int:
     started = time.perf_counter()
-    out_dir = Path(output_dir or cfg["output_path"])
+    path = cfg["output_path"] if output_dir is None else output_dir
+    if not path:  # Path("") is the working directory
+        where = "field 'output_path'" if output_dir is None else "option '--output-dir'"
+        raise ConfigurationError(f"{where} is empty; name a directory ('.' for the working one)")
+    out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # an existing file, or a path below one
@@ -562,16 +554,26 @@ def _execute(cfg: dict, raw: dict, output_dir: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _dispatch(subcommand: str, config_path: str, output_dir: Optional[str]) -> int:
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigurationError, so that they exit 2 with
+    a JSON error like a bad config; its subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise ConfigurationError(f"{message}; {self.format_usage().strip()}")
+
+
+def _dispatch(parser: _Parser, argv) -> int:
     try:
+        args = parser.parse_args(argv)
+        subcommand = args.command
         # a sweep config may leave its mode out; sweep and certify run their own mode alone
-        cfg, raw = load_config(config_path, default_mode="sweep" if subcommand == "sweep" else None)
+        cfg, raw = load_config(args.config, default_mode="sweep" if subcommand == "sweep" else None)
         accepted = MODES if subcommand == "run" else (subcommand,)
         if cfg["mode"] not in accepted:
             raise ConfigurationError(f"the {subcommand} subcommand takes mode "
                                      f"{' or '.join(map(repr, accepted))}, not {cfg['mode']!r}")
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _execute(cfg, raw, output_dir)
+            return _execute(cfg, raw, args.output_dir)
     except (ConfigurationError, ValidationError) as exc:
         return _emit_error(EXIT_CONFIG, str(exc))
     except (DivergenceError, InternalConsistencyError) as exc:
@@ -581,7 +583,7 @@ def _dispatch(subcommand: str, config_path: str, output_dir: Optional[str]) -> i
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nmcollide",
         description="Collision-model simulator for non-Markovian qubit dynamics",
     )
@@ -594,8 +596,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=text)
         p.add_argument("config", help="path to the JSON experiment config")
         p.add_argument("--output-dir", default=None, help="override the config output path")
-    args = parser.parse_args(argv)
-    return _dispatch(args.command, args.config, args.output_dir)
+    return _dispatch(parser, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

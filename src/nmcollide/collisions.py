@@ -190,7 +190,8 @@ def reset_generator(h: HermitianOperator, weights):
 
 def protocol_step(cfg: CollisionConfig):
     """The transfer matrix e^{A t_c} e^{B t_c} = (U (x) U*)(p_s 1 + (1 - p_s) R), and rho_A."""
-    _, reset, fresh = reset_generator(cfg.hamiltonian, cfg.bath.weight_vector(cfg.ancilla_dim))
+    fresh = np.diag(cfg.bath.weight_vector(cfg.ancilla_dim)).astype(np.complex128)
+    reset = reset_superop(fresh, cfg.system_dim)
     u = unitary_evolution(cfg.hamiltonian, cfg.t_c)
     return np.kron(u, u.conj()) @ (cfg.p_s * np.eye(u.size) + (1.0 - cfg.p_s) * reset), fresh
 

@@ -37,6 +37,7 @@ from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .quantum import (
     DensityOperator,
     KrausChannel,
+    _frozen,
     choi_of,
     density_stack,
     ket,
@@ -55,6 +56,7 @@ __all__ = [
     "purified_pair_ket",
     "certify_cpt",
     "convergence_study",
+    "probe_distances",
     "calibrated_swap_probability",
     "random_density_operator",
     "corrupted_beta_maps",
@@ -248,12 +250,12 @@ def discrete_jc_betas(t_c: float, p_s: float, n_steps: int):
 # --- CPT certification --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CptReport:
-    """Per-point Choi spectra and trace defects for a family of maps."""
+    """Per-point Choi spectra and trace defects for a family of maps, as read-only arrays."""
 
-    min_choi_eigenvalue: tuple
-    max_trace_defect: tuple
+    min_choi_eigenvalue: np.ndarray
+    max_trace_defect: np.ndarray
     tolerance: float
     verdict: bool
     gamma_bar: Optional[float] = None
@@ -261,8 +263,8 @@ class CptReport:
     def as_dict(self) -> dict:
         return {
             "gamma_bar": self.gamma_bar,
-            "min_choi_eigenvalue": list(self.min_choi_eigenvalue),
-            "max_trace_defect": list(self.max_trace_defect),
+            "min_choi_eigenvalue": self.min_choi_eigenvalue.tolist(),
+            "max_trace_defect": self.max_trace_defect.tolist(),
             "tolerance": self.tolerance,
             "verdict": self.verdict,
         }
@@ -285,25 +287,25 @@ def certify_cpt(maps, tolerance: float = 1e-9, *, gamma_bar: Optional[float] = N
     """Certify complete positivity and trace preservation of each map.
 
     Accepts a sequence of Kraus channels, a MapStack, or the Choi matrices
-    themselves as an (n, d^2, d^2) array; a stack that is not Hermitian
-    within the hermiticity tolerance is rejected. The spectra come from one
-    batched Hermitian eigensolve and the trace defects from the Choi
-    output-trace marginal. The verdict is true iff every Choi minimum
-    eigenvalue is >= -tolerance and every trace defect is <= tolerance.
+    themselves as an (n, d^2, d^2) array. A stack given as Kraus channels or
+    as an array that is not Hermitian within the hermiticity tolerance is
+    rejected; a MapStack needs no such test, since ``MapStack.choi`` is
+    Hermitian bit for bit. The spectra come from one batched Hermitian
+    eigensolve and the trace defects from the Choi output-trace marginal. The
+    verdict is true iff every Choi minimum eigenvalue is >= -tolerance and
+    every trace defect is <= tolerance.
     """
     if len(maps) == 0:
         raise ConfigurationError("cannot certify an empty map family")
-    if isinstance(maps, np.ndarray):
-        stack = maps
-    elif isinstance(maps, MapStack):
+    if isinstance(maps, MapStack):
         stack = maps.choi()
     else:
-        stack = np.stack([_choi_data(mp) for mp in maps])
+        stack = maps if isinstance(maps, np.ndarray) else np.stack([_choi_data(mp) for mp in maps])
     n, d2 = stack.shape[0], stack.shape[-1]
     d = math.isqrt(d2)
     if stack.shape != (n, d2, d2) or d * d != d2:
         raise ConfigurationError(f"expected an (n, d^2, d^2) Choi stack, got shape {stack.shape}")
-    herm = float(np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))))
+    herm = 0.0 if isinstance(maps, MapStack) else np.max(np.abs(stack - stack.conj().mT))
     if herm > DEFAULT_TOLERANCES.hermiticity:
         raise ValidationError(f"Choi stack not Hermitian: deviation {herm:.3e}")
     min_eigs = np.linalg.eigvalsh(stack)[:, 0]
@@ -311,8 +313,8 @@ def certify_cpt(maps, tolerance: float = 1e-9, *, gamma_bar: Optional[float] = N
     defects = np.max(np.abs(marginal - np.eye(d)), axis=(1, 2))
     verdict = bool(np.all(min_eigs >= -tolerance) and np.all(defects <= tolerance))
     return CptReport(
-        min_choi_eigenvalue=tuple(min_eigs.tolist()),
-        max_trace_defect=tuple(defects.tolist()),
+        min_choi_eigenvalue=_frozen(min_eigs),
+        max_trace_defect=_frozen(defects),
         tolerance=tolerance,
         verdict=verdict,
         gamma_bar=gamma_bar,
@@ -380,8 +382,14 @@ class ConvergenceReport:
         return json.dumps(self.as_dict(), **kwargs)
 
 
-# the state a protocol run and its reference are compared on, here and in the CLI's series modes
+# the state a protocol run and its reference are compared on (``probe_distances``)
 _PROBE = DensityOperator(np.array([[0.4, 0.25 + 0.2j], [0.25 - 0.2j, 0.6]]))
+
+
+def probe_distances(maps: MapStack, protocol: MapStack, probe=_PROBE) -> np.ndarray:
+    """The trace distance at each time between the states of maps and of the discrete protocol
+    on the probe, the protocol's states validated as a density-matrix stack."""
+    return trace_distances(density_stack(protocol.apply(probe)), maps.apply(probe))
 
 
 def convergence_study(gamma_bar: float, tau_max: float, t_c_list,
@@ -390,9 +398,9 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list,
 
     For each collision time, the swap probability is calibrated to
     gamma_bar, ``discrete_maps`` runs out to tau_max, and the error is the
-    maximum trace distance from ``jc_maps`` along the probe's whole
-    trajectory, validated as a density-matrix stack (endpoint-only checks
-    miss transients). The order estimate is the log-log slope.
+    maximum ``probe_distances`` from ``jc_maps`` along the probe's whole
+    trajectory (endpoint-only checks miss transients). The order estimate is
+    the log-log slope.
     """
     if not 0 < tau_max < math.inf:  # a NaN tau_max fails too
         raise ConfigurationError("tau_max must be positive and finite")
@@ -419,8 +427,7 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list,
             bath=BathSpec(kind="pure_ground"),
         )
         stack = discrete_maps(cfg)
-        reference = jc_maps(stack.times, gamma_bar).apply(probe)
-        errors.append(float(np.max(trace_distances(density_stack(stack.apply(probe)), reference))))
+        errors.append(float(np.max(probe_distances(jc_maps(stack.times, gamma_bar), stack, probe))))
     if len(t_c_values) >= 2:
         slope = np.polyfit(np.log(t_c_values), np.log(np.maximum(errors, 1e-300)), 1)[0]
         estimated_order = float(slope)

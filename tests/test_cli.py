@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import nmcollide.cli as cli
-from nmcollide import LambdaSeriesResult, MapStack, certify_cpt, jc_maps, lambda_series
+from nmcollide import LambdaSeriesResult, MapStack, jc_maps, lambda_series
 from nmcollide.cli import CSV_HEADER, main
 
 
@@ -123,6 +123,22 @@ class TestRun:
         target = tmp_path / "elsewhere"
         assert main(["run", cfg, "--output-dir", str(target)]) == 0
         assert (target / "results.csv").exists()
+
+    @pytest.mark.parametrize("via, named", [("option", "option '--output-dir'"),
+                                            ("config", "field 'output_path'")])
+    def test_empty_output_directory_exits_2(self, tmp_path, capsys, monkeypatch, via, named):
+        # Path("") is the working directory, where the run would otherwise land
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"mode": "jc_closed_form", "gamma_bar": 0.0, "tau_max": 1.0, "tau_points": 5,
+             **({"output_path": ""} if via == "config" else {})},
+        )
+        assert main(["run", cfg] + (["--output-dir", ""] if via == "option" else [])) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert named in json.loads(lines[0])["error"]["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_discrete_mode(self, tmp_path):
         cfg = write_config(
@@ -303,8 +319,8 @@ class TestRun:
         written = json.loads((tmp_path / "out" / report).read_text())
         assert sorted(written) == ["gamma_bar", "max_trace_defect"]
         assert written["max_trace_defect"] < 1e-12  # trace preserving by construction
-        # maps scaled by 1 + 1e-6 give the field a defect to find; the Choi matrices'
-        # output-trace marginal (certify_cpt) recomputes it
+        # maps scaled by 1 + 1e-6 give the field a defect to find; the trace row vec(1) S of
+        # each scaled map, |Tr S(E_ab) - Tr E_ab| over the matrix units, recomputes it here
         seen = []
 
         def scaled(*args):
@@ -315,7 +331,8 @@ class TestRun:
         monkeypatch.setattr(cli, "lambda_series", scaled)
         assert main(["run", cfg]) == 0
         written = json.loads((tmp_path / "out" / report).read_text())
-        defect = max(certify_cpt(seen[0]).max_trace_defect)
+        unit = np.eye(2).reshape(-1)
+        defect = float(np.max(np.abs(unit @ seen[0].superops - unit)))
         assert 0.9e-6 < defect < 1.1e-6
         assert written["max_trace_defect"] == pytest.approx(defect, rel=1e-9)
 
@@ -560,6 +577,31 @@ class TestConfigNumbers:
         assert not (tmp_path / "out" / "results.csv").exists()
 
 
+class TestUsageErrors:
+    """A command line argparse refuses is a JSON error with exit code 2, like a bad config."""
+
+    @pytest.mark.parametrize("argv", [["bogus", "x.json"], ["run"], ["run", "c.json", "--bad"],
+                                      [], ["run", "--output-dir"]],
+                             ids=["subcommand", "no-config", "unknown-option", "empty",
+                                  "option-without-value"])
+    def test_usage_error_is_one_json_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == 2 and "usage: nmcollide" in error["message"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_still_prints_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: nmcollide") and captured.err == ""
+
+
 class TestErrorMapping:
     @pytest.mark.parametrize(
         "error, code",
@@ -750,7 +792,8 @@ class TestBatchedClosedForm:
 
 
 class TestBatchedChoiSpectra:
-    """series and thermal take min_choi_eig from one batched eigvalsh over a Choi stack."""
+    """series and thermal take min_choi_eig from certify_cpt's one batched eigvalsh over a
+    Choi stack."""
 
     CONFIGS = {
         "series": {"mode": "series", "gamma_bar": [0.0, 1.0, 4.0], "tau_max": 2.0,

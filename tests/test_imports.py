@@ -121,6 +121,27 @@ def test_doc_references_resolve():
     assert stale == []
 
 
+def _dotted(node) -> str:
+    """a.b.c for a Name or an Attribute chain on one, else ''."""
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return f"{base}.{node.attr}" if base else ""
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def test_cli_takes_its_certificates_from_verify():
+    # every Choi spectrum, trace defect and probe distance the CLI writes comes from
+    # verify.certify_cpt or verify.probe_distances: the CLI solves no eigenproblem itself
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    calls = [_dotted(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert [c for c in calls if c.split(".")[:2] in (["np", "linalg"], ["numpy", "linalg"])] == []
+    assert "certify_cpt" in calls and "probe_distances" in calls
+    imported = {(node.module or "", a.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert [m for m, _ in imported if m.startswith("numpy.linalg")] == []
+    assert [n for _, n in imported if n in ("density_stack", "trace_distances")] == []
+
+
 CONFIGS = PACKAGE.parent.parent / "configs"
 UNUSED_BY_THE_CLI = ("scipy", "mpmath")  # top-level packages: every submodule counts
 

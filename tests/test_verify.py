@@ -10,6 +10,7 @@ from nmcollide import (
     ConvergenceReport,
     DensityOperator,
     KrausChannel,
+    MapStack,
     ValidationError,
     beta1,
     beta2,
@@ -221,6 +222,30 @@ class TestCertify:
                            rtol=0.0, atol=1e-14)
         assert max(from_stack.max_trace_defect) == 0.0
 
+    def test_map_stack_and_its_choi_array_give_identical_reports(self):
+        # a MapStack skips the Hermiticity test: MapStack.choi() is Hermitian bit for bit, even
+        # for superoperators that are not Hermiticity preserving
+        rng = np.random.default_rng(7)
+        superops = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        noise = MapStack(np.arange(5.0), superops, 2)
+        for maps, verdict in ((jc_maps(np.linspace(0.0, 10.0, 26), 2.0), True), (noise, False)):
+            choi = maps.choi()
+            assert np.array_equal(choi, choi.conj().transpose(0, 2, 1))
+            from_stack, from_array = certify_cpt(maps, 1e-9), certify_cpt(choi, 1e-9)
+            for field in ("min_choi_eigenvalue", "max_trace_defect"):
+                mine, theirs = getattr(from_stack, field), getattr(from_array, field)
+                assert isinstance(mine, np.ndarray) and not mine.flags.writeable
+                assert np.array_equal(mine, theirs)
+            assert from_stack.verdict is from_array.verdict is verdict
+
+    def test_two_dimensional_array_refused_before_hermiticity(self):
+        class NoArithmetic(np.ndarray):
+            def conj(self):
+                raise AssertionError("Hermiticity tested before the shape")
+
+        with pytest.raises(ConfigurationError, match="Choi stack"):
+            certify_cpt(np.eye(4, dtype=complex).view(NoArithmetic), 1e-9)
+
     def test_empty_family_rejected(self):
         with pytest.raises(ConfigurationError):
             certify_cpt([], 1e-9)
@@ -257,6 +282,16 @@ class TestConvergenceStudy:
         convergence_study(1.0, 1.0, [0.1, 0.05, 0.025])
         assert calls == [10, 20, 40]  # one loop per collision time, over its n_steps
         assert not hasattr(nmcollide, "run_discrete")
+
+    def test_probe_distances_validate_the_protocol_states_alone(self):
+        taus = np.linspace(0.0, 2.0, 5)
+        maps, corrupted = jc_maps(taus, 1.0), corrupted_beta_maps(1.0, taus)
+        plus = DensityOperator(np.full((2, 2), 0.5))  # inflated coherences make it indefinite
+        distances = verify.probe_distances(corrupted, maps, plus)
+        expected = [trace_distance(a, b) for a, b in zip(corrupted.apply(plus), maps.apply(plus))]
+        assert np.allclose(distances, expected, rtol=0.0, atol=1e-15)
+        with pytest.raises(ValidationError):
+            verify.probe_distances(maps, corrupted, plus)
 
     def test_single_point_has_no_order(self):
         report = convergence_study(1.0, 2.0, [0.1])
