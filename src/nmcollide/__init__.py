@@ -49,6 +49,7 @@ from .quantum import (
     KrausChannel,
     choi_of,
     density_stack,
+    hermitian_spectra,
     kraus_from_choi,
     trace_distance,
     trace_distances,

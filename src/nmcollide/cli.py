@@ -108,8 +108,9 @@ EXIT_NUMERICAL = 4
 
 # One CSV row. "%.17g" prints NaN as "nan", which the writer blanks: NaN can mark an empty cell
 # because no computed column brings one to a row. beta_arrays counts NaN as a violation, the
-# eigensolves of certify_cpt and probe_distances refuse it, a run sits under
-# np.errstate(invalid="raise"), and the config readers refuse non-finite numbers.
+# spectra of certify_cpt and probe_distances (quantum.hermitian_spectra) refuse a NaN or an
+# infinite entry, a run sits under np.errstate(invalid="raise"), and the config readers refuse
+# non-finite numbers.
 _ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 
@@ -556,10 +557,22 @@ def _execute(cfg: dict, raw: dict, output_dir: Optional[str]) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise ConfigurationError, so that they exit 2 with
-    a JSON error like a bad config; its subparsers are of this class too."""
+    a JSON error like a bad config."""
 
     def error(self, message: str):
         raise ConfigurationError(f"{message}; {self.format_usage().strip()}")
+
+
+class _SubcommandParser(_Parser):
+    """A subcommand's parser, which refuses an argument it does not know itself, so that the
+    error carries the subcommand's usage line: argparse would hand the argument back to the
+    top-level parser, which reports its own."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _dispatch(parser: _Parser, argv) -> int:
@@ -587,7 +600,7 @@ def main(argv=None) -> int:
         prog="nmcollide",
         description="Collision-model simulator for non-Markovian qubit dynamics",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     for name, text in (
         ("run", "run one experiment from a config file"),
         ("sweep", "evaluate the closed-form map over parameter ranges"),

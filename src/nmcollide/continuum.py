@@ -233,11 +233,14 @@ class MapStack:
 
     def choi(self) -> np.ndarray:
         """The (n, d^2, d^2) stack of Choi matrices: each superoperator reshuffled, then
-        symmetrized to remove rounding noise."""
+        symmetrized in place to remove rounding noise: 0.5 (C + C^dag) bit for bit, with at most
+        two Choi-sized arrays live."""
         n, d = len(self.superops), self.dim
         t = self.superops.reshape(n, d, d, d, d)
-        choi = t.transpose(0, 3, 1, 4, 2).reshape(n, d * d, d * d)
-        return 0.5 * (choi + choi.conj().transpose(0, 2, 1))
+        choi = np.array(t.transpose(0, 3, 1, 4, 2), order="C").reshape(n, d * d, d * d)
+        choi += choi.conj().transpose(0, 2, 1)
+        choi *= 0.5
+        return choi
 
     def apply(self, rho) -> np.ndarray:
         """Each map applied to rho, as an (n, d, d) array."""

@@ -3,8 +3,10 @@
 Everything is complex128 and immutable after construction. The Hilbert
 spaces in this package are deliberately small (at most a few hundred
 dimensions in the brute-force test oracle), so dense storage wins on both
-speed and simplicity. Positivity checks always go through Hermitian
-eigensolvers, never a general eigensolver.
+speed and simplicity. Every Hermitian spectrum, positivity checks and
+trace distances included, comes from ``hermitian_spectra``: it solves each
+exact block of a stack's joint zero pattern on its own, 1x1 and 2x2 blocks
+in closed form, and never calls a general eigensolver.
 
 Index convention: a composite space is the Kronecker product with the
 first factor slowest, i.e. ``np.kron(a, b)`` puts ``a`` on the leading
@@ -24,6 +26,7 @@ from .tolerances import DEFAULT_TOLERANCES
 __all__ = [
     "DensityOperator",
     "density_stack",
+    "hermitian_spectra",
     "HermitianOperator",
     "KrausChannel",
     "choi_of",
@@ -56,12 +59,58 @@ def ket(dim: int, index: int) -> np.ndarray:
     return v
 
 
+def hermitian_spectra(stack) -> np.ndarray:
+    """Ascending eigenvalues, shape (n, d), of a finite Hermitian (n, d, d) stack.
+
+    The contract is ``np.linalg.eigvalsh``'s, the lower triangle read, and
+    the route is exact: the indices split into the connected components of
+    the stack's joint pattern of nonzero lower-triangle entries, and a
+    matrix's spectrum is the union of its blocks' spectra. A 1x1 block is
+    its real diagonal entry, a 2x2 block m +- hypot((a - c)/2, |b|) in
+    closed form, and a larger one goes to eigvalsh; a dense stack of
+    matrices larger than 2x2 is one block, solved by eigvalsh whole. Only
+    rounding differs from eigvalsh. Matrices that are not square, and a NaN
+    or infinite entry, raise np.linalg.LinAlgError.
+    """
+    stack = np.asarray(stack)
+    if stack.ndim < 2 or stack.shape[-1] != stack.shape[-2]:
+        raise np.linalg.LinAlgError(f"expected a stack of square matrices, got {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise np.linalg.LinAlgError("Hermitian stack has a non-finite entry")
+    d = stack.shape[-1]
+    lower = np.tril((stack != 0).reshape(-1, d, d).any(axis=0), -1)
+    blocks = _components(lower | lower.T)
+    diag = stack.diagonal(axis1=-2, axis2=-1).real
+    singles = np.array([b[0] for b in blocks if len(b) == 1], dtype=np.intp)
+    i, j = np.array([b for b in blocks if len(b) == 2], dtype=np.intp).reshape(-1, 2).T
+    mid = 0.5 * (diag[..., i] + diag[..., j])
+    rad = np.hypot(0.5 * (diag[..., i] - diag[..., j]), np.abs(stack[..., j, i]))
+    # a block of every index is the stack itself, solved whole without a copy
+    larger = [np.linalg.eigvalsh(stack if len(b) == d else stack[..., b[:, None], b])
+              for b in blocks if len(b) > 2]
+    return np.sort(np.concatenate([diag[..., singles], mid - rad, mid + rad, *larger], axis=-1))
+
+
+def _components(linked: np.ndarray) -> list:
+    """The connected components of a symmetric boolean (d, d) adjacency matrix, each an
+    ascending index array: one breadth-first search per component, reading each row once."""
+    label = np.full(len(linked), -1)
+    blocks = []
+    while (unlabelled := np.flatnonzero(label < 0)).size:
+        frontier = unlabelled[:1]
+        while frontier.size:
+            label[frontier] = len(blocks)
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & (label < 0))
+        blocks.append(np.flatnonzero(label == len(blocks)))
+    return blocks
+
+
 def density_stack(data) -> np.ndarray:
     """Validated read-only copy of an (n, d, d) stack of density matrices.
 
     Every matrix must be Hermitian, have unit trace and no eigenvalue below
     -positivity, at the DEFAULT_TOLERANCES thresholds; the spectra come
-    from one batched Hermitian eigensolve. A NaN entry fails the checks.
+    from ``hermitian_spectra``. A NaN entry fails the checks.
     Raises ValidationError naming the first offending matrix of a stack of
     more than one.
     """
@@ -73,7 +122,7 @@ def density_stack(data) -> np.ndarray:
     _require(herm <= tol.hermiticity, "not Hermitian: max |rho - rho^dag| = {:.3e}", herm)
     tr = stack.diagonal(axis1=1, axis2=2).sum(axis=1)
     _require(np.abs(tr - 1.0) <= tol.unit_trace, "trace {} differs from 1 beyond tolerance", tr)
-    lo = np.linalg.eigvalsh(stack)[:, 0]
+    lo = hermitian_spectra(stack)[:, 0]
     _require(lo >= -tol.positivity, "not positive semidefinite: min eigenvalue {:.3e}", lo)
     return _frozen(stack)
 
@@ -221,11 +270,12 @@ def trace_distance(a, b) -> float:
 
 
 def trace_distances(a, b) -> np.ndarray:
-    """Trace distance of each pair of matrices from two (n, d, d) stacks."""
+    """Trace distance of each pair of matrices from two (n, d, d) stacks: half the summed
+    absolute ``hermitian_spectra`` of their difference."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ConfigurationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b)), axis=-1)
+    return 0.5 * np.sum(np.abs(hermitian_spectra(a - b)), axis=-1)
 
 
 def _hermitian_basis(dim: int) -> np.ndarray:

@@ -40,6 +40,7 @@ from .quantum import (
     _frozen,
     choi_of,
     density_stack,
+    hermitian_spectra,
     ket,
     trace_distances,
     unitary_evolution,
@@ -290,10 +291,12 @@ def certify_cpt(maps, tolerance: float = 1e-9, *, gamma_bar: Optional[float] = N
     themselves as an (n, d^2, d^2) array. A stack given as Kraus channels or
     as an array that is not Hermitian within the hermiticity tolerance is
     rejected; a MapStack needs no such test, since ``MapStack.choi`` is
-    Hermitian bit for bit. The spectra come from one batched Hermitian
-    eigensolve and the trace defects from the Choi output-trace marginal. The
-    verdict is true iff every Choi minimum eigenvalue is >= -tolerance and
-    every trace defect is <= tolerance.
+    Hermitian bit for bit. The spectra come from ``quantum.hermitian_spectra``,
+    which solves the exact blocks of the stack's joint zero pattern (at most
+    2x2 for the paper's phase-covariant maps), and the trace defects from
+    the Choi output-trace marginal. A NaN or infinite entry raises
+    np.linalg.LinAlgError. The verdict is true iff every Choi minimum
+    eigenvalue is >= -tolerance and every trace defect is <= tolerance.
     """
     if len(maps) == 0:
         raise ConfigurationError("cannot certify an empty map family")
@@ -308,7 +311,7 @@ def certify_cpt(maps, tolerance: float = 1e-9, *, gamma_bar: Optional[float] = N
     herm = 0.0 if isinstance(maps, MapStack) else np.max(np.abs(stack - stack.conj().mT))
     if herm > DEFAULT_TOLERANCES.hermiticity:
         raise ValidationError(f"Choi stack not Hermitian: deviation {herm:.3e}")
-    min_eigs = np.linalg.eigvalsh(stack)[:, 0]
+    min_eigs = hermitian_spectra(stack)[:, 0]
     marginal = np.einsum("niaja->nij", stack.reshape(n, d, d, d, d))
     defects = np.max(np.abs(marginal - np.eye(d)), axis=(1, 2))
     verdict = bool(np.all(min_eigs >= -tolerance) and np.all(defects <= tolerance))

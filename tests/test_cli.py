@@ -593,6 +593,20 @@ class TestUsageErrors:
         error = json.loads(lines[0])["error"]
         assert error["code"] == 2 and "usage: nmcollide" in error["message"]
 
+    @pytest.mark.parametrize("argv, usage", [
+        (["run", "c.json", "--bad"], "nmcollide run [-h] [--output-dir OUTPUT_DIR] config"),
+        (["certify", "--bad", "c.json"], "nmcollide certify [-h] [--output-dir OUTPUT_DIR] config"),
+        (["sweep", "c.json", "extra"], "nmcollide sweep [-h] [--output-dir OUTPUT_DIR] config"),
+        (["--bad", "run", "c.json"], "nmcollide [-h] {run,sweep,certify} ..."),
+    ], ids=["after-config", "before-config", "extra-positional", "before-subcommand"])
+    def test_unknown_argument_names_its_parser_usage(self, capsys, argv, usage):
+        # an argument a subcommand does not know is reported with the subcommand's usage line;
+        # one before the subcommand, with the top-level one
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"].startswith("unrecognized arguments: ")
+        assert error["message"].endswith(f"; usage: {usage}")
+
     @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
     def test_help_still_prints_and_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -768,10 +782,11 @@ class TestBatchedClosedForm:
         assert main(["run", cfg]) == 0
 
     def test_sweep_is_one_grid(self, tmp_path, monkeypatch):
-        # a per-gamma_bar loop would call jc_maps and eigvalsh once per gamma_bar
+        # a per-gamma_bar loop would call jc_maps and hermitian_spectra once per gamma_bar
         import nmcollide.cli as cli_mod
+        import nmcollide.verify as verify_mod
 
-        calls = {"jc_maps": 0, "eigvalsh": 0}
+        calls = {"jc_maps": 0, "hermitian_spectra": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -780,20 +795,34 @@ class TestBatchedClosedForm:
             return wrapper
 
         monkeypatch.setattr(cli_mod, "jc_maps", counted("jc_maps", cli_mod.jc_maps))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(verify_mod, "hermitian_spectra",
+                            counted("hermitian_spectra", verify_mod.hermitian_spectra))
         cfg = write_config(
             tmp_path, "cfg.json",
             {"gamma_bar": {"start": 0.0, "stop": 6.0, "count": 7}, "tau": [0.0, 1.0, 2.5],
              "output_path": str(tmp_path / "out")},
         )
         assert main(["sweep", cfg]) == 0
-        assert calls == {"jc_maps": 1, "eigvalsh": 1}
+        assert calls == {"jc_maps": 1, "hermitian_spectra": 1}
         assert len(read_rows(tmp_path / "out")) == 21
 
 
+# min_choi_eig solves each exact block of a Choi stack (quantum.hermitian_spectra), so it
+# agrees with a per-map eigvalsh to rounding, not bit for bit
+SPECTRUM_ROUNDING = 1e-15
+
+
+def assert_min_choi_eigs(rows, stacks):
+    """Column min_choi_eig of rows within SPECTRUM_ROUNDING of eigvalsh on each map's Choi
+    matrix, the maps taken in order from stacks."""
+    per_map = [np.linalg.eigvalsh(mp.choi())[0, 0] for stack in stacks for mp in stack]
+    assert len(rows) == len(per_map)
+    assert max(abs(float(row[5]) - e) for row, e in zip(rows, per_map)) <= SPECTRUM_ROUNDING
+
+
 class TestBatchedChoiSpectra:
-    """series and thermal take min_choi_eig from certify_cpt's one batched eigvalsh over a
-    Choi stack."""
+    """series and thermal take min_choi_eig from certify_cpt's one spectra solve over a Choi
+    stack."""
 
     CONFIGS = {
         "series": {"mode": "series", "gamma_bar": [0.0, 1.0, 4.0], "tau_max": 2.0,
@@ -805,7 +834,7 @@ class TestBatchedChoiSpectra:
     }
 
     @pytest.mark.parametrize("mode", sorted(CONFIGS))
-    def test_bitwise_equal_to_per_map_choi(self, tmp_path, monkeypatch, mode):
+    def test_matches_per_map_choi(self, tmp_path, monkeypatch, mode):
         import nmcollide.cli as cli_mod
 
         lambda_series, results = cli_mod.lambda_series, []
@@ -820,8 +849,7 @@ class TestBatchedChoiSpectra:
         )
         assert main(["run", cfg]) == 0
         monkeypatch.undo()
-        per_map = [f"{np.linalg.eigvalsh(mp.choi())[0, 0]:.17g}" for r in results for mp in r.maps]
-        assert [row[5] for row in read_rows(tmp_path / "out")] == per_map
+        assert_min_choi_eigs(read_rows(tmp_path / "out"), [r.maps for r in results])
 
 
 class TestClosedFormDomain:
@@ -890,8 +918,7 @@ class TestDiscreteMapMode:
         monkeypatch.undo()
         (stack,) = stacks
         rows = read_rows(tmp_path / "out")
-        assert [row[5] for row in rows] == [f"{np.linalg.eigvalsh(m.choi())[0, 0]:.17g}"
-                                            for m in stack]
+        assert_min_choi_eigs(rows, [stack])
         assert min(float(row[5]) for row in rows) > -1e-14
         # beta2 is the excited population of the trajectory from |1>, beta1 twice the
         # coherence of the one from |+>

@@ -575,6 +575,21 @@ class TestMapStack:
             assert np.array_equal(chois[j], m.choi()[0])
             assert np.max(np.abs(applied[j] - m.apply(PROBE)[0])) < 1e-15
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_choi_is_the_symmetrized_reshuffle_bit_for_bit(self, dim):
+        # choi() symmetrizes in place; the bits are those of 0.5 * (C + C^dag)
+        rng = np.random.default_rng(dim)
+        shape = (7, dim * dim, dim * dim)
+        real = rng.normal(size=shape)
+        for superops in (real + 1j * rng.normal(size=shape), real):
+            superops.setflags(write=False)
+            stack = MapStack(np.arange(7.0), superops, dim)
+            c = superops.reshape(7, dim, dim, dim, dim).transpose(0, 3, 1, 4, 2).reshape(shape)
+            expected = 0.5 * (c + c.conj().transpose(0, 2, 1))
+            choi = stack.choi()
+            assert choi.dtype == expected.dtype and choi.tobytes() == expected.tobytes()
+            assert not np.shares_memory(choi, superops)
+
     def test_no_positivity_check(self):
         # a stack carries candidate maps that certification rejects
         stack = MapStack(np.zeros(1), -np.eye(4)[None], 2)

@@ -142,6 +142,34 @@ def test_cli_takes_its_certificates_from_verify():
     assert [n for _, n in imported if n in ("density_stack", "trace_distances")] == []
 
 
+def _calls(path: Path) -> list:
+    """(innermost enclosing function, dotted callee) of every call in one source file; the
+    function is '' at module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                found.append((where, _dotted(child.func)))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_every_hermitian_spectrum_goes_through_hermitian_spectra():
+    # quantum.hermitian_spectra solves each exact block of a stack and hands only the blocks
+    # larger than 2x2 to eigvalsh: the package's one eigvalsh call is there
+    sites = [(name, where, callee) for name in MODULES
+             for where, callee in _calls(PACKAGE / f"{name}.py") if callee.endswith("eigvalsh")]
+    assert sites == [("quantum", "hermitian_spectra", "np.linalg.eigvalsh")]
+    renamed = [(name, a.name) for name in MODULES
+               for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) for a in node.names if a.name == "eigvalsh"]
+    assert renamed == []
+
+
 CONFIGS = PACKAGE.parent.parent / "configs"
 UNUSED_BY_THE_CLI = ("scipy", "mpmath")  # top-level packages: every submodule counts
 

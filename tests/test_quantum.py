@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,8 +10,10 @@ from nmcollide import (
     MapStack,
     ValidationError,
     choi_of,
+    hermitian_spectra,
     kraus_from_choi,
     trace_distance,
+    trace_distances,
     unitary_evolution,
 )
 
@@ -159,6 +162,137 @@ class TestTraceDistance:
         d = trace_distance(a, b)
         assert 0.0 <= d <= 1.0 + 1e-12
         assert abs(d - trace_distance(b, a)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_non_finite_entry_raises(self, bad):
+        # eigvalsh alone would raise on a NaN but return NaN eigenvalues for an infinity
+        a = np.tile(np.eye(2) / 2, (3, 1, 1)).astype(complex)
+        b = a.copy()
+        b[1, 1, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            trace_distances(a, b)
+
+
+def _hermitian(rng, n, d):
+    g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return g + g.conj().transpose(0, 2, 1)
+
+
+def _block_diagonal(rng, n, sizes):
+    """n random Hermitian matrices, each dense on the diagonal blocks of the given sizes."""
+    stack = np.zeros((n, sum(sizes), sum(sizes)), dtype=complex)
+    for k, s in zip(np.cumsum([0, *sizes]), sizes):
+        stack[:, k:k + s, k:k + s] = _hermitian(rng, n, s)
+    return stack
+
+
+def _assert_matches_eigvalsh(stack):
+    # eigvalsh is backward stable, off by a few d * eps * ||A||: it differs from itself by up to
+    # ~1.5e-15 max|entry| between a 2x2 or 3x3 block-diagonal matrix and a permuted copy of it,
+    # so the bound is 8 d eps max|entry| for each matrix
+    got, ref = hermitian_spectra(stack), np.linalg.eigvalsh(stack)
+    assert got.shape == ref.shape and np.all(np.diff(got, axis=-1) >= 0)
+    d = stack.shape[-1]
+    tol = 8 * d * np.finfo(float).eps * np.abs(stack).max(axis=(-2, -1))
+    assert np.all(np.abs(got - ref).max(axis=-1) <= tol)
+
+
+def _eigvalsh_shapes(monkeypatch, stack) -> list:
+    """The shapes that hermitian_spectra(stack) hands to np.linalg.eigvalsh."""
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", recording)
+        hermitian_spectra(stack)
+    return shapes
+
+
+class TestHermitianSpectra:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_dense_stacks_match_eigvalsh(self, d):
+        stack = _hermitian(np.random.default_rng(d), 500, d)
+        _assert_matches_eigvalsh(stack)
+        if d > 2:  # one block: eigvalsh solves the stack whole
+            assert np.array_equal(hermitian_spectra(stack), np.linalg.eigvalsh(stack))
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (2, 1), (2, 2), (1, 2, 3), (3, 1, 2, 2), (3, 3),
+                                       (2, 2, 2, 1, 1, 3, 1)])
+    def test_permuted_block_diagonal_stacks_match_eigvalsh(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        stack = _block_diagonal(rng, 500, sizes)
+        # an interleaving permutation: no block keeps contiguous indices
+        d = stack.shape[-1]
+        perm = np.concatenate([np.arange(0, d, 2), np.arange(1, d, 2)])
+        _assert_matches_eigvalsh(stack[:, perm][:, :, perm])
+
+    def test_mixed_blocks_solve_only_the_large_one_with_eigvalsh(self, monkeypatch):
+        stack = _block_diagonal(np.random.default_rng(7), 50, (1, 2, 3, 2, 1))
+        perm = np.random.default_rng(8).permutation(9)
+        stack = stack[:, perm][:, :, perm]
+        assert _eigvalsh_shapes(monkeypatch, stack) == [(50, 3, 3)]
+        _assert_matches_eigvalsh(stack)
+
+    def test_blocks_reached_in_several_steps(self):
+        # a tridiagonal block links its ends only through the indices between them
+        rng = np.random.default_rng(9)
+        stack = _block_diagonal(rng, 200, (5, 2, 1))
+        chain = np.abs(np.subtract.outer(np.arange(5), np.arange(5))) <= 1
+        stack[:, :5, :5] *= chain
+        perm = rng.permutation(8)
+        _assert_matches_eigvalsh(stack[:, perm][:, :, perm])
+
+    def test_the_pattern_is_the_union_over_the_stack(self, monkeypatch):
+        # blocks {0, 3} and {1, 2}, as in a discrete-protocol Choi stack
+        stack = _block_diagonal(np.random.default_rng(3), 20, (2, 2))
+        stack = stack[:, [0, 2, 3, 1]][:, :, [0, 2, 3, 1]]
+        partly_diagonal = stack.copy()
+        partly_diagonal[:10] *= np.eye(4)  # the union of the patterns is still the two blocks
+        assert _eigvalsh_shapes(monkeypatch, partly_diagonal) == []
+        _assert_matches_eigvalsh(partly_diagonal)
+        stack[4, 1, 0] = stack[4, 0, 1] = 0.5  # one matrix links 0 and 1: one dense block
+        assert _eigvalsh_shapes(monkeypatch, stack) == [(20, 4, 4)]
+        assert np.array_equal(hermitian_spectra(stack), np.linalg.eigvalsh(stack))
+
+    def test_reads_the_lower_triangle_like_eigvalsh(self):
+        stack = _block_diagonal(np.random.default_rng(4), 50, (2, 1, 1))
+        stack[:, 0, 1] = 0.0  # inside a block: its lower entry stack[:, 1, 0] counts
+        stack[:, 0, 3] = 7.0 + 1.0j  # no lower entry links 0 and 3: no block joins them
+        stack[:, 2, 2] += 3.0j  # and the imaginary part of a diagonal entry is ignored
+        _assert_matches_eigvalsh(stack)
+
+    def test_closed_form_2x2_is_within_1e15_of_the_exact_spectrum(self):
+        stack = _hermitian(np.random.default_rng(5), 60, 2)
+        got = hermitian_spectra(stack)
+        with mpmath.workdps(40):
+            exact = [sorted(float(v) for v in mpmath.eighe(mpmath.matrix(m.tolist()),
+                                                           eigvals_only=True)) for m in stack]
+        scale = np.abs(stack).max(axis=(1, 2))
+        assert np.all(np.abs(got - exact).max(axis=1) <= 1e-15 * scale)
+
+    def test_shapes_follow_eigvalsh(self):
+        rng = np.random.default_rng(6)
+        single = _hermitian(rng, 1, 3)[0] * np.eye(3)
+        assert np.array_equal(hermitian_spectra(single), np.sort(single.diagonal().real))
+        assert hermitian_spectra(np.zeros((0, 4, 4))).shape == (0, 4)
+        real = _hermitian(rng, 10, 2).real
+        _assert_matches_eigvalsh(real)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_entry_raises(self, bad):
+        # eigvalsh raises on a NaN but returns NaN for an infinite entry
+        stack = np.tile(np.eye(4), (3, 1, 1)).astype(complex)
+        stack[2, 3, 3] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            hermitian_spectra(stack)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3, 4), (3, 2, 3)])
+    def test_non_square_raises(self, shape):
+        with pytest.raises(np.linalg.LinAlgError, match="square"):
+            hermitian_spectra(np.zeros(shape))
 
 
 class TestOperators:

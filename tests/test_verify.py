@@ -246,6 +246,19 @@ class TestCertify:
         with pytest.raises(ConfigurationError, match="Choi stack"):
             certify_cpt(np.eye(4, dtype=complex).view(NoArithmetic), 1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        # eigvalsh alone would raise on a NaN but return NaN eigenvalues for an infinity
+        maps = jc_maps(np.linspace(0.0, 5.0, 6), 1.0)
+        superops, choi = maps.superops.copy(), maps.choi()
+        superops[2, 0, 0] = choi[2, 0, 0] = bad
+        # the arithmetic of an infinity (inf * 0j in MapStack.choi, inf - inf in the Hermiticity
+        # test of an array) warns of the NaN it makes
+        with np.errstate(invalid="ignore"):
+            for family in (MapStack(maps.times, superops, 2), choi):
+                with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                    certify_cpt(family, 1e-9)
+
     def test_empty_family_rejected(self):
         with pytest.raises(ConfigurationError):
             certify_cpt([], 1e-9)
