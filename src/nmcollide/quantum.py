@@ -78,8 +78,12 @@ def hermitian_spectra(stack) -> np.ndarray:
     if not np.isfinite(stack).all():
         raise np.linalg.LinAlgError("Hermitian stack has a non-finite entry")
     d = stack.shape[-1]
-    lower = np.tril((stack != 0).reshape(-1, d, d).any(axis=0), -1)
-    blocks = _components(lower | lower.T)
+    if d <= 2:  # the only possible link is (1, 0), so there is nothing to search
+        linked = d == 2 and bool((stack[..., 1, 0] != 0).any())
+        blocks = [np.arange(2)] if linked else [np.array([k]) for k in range(d)]
+    else:
+        lower = np.tril((stack != 0).reshape(-1, d, d).any(axis=0), -1)
+        blocks = _components(lower | lower.T)
     diag = stack.diagonal(axis1=-2, axis2=-1).real
     singles = np.array([b[0] for b in blocks if len(b) == 1], dtype=np.intp)
     i, j = np.array([b for b in blocks if len(b) == 2], dtype=np.intp).reshape(-1, 2).T

@@ -22,7 +22,6 @@ among it), the chain calls nothing of the engine or the continuum layer.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -58,6 +57,7 @@ __all__ = [
     "certify_cpt",
     "convergence_study",
     "probe_distances",
+    "probe_trace_defect",
     "calibrated_swap_probability",
     "random_density_operator",
     "corrupted_beta_maps",
@@ -270,17 +270,16 @@ class CptReport:
             "verdict": self.verdict,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.as_dict(), **kwargs)
-
     def summary(self, times) -> dict:
         """as_dict, each per-point list replaced by its worst value and the tau where it sits."""
         i = int(np.argmin(self.min_choi_eigenvalue))
         k = int(np.argmax(self.max_trace_defect))
         return {
-            **self.as_dict(),
+            "gamma_bar": self.gamma_bar,
             "min_choi_eigenvalue": {"value": self.min_choi_eigenvalue[i], "tau": float(times[i])},
             "max_trace_defect": {"value": self.max_trace_defect[k], "tau": float(times[k])},
+            "tolerance": self.tolerance,
+            "verdict": self.verdict,
         }
 
 
@@ -322,6 +321,17 @@ def certify_cpt(maps, tolerance: float = 1e-9, *, gamma_bar: Optional[float] = N
         verdict=verdict,
         gamma_bar=gamma_bar,
     )
+
+
+def probe_trace_defect(maps: MapStack, probes) -> float:
+    """The largest |Tr L(rho) - 1| of ~16 evenly spaced maps L of the stack on each state rho of
+    the (p, d, d) array probes, each output read from the map's Choi matrix C:
+    L(rho)[a, b] = sum_ij C[ia, jb] rho[i, j]. 0.0 when probes is empty."""
+    d = maps.dim
+    sampled = maps[:: max(1, len(maps) // 16)].choi().reshape(-1, d, d, d, d)
+    out = np.einsum("niajb,pij->npab", sampled, probes)
+    traces = np.trace(out, axis1=2, axis2=3).real
+    return float(np.max(np.abs(traces - 1.0), initial=0.0))
 
 
 def _choi_data(mp) -> np.ndarray:
@@ -380,9 +390,6 @@ class ConvergenceReport:
             "errors": list(self.errors),
             "estimated_order": self.estimated_order,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.as_dict(), **kwargs)
 
 
 # the state a protocol run and its reference are compared on (``probe_distances``)

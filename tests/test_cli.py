@@ -10,7 +10,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import nmcollide.cli as cli
 from nmcollide import LambdaSeriesResult, MapStack, jc_maps, lambda_series
@@ -1196,6 +1196,22 @@ class TestCptReport:
             assert entry["verdict"] is True
 
 
+# Cells that repeat within a column: both zeros, NaNs of three payloads (quiet, negative quiet,
+# signalling), subnormals, +-1e+-300 and ordinary values
+POOL = np.concatenate([
+    [0.0, -0.0, 1.0, -3.0, 0.1, 2.5, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -2.2250738585072e-308],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64)
+    .view(np.float64),
+])
+ORACLE_ROW = ",".join(["%.17g"] * len(cli.CSV_COLUMNS)) + "\n"
+
+
+def oracle_csv(rows) -> bytes:
+    """results.csv as one "%.17g" row template prints it, every NaN cell blanked."""
+    body = "".join(ORACLE_ROW % tuple(row) for row in rows.tolist())
+    return (CSV_HEADER + "\n" + body.replace("nan", "")).encode()
+
+
 class TestCsvWriter:
     def test_rows_print_17_digits_with_nan_cells_empty(self, tmp_path):
         # gamma_bar and the distance are all-NaN columns; one more NaN sits in the last column
@@ -1207,6 +1223,17 @@ class TestCsvWriter:
             "0.10000000000000001,,-0,1,,2.5\n"
             "1e-300,,0.25,-3,,\n"
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, len(POOL) - 1), min_size=6, max_size=6), max_size=40))
+    @example([])
+    @example([[0, 1, 2, 3, 4, 5]])
+    @example([[0] * 6, [1] * 6, [0] * 6])  # 0.0 and -0.0 in every column
+    def test_rows_match_the_row_template_oracle(self, tmp_path_factory, picks):
+        rows = POOL[np.array(picks, dtype=np.intp).reshape(-1, 6)]
+        path = tmp_path_factory.mktemp("csv") / "results.csv"
+        cli._write_csv(path, rows)
+        assert path.read_bytes() == oracle_csv(rows)
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -1224,6 +1251,8 @@ def test_shipped_config_runs_and_reruns_identically(tmp_path, config):
     assert re.search("nan|inf", body) is None  # an empty cell is empty, and no value overflowed
     assert main([subcommand, str(config), "--output-dir", str(out)]) == 0
     assert (out / "results.csv").read_bytes() == first
+    cells = [[float(c) if c else np.nan for c in line.split(",")] for line in body.splitlines()]
+    assert oracle_csv(np.array(cells).reshape(-1, len(cli.CSV_COLUMNS))) == first
 
 
 SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}

@@ -131,11 +131,13 @@ def _dotted(node) -> str:
 
 def test_cli_takes_its_certificates_from_verify():
     # every Choi spectrum, trace defect and probe distance the CLI writes comes from
-    # verify.certify_cpt or verify.probe_distances: the CLI solves no eigenproblem itself
+    # verify.certify_cpt, verify.probe_distances or verify.probe_trace_defect: the CLI solves no
+    # eigenproblem and contracts no Choi matrix itself
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     calls = [_dotted(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
     assert [c for c in calls if c.split(".")[:2] in (["np", "linalg"], ["numpy", "linalg"])] == []
-    assert "certify_cpt" in calls and "probe_distances" in calls
+    assert [c for c in calls if c.split(".")[-1] in ("einsum", "trace")] == []
+    assert {"certify_cpt", "probe_distances", "probe_trace_defect"} <= set(calls)
     imported = {(node.module or "", a.name) for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for a in node.names}
     assert [m for m, _ in imported if m.startswith("numpy.linalg")] == []

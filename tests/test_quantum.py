@@ -273,6 +273,31 @@ class TestHermitianSpectra:
         scale = np.abs(stack).max(axis=(1, 2))
         assert np.all(np.abs(got - exact).max(axis=1) <= 1e-15 * scale)
 
+    def test_qubit_and_scalar_stacks_skip_the_component_search(self, monkeypatch):
+        import nmcollide.quantum as quantum
+
+        def refuse(linked):
+            raise AssertionError("d <= 2 has one possible link and needs no search")
+
+        monkeypatch.setattr(quantum, "_components", refuse)
+        rng = np.random.default_rng(10)
+        scalars = _hermitian(rng, 30, 1)
+        assert np.array_equal(hermitian_spectra(scalars), scalars.real.reshape(30, 1))
+        assert hermitian_spectra(np.zeros((0, 1, 1))).shape == (0, 1)
+        assert hermitian_spectra(np.zeros((0, 2, 2))).shape == (0, 2)
+        # no lower entry links 0 and 1: the sorted diagonal, not mid +- rad of the closed form
+        diagonal = _hermitian(rng, 30, 2)
+        diagonal[:, 1, 0] = 0.0
+        expected = np.sort(diagonal.diagonal(axis1=1, axis2=2).real, axis=1)
+        assert np.array_equal(hermitian_spectra(diagonal), expected)
+        # one linking matrix puts the whole stack through the closed form
+        diagonal[7, 1, 0] = 0.25j
+        a, c = diagonal[:, 0, 0].real, diagonal[:, 1, 1].real
+        mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), np.abs(diagonal[:, 1, 0]))
+        expected = np.sort(np.stack([mid - rad, mid + rad], axis=1), axis=1)
+        assert np.array_equal(hermitian_spectra(diagonal), expected)
+        _assert_matches_eigvalsh(diagonal)
+
     def test_shapes_follow_eigvalsh(self):
         rng = np.random.default_rng(6)
         single = _hermitian(rng, 1, 3)[0] * np.eye(3)

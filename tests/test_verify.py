@@ -265,12 +265,25 @@ class TestCertify:
 
     def test_report_serialization(self):
         report = certify_cpt([KrausChannel((np.eye(2),))], 1e-9, gamma_bar=0.5)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.as_dict()))
         assert set(payload) == {
             "gamma_bar", "min_choi_eigenvalue", "max_trace_defect", "tolerance", "verdict",
         }
         assert payload["verdict"] is True
         assert payload["gamma_bar"] == 0.5
+
+    def test_probe_trace_defect_reads_every_sixth_of_101_maps(self):
+        maps = jc_maps(np.linspace(0.0, 5.0, 101), 1.0)  # maps 0, 6, ..., 96: 101 // 16 = 6
+        probes = np.array([PROBE.data, DensityOperator.basis(2, 1).data])
+        assert verify.probe_trace_defect(maps, probes) <= 1e-15
+        assert verify.probe_trace_defect(maps, probes[:0]) == 0.0
+        maps.superops[7, 0, 0] *= 1.5  # not sampled
+        assert verify.probe_trace_defect(maps, probes) <= 1e-15
+        # Tr L(rho) = 1 + 0.5 rho_00: 0.35 on PROBE, 0 on |1><1|
+        maps.superops[96, 0, 0] *= 1.5
+        assert abs(verify.probe_trace_defect(maps, probes) - 0.35) <= 1e-15
+        traces = np.trace(maps[96].apply(PROBE.data), axis1=1, axis2=2).real
+        assert abs(verify.probe_trace_defect(maps, probes[:1]) - abs(traces[0] - 1.0)) <= 1e-15
 
 
 class TestConvergenceStudy:
@@ -322,7 +335,7 @@ class TestConvergenceStudy:
         with pytest.raises(ConfigurationError):
             ConvergenceReport(t_c_values=(0.1, 0.2), errors=(0.0, 0.0), estimated_order=None)
         report = ConvergenceReport(t_c_values=(0.2, 0.1), errors=(0.2, 0.1), estimated_order=1.0)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.as_dict()))
         assert payload["t_c_values"] == [0.2, 0.1]
 
 
