@@ -21,8 +21,13 @@ Identical config and seed give byte-identical CSV output.
 Every map family is one MapStack: the closed form's, one stack for the
 whole gamma_bar x tau grid in ``sweep`` and one per gamma_bar over its
 whole tau array in the tau-dense ``jc_closed_form`` and ``certify``, the
-series' (``series``, ``thermal``) and the protocol's own (``discrete``).
-The series and thermal modes share one comparison through ``discrete_maps``.
+continuum maps Tr_A e^{L t}(rho (x) rho_A) of the collision's generator
+L = -i[H, .] + gamma_bar (R - 1) (``series``, ``thermal``), and the
+protocol's own (``discrete``). The continuum maps come from
+``continuum.lambda_embedding``, one exact step e^{L dt} stepped through
+the engine's window loop; the convolution series, the paper's form of the
+same maps, is kept as a reference and run by no mode. The series and
+thermal modes share one comparison through ``discrete_maps``.
 A collision is always jc_hamiltonian() on qubit (x) qubit, times in units
 of 1/Omega, so ``omega``, ``system_dim`` and ``ancilla_dim`` are not fields.
 Each mode returns its rows as one (n, 6) float array in CSV column order,
@@ -43,11 +48,11 @@ bound where its intermediates stay finite, a collision, tau_max or sweep tau
 past PHASE_BOUND, a collision with a rate that is not finite, a thermal bath
 whose energies or weights do not list two numbers, a convergence gamma_bar
 below 0 or tau_max not above 0, two series gamma_bar values that name one
-report file, a series gamma_bar times its step past 1e150, or a count past
-MAX_POINTS, checked before anything is allocated, included), 3
-certification failure, 4 numerical failure (a diverged quadrature, a
-provably bounded quantity out of range, such as a series that is not
-finite, or a numpy linear-algebra or floating-point error).
+report file, or a count past MAX_POINTS, checked before anything is
+allocated, included), 3 certification failure, 4 numerical failure (a
+diverged quadrature, a provably bounded quantity out of range, or a numpy
+linear-algebra or floating-point error, such as a series gamma_bar times
+its step past the largest double; every finite product runs).
 A run treats numpy overflow, division by zero and invalid operations as
 errors rather than warnings, so stderr carries nothing but the JSON error.
 """
@@ -66,14 +71,7 @@ import numpy as np
 
 from . import __version__
 from .collisions import BathSpec, CollisionConfig
-from .continuum import (
-    MapStack,
-    SeriesPolicy,
-    TimeGrid,
-    build_kernel_map,
-    discrete_maps,
-    lambda_series,
-)
+from .continuum import MapStack, SeriesPolicy, TimeGrid, discrete_maps, lambda_embedding
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -89,10 +87,10 @@ CSV_HEADER = "tau,gamma_bar,beta1,beta2,trace_distance_vs_discrete,min_choi_eig"
 CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 
 # Point, step and probe-state counts, and the rows of a run, stay at or below
-# MAX_POINTS. The series mode peaks at ~1.06 kB per point (tracemalloc, the series_vs_discrete
-# config at 20 001 points, with or without its discrete comparison), the most of any mode; the
-# one-grid sweep at ~1.05 kB per row (tracemalloc, a whole 256 x 256 sweep run). POINT_BYTES
-# rounds that up.
+# MAX_POINTS. The series mode compared with the protocol at every point, and the thermal mode,
+# peak at ~0.86 kB per point (tracemalloc, 20 001 points), the most of any mode; the one-grid
+# sweep at ~0.79 kB per row (tracemalloc, a whole 256 x 256 sweep run). POINT_BYTES rounds that
+# up.
 MEMORY_BUDGET = 2**30  # bytes
 POINT_BYTES = 4096
 MAX_POINTS = MEMORY_BUDGET // POINT_BYTES  # 262 144
@@ -372,15 +370,14 @@ def _mode_discrete(cfg: dict):
 
 
 def _series_vs_protocol(collision: CollisionConfig, gamma: float, grid: TimeGrid,
-                        policy: SeriesPolicy, stride: Optional[int]):
-    """The rows and the series JSON (gamma_bar and the largest trace defect) of the series maps
-    of the collision's H and bath, both from one certify_cpt report. The distance column is NaN,
-    or given a stride, ``probe_distances`` from discrete_maps(collision) at every stride-th
-    point. The maps do not outlive the call, so no caller holds one series' maps while the next
-    is built. The policy is checked and not read (``lambda_series``)."""
-    kernel = build_kernel_map(collision.hamiltonian,
-                              collision.bath.weight_vector(collision.ancilla_dim))
-    maps = lambda_series(kernel, gamma, grid, policy).maps
+                        stride: Optional[int]):
+    """The rows and the series JSON (gamma_bar and the largest trace defect) of the continuum
+    maps Tr_A e^{L t} of the collision's H and bath (``lambda_embedding``), both from one
+    certify_cpt report. The distance column is NaN, or given a stride, ``probe_distances`` from
+    discrete_maps(collision) at every stride-th point. The maps do not outlive the call, so no
+    caller holds one gamma_bar's maps while the next is built."""
+    weights = collision.bath.weight_vector(collision.ancilla_dim)
+    maps = lambda_embedding(collision.hamiltonian, weights, gamma, grid)
     report = certify_cpt(maps)
     distances = np.full(len(maps), np.nan)
     if stride is not None:
@@ -400,7 +397,7 @@ def _mode_series(cfg: dict):
     stride = round(t_c / grid.dt)
     if stride < 1 or abs(stride * grid.dt - t_c) > 1e-9:
         raise ConfigurationError("t_c must be a multiple of the tau grid spacing")
-    policy = SeriesPolicy(k_max=cfg["k_max"], tail_tol=cfg["tail_tol"])
+    SeriesPolicy(k_max=cfg["k_max"], tail_tol=cfg["tail_tol"])  # checked, and read by nothing
     names, first = [f"series_gamma_{g:g}.json" for g in gammas], {}
     for i, name in enumerate(names):
         j = first.setdefault(name, i)
@@ -413,7 +410,7 @@ def _mode_series(cfg: dict):
             2, 2, jc_hamiltonian(), t_c=t_c, p_s=calibrated_swap_probability(g, t_c),
             n_steps=(len(taus) - 1) // stride, bath=BathSpec(kind="pure_ground"),
         )
-        series_rows, extras[name] = _series_vs_protocol(collision, g, grid, policy,
+        series_rows, extras[name] = _series_vs_protocol(collision, g, grid,
                                                         stride if compare and g > 0 else None)
         rows.append(series_rows)
     return np.concatenate(rows), extras, None
@@ -427,8 +424,8 @@ def _mode_thermal(cfg: dict):
     if np.isnan(gamma):
         raise ConfigurationError("thermal mode needs p_s > 0 and t_c > 0 to calibrate the rate")
     grid = TimeGrid(t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1)
-    policy = SeriesPolicy(k_max=cfg["k_max"], tail_tol=cfg["tail_tol"])
-    rows, report = _series_vs_protocol(collision, gamma, grid, policy, 1)
+    SeriesPolicy(k_max=cfg["k_max"], tail_tol=cfg["tail_tol"])  # checked, and read by nothing
+    rows, report = _series_vs_protocol(collision, gamma, grid, 1)
     rows[:, 2:4] = np.nan  # thermal rows leave beta1 and beta2 empty
     return rows, {"series_thermal.json": report}, None
 
@@ -475,8 +472,8 @@ def _mode_sweep(cfg: dict):
 COMMON = {"mode": (_string, None), "seed": (_seed, 0), "output_path": (_string, ".")}
 GRID = {"gamma_bar": (_gammas, REQUIRED), "tau_max": (_float, REQUIRED),
         "tau_points": (partial(_count, minimum=2), REQUIRED)}
-# k_max and tail_tol are read and checked (a bad value exits 2) and change nothing: the series
-# truncates nothing. They stay only while bench/ still sends them (ROADMAP.md, benchmark upkeep).
+# k_max and tail_tol are read and checked (a bad value exits 2) and change nothing: no mode runs a
+# truncated series. They stay only while bench/ still sends them (ROADMAP.md, benchmark upkeep).
 POLICY = {"k_max": (partial(_integer, minimum=1), SeriesPolicy.k_max),
           "tail_tol": (_float, SeriesPolicy.tail_tol)}
 RANGE = {"start": (_float, REQUIRED), "stop": (_float, REQUIRED),

@@ -18,27 +18,37 @@ its exponential modes on H and rho_A = diag(weights), which
 one MapStack, an (n, d^2, d^2) superoperator array on row-major
 vectorized density matrices with its times:
 
-* ``lambda_series``: the whole series on a uniform grid, as the solution
-  of its Volterra equation X(t) = B1(t) + Gamma int_0^t B1(s) X(t - s) ds,
-  B1 = e^{-Gamma t} E(t), by product integration: X is linear between
-  nodes, and each distinct rate's mode of B1 is integrated exactly against
-  the hat functions. Every weight operator is an integral of CP maps
-  against a nonnegative function, and the weights integrate e^{-Gamma s}
-  exactly, so the maps are CP and trace preserving at every Gamma and
-  step, and the error is second order in the step. E(t) is a finite sum
-  of exponentials, so each rate's running convolution sum has a one-step
-  recurrence: with the geometric forcing, the solve is the orbit of one
-  fixed transfer matrix on 2 R d_s^2 rows (R distinct rates; 40 rows for
-  the exchange coupling), read out in blocks of about sqrt(n) points per
-  numpy call. Nothing is truncated, and the cost is linear in the grid
-  and independent of Gamma.
-* ``lambda_embedding``: the generator L itself, stepped with one matrix
-  exponential; the double-precision cross-check of the series.
+* ``lambda_embedding``: the generator L itself, Lambda(t) rho =
+  Tr_A e^{L t}(rho (x) rho_A), with one step e^{L dt} from
+  ``collisions.generator_step`` stepped through the engine's window loop.
+  The step is exact in double precision at any finite Gamma dt, for a
+  pure and a thermal bath, so the maps are within ~1e-13 of the closed
+  form over a thousand steps. The CLI's series and thermal modes take
+  their maps from it.
+* ``lambda_series``: the paper's form, the whole series on a uniform grid,
+  as the solution of its Volterra equation
+  X(t) = B1(t) + Gamma int_0^t B1(s) X(t - s) ds, B1 = e^{-Gamma t} E(t),
+  by product integration: X is linear between nodes, and each distinct
+  rate's mode of B1 is integrated exactly against the hat functions.
+  Every weight operator is an integral of CP maps against a nonnegative
+  function, and the weights integrate e^{-Gamma s} exactly, so the maps
+  are CP and trace preserving at every Gamma and step, and the error is
+  second order in the step (~1e-6 on the shipped configs' grids). E(t) is a finite
+  sum of exponentials, so each rate's running convolution sum has a
+  one-step recurrence: with the geometric forcing, the solve is the orbit
+  of one fixed transfer matrix on 2 R d_s^2 rows (R distinct rates; 40
+  rows for the exchange coupling), read out in blocks of about sqrt(n)
+  points per numpy call. Nothing is truncated, and the cost is linear in
+  the grid and independent of Gamma. No CLI mode runs it: it is kept as
+  the series form the paper writes, checked against the closed form and
+  the generator, and shares no code with ``propagate_maps``.
 * ``discrete_maps``: the protocol's own maps at the times n t_c. Its step
   is the splitting e^{A t_c} e^{B t_c} of L = A + B, A = -i[H, .] and
   B = Gamma (R - 1), with the Strang splitting's O(t_c^2) error: R fixes
   rho (x) rho_A and Tr_A R = Tr_A, so half resets at both ends change
-  nothing. It shares the engine's one window loop with the embedding.
+  nothing. It shares the engine's one window loop with the embedding, so
+  the CLI's comparison of the two is the exact step against the
+  splitting step on one loop.
 
 The closed form for the exchange coupling (``jaynes_cummings.jc_maps``)
 returns a MapStack too; it imports this module, never the reverse.
@@ -58,8 +68,8 @@ from typing import Optional
 
 import numpy as np
 
-from .collisions import (BathSpec, CollisionConfig, attach_superop, propagate_maps, protocol_step,
-                         reset_generator, trace_ancilla_superop)
+from .collisions import (BathSpec, CollisionConfig, _expm, attach_superop, generator_step,
+                         propagate_maps, protocol_step, trace_ancilla_superop)
 from .errors import ConfigurationError, InternalConsistencyError
 from .quantum import DensityOperator, HermitianOperator, _hermitian_basis
 from .tolerances import DEFAULT_TOLERANCES
@@ -381,22 +391,16 @@ def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid
     """Dynamical maps Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A) on the grid.
 
     L = -i[H, .] + gamma (R - 1) acts on system (x) one ancilla, with
-    rho_A = diag(weights), both from ``collisions.reset_generator``. The
-    maps are stepped with one P = expm(L dt) through the engine's window
-    loop, ``collisions.propagate_maps``, never an eigendecomposition: for
-    the exchange coupling L is defective at gamma = 2. Sharing only H and
-    rho_A with ``lambda_series``, this is the series' double-precision
-    cross-check; it is no oracle for the discrete engine, whose step is the
-    splitting of the same L.
+    rho_A = diag(weights). One step e^{L dt} (``collisions.generator_step``, exact in
+    double precision at any finite gamma dt) is stepped through the engine's window loop,
+    ``collisions.propagate_maps``, never an eigendecomposition: for the exchange coupling L is
+    defective at gamma = 2. The CLI's series and thermal modes take their maps from it.
     """
     if not 0 <= gamma < math.inf:  # a NaN rate fails too
         raise ConfigurationError("memory-loss rate gamma must be nonnegative and finite")
     ds, w = _system_dim_and_weights(h, weights)
-    commutator, reset, rho_a = reset_generator(h, w)
-    import scipy.linalg  # no CLI mode runs the embedding; scipy.linalg costs ~0.3 s to import
-
-    step = scipy.linalg.expm((commutator + gamma * (reset - np.eye(len(reset)))) * grid.dt)
-    return MapStack(grid.times(), propagate_maps(step, rho_a, ds, grid.n_points - 1), ds)
+    superops = propagate_maps(*generator_step(h, w, gamma, grid.dt), ds, grid.n_points - 1)
+    return MapStack(grid.times(), superops, ds)
 
 
 def discrete_maps(cfg: CollisionConfig) -> MapStack:
@@ -422,9 +426,7 @@ class LindbladGenerator:
 
     def semigroup(self, t: float) -> MapStack:
         """e^{G t} as a one-map MapStack."""
-        import scipy.linalg  # no CLI mode runs the semigroup; scipy.linalg costs ~0.3 s to import
-
-        return MapStack(np.array([float(t)]), scipy.linalg.expm(self.generator * t)[None], self.dim)
+        return MapStack(np.array([float(t)]), _expm(self.generator * t)[None], self.dim)
 
 
 def lindblad_limit(kernel: MemoryKernelMap, h: float, *, order: int = 1) -> LindbladGenerator:

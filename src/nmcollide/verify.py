@@ -261,17 +261,9 @@ class CptReport:
     verdict: bool
     gamma_bar: Optional[float] = None
 
-    def as_dict(self) -> dict:
-        return {
-            "gamma_bar": self.gamma_bar,
-            "min_choi_eigenvalue": self.min_choi_eigenvalue.tolist(),
-            "max_trace_defect": self.max_trace_defect.tolist(),
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
-
     def summary(self, times) -> dict:
-        """as_dict, each per-point list replaced by its worst value and the tau where it sits."""
+        """The report as JSON: gamma_bar, tolerance and verdict, and the worst Choi eigenvalue
+        and trace defect, each with the tau where it sits."""
         i = int(np.argmin(self.min_choi_eigenvalue))
         k = int(np.argmax(self.max_trace_defect))
         return {

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import nmcollide.cli as cli
-from nmcollide import LambdaSeriesResult, MapStack, jc_maps, lambda_series
+from nmcollide import MapStack, jc_maps, lambda_embedding
 from nmcollide.cli import CSV_HEADER, main
 
 
@@ -324,11 +324,11 @@ class TestRun:
         seen = []
 
         def scaled(*args):
-            maps = lambda_series(*args).maps
+            maps = lambda_embedding(*args)
             seen.append(MapStack(maps.times, (1.0 + 1e-6) * maps.superops, maps.dim))
-            return LambdaSeriesResult(seen[-1])
+            return seen[-1]
 
-        monkeypatch.setattr(cli, "lambda_series", scaled)
+        monkeypatch.setattr(cli, "lambda_embedding", scaled)
         assert main(["run", cfg]) == 0
         written = json.loads((tmp_path / "out" / report).read_text())
         unit = np.eye(2).reshape(-1)
@@ -692,7 +692,7 @@ class TestErrorMapping:
         assert err["error"] == {"code": 4, "message": "FloatingPointError: overflow encountered"}
 
     @pytest.mark.parametrize("payload, code", [
-        # gamma_bar * dt = 5e308 overflows before any weight is formed
+        # gamma_bar * dt = 5e308 is past the largest double, which the exact step refuses
         pytest.param({"mode": "series", "gamma_bar": 1e303, "tau_max": 1e6, "tau_points": 3}, 4,
                      id="series-overflow"),
         # now refused by the closed form's domain check before any arithmetic
@@ -707,6 +707,20 @@ class TestErrorMapping:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["code"] == code
+
+    def test_largest_finite_series_rate_exits_0(self, tmp_path, capsys):
+        # gamma_bar * dt = 7e307: the 1-norm of L dt, 1.4e308, is still finite, and the step's
+        # scaling neither overflows nor raises; the maps are the gamma -> infinity limit, the
+        # identity, within rounding
+        cfg = write_config(tmp_path, "cfg.json", {"mode": "series", "gamma_bar": 7e307,
+                                                  "tau_max": 2, "tau_points": 3,
+                                                  "output_path": str(tmp_path / "out")})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        betas = np.array([row[2:4] for row in read_rows(tmp_path / "out")], dtype=float)
+        assert np.max(np.abs(betas - 1.0)) < 1e-14
 
     def test_extreme_rate_sweep_ends_with_a_code(self, tmp_path, capsys):
         cfg = write_config(
@@ -837,19 +851,19 @@ class TestBatchedChoiSpectra:
     def test_matches_per_map_choi(self, tmp_path, monkeypatch, mode):
         import nmcollide.cli as cli_mod
 
-        lambda_series, results = cli_mod.lambda_series, []
+        lambda_embedding, results = cli_mod.lambda_embedding, []
 
         def recording(*args, **kwargs):
-            results.append(lambda_series(*args, **kwargs))
+            results.append(lambda_embedding(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(cli_mod, "lambda_series", recording)
+        monkeypatch.setattr(cli_mod, "lambda_embedding", recording)
         cfg = write_config(
             tmp_path, "cfg.json", {**self.CONFIGS[mode], "output_path": str(tmp_path / "out")}
         )
         assert main(["run", cfg]) == 0
         monkeypatch.undo()
-        assert_min_choi_eigs(read_rows(tmp_path / "out"), [r.maps for r in results])
+        assert_min_choi_eigs(read_rows(tmp_path / "out"), results)
 
 
 class TestClosedFormDomain:
@@ -937,7 +951,7 @@ def _forbid_series_and_protocol(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a refused config reached a series or the protocol")
 
-    for name in ("lambda_series", "discrete_maps"):
+    for name in ("lambda_embedding", "discrete_maps"):
         monkeypatch.setattr(cli_mod, name, forbidden)
 
 
@@ -1009,9 +1023,46 @@ class TestSeriesVsProtocol:
         assert named in json.loads(lines[0])["error"]["message"]
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("name", ["series_vs_discrete", "thermal"])
+    def test_shipped_continuum_configs_run_on_the_generator_alone(self, tmp_path, monkeypatch,
+                                                                    name):
+        # series and thermal take their maps from e^{L dt}; the convolution series and its
+        # kernel are the paper's form, kept as a reference, and no mode calls them
+        import nmcollide.continuum as continuum
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a CLI mode called the convolution series")
+
+        for function in ("lambda_series", "build_kernel_map"):
+            assert not hasattr(cli, function)
+            monkeypatch.setattr(continuum, function, forbidden)
+        assert main(["run", str(CONFIG_DIR / f"{name}.json"), "--output-dir", str(tmp_path)]) == 0
+        rows = np.array(read_rows(tmp_path), dtype=object)
+        assert len(rows) == (1001 if name == "series_vs_discrete" else 251)
+        if name == "series_vs_discrete":  # largest difference 3.7e-14
+            taus, gammas = rows[:, 0].astype(float), rows[:, 1].astype(float)
+            expected = jc_maps(taus, gammas).superops
+            assert np.max(np.abs(rows[:, 2].astype(float) - expected[:, 1, 1].real)) < 1e-12
+            assert np.max(np.abs(rows[:, 3].astype(float) - expected[:, 3, 3].real)) < 1e-12
+
+    @pytest.mark.parametrize("tau_max", [9.0, 11.0])
+    def test_series_betas_meet_the_closed_form_on_the_benchmark_grid(self, tmp_path, tau_max):
+        # the benchmark's series slots: 4001 points, gamma_bar * tau_max = 5, 10 and 20;
+        # largest difference 1.4e-13 (tau_max = 9)
+        gammas = [gt / tau_max for gt in (5.0, 10.0, 20.0)]
+        cfg = write_config(tmp_path, "cfg.json", {
+            "mode": "series", "gamma_bar": gammas, "tau_max": tau_max, "tau_points": 4001,
+            "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        rows = np.array(read_rows(tmp_path / "out"), dtype=object)
+        taus, column = rows[:, 0].astype(float), rows[:, 1].astype(float)
+        expected = jc_maps(taus, column).superops
+        assert np.max(np.abs(rows[:, 2].astype(float) - expected[:, 1, 1].real)) < 1e-12
+        assert np.max(np.abs(rows[:, 3].astype(float) - expected[:, 3, 3].real)) < 1e-12
+
     @pytest.mark.parametrize("beta", [0.5, 3.0])
     def test_full_swap_series_is_the_sampled_kernel(self, tmp_path, beta):
-        # p_s = 1 gives gamma = 0: the series is the kernel itself and the protocol
+        # p_s = 1 gives gamma = 0: the continuum map is the kernel itself and the protocol
         # samples the same kernel at n t_c, so only a shared H and rho_A make them agree
         collision = {"t_c": 0.05, "p_s": 1.0, "n_steps": 200,
                      "bath": {**self.THERMAL_BATH, "inverse_temperature": beta}}
@@ -1131,7 +1182,7 @@ class TestSizeCaps:
         real_linspace = np.linspace
         monkeypatch.setattr(np, "linspace", small_linspace)
         for name in ("discrete_maps", "random_density_operator", "convergence_study",
-                     "lambda_series", "jc_maps"):
+                     "lambda_embedding", "jc_maps"):
             monkeypatch.setattr(cli_mod, name, forbidden)
         cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(tmp_path / "out")})
         assert main([subcommand, cfg]) == 2

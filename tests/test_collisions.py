@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 
 from nmcollide import (
     BathSpec,
@@ -19,9 +20,10 @@ from nmcollide import (
     trace_distance,
     unitary_evolution,
 )
-from nmcollide.collisions import (attach_superop, propagate_maps, protocol_step,
-                                  reset_generator, trace_ancilla_superop)
-from nmcollide.continuum import build_kernel_map
+from nmcollide.collisions import (_expm, attach_superop, generator_step, propagate_maps,
+                                  protocol_step, reset_generator, trace_ancilla_superop)
+from nmcollide.continuum import TimeGrid, build_kernel_map, lambda_embedding
+from nmcollide.jaynes_cummings import beta_arrays
 from nmcollide.quantum import _hermitian_basis, _hermitian_to_vec
 from nmcollide.verify import purified_pair_ket
 
@@ -254,6 +256,77 @@ class TestResetSplitting:
         assert np.max(np.abs(out - np.kron(PROBE.data, rho_a))) < 1e-15
 
 
+def reference_step(h, weights, gamma, dt):
+    """e^{L dt} to 60 digits with mpmath, L = -i[H, .] + gamma (R - 1) on row-major vec(W), the
+    doubles of H, the weights, gamma and dt taken as exact numbers. Each connected block of L's
+    zero pattern is exponentiated on its own, which for the exchange coupling cuts the 16x16
+    exponential into blocks of at most 6x6."""
+    eye = np.eye(h.dim)
+    commutator = -1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T))
+    reset = reset_superop(np.diag(weights).astype(np.complex128), h.dim // len(weights))
+    n_blocks, label = connected_components((commutator != 0) | (reset != 0), directed=False)
+    out = np.zeros_like(commutator)
+    with mpmath.workdps(60):
+        g, t = mpmath.mpf(gamma), mpmath.mpf(dt)
+        for b in range(n_blocks):
+            idx = np.ix_(*[np.flatnonzero(label == b)] * 2)
+            a, r = mpmath.matrix(commutator[idx].tolist()), mpmath.matrix(reset[idx].tolist())
+            out[idx] = np.array(mpmath.expm((a + g * (r - mpmath.eye(a.rows))) * t).tolist(),
+                                dtype=np.complex128)
+    return out
+
+
+def affine_thermal_maps(taus, gamma, w):
+    """The exchange coupling's maps for ancillas in diag(1 - w, w), from the pure bath's betas:
+    the coherence scaled by beta1, the excited population p -> beta2 p + w (1 - beta2)."""
+    b1, b2 = beta_arrays(taus, gamma)
+    s = np.zeros((len(taus), 4, 4), dtype=np.complex128)
+    s[:, 0, 0], s[:, 0, 3] = 1.0 - w * (1.0 - b2), (1.0 - w) * (1.0 - b2)
+    s[:, 3, 0], s[:, 3, 3] = w * (1.0 - b2), b2 + w * (1.0 - b2)
+    s[:, 1, 1] = s[:, 2, 2] = b1
+    return s
+
+
+class TestGeneratorStep:
+    """e^{L dt} from ``_expm`` in the basis where the reset is exact, and the maps it steps."""
+
+    @pytest.mark.parametrize("weights", [
+        pytest.param((1.0, 0.0), id="pure"),
+        pytest.param((0.731, 0.269), id="thermal"),
+    ])
+    @pytest.mark.parametrize("dt", [0.0025, 0.1])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 20.0, 1e4, 1e6, 1e8, 1e20])
+    def test_matches_a_60_digit_exponential(self, jc_h, weights, dt, gamma):
+        # largest difference 1.8e-15 (pure, dt = 0.1, gamma = 1e8); the same _expm of L dt in
+        # the vec basis is 4.6e-14 off for the thermal bath at gamma = 1e6, dt = 0.0025, and
+        # 1.1e-11 at 1e8
+        step, rho_a = generator_step(jc_h, np.array(weights), gamma, dt)
+        assert np.array_equal(rho_a, np.diag(weights))
+        assert float(np.max(np.abs(step - reference_step(jc_h, weights, gamma, dt)))) < 1e-14
+
+    @pytest.mark.parametrize("w", [0.269, 0.5])
+    @pytest.mark.parametrize("gamma", [0.5, 2.0, 20.0, 1e4, 1e8, 1e12])
+    def test_thermal_maps_are_the_affine_form_of_the_betas(self, jc_h, w, gamma):
+        # largest difference 2.8e-13 (w = 0.5, gamma = 1e8)
+        maps = lambda_embedding(jc_h, (1.0 - w, w), gamma, TimeGrid(t_max=5.0, n_points=1001))
+        expected = affine_thermal_maps(maps.times, gamma, w)
+        assert float(np.max(np.abs(maps.superops - expected))) < 1e-12
+
+    def test_rate_past_the_largest_double_raises(self, jc_h):
+        # gamma dt = 5e308 is no double; the error names the product, not a NaN step
+        with pytest.raises(FloatingPointError, match=r"gamma \* dt = 1e\+303 \* 500000 overflows"):
+            lambda_embedding(jc_h, (1.0, 0.0), 1e303, TimeGrid(t_max=1e6, n_points=3))
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-300, 0.3, 1.0, 20.0, 1e10, 1e300, 1.7e308])
+    def test_expm_of_a_reset_at_any_finite_rate(self, rate):
+        # X = rate (R - 1) for the reset R = [[0, 1], [0, 1]]:
+        # e^X = [[e^-rate, 1 - e^-rate], [0, 1]]. Its 1-norm, 2 rate, is past the largest double
+        # at 1.7e308, and no scaling overflows
+        x = rate * np.array([[-1.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+        expected = np.array([[np.exp(-rate), -np.expm1(-rate)], [0.0, 1.0]])
+        assert float(np.max(np.abs(_expm(x) - expected))) < 1e-15
+
+
 class TestAncillaBookkeeping:
     """attach and Tr_A against np.kron, an np.einsum partial trace and the reset by index."""
 
@@ -363,9 +436,9 @@ class TestDiscreteMaps:
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 15, 16, 17, 2000])
     @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
     def test_blocks_match_the_step_by_step_loop(self, jc_h, weights, n_steps):
-        # the loop steps ceil(sqrt(n)) windows per product: one block (n = 1), a partial last
-        # block (2, 3, 15, 17, 2000) and exact squares (16); the largest difference is 1.6e-15,
-        # thermal at 2000 steps
+        # the loop reads ceil(sqrt(n)) reduced states per product: one block (n = 1), a partial
+        # last block (2, 3, 15, 17, 2000) and exact squares (16); the largest difference is
+        # 1.7e-15, thermal at 2000 steps
         step, fresh = protocol_step(long_run_cfg(jc_h, weights, n_steps=n_steps))
         blocked = propagate_maps(step, fresh, 2, n_steps)
         assert blocked.shape == (n_steps + 1, 4, 4)

@@ -3,13 +3,13 @@
 The layers run quantum -> collisions -> continuum -> jaynes_cummings ->
 verify -> cli: the closed form builds its maps as a continuum MapStack, so
 continuum must never import it back, and the engine below both knows
-nothing of either. One more check runs a fresh interpreter: importing the
-CLI and running every shipped config must load no scipy or mpmath module at
-all. scipy.fft, scipy.linalg and mpmath cost more than the rest of the import
-(~0.5 s), the bare scipy package ~14 ms, and no CLI mode calls them: the
-manifest records no scipy version, and scipy.linalg and mpmath are imported
-inside the embedding, the semigroup and the Talbot oracle, the only functions
-that use them.
+nothing of either. No module of the package imports scipy: the package's one
+matrix exponential is the numpy ``collisions._expm``, and scipy is a test
+dependency, the tests' reference exponential. One more check runs a fresh
+interpreter: importing the CLI and running every shipped config must load no
+scipy or mpmath module at all. mpmath costs more than the rest of the import,
+and no CLI mode calls it: it is imported inside the Talbot oracle, the only
+function that uses it.
 """
 
 import ast
@@ -119,6 +119,17 @@ def test_doc_references_resolve():
              if not hasattr(LOADED[ref[1]], ref[2])
              or (ref[3] and not hasattr(getattr(LOADED[ref[1]], ref[2]), ref[3]))]
     assert stale == []
+
+
+def test_no_module_imports_scipy():
+    # scipy is no runtime dependency (pyproject.toml lists it in the test extra only)
+    found = [(name, node.lineno) for name in MODULES
+             for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")))
+             if (isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "scipy" for a in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.level == 0
+                 and (node.module or "").split(".")[0] == "scipy")]
+    assert found == []
 
 
 def _dotted(node) -> str:

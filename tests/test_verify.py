@@ -265,12 +265,13 @@ class TestCertify:
 
     def test_report_serialization(self):
         report = certify_cpt([KrausChannel((np.eye(2),))], 1e-9, gamma_bar=0.5)
-        payload = json.loads(json.dumps(report.as_dict()))
+        payload = json.loads(json.dumps(report.summary([0.25])))
         assert set(payload) == {
             "gamma_bar", "min_choi_eigenvalue", "max_trace_defect", "tolerance", "verdict",
         }
         assert payload["verdict"] is True
         assert payload["gamma_bar"] == 0.5
+        assert payload["min_choi_eigenvalue"]["tau"] == payload["max_trace_defect"]["tau"] == 0.25
 
     def test_probe_trace_defect_reads_every_sixth_of_101_maps(self):
         maps = jc_maps(np.linspace(0.0, 5.0, 101), 1.0)  # maps 0, 6, ..., 96: 101 // 16 = 6
