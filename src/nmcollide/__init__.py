@@ -11,7 +11,6 @@ certification of every produced map.
 from .collisions import (
     BathSpec,
     CollisionConfig,
-    reset_superop,
     thermal_weights,
 )
 from .continuum import (

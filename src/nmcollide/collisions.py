@@ -11,41 +11,51 @@ out at once and the engine carries only the window W: the joint state of
 the system and the one upcoming ancilla. With the fresh ancilla state
 rho_A = diag(bath.weight_vector) (|0><0|, or a thermal bath's Boltzmann
 mixture), one step is W <- U (p_s W + (1 - p_s) Tr_A(W) (x) rho_A) U^dag.
-The system (x) ancilla bookkeeping is written once, as two matrices:
-``attach_superop`` (vec rho -> vec(rho (x) rho_A)) and
-``trace_ancilla_superop`` (vec W -> vec Tr_A W); the reset
-R = attach Tr_A, the first windows and the reduced states come from them.
 Cost is linear in the step count; the literal full-chain simulation lives
 in :mod:`nmcollide.verify` as the oracle for this reduction.
 
-The step is the Lie-Trotter splitting e^{A t_c} e^{B t_c} of L = A + B
-(``reset_generator``), A = -i[H, .], B = gamma (R - 1): e^{A t_c} = U (x) U*,
-and R^2 = R makes e^{B t_c} = p_s 1 + (1 - p_s) R at p_s = e^{-gamma t_c}.
-It converges at second order in t_c, like the Strang splitting
-e^{B t_c/2} e^{A t_c} e^{B t_c/2}, whose half resets at the ends of a run
-change nothing: R fixes W_0 = rho (x) rho_A, and Tr_A R = Tr_A.
+The engine works in one real basis of system (x) ancilla, the window
+coordinates P_b (x) B_m: the system's Hermitian units P_b
+(``quantum._hermitian_units``: E_ii, E_ij + E_ji and i(E_ij - E_ji)) and
+the ancilla's, B_m, with the unit on the largest weight, B_top, replaced
+by rho_A. There attaching rho_A is the coefficient of B_top, Tr_A sums the
+diagonal units, the reset R(W) = Tr_A(W) (x) rho_A is a matrix of 0 and 1
+for either bath, and a Hermitian window has real coefficients
+(``_ancilla_maps``). A vec-basis operator enters these coordinates once,
+through ``_in_window``, which checks that it preserves Hermiticity.
+``attach_superop`` (vec rho -> vec(rho (x) rho_A)) and
+``trace_ancilla_superop`` (vec W -> vec Tr_A W) are the same bookkeeping
+on row-major vecs, for the kernel's modes in :mod:`nmcollide.continuum`.
+
+The step is the Lie-Trotter splitting e^{A t_c} e^{B t_c} of
+L = A + B, A = -i[H, .], B = gamma (R - 1): e^{A t_c} = U (x) U*, and
+R^2 = R makes e^{B t_c} = p_s 1 + (1 - p_s) R at p_s = e^{-gamma t_c}
+(``protocol_step``). It converges at second order in t_c, like the Strang
+splitting e^{B t_c/2} e^{A t_c} e^{B t_c/2}, whose half resets at the ends
+of a run change nothing: R fixes W_0 = rho (x) rho_A, and Tr_A R = Tr_A.
 
 The exact step of the same L is ``generator_step``: e^{L dt} from a numpy
-scaling-and-squaring exponential, ``_expm``, taken in a basis where the
-reset R has entries that are exactly 0 or 1. It holds at any finite
-gamma dt for either bath. The continuum maps of :mod:`nmcollide.continuum`
-come from it, and ``_expm`` is the package's one general matrix
-exponential: ``LindbladGenerator.semigroup`` takes it too.
+scaling-and-squaring exponential, ``_expm``, taken in window coordinates,
+where gamma dt multiplies no rounding. It holds at any finite gamma dt for
+either bath. The continuum maps of :mod:`nmcollide.continuum` come from
+it, and ``_expm`` is the package's one general matrix exponential:
+``LindbladGenerator.semigroup`` takes it too.
 
-One loop, ``propagate_maps``, propagates windows under any fixed step
-matrix: d_s^2 system inputs at once, each window as its real
-coefficients in an orthonormal Hermitian basis, so every window is
-Hermitian by construction. It reads b = ceil(sqrt(n_steps)) reduced
-states per numpy call: the stacked rows Tr_A T, Tr_A T^2, ..., Tr_A T^b,
-built once, times the block's first window, which T^b carries to the
-next block. So a run makes O(sqrt(n_steps)) calls and keeps no window
-per step. Every reduced state is then divided by its own trace: the
+One loop, ``propagate_maps``, propagates windows under either step: d_s^2
+system inputs at once, each window as its real coefficients, so every
+window is Hermitian by construction. It reads b = ceil(sqrt(n_steps))
+reduced states per numpy call: the stacked rows Tr_A T, Tr_A T^2, ...,
+Tr_A T^b, built once, times the block's first window, which T^b carries
+to the next block. So a run makes O(sqrt(n_steps)) calls and keeps no
+window per step. Every reduced state is then divided by its own trace: the
 exact map preserves it, rounding does not, and since the step is linear
 this is the same as renormalizing after every step. Over 2000 steps at
 t_c = 0.01 the repair keeps the reduced states within 1.1e-14 of a
-long-double recursion, against 3e-14 to 3e-13 without it. It solves for
-the maps themselves; the discrete maps and the continuum maps both come
-from it, and a trajectory from rho_0 is ``discrete_maps(cfg).apply(rho_0)``.
+long-double recursion, against 3e-14 to 3e-13 without it. The maps leave
+the window coordinates through the system's units, whose change of basis
+rounds nothing, so the map at step 0 is the identity bit for bit. The
+discrete maps and the continuum maps both come from this loop, and a
+trajectory from rho_0 is ``discrete_maps(cfg).apply(rho_0)``.
 """
 
 from __future__ import annotations
@@ -57,8 +67,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .quantum import (HermitianOperator, _hermitian_basis, _hermitian_real, _hermitian_to_vec,
-                      unitary_evolution)
+from .quantum import HermitianOperator, _hermitian_real, _hermitian_units, unitary_evolution
 
 __all__ = [
     "BathSpec",
@@ -67,8 +76,6 @@ __all__ = [
     "generator_step",
     "propagate_maps",
     "protocol_step",
-    "reset_generator",
-    "reset_superop",
     "thermal_weights",
     "trace_ancilla_superop",
 ]
@@ -182,43 +189,58 @@ def trace_ancilla_superop(system_dim: int, ancilla_dim: int) -> np.ndarray:
     return attach_superop(np.eye(ancilla_dim), system_dim).T
 
 
-def reset_superop(rho_a: np.ndarray, system_dim: int) -> np.ndarray:
-    """R(W) = Tr_A(W) (x) rho_A as a matrix on row-major vec(W) of system (x) ancilla."""
-    return attach_superop(rho_a, system_dim) @ trace_ancilla_superop(system_dim, rho_a.shape[0])
+def _ancilla_maps(weights, system_dim: int) -> tuple:
+    """(attach, Tr_A) in window coordinates, the basis P_b (x) B_m of system (x) ancilla: the
+    system's Hermitian units P_b (``quantum._hermitian_units``) times the ancilla's, B_m, with
+    the unit on the largest weight, B_top, replaced by rho_A = diag(weights). Attaching rho_A
+    puts a system coefficient on B_top, and Tr_A sums the diagonal units, Tr B_m = 1, so both
+    are matrices of 0 and 1, (d^2, d_s^2) and (d_s^2, d^2), and so is the reset
+    R = attach Tr_A."""
+    da, eye = len(weights), np.eye(system_dim * system_dim)
+    top = np.eye(da * da)[int(np.argmax(weights)) * (da + 1)]
+    return np.kron(eye, top[:, None]), np.kron(eye, np.eye(da).reshape(-1))
 
 
-def reset_generator(h: HermitianOperator, weights):
-    """(A, R, rho_A) of L = A + gamma (R - 1) on row-major vec(W) of system (x) ancilla: the
-    commutator A = -i[H, .], the reset R(W) = Tr_A(W) (x) rho_A and rho_A = diag(weights)."""
-    rho_a = np.diag(weights).astype(np.complex128)
-    eye = np.eye(h.dim)
-    commutator = -1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T))
-    return commutator, reset_superop(rho_a, h.dim // len(rho_a)), rho_a
+def _in_window(op: np.ndarray, weights, system_dim: int) -> np.ndarray:
+    """A row-major vec-basis operator on system (x) ancilla in window coordinates
+    (``_ancilla_maps``): M^-1 op M, M's column (b, m) vec(P_b (x) B_m). Every P_b (x) B_m is
+    Hermitian, so the result is real iff op preserves Hermiticity; an imaginary part above
+    ``imaginary_residue`` raises InternalConsistencyError (``quantum._hermitian_real``)."""
+    da, ds = len(weights), system_dim
+    units = _hermitian_units(da)[0].T.reshape(-1, da, da)  # B_m
+    units[int(np.argmax(weights)) * (da + 1)] = np.diag(weights)
+    basis = np.kron(_hermitian_units(ds)[0].T.reshape(-1, 1, ds, ds), units)
+    basis = basis.reshape(len(op), len(op)).T
+    return _hermitian_real(np.linalg.solve(basis, op @ basis), "the operator")
 
 
 def protocol_step(cfg: CollisionConfig):
-    """The transfer matrix e^{A t_c} e^{B t_c} = (U (x) U*)(p_s 1 + (1 - p_s) R), and rho_A."""
-    fresh = np.diag(cfg.bath.weight_vector(cfg.ancilla_dim)).astype(np.complex128)
-    reset = reset_superop(fresh, cfg.system_dim)
+    """The transfer matrix e^{A t_c} e^{B t_c} = (U (x) U*)(p_s 1 + (1 - p_s) R) in window
+    coordinates (``_ancilla_maps``), and the bath's weights."""
+    w = cfg.bath.weight_vector(cfg.ancilla_dim)
+    attach, trace = _ancilla_maps(w, cfg.system_dim)
     u = unitary_evolution(cfg.hamiltonian, cfg.t_c)
-    return np.kron(u, u.conj()) @ (cfg.p_s * np.eye(u.size) + (1.0 - cfg.p_s) * reset), fresh
+    unitary = _in_window(np.kron(u, u.conj()), w, cfg.system_dim)
+    return unitary @ (cfg.p_s * np.eye(u.size) + (1.0 - cfg.p_s) * (attach @ trace)), w
 
 
 _TAYLOR_DEGREE = 18
 
 
 def _expm(x: np.ndarray) -> np.ndarray:
-    """e^X of a finite complex square matrix, by scaling and squaring of F = e^X - 1.
+    """e^X of a finite real or complex square matrix, by scaling and squaring of F = e^X - 1, in
+    X's own arithmetic: a real X gives a real e^X.
 
     X is scaled by 2^-s (``np.ldexp``, exact, and free of overflow at any finite X) to
     ||X 2^-s||_1 <= 1/4, where the degree-18 Taylor sum of F leaves out less than 1e-28 of
     ||F||; s squarings F <- 2F + F^2 = (1 + F)^2 - 1 then give e^X = 1 + F. Carrying F instead
     of 1 + F keeps the digits of a step near the identity, which squaring e^X itself loses."""
-    parts = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
-    top = int(np.frexp(np.max(np.abs(parts)))[1])  # every real and imaginary part below 2^top
-    norm = np.max(np.abs(np.ldexp(parts, -top).view(np.complex128)).sum(axis=0))
+    x = np.ascontiguousarray(x, dtype=np.result_type(x, np.float64))
+    parts = x.view(np.float64)  # the real and imaginary parts of a complex X
+    top = int(np.frexp(np.max(np.abs(parts)))[1])  # every part below 2^top
+    norm = np.max(np.abs(np.ldexp(parts, -top).view(x.dtype)).sum(axis=0))
     scale = max(0, top + int(np.frexp(norm)[1]) + 2)  # ||X||_1 < 2^(scale - 2)
-    y, eye = np.ldexp(parts, -scale).view(np.complex128), np.eye(len(x))
+    y, eye = np.ldexp(parts, -scale).view(x.dtype), np.eye(len(x))
     f = eye
     for k in range(_TAYLOR_DEGREE, 1, -1):  # Horner: F = X (1 + X/2 (1 + X/3 (1 + ...)))
         f = eye + (y @ f) / k
@@ -229,60 +251,52 @@ def _expm(x: np.ndarray) -> np.ndarray:
 
 
 def generator_step(h: HermitianOperator, weights, gamma: float, dt: float):
-    """e^{L dt} of L = -i[H, .] + gamma (R - 1) on row-major vec(W) (``reset_generator``), and
-    rho_A = diag(weights).
+    """e^{L dt} of L = -i[H, .] + gamma (R - 1), R(W) = Tr_A(W) (x) rho_A, rho_A = diag(weights),
+    in window coordinates (``_ancilla_maps``), and the weights.
 
-    ``_expm`` runs in the basis E_st (x) B_m of system matrix units E_st and ancilla operators
-    B_m: the matrix units, with the one on the largest weight replaced by rho_A. There
-    R(E_st (x) B_m) = Tr(B_m) E_st (x) rho_A, so R and R - 1 have entries that are exactly 0, 1
-    or -1, and gamma dt multiplies no rounding. The step is then within 2e-15 of a 60-digit
-    exponential for either bath at any gamma from 0 to 1e20; the same ``_expm`` of L dt in the
-    vec basis, where R holds the rounded weights, is 4.6e-14 off for a thermal bath at
-    gamma dt = 2500 and 1.1e-11 at 2.5e5 (w = 0.269, dt = 0.0025). A gamma dt past the largest
-    double raises FloatingPointError.
+    ``_expm`` runs in those coordinates, where R and R - 1 have entries that are exactly 0, 1
+    or -1, so gamma dt multiplies no rounding; the commutator enters them once
+    (``_in_window``). The step is then within 2e-15 of a 60-digit exponential for either bath at
+    any gamma from 0 to 1e20; the same ``_expm`` of L dt in the vec basis, where R holds the
+    rounded weights, is 4.6e-14 off for a thermal bath at gamma dt = 2500 and 1.1e-11 at 2.5e5
+    (w = 0.269, dt = 0.0025). A gamma dt past the largest double raises FloatingPointError.
     """
     rate = gamma * dt
     if not math.isfinite(rate):  # a product past the largest double is a numerical failure
         raise FloatingPointError(f"gamma * dt = {gamma:g} * {dt:g} overflows")
-    commutator, _, rho_a = reset_generator(h, weights)
-    da, ds = len(rho_a), h.dim // len(rho_a)
-    top = int(np.argmax(np.diagonal(rho_a).real)) * (da + 1)  # B_top = rho_A
-    units = np.eye(da * da, dtype=np.complex128).reshape(-1, da, da)
-    units[top] = rho_a
-    basis = np.kron(np.eye(ds * ds).reshape(-1, 1, ds, ds), units).reshape(-1, h.dim ** 2).T
-    inverse = np.linalg.inv(basis)
-    reset = np.kron(np.eye(ds * ds), np.outer(np.eye(da * da)[top], np.eye(da).reshape(-1)))
-    generator = (inverse @ commutator @ basis) * dt + rate * (reset - np.eye(len(reset)))
-    return basis @ _expm(generator) @ inverse, rho_a
+    w, eye = np.asarray(weights, dtype=float), np.eye(h.dim)
+    ds = h.dim // len(w)
+    commutator = _in_window(-1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T)), w, ds)
+    attach, trace = _ancilla_maps(w, ds)
+    return _expm(commutator * dt + rate * (attach @ trace - np.eye(h.dim ** 2))), w
 
 
-def propagate_maps(step: np.ndarray, fresh: np.ndarray, system_dim: int, n_steps: int):
-    """Superoperators of rho -> Tr_A W_j, W_j = step W_{j-1} from W_0 = rho (x) rho_A, for
-    j = 0..n_steps, as an (n_steps + 1, d_s^2, d_s^2) array.
+def propagate_maps(step: np.ndarray, weights, system_dim: int, n_steps: int):
+    """Superoperators of rho -> Tr_A W_j, W_j = step W_{j-1} from W_0 = rho (x) rho_A,
+    rho_A = diag(weights), for j = 0..n_steps, as an (n_steps + 1, d_s^2, d_s^2) array.
 
-    The step acts as T = Q step Q^dagger on real coefficients in the basis Q of
-    ``quantum._hermitian_basis``; a T with an imaginary part above ``imaginary_residue`` raises
-    InternalConsistencyError. The inputs X are the system's basis matrices G_b, plus |0><0|
-    where Tr G_b = 0, so every window has unit trace. The reduced states Y_{j+i} = Tr_A T^i W_j,
-    i = 1..b, b = ceil(sqrt(n_steps)), of a block come from one product of the stacked rows
+    The step is a real matrix in window coordinates (``_ancilla_maps``), where every window is
+    Hermitian by construction and attaching rho_A, Tr_A and the system's trace are sums of
+    coefficients. The inputs X are the system's units P_b, plus E_00 where Tr P_b = 0, so every
+    window has unit trace. The reduced states Y_{j+i} = Tr_A T^i W_j, i = 1..b,
+    b = ceil(sqrt(n_steps)), of a block come from one product of the stacked rows
     Tr_A T, ..., Tr_A T^b with the block's first window W_j, which T^b then carries to the
     next block; no window is kept per step. Each reduced state is divided by its own trace,
     which for a linear step equals renormalizing the window after every step. Each map is
-    S = Y X^{-1}, brought back to the vec basis by ``quantum._hermitian_to_vec``.
+    S = P Y X^-1 P^-1 (``quantum._hermitian_units``), read out with one product whose entries
+    are 0, +-1, +-i, +-1/2 and +-i/2: S_0 is the identity bit for bit. Each product is a row
+    chunk of at most 2^18 multiply-adds, which OpenBLAS keeps on one thread.
     """
-    ds, d = system_dim, system_dim * fresh.shape[0]
-    q, qs = _hermitian_basis(d), _hermitian_basis(ds)
-    t = _hermitian_real(q @ step @ q.conj().T, "the step").copy()
-    trace_row = (qs @ np.eye(ds).reshape(-1)).real  # Tr G_b, so Tr Y = trace_row @ y
-    eye = np.eye(ds * ds)
-    x = eye + np.outer(eye[0], 1.0 - trace_row)
-    reduced = (qs @ trace_ancilla_superop(ds, fresh.shape[0]) @ q.conj().T).real
-    window = (q @ attach_superop(fresh, ds) @ qs.conj().T).real @ x
+    ds, d2 = system_dim, len(step)
+    attach, reduced = _ancilla_maps(weights, ds)
+    trace_row, eye = np.eye(ds).reshape(-1), np.eye(ds * ds)  # Tr P_b, so Tr Y = trace_row @ y
+    x = eye + np.outer(eye[0], 1.0 - trace_row)  # X^-1 = 2 - X: the added E_00s square to 0
+    window = attach @ x
     block = max(1, math.ceil(math.sqrt(n_steps)))
-    powers = t[None]  # T, T^2, ..., T^block by doubling: T^m T^i is T^{m+i}
+    powers = step[None]  # T, T^2, ..., T^block by doubling: T^m T^i is T^{m+i}
     while len(powers) < block:
         powers = np.concatenate((powers, powers[-1] @ powers[:block - len(powers)]))
-    readout = (reduced @ powers).reshape(-1, d * d)  # Tr_A T^i, i = 1..block, stacked
+    readout = (reduced @ powers).reshape(-1, d2)  # Tr_A T^i, i = 1..block, stacked
     states = np.empty((n_steps + 1, ds * ds, ds * ds))
     states[0] = reduced @ window
     for j in range(0, n_steps, block):
@@ -290,4 +304,12 @@ def propagate_maps(step: np.ndarray, fresh: np.ndarray, system_dim: int, n_steps
         np.matmul(readout[:y.size // (ds * ds)], window, out=y.reshape(-1, ds * ds))
         y /= (trace_row @ y)[:, None, :]
         window = powers[-1] @ window
-    return _hermitian_to_vec((states @ np.linalg.inv(x)).reshape(n_steps + 1, -1), ds)
+    coeffs = (states @ (2.0 * eye - x)).reshape(n_steps + 1, -1)
+    units, inverse = _hermitian_units(ds)
+    back = np.kron(units, inverse.T)  # vec(P C P^-1) = (P (x) P^-T) vec C
+    out = np.empty((n_steps + 1, len(back)), dtype=np.complex128)  # filled by parts: no copy
+    rows = max(1, 2**18 // back.size)
+    for j in range(0, n_steps + 1, rows):
+        out.real[j:j + rows] = coeffs[j:j + rows] @ back.real.T
+        out.imag[j:j + rows] = coeffs[j:j + rows] @ back.imag.T
+    return out.reshape(n_steps + 1, ds * ds, ds * ds)

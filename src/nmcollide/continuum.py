@@ -11,7 +11,10 @@ The series is the Dyson expansion, in the reset term, of one generator
 on system (x) a single ancilla, L = -i[H, .] + Gamma (R - 1) with
 R(W) = Tr_A(W) (x) rho_A, so that Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A).
 Every route takes one H and rho_A = diag(bath.weight_vector), the
-protocol's own, and the collision engine's attach and trace matrices.
+protocol's own. The kernel's modes take the collision engine's attach and
+trace matrices on row-major vecs; the embedding and the protocol run in
+the engine's window coordinates, where attaching rho_A, Tr_A and the reset
+are exact.
 The kernel has one constructor, ``build_kernel_map(h, weights)``: E(t) as
 its exponential modes on H and rho_A = diag(weights), which
 ``MemoryKernelMap.maps(times)`` samples. It and the routes below return
@@ -22,9 +25,9 @@ vectorized density matrices with its times:
   Tr_A e^{L t}(rho (x) rho_A), with one step e^{L dt} from
   ``collisions.generator_step`` stepped through the engine's window loop.
   The step is exact in double precision at any finite Gamma dt, for a
-  pure and a thermal bath, so the maps are within ~1e-13 of the closed
-  form over a thousand steps. The CLI's series and thermal modes take
-  their maps from it.
+  pure and a thermal bath, so the maps are within 1e-13 of the closed
+  form over thousands of steps, and the map at t = 0 is the identity bit
+  for bit. The CLI's series and thermal modes take their maps from it.
 * ``lambda_series``: the paper's form, the whole series on a uniform grid,
   as the solution of its Volterra equation
   X(t) = B1(t) + Gamma int_0^t B1(s) X(t - s) ds, B1 = e^{-Gamma t} E(t),
@@ -71,7 +74,7 @@ import numpy as np
 from .collisions import (BathSpec, CollisionConfig, _expm, attach_superop, generator_step,
                          propagate_maps, protocol_step, trace_ancilla_superop)
 from .errors import ConfigurationError, InternalConsistencyError
-from .quantum import DensityOperator, HermitianOperator, _hermitian_basis
+from .quantum import DensityOperator, HermitianOperator, _hermitian_units
 from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
@@ -293,22 +296,22 @@ def _hat_integrals(x: np.ndarray) -> tuple:
 def _distinct_modes(kernel: MemoryKernelMap) -> tuple:
     """(rates, mats): the kernel's modes with equal rates summed, each rate once.
 
-    Raises InternalConsistencyError unless E(t) preserves Hermiticity: its coefficients in the
-    basis Q of ``_hermitian_basis`` are real at every t iff the mode of each rate r is the
-    conjugate of the mode of r* (zero where r* is no rate), since distinct exponentials are
-    independent. Half the largest mismatch bounds the imaginary part the modes give E(t). Raises
-    ConfigurationError unless E(0) = 1, where every solve starts."""
+    Raises InternalConsistencyError unless E(t) preserves Hermiticity: its coefficients
+    P^-1 E(t) P on the Hermitian units of ``quantum._hermitian_units`` are real at every t iff
+    the mode of each rate r is the conjugate of the mode of r* (zero where r* is no rate), since
+    distinct exponentials are independent. Half the largest mismatch bounds the imaginary part
+    the modes give E(t). Raises ConfigurationError unless E(0) = 1, where every solve starts."""
     rates, which = np.unique(kernel.rates, return_inverse=True)
     mats = np.zeros((len(rates),) + kernel.mats.shape[1:], dtype=np.complex128)
     np.add.at(mats, which, kernel.mats)
-    q = _hermitian_basis(kernel.system_dim)
-    coeffs = q @ mats @ q.conj().T
+    units, inverse = _hermitian_units(kernel.system_dim)
+    coeffs = inverse @ mats @ units
     partner = rates[:, None] == rates.conj()[None, :]  # at most one partner: the rates differ
     residue = 0.5 * float(np.max(np.abs(coeffs - np.einsum("rs,sab->rab", partner, coeffs.conj()))))
     if not residue <= DEFAULT_TOLERANCES.imaginary_residue:
         raise InternalConsistencyError(f"the kernel does not preserve Hermiticity: imaginary part "
                                        f"{residue:.3e} in a Hermitian basis")
-    start = float(np.max(np.abs(mats.sum(axis=0) - np.eye(len(q)))))
+    start = float(np.max(np.abs(mats.sum(axis=0) - np.eye(len(units)))))
     if not start <= DEFAULT_TOLERANCES.kernel_identity:
         raise ConfigurationError(f"the kernel's E(0) is not the identity map: max entry "
                                  f"difference {start:.3e}")

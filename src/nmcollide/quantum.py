@@ -6,7 +6,10 @@ dimensions in the brute-force test oracle), so dense storage wins on both
 speed and simplicity. Every Hermitian spectrum, positivity checks and
 trace distances included, comes from ``hermitian_spectra``: it solves each
 exact block of a stack's joint zero pattern on its own, 1x1 and 2x2 blocks
-in closed form, and never calls a general eigensolver.
+in closed form, and never calls a general eigensolver. The engine's real
+coordinates start from ``_hermitian_units``: the Hermitian units E_ii,
+E_ij + E_ji and i(E_ij - E_ji), whose change of basis to row-major vecs,
+and back, rounds nothing.
 
 Index convention: a composite space is the Kronecker product with the
 first factor slowest, i.e. ``np.kron(a, b)`` puts ``a`` on the leading
@@ -282,34 +285,24 @@ def trace_distances(a, b) -> np.ndarray:
     return 0.5 * np.sum(np.abs(hermitian_spectra(a - b)), axis=-1)
 
 
-def _hermitian_basis(dim: int) -> np.ndarray:
-    """Q, whose row a = (i, j) is vec(G_a)^dagger for the orthonormal Hermitian basis G_ii = E_ii,
-    G_ij = (E_ij + E_ji)/sqrt2 (i < j), G_ij = i(E_ij - E_ji)/sqrt2 (i > j). T = Q S Q^dagger
-    holds Tr(G_a S(G_b)), real whenever S maps Hermitian matrices to Hermitian ones."""
+def _hermitian_units(dim: int) -> tuple:
+    """(P, P^-1) for the Hermitian units P_b of dimension dim, b = (i, j): P_ii = E_ii,
+    P_ij = E_ij + E_ji (i < j) and P_ij = i(E_ij - E_ji) (i > j). Column b of P is row-major
+    vec(P_b). The units are orthogonal, so P^-1 = P^dagger / ||P_b||^2 with ||P_b||^2 = 1 on the
+    diagonal and 2 off it: the entries of P and P^-1 are 0, +-1, +-i, 1/2 and +-i/2, and
+    P^-1 P = 1 bit for bit. A Hermitian X has the real coefficients P^-1 vec(X), and a map S
+    that preserves Hermiticity the real matrix P^-1 S P."""
     e = np.eye(dim * dim).reshape(dim, dim, dim * dim)  # e[i, j] = vec(E_ij)
     i, j = np.indices((dim, dim))[..., None]
-    sym, anti = np.sqrt(0.5) * (e + e.transpose(1, 0, 2)), np.sqrt(0.5) * (e - e.transpose(1, 0, 2))
-    return np.where(i < j, sym, np.where(i > j, -1j * anti, e)).reshape(dim * dim, dim * dim)
-
-
-def _hermitian_to_vec(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """Superoperators S = Q^dagger T Q on row-major vec from the real coefficients T of
-    ``_hermitian_basis`` Q, given as an (n, dim^4) array of row-major vec(T): an (n, dim^2, dim^2)
-    complex array. Each product is a row chunk of at most 2^18 multiply-adds, which OpenBLAS
-    keeps on one thread: no idle threads woken to spin."""
-    q = _hermitian_basis(dim)
-    back = np.kron(q.conj().T, q.T)  # vec(Q^dagger T Q) = (Q^dagger (x) Q^T) vec T
-    out = np.empty((len(coeffs), len(back)), dtype=np.complex128)  # filled by parts: no copy
-    rows = max(1, 2**18 // back.size)
-    for j in range(0, len(coeffs), rows):
-        out.real[j:j + rows] = coeffs[j:j + rows] @ back.real.T
-        out.imag[j:j + rows] = coeffs[j:j + rows] @ back.imag.T
-    return out.reshape(len(coeffs), dim * dim, dim * dim)
+    sym, anti = e + e.transpose(1, 0, 2), 1j * (e - e.transpose(1, 0, 2))
+    units = np.where(i < j, sym, np.where(i > j, anti, e)).reshape(dim * dim, dim * dim)
+    return units.T, units.conj() / np.where(i == j, 1.0, 2.0).reshape(-1, 1)
 
 
 def _hermitian_real(coeffs: np.ndarray, what: str) -> np.ndarray:
-    """The real part of a map's coefficients in the basis of ``_hermitian_basis``, once their
-    imaginary part is within imaginary_residue; else ``what`` does not preserve Hermiticity."""
+    """The real part of a map's coefficients in a basis of Hermitian matrices
+    (``_hermitian_units``), once their imaginary part is within imaginary_residue; else ``what``
+    does not preserve Hermiticity."""
     residue = float(np.max(np.abs(coeffs.imag)))
     if not residue <= DEFAULT_TOLERANCES.imaginary_residue:
         raise InternalConsistencyError(f"{what} does not preserve Hermiticity: imaginary part "

@@ -354,9 +354,10 @@ def calibrated_swap_probability(gamma_bar: float, t_c: float) -> float:
     p_s = e^{-gamma_bar * t_c} (rescaled time units) is the exact coefficient
     of the reset semigroup: e^{B t_c} = p_s 1 + (1 - p_s) R for
     B = gamma_bar (R - 1), since R^2 = R. With it the protocol step is the
-    splitting e^{A t_c} e^{B t_c} of the generator of the continuous limit
-    (``collisions.reset_generator``), which the protocol approaches at
-    second order in t_c.
+    splitting e^{A t_c} e^{B t_c} (``collisions.protocol_step``) of the
+    generator of the continuous limit, whose exact step is
+    ``collisions.generator_step``; the protocol approaches it at second
+    order in t_c.
     """
     return float(np.exp(-gamma_bar * t_c))
 

@@ -1306,6 +1306,15 @@ def test_shipped_config_runs_and_reruns_identically(tmp_path, config):
     assert oracle_csv(np.array(cells).reshape(-1, len(cli.CSV_COLUMNS))) == first
 
 
+@pytest.mark.parametrize("name", ["discrete", "series_vs_discrete"])
+def test_first_row_is_the_identity_map(tmp_path, name):
+    # the engine's S_0 is the identity bit for bit, so tau = 0 writes beta1 = 1 and a Choi
+    # spectrum whose least eigenvalue is exactly 0
+    assert main(["run", str(CONFIG_DIR / f"{name}.json"), "--output-dir", str(tmp_path)]) == 0
+    tau, _, beta1, beta2, _, min_choi_eig = read_rows(tmp_path)[0]
+    assert (tau, beta1, beta2, min_choi_eig) == ("0", "1", "1", "0")
+
+
 SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
 ROOT = CONFIG_DIR.parent
 

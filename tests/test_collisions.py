@@ -4,6 +4,8 @@ import pytest
 import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
+import nmcollide.collisions as collisions
+import nmcollide.continuum as continuum
 from nmcollide import (
     BathSpec,
     CollisionConfig,
@@ -15,16 +17,15 @@ from nmcollide import (
     brute_force_chain,
     discrete_maps,
     random_density_operator,
-    reset_superop,
     thermal_weights,
     trace_distance,
     unitary_evolution,
 )
-from nmcollide.collisions import (_expm, attach_superop, generator_step, propagate_maps,
-                                  protocol_step, reset_generator, trace_ancilla_superop)
+from nmcollide.collisions import (_ancilla_maps, _expm, _in_window, attach_superop, generator_step,
+                                  propagate_maps, protocol_step, trace_ancilla_superop)
 from nmcollide.continuum import TimeGrid, build_kernel_map, lambda_embedding
 from nmcollide.jaynes_cummings import beta_arrays
-from nmcollide.quantum import _hermitian_basis, _hermitian_to_vec
+from nmcollide.quantum import _hermitian_units
 from nmcollide.verify import purified_pair_ket
 
 PROBE = DensityOperator(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
@@ -47,13 +48,44 @@ def ground_window(rho: DensityOperator) -> np.ndarray:
     return np.kron(rho.data, DensityOperator.basis(2, 0).data)
 
 
+def vec_commutator(h) -> np.ndarray:
+    """-i[H, .] on row-major vec(W): vec(H W - W H) = (H (x) 1 - 1 (x) H^T) vec(W)."""
+    eye = np.eye(h.dim)
+    return -1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T))
+
+
+def vec_reset(rho_a: np.ndarray, ds: int) -> np.ndarray:
+    """R(W) = Tr_A(W) (x) rho_A on row-major vec(W), by its index formula:
+    R[(s,a,t,b), (s',c,t',c')] = delta_ss' delta_tt' delta_cc' rho_A[a,b]."""
+    eye_s, da = np.eye(ds), len(rho_a)
+    return np.einsum("sS,tT,cC,ab->satbScTC", eye_s, eye_s, np.eye(da), rho_a).reshape(
+        (ds * da) ** 2, (ds * da) ** 2)
+
+
+def window_basis(weights, ds: int) -> np.ndarray:
+    """M, whose column (b, m) is vec(P_b (x) B_m), written with np.kron: the system's Hermitian
+    units P_b times the ancilla's B_m, the one on the largest weight replaced by diag(weights).
+    A step T in window coordinates is M T M^-1 on row-major vecs."""
+    da = len(weights)
+    ancilla = [u.reshape(da, da) for u in _hermitian_units(da)[0].T]
+    ancilla[int(np.argmax(weights)) * (da + 1)] = np.diag(weights)
+    return np.array([np.kron(p.reshape(ds, ds), b).reshape(-1)
+                     for p in _hermitian_units(ds)[0].T for b in ancilla]).T
+
+
+def in_vec_basis(step: np.ndarray, weights, ds: int = 2) -> np.ndarray:
+    """A window-coordinate step as a matrix on row-major vec(W): M T M^-1."""
+    m = window_basis(weights, ds)
+    return m @ step @ np.linalg.inv(m)
+
+
 class TestSaCollision:
     """One SA collision is the protocol step at p_s = 1, where no ancilla is reset: U W U^dag."""
 
     @staticmethod
     def collide(window: np.ndarray, h, t_c: float) -> np.ndarray:
-        step, _ = protocol_step(pure_cfg(h, t_c=t_c, p_s=1.0, n_steps=1))
-        return (step @ window.reshape(-1)).reshape(window.shape)
+        step, w = protocol_step(pure_cfg(h, t_c=t_c, p_s=1.0, n_steps=1))
+        return (in_vec_basis(step, w) @ window.reshape(-1)).reshape(window.shape)
 
     def test_zero_time_is_identity(self, jc_h):
         joint = ground_window(PROBE)
@@ -229,27 +261,34 @@ class TestResetSplitting:
     ])
     @pytest.mark.parametrize("gamma, t_c", [(1.0, 0.05), (50.0, 0.002), (0.3, 1.7)])
     def test_transfer_matrix_is_unitary_after_reset_semigroup(self, jc_h, weights, gamma, t_c):
-        commutator, reset, fresh = reset_generator(jc_h, weights)
-        split = scipy.linalg.expm(commutator * t_c) @ scipy.linalg.expm(
+        reset = vec_reset(np.diag(weights).astype(np.complex128), 2)
+        split = scipy.linalg.expm(vec_commutator(jc_h) * t_c) @ scipy.linalg.expm(
             gamma * t_c * (reset - np.eye(16)))
         bath = BathSpec(kind="thermal", weights=weights)
         cfg = CollisionConfig(2, 2, jc_h, t_c=t_c, p_s=float(np.exp(-gamma * t_c)), n_steps=1,
                               bath=bath)
-        step, rho_a = protocol_step(cfg)
-        assert np.max(np.abs(split - step)) < 1e-14
-        assert np.array_equal(rho_a, fresh)
+        step, w = protocol_step(cfg)
+        assert step.dtype == np.float64
+        assert np.max(np.abs(split - in_vec_basis(step, w))) < 1e-14
+        assert np.array_equal(w, weights)
 
     def test_generator_parts(self, jc_h):
-        commutator, reset, rho_a = reset_generator(jc_h, (0.7, 0.3))
+        # in window coordinates the reset is a matrix of 0 and 1, and both parts are the
+        # vec-basis -i[H, .] and R once mapped back
+        weights = np.array([0.7, 0.3])
+        attach, trace = _ancilla_maps(weights, 2)
+        reset = attach @ trace
+        assert set(np.unique(reset)) == {0.0, 1.0}
+        m = window_basis(weights, 2)
+        assert np.max(np.abs(m @ reset @ np.linalg.inv(m) - vec_reset(np.diag(weights), 2))) < 1e-15
+        commutator = in_vec_basis(_in_window(vec_commutator(jc_h), weights, 2), weights)
         w = random_density_operator(4, np.random.default_rng(3)).data
         expected = -1j * (jc_h.data @ w - w @ jc_h.data)
         assert np.max(np.abs(commutator @ w.reshape(-1) - expected.reshape(-1))) < 1e-15
-        assert np.array_equal(reset, reset_superop(rho_a, 2))
-        assert np.array_equal(rho_a, np.diag([0.7, 0.3]))
 
     def test_reset_is_idempotent_and_replaces_the_ancilla(self):
         rho_a = np.diag([0.7, 0.3]).astype(np.complex128)
-        reset = reset_superop(rho_a, 2)
+        reset = vec_reset(rho_a, 2)
         assert np.max(np.abs(reset @ reset - reset)) < 1e-15
         w = np.kron(PROBE.data, np.diag([0.2, 0.8]))
         out = (reset @ w.reshape(-1)).reshape(4, 4)
@@ -261,9 +300,8 @@ def reference_step(h, weights, gamma, dt):
     doubles of H, the weights, gamma and dt taken as exact numbers. Each connected block of L's
     zero pattern is exponentiated on its own, which for the exchange coupling cuts the 16x16
     exponential into blocks of at most 6x6."""
-    eye = np.eye(h.dim)
-    commutator = -1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T))
-    reset = reset_superop(np.diag(weights).astype(np.complex128), h.dim // len(weights))
+    commutator = vec_commutator(h)
+    reset = vec_reset(np.diag(weights).astype(np.complex128), h.dim // len(weights))
     n_blocks, label = connected_components((commutator != 0) | (reset != 0), directed=False)
     out = np.zeros_like(commutator)
     with mpmath.workdps(60):
@@ -297,17 +335,18 @@ class TestGeneratorStep:
     @pytest.mark.parametrize("dt", [0.0025, 0.1])
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 20.0, 1e4, 1e6, 1e8, 1e20])
     def test_matches_a_60_digit_exponential(self, jc_h, weights, dt, gamma):
-        # largest difference 1.8e-15 (pure, dt = 0.1, gamma = 1e8); the same _expm of L dt in
-        # the vec basis is 4.6e-14 off for the thermal bath at gamma = 1e6, dt = 0.0025, and
-        # 1.1e-11 at 1e8
-        step, rho_a = generator_step(jc_h, np.array(weights), gamma, dt)
-        assert np.array_equal(rho_a, np.diag(weights))
-        assert float(np.max(np.abs(step - reference_step(jc_h, weights, gamma, dt)))) < 1e-14
+        # the step in window coordinates, compared as M T M^-1: largest difference 1.7e-15
+        # (thermal, dt = 0.1, gamma = 1e8); the same _expm of L dt in the vec basis is 4.6e-14
+        # off for the thermal bath at gamma = 1e6, dt = 0.0025, and 1.1e-11 at 1e8
+        step, w = generator_step(jc_h, np.array(weights), gamma, dt)
+        assert np.array_equal(w, weights) and step.dtype == np.float64
+        expected = reference_step(jc_h, weights, gamma, dt)
+        assert float(np.max(np.abs(in_vec_basis(step, w) - expected))) < 1e-14
 
     @pytest.mark.parametrize("w", [0.269, 0.5])
     @pytest.mark.parametrize("gamma", [0.5, 2.0, 20.0, 1e4, 1e8, 1e12])
     def test_thermal_maps_are_the_affine_form_of_the_betas(self, jc_h, w, gamma):
-        # largest difference 2.8e-13 (w = 0.5, gamma = 1e8)
+        # largest difference 7.6e-14 (w = 0.269, gamma = 1e8)
         maps = lambda_embedding(jc_h, (1.0 - w, w), gamma, TimeGrid(t_max=5.0, n_points=1001))
         expected = affine_thermal_maps(maps.times, gamma, w)
         assert float(np.max(np.abs(maps.superops - expected))) < 1e-12
@@ -365,7 +404,9 @@ class TestAncillaBookkeeping:
         expected = np.einsum(
             "sS,tT,cC,ab->satbScTC", eye_s, eye_s, np.eye(da), rho_a
         ).reshape(d * d, d * d)
-        assert np.array_equal(reset_superop(rho_a, ds), expected)
+        reset = attach_superop(rho_a, ds) @ trace_ancilla_superop(ds, da)
+        assert np.array_equal(reset, expected)
+        assert np.array_equal(vec_reset(rho_a, ds), expected)
 
 
 def _extended(x) -> np.longdouble:
@@ -412,22 +453,21 @@ def long_run_cfg(h, weights, t_c=0.01, n_steps=2000):
                            bath=bath)
 
 
-def step_by_step_maps(step, fresh, ds, n_steps):
-    """``propagate_maps`` with one product per step: the Hermitian-basis matmul, then every
-    column renormalized to unit trace, after each step."""
-    d = ds * fresh.shape[0]
-    q, qs = _hermitian_basis(d), _hermitian_basis(ds)
-    t = (q @ step @ q.conj().T).real
-    trace_row = (q @ np.eye(d).reshape(-1)).real
+def step_by_step_maps(step, weights, ds, n_steps):
+    """``propagate_maps`` with one product per step: the window-coordinate matmul, then every
+    column renormalized to unit trace, after each step; the maps P Y X^-1 P^-1 by matmul."""
+    da = len(weights)
+    attach, reduced = _ancilla_maps(weights, ds)
+    trace_row = np.kron(np.eye(ds).reshape(-1), np.eye(da).reshape(-1))  # Tr(P_b (x) B_m)
     eye = np.eye(ds * ds)
-    x = eye + np.outer(eye[0], 1.0 - (qs @ np.eye(ds).reshape(-1)).real)
-    history = np.empty((n_steps + 1, d * d, ds * ds))
-    history[0] = (q @ attach_superop(fresh, ds) @ qs.conj().T).real @ x
+    x = eye + np.outer(eye[0], 1.0 - np.eye(ds).reshape(-1))
+    history = np.empty((n_steps + 1, len(step), ds * ds))
+    history[0] = attach @ x
     for j in range(1, n_steps + 1):
-        w = np.matmul(t, history[j - 1], out=history[j])
+        w = np.matmul(step, history[j - 1], out=history[j])
         w /= trace_row @ w
-    reduced = (qs @ trace_ancilla_superop(ds, fresh.shape[0]) @ q.conj().T).real
-    return _hermitian_to_vec((reduced @ history @ np.linalg.inv(x)).reshape(n_steps + 1, -1), ds)
+    units, inverse = _hermitian_units(ds)
+    return units @ (reduced @ history @ np.linalg.inv(x)) @ inverse
 
 
 class TestDiscreteMaps:
@@ -438,11 +478,11 @@ class TestDiscreteMaps:
     def test_blocks_match_the_step_by_step_loop(self, jc_h, weights, n_steps):
         # the loop reads ceil(sqrt(n)) reduced states per product: one block (n = 1), a partial
         # last block (2, 3, 15, 17, 2000) and exact squares (16); the largest difference is
-        # 1.7e-15, thermal at 2000 steps
-        step, fresh = protocol_step(long_run_cfg(jc_h, weights, n_steps=n_steps))
-        blocked = propagate_maps(step, fresh, 2, n_steps)
+        # 3.6e-15, thermal at 2000 steps
+        step, w = protocol_step(long_run_cfg(jc_h, weights, n_steps=n_steps))
+        blocked = propagate_maps(step, w, 2, n_steps)
         assert blocked.shape == (n_steps + 1, 4, 4)
-        assert float(np.max(np.abs(blocked - step_by_step_maps(step, fresh, 2, n_steps)))) < 1e-14
+        assert float(np.max(np.abs(blocked - step_by_step_maps(step, w, 2, n_steps)))) < 1e-14
 
     @pytest.mark.parametrize("bath, n_steps", [
         pytest.param(BathSpec(kind="pure_ground"), 6, id="pure"),
@@ -464,9 +504,8 @@ class TestDiscreteMaps:
     @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
     def test_matches_extended_precision(self, jc_h, weights, rho):
         # 2000 steps against a recursion that shares no engine code. Largest deviation,
-        # excited / probe: 7.5e-15 / 2.3e-15 (pure) and 1.0e-14 / 1.0e-14 (thermal) with
-        # the trace renormalization (7.3e-15 / 2.4e-15 and 9.9e-15 / 9.8e-15 stepping one
-        # product at a time); 9.6e-14 / 2.9e-14 and 2.7e-13 / 2.4e-13 without it
+        # excited / probe: 7.1e-15 / 3.8e-15 (pure) and 1.0e-14 / 1.0e-14 (thermal) with
+        # the trace renormalization; 9.6e-14 / 2.9e-14 and 2.7e-13 / 2.4e-13 without it
         cfg = long_run_cfg(jc_h, weights)
         reference = extended_window_recursion(
             jc_h.data, cfg.t_c, cfg.p_s, weights, rho.data, cfg.n_steps
@@ -482,10 +521,38 @@ class TestDiscreteMaps:
         assert np.max(np.abs(marginal - np.eye(2))) < 1e-14
 
     def test_refuses_a_step_that_breaks_hermiticity(self):
+        # every step enters window coordinates through _in_window, which checks it there
         rng = np.random.default_rng(5)
         step = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         with pytest.raises(InternalConsistencyError, match="does not preserve Hermiticity"):
-            propagate_maps(step, np.diag([1.0, 0.0]).astype(np.complex128), 2, 3)
+            _in_window(step, np.array([1.0, 0.0]), 2)
+
+    @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
+    def test_first_map_is_the_identity_bitwise(self, jc_h, weights):
+        # attaching rho_A, Tr_A and the readout through the Hermitian units round nothing
+        stack = discrete_maps(long_run_cfg(jc_h, weights, n_steps=3))
+        embedded = lambda_embedding(jc_h, weights, 1.5, TimeGrid(t_max=1.0, n_points=4))
+        assert np.array_equal(stack.superops[0], np.eye(4))
+        assert np.array_equal(embedded.superops[0], np.eye(4))
+
+    def test_runs_without_the_vec_basis_bookkeeping(self, jc_h, monkeypatch):
+        # the steps and the loop attach rho_A and take Tr_A in window coordinates; only the
+        # kernel's modes read attach_superop and trace_ancilla_superop
+        bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=0.7)
+        cfg = CollisionConfig(2, 2, jc_h, t_c=0.1, p_s=0.6, n_steps=5, bath=bath)
+        weights, grid = bath.weight_vector(2), TimeGrid(t_max=1.0, n_points=6)
+        stored = discrete_maps(cfg).superops, lambda_embedding(jc_h, weights, 2.0, grid).superops
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("vec-basis bookkeeping called")
+
+        for module in (collisions, continuum):
+            monkeypatch.setattr(module, "attach_superop", refuse)
+            monkeypatch.setattr(module, "trace_ancilla_superop", refuse)
+        with pytest.raises(RuntimeError, match="bookkeeping"):  # the patches reach their callers
+            build_kernel_map(jc_h, weights)
+        assert np.array_equal(discrete_maps(cfg).superops, stored[0])
+        assert np.array_equal(lambda_embedding(jc_h, weights, 2.0, grid).superops, stored[1])
 
 
 def _corrupted(kind):

@@ -16,6 +16,7 @@ from nmcollide import (
     trace_distances,
     unitary_evolution,
 )
+from nmcollide.quantum import _hermitian_units
 
 from conftest import density_operators, kraus_action, kraus_channels
 
@@ -335,3 +336,14 @@ class TestOperators:
     def test_hermitian_rejects_zero_size(self):
         with pytest.raises(ValidationError, match="nonempty"):
             HermitianOperator(np.zeros((0, 0)))
+
+
+class TestHermitianUnits:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_inverse_is_exact(self, d):
+        units, inverse = _hermitian_units(d)
+        assert np.array_equal(inverse @ units, np.eye(d * d))
+        assert set(np.unique(units)) <= {0, 1, -1j, 1j}
+        assert set(np.unique(inverse)) <= {0, 1, 0.5, -0.5j, 0.5j}
+        for p in units.T.reshape(-1, d, d):
+            assert np.array_equal(p, p.conj().T)

@@ -108,9 +108,10 @@ class TestBruteForceChain:
             raise RuntimeError("the engine was called")
 
         for module in (quantum, collisions, continuum, jaynes_cummings, verify):
-            for name in ("propagate_maps", "protocol_step", "reset_generator", "attach_superop",
-                         "trace_ancilla_superop", "discrete_maps", "_hermitian_basis",
-                         "jc_maps", "beta1", "beta2", "beta_arrays"):
+            for name in ("propagate_maps", "protocol_step", "generator_step", "_in_window",
+                         "_ancilla_maps", "attach_superop", "trace_ancilla_superop",
+                         "discrete_maps", "_hermitian_units", "jc_maps", "beta1", "beta2",
+                         "beta_arrays"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         with pytest.raises(RuntimeError, match="engine"):  # the patches reach the engine's calls
