@@ -81,7 +81,7 @@ from .errors import (
 from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .tolerances import DEFAULT_TOLERANCES
 from .verify import (calibrated_swap_probability, certify_cpt, convergence_study,
-                     probe_distances, probe_trace_defect, random_density_operator)
+                     probe_distances, probe_trace_defect, random_density_stack)
 
 CSV_HEADER = "tau,gamma_bar,beta1,beta2,trace_distance_vs_discrete,min_choi_eig"
 CSV_COLUMNS = tuple(CSV_HEADER.split(","))
@@ -315,11 +315,6 @@ def _tau_gamma_grid(cfg: dict):
     return np.linspace(0.0, cfg["tau_max"], n), gammas
 
 
-def _probe_states(seed: int, count: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return np.array([random_density_operator(2, rng).data for _ in range(count)]).reshape(-1, 2, 2)
-
-
 def _calibrated_gamma(collision: CollisionConfig) -> float:
     """-ln(p_s) / t_c, or NaN at p_s = 0 or t_c = 0; a rate past the largest double is refused."""
     if collision.p_s <= 0 or collision.t_c <= 0:
@@ -348,13 +343,13 @@ def _mode_certify(cfg: dict):
                                  "0 it fails exact CPT maps, above 1e-6 it passes maps far from "
                                  "CPT (the closed form is exact to ~1e-15)")
     taus, gammas = _tau_gamma_grid(cfg)
-    probes = _probe_states(cfg["seed"], cfg["probe_states"])
+    probes = random_density_stack(2, cfg["probe_states"], np.random.default_rng(cfg["seed"]))
     rows, reports, verdict, probe_defect = [], {}, True, 0.0
     for g in gammas:
         stack = jc_maps(taus, g)
-        report = certify_cpt(stack, tolerance, gamma_bar=g)
+        report = certify_cpt(stack, tolerance)
         rows.append(_map_rows(stack, g, report.min_choi_eigenvalue))
-        reports[g] = report.summary(taus)
+        reports[g] = {"gamma_bar": g, **report.summary(taus)}
         verdict = verdict and report.verdict
         probe_defect = max(probe_defect, probe_trace_defect(stack, probes))
     report = {"tolerance": tolerance, "verdict": verdict, "per_gamma": reports,

@@ -23,9 +23,6 @@ diagonal units, the reset R(W) = Tr_A(W) (x) rho_A is a matrix of 0 and 1
 for either bath, and a Hermitian window has real coefficients
 (``_ancilla_maps``). A vec-basis operator enters these coordinates once,
 through ``_in_window``, which checks that it preserves Hermiticity.
-``attach_superop`` (vec rho -> vec(rho (x) rho_A)) and
-``trace_ancilla_superop`` (vec W -> vec Tr_A W) are the same bookkeeping
-on row-major vecs, for the kernel's modes in :mod:`nmcollide.continuum`.
 
 The step is the Lie-Trotter splitting e^{A t_c} e^{B t_c} of
 L = A + B, A = -i[H, .], B = gamma (R - 1): e^{A t_c} = U (x) U*, and
@@ -72,12 +69,10 @@ from .quantum import HermitianOperator, _hermitian_real, _hermitian_units, unita
 __all__ = [
     "BathSpec",
     "CollisionConfig",
-    "attach_superop",
     "generator_step",
     "propagate_maps",
     "protocol_step",
     "thermal_weights",
-    "trace_ancilla_superop",
 ]
 
 
@@ -178,17 +173,6 @@ class CollisionConfig:
             raise ConfigurationError("need at least one step")
 
 
-def attach_superop(rho_a: np.ndarray, system_dim: int) -> np.ndarray:
-    """vec rho -> vec(rho (x) rho_A), row-major, (d^2, d_s^2): columns vec(E_st (x) rho_A)."""
-    units = np.eye(system_dim * system_dim).reshape(-1, system_dim, system_dim)
-    return np.kron(units, rho_a).reshape(system_dim * system_dim, -1).T
-
-
-def trace_ancilla_superop(system_dim: int, ancilla_dim: int) -> np.ndarray:
-    """vec W -> vec(Tr_A W), row-major, (d_s^2, d^2): the adjoint of attaching 1."""
-    return attach_superop(np.eye(ancilla_dim), system_dim).T
-
-
 def _ancilla_maps(weights, system_dim: int) -> tuple:
     """(attach, Tr_A) in window coordinates, the basis P_b (x) B_m of system (x) ancilla: the
     system's Hermitian units P_b (``quantum._hermitian_units``) times the ancilla's, B_m, with
@@ -201,12 +185,14 @@ def _ancilla_maps(weights, system_dim: int) -> tuple:
     return np.kron(eye, top[:, None]), np.kron(eye, np.eye(da).reshape(-1))
 
 
-def _in_window(op: np.ndarray, weights, system_dim: int) -> np.ndarray:
-    """A row-major vec-basis operator on system (x) ancilla in window coordinates
-    (``_ancilla_maps``): M^-1 op M, M's column (b, m) vec(P_b (x) B_m). Every P_b (x) B_m is
-    Hermitian, so the result is real iff op preserves Hermiticity; an imaginary part above
-    ``imaginary_residue`` raises InternalConsistencyError (``quantum._hermitian_real``)."""
-    da, ds = len(weights), system_dim
+def _in_window(op: np.ndarray, weights) -> np.ndarray:
+    """A row-major vec-basis operator on system (x) ancilla, d_s = sqrt(len(op)) / len(weights),
+    in window coordinates (``_ancilla_maps``): M^-1 op M, M's column (b, m) vec(P_b (x) B_m).
+    Every P_b (x) B_m is Hermitian, so the result is real iff op preserves Hermiticity; an
+    imaginary part above ``imaginary_residue`` raises InternalConsistencyError
+    (``quantum._hermitian_real``)."""
+    da = len(weights)
+    ds = math.isqrt(len(op)) // da
     units = _hermitian_units(da)[0].T.reshape(-1, da, da)  # B_m
     units[int(np.argmax(weights)) * (da + 1)] = np.diag(weights)
     basis = np.kron(_hermitian_units(ds)[0].T.reshape(-1, 1, ds, ds), units)
@@ -220,7 +206,7 @@ def protocol_step(cfg: CollisionConfig):
     w = cfg.bath.weight_vector(cfg.ancilla_dim)
     attach, trace = _ancilla_maps(w, cfg.system_dim)
     u = unitary_evolution(cfg.hamiltonian, cfg.t_c)
-    unitary = _in_window(np.kron(u, u.conj()), w, cfg.system_dim)
+    unitary = _in_window(np.kron(u, u.conj()), w)
     return unitary @ (cfg.p_s * np.eye(u.size) + (1.0 - cfg.p_s) * (attach @ trace)), w
 
 
@@ -256,24 +242,29 @@ def generator_step(h: HermitianOperator, weights, gamma: float, dt: float):
 
     ``_expm`` runs in those coordinates, where R and R - 1 have entries that are exactly 0, 1
     or -1, so gamma dt multiplies no rounding; the commutator enters them once
-    (``_in_window``). The step is then within 2e-15 of a 60-digit exponential for either bath at
-    any gamma from 0 to 1e20; the same ``_expm`` of L dt in the vec basis, where R holds the
-    rounded weights, is 4.6e-14 off for a thermal bath at gamma dt = 2500 and 1.1e-11 at 2.5e5
-    (w = 0.269, dt = 0.0025). A gamma dt past the largest double raises FloatingPointError.
+    (``_in_window``). At dt <= 0.1 the step is then within 2e-15 of a 60-digit exponential for
+    either bath at any gamma from 0 to 1e20; the same ``_expm`` of L dt in the vec basis, where
+    R holds the rounded weights, is 4.6e-14 off for a thermal bath at gamma dt = 2500 and
+    1.1e-11 at 2.5e5 (w = 0.269, dt = 0.0025). A longer step keeps a phase dt only to about
+    dt 2^-53, the rounding that ``cli.PHASE_BOUND`` budgets: each squaring rounds the rotation
+    angle. Where nothing damps the rotation the error shows. At gamma = 0 one step is
+    1.7e-14 off the closed form at dt = 100, 1.7e-12 at 1e4 and 2.6e-8 at PHASE_BOUND; at
+    gamma = 0.5 it is 1.1e-16 at each. A gamma dt past the largest double raises
+    FloatingPointError.
     """
     rate = gamma * dt
     if not math.isfinite(rate):  # a product past the largest double is a numerical failure
         raise FloatingPointError(f"gamma * dt = {gamma:g} * {dt:g} overflows")
     w, eye = np.asarray(weights, dtype=float), np.eye(h.dim)
-    ds = h.dim // len(w)
-    commutator = _in_window(-1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T)), w, ds)
-    attach, trace = _ancilla_maps(w, ds)
+    commutator = _in_window(-1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T)), w)
+    attach, trace = _ancilla_maps(w, h.dim // len(w))
     return _expm(commutator * dt + rate * (attach @ trace - np.eye(h.dim ** 2))), w
 
 
-def propagate_maps(step: np.ndarray, weights, system_dim: int, n_steps: int):
+def propagate_maps(step: np.ndarray, weights, n_steps: int):
     """Superoperators of rho -> Tr_A W_j, W_j = step W_{j-1} from W_0 = rho (x) rho_A,
-    rho_A = diag(weights), for j = 0..n_steps, as an (n_steps + 1, d_s^2, d_s^2) array.
+    rho_A = diag(weights), for j = 0..n_steps, as an (n_steps + 1, d_s^2, d_s^2) array,
+    d_s = sqrt(len(step)) / len(weights).
 
     The step is a real matrix in window coordinates (``_ancilla_maps``), where every window is
     Hermitian by construction and attaching rho_A, Tr_A and the system's trace are sums of
@@ -287,7 +278,8 @@ def propagate_maps(step: np.ndarray, weights, system_dim: int, n_steps: int):
     are 0, +-1, +-i, +-1/2 and +-i/2: S_0 is the identity bit for bit. Each product is a row
     chunk of at most 2^18 multiply-adds, which OpenBLAS keeps on one thread.
     """
-    ds, d2 = system_dim, len(step)
+    d2 = len(step)
+    ds = math.isqrt(d2) // len(weights)
     attach, reduced = _ancilla_maps(weights, ds)
     trace_row, eye = np.eye(ds).reshape(-1), np.eye(ds * ds)  # Tr P_b, so Tr Y = trace_row @ y
     x = eye + np.outer(eye[0], 1.0 - trace_row)  # X^-1 = 2 - X: the added E_00s square to 0

@@ -11,8 +11,8 @@ The series is the Dyson expansion, in the reset term, of one generator
 on system (x) a single ancilla, L = -i[H, .] + Gamma (R - 1) with
 R(W) = Tr_A(W) (x) rho_A, so that Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A).
 Every route takes one H and rho_A = diag(bath.weight_vector), the
-protocol's own. The kernel's modes take the collision engine's attach and
-trace matrices on row-major vecs; the embedding and the protocol run in
+protocol's own. The kernel's modes attach rho_A and take Tr_A as
+contractions of H's eigenvectors; the embedding and the protocol run in
 the engine's window coordinates, where attaching rho_A, Tr_A and the reset
 are exact.
 The kernel has one constructor, ``build_kernel_map(h, weights)``: E(t) as
@@ -71,8 +71,8 @@ from typing import Optional
 
 import numpy as np
 
-from .collisions import (BathSpec, CollisionConfig, _expm, attach_superop, generator_step,
-                         propagate_maps, protocol_step, trace_ancilla_superop)
+from .collisions import (BathSpec, CollisionConfig, _expm, generator_step, propagate_maps,
+                         protocol_step)
 from .errors import ConfigurationError, InternalConsistencyError
 from .quantum import DensityOperator, HermitianOperator, _hermitian_units
 from .tolerances import DEFAULT_TOLERANCES
@@ -154,15 +154,18 @@ class MemoryKernelMap:
     samples a whole grid at once.
     """
 
-    system_dim: int
     rates: np.ndarray  # (P,) complex
     mats: np.ndarray  # (P, d^2, d^2) complex
+
+    @property
+    def system_dim(self) -> int:
+        return math.isqrt(self.mats.shape[-1])
 
     def maps(self, times) -> MapStack:
         """E(t) at each time as one MapStack (one map for a scalar time)."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         phases = np.exp(np.outer(self.rates, times))  # (P, n)
-        return MapStack(times, np.einsum("pj,pab->jab", phases, self.mats), self.system_dim)
+        return MapStack(times, np.einsum("pj,pab->jab", phases, self.mats))
 
 
 def _system_dim_and_weights(h: HermitianOperator, weights):
@@ -182,17 +185,19 @@ def build_kernel_map(h: HermitianOperator, weights=(1.0, 0.0)) -> MemoryKernelMa
     ``BathSpec.weight_vector``.
 
     With U = e^{-iHt} = V e^{-i lambda t} V^dag, U (x) U* is diagonal in the basis V (x) V*
-    with entries e^{-i(lambda_a - lambda_b) t}: mode (a, b) is column ab of Tr_A (V (x) V*)
-    times row ab of (V (x) V*)^dag attach.
+    with entries e^{-i(lambda_a - lambda_b) t}: mode (a, b) is Tr_A |v_a><v_b| times
+    <v_a|rho (x) rho_A|v_b>. With the eigenvectors' entries v_a[s, m] on system (x) ancilla,
+    the first is sum_m v_a[s, m] v_b*[t, m] at (s, t), and the second
+    sum_{s,t,m} v_a*[s, m] w_m v_b[t, m] rho[s, t]: two contractions of V.
     """
     system_dim, w = _system_dim_and_weights(h, weights)
     evals, evecs = np.linalg.eigh(h.data)
     rates = (-1j * (evals[:, None] - evals[None, :])).reshape(-1)
-    basis = np.kron(evecs, evecs.conj())
-    left = trace_ancilla_superop(system_dim, len(w)) @ basis  # (d_s^2, modes)
-    right = basis.conj().T @ attach_superop(np.diag(w), system_dim)  # (modes, d_s^2)
+    v = evecs.reshape(system_dim, len(w), -1)  # v[s, m, a] = v_a[s, m]
+    left = np.einsum("sma,tmb->stab", v, v.conj()).reshape(system_dim ** 2, -1)
+    right = np.einsum("sma,m,tmb->abst", v.conj(), w, v).reshape(-1, system_dim ** 2)
     mats = np.einsum("xp,py->pxy", left, right, order="C")  # maps() keeps this layout
-    return MemoryKernelMap(system_dim, rates, mats)
+    return MemoryKernelMap(rates, mats)
 
 
 def adc_decay_kernel(rate: float) -> MemoryKernelMap:
@@ -209,7 +214,6 @@ def adc_decay_kernel(rate: float) -> MemoryKernelMap:
     m1 = np.diag([0.0, 1.0, 1.0, 0.0]).astype(np.complex128)
     m2 = np.diag([0.0, 0.0, 0.0, 1.0]).astype(np.complex128) - e03
     return MemoryKernelMap(
-        system_dim=2,
         rates=np.array([0.0, -rate, -2.0 * rate], dtype=np.complex128),
         mats=np.stack([m0, m1, m2]),
     )
@@ -220,7 +224,8 @@ def adc_decay_kernel(rate: float) -> MemoryKernelMap:
 
 @dataclass(frozen=True)
 class MapStack:
-    """Dynamical maps at a sequence of times, as one (n, d^2, d^2) superoperator array.
+    """Dynamical maps at a sequence of times, as one (n, d^2, d^2) superoperator array; the
+    dimension d is read from its shape.
 
     Every index gives a MapStack: an int j the one-map stack at that time
     (``slice(j, j + 1)``, sharing the array; an int past either end raises
@@ -231,7 +236,10 @@ class MapStack:
 
     times: np.ndarray
     superops: np.ndarray
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self.superops.shape[-1])
 
     def __len__(self) -> int:
         return len(self.superops)
@@ -242,7 +250,7 @@ class MapStack:
             if not 0 <= j < len(self):
                 raise IndexError(f"map index {idx} out of range for {len(self)} maps")
             idx = slice(j, j + 1)
-        return MapStack(self.times[idx], self.superops[idx], self.dim)
+        return MapStack(self.times[idx], self.superops[idx])
 
     def choi(self) -> np.ndarray:
         """The (n, d^2, d^2) stack of Choi matrices: each superoperator reshuffled, then
@@ -262,13 +270,11 @@ class MapStack:
 
 @dataclass(frozen=True)
 class LambdaSeriesResult:
-    """Grid-indexed dynamical maps. The solve truncates nothing, so ``truncation_order`` and
-    ``tail_norm`` are always 0; they stay only while ``bench/`` still reads them (ROADMAP.md,
-    benchmark upkeep)."""
+    """Grid-indexed dynamical maps. The solve truncates nothing, so ``truncation_order`` is
+    always 0; it stays only while ``bench/`` still reads it (ROADMAP.md, benchmark upkeep)."""
 
     maps: MapStack
     truncation_order: int = 0
-    tail_norm: float = 0.0
 
 
 # 1 / (k + 2)!, k = 0..19: the Taylor coefficients of phi2 below; the first dropped term is below
@@ -384,7 +390,7 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
     if not np.all(np.isfinite(out)):
         raise InternalConsistencyError(f"the series at gamma = {gamma:g} on {n} points over "
                                        f"[0, {grid.t_max:g}] is not finite")
-    return LambdaSeriesResult(MapStack(grid.times(), out, kernel.system_dim))
+    return LambdaSeriesResult(MapStack(grid.times(), out))
 
 
 # --- Markovian embedding ------------------------------------------------------
@@ -401,16 +407,16 @@ def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid
     """
     if not 0 <= gamma < math.inf:  # a NaN rate fails too
         raise ConfigurationError("memory-loss rate gamma must be nonnegative and finite")
-    ds, w = _system_dim_and_weights(h, weights)
-    superops = propagate_maps(*generator_step(h, w, gamma, grid.dt), ds, grid.n_points - 1)
-    return MapStack(grid.times(), superops, ds)
+    w = _system_dim_and_weights(h, weights)[1]
+    superops = propagate_maps(*generator_step(h, w, gamma, grid.dt), grid.n_points - 1)
+    return MapStack(grid.times(), superops)
 
 
 def discrete_maps(cfg: CollisionConfig) -> MapStack:
     """The protocol's maps rho_0 -> rho_n at times n * t_c, n = 0..n_steps, for either bath,
     from ``collisions.propagate_maps``: ``discrete_maps(cfg).apply(rho_0)`` is the trajectory."""
-    superops = propagate_maps(*protocol_step(cfg), cfg.system_dim, cfg.n_steps)
-    return MapStack(np.arange(cfg.n_steps + 1) * cfg.t_c, superops, cfg.system_dim)
+    superops = propagate_maps(*protocol_step(cfg), cfg.n_steps)
+    return MapStack(np.arange(cfg.n_steps + 1) * cfg.t_c, superops)
 
 
 # --- memoryless limit --------------------------------------------------------
@@ -421,15 +427,17 @@ class LindbladGenerator:
     """Finite-difference generator of the memoryless semigroup e^{G t}."""
 
     generator: np.ndarray
-    dim: int
-    step: float
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self.generator.shape[-1])
 
     def norm(self) -> float:
         return float(np.max(np.abs(self.generator)))
 
     def semigroup(self, t: float) -> MapStack:
         """e^{G t} as a one-map MapStack."""
-        return MapStack(np.array([float(t)]), _expm(self.generator * t)[None], self.dim)
+        return MapStack(np.array([float(t)]), _expm(self.generator * t)[None])
 
 
 def lindblad_limit(kernel: MemoryKernelMap, h: float, *, order: int = 1) -> LindbladGenerator:
@@ -449,4 +457,4 @@ def lindblad_limit(kernel: MemoryKernelMap, h: float, *, order: int = 1) -> Lind
         gen = (4.0 * s1 - s2 - 3.0 * eye) / (2.0 * h)
     else:
         raise ConfigurationError("difference order must be 1 or 2")
-    return LindbladGenerator(generator=gen, dim=kernel.system_dim, step=h)
+    return LindbladGenerator(gen)

@@ -279,4 +279,4 @@ def jc_maps(taus, gamma_bar) -> MapStack:
     s[:, 1, 1] = b1
     s[:, 2, 2] = b1
     s[:, 3, 3] = b2
-    return MapStack(np.broadcast_to(taus, b1.shape), s, 2)
+    return MapStack(np.broadcast_to(taus, b1.shape), s)

@@ -1,10 +1,13 @@
-"""Independent oracles and certification.
+"""Independent oracles, certification, and the protocol's convergence study.
 
-Nothing here shares code with the paths it checks: the inverse Laplace
+The oracles share no code with the paths they check: the inverse Laplace
 transform is a fixed-Talbot contour quadrature in arbitrary precision,
 the brute-force chain simulator holds every ancilla in memory instead of
-the sliding window, and the certifier recomputes Choi spectra from
-scratch for whatever maps it is handed.
+the sliding window, ``discrete_jc_betas`` steps hand-written transfer
+matrices, and the certifier recomputes Choi spectra from scratch for
+whatever maps it is handed. The comparisons are not oracles:
+``convergence_study`` runs the engine's ``discrete_maps`` against the
+closed form ``jc_maps``, and ``probe_distances`` measures any two stacks.
 
 Only the oracle purifies: where the engine starts each thermal ancilla in
 its mixed Boltzmann state, the brute-force chain holds every ancilla as a
@@ -60,6 +63,7 @@ __all__ = [
     "probe_trace_defect",
     "calibrated_swap_probability",
     "random_density_operator",
+    "random_density_stack",
     "corrupted_beta_maps",
 ]
 
@@ -253,29 +257,36 @@ def discrete_jc_betas(t_c: float, p_s: float, n_steps: int):
 
 @dataclass(frozen=True, eq=False)
 class CptReport:
-    """Per-point Choi spectra and trace defects for a family of maps, as read-only arrays."""
+    """Per-point Choi spectra and trace defects for a family of maps, as read-only arrays, and
+    the tolerance that they are judged by."""
 
     min_choi_eigenvalue: np.ndarray
     max_trace_defect: np.ndarray
     tolerance: float
-    verdict: bool
-    gamma_bar: Optional[float] = None
+
+    @property
+    def verdict(self) -> bool:
+        """True iff every Choi minimum eigenvalue is >= -tolerance and every trace defect is
+        <= tolerance."""
+        return bool(np.all(self.min_choi_eigenvalue >= -self.tolerance)
+                    and np.all(self.max_trace_defect <= self.tolerance))
 
     def summary(self, times) -> dict:
-        """The report as JSON: gamma_bar, tolerance and verdict, and the worst Choi eigenvalue
-        and trace defect, each with the tau where it sits."""
-        i = int(np.argmin(self.min_choi_eigenvalue))
-        k = int(np.argmax(self.max_trace_defect))
+        """The report as JSON: tolerance and verdict, and the worst Choi eigenvalue and trace
+        defect, each with the first tau whose value lies within the tolerance of the worst, so
+        that rounding alone does not pick the place."""
+        eigs, defects = self.min_choi_eigenvalue, self.max_trace_defect
+        i = int(np.argmax(eigs <= eigs.min() + self.tolerance))
+        k = int(np.argmax(defects >= defects.max() - self.tolerance))
         return {
-            "gamma_bar": self.gamma_bar,
-            "min_choi_eigenvalue": {"value": self.min_choi_eigenvalue[i], "tau": float(times[i])},
-            "max_trace_defect": {"value": self.max_trace_defect[k], "tau": float(times[k])},
+            "min_choi_eigenvalue": {"value": eigs.min(), "tau": float(times[i])},
+            "max_trace_defect": {"value": defects.max(), "tau": float(times[k])},
             "tolerance": self.tolerance,
             "verdict": self.verdict,
         }
 
 
-def certify_cpt(maps, tolerance: float = 1e-9, *, gamma_bar: Optional[float] = None) -> CptReport:
+def certify_cpt(maps, tolerance: float = 1e-9) -> CptReport:
     """Certify complete positivity and trace preservation of each map.
 
     Accepts a sequence of Kraus channels, a MapStack, or the Choi matrices
@@ -286,8 +297,7 @@ def certify_cpt(maps, tolerance: float = 1e-9, *, gamma_bar: Optional[float] = N
     which solves the exact blocks of the stack's joint zero pattern (at most
     2x2 for the paper's phase-covariant maps), and the trace defects from
     the Choi output-trace marginal. A NaN or infinite entry raises
-    np.linalg.LinAlgError. The verdict is true iff every Choi minimum
-    eigenvalue is >= -tolerance and every trace defect is <= tolerance.
+    np.linalg.LinAlgError.
     """
     if len(maps) == 0:
         raise ConfigurationError("cannot certify an empty map family")
@@ -305,14 +315,7 @@ def certify_cpt(maps, tolerance: float = 1e-9, *, gamma_bar: Optional[float] = N
     min_eigs = hermitian_spectra(stack)[:, 0]
     marginal = np.einsum("niaja->nij", stack.reshape(n, d, d, d, d))
     defects = np.max(np.abs(marginal - np.eye(d)), axis=(1, 2))
-    verdict = bool(np.all(min_eigs >= -tolerance) and np.all(defects <= tolerance))
-    return CptReport(
-        min_choi_eigenvalue=_frozen(min_eigs),
-        max_trace_defect=_frozen(defects),
-        tolerance=tolerance,
-        verdict=verdict,
-        gamma_bar=gamma_bar,
-    )
+    return CptReport(_frozen(min_eigs), _frozen(defects), tolerance)
 
 
 def probe_trace_defect(maps: MapStack, probes) -> float:
@@ -332,16 +335,16 @@ def _choi_data(mp) -> np.ndarray:
     raise ConfigurationError(f"cannot certify object of type {type(mp)!r}")
 
 
-def corrupted_beta_maps(gamma_bar: float, taus, inflation: float = 1.05) -> MapStack:
-    """Closed-form map family with the coherence factor inflated.
+def corrupted_beta_maps(gamma_bar: float, taus) -> MapStack:
+    """Closed-form map family with the coherence factor inflated by 5 %.
 
     The inflation breaks the beta1^2 <= beta2 inequality (already at
     tau = 0, where both factors equal 1), producing a non-CP family. Used
     as the mandatory negative control for the certifier.
     """
     maps = jc_maps(taus, gamma_bar)
-    maps.superops[:, 1, 1] *= inflation
-    maps.superops[:, 2, 2] *= inflation
+    maps.superops[:, 1, 1] *= 1.05
+    maps.superops[:, 2, 2] *= 1.05
     return maps
 
 
@@ -368,7 +371,6 @@ class ConvergenceReport:
 
     t_c_values: tuple
     errors: tuple
-    estimated_order: Optional[float]
 
     def __post_init__(self):
         tc = list(self.t_c_values)
@@ -376,6 +378,14 @@ class ConvergenceReport:
             raise ConfigurationError("collision times must be strictly decreasing")
         if any(e < 0 for e in self.errors):
             raise ConfigurationError("errors must be nonnegative")
+
+    @property
+    def estimated_order(self) -> Optional[float]:
+        """The log-log slope of the errors against the collision times, None for one time."""
+        if len(self.t_c_values) < 2:
+            return None
+        errors = np.maximum(self.errors, 1e-300)
+        return float(np.polyfit(np.log(self.t_c_values), np.log(errors), 1)[0])
 
     def as_dict(self) -> dict:
         return {
@@ -431,21 +441,24 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list,
         )
         stack = discrete_maps(cfg)
         errors.append(float(np.max(probe_distances(jc_maps(stack.times, gamma_bar), stack, probe))))
-    if len(t_c_values) >= 2:
-        slope = np.polyfit(np.log(t_c_values), np.log(np.maximum(errors, 1e-300)), 1)[0]
-        estimated_order = float(slope)
-    else:
-        estimated_order = None
-    return ConvergenceReport(
-        t_c_values=tuple(t_c_values), errors=tuple(errors), estimated_order=estimated_order
-    )
+    return ConvergenceReport(tuple(t_c_values), tuple(errors))
 
 
 # --- random-state utilities ----------------------------------------------------
 
 
+def random_density_stack(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count full-rank random states as one validated (count, dim, dim) array
+    (``quantum.density_stack``), each (G G^dag + 1e-6) / Tr from a complex Gaussian square root
+    G. One normal draw gives every G, its real part and then its imaginary part, state by
+    state: the same numbers, in the same order, as count draws of one state each."""
+    g = rng.normal(size=(count, 2, dim, dim))
+    g = g[:, 0] + 1j * g[:, 1]
+    mat = g @ g.conj().mT + 1e-6 * np.eye(dim)
+    return density_stack(mat / np.trace(mat, axis1=1, axis2=2).real[:, None, None])
+
+
 def random_density_operator(dim: int, rng: np.random.Generator) -> DensityOperator:
-    """Full-rank random state from a complex Gaussian square root."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    mat = g @ g.conj().T + 1e-6 * np.eye(dim)
-    return DensityOperator(mat / np.trace(mat).real)
+    """Full-rank random state from a complex Gaussian square root: ``random_density_stack``'s
+    one-state case."""
+    return DensityOperator(random_density_stack(dim, 1, rng)[0])

@@ -249,7 +249,7 @@ def test_criterion_08_thermal_reduction():
 
 
 def test_criterion_09_negative_control():
-    maps = corrupted_beta_maps(1.0, np.linspace(0.0, 5.0, 21), inflation=1.05)
+    maps = corrupted_beta_maps(1.0, np.linspace(0.0, 5.0, 21))
     verdict = certify_cpt(maps, 1e-9).verdict
     report(
         9,

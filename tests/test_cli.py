@@ -325,7 +325,7 @@ class TestRun:
 
         def scaled(*args):
             maps = lambda_embedding(*args)
-            seen.append(MapStack(maps.times, (1.0 + 1e-6) * maps.superops, maps.dim))
+            seen.append(MapStack(maps.times, (1.0 + 1e-6) * maps.superops))
             return seen[-1]
 
         monkeypatch.setattr(cli, "lambda_embedding", scaled)
@@ -464,12 +464,11 @@ class TestCertify:
     def test_failed_certification_exits_3(self, tmp_path, capsys, monkeypatch):
         import nmcollide.cli as cli_mod
 
-        def doomed(maps, tolerance, **kwargs):
+        def doomed(maps, tolerance):
             from nmcollide.verify import certify_cpt as real
 
-            report = real(maps, tolerance, **kwargs)
-            object.__setattr__(report, "verdict", False)
-            return report
+            # maps that fail on their own: every trace inflated by 1e-6, past the tolerance
+            return real(MapStack(maps.times, (1.0 + 1e-6) * maps.superops), tolerance)
 
         monkeypatch.setattr(cli_mod, "certify_cpt", doomed)
         cfg = write_config(
@@ -485,6 +484,20 @@ class TestCertify:
         assert main(["certify", cfg]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == 3
+        report = json.loads((tmp_path / "out" / "cpt_report.json").read_text())
+        assert report["verdict"] is False
+        assert report["per_gamma"]["1.0"]["max_trace_defect"]["value"] > 1e-7
+
+    def test_no_probe_states(self, tmp_path):
+        # an empty probe stack: no state's trace defect to report
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"mode": "certify", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 6,
+             "probe_states": 0, "output_path": str(tmp_path / "out")},
+        )
+        assert main(["certify", cfg]) == 0
+        report = json.loads((tmp_path / "out" / "cpt_report.json").read_text())
+        assert report["max_random_state_trace_defect"] == 0.0
 
     # at 0 the closed form's rounding (Choi eigenvalues down to -2.7e-16 here) fails it
     @pytest.mark.parametrize("tolerance, code", [(0.0, 3), (1e-6, 0)])
@@ -1181,7 +1194,7 @@ class TestSizeCaps:
 
         real_linspace = np.linspace
         monkeypatch.setattr(np, "linspace", small_linspace)
-        for name in ("discrete_maps", "random_density_operator", "convergence_study",
+        for name in ("discrete_maps", "random_density_stack", "convergence_study",
                      "lambda_embedding", "jc_maps"):
             monkeypatch.setattr(cli_mod, name, forbidden)
         cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(tmp_path / "out")})
@@ -1239,10 +1252,12 @@ class TestCptReport:
                                "max_random_state_trace_defect"}
         rows = read_rows(tmp_path / "out")
         for key, entry in report["per_gamma"].items():
+            assert entry["gamma_bar"] == float(key)
             mine = [row for row in rows if float(row[1]) == float(key)]
             eigs = [float(row[5]) for row in mine]
-            j = int(np.argmin(eigs))
-            assert entry["min_choi_eigenvalue"] == {"value": eigs[j], "tau": float(mine[j][0])}
+            # the first tau within the tolerance of the worst: rounding alone picks no place
+            j = next(i for i, e in enumerate(eigs) if e <= min(eigs) + report["tolerance"])
+            assert entry["min_choi_eigenvalue"] == {"value": min(eigs), "tau": float(mine[j][0])}
             assert entry["max_trace_defect"]["value"] <= 1e-15
             assert entry["verdict"] is True
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,6 +12,7 @@ from nmcollide import (
     DensityOperator,
     HermitianOperator,
     InternalConsistencyError,
+    LindbladGenerator,
     MapStack,
     MemoryKernelMap,
     SeriesPolicy,
@@ -345,8 +347,7 @@ class TestLambdaSeries:
             lambda_series(jc_kernel, 1e160, TimeGrid(t_max=1.0, n_points=11))
 
     def test_kernel_that_does_not_start_at_the_identity_is_refused(self):
-        kernel = MemoryKernelMap(system_dim=2, rates=np.zeros(1, dtype=complex),
-                                 mats=0.5 * np.eye(4, dtype=complex)[None])
+        kernel = MemoryKernelMap(np.zeros(1, dtype=complex), 0.5 * np.eye(4, dtype=complex)[None])
         with pytest.raises(ConfigurationError, match="E\\(0\\) is not the identity"):
             lambda_series(kernel, 1.0, TimeGrid(t_max=1.0, n_points=11))
 
@@ -357,8 +358,7 @@ class TestLambdaSeries:
 
     def test_non_hermiticity_preserving_kernel_raises(self):
         # an imaginary part beyond rounding in the Hermitian basis is refused, never dropped
-        kernel = MemoryKernelMap(system_dim=2, rates=np.zeros(1, dtype=complex),
-                                 mats=1j * np.eye(4, dtype=complex)[None])
+        kernel = MemoryKernelMap(np.zeros(1, dtype=complex), 1j * np.eye(4, dtype=complex)[None])
         with pytest.raises(InternalConsistencyError):
             lambda_series(kernel, 1.0, TimeGrid(t_max=1.0, n_points=11))
 
@@ -381,7 +381,7 @@ class TestLambdaSeries:
         # nothing is truncated: every policy gives the same maps, and a policy is still checked
         grid = TimeGrid(t_max=2.0, n_points=101)
         plain = lambda_series(jc_kernel, 1.0, grid)
-        assert (plain.truncation_order, plain.tail_norm) == (0, 0.0)
+        assert plain.truncation_order == 0
         for policy in [SeriesPolicy(k_max=k, tail_tol=1e30) for k in (1, 2, 3, 5)]:
             result = lambda_series(jc_kernel, 1.0, grid, policy)
             assert np.array_equal(result.maps.superops, plain.maps.superops)
@@ -390,8 +390,7 @@ class TestLambdaSeries:
 
     def test_non_finite_term_raises(self):
         # a kernel growing as e^{800 t} overflows; the solve names gamma and the grid
-        kernel = MemoryKernelMap(system_dim=2, rates=np.array([800.0 + 0j]),
-                                 mats=np.eye(4, dtype=complex)[None])
+        kernel = MemoryKernelMap(rates=np.array([800.0 + 0j]), mats=np.eye(4, dtype=complex)[None])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InternalConsistencyError,
                                match=r"gamma = 1 on 101 points over \[0, 1\]"):
@@ -433,7 +432,7 @@ class TestLambdaSeries:
         from nmcollide import ValidationError
 
         result = lambda_series(jc_kernel, 1.0, TimeGrid(t_max=2.0, n_points=41))
-        defective = MapStack(result.maps.times, (1.0 + 1e-6) * result.maps.superops, 2)
+        defective = MapStack(result.maps.times, (1.0 + 1e-6) * result.maps.superops)
         with pytest.raises(ValidationError, match="not trace preserving"):
             kraus_from_choi(defective.choi()[-1])
         kraus_from_choi(result.maps.choi()[-1])  # the series itself is trace preserving
@@ -589,16 +588,38 @@ class TestMapStack:
         real = rng.normal(size=shape)
         for superops in (real + 1j * rng.normal(size=shape), real):
             superops.setflags(write=False)
-            stack = MapStack(np.arange(7.0), superops, dim)
+            stack = MapStack(np.arange(7.0), superops)
             c = superops.reshape(7, dim, dim, dim, dim).transpose(0, 3, 1, 4, 2).reshape(shape)
             expected = 0.5 * (c + c.conj().transpose(0, 2, 1))
             choi = stack.choi()
             assert choi.dtype == expected.dtype and choi.tobytes() == expected.tobytes()
             assert not np.shares_memory(choi, superops)
 
+    @pytest.mark.parametrize("h, ds", [
+        pytest.param(HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]])), 1, id="d1"),
+        pytest.param(jc_hamiltonian(), 2, id="d2"),
+        pytest.param(_random_qutrit_hamiltonian(), 3, id="d3_random"),
+        pytest.param(_exchange_qutrit_hamiltonian(), 3, id="d3_exchange"),
+    ])
+    def test_dimensions_are_read_from_the_arrays(self, h, ds):
+        # MapStack.dim, MemoryKernelMap.system_dim and LindbladGenerator.dim are read-only
+        # properties of the arrays, stored nowhere
+        for cls, name in ((MapStack, "dim"), (MemoryKernelMap, "system_dim"),
+                          (LindbladGenerator, "dim")):
+            assert isinstance(getattr(cls, name), property) and getattr(cls, name).fset is None
+            assert name not in {field.name for field in dataclasses.fields(cls)}
+        kernel = build_kernel_map(h, (1.0, 0.0))
+        maps = kernel.maps([0.0, 0.5, 1.0])
+        assert kernel.system_dim == maps.dim == maps[1].dim == maps[::2].dim == ds
+        generator = lindblad_limit(kernel, 1e-3)
+        assert generator.dim == generator.semigroup(1.0).dim == ds
+        assert lambda_embedding(h, (1.0, 0.0), 1.0, TimeGrid(1.0, 3)).dim == ds
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            maps.dim = ds + 1
+
     def test_no_positivity_check(self):
         # a stack carries candidate maps that certification rejects
-        stack = MapStack(np.zeros(1), -np.eye(4)[None], 2)
+        stack = MapStack(np.zeros(1), -np.eye(4)[None])
         assert stack.choi()[0, 0, 0] == -1.0
 
     def test_series_result_holds_a_stack(self, jc_kernel):

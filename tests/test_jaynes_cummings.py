@@ -108,7 +108,7 @@ class TestAdc:
         # cos(tau1) cos(tau2) = cos(tau3)
         tau3 = math.acos(math.cos(tau1) * math.cos(tau2))
         product = jc_maps(tau1, 0.0).superops @ jc_maps(tau2, 0.0).superops
-        combined = MapStack(np.zeros(1), product, 2)
+        combined = MapStack(np.zeros(1), product)
         assert trace_distance(combined.apply(rho)[0], jc_maps(tau3, 0.0).apply(rho)[0]) < 1e-12
 
     @given(st.floats(min_value=0.0, max_value=10.0), qubit_states())
@@ -515,7 +515,7 @@ class TestLambdaJc:
 
         # (beta1, beta2) = (1.05, 1.0): the map at tau = 0 with beta1 inflated by 5%
         with pytest.raises(InternalConsistencyError):
-            kraus_from_choi(corrupted_beta_maps(1.0, [0.0], inflation=1.05).choi()[0])
+            kraus_from_choi(corrupted_beta_maps(1.0, [0.0]).choi()[0])
 
     def test_state_params_validation(self):
         # |r|^2 > p(1 - p) and p outside [0, 1] are not states: DensityOperator refuses both

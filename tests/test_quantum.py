@@ -47,7 +47,7 @@ class TestDensityOperator:
 def _map(ch: KrausChannel) -> MapStack:
     """The channel as a one-map stack: sum_k K_k (x) K_k^* on row-major vectorized density
     matrices."""
-    return MapStack(np.zeros(1), sum(np.kron(k, k.conj()) for k in ch.kraus)[None], ch.dim)
+    return MapStack(np.zeros(1), sum(np.kron(k, k.conj()) for k in ch.kraus)[None])
 
 
 IDENTITY = KrausChannel((np.eye(2),))
@@ -98,7 +98,7 @@ class TestChannels:
         composed = KrausChannel(tuple(ka @ kb for ka in a.kraus for kb in b.kraus))
         direct = choi_of(composed)
         product = _map(a).superops @ _map(b).superops
-        via_superop = MapStack(np.zeros(1), product, 2).choi()[0]
+        via_superop = MapStack(np.zeros(1), product).choi()[0]
         assert np.max(np.abs(direct - via_superop)) < 1e-10
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from nmcollide import (
     CollisionConfig,
     ConfigurationError,
     ConvergenceReport,
+    CptReport,
     DensityOperator,
     KrausChannel,
     MapStack,
@@ -109,9 +111,8 @@ class TestBruteForceChain:
 
         for module in (quantum, collisions, continuum, jaynes_cummings, verify):
             for name in ("propagate_maps", "protocol_step", "generator_step", "_in_window",
-                         "_ancilla_maps", "attach_superop", "trace_ancilla_superop",
-                         "discrete_maps", "_hermitian_units", "jc_maps", "beta1", "beta2",
-                         "beta_arrays"):
+                         "_ancilla_maps", "discrete_maps", "_hermitian_units", "jc_maps",
+                         "beta1", "beta2", "beta_arrays"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         with pytest.raises(RuntimeError, match="engine"):  # the patches reach the engine's calls
@@ -228,7 +229,7 @@ class TestCertify:
         # for superoperators that are not Hermiticity preserving
         rng = np.random.default_rng(7)
         superops = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
-        noise = MapStack(np.arange(5.0), superops, 2)
+        noise = MapStack(np.arange(5.0), superops)
         for maps, verdict in ((jc_maps(np.linspace(0.0, 10.0, 26), 2.0), True), (noise, False)):
             choi = maps.choi()
             assert np.array_equal(choi, choi.conj().transpose(0, 2, 1))
@@ -256,7 +257,7 @@ class TestCertify:
         # the arithmetic of an infinity (inf * 0j in MapStack.choi, inf - inf in the Hermiticity
         # test of an array) warns of the NaN it makes
         with np.errstate(invalid="ignore"):
-            for family in (MapStack(maps.times, superops, 2), choi):
+            for family in (MapStack(maps.times, superops), choi):
                 with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
                     certify_cpt(family, 1e-9)
 
@@ -265,14 +266,51 @@ class TestCertify:
             certify_cpt([], 1e-9)
 
     def test_report_serialization(self):
-        report = certify_cpt([KrausChannel((np.eye(2),))], 1e-9, gamma_bar=0.5)
+        report = certify_cpt([KrausChannel((np.eye(2),))], 1e-9)
         payload = json.loads(json.dumps(report.summary([0.25])))
-        assert set(payload) == {
-            "gamma_bar", "min_choi_eigenvalue", "max_trace_defect", "tolerance", "verdict",
-        }
+        assert set(payload) == {"min_choi_eigenvalue", "max_trace_defect", "tolerance", "verdict"}
         assert payload["verdict"] is True
-        assert payload["gamma_bar"] == 0.5
         assert payload["min_choi_eigenvalue"]["tau"] == payload["max_trace_defect"]["tau"] == 0.25
+
+    def test_verdict_is_read_from_the_arrays_and_the_tolerance(self):
+        # the closed form's rounding (Choi eigenvalues down to -1.1e-16 at gamma_bar = 0) fails a
+        # tolerance of 0 and passes one of 1e-9; a trace defect of 1e-6 fails both
+        taus = np.linspace(0.0, 20.0, 201)
+        report = certify_cpt(jc_maps(taus, 0.0), 1e-9)
+        assert isinstance(CptReport.verdict, property) and CptReport.verdict.fset is None
+        assert "verdict" not in {field.name for field in dataclasses.fields(CptReport)}
+        assert report.verdict is True
+        assert dataclasses.replace(report, tolerance=0.0).verdict is False
+        assert dataclasses.replace(report, tolerance=1e-9).verdict is True
+        inflated = MapStack(taus, (1.0 + 1e-6) * jc_maps(taus, 0.0).superops)
+        assert certify_cpt(inflated, 1e-9).verdict is False
+        assert dataclasses.replace(certify_cpt(inflated, 1e-9), tolerance=1e-5).verdict is True
+
+    def test_worst_point_does_not_move_with_rounding(self):
+        # at gamma_bar = 0 every map's Choi minimum is 0 up to ~1e-16: the summary names the first
+        # tau within the tolerance of the worst value, which last-bit changes of the maps leave
+        # where it is, and keeps the exact worst value
+        taus = np.linspace(0.0, 20.0, 201)
+        maps = jc_maps(taus, 0.0)
+        written = certify_cpt(maps, 1e-9).summary(taus)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            ulps = 1.0 + rng.integers(-4, 5, size=maps.superops.shape) * 2.0**-53
+            report = certify_cpt(MapStack(taus, maps.superops * ulps), 1e-9)
+            summary = report.summary(taus)
+            for key, worst in (("min_choi_eigenvalue", report.min_choi_eigenvalue.min()),
+                               ("max_trace_defect", report.max_trace_defect.max())):
+                assert summary[key]["tau"] == written[key]["tau"] == 0.0
+                assert summary[key]["value"] == worst
+
+    def test_worst_point_is_the_first_within_the_tolerance(self):
+        report = CptReport(np.array([0.0, -2e-9, -3e-9, -5e-9]), np.array([1e-9, 4e-9, 3e-9, 0.0]),
+                           2.5e-9)
+        summary = report.summary([0.0, 1.0, 2.0, 3.0])
+        assert summary["min_choi_eigenvalue"] == {"value": -5e-9, "tau": 2.0}
+        assert summary["max_trace_defect"] == {"value": 4e-9, "tau": 1.0}
+        summary = dataclasses.replace(report, tolerance=0.0).summary([0.0, 1.0, 2.0, 3.0])
+        assert summary["min_choi_eigenvalue"]["tau"] == 3.0
 
     def test_probe_trace_defect_reads_every_sixth_of_101_maps(self):
         maps = jc_maps(np.linspace(0.0, 5.0, 101), 1.0)  # maps 0, 6, ..., 96: 101 // 16 = 6
@@ -333,15 +371,49 @@ class TestConvergenceStudy:
         with pytest.raises(ConfigurationError):
             convergence_study(1.0, 1.0, [0.3])
 
+    def test_estimated_order_is_the_log_log_fit(self):
+        t_c_values, errors = (0.1, 0.05, 0.025), (9.8e-4, 2.4e-4, 6.1e-5)
+        report = ConvergenceReport(t_c_values, errors)
+        expected = float(np.polyfit(np.log(t_c_values), np.log(errors), 1)[0])
+        assert report.estimated_order == expected  # bit for bit
+        assert isinstance(ConvergenceReport.estimated_order, property)
+        assert ConvergenceReport.estimated_order.fset is None
+        study = convergence_study(1.0, 1.0, [0.1, 0.05])
+        assert study.estimated_order == float(
+            np.polyfit(np.log(study.t_c_values), np.log(study.errors), 1)[0])
+
     def test_report_validation_and_json(self):
         with pytest.raises(ConfigurationError):
-            ConvergenceReport(t_c_values=(0.1, 0.2), errors=(0.0, 0.0), estimated_order=None)
-        report = ConvergenceReport(t_c_values=(0.2, 0.1), errors=(0.2, 0.1), estimated_order=1.0)
+            ConvergenceReport(t_c_values=(0.1, 0.2), errors=(0.0, 0.0))
+        report = ConvergenceReport(t_c_values=(0.2, 0.1), errors=(0.2, 0.1))
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["t_c_values"] == [0.2, 0.1]
 
 
+def per_state_loop(dim, count, rng):
+    """The states of count draws, one complex Gaussian square root G at a time."""
+    states = []
+    for _ in range(count):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        mat = g @ g.conj().T + 1e-6 * np.eye(dim)
+        states.append(mat / np.trace(mat).real)
+    return np.array(states).reshape(-1, dim, dim)
+
+
 class TestRandomStates:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 3, 5000])
+    def test_stack_is_the_per_state_loop_bit_for_bit(self, dim, count):
+        stack = verify.random_density_stack(dim, count, np.random.default_rng(7))
+        expected = per_state_loop(dim, count, np.random.default_rng(7))
+        assert stack.shape == (count, dim, dim) and not stack.flags.writeable
+        assert stack.tobytes() == expected.tobytes()
+
+    def test_one_state_is_the_stack_of_one(self):
+        state = random_density_operator(2, np.random.default_rng(5))
+        assert np.array_equal(state.data, verify.random_density_stack(2, 1,
+                                                                      np.random.default_rng(5))[0])
+
     def test_reproducible_and_valid(self):
         a = random_density_operator(3, np.random.default_rng(11))
         b = random_density_operator(3, np.random.default_rng(11))
