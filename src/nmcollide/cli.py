@@ -96,9 +96,11 @@ POINT_BYTES = 4096
 MAX_POINTS = MEMORY_BUDGET // POINT_BYTES  # 262 144
 
 # A phase Omega * tau is known to about tau * 2^-53: the rounding of tau itself, or of
-# the step angle t_c compounded over a run. Up to PHASE_BOUND that error stays below
-# 1e-8, so a collision block's last time n_steps * t_c keeps 8 decimal digits of its phase.
-PHASE_BOUND = 2.0**53 * 1e-8  # ~9.007e7
+# the step angle t_c compounded over a run. The continuum maps take up to ~3 times that: one
+# long step of collisions._expm rounds its angle once more in each squaring. A factor 4 covers
+# both, so up to PHASE_BOUND the error stays below 1e-8, and a last time (a collision block's
+# n_steps * t_c, or a tau_max) keeps 8 decimal digits of its phase.
+PHASE_BOUND = 2.0**51 * 1e-8  # ~2.252e7
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

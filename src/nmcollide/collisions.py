@@ -20,9 +20,12 @@ coordinates P_b (x) B_m: the system's Hermitian units P_b
 the ancilla's, B_m, with the unit on the largest weight, B_top, replaced
 by rho_A. There attaching rho_A is the coefficient of B_top, Tr_A sums the
 diagonal units, the reset R(W) = Tr_A(W) (x) rho_A is a matrix of 0 and 1
-for either bath, and a Hermitian window has real coefficients
-(``_ancilla_maps``). A vec-basis operator enters these coordinates once,
-through ``_in_window``, which checks that it preserves Hermiticity.
+for either bath, and a Hermitian window has real coefficients. One
+function, ``_window_coordinates``, builds them for one rho_A: the change of
+basis M, attach, Tr_A and R. Each step builder calls it once and returns
+them with its step, and the window loop reads attach and Tr_A from there,
+so a run builds them once. A vec-basis operator enters them through
+``_in_window(op, M)``, which checks that it preserves Hermiticity.
 
 The step is the Lie-Trotter splitting e^{A t_c} e^{B t_c} of
 L = A + B, A = -i[H, .], B = gamma (R - 1): e^{A t_c} = U (x) U*, and
@@ -173,41 +176,40 @@ class CollisionConfig:
             raise ConfigurationError("need at least one step")
 
 
-def _ancilla_maps(weights, system_dim: int) -> tuple:
-    """(attach, Tr_A) in window coordinates, the basis P_b (x) B_m of system (x) ancilla: the
-    system's Hermitian units P_b (``quantum._hermitian_units``) times the ancilla's, B_m, with
-    the unit on the largest weight, B_top, replaced by rho_A = diag(weights). Attaching rho_A
+def _window_coordinates(weights, system_dim: int) -> tuple:
+    """(M, attach, Tr_A, R), the window coordinates of rho_A = diag(weights): the basis
+    P_b (x) B_m of system (x) ancilla, the system's Hermitian units P_b
+    (``quantum._hermitian_units``) times the ancilla's, B_m, with the unit on the largest weight,
+    B_top, replaced by rho_A. M's column (b, m) is row-major vec(P_b (x) B_m). Attaching rho_A
     puts a system coefficient on B_top, and Tr_A sums the diagonal units, Tr B_m = 1, so both
     are matrices of 0 and 1, (d^2, d_s^2) and (d_s^2, d^2), and so is the reset
     R = attach Tr_A."""
-    da, eye = len(weights), np.eye(system_dim * system_dim)
-    top = np.eye(da * da)[int(np.argmax(weights)) * (da + 1)]
-    return np.kron(eye, top[:, None]), np.kron(eye, np.eye(da).reshape(-1))
-
-
-def _in_window(op: np.ndarray, weights) -> np.ndarray:
-    """A row-major vec-basis operator on system (x) ancilla, d_s = sqrt(len(op)) / len(weights),
-    in window coordinates (``_ancilla_maps``): M^-1 op M, M's column (b, m) vec(P_b (x) B_m).
-    Every P_b (x) B_m is Hermitian, so the result is real iff op preserves Hermiticity; an
-    imaginary part above ``imaginary_residue`` raises InternalConsistencyError
-    (``quantum._hermitian_real``)."""
-    da = len(weights)
-    ds = math.isqrt(len(op)) // da
+    da, ds = len(weights), system_dim
+    top = int(np.argmax(weights)) * (da + 1)
     units = _hermitian_units(da)[0].T.reshape(-1, da, da)  # B_m
-    units[int(np.argmax(weights)) * (da + 1)] = np.diag(weights)
+    units[top] = np.diag(weights)
     basis = np.kron(_hermitian_units(ds)[0].T.reshape(-1, 1, ds, ds), units)
-    basis = basis.reshape(len(op), len(op)).T
+    attach = np.kron(np.eye(ds * ds), np.eye(da * da)[top][:, None])
+    trace = np.kron(np.eye(ds * ds), np.eye(da).reshape(-1))
+    return basis.reshape(len(attach), -1).T, attach, trace, attach @ trace
+
+
+def _in_window(op: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """A row-major vec-basis operator on system (x) ancilla in window coordinates: M^-1 op M, M
+    the basis of ``_window_coordinates``. Every P_b (x) B_m is Hermitian, so the result is real
+    iff op preserves Hermiticity; an imaginary part above ``imaginary_residue`` raises
+    InternalConsistencyError (``quantum._hermitian_real``)."""
     return _hermitian_real(np.linalg.solve(basis, op @ basis), "the operator")
 
 
 def protocol_step(cfg: CollisionConfig):
     """The transfer matrix e^{A t_c} e^{B t_c} = (U (x) U*)(p_s 1 + (1 - p_s) R) in window
-    coordinates (``_ancilla_maps``), and the bath's weights."""
+    coordinates, and those coordinates (``_window_coordinates``)."""
     w = cfg.bath.weight_vector(cfg.ancilla_dim)
-    attach, trace = _ancilla_maps(w, cfg.system_dim)
+    basis, _, _, reset = coords = _window_coordinates(w, cfg.system_dim)
     u = unitary_evolution(cfg.hamiltonian, cfg.t_c)
-    unitary = _in_window(np.kron(u, u.conj()), w)
-    return unitary @ (cfg.p_s * np.eye(u.size) + (1.0 - cfg.p_s) * (attach @ trace)), w
+    unitary = _in_window(np.kron(u, u.conj()), basis)
+    return unitary @ (cfg.p_s * np.eye(u.size) + (1.0 - cfg.p_s) * reset), coords
 
 
 _TAYLOR_DEGREE = 18
@@ -238,7 +240,7 @@ def _expm(x: np.ndarray) -> np.ndarray:
 
 def generator_step(h: HermitianOperator, weights, gamma: float, dt: float):
     """e^{L dt} of L = -i[H, .] + gamma (R - 1), R(W) = Tr_A(W) (x) rho_A, rho_A = diag(weights),
-    in window coordinates (``_ancilla_maps``), and the weights.
+    in window coordinates, and those coordinates (``_window_coordinates``).
 
     ``_expm`` runs in those coordinates, where R and R - 1 have entries that are exactly 0, 1
     or -1, so gamma dt multiplies no rounding; the commutator enters them once
@@ -248,39 +250,39 @@ def generator_step(h: HermitianOperator, weights, gamma: float, dt: float):
     1.1e-11 at 2.5e5 (w = 0.269, dt = 0.0025). A longer step keeps a phase dt only to about
     dt 2^-53, the rounding that ``cli.PHASE_BOUND`` budgets: each squaring rounds the rotation
     angle. Where nothing damps the rotation the error shows. At gamma = 0 one step is
-    1.7e-14 off the closed form at dt = 100, 1.7e-12 at 1e4 and 2.6e-8 at PHASE_BOUND; at
-    gamma = 0.5 it is 1.1e-16 at each. A gamma dt past the largest double raises
-    FloatingPointError.
+    1.7e-14 off the closed form at dt = 100, 1.7e-12 at 1e4, 6.9e-9 at PHASE_BOUND and 2.6e-8
+    at 4 PHASE_BOUND; at gamma = 0.5 it is 1.1e-16 at each. A gamma dt past the largest double
+    raises FloatingPointError.
     """
     rate = gamma * dt
     if not math.isfinite(rate):  # a product past the largest double is a numerical failure
         raise FloatingPointError(f"gamma * dt = {gamma:g} * {dt:g} overflows")
-    w, eye = np.asarray(weights, dtype=float), np.eye(h.dim)
-    commutator = _in_window(-1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T)), w)
-    attach, trace = _ancilla_maps(w, h.dim // len(w))
-    return _expm(commutator * dt + rate * (attach @ trace - np.eye(h.dim ** 2))), w
+    basis, _, _, reset = coords = _window_coordinates(weights, h.dim // len(weights))
+    eye = np.eye(h.dim)
+    commutator = _in_window(-1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T)), basis)
+    return _expm(commutator * dt + rate * (reset - np.eye(h.dim ** 2))), coords
 
 
-def propagate_maps(step: np.ndarray, weights, n_steps: int):
-    """Superoperators of rho -> Tr_A W_j, W_j = step W_{j-1} from W_0 = rho (x) rho_A,
-    rho_A = diag(weights), for j = 0..n_steps, as an (n_steps + 1, d_s^2, d_s^2) array,
-    d_s = sqrt(len(step)) / len(weights).
+def propagate_maps(step: np.ndarray, coords: tuple, n_steps: int):
+    """Superoperators of rho -> Tr_A W_j, W_j = step W_{j-1} from W_0 = rho (x) rho_A, for
+    j = 0..n_steps, as an (n_steps + 1, d_s^2, d_s^2) array.
 
-    The step is a real matrix in window coordinates (``_ancilla_maps``), where every window is
-    Hermitian by construction and attaching rho_A, Tr_A and the system's trace are sums of
-    coefficients. The inputs X are the system's units P_b, plus E_00 where Tr P_b = 0, so every
-    window has unit trace. The reduced states Y_{j+i} = Tr_A T^i W_j, i = 1..b,
-    b = ceil(sqrt(n_steps)), of a block come from one product of the stacked rows
-    Tr_A T, ..., Tr_A T^b with the block's first window W_j, which T^b then carries to the
-    next block; no window is kept per step. Each reduced state is divided by its own trace,
-    which for a linear step equals renormalizing the window after every step. Each map is
+    The step is a real matrix in the window coordinates of rho_A, coords, which both step
+    builders return with it (``_window_coordinates``); the loop reads attach, Tr_A and d_s from
+    them. There every window is Hermitian by construction and attaching rho_A, Tr_A and the
+    system's trace are sums of coefficients. The inputs X are the system's units P_b, plus E_00
+    where Tr P_b = 0, so every window has unit trace. The reduced states
+    Y_{j+i} = Tr_A T^i W_j, i = 1..b, b = ceil(sqrt(n_steps)), of a block come from one product
+    of the stacked rows Tr_A T, ..., Tr_A T^b with the block's first window W_j, which T^b then
+    carries to the next block; no window is kept per step. Each reduced state is divided by its
+    own trace, which for a linear step equals renormalizing the window after every step. Each
+    map is
     S = P Y X^-1 P^-1 (``quantum._hermitian_units``), read out with one product whose entries
     are 0, +-1, +-i, +-1/2 and +-i/2: S_0 is the identity bit for bit. Each product is a row
     chunk of at most 2^18 multiply-adds, which OpenBLAS keeps on one thread.
     """
-    d2 = len(step)
-    ds = math.isqrt(d2) // len(weights)
-    attach, reduced = _ancilla_maps(weights, ds)
+    attach, reduced = coords[1:3]
+    d2, ds = len(step), math.isqrt(len(reduced))
     trace_row, eye = np.eye(ds).reshape(-1), np.eye(ds * ds)  # Tr P_b, so Tr Y = trace_row @ y
     x = eye + np.outer(eye[0], 1.0 - trace_row)  # X^-1 = 2 - X: the added E_00s square to 0
     window = attach @ x

@@ -405,15 +405,14 @@ def probe_distances(maps: MapStack, protocol: MapStack, probe=_PROBE) -> np.ndar
     return trace_distances(density_stack(protocol.apply(probe)), maps.apply(probe))
 
 
-def convergence_study(gamma_bar: float, tau_max: float, t_c_list,
-                      probe: DensityOperator = _PROBE) -> ConvergenceReport:
+def convergence_study(gamma_bar: float, tau_max: float, t_c_list) -> ConvergenceReport:
     """Measure how fast the discrete protocol approaches the closed-form map.
 
     For each collision time, the swap probability is calibrated to
     gamma_bar, ``discrete_maps`` runs out to tau_max, and the error is the
-    maximum ``probe_distances`` from ``jc_maps`` along the probe's whole
-    trajectory (endpoint-only checks miss transients). The order estimate is
-    the log-log slope.
+    maximum ``probe_distances`` from ``jc_maps`` along the fixed probe
+    state's whole trajectory (endpoint-only checks miss transients). The
+    order estimate is the log-log slope.
     """
     if not 0 < tau_max < math.inf:  # a NaN tau_max fails too
         raise ConfigurationError("tau_max must be positive and finite")
@@ -440,7 +439,7 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list,
             bath=BathSpec(kind="pure_ground"),
         )
         stack = discrete_maps(cfg)
-        errors.append(float(np.max(probe_distances(jc_maps(stack.times, gamma_bar), stack, probe))))
+        errors.append(float(np.max(probe_distances(jc_maps(stack.times, gamma_bar), stack))))
     return ConvergenceReport(tuple(t_c_values), tuple(errors))
 
 

@@ -129,7 +129,7 @@ def test_criterion_04_series_vs_closed_form():
 
 
 def test_criterion_05_discrete_continuum_convergence():
-    result = convergence_study(1.0, 5.0, [0.1, 0.05, 0.025], probe=PROBE)
+    result = convergence_study(1.0, 5.0, [0.1, 0.05, 0.025])
     errors = result.errors
     monotone = errors[0] > errors[1] > errors[2]
     ok = monotone and result.estimated_order is not None and result.estimated_order >= 0.8

@@ -8,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -1147,6 +1148,27 @@ class TestPhaseBound:
         message = json.loads(lines[0])["error"]["message"]
         assert field in message and f"PHASE_BOUND = {PHASE_BOUND:.4g}" in message
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_series_at_the_bound_keeps_eight_digits(self, tmp_path, capsys):
+        # at gamma_bar = 0 one generator step of length tau_max rotates undamped, and _expm's
+        # squarings round its angle: 2.6e-8 off cos tau at 4 PHASE_BOUND, which exits 2, and
+        # 6.9e-9 at PHASE_BOUND
+        from nmcollide.cli import PHASE_BOUND
+
+        series = {"mode": "series", "gamma_bar": [0.0], "tau_points": 2}
+        cfg = write_config(tmp_path, "far.json", {**series, "tau_max": 90071992.54740992,
+                                                  "output_path": str(tmp_path / "far")})
+        assert main(["run", cfg]) == 2
+        message = json.loads(capsys.readouterr().err.splitlines()[0])["error"]["message"]
+        assert "'tau_max' = 9.0072e+07" in message
+        assert f"PHASE_BOUND = {PHASE_BOUND:.4g}" in message
+        cfg = write_config(tmp_path, "cfg.json", {**series, "tau_max": PHASE_BOUND,
+                                                  "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        tau, _, beta1 = map(float, read_rows(tmp_path / "out")[-1][:3])
+        with mpmath.workdps(30):
+            cosine = float(mpmath.cos(mpmath.mpf(tau)))
+        assert tau == PHASE_BOUND and abs(beta1 - cosine) <= 1e-8
 
     def test_closed_form_at_the_bound_exits_0(self, tmp_path):
         from nmcollide.cli import PHASE_BOUND

@@ -20,9 +20,10 @@ from nmcollide import (
     trace_distance,
     unitary_evolution,
 )
+from nmcollide import collisions
 from nmcollide.cli import PHASE_BOUND
-from nmcollide.collisions import (_ancilla_maps, _expm, _in_window, generator_step, propagate_maps,
-                                  protocol_step)
+from nmcollide.collisions import (_expm, _in_window, _window_coordinates, generator_step,
+                                  propagate_maps, protocol_step)
 from nmcollide.continuum import TimeGrid, build_kernel_map, lambda_embedding
 from nmcollide.jaynes_cummings import beta_arrays, jc_maps
 from nmcollide.quantum import _hermitian_units
@@ -84,8 +85,8 @@ class TestSaCollision:
 
     @staticmethod
     def collide(window: np.ndarray, h, t_c: float) -> np.ndarray:
-        step, w = protocol_step(pure_cfg(h, t_c=t_c, p_s=1.0, n_steps=1))
-        return (in_vec_basis(step, w) @ window.reshape(-1)).reshape(window.shape)
+        step = protocol_step(pure_cfg(h, t_c=t_c, p_s=1.0, n_steps=1))[0]
+        return (in_vec_basis(step, (1.0, 0.0)) @ window.reshape(-1)).reshape(window.shape)
 
     def test_zero_time_is_identity(self, jc_h):
         joint = ground_window(PROBE)
@@ -267,21 +268,22 @@ class TestResetSplitting:
         bath = BathSpec(kind="thermal", weights=weights)
         cfg = CollisionConfig(2, 2, jc_h, t_c=t_c, p_s=float(np.exp(-gamma * t_c)), n_steps=1,
                               bath=bath)
-        step, w = protocol_step(cfg)
+        step, coords = protocol_step(cfg)
         assert step.dtype == np.float64
-        assert np.max(np.abs(split - in_vec_basis(step, w))) < 1e-14
-        assert np.array_equal(w, weights)
+        assert np.max(np.abs(split - in_vec_basis(step, weights))) < 1e-14
+        assert np.array_equal(coords[0], window_basis(weights, 2))
 
     def test_generator_parts(self, jc_h):
-        # in window coordinates the reset is a matrix of 0 and 1, and both parts are the
-        # vec-basis -i[H, .] and R once mapped back
+        # in window coordinates the reset is an idempotent matrix of 0 and 1, and both parts are
+        # the vec-basis -i[H, .] and R once mapped back
         weights = np.array([0.7, 0.3])
-        attach, trace = _ancilla_maps(weights, 2)
-        reset = attach @ trace
+        basis, attach, trace, reset = _window_coordinates(weights, 2)
+        assert np.array_equal(reset, attach @ trace) and np.array_equal(reset @ reset, reset)
         assert set(np.unique(reset)) == {0.0, 1.0}
         m = window_basis(weights, 2)
+        assert np.array_equal(basis, m)
         assert np.max(np.abs(m @ reset @ np.linalg.inv(m) - vec_reset(np.diag(weights), 2))) < 1e-15
-        commutator = in_vec_basis(_in_window(vec_commutator(jc_h), weights), weights)
+        commutator = in_vec_basis(_in_window(vec_commutator(jc_h), basis), weights)
         w = random_density_operator(4, np.random.default_rng(3)).data
         expected = -1j * (jc_h.data @ w - w @ jc_h.data)
         assert np.max(np.abs(commutator @ w.reshape(-1) - expected.reshape(-1))) < 1e-15
@@ -338,10 +340,10 @@ class TestGeneratorStep:
         # the step in window coordinates, compared as M T M^-1: largest difference 1.7e-15
         # (thermal, dt = 0.1, gamma = 1e8); the same _expm of L dt in the vec basis is 4.6e-14
         # off for the thermal bath at gamma = 1e6, dt = 0.0025, and 1.1e-11 at 1e8
-        step, w = generator_step(jc_h, np.array(weights), gamma, dt)
-        assert np.array_equal(w, weights) and step.dtype == np.float64
+        step, coords = generator_step(jc_h, np.array(weights), gamma, dt)
+        assert np.array_equal(coords[0], window_basis(weights, 2)) and step.dtype == np.float64
         expected = reference_step(jc_h, weights, gamma, dt)
-        assert float(np.max(np.abs(in_vec_basis(step, w) - expected))) < 1e-14
+        assert float(np.max(np.abs(in_vec_basis(step, weights) - expected))) < 1e-14
 
     @pytest.mark.parametrize("w", [0.269, 0.5])
     @pytest.mark.parametrize("gamma", [0.5, 2.0, 20.0, 1e4, 1e8, 1e12])
@@ -356,7 +358,7 @@ class TestGeneratorStep:
     def test_one_long_step_keeps_the_phase_to_its_rounding(self, jc_h, gamma, tau):
         # a step of length tau keeps the phase to about tau 2^-53, the rounding PHASE_BOUND
         # budgets. At gamma = 0 nothing damps the rotation: 1.7e-14 at tau = 100, 1.7e-12 at
-        # 1e4 and 2.6e-8 at PHASE_BOUND, a ratio to tau 2^-53 of at most 2.6; at gamma = 0.5
+        # 1e4 and 6.9e-9 at PHASE_BOUND, a ratio to tau 2^-53 of at most 2.8; at gamma = 0.5
         # the error is 1.1e-16 at every tau
         maps = lambda_embedding(jc_h, (1.0, 0.0), gamma, TimeGrid(t_max=tau, n_points=2))
         error = float(np.max(np.abs(maps.superops - jc_maps(maps.times, gamma).superops)))
@@ -389,7 +391,8 @@ class TestAncillaBookkeeping:
         units, inverse = _hermitian_units(ds)
         for _ in range(5):
             weights = rng.dirichlet(np.ones(da))
-            attach = _ancilla_maps(weights, ds)[0]
+            basis, attach = _window_coordinates(weights, ds)[:2]
+            assert np.array_equal(basis, window_basis(weights, ds))
             rho = random_density_operator(ds, rng).data
             coeffs = (inverse @ rho.reshape(-1)).real  # rho on the system's Hermitian units
             out = window_basis(weights, ds) @ attach @ coeffs
@@ -402,7 +405,7 @@ class TestAncillaBookkeeping:
         units = _hermitian_units(ds)[0]
         for _ in range(5):
             weights = rng.dirichlet(np.ones(da))
-            trace = _ancilla_maps(weights, ds)[1]
+            trace = _window_coordinates(weights, ds)[2]
             w = random_density_operator(ds * da, rng).data
             coeffs = np.linalg.solve(window_basis(weights, ds), w.reshape(-1)).real
             expected = trace_ancilla(w, ds, da).reshape(-1)
@@ -419,9 +422,9 @@ class TestAncillaBookkeeping:
         expected = np.einsum(
             "sS,tT,cC,ab->satbScTC", eye_s, eye_s, np.eye(da), np.diag(weights)
         ).reshape(d * d, d * d)
-        attach, trace = _ancilla_maps(weights, ds)
+        reset = _window_coordinates(weights, ds)[3]
         # the window reset is exact; the change back to vecs inverts M (largest 1.1e-16)
-        assert np.max(np.abs(in_vec_basis(attach @ trace, weights, ds) - expected)) < 1e-15
+        assert np.max(np.abs(in_vec_basis(reset, weights, ds) - expected)) < 1e-15
         assert np.array_equal(vec_reset(np.diag(weights), ds), expected)
 
     @pytest.mark.parametrize("ds", [1, 2, 3])
@@ -490,7 +493,7 @@ def step_by_step_maps(step, weights, ds, n_steps):
     """``propagate_maps`` with one product per step: the window-coordinate matmul, then every
     column renormalized to unit trace, after each step; the maps P Y X^-1 P^-1 by matmul."""
     da = len(weights)
-    attach, reduced = _ancilla_maps(weights, ds)
+    attach, reduced = _window_coordinates(weights, ds)[1:3]
     trace_row = np.kron(np.eye(ds).reshape(-1), np.eye(da).reshape(-1))  # Tr(P_b (x) B_m)
     eye = np.eye(ds * ds)
     x = eye + np.outer(eye[0], 1.0 - np.eye(ds).reshape(-1))
@@ -512,10 +515,11 @@ class TestDiscreteMaps:
         # the loop reads ceil(sqrt(n)) reduced states per product: one block (n = 1), a partial
         # last block (2, 3, 15, 17, 2000) and exact squares (16); the largest difference is
         # 3.6e-15, thermal at 2000 steps
-        step, w = protocol_step(long_run_cfg(jc_h, weights, n_steps=n_steps))
-        blocked = propagate_maps(step, w, n_steps)
+        step, coords = protocol_step(long_run_cfg(jc_h, weights, n_steps=n_steps))
+        blocked = propagate_maps(step, coords, n_steps)
         assert blocked.shape == (n_steps + 1, 4, 4)
-        assert float(np.max(np.abs(blocked - step_by_step_maps(step, w, 2, n_steps)))) < 1e-14
+        reference = step_by_step_maps(step, weights, 2, n_steps)
+        assert float(np.max(np.abs(blocked - reference))) < 1e-14
 
     @pytest.mark.parametrize("bath, n_steps", [
         pytest.param(BathSpec(kind="pure_ground"), 6, id="pure"),
@@ -557,8 +561,25 @@ class TestDiscreteMaps:
         # every step enters window coordinates through _in_window, which checks it there
         rng = np.random.default_rng(5)
         step = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        basis = _window_coordinates(np.array([1.0, 0.0]), 2)[0]
         with pytest.raises(InternalConsistencyError, match="does not preserve Hermiticity"):
-            _in_window(step, np.array([1.0, 0.0]))
+            _in_window(step, basis)
+
+    @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
+    def test_each_run_builds_its_window_coordinates_once(self, jc_h, weights, monkeypatch):
+        # both step builders return the coordinates they built, and the window loop reads attach
+        # and Tr_A from them: one build per discrete_maps and per lambda_embedding call
+        calls, build = [], collisions._window_coordinates
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(collisions, "_window_coordinates", counting)
+        discrete_maps(long_run_cfg(jc_h, weights, n_steps=3))
+        assert len(calls) == 1
+        lambda_embedding(jc_h, weights, 1.5, TimeGrid(t_max=1.0, n_points=4))
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
     def test_first_map_is_the_identity_bitwise(self, jc_h, weights):

@@ -171,6 +171,14 @@ def _calls(path: Path) -> list:
     return found
 
 
+def test_window_coordinates_are_built_in_one_place():
+    # in collisions only _window_coordinates builds the window basis from Hermitian units; the
+    # window loop takes the system's units for its readout of the maps
+    callers = {where for where, callee in _calls(PACKAGE / "collisions.py")
+               if callee.split(".")[-1] == "_hermitian_units"}
+    assert callers == {"_window_coordinates", "propagate_maps"}
+
+
 def test_every_hermitian_spectrum_goes_through_hermitian_spectra():
     # quantum.hermitian_spectra solves each exact block of a stack and hands only the blocks
     # larger than 2x2 to eigvalsh: the package's one eigvalsh call is there

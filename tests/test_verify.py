@@ -111,7 +111,7 @@ class TestBruteForceChain:
 
         for module in (quantum, collisions, continuum, jaynes_cummings, verify):
             for name in ("propagate_maps", "protocol_step", "generator_step", "_in_window",
-                         "_ancilla_maps", "discrete_maps", "_hermitian_units", "jc_maps",
+                         "_window_coordinates", "discrete_maps", "_hermitian_units", "jc_maps",
                          "beta1", "beta2", "beta_arrays"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
