@@ -1,31 +1,23 @@
 """Collision-model simulator for non-Markovian qubit dynamics.
 
 Discrete system-ancilla collision protocol with incoherent partial-swap
-intra-bath collisions, its continuous-limit dynamical maps (convolution
-series and the reset generator on system and one ancilla), the closed-form
-solution for a resonant excitation-exchange coupling, finite-temperature
-baths whose ancillas start in a mixed thermal state, and CPT
-certification of every produced map.
+intra-bath collisions and its continuous-limit dynamical maps (the reset
+generator on system and one ancilla), both from one engine in
+``collisions``, the closed-form solution for a resonant excitation-exchange
+coupling, finite-temperature baths whose ancillas start in a mixed thermal
+state, and CPT certification of every produced map. The paper's
+convolution series and its memoryless limit are :mod:`nmcollide.continuum`,
+which the package root does not import.
 """
 
 from .collisions import (
     BathSpec,
     CollisionConfig,
-    thermal_weights,
-)
-from .continuum import (
-    LambdaSeriesResult,
-    LindbladGenerator,
     MapStack,
-    MemoryKernelMap,
-    SeriesPolicy,
     TimeGrid,
-    adc_decay_kernel,
-    build_kernel_map,
     discrete_maps,
     lambda_embedding,
-    lambda_series,
-    lindblad_limit,
+    thermal_weights,
 )
 from .errors import (
     ConfigurationError,

@@ -23,11 +23,13 @@ whole gamma_bar x tau grid in ``sweep`` and one per gamma_bar over its
 whole tau array in the tau-dense ``jc_closed_form`` and ``certify``, the
 continuum maps Tr_A e^{L t}(rho (x) rho_A) of the collision's generator
 L = -i[H, .] + gamma_bar (R - 1) (``series``, ``thermal``), and the
-protocol's own (``discrete``). The continuum maps come from
-``continuum.lambda_embedding``, one exact step e^{L dt} stepped through
-the engine's window loop; the convolution series, the paper's form of the
-same maps, is kept as a reference and run by no mode. The series and
-thermal modes share one comparison through ``discrete_maps``.
+protocol's own (``discrete``). Both come from the engine's two map routes:
+the continuum maps from ``collisions.lambda_embedding``, one exact step
+e^{L dt} stepped through the engine's window loop, and the protocol's from
+``collisions.discrete_maps``. The series and thermal modes share one
+comparison of the two. The convolution series, the paper's form of the
+continuum maps, is ``continuum.lambda_series``: no mode runs it, and the
+CLI does not import it.
 A collision is always jc_hamiltonian() on qubit (x) qubit, times in units
 of 1/Omega, so ``omega``, ``system_dim`` and ``ancilla_dim`` are not fields.
 Each mode returns its rows as one (n, 6) float array in CSV column order,
@@ -70,8 +72,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .collisions import BathSpec, CollisionConfig
-from .continuum import MapStack, SeriesPolicy, TimeGrid, discrete_maps, lambda_embedding
+from .collisions import (BathSpec, CollisionConfig, MapStack, TimeGrid, discrete_maps,
+                         lambda_embedding)
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -206,6 +208,12 @@ def _number(value, name: str):
 
 def _float(value, name: str) -> float:
     return float(_number(value, name))
+
+
+def _positive(value, name: str) -> float:
+    if not _float(value, name) > 0:
+        raise ConfigurationError(f"field '{name}' must be positive, got {value!r}")
+    return float(value)
 
 
 def _integer(value, name: str, minimum: int) -> int:
@@ -394,7 +402,6 @@ def _mode_series(cfg: dict):
     stride = round(t_c / grid.dt)
     if stride < 1 or abs(stride * grid.dt - t_c) > 1e-9:
         raise ConfigurationError("t_c must be a multiple of the tau grid spacing")
-    SeriesPolicy(k_max=cfg["k_max"], tail_tol=cfg["tail_tol"])  # checked, and read by nothing
     names, first = [f"series_gamma_{g:g}.json" for g in gammas], {}
     for i, name in enumerate(names):
         j = first.setdefault(name, i)
@@ -421,7 +428,6 @@ def _mode_thermal(cfg: dict):
     if np.isnan(gamma):
         raise ConfigurationError("thermal mode needs p_s > 0 and t_c > 0 to calibrate the rate")
     grid = TimeGrid(t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1)
-    SeriesPolicy(k_max=cfg["k_max"], tail_tol=cfg["tail_tol"])  # checked, and read by nothing
     rows, report = _series_vs_protocol(collision, gamma, grid, 1)
     rows[:, 2:4] = np.nan  # thermal rows leave beta1 and beta2 empty
     return rows, {"series_thermal.json": report}, None
@@ -470,9 +476,9 @@ COMMON = {"mode": (_string, None), "seed": (_seed, 0), "output_path": (_string, 
 GRID = {"gamma_bar": (_gammas, REQUIRED), "tau_max": (_float, REQUIRED),
         "tau_points": (partial(_count, minimum=2), REQUIRED)}
 # k_max and tail_tol are read and checked (a bad value exits 2) and change nothing: no mode runs a
-# truncated series. They stay only while bench/ still sends them (ROADMAP.md, benchmark upkeep).
-POLICY = {"k_max": (partial(_integer, minimum=1), SeriesPolicy.k_max),
-          "tail_tol": (_float, SeriesPolicy.tail_tol)}
+# truncated series, so nothing reads them and they default to None. They stay only while bench/
+# still sends them (ROADMAP.md, benchmark upkeep).
+POLICY = {"k_max": (partial(_integer, minimum=1), None), "tail_tol": (_positive, None)}
 RANGE = {"start": (_float, REQUIRED), "stop": (_float, REQUIRED),
          "count": (partial(_count, minimum=1), REQUIRED)}
 BATHS = {

@@ -1,4 +1,4 @@
-"""Exact simulation of the discrete collision protocol.
+"""Exact simulation of the discrete collision protocol, and the engine's two map routes.
 
 The protocol alternates unitary system-ancilla (SA) collisions with
 incoherent partial-swap ancilla-ancilla (AA) collisions: after the S-1
@@ -22,10 +22,11 @@ by rho_A. There attaching rho_A is the coefficient of B_top, Tr_A sums the
 diagonal units, the reset R(W) = Tr_A(W) (x) rho_A is a matrix of 0 and 1
 for either bath, and a Hermitian window has real coefficients. One
 function, ``_window_coordinates``, builds them for one rho_A: the change of
-basis M, attach, Tr_A and R. Each step builder calls it once and returns
-them with its step, and the window loop reads attach and Tr_A from there,
-so a run builds them once. A vec-basis operator enters them through
-``_in_window(op, M)``, which checks that it preserves Hermiticity.
+basis M, attach, Tr_A, R and the system's units with their inverse. Each
+step builder calls it once and returns them with its step, and the window
+loop reads attach, Tr_A and the system's units from there, so a run builds
+them once. A vec-basis operator enters them through ``_in_window(op, M)``,
+which checks that it preserves Hermiticity.
 
 The step is the Lie-Trotter splitting e^{A t_c} e^{B t_c} of
 L = A + B, A = -i[H, .], B = gamma (R - 1): e^{A t_c} = U (x) U*, and
@@ -37,9 +38,8 @@ of a run change nothing: R fixes W_0 = rho (x) rho_A, and Tr_A R = Tr_A.
 The exact step of the same L is ``generator_step``: e^{L dt} from a numpy
 scaling-and-squaring exponential, ``_expm``, taken in window coordinates,
 where gamma dt multiplies no rounding. It holds at any finite gamma dt for
-either bath. The continuum maps of :mod:`nmcollide.continuum` come from
-it, and ``_expm`` is the package's one general matrix exponential:
-``LindbladGenerator.semigroup`` takes it too.
+either bath. ``_expm`` is the package's one general matrix exponential:
+``continuum.LindbladGenerator.semigroup`` takes it too.
 
 One loop, ``propagate_maps``, propagates windows under either step: d_s^2
 system inputs at once, each window as its real coefficients, so every
@@ -53,9 +53,25 @@ this is the same as renormalizing after every step. Over 2000 steps at
 t_c = 0.01 the repair keeps the reduced states within 1.1e-14 of a
 long-double recursion, against 3e-14 to 3e-13 without it. The maps leave
 the window coordinates through the system's units, whose change of basis
-rounds nothing, so the map at step 0 is the identity bit for bit. The
-discrete maps and the continuum maps both come from this loop, and a
-trajectory from rho_0 is ``discrete_maps(cfg).apply(rho_0)``.
+rounds nothing, so the map at step 0 is the identity bit for bit.
+
+Both map routes wrap that loop and return one MapStack, an (n, d^2, d^2)
+superoperator array on row-major vectorized density matrices with its
+times; every index of a MapStack is a MapStack, one map included:
+
+* ``discrete_maps(cfg)``: the protocol's own maps at the times n t_c, from
+  ``protocol_step``. A trajectory from rho_0 is
+  ``discrete_maps(cfg).apply(rho_0)``.
+* ``lambda_embedding(h, weights, gamma, grid)``: the continuum maps
+  Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A) on a TimeGrid, from
+  ``generator_step``. The step is exact in double precision at any finite
+  gamma dt, for a pure and a thermal bath, so the maps are within 1e-13 of
+  the closed form over thousands of steps. The CLI's series and thermal
+  modes take their maps from it.
+
+The CLI compares the two as the exact step against the splitting step on
+one loop. The paper's form of the continuum maps, the convolution series,
+is :mod:`nmcollide.continuum`, which no CLI mode runs.
 """
 
 from __future__ import annotations
@@ -67,12 +83,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .quantum import HermitianOperator, _hermitian_real, _hermitian_units, unitary_evolution
+from .quantum import (DensityOperator, HermitianOperator, _hermitian_real, _hermitian_units,
+                      unitary_evolution)
 
 __all__ = [
     "BathSpec",
     "CollisionConfig",
+    "MapStack",
+    "TimeGrid",
+    "discrete_maps",
     "generator_step",
+    "lambda_embedding",
     "propagate_maps",
     "protocol_step",
     "thermal_weights",
@@ -177,21 +198,22 @@ class CollisionConfig:
 
 
 def _window_coordinates(weights, system_dim: int) -> tuple:
-    """(M, attach, Tr_A, R), the window coordinates of rho_A = diag(weights): the basis
+    """(M, attach, Tr_A, R, P, P^-1), the window coordinates of rho_A = diag(weights): the basis
     P_b (x) B_m of system (x) ancilla, the system's Hermitian units P_b
-    (``quantum._hermitian_units``) times the ancilla's, B_m, with the unit on the largest weight,
-    B_top, replaced by rho_A. M's column (b, m) is row-major vec(P_b (x) B_m). Attaching rho_A
-    puts a system coefficient on B_top, and Tr_A sums the diagonal units, Tr B_m = 1, so both
-    are matrices of 0 and 1, (d^2, d_s^2) and (d_s^2, d^2), and so is the reset
-    R = attach Tr_A."""
+    (``quantum._hermitian_units``, the columns of P) times the ancilla's, B_m, with the unit on
+    the largest weight, B_top, replaced by rho_A. M's column (b, m) is row-major
+    vec(P_b (x) B_m). Attaching rho_A puts a system coefficient on B_top, and Tr_A sums the
+    diagonal units, Tr B_m = 1, so both are matrices of 0 and 1, (d^2, d_s^2) and (d_s^2, d^2),
+    and so is the reset R = attach Tr_A."""
     da, ds = len(weights), system_dim
     top = int(np.argmax(weights)) * (da + 1)
     units = _hermitian_units(da)[0].T.reshape(-1, da, da)  # B_m
     units[top] = np.diag(weights)
-    basis = np.kron(_hermitian_units(ds)[0].T.reshape(-1, 1, ds, ds), units)
+    system, inverse = _hermitian_units(ds)
+    basis = np.kron(system.T.reshape(-1, 1, ds, ds), units)
     attach = np.kron(np.eye(ds * ds), np.eye(da * da)[top][:, None])
     trace = np.kron(np.eye(ds * ds), np.eye(da).reshape(-1))
-    return basis.reshape(len(attach), -1).T, attach, trace, attach @ trace
+    return basis.reshape(len(attach), -1).T, attach, trace, attach @ trace, system, inverse
 
 
 def _in_window(op: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -206,7 +228,7 @@ def protocol_step(cfg: CollisionConfig):
     """The transfer matrix e^{A t_c} e^{B t_c} = (U (x) U*)(p_s 1 + (1 - p_s) R) in window
     coordinates, and those coordinates (``_window_coordinates``)."""
     w = cfg.bath.weight_vector(cfg.ancilla_dim)
-    basis, _, _, reset = coords = _window_coordinates(w, cfg.system_dim)
+    basis, _, _, reset, _, _ = coords = _window_coordinates(w, cfg.system_dim)
     u = unitary_evolution(cfg.hamiltonian, cfg.t_c)
     unitary = _in_window(np.kron(u, u.conj()), basis)
     return unitary @ (cfg.p_s * np.eye(u.size) + (1.0 - cfg.p_s) * reset), coords
@@ -257,7 +279,7 @@ def generator_step(h: HermitianOperator, weights, gamma: float, dt: float):
     rate = gamma * dt
     if not math.isfinite(rate):  # a product past the largest double is a numerical failure
         raise FloatingPointError(f"gamma * dt = {gamma:g} * {dt:g} overflows")
-    basis, _, _, reset = coords = _window_coordinates(weights, h.dim // len(weights))
+    basis, _, _, reset, _, _ = coords = _window_coordinates(weights, h.dim // len(weights))
     eye = np.eye(h.dim)
     commutator = _in_window(-1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T)), basis)
     return _expm(commutator * dt + rate * (reset - np.eye(h.dim ** 2))), coords
@@ -268,20 +290,19 @@ def propagate_maps(step: np.ndarray, coords: tuple, n_steps: int):
     j = 0..n_steps, as an (n_steps + 1, d_s^2, d_s^2) array.
 
     The step is a real matrix in the window coordinates of rho_A, coords, which both step
-    builders return with it (``_window_coordinates``); the loop reads attach, Tr_A and d_s from
-    them. There every window is Hermitian by construction and attaching rho_A, Tr_A and the
-    system's trace are sums of coefficients. The inputs X are the system's units P_b, plus E_00
-    where Tr P_b = 0, so every window has unit trace. The reduced states
+    builders return with it (``_window_coordinates``); the loop reads attach, Tr_A, d_s and the
+    system's units P from them. There every window is Hermitian by construction and attaching
+    rho_A, Tr_A and the system's trace are sums of coefficients. The inputs X are the system's
+    units P_b, plus E_00 where Tr P_b = 0, so every window has unit trace. The reduced states
     Y_{j+i} = Tr_A T^i W_j, i = 1..b, b = ceil(sqrt(n_steps)), of a block come from one product
     of the stacked rows Tr_A T, ..., Tr_A T^b with the block's first window W_j, which T^b then
     carries to the next block; no window is kept per step. Each reduced state is divided by its
     own trace, which for a linear step equals renormalizing the window after every step. Each
-    map is
-    S = P Y X^-1 P^-1 (``quantum._hermitian_units``), read out with one product whose entries
-    are 0, +-1, +-i, +-1/2 and +-i/2: S_0 is the identity bit for bit. Each product is a row
-    chunk of at most 2^18 multiply-adds, which OpenBLAS keeps on one thread.
+    map is S = P Y X^-1 P^-1, read out with one product whose entries are 0, +-1, +-i, +-1/2 and
+    +-i/2: S_0 is the identity bit for bit. Each product is a row chunk of at most 2^18
+    multiply-adds, which OpenBLAS keeps on one thread.
     """
-    attach, reduced = coords[1:3]
+    _, attach, reduced, _, units, inverse = coords
     d2, ds = len(step), math.isqrt(len(reduced))
     trace_row, eye = np.eye(ds).reshape(-1), np.eye(ds * ds)  # Tr P_b, so Tr Y = trace_row @ y
     x = eye + np.outer(eye[0], 1.0 - trace_row)  # X^-1 = 2 - X: the added E_00s square to 0
@@ -299,7 +320,6 @@ def propagate_maps(step: np.ndarray, coords: tuple, n_steps: int):
         y /= (trace_row @ y)[:, None, :]
         window = powers[-1] @ window
     coeffs = (states @ (2.0 * eye - x)).reshape(n_steps + 1, -1)
-    units, inverse = _hermitian_units(ds)
     back = np.kron(units, inverse.T)  # vec(P C P^-1) = (P (x) P^-T) vec C
     out = np.empty((n_steps + 1, len(back)), dtype=np.complex128)  # filled by parts: no copy
     rows = max(1, 2**18 // back.size)
@@ -307,3 +327,109 @@ def propagate_maps(step: np.ndarray, coords: tuple, n_steps: int):
         out.real[j:j + rows] = coeffs[j:j + rows] @ back.real.T
         out.imag[j:j + rows] = coeffs[j:j + rows] @ back.imag.T
     return out.reshape(n_steps + 1, ds * ds, ds * ds)
+
+
+def _vec(rho) -> np.ndarray:
+    """Row-major vec of a state or matrix."""
+    return (rho.data if isinstance(rho, DensityOperator) else np.asarray(rho)).reshape(-1)
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """Uniform grid on [0, t_max] with n_points samples."""
+
+    t_max: float
+    n_points: int
+
+    def __post_init__(self):
+        if not 0 < self.t_max < math.inf:  # a NaN t_max fails too
+            raise ConfigurationError("t_max must be positive and finite")
+        if self.n_points < 2:
+            raise ConfigurationError("need at least two grid points")
+
+    @property
+    def dt(self) -> float:
+        return self.t_max / (self.n_points - 1)
+
+    def times(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_max, self.n_points)
+
+
+@dataclass(frozen=True)
+class MapStack:
+    """Dynamical maps at a sequence of times, as one (n, d^2, d^2) superoperator array; the
+    dimension d is read from its shape.
+
+    Every index gives a MapStack: an int j the one-map stack at that time
+    (``slice(j, j + 1)``, sharing the array; an int past either end raises
+    IndexError), a slice or an index array the maps it selects. Construction
+    performs no positivity check: a stack also carries candidate maps that
+    certification is meant to reject.
+    """
+
+    times: np.ndarray
+    superops: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self.superops.shape[-1])
+
+    def __len__(self) -> int:
+        return len(self.superops)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, (int, np.integer)):
+            j = idx + len(self) if idx < 0 else idx
+            if not 0 <= j < len(self):
+                raise IndexError(f"map index {idx} out of range for {len(self)} maps")
+            idx = slice(j, j + 1)
+        return MapStack(self.times[idx], self.superops[idx])
+
+    def choi(self) -> np.ndarray:
+        """The (n, d^2, d^2) stack of Choi matrices: each superoperator reshuffled, then
+        symmetrized in place to remove rounding noise: 0.5 (C + C^dag) bit for bit, with at most
+        two Choi-sized arrays live."""
+        n, d = len(self.superops), self.dim
+        t = self.superops.reshape(n, d, d, d, d)
+        choi = np.array(t.transpose(0, 3, 1, 4, 2), order="C").reshape(n, d * d, d * d)
+        choi += choi.conj().transpose(0, 2, 1)
+        choi *= 0.5
+        return choi
+
+    def apply(self, rho) -> np.ndarray:
+        """Each map applied to rho, as an (n, d, d) array."""
+        return (self.superops @ _vec(rho)).reshape(-1, self.dim, self.dim)
+
+
+def _system_dim_and_weights(h: HermitianOperator, weights):
+    """The system dimension of H on system (x) len(weights)-level ancilla, and rho_A's diagonal:
+    the weights as given, once BathSpec has checked them as a probability vector. They are not
+    renormalized: a second w / w.sum() moves the bits of thermal_weights' output."""
+    w = np.asarray(BathSpec(kind="thermal", weights=tuple(weights)).weights, dtype=float)
+    if h.dim % len(w) != 0:
+        raise ConfigurationError(f"hamiltonian dim {h.dim} is not divisible by "
+                                 f"ancilla dim {len(w)}")
+    return h.dim // len(w), w
+
+
+def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid) -> MapStack:
+    """Dynamical maps Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A) on the grid.
+
+    L = -i[H, .] + gamma (R - 1) acts on system (x) one ancilla, with
+    rho_A = diag(weights). One step e^{L dt} (``generator_step``, exact in double precision at
+    any finite gamma dt) is stepped through the window loop, ``propagate_maps``, never an
+    eigendecomposition: for the exchange coupling L is defective at gamma = 2. The CLI's series
+    and thermal modes take their maps from it.
+    """
+    if not 0 <= gamma < math.inf:  # a NaN rate fails too
+        raise ConfigurationError("memory-loss rate gamma must be nonnegative and finite")
+    w = _system_dim_and_weights(h, weights)[1]
+    superops = propagate_maps(*generator_step(h, w, gamma, grid.dt), grid.n_points - 1)
+    return MapStack(grid.times(), superops)
+
+
+def discrete_maps(cfg: CollisionConfig) -> MapStack:
+    """The protocol's maps rho_0 -> rho_n at times n * t_c, n = 0..n_steps, for either bath,
+    from ``propagate_maps``: ``discrete_maps(cfg).apply(rho_0)`` is the trajectory."""
+    superops = propagate_maps(*protocol_step(cfg), cfg.n_steps)
+    return MapStack(np.arange(cfg.n_steps + 1) * cfg.t_c, superops)

@@ -1,4 +1,4 @@
-"""Continuous-limit dynamical maps from the memory-kernel channel family.
+"""The paper's series form of the continuous-limit maps, and their memoryless limit.
 
 The exact map at memory-loss rate Gamma is a weighted series of
 auto-convolutions of the kernel channel E(t),
@@ -10,57 +10,38 @@ composition as the product, and E(t) rho = Tr_A e^{-iHt}(rho (x) rho_A)e^{iHt}.
 The series is the Dyson expansion, in the reset term, of one generator
 on system (x) a single ancilla, L = -i[H, .] + Gamma (R - 1) with
 R(W) = Tr_A(W) (x) rho_A, so that Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A).
-Every route takes one H and rho_A = diag(bath.weight_vector), the
-protocol's own. The kernel's modes attach rho_A and take Tr_A as
-contractions of H's eigenvectors; the embedding and the protocol run in
-the engine's window coordinates, where attaching rho_A, Tr_A and the reset
-are exact.
+That generator is the runtime route: ``collisions.lambda_embedding`` steps
+e^{L dt} through the engine's window loop, and the CLI's series and
+thermal modes take their maps from it. No CLI mode runs this module and no
+module on the CLI's path imports it; it is kept as the form the paper
+writes, checked against the closed form and the generator, and the
+benchmark imports it.
+
 The kernel has one constructor, ``build_kernel_map(h, weights)``: E(t) as
-its exponential modes on H and rho_A = diag(weights), which
-``MemoryKernelMap.maps(times)`` samples. It and the routes below return
-one MapStack, an (n, d^2, d^2) superoperator array on row-major
-vectorized density matrices with its times:
+its exponential modes on H and rho_A = diag(weights), the modes attaching
+rho_A and taking Tr_A as contractions of H's eigenvectors.
+``MemoryKernelMap.maps(times)`` samples it as one ``collisions.MapStack``.
 
-* ``lambda_embedding``: the generator L itself, Lambda(t) rho =
-  Tr_A e^{L t}(rho (x) rho_A), with one step e^{L dt} from
-  ``collisions.generator_step`` stepped through the engine's window loop.
-  The step is exact in double precision at any finite Gamma dt, for a
-  pure and a thermal bath, so the maps are within 1e-13 of the closed
-  form over thousands of steps, and the map at t = 0 is the identity bit
-  for bit. The CLI's series and thermal modes take their maps from it.
-* ``lambda_series``: the paper's form, the whole series on a uniform grid,
-  as the solution of its Volterra equation
-  X(t) = B1(t) + Gamma int_0^t B1(s) X(t - s) ds, B1 = e^{-Gamma t} E(t),
-  by product integration: X is linear between nodes, and each distinct
-  rate's mode of B1 is integrated exactly against the hat functions.
-  Every weight operator is an integral of CP maps against a nonnegative
-  function, and the weights integrate e^{-Gamma s} exactly, so the maps
-  are CP and trace preserving at every Gamma and step, and the error is
-  second order in the step (~1e-6 on the shipped configs' grids). E(t) is a finite
-  sum of exponentials, so each rate's running convolution sum has a
-  one-step recurrence: with the geometric forcing, the solve is the orbit
-  of one fixed transfer matrix on 2 R d_s^2 rows (R distinct rates; 40
-  rows for the exchange coupling), read out in blocks of about sqrt(n)
-  points per numpy call. Nothing is truncated, and the cost is linear in
-  the grid and independent of Gamma. No CLI mode runs it: it is kept as
-  the series form the paper writes, checked against the closed form and
-  the generator, and shares no code with ``propagate_maps``.
-* ``discrete_maps``: the protocol's own maps at the times n t_c. Its step
-  is the splitting e^{A t_c} e^{B t_c} of L = A + B, A = -i[H, .] and
-  B = Gamma (R - 1), with the Strang splitting's O(t_c^2) error: R fixes
-  rho (x) rho_A and Tr_A R = Tr_A, so half resets at both ends change
-  nothing. It shares the engine's one window loop with the embedding, so
-  the CLI's comparison of the two is the exact step against the
-  splitting step on one loop.
-
-The closed form for the exchange coupling (``jaynes_cummings.jc_maps``)
-returns a MapStack too; it imports this module, never the reverse.
+``lambda_series`` is the whole series on a uniform grid, as the solution of
+its Volterra equation X(t) = B1(t) + Gamma int_0^t B1(s) X(t - s) ds,
+B1 = e^{-Gamma t} E(t), by product integration: X is linear between nodes,
+and each distinct rate's mode of B1 is integrated exactly against the hat
+functions. Every weight operator is an integral of CP maps against a
+nonnegative function, and the weights integrate e^{-Gamma s} exactly, so
+the maps are CP and trace preserving at every Gamma and step, and the
+error is second order in the step (~1e-6 on the shipped configs' grids).
+E(t) is a finite sum of exponentials, so each rate's running convolution
+sum has a one-step recurrence: with the geometric forcing, the solve is the
+orbit of one fixed transfer matrix on 2 R d_s^2 rows (R distinct rates; 40
+rows for the exchange coupling), read out in blocks of about sqrt(n)
+points per numpy call. Nothing is truncated, and the cost is linear in the
+grid and independent of Gamma. It shares no code with
+``collisions.propagate_maps``.
 
 ``lindblad_limit`` gives the memoryless semigroup of the kernel's
-short-time derivative (the infinite-rate regime). Every index of a MapStack
-is a MapStack, one map included. A map's Kraus form is
-``quantum.kraus_from_choi`` of its row of ``MapStack.choi()``; the routes
-stay superoperators, since the series adds maps.
+short-time derivative (the infinite-rate regime). The routes stay
+superoperators, since the series adds maps; a map's Kraus form is
+``quantum.kraus_from_choi`` of its row of ``MapStack.choi()``.
 """
 
 from __future__ import annotations
@@ -71,58 +52,24 @@ from typing import Optional
 
 import numpy as np
 
-from .collisions import (BathSpec, CollisionConfig, _expm, generator_step, propagate_maps,
-                         protocol_step)
+from .collisions import MapStack, TimeGrid, _expm, _system_dim_and_weights
 from .errors import ConfigurationError, InternalConsistencyError
-from .quantum import DensityOperator, HermitianOperator, _hermitian_units
+from .quantum import HermitianOperator, _hermitian_units
 from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
-    "TimeGrid",
     "SeriesPolicy",
     "MemoryKernelMap",
-    "MapStack",
     "LambdaSeriesResult",
     "LindbladGenerator",
     "build_kernel_map",
     "adc_decay_kernel",
     "lambda_series",
-    "lambda_embedding",
-    "discrete_maps",
     "lindblad_limit",
 ]
 
 
-# --- vectorization conventions ---------------------------------------------
-
-
-def _vec(rho) -> np.ndarray:
-    """Row-major vec of a state or matrix."""
-    return (rho.data if isinstance(rho, DensityOperator) else np.asarray(rho)).reshape(-1)
-
-
-# --- grids and policies -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid on [0, t_max] with n_points samples."""
-
-    t_max: float
-    n_points: int
-
-    def __post_init__(self):
-        if not 0 < self.t_max < math.inf:  # a NaN t_max fails too
-            raise ConfigurationError("t_max must be positive and finite")
-        if self.n_points < 2:
-            raise ConfigurationError("need at least two grid points")
-
-    @property
-    def dt(self) -> float:
-        return self.t_max / (self.n_points - 1)
-
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.n_points)
+# --- policies ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -168,17 +115,6 @@ class MemoryKernelMap:
         return MapStack(times, np.einsum("pj,pab->jab", phases, self.mats))
 
 
-def _system_dim_and_weights(h: HermitianOperator, weights):
-    """The system dimension of H on system (x) len(weights)-level ancilla, and rho_A's diagonal:
-    the weights as given, once BathSpec has checked them as a probability vector. They are not
-    renormalized: a second w / w.sum() moves the bits of thermal_weights' output."""
-    w = np.asarray(BathSpec(kind="thermal", weights=tuple(weights)).weights, dtype=float)
-    if h.dim % len(w) != 0:
-        raise ConfigurationError(f"hamiltonian dim {h.dim} is not divisible by "
-                                 f"ancilla dim {len(w)}")
-    return h.dim // len(w), w
-
-
 def build_kernel_map(h: HermitianOperator, weights=(1.0, 0.0)) -> MemoryKernelMap:
     """E(t) rho = Tr_A e^{-iHt} (rho (x) rho_A) e^{iHt}, rho_A = diag(weights): a unitary
     dilation, CPT at every t. (1, 0) is the ground-state ancilla; a bath passes its
@@ -219,53 +155,7 @@ def adc_decay_kernel(rate: float) -> MemoryKernelMap:
     )
 
 
-# --- dynamical maps ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MapStack:
-    """Dynamical maps at a sequence of times, as one (n, d^2, d^2) superoperator array; the
-    dimension d is read from its shape.
-
-    Every index gives a MapStack: an int j the one-map stack at that time
-    (``slice(j, j + 1)``, sharing the array; an int past either end raises
-    IndexError), a slice or an index array the maps it selects. Construction
-    performs no positivity check: a stack also carries candidate maps that
-    certification is meant to reject.
-    """
-
-    times: np.ndarray
-    superops: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return math.isqrt(self.superops.shape[-1])
-
-    def __len__(self) -> int:
-        return len(self.superops)
-
-    def __getitem__(self, idx):
-        if isinstance(idx, (int, np.integer)):
-            j = idx + len(self) if idx < 0 else idx
-            if not 0 <= j < len(self):
-                raise IndexError(f"map index {idx} out of range for {len(self)} maps")
-            idx = slice(j, j + 1)
-        return MapStack(self.times[idx], self.superops[idx])
-
-    def choi(self) -> np.ndarray:
-        """The (n, d^2, d^2) stack of Choi matrices: each superoperator reshuffled, then
-        symmetrized in place to remove rounding noise: 0.5 (C + C^dag) bit for bit, with at most
-        two Choi-sized arrays live."""
-        n, d = len(self.superops), self.dim
-        t = self.superops.reshape(n, d, d, d, d)
-        choi = np.array(t.transpose(0, 3, 1, 4, 2), order="C").reshape(n, d * d, d * d)
-        choi += choi.conj().transpose(0, 2, 1)
-        choi *= 0.5
-        return choi
-
-    def apply(self, rho) -> np.ndarray:
-        """Each map applied to rho, as an (n, d, d) array."""
-        return (self.superops @ _vec(rho)).reshape(-1, self.dim, self.dim)
+# --- the series form ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -391,32 +281,6 @@ def lambda_series(kernel: MemoryKernelMap, gamma: float, grid: TimeGrid,
         raise InternalConsistencyError(f"the series at gamma = {gamma:g} on {n} points over "
                                        f"[0, {grid.t_max:g}] is not finite")
     return LambdaSeriesResult(MapStack(grid.times(), out))
-
-
-# --- Markovian embedding ------------------------------------------------------
-
-
-def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid) -> MapStack:
-    """Dynamical maps Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A) on the grid.
-
-    L = -i[H, .] + gamma (R - 1) acts on system (x) one ancilla, with
-    rho_A = diag(weights). One step e^{L dt} (``collisions.generator_step``, exact in
-    double precision at any finite gamma dt) is stepped through the engine's window loop,
-    ``collisions.propagate_maps``, never an eigendecomposition: for the exchange coupling L is
-    defective at gamma = 2. The CLI's series and thermal modes take their maps from it.
-    """
-    if not 0 <= gamma < math.inf:  # a NaN rate fails too
-        raise ConfigurationError("memory-loss rate gamma must be nonnegative and finite")
-    w = _system_dim_and_weights(h, weights)[1]
-    superops = propagate_maps(*generator_step(h, w, gamma, grid.dt), grid.n_points - 1)
-    return MapStack(grid.times(), superops)
-
-
-def discrete_maps(cfg: CollisionConfig) -> MapStack:
-    """The protocol's maps rho_0 -> rho_n at times n * t_c, n = 0..n_steps, for either bath,
-    from ``collisions.propagate_maps``: ``discrete_maps(cfg).apply(rho_0)`` is the trajectory."""
-    superops = propagate_maps(*protocol_step(cfg), cfg.n_steps)
-    return MapStack(np.arange(cfg.n_steps + 1) * cfg.t_c, superops)
 
 
 # --- memoryless limit --------------------------------------------------------

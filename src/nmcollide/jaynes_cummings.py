@@ -24,7 +24,7 @@ violations raise instead of clipping.
 
 gamma_bar is an array axis like tau: every function here that takes both
 broadcasts them and treats each (tau, gamma_bar) pair as one point.
-``jc_maps`` is the one map constructor: a continuum MapStack with
+``jc_maps`` is the one map constructor: a ``collisions.MapStack`` with
 S[0,0] = 1, S[0,3] = 1 - beta2, S[1,1] = S[2,2] = beta1 and S[3,3] = beta2
 on row-major vectorized qubit states, one map per pair. One point,
 ``jc_maps(tau, g)``, is a one-map stack: ``apply(rho)[0]`` is the evolved
@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .continuum import MapStack
+from .collisions import MapStack
 from .errors import ConfigurationError, InternalConsistencyError
 from .quantum import HermitianOperator
 from .tolerances import DEFAULT_TOLERANCES

@@ -20,7 +20,7 @@ and the bath units 1..n (single ancillas, or purified pairs). A partial
 swap of two units permutes their axes, an SA collision contracts U with
 the system axes and one unit's axes, and the system state is the trace
 over every unit axis. Beyond the config it is given (the bath's weights
-among it), the chain calls nothing of the engine or the continuum layer.
+among it), the chain calls nothing of the engine or its map routes.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .collisions import BathSpec, CollisionConfig
-from .continuum import MapStack, discrete_maps
+from .collisions import BathSpec, CollisionConfig, MapStack, discrete_maps
 from .errors import ConfigurationError, DivergenceError, ValidationError
 from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .quantum import (
@@ -399,10 +398,10 @@ class ConvergenceReport:
 _PROBE = DensityOperator(np.array([[0.4, 0.25 + 0.2j], [0.25 - 0.2j, 0.6]]))
 
 
-def probe_distances(maps: MapStack, protocol: MapStack, probe=_PROBE) -> np.ndarray:
+def probe_distances(maps: MapStack, protocol: MapStack) -> np.ndarray:
     """The trace distance at each time between the states of maps and of the discrete protocol
-    on the probe, the protocol's states validated as a density-matrix stack."""
-    return trace_distances(density_stack(protocol.apply(probe)), maps.apply(probe))
+    on ``_PROBE``, the protocol's states validated as a density-matrix stack."""
+    return trace_distances(density_stack(protocol.apply(_PROBE)), maps.apply(_PROBE))
 
 
 def convergence_study(gamma_bar: float, tau_max: float, t_c_list) -> ConvergenceReport:

@@ -16,12 +16,10 @@ from nmcollide import (
     CollisionConfig,
     DensityOperator,
     TimeGrid,
-    adc_decay_kernel,
     beta1,
     beta2,
     beta_laplace,
     brute_force_chain,
-    build_kernel_map,
     certify_cpt,
     choi_of,
     convergence_study,
@@ -31,10 +29,9 @@ from nmcollide import (
     jc_maps,
     kraus_from_choi,
     lambda_embedding,
-    lambda_series,
-    lindblad_limit,
     trace_distance,
 )
+from nmcollide.continuum import adc_decay_kernel, build_kernel_map, lambda_series, lindblad_limit
 from nmcollide.verify import corrupted_beta_maps
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -22,9 +22,9 @@ from nmcollide import (
 )
 from nmcollide import collisions
 from nmcollide.cli import PHASE_BOUND
-from nmcollide.collisions import (_expm, _in_window, _window_coordinates, generator_step,
-                                  propagate_maps, protocol_step)
-from nmcollide.continuum import TimeGrid, build_kernel_map, lambda_embedding
+from nmcollide.collisions import (TimeGrid, _expm, _in_window, _window_coordinates,
+                                  generator_step, lambda_embedding, propagate_maps, protocol_step)
+from nmcollide.continuum import build_kernel_map
 from nmcollide.jaynes_cummings import beta_arrays, jc_maps
 from nmcollide.quantum import _hermitian_units
 from nmcollide.verify import purified_pair_ket
@@ -277,8 +277,9 @@ class TestResetSplitting:
         # in window coordinates the reset is an idempotent matrix of 0 and 1, and both parts are
         # the vec-basis -i[H, .] and R once mapped back
         weights = np.array([0.7, 0.3])
-        basis, attach, trace, reset = _window_coordinates(weights, 2)
+        basis, attach, trace, reset, units, inverse = _window_coordinates(weights, 2)
         assert np.array_equal(reset, attach @ trace) and np.array_equal(reset @ reset, reset)
+        assert all(map(np.array_equal, (units, inverse), _hermitian_units(2)))
         assert set(np.unique(reset)) == {0.0, 1.0}
         m = window_basis(weights, 2)
         assert np.array_equal(basis, m)

@@ -12,13 +12,8 @@ from nmcollide import (
     DensityOperator,
     HermitianOperator,
     InternalConsistencyError,
-    LindbladGenerator,
     MapStack,
-    MemoryKernelMap,
-    SeriesPolicy,
     TimeGrid,
-    adc_decay_kernel,
-    build_kernel_map,
     calibrated_swap_probability,
     certify_cpt,
     convergence_study,
@@ -27,15 +22,14 @@ from nmcollide import (
     jc_maps,
     kraus_from_choi,
     lambda_embedding,
-    lambda_series,
-    lindblad_limit,
     thermal_weights,
     trace_distance,
     unitary_evolution,
 )
 import mpmath
 
-from nmcollide.continuum import _hat_integrals
+from nmcollide.continuum import (LindbladGenerator, MemoryKernelMap, SeriesPolicy, _hat_integrals,
+                                 adc_decay_kernel, build_kernel_map, lambda_series, lindblad_limit)
 from nmcollide.quantum import _hermitian_units
 
 from conftest import density_operators

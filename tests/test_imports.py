@@ -1,15 +1,17 @@
 """The package's import graph, read from the source with ast.
 
-The layers run quantum -> collisions -> continuum -> jaynes_cummings ->
-verify -> cli: the closed form builds its maps as a continuum MapStack, so
-continuum must never import it back, and the engine below both knows
-nothing of either. No module of the package imports scipy: the package's one
+The layers a CLI run goes through are quantum -> collisions ->
+jaynes_cummings -> verify -> cli: the engine and its two map routes come
+first, the closed form builds its maps as the engine's MapStack, and the
+engine knows nothing of the layers above it. continuum, the paper's series
+form, sits beside them: it imports the engine, and no module on the CLI's
+path imports it. No module of the package imports scipy: the package's one
 matrix exponential is the numpy ``collisions._expm``, and scipy is a test
 dependency, the tests' reference exponential. One more check runs a fresh
-interpreter: importing the CLI and running every shipped config must load no
-scipy or mpmath module at all. mpmath costs more than the rest of the import,
-and no CLI mode calls it: it is imported inside the Talbot oracle, the only
-function that uses it.
+interpreter: importing the CLI and running every shipped config must load
+no scipy or mpmath module at all, and no nmcollide.continuum. mpmath costs
+more than the rest of the import, and no CLI mode calls it: it is imported
+inside the Talbot oracle, the only function that uses it.
 """
 
 import ast
@@ -60,14 +62,21 @@ def test_nothing_imports_cli():
 @pytest.mark.parametrize("module, forbidden", [
     ("collisions", {"continuum", "jaynes_cummings", "verify", "cli", "__init__"}),
     ("continuum", {"jaynes_cummings", "verify", "cli", "__init__"}),
-    ("jaynes_cummings", {"verify", "cli", "__init__"}),
+    ("jaynes_cummings", {"continuum", "verify", "cli", "__init__"}),
 ])
 def test_lower_layers_do_not_import_upper_ones(module, forbidden):
     assert GRAPH[module] & forbidden == set()
 
 
-def test_closed_form_reads_map_stack_from_continuum():
-    assert "continuum" in GRAPH["jaynes_cummings"]
+def test_closed_form_reads_map_stack_from_collisions():
+    assert "collisions" in GRAPH["jaynes_cummings"]
+
+
+def test_no_module_on_the_cli_path_imports_continuum():
+    # the series form is run by no mode: the layers a CLI run loads, and the package root, which
+    # the CLI imports, leave it out
+    path = ("quantum", "collisions", "jaynes_cummings", "verify", "cli", "__init__")
+    assert [name for name in path if "continuum" in GRAPH[name]] == []
 
 
 def test_graph_is_acyclic():
@@ -172,11 +181,11 @@ def _calls(path: Path) -> list:
 
 
 def test_window_coordinates_are_built_in_one_place():
-    # in collisions only _window_coordinates builds the window basis from Hermitian units; the
-    # window loop takes the system's units for its readout of the maps
+    # in collisions only _window_coordinates builds Hermitian units: the window loop reads the
+    # system's units for its readout of the maps from the coordinates it is given
     callers = {where for where, callee in _calls(PACKAGE / "collisions.py")
                if callee.split(".")[-1] == "_hermitian_units"}
-    assert callers == {"_window_coordinates", "propagate_maps"}
+    assert callers == {"_window_coordinates"}
 
 
 def test_every_hermitian_spectrum_goes_through_hermitian_spectra():
@@ -192,7 +201,8 @@ def test_every_hermitian_spectrum_goes_through_hermitian_spectra():
 
 
 CONFIGS = PACKAGE.parent.parent / "configs"
-UNUSED_BY_THE_CLI = ("scipy", "mpmath")  # top-level packages: every submodule counts
+# a top-level package counts with every submodule, a dotted module alone
+UNUSED_BY_THE_CLI = ("scipy", "mpmath", "nmcollide.continuum")
 
 _RUN_EVERY_CONFIG = """
 import json, sys
@@ -202,7 +212,8 @@ configs, out = Path(sys.argv[1]), Path(sys.argv[2])
 codes = {p.stem: main(["sweep" if p.stem == "sweep" else "run", str(p), "--output-dir",
                        str(out / p.stem)]) for p in sorted(configs.glob("*.json"))}
 print(json.dumps({"codes": codes,
-                  "loaded": sorted(m for m in sys.modules if m.split(".")[0] in sys.argv[3:])}))
+                  "loaded": sorted(m for m in sys.modules
+                                   if m in sys.argv[3:] or m.split(".")[0] in sys.argv[3:])}))
 """
 
 

@@ -28,7 +28,7 @@ from nmcollide import (
     random_density_operator,
     trace_distance,
 )
-from nmcollide import collisions, continuum, jaynes_cummings, quantum, verify
+from nmcollide import collisions, jaynes_cummings, quantum, verify
 from nmcollide.verify import corrupted_beta_maps
 
 PROBE = DensityOperator(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
@@ -109,7 +109,7 @@ class TestBruteForceChain:
         def refuse(*args, **kwargs):
             raise RuntimeError("the engine was called")
 
-        for module in (quantum, collisions, continuum, jaynes_cummings, verify):
+        for module in (quantum, collisions, jaynes_cummings, verify):
             for name in ("propagate_maps", "protocol_step", "generator_step", "_in_window",
                          "_window_coordinates", "discrete_maps", "_hermitian_units", "jc_maps",
                          "beta1", "beta2", "beta_arrays"):
@@ -336,28 +336,29 @@ class TestConvergenceStudy:
 
     def test_each_collision_time_is_one_window_loop(self, monkeypatch):
         import nmcollide
-        import nmcollide.continuum as continuum
 
-        calls, loop = [], continuum.propagate_maps
+        calls, loop = [], collisions.propagate_maps
 
         def counting(*args):
             calls.append(args[-1])
             return loop(*args)
 
-        monkeypatch.setattr(continuum, "propagate_maps", counting)
+        monkeypatch.setattr(collisions, "propagate_maps", counting)
         convergence_study(1.0, 1.0, [0.1, 0.05, 0.025])
         assert calls == [10, 20, 40]  # one loop per collision time, over its n_steps
         assert not hasattr(nmcollide, "run_discrete")
 
     def test_probe_distances_validate_the_protocol_states_alone(self):
         taus = np.linspace(0.0, 2.0, 5)
-        maps, corrupted = jc_maps(taus, 1.0), corrupted_beta_maps(1.0, taus)
-        plus = DensityOperator(np.full((2, 2), 0.5))  # inflated coherences make it indefinite
-        distances = verify.probe_distances(corrupted, maps, plus)
-        expected = [trace_distance(a, b) for a, b in zip(corrupted.apply(plus), maps.apply(plus))]
+        maps = jc_maps(taus, 1.0)
+        superops = maps.superops.copy()
+        superops[:, [1, 2], [1, 2]] *= 2.0  # doubled coherences make the probe's images indefinite
+        corrupted, probe = MapStack(taus, superops), verify._PROBE
+        distances = verify.probe_distances(corrupted, maps)
+        expected = [trace_distance(a, b) for a, b in zip(corrupted.apply(probe), maps.apply(probe))]
         assert np.allclose(distances, expected, rtol=0.0, atol=1e-15)
         with pytest.raises(ValidationError):
-            verify.probe_distances(maps, corrupted, plus)
+            verify.probe_distances(maps, corrupted)
 
     def test_single_point_has_no_order(self):
         report = convergence_study(1.0, 2.0, [0.1])
