@@ -5,9 +5,12 @@ intra-bath collisions and its continuous-limit dynamical maps (the reset
 generator on system and one ancilla), both from one engine in
 ``collisions``, the closed-form solution for a resonant excitation-exchange
 coupling, finite-temperature baths whose ancillas start in a mixed thermal
-state, and CPT certification of every produced map. The paper's
-convolution series and its memoryless limit are :mod:`nmcollide.continuum`,
-which the package root does not import.
+state, and CPT certification of every produced map. Every route returns
+its maps as one ``MapStack``, the form that ``certify_cpt`` takes; the
+Kraus layer (``KrausChannel``, ``choi_of``, ``kraus_from_choi``) is exported
+as an independent reference. The paper's convolution series and its
+memoryless limit are :mod:`nmcollide.continuum`, which the package root
+does not import.
 """
 
 from .collisions import (
@@ -56,7 +59,6 @@ from .verify import (
     certify_cpt,
     convergence_study,
     inverse_laplace,
-    random_density_operator,
 )
 
 __version__ = "0.1.0"

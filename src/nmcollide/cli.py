@@ -55,8 +55,9 @@ allocated, included), 3 certification failure, 4 numerical failure (a
 diverged quadrature, a provably bounded quantity out of range, or a numpy
 linear-algebra or floating-point error, such as a series gamma_bar times
 its step past the largest double; every finite product runs).
-A run treats numpy overflow, division by zero and invalid operations as
-errors rather than warnings, so stderr carries nothing but the JSON error.
+A run, the reading of its config included, treats numpy overflow, division
+by zero and invalid operations as errors rather than warnings, so stderr
+carries nothing but the JSON error.
 """
 
 from __future__ import annotations
@@ -293,6 +294,9 @@ def _range(value, name: str) -> list:
         return _floats(value, name)
     if isinstance(value, dict):
         spec = _fields(value, RANGE, f"{name}.")
+        if not np.isfinite(spec["stop"] - spec["start"]):  # Python floats: inf, no warning
+            raise ConfigurationError(f"field '{name}' spans {spec['start']!r} to {spec['stop']!r}, "
+                                     "a width that is not a finite double")
         return list(np.linspace(spec["start"], spec["stop"], spec["count"]))
     raise ConfigurationError(f"field '{name}' must be a list or a start/stop/count object")
 
@@ -400,7 +404,7 @@ def _mode_series(cfg: dict):
                                  "it needs 'compare_discrete': true")
     t_c = grid.dt if cfg["t_c"] is None else cfg["t_c"]
     stride = round(t_c / grid.dt)
-    if stride < 1 or abs(stride * grid.dt - t_c) > 1e-9:
+    if stride < 1 or abs(stride * grid.dt - t_c) > 1e-9 * max(1.0, t_c):
         raise ConfigurationError("t_c must be a multiple of the tau grid spacing")
     names, first = [f"series_gamma_{g:g}.json" for g in gammas], {}
     for i, name in enumerate(names):
@@ -586,13 +590,14 @@ def _dispatch(parser: _Parser, argv) -> int:
     try:
         args = parser.parse_args(argv)
         subcommand = args.command
-        # a sweep config may leave its mode out; sweep and certify run their own mode alone
-        cfg, raw = load_config(args.config, default_mode="sweep" if subcommand == "sweep" else None)
-        accepted = MODES if subcommand == "run" else (subcommand,)
-        if cfg["mode"] not in accepted:
-            raise ConfigurationError(f"the {subcommand} subcommand takes mode "
-                                     f"{' or '.join(map(repr, accepted))}, not {cfg['mode']!r}")
         with np.errstate(over="raise", divide="raise", invalid="raise"):
+            # a sweep config may leave its mode out; sweep and certify run their own mode alone
+            cfg, raw = load_config(args.config,
+                                   default_mode="sweep" if subcommand == "sweep" else None)
+            accepted = MODES if subcommand == "run" else (subcommand,)
+            if cfg["mode"] not in accepted:
+                raise ConfigurationError(f"the {subcommand} subcommand takes mode "
+                                         f"{' or '.join(map(repr, accepted))}, not {cfg['mode']!r}")
             return _execute(cfg, raw, args.output_dir)
     except (ConfigurationError, ValidationError) as exc:
         return _emit_error(EXIT_CONFIG, str(exc))

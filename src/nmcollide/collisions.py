@@ -101,13 +101,18 @@ __all__ = [
 
 
 def thermal_weights(energies, inverse_temperature: float) -> np.ndarray:
-    """Boltzmann weights e^{-beta e_k} / Z, computed stably for large beta."""
+    """Boltzmann weights e^{-beta e_k} / Z, computed stably for large beta: relative to the
+    lowest level, so the largest weight is e^0. A level whose beta (e_k - e_min) lies past the
+    largest double weighs 0, and beta = 0 weighs every level alike, however far apart."""
     e = np.asarray(energies, dtype=float)
     if not np.all(np.isfinite(e)):
         raise ConfigurationError("level energies must be finite")
     if not 0 <= inverse_temperature < np.inf:  # a NaN inverse temperature fails too
         raise ConfigurationError("inverse_temperature must be nonnegative and finite")
-    logw = -inverse_temperature * (e - e.min())
+    if inverse_temperature == 0:  # 0 * (e - e_min) is NaN where the difference overflows
+        return np.full(e.shape, 1.0 / len(e))
+    with np.errstate(over="ignore"):  # past the largest double: -inf, a weight e^-inf = 0
+        logw = -inverse_temperature * (e - e.min())
     w = np.exp(logw)
     return w / w.sum()
 
@@ -141,7 +146,9 @@ class BathSpec:
                         "'inverse_temperature', not both"
                     )
                 w = np.asarray(self.weights, dtype=float)
-                if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):  # NaN fails too
+                with np.errstate(over="ignore"):  # a sum past the largest double is inf: fails
+                    total = w.sum()
+                if not (np.all(w >= 0) and abs(total - 1.0) <= 1e-12):  # NaN fails too
                     raise ConfigurationError("explicit weights must be a probability vector")
             elif self.energies is None or self.inverse_temperature is None:
                 raise ConfigurationError(

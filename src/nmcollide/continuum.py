@@ -304,21 +304,11 @@ class LindbladGenerator:
         return MapStack(np.array([float(t)]), _expm(self.generator * t)[None])
 
 
-def lindblad_limit(kernel: MemoryKernelMap, h: float, *, order: int = 1) -> LindbladGenerator:
-    """Extract the short-time generator G ~ dE/dt(0) by finite differences.
-
-    order=1 uses [E(h) - 1]/h; order=2 adds an E(2h) sample for the
-    second-order one-sided difference. Both annihilate the trace
-    functional exactly, so e^{G t} is trace preserving.
+def lindblad_limit(kernel: MemoryKernelMap, h: float) -> LindbladGenerator:
+    """Extract the short-time generator G = [E(h) - 1]/h ~ dE/dt(0) by a first-order
+    difference. It annihilates the trace functional exactly, so e^{G t} is trace preserving.
     """
     if not 0 < h < math.inf:  # a NaN step fails too
         raise ConfigurationError("finite-difference step h must be positive and finite")
     eye = np.eye(kernel.system_dim ** 2, dtype=np.complex128)
-    s1, s2 = kernel.maps([h, 2.0 * h]).superops
-    if order == 1:
-        gen = (s1 - eye) / h
-    elif order == 2:
-        gen = (4.0 * s1 - s2 - 3.0 * eye) / (2.0 * h)
-    else:
-        raise ConfigurationError("difference order must be 1 or 2")
-    return LindbladGenerator(gen)
+    return LindbladGenerator((kernel.maps(h).superops[0] - eye) / h)

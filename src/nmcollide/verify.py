@@ -5,7 +5,7 @@ transform is a fixed-Talbot contour quadrature in arbitrary precision,
 the brute-force chain simulator holds every ancilla in memory instead of
 the sliding window, ``discrete_jc_betas`` steps hand-written transfer
 matrices, and the certifier recomputes Choi spectra from scratch for
-whatever maps it is handed. The comparisons are not oracles:
+whatever map stack it is handed. The comparisons are not oracles:
 ``convergence_study`` runs the engine's ``discrete_maps`` against the
 closed form ``jc_maps``, and ``probe_distances`` measures any two stacks.
 
@@ -33,20 +33,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .collisions import BathSpec, CollisionConfig, MapStack, discrete_maps
-from .errors import ConfigurationError, DivergenceError, ValidationError
+from .errors import ConfigurationError, DivergenceError
 from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .quantum import (
     DensityOperator,
-    KrausChannel,
     _frozen,
-    choi_of,
     density_stack,
     hermitian_spectra,
     ket,
     trace_distances,
     unitary_evolution,
 )
-from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "CptReport",
@@ -61,7 +58,6 @@ __all__ = [
     "probe_distances",
     "probe_trace_defect",
     "calibrated_swap_probability",
-    "random_density_operator",
     "random_density_stack",
     "corrupted_beta_maps",
 ]
@@ -285,32 +281,19 @@ class CptReport:
         }
 
 
-def certify_cpt(maps, tolerance: float = 1e-9) -> CptReport:
-    """Certify complete positivity and trace preservation of each map.
+def certify_cpt(maps: MapStack, tolerance: float = 1e-9) -> CptReport:
+    """Certify complete positivity and trace preservation of each map of the stack.
 
-    Accepts a sequence of Kraus channels, a MapStack, or the Choi matrices
-    themselves as an (n, d^2, d^2) array. A stack given as Kraus channels or
-    as an array that is not Hermitian within the hermiticity tolerance is
-    rejected; a MapStack needs no such test, since ``MapStack.choi`` is
-    Hermitian bit for bit. The spectra come from ``quantum.hermitian_spectra``,
-    which solves the exact blocks of the stack's joint zero pattern (at most
-    2x2 for the paper's phase-covariant maps), and the trace defects from
-    the Choi output-trace marginal. A NaN or infinite entry raises
-    np.linalg.LinAlgError.
+    The spectra come from ``quantum.hermitian_spectra`` of ``MapStack.choi``,
+    which is Hermitian bit for bit, and solves the exact blocks of the
+    stack's joint zero pattern (at most 2x2 for the paper's phase-covariant
+    maps); the trace defects come from the Choi output-trace marginal. A
+    Kraus family is certified as the stack of its superoperators
+    sum_k K (x) K*. A NaN or infinite entry raises np.linalg.LinAlgError.
     """
     if len(maps) == 0:
         raise ConfigurationError("cannot certify an empty map family")
-    if isinstance(maps, MapStack):
-        stack = maps.choi()
-    else:
-        stack = maps if isinstance(maps, np.ndarray) else np.stack([_choi_data(mp) for mp in maps])
-    n, d2 = stack.shape[0], stack.shape[-1]
-    d = math.isqrt(d2)
-    if stack.shape != (n, d2, d2) or d * d != d2:
-        raise ConfigurationError(f"expected an (n, d^2, d^2) Choi stack, got shape {stack.shape}")
-    herm = 0.0 if isinstance(maps, MapStack) else np.max(np.abs(stack - stack.conj().mT))
-    if herm > DEFAULT_TOLERANCES.hermiticity:
-        raise ValidationError(f"Choi stack not Hermitian: deviation {herm:.3e}")
+    stack, n, d = maps.choi(), len(maps), maps.dim
     min_eigs = hermitian_spectra(stack)[:, 0]
     marginal = np.einsum("niaja->nij", stack.reshape(n, d, d, d, d))
     defects = np.max(np.abs(marginal - np.eye(d)), axis=(1, 2))
@@ -326,12 +309,6 @@ def probe_trace_defect(maps: MapStack, probes) -> float:
     out = np.einsum("niajb,pij->npab", sampled, probes)
     traces = np.trace(out, axis1=2, axis2=3).real
     return float(np.max(np.abs(traces - 1.0), initial=0.0))
-
-
-def _choi_data(mp) -> np.ndarray:
-    if isinstance(mp, KrausChannel):
-        return choi_of(mp)
-    raise ConfigurationError(f"cannot certify object of type {type(mp)!r}")
 
 
 def corrupted_beta_maps(gamma_bar: float, taus) -> MapStack:
@@ -454,9 +431,3 @@ def random_density_stack(dim: int, count: int, rng: np.random.Generator) -> np.n
     g = g[:, 0] + 1j * g[:, 1]
     mat = g @ g.conj().mT + 1e-6 * np.eye(dim)
     return density_stack(mat / np.trace(mat, axis1=1, axis2=2).real[:, None, None])
-
-
-def random_density_operator(dim: int, rng: np.random.Generator) -> DensityOperator:
-    """Full-rank random state from a complex Gaussian square root: ``random_density_stack``'s
-    one-state case."""
-    return DensityOperator(random_density_stack(dim, 1, rng)[0])

@@ -262,7 +262,7 @@ def test_criterion_10_markovian_limit_structure():
     excited = DensityOperator.basis(2, 1)
     errs = {}
     for h in (1e-3, 5e-4):
-        gen = lindblad_limit(kernel, h, order=1)
+        gen = lindblad_limit(kernel, h)
         errs[h] = max(
             abs(gen.semigroup(t).apply(excited)[0, 1, 1].real - np.exp(-2.0 * rate * t))
             for t in (0.5, 1.0, 2.0)
@@ -271,8 +271,8 @@ def test_criterion_10_markovian_limit_structure():
     first_order = 1.5 < halving < 2.6 and errs[1e-3] < 5e-3
 
     jc_kernel = build_kernel_map(jc_hamiltonian())
-    n1 = lindblad_limit(jc_kernel, 1e-3, order=1).norm()
-    n2 = lindblad_limit(jc_kernel, 5e-4, order=1).norm()
+    n1 = lindblad_limit(jc_kernel, 1e-3).norm()
+    n2 = lindblad_limit(jc_kernel, 5e-4).norm()
     slope = float(np.log2(n1 / n2))
     vanishing = abs(slope - 1.0) < 0.1 and n2 < n1
 

@@ -2,7 +2,9 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -761,6 +763,45 @@ class TestErrorMapping:
         assert main(["certify", certify]) == 0
 
 
+SRC = Path(cli.__file__).resolve().parent.parent
+COLD_BATH = {"mode": "thermal", "collision": {"t_c": 0.1, "p_s": 0.5, "n_steps": 3, "bath": {
+    "kind": "thermal", "energies": [0, 1e308], "inverse_temperature": 10}}}
+
+
+def _with_bath(**bath):
+    return {**COLD_BATH, "collision": {**COLD_BATH["collision"],
+                                       "bath": {"kind": "thermal", **bath}}}
+
+
+class TestNumericsPolicyCoversConfigReading:
+    """The config is read under the run's numerics policy, so no numpy warning reaches stderr:
+    each case runs in a fresh interpreter with Python's own warning filters, as a user runs it."""
+
+    @pytest.mark.parametrize("subcommand, payload, code, field", [
+        pytest.param("run", COLD_BATH, 0, None, id="cold-bath"),
+        pytest.param("run", _with_bath(energies=[-1e308, 1e308], inverse_temperature=10), 0,
+                     None, id="cold-bath-span-past-the-largest-double"),
+        pytest.param("sweep", {"gamma_bar": {"start": -1e308, "stop": 1e308, "count": 3},
+                               "tau": [1.0]}, 2, "'gamma_bar'", id="sweep-range-overflow"),
+        pytest.param("run", _with_bath(weights=[1e308, 1e308]), 2, "weights",
+                     id="weights-overflow"),
+    ])
+    def test_stderr_is_empty_or_one_json_line(self, tmp_path, subcommand, payload, code, field):
+        cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(tmp_path / "out")})
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        done = subprocess.run([sys.executable, "-m", "nmcollide.cli", subcommand, cfg], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code
+        if code == 0:
+            assert done.stderr == ""
+        else:
+            lines = done.stderr.splitlines()
+            assert len(lines) == 1
+            error = json.loads(lines[0])["error"]
+            assert error["code"] == code and field in error["message"]
+
+
 class TestBatchedClosedForm:
     """certify and sweep evaluate whole tau arrays; rows match the per-point route."""
 
@@ -1013,9 +1054,32 @@ class TestSeriesVsProtocol:
         assert main(["run", cfg]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
+
         message = json.loads(lines[0])["error"]["message"]
         assert "'t_c'" in message and "'compare_discrete'" in message
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    # at tau_max = 2.2e7 the grid spacing rounds by ~4e-9, so the comparison's t_c is checked to
+    # within 1e-9 of itself: an exact multiple runs, one off by 1e-6 of itself is refused
+    LONG = {"mode": "series", "gamma_bar": [0.5], "tau_max": 22000000.0, "tau_points": 70,
+            "compare_discrete": True}
+
+    def test_exact_multiple_at_a_large_tau_max_runs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", {**self.LONG, "t_c": 22000000.0,
+                                                  "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        distances = [row[4] for row in read_rows(tmp_path / "out")]
+        assert distances[0] != "" and distances[-1] != "" and set(distances[1:-1]) == {""}
+
+    def test_t_c_off_by_a_relative_1e_6_at_a_large_tau_max_exits_2(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        _forbid_series_and_protocol(monkeypatch)
+        cfg = write_config(tmp_path, "cfg.json", {**self.LONG, "t_c": 22000000.0 * (1 + 1e-6),
+                                                  "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "t_c" in json.loads(lines[0])["error"]["message"]
 
     @pytest.mark.parametrize("gammas, named", [
         pytest.param([1.0, 1.0000001], "1.0 and 1.0000001 both name the report "

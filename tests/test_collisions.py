@@ -15,7 +15,6 @@ from nmcollide import (
     ValidationError,
     brute_force_chain,
     discrete_maps,
-    random_density_operator,
     thermal_weights,
     trace_distance,
     unitary_evolution,
@@ -27,7 +26,7 @@ from nmcollide.collisions import (TimeGrid, _expm, _in_window, _window_coordinat
 from nmcollide.continuum import build_kernel_map
 from nmcollide.jaynes_cummings import beta_arrays, jc_maps
 from nmcollide.quantum import _hermitian_units
-from nmcollide.verify import purified_pair_ket
+from nmcollide.verify import purified_pair_ket, random_density_stack
 
 PROBE = DensityOperator(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
 
@@ -198,6 +197,31 @@ class TestThermal:
         w = thermal_weights([0.0, 1.0], 1e6)
         assert np.allclose(w, [1.0, 0.0])
 
+    @pytest.mark.parametrize("energies, expected", [
+        ((0.0, 1e308), (1.0, 0.0)),  # beta e_1 overflows
+        ((-1e308, 1e308), (1.0, 0.0)),  # e_1 - e_0 overflows
+        ((1e308, -1e308), (0.0, 1.0)),
+    ])
+    def test_level_past_the_largest_double_weighs_zero(self, energies, expected):
+        # exactly 0, with no numpy warning (the suite turns warnings into errors)
+        assert thermal_weights(energies, 10.0).tolist() == list(expected)
+
+    @pytest.mark.parametrize("energies", [(0.0, 1.0), (-1e308, 1e308), (0.0, 1e308, -5.0)])
+    def test_zero_beta_is_uniform_however_far_apart(self, energies):
+        assert thermal_weights(energies, 0.0).tolist() == [1.0 / len(energies)] * len(energies)
+
+    def test_weights_are_the_boltzmann_formula_bit_for_bit_where_it_is_finite(self):
+        # discrete_chain and continuum_series run thermal baths: their weights must not move
+        for energies in ((0.0, 1.0), (0.3, -1.7), (0.0, 1e300), (2.0, 2.0, -1.0)):
+            e = np.array(energies)
+            for beta in (*np.linspace(0.0, 5.0, 101), 1e6, 1e-300):
+                w = np.exp(-beta * (e - e.min()))
+                assert thermal_weights(energies, beta).tobytes() == (w / w.sum()).tobytes()
+
+    def test_overflowing_explicit_weights_refused_quietly(self):
+        with pytest.raises(ConfigurationError, match="probability vector"):
+            BathSpec(kind="thermal", weights=(1e308, 1e308))
+
     def test_purified_pair_marginal(self):
         w = np.array([0.7, 0.3])
         psi = purified_pair_ket(w)
@@ -285,7 +309,7 @@ class TestResetSplitting:
         assert np.array_equal(basis, m)
         assert np.max(np.abs(m @ reset @ np.linalg.inv(m) - vec_reset(np.diag(weights), 2))) < 1e-15
         commutator = in_vec_basis(_in_window(vec_commutator(jc_h), basis), weights)
-        w = random_density_operator(4, np.random.default_rng(3)).data
+        w = random_density_stack(4, 1, np.random.default_rng(3))[0]
         expected = -1j * (jc_h.data @ w - w @ jc_h.data)
         assert np.max(np.abs(commutator @ w.reshape(-1) - expected.reshape(-1))) < 1e-15
 
@@ -394,7 +418,7 @@ class TestAncillaBookkeeping:
             weights = rng.dirichlet(np.ones(da))
             basis, attach = _window_coordinates(weights, ds)[:2]
             assert np.array_equal(basis, window_basis(weights, ds))
-            rho = random_density_operator(ds, rng).data
+            rho = random_density_stack(ds, 1, rng)[0]
             coeffs = (inverse @ rho.reshape(-1)).real  # rho on the system's Hermitian units
             out = window_basis(weights, ds) @ attach @ coeffs
             assert np.max(np.abs(out - np.kron(rho, np.diag(weights)).reshape(-1))) <= 1e-15
@@ -407,7 +431,7 @@ class TestAncillaBookkeeping:
         for _ in range(5):
             weights = rng.dirichlet(np.ones(da))
             trace = _window_coordinates(weights, ds)[2]
-            w = random_density_operator(ds * da, rng).data
+            w = random_density_stack(ds * da, 1, rng)[0]
             coeffs = np.linalg.solve(window_basis(weights, ds), w.reshape(-1)).real
             expected = trace_ancilla(w, ds, da).reshape(-1)
             # the solve for the coefficients rounds: largest difference 1.1e-16
@@ -441,7 +465,7 @@ class TestAncillaBookkeeping:
         for t in (0.0, 0.3, 2.7):
             u = scipy.linalg.expm(-1j * t * h.data)
             for _ in range(3):
-                rho = random_density_operator(ds, rng).data
+                rho = random_density_stack(ds, 1, rng)[0]
                 expected = trace_ancilla(u @ np.kron(rho, np.diag(weights)) @ u.conj().T, ds, da)
                 assert np.max(np.abs(kernel.maps(t).apply(rho)[0] - expected)) < 1e-13
 
@@ -528,7 +552,7 @@ class TestDiscreteMaps:
                      id="thermal"),
     ])
     def test_matches_brute_force_chain(self, jc_h, bath, n_steps):
-        rho = random_density_operator(2, np.random.default_rng(17))
+        rho = DensityOperator(random_density_stack(2, 1, np.random.default_rng(17))[0])
         cfg = CollisionConfig(2, 2, jc_h, t_c=0.4, p_s=0.6, n_steps=n_steps, bath=bath)
         stack = discrete_maps(cfg)
         reference = brute_force_chain(cfg, rho, n_max=n_steps)

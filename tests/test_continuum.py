@@ -631,7 +631,7 @@ class TestLindbladLimit:
         kernel = adc_decay_kernel(rate)
         errors = {}
         for h in (1e-3, 5e-4):
-            gen = lindblad_limit(kernel, h, order=1)
+            gen = lindblad_limit(kernel, h)
             excited = DensityOperator.basis(2, 1)
             errors[h] = max(
                 abs(gen.semigroup(t).apply(excited)[0, 1, 1].real - np.exp(-2 * rate * t))
@@ -640,22 +640,11 @@ class TestLindbladLimit:
         # first-order extraction: error shrinks linearly with the step
         assert 1.5 < errors[1e-3] / errors[5e-4] < 2.6
 
-    def test_second_order_extraction_is_sharper(self):
-        rate = 0.7
-        kernel = adc_decay_kernel(rate)
-        gen = lindblad_limit(kernel, 1e-3, order=2)
-        excited = DensityOperator.basis(2, 1)
-        err = max(
-            abs(gen.semigroup(t).apply(excited)[0, 1, 1].real - np.exp(-2 * rate * t))
-            for t in (0.5, 1.0, 2.0)
-        )
-        assert err < 1e-6
-
     def test_exchange_kernel_generator_vanishes_linearly(self, jc_kernel):
         # the short-time expansion of the cosine kernel starts at second order,
         # so the extracted generator itself scales down linearly in h
-        n1 = lindblad_limit(jc_kernel, 1e-3, order=1).norm()
-        n2 = lindblad_limit(jc_kernel, 5e-4, order=1).norm()
+        n1 = lindblad_limit(jc_kernel, 1e-3).norm()
+        n2 = lindblad_limit(jc_kernel, 5e-4).norm()
         slope = np.log2(n1 / n2)
         assert abs(slope - 1.0) < 0.05
 
@@ -664,7 +653,7 @@ class TestLindbladLimit:
         # amplitude-damping Lindbladian, population rate 2*rate and
         # coherence rate rate (here written in row-major vec basis)
         rate = 0.7
-        gen = lindblad_limit(adc_decay_kernel(rate), 1e-4, order=2)
+        gen = lindblad_limit(adc_decay_kernel(rate), 1e-7)
         expect = np.zeros((4, 4), dtype=complex)
         expect[0, 3] = 2.0 * rate
         expect[1, 1] = -rate
@@ -681,5 +670,3 @@ class TestLindbladLimit:
     def test_step_validation(self, jc_kernel):
         with pytest.raises(ConfigurationError):
             lindblad_limit(jc_kernel, 0.0)
-        with pytest.raises(ConfigurationError):
-            lindblad_limit(jc_kernel, 1e-3, order=3)

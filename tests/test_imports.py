@@ -200,6 +200,25 @@ def test_every_hermitian_spectrum_goes_through_hermitian_spectra():
     assert renamed == []
 
 
+KRAUS_LAYER = {"KrausChannel", "choi_of", "kraus_from_choi"}
+
+
+def test_only_quantum_and_the_package_root_name_the_kraus_layer():
+    # every route returns a MapStack and certify_cpt takes one: the Kraus layer stays an exported
+    # reference route, and no other module imports, calls or reads it
+    found = []
+    for name in MODULES:
+        if name in ("quantum", "__init__"):
+            continue
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))):
+            named = (node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else node.name if isinstance(node, ast.alias) else None)
+            if named in KRAUS_LAYER:
+                found.append((name, getattr(node, "lineno", 0), named))
+    assert found == []
+
+
 CONFIGS = PACKAGE.parent.parent / "configs"
 # a top-level package counts with every submodule, a dotted module alone
 UNUSED_BY_THE_CLI = ("scipy", "mpmath", "nmcollide.continuum")

@@ -25,7 +25,6 @@ from nmcollide import (
     jc_maps,
     discrete_maps,
     kraus_from_choi,
-    random_density_operator,
     trace_distance,
 )
 from nmcollide import collisions, jaynes_cummings, quantum, verify
@@ -179,9 +178,15 @@ class TestDiscreteJcBetas:
             verify.discrete_jc_betas(t_c, p_s, n_steps)
 
 
+def kraus_stack(channels) -> MapStack:
+    """A Kraus family as the stack of its superoperators sum_k K (x) K^*, one map per channel."""
+    superops = np.stack([sum(np.kron(k, k.conj()) for k in ch.kraus) for ch in channels])
+    return MapStack(np.arange(float(len(channels))), superops)
+
+
 class TestCertify:
     def test_identity_family_passes(self):
-        maps = [KrausChannel((np.eye(2),)) for _ in range(5)]
+        maps = MapStack(np.arange(5.0), np.stack([np.eye(4, dtype=complex)] * 5))
         report = certify_cpt(maps, 1e-9)
         assert report.verdict
         assert all(abs(e) < 1e-12 for e in report.min_choi_eigenvalue)
@@ -193,7 +198,7 @@ class TestCertify:
             for gamma in (0.0, 1.0, 5.0)
             for choi in jc_maps(np.linspace(0.0, 10.0, 26), gamma).choi()
         ]
-        assert certify_cpt(channels, 1e-9).verdict
+        assert certify_cpt(kraus_stack(channels), 1e-9).verdict
 
     def test_corrupted_family_flagged(self):
         maps = corrupted_beta_maps(1.0, np.linspace(0.0, 5.0, 11))
@@ -201,72 +206,51 @@ class TestCertify:
         assert not report.verdict
         assert min(report.min_choi_eigenvalue) < -1e-3
 
-    def test_corrupted_choi_stack_flagged(self):
-        maps = corrupted_beta_maps(1.0, np.linspace(0.0, 5.0, 11))
-        stack = np.stack([m.choi()[0] for m in maps])
-        report = certify_cpt(stack, 1e-9)
-        assert not report.verdict
-        assert min(report.min_choi_eigenvalue) < -1e-3
-
-    def test_non_hermitian_stack_rejected(self):
-        stack = np.stack([np.eye(4, dtype=complex)] * 3)
-        stack[1, 0, 3] = 1e-6
-        with pytest.raises(ValidationError):
-            certify_cpt(stack, 1e-9)
-
     def test_stack_agrees_with_channel_family(self):
+        # the Kraus round trip, Choi -> Kraus -> superoperator, is an independent route to the maps
         taus = np.linspace(0.0, 10.0, 26)
-        from_stack = certify_cpt(jc_maps(taus, 2.0).choi(), 1e-9)
-        from_channels = certify_cpt([kraus_from_choi(jc_maps(t, 2.0).choi()[0]) for t in taus],
-                                    1e-9)
+        from_stack = certify_cpt(jc_maps(taus, 2.0), 1e-9)
+        from_channels = certify_cpt(
+            kraus_stack([kraus_from_choi(jc_maps(t, 2.0).choi()[0]) for t in taus]), 1e-9)
         assert from_stack.verdict and from_channels.verdict
         assert np.allclose(from_stack.min_choi_eigenvalue, from_channels.min_choi_eigenvalue,
                            rtol=0.0, atol=1e-14)
         assert max(from_stack.max_trace_defect) == 0.0
 
     def test_map_stack_and_its_choi_array_give_identical_reports(self):
-        # a MapStack skips the Hermiticity test: MapStack.choi() is Hermitian bit for bit, even
-        # for superoperators that are not Hermiticity preserving
+        # MapStack.choi() is Hermitian bit for bit, even for superoperators that are not
+        # Hermiticity preserving, so certify_cpt needs no Hermiticity test
         rng = np.random.default_rng(7)
         superops = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
         noise = MapStack(np.arange(5.0), superops)
         for maps, verdict in ((jc_maps(np.linspace(0.0, 10.0, 26), 2.0), True), (noise, False)):
             choi = maps.choi()
             assert np.array_equal(choi, choi.conj().transpose(0, 2, 1))
-            from_stack, from_array = certify_cpt(maps, 1e-9), certify_cpt(choi, 1e-9)
+            report = certify_cpt(maps, 1e-9)
             for field in ("min_choi_eigenvalue", "max_trace_defect"):
-                mine, theirs = getattr(from_stack, field), getattr(from_array, field)
+                mine = getattr(report, field)
                 assert isinstance(mine, np.ndarray) and not mine.flags.writeable
-                assert np.array_equal(mine, theirs)
-            assert from_stack.verdict is from_array.verdict is verdict
-
-    def test_two_dimensional_array_refused_before_hermiticity(self):
-        class NoArithmetic(np.ndarray):
-            def conj(self):
-                raise AssertionError("Hermiticity tested before the shape")
-
-        with pytest.raises(ConfigurationError, match="Choi stack"):
-            certify_cpt(np.eye(4, dtype=complex).view(NoArithmetic), 1e-9)
+            assert np.array_equal(report.min_choi_eigenvalue,
+                                  quantum.hermitian_spectra(choi)[:, 0])
+            assert report.verdict is verdict
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_raises(self, bad):
         # eigvalsh alone would raise on a NaN but return NaN eigenvalues for an infinity
         maps = jc_maps(np.linspace(0.0, 5.0, 6), 1.0)
-        superops, choi = maps.superops.copy(), maps.choi()
-        superops[2, 0, 0] = choi[2, 0, 0] = bad
-        # the arithmetic of an infinity (inf * 0j in MapStack.choi, inf - inf in the Hermiticity
-        # test of an array) warns of the NaN it makes
+        superops = maps.superops.copy()
+        superops[2, 0, 0] = bad
+        # the arithmetic of an infinity (inf * 0j in MapStack.choi) warns of the NaN it makes
         with np.errstate(invalid="ignore"):
-            for family in (MapStack(maps.times, superops), choi):
-                with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-                    certify_cpt(family, 1e-9)
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                certify_cpt(MapStack(maps.times, superops), 1e-9)
 
     def test_empty_family_rejected(self):
         with pytest.raises(ConfigurationError):
-            certify_cpt([], 1e-9)
+            certify_cpt(MapStack(np.zeros(0), np.zeros((0, 4, 4), dtype=complex)), 1e-9)
 
     def test_report_serialization(self):
-        report = certify_cpt([KrausChannel((np.eye(2),))], 1e-9)
+        report = certify_cpt(kraus_stack([KrausChannel((np.eye(2),))]), 1e-9)
         payload = json.loads(json.dumps(report.summary([0.25])))
         assert set(payload) == {"min_choi_eigenvalue", "max_trace_defect", "tolerance", "verdict"}
         assert payload["verdict"] is True
@@ -410,13 +394,8 @@ class TestRandomStates:
         assert stack.shape == (count, dim, dim) and not stack.flags.writeable
         assert stack.tobytes() == expected.tobytes()
 
-    def test_one_state_is_the_stack_of_one(self):
-        state = random_density_operator(2, np.random.default_rng(5))
-        assert np.array_equal(state.data, verify.random_density_stack(2, 1,
-                                                                      np.random.default_rng(5))[0])
-
     def test_reproducible_and_valid(self):
-        a = random_density_operator(3, np.random.default_rng(11))
-        b = random_density_operator(3, np.random.default_rng(11))
-        assert np.array_equal(a.data, b.data)
-        assert abs(np.trace(a.data) - 1.0) < 1e-12
+        a = verify.random_density_stack(3, 1, np.random.default_rng(11))[0]
+        b = verify.random_density_stack(3, 1, np.random.default_rng(11))[0]
+        assert np.array_equal(a, b)
+        assert abs(np.trace(a) - 1.0) < 1e-12
