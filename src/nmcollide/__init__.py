@@ -49,7 +49,6 @@ from .quantum import (
     trace_distances,
     unitary_evolution,
 )
-from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
 from .verify import (
     ConvergenceReport,
     CptReport,

@@ -45,8 +45,9 @@ Exit codes, each failure with a JSON error on stderr: 0 success, 2 a
 command line the parser refuses (``--help`` still exits 0), an unreadable,
 unparseable or invalid config, or an output directory that is empty or
 cannot be created (an unknown field at any level, named with the accepted
-fields, every missing required field, a closed-form gamma_bar or tau past the
-bound where its intermediates stay finite, a collision, tau_max or sweep tau
+fields, every missing required field, a number that no finite double holds
+(an integer included), a closed-form gamma_bar or tau past the bound where
+its intermediates stay finite, a collision, tau_max or sweep tau
 past PHASE_BOUND, a collision with a rate that is not finite, a thermal bath
 whose energies or weights do not list two numbers, a convergence gamma_bar
 below 0 or tau_max not above 0, two series gamma_bar values that name one
@@ -73,8 +74,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .collisions import (BathSpec, CollisionConfig, MapStack, TimeGrid, discrete_maps,
-                         lambda_embedding)
+from .collisions import (BathSpec, CollisionConfig, MapStack, TimeGrid, _whole_steps,
+                         discrete_maps, lambda_embedding)
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -82,7 +83,7 @@ from .errors import (
     ValidationError,
 )
 from .jaynes_cummings import jc_hamiltonian, jc_maps
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import CHOI_POSITIVITY, CPT_TOLERANCE
 from .verify import (calibrated_swap_probability, certify_cpt, convergence_study,
                      probe_distances, probe_trace_defect, random_density_stack)
 
@@ -102,7 +103,9 @@ MAX_POINTS = MEMORY_BUDGET // POINT_BYTES  # 262 144
 # the step angle t_c compounded over a run. The continuum maps take up to ~3 times that: one
 # long step of collisions._expm rounds its angle once more in each squaring. A factor 4 covers
 # both, so up to PHASE_BOUND the error stays below 1e-8, and a last time (a collision block's
-# n_steps * t_c, or a tau_max) keeps 8 decimal digits of its phase.
+# n_steps * t_c, or a tau_max) keeps 8 decimal digits of its phase. At the bound, a one-step
+# series (tau_points = 2) writes min_choi_eig = -1.1e-9, just below CPT_TOLERANCE, certify's
+# default: the phase holds, but no mode certifies those maps to 1e-9.
 PHASE_BOUND = 2.0**51 * 1e-8  # ~2.252e7
 
 EXIT_OK = 0
@@ -192,6 +195,8 @@ def load_config(path: str, *, default_mode: Optional[str] = None) -> tuple:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer with more digits than Python converts from text
+        raise ConfigurationError("config holds an integer too long to read") from exc
     except RecursionError as exc:  # each nested array or object takes one interpreter frame
         raise ConfigurationError(f"config nests too deeply to parse: {exc}") from exc
     if not isinstance(raw, dict):
@@ -201,9 +206,12 @@ def load_config(path: str, *, default_mode: Optional[str] = None) -> tuple:
 
 
 def _number(value, name: str):
-    """A finite JSON number (not a string or a boolean), else a config error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
-        raise ConfigurationError(f"field '{name}' must be a finite number, got {value!r}")
+    """A JSON number that a finite double holds (not a string, a boolean or an integer past the
+    largest double), else a config error. The comparison is exact for an integer of any size."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):  # a NaN fails too
+        raise ConfigurationError(f"field '{name}' must be a finite number within the range of a "
+                                 f"double, got {value!r}")
     return value
 
 
@@ -232,7 +240,7 @@ def _count(value, name: str, minimum: int) -> int:
 def _within_budget(count, what: str):
     if count > MAX_POINTS:
         raise ConfigurationError(
-            f"{what} = {count} exceeds {MAX_POINTS}, the point and step bound "
+            f"{what} = {count:g} exceeds {MAX_POINTS}, the point and step bound "
             f"that keeps a run within its {MEMORY_BUDGET >> 20} MiB memory budget"
         )
     return count
@@ -403,9 +411,8 @@ def _mode_series(cfg: dict):
         raise ConfigurationError("field 't_c' is the collision time of the discrete comparison; "
                                  "it needs 'compare_discrete': true")
     t_c = grid.dt if cfg["t_c"] is None else cfg["t_c"]
-    stride = round(t_c / grid.dt)
-    if stride < 1 or abs(stride * grid.dt - t_c) > 1e-9 * max(1.0, t_c):
-        raise ConfigurationError("t_c must be a multiple of the tau grid spacing")
+    stride = _whole_steps(t_c, grid.dt, "field 't_c'",
+                          "the tau grid spacing tau_max / (tau_points - 1)")
     names, first = [f"series_gamma_{g:g}.json" for g in gammas], {}
     for i, name in enumerate(names):
         j = first.setdefault(name, i)
@@ -444,9 +451,9 @@ def _mode_convergence(cfg: dict):
     if tau_max <= 0:
         raise ConfigurationError(f"field 'tau_max' = {tau_max!r} must be positive")
     _within_phase_bound(tau_max, "field 'tau_max'")
-    if min(t_c_list) <= 0:
-        raise ConfigurationError("every entry of 't_c_list' must be positive")
-    _within_budget(tau_max / min(t_c_list), "the step count tau_max / t_c")
+    steps = _whole_steps(tau_max, min(t_c_list), "field 'tau_max'",
+                         "the smallest entry of 't_c_list'")
+    _within_budget(steps, "the step count tau_max / t_c")
     report = convergence_study(gamma, tau_max, t_c_list)
     rows = _rows(report.t_c_values, gamma, distance=report.errors)
     return rows, {"convergence_report.json": report.as_dict()}, None
@@ -463,7 +470,7 @@ def _mode_sweep(cfg: dict):
     stack = jc_maps(np.tile(taus, len(gammas)), gamma_column)
     min_eigs = certify_cpt(stack).min_choi_eigenvalue
     j = int(np.argmin(min_eigs))
-    if min_eigs[j] < -DEFAULT_TOLERANCES.choi_positivity:
+    if min_eigs[j] < -CHOI_POSITIVITY:
         raise InternalConsistencyError(
             f"Choi matrix is not positive semidefinite: min eigenvalue {min_eigs[j]:.3e} "
             f"at tau={stack.times[j]}, gamma_bar={gamma_column[j]}"
@@ -502,7 +509,7 @@ SCHEMA = {
     "convergence": (_mode_convergence, {"gamma_bar": (_float, REQUIRED),
                                         "tau_max": (_float, REQUIRED),
                                         "t_c_list": (_floats, REQUIRED)}),
-    "certify": (_mode_certify, {**GRID, "tolerance": (_float, 1e-9),
+    "certify": (_mode_certify, {**GRID, "tolerance": (_float, CPT_TOLERANCE),
                                 "probe_states": (partial(_count, minimum=0), 3)}),
     "sweep": (_mode_sweep, {"gamma_bar": (_range, REQUIRED), "tau": (_range, REQUIRED)}),
 }

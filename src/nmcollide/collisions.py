@@ -362,6 +362,21 @@ class TimeGrid:
         return np.linspace(0.0, self.t_max, self.n_points)
 
 
+def _whole_steps(span: float, step: float, span_name: str, step_name: str) -> int:
+    """The number n >= 1 of steps that span holds: n = round(span / step), with n * step within
+    1e-9 * max(1, span) of span, a check relative to the span. A step that is not positive, a
+    ratio that is not a finite double and any other misfit raise ConfigurationError, naming
+    span_name and step_name; nothing is divided or rounded that could raise on its own."""
+    if not step > 0:  # a NaN step fails too
+        raise ConfigurationError(f"{step_name} = {step!r} must be positive")
+    ratio = span / step
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if n < 1 or abs(n * step - span) > 1e-9 * max(1.0, span):
+        raise ConfigurationError(f"{span_name} = {span!r} is not a whole number of steps of "
+                                 f"{step_name} = {step!r} (at least 1, and a finite double)")
+    return n
+
+
 @dataclass(frozen=True)
 class MapStack:
     """Dynamical maps at a sequence of times, as one (n, d^2, d^2) superoperator array; the

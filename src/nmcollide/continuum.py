@@ -55,7 +55,7 @@ import numpy as np
 from .collisions import MapStack, TimeGrid, _expm, _system_dim_and_weights
 from .errors import ConfigurationError, InternalConsistencyError
 from .quantum import HermitianOperator, _hermitian_units
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import IMAGINARY_RESIDUE, KERNEL_IDENTITY
 
 __all__ = [
     "SeriesPolicy",
@@ -204,11 +204,11 @@ def _distinct_modes(kernel: MemoryKernelMap) -> tuple:
     coeffs = inverse @ mats @ units
     partner = rates[:, None] == rates.conj()[None, :]  # at most one partner: the rates differ
     residue = 0.5 * float(np.max(np.abs(coeffs - np.einsum("rs,sab->rab", partner, coeffs.conj()))))
-    if not residue <= DEFAULT_TOLERANCES.imaginary_residue:
+    if not residue <= IMAGINARY_RESIDUE:
         raise InternalConsistencyError(f"the kernel does not preserve Hermiticity: imaginary part "
                                        f"{residue:.3e} in a Hermitian basis")
     start = float(np.max(np.abs(mats.sum(axis=0) - np.eye(len(units)))))
-    if not start <= DEFAULT_TOLERANCES.kernel_identity:
+    if not start <= KERNEL_IDENTITY:
         raise ConfigurationError(f"the kernel's E(0) is not the identity map: max entry "
                                  f"difference {start:.3e}")
     return rates, mats

@@ -41,7 +41,7 @@ import numpy as np
 from .collisions import MapStack
 from .errors import ConfigurationError, InternalConsistencyError
 from .quantum import HermitianOperator
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import IMAGINARY_RESIDUE
 
 __all__ = [
     "jc_hamiltonian",
@@ -222,7 +222,7 @@ def _beta2(tau_arr: np.ndarray, g: np.ndarray) -> np.ndarray:
     row = row.reshape(g.shape)  # a scalar gamma_bar picks one row, broadcast against tau
     vals = sum(residues[row, k] * np.exp(alphas[row, k] * tau_arr) for k in range(3))
     imag = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    if imag > DEFAULT_TOLERANCES.imaginary_residue:
+    if imag > IMAGINARY_RESIDUE:
         raise InternalConsistencyError(f"beta2 imaginary residue {imag:.3e}")
     return vals.real
 

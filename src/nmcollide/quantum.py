@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InternalConsistencyError, ValidationError
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import (CHOI_POSITIVITY, HERMITICITY, IMAGINARY_RESIDUE, KRAUS_COMPLETENESS,
+                         POSITIVITY, UNIT_TRACE)
 
 __all__ = [
     "DensityOperator",
@@ -116,7 +117,8 @@ def density_stack(data) -> np.ndarray:
     """Validated read-only copy of an (n, d, d) stack of density matrices.
 
     Every matrix must be Hermitian, have unit trace and no eigenvalue below
-    -positivity, at the DEFAULT_TOLERANCES thresholds; the spectra come
+    -positivity, at the thresholds ``tolerances.HERMITICITY``, ``UNIT_TRACE``
+    and ``POSITIVITY``; the spectra come
     from ``hermitian_spectra``. A NaN entry fails the checks.
     Raises ValidationError naming the first offending matrix of a stack of
     more than one.
@@ -124,13 +126,12 @@ def density_stack(data) -> np.ndarray:
     stack = np.array(data, dtype=np.complex128, copy=True)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
         raise ValidationError(f"expected an (n, d, d) stack of square matrices, got {stack.shape}")
-    tol = DEFAULT_TOLERANCES
     herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=2).max(axis=1)
-    _require(herm <= tol.hermiticity, "not Hermitian: max |rho - rho^dag| = {:.3e}", herm)
+    _require(herm <= HERMITICITY, "not Hermitian: max |rho - rho^dag| = {:.3e}", herm)
     tr = stack.diagonal(axis1=1, axis2=2).sum(axis=1)
-    _require(np.abs(tr - 1.0) <= tol.unit_trace, "trace {} differs from 1 beyond tolerance", tr)
+    _require(np.abs(tr - 1.0) <= UNIT_TRACE, "trace {} differs from 1 beyond tolerance", tr)
     lo = hermitian_spectra(stack)[:, 0]
-    _require(lo >= -tol.positivity, "not positive semidefinite: min eigenvalue {:.3e}", lo)
+    _require(lo >= -POSITIVITY, "not positive semidefinite: min eigenvalue {:.3e}", lo)
     return _frozen(stack)
 
 
@@ -189,7 +190,7 @@ class HermitianOperator:
         if mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"operator must be square, got {mat.shape}")
         herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > DEFAULT_TOLERANCES.hermiticity:
+        if herm > HERMITICITY:
             raise ValidationError(f"not Hermitian: max |H - H^dag| = {herm:.3e}")
         object.__setattr__(self, "data", _frozen(mat))
 
@@ -215,7 +216,7 @@ class KrausChannel:
                 raise ValidationError(f"Kraus operator shape {k.shape} is not ({d}, {d})")
         object.__setattr__(self, "kraus", ops)
         defect = self.trace_defect()
-        if defect > DEFAULT_TOLERANCES.kraus_completeness:
+        if defect > KRAUS_COMPLETENESS:
             raise ValidationError(f"channel is not trace preserving: defect {defect:.3e}")
 
     @property
@@ -242,8 +243,8 @@ def kraus_from_choi(choi) -> KrausChannel:
     """Kraus operators of a CP map from the eigendecomposition of its (d^2, d^2) Choi matrix.
 
     A matrix of another shape, or one that is not Hermitian within the
-    hermiticity tolerance, raises ValidationError. Eigenvalues below
-    -DEFAULT_TOLERANCES.choi_positivity signal a non-CP map and raise, never
+    ``tolerances.HERMITICITY``, raises ValidationError. Eigenvalues below
+    -``tolerances.CHOI_POSITIVITY`` signal a non-CP map and raise, never
     clip; slightly negative rounding noise is set to zero.
     """
     choi = np.asarray(choi, dtype=np.complex128)
@@ -251,10 +252,10 @@ def kraus_from_choi(choi) -> KrausChannel:
     if d == 0 or choi.shape != (d * d, d * d):
         raise ValidationError(f"expected a (d^2, d^2) Choi matrix, got shape {choi.shape}")
     herm = np.max(np.abs(choi - choi.conj().T))
-    if herm > DEFAULT_TOLERANCES.hermiticity:
+    if herm > HERMITICITY:
         raise ValidationError(f"Choi matrix not Hermitian: deviation {herm:.3e}")
     evals, evecs = np.linalg.eigh(choi)
-    if evals[0] < -DEFAULT_TOLERANCES.choi_positivity:
+    if evals[0] < -CHOI_POSITIVITY:
         raise InternalConsistencyError(
             f"Choi matrix is not positive semidefinite: min eigenvalue {evals[0]:.3e}"
         )
@@ -301,10 +302,10 @@ def _hermitian_units(dim: int) -> tuple:
 
 def _hermitian_real(coeffs: np.ndarray, what: str) -> np.ndarray:
     """The real part of a map's coefficients in a basis of Hermitian matrices
-    (``_hermitian_units``), once their imaginary part is within imaginary_residue; else ``what``
+    (``_hermitian_units``), once their imaginary part is within IMAGINARY_RESIDUE; else ``what``
     does not preserve Hermiticity."""
     residue = float(np.max(np.abs(coeffs.imag)))
-    if not residue <= DEFAULT_TOLERANCES.imaginary_residue:
+    if not residue <= IMAGINARY_RESIDUE:
         raise InternalConsistencyError(f"{what} does not preserve Hermiticity: imaginary part "
                                        f"{residue:.3e} in a Hermitian basis")
     return coeffs.real

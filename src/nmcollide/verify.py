@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .collisions import BathSpec, CollisionConfig, MapStack, discrete_maps
+from .collisions import BathSpec, CollisionConfig, MapStack, _whole_steps, discrete_maps
 from .errors import ConfigurationError, DivergenceError
 from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .quantum import (
@@ -44,6 +44,7 @@ from .quantum import (
     trace_distances,
     unitary_evolution,
 )
+from .tolerances import CPT_TOLERANCE
 
 __all__ = [
     "CptReport",
@@ -281,7 +282,7 @@ class CptReport:
         }
 
 
-def certify_cpt(maps: MapStack, tolerance: float = 1e-9) -> CptReport:
+def certify_cpt(maps: MapStack, tolerance: float = CPT_TOLERANCE) -> CptReport:
     """Certify complete positivity and trace preservation of each map of the stack.
 
     The spectra come from ``quantum.hermitian_spectra`` of ``MapStack.choi``,
@@ -400,11 +401,7 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list) -> Convergence
     h = jc_hamiltonian()
     errors = []
     for t_c in t_c_values:
-        n_steps = round(tau_max / t_c)
-        if abs(n_steps * t_c - tau_max) > 1e-9 * max(1.0, tau_max):
-            raise ConfigurationError(
-                f"collision time {t_c} does not divide tau_max {tau_max}"
-            )
+        n_steps = _whole_steps(tau_max, t_c, "tau_max", "the collision time t_c")
         cfg = CollisionConfig(
             system_dim=2,
             ancilla_dim=2,

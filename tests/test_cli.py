@@ -576,13 +576,24 @@ class TestConfigNumbers:
                      "tau_points": 5, "seed": True}, "seed"),
             ("run", {"mode": "jc_closed_form", "gamma_bar": 1.0, "tau_max": 1.0,
                      "tau_points": 5, "output_path": None}, "output_path"),
+            # 10**400: an integer that no double holds, refused before a float function sees it
+            ("run", {"mode": "jc_closed_form", "gamma_bar": 1, "tau_max": 1,
+                     "tau_points": 10**400}, "'tau_points'"),
+            ("run", {"mode": "jc_closed_form", "gamma_bar": 10**400, "tau_max": 1,
+                     "tau_points": 5}, "'gamma_bar'"),
+            ("run", {"mode": "discrete", "collision": {"t_c": 0.1, "p_s": 0.5,
+                                                       "n_steps": 10**400}}, "'n_steps'"),
+            ("sweep", {"gamma_bar": {"start": 0.0, "stop": 1.0, "count": 10**400},
+                       "tau": [0.5]}, "'gamma_bar.count'"),
         ],
         ids=["tau_points-string", "gamma_bar-string", "tau_max-string", "tau_points-fraction",
              "count-string", "start-string", "gamma_bar-empty", "probe_states-string",
              "tolerance-string", "tolerance-negative", "tolerance-above-1e-6", "tolerance-1e300",
              "t_c_list-string", "convergence-gamma_bar-negative",
              "convergence-tau_max-negative", "convergence-tau_max-zero",
-             "compare_discrete-string", "seed-boolean", "output_path-null"],
+             "compare_discrete-string", "seed-boolean", "output_path-null",
+             "tau_points-past-the-largest-double", "gamma_bar-past-the-largest-double",
+             "n_steps-past-the-largest-double", "count-past-the-largest-double"],
     )
     def test_malformed_number_exits_2(self, tmp_path, capsys, subcommand, payload, field):
         cfg = write_config(tmp_path, "cfg.json", {"output_path": str(tmp_path / "out"), **payload})
@@ -591,6 +602,22 @@ class TestConfigNumbers:
         assert err["error"]["code"] == 2
         assert field in err["error"]["message"]
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_integer_too_long_to_parse_exits_2(self, tmp_path, capsys):
+        # Python refuses to read an integer of more than 4300 digits from text
+        path = tmp_path / "cfg.json"
+        path.write_text('{"mode": "jc_closed_form", "gamma_bar": 1, "tau_max": 1, "tau_points": 1'
+                        + "0" * 5000 + "}", encoding="utf-8")
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "integer" in json.loads(lines[0])["error"]["message"]
+
+    def test_seed_of_any_size_is_accepted(self, tmp_path):
+        # the seed goes to numpy's generator, not through a double
+        cfg = write_config(tmp_path, "cfg.json", {
+            "mode": "certify", "gamma_bar": 1.0, "tau_max": 1.0, "tau_points": 5,
+            "seed": 10**400, "output_path": str(tmp_path / "out")})
+        assert main(["certify", cfg]) == 0
 
 
 class TestUsageErrors:
@@ -1080,6 +1107,25 @@ class TestSeriesVsProtocol:
         assert main(["run", cfg]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "t_c" in json.loads(lines[0])["error"]["message"]
+
+    @pytest.mark.parametrize("payload, named", [
+        pytest.param({"compare_discrete": True, "t_c": 1e308}, ["'t_c'"], id="t_c-ratio-overflows"),
+        pytest.param({"tau_max": 5e-324}, ["tau_max", "tau_points"], id="spacing-rounds-to-0"),
+    ])
+    def test_t_c_that_no_whole_stride_fits_exits_2(self, tmp_path, capsys, monkeypatch, payload,
+                                                    named):
+        # t_c / spacing past the largest double, and a spacing 5e-324 / 10 that rounds to 0, are
+        # refused before the ratio is rounded or taken
+        _forbid_series_and_protocol(monkeypatch)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "mode": "series", "gamma_bar": [0.5], "tau_max": 1.0, "tau_points": 11, **payload,
+            "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["error"]["message"]
+        assert all(name in message for name in named)
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("gammas, named", [
         pytest.param([1.0, 1.0000001], "1.0 and 1.0000001 both name the report "

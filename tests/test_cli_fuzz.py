@@ -24,7 +24,9 @@ from hypothesis import given, settings
 from nmcollide.cli import MODES, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-HOSTILE = (None, True, "x", [], {}, -1, 0, 1e12, 1e300)
+# 10**400 is an integer past the largest double, 5e-324 the smallest subnormal: a tau_max there
+# gives a grid spacing that rounds to 0
+HOSTILE = (None, True, "x", [], {}, -1, 0, 1e12, 1e300, 10**400, 5e-324)
 DELETE = object()
 
 

@@ -1,7 +1,9 @@
+import hypothesis.strategies as st
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
 from scipy.sparse.csgraph import connected_components
 
 from nmcollide import (
@@ -21,7 +23,7 @@ from nmcollide import (
 )
 from nmcollide import collisions
 from nmcollide.cli import PHASE_BOUND
-from nmcollide.collisions import (TimeGrid, _expm, _in_window, _window_coordinates,
+from nmcollide.collisions import (TimeGrid, _expm, _in_window, _whole_steps, _window_coordinates,
                                   generator_step, lambda_embedding, propagate_maps, protocol_step)
 from nmcollide.continuum import build_kernel_map
 from nmcollide.jaynes_cummings import beta_arrays, jc_maps
@@ -185,6 +187,58 @@ class TestConfigValidation:
         # explicit weights would win and the other fields be dropped unread
         with pytest.raises(ConfigurationError, match="'weights'"):
             BathSpec(kind="thermal", weights=(0.7, 0.3), **mixed)
+
+
+class TestWholeSteps:
+    """The one rule for a span that holds a whole number of steps: a series' t_c on the tau grid,
+    and each t_c of a convergence study in its tau_max."""
+
+    @staticmethod
+    def _rounded(span, step):
+        # the check that the series and the convergence study each made on their own
+        n = round(span / step)
+        return n if n >= 1 and abs(n * step - span) <= 1e-9 * max(1.0, span) else None
+
+    @pytest.mark.parametrize("span, step, n", [
+        pytest.param(0.1, 0.1, 1, id="series-default-t_c"),
+        pytest.param(0.5, TimeGrid(t_max=1.0, n_points=11).dt, 5, id="series-stride"),
+        pytest.param(2.0, 0.1, 20, id="convergence-0.1"),
+        pytest.param(2.0, 0.025, 80, id="convergence-0.025"),
+        # 69 spacings miss 2.2e7 by 3.7e-9, which only a check relative to the span lets pass
+        pytest.param(22000000.0, TimeGrid(t_max=22000000.0, n_points=70).dt, 69,
+                     id="tau_max-2.2e7"),
+    ])
+    def test_exact_multiples_keep_their_count(self, span, step, n):
+        assert _whole_steps(span, step, "span", "step") == n == self._rounded(span, step)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**6), st.floats(1e-6, 1e3),
+           st.sampled_from([0.0, 1e-13, -1e-11, 1e-9, 3e-9, -1e-7, 0.3, 0.5]))
+    def test_same_count_wherever_the_rounded_check_passed(self, k, step, jitter):
+        span = k * step * (1.0 + jitter)
+        expected = self._rounded(span, step)
+        if expected is None:
+            with pytest.raises(ConfigurationError):
+                _whole_steps(span, step, "span", "step")
+        else:
+            assert _whole_steps(span, step, "span", "step") == expected
+
+    @pytest.mark.parametrize("span, step, named", [
+        pytest.param(0.0, 0.0, ["'step'"], id="zero-step"),
+        pytest.param(1e-323, TimeGrid(t_max=5e-324, n_points=11).dt, ["'step'"],
+                     id="spacing-rounded-to-0"),
+        pytest.param(1.0, -0.1, ["'step'"], id="negative-step"),
+        pytest.param(1.0, float("nan"), ["'step'"], id="nan-step"),
+        pytest.param(1e308, 0.1, ["'span'", "'step'"], id="infinite-ratio"),
+        pytest.param(float("nan"), 0.1, ["'span'", "'step'"], id="nan-span"),
+        pytest.param(1.0, 0.3, ["'span'", "'step'"], id="non-multiple"),
+        pytest.param(1e-12, 1.0, ["'span'", "'step'"], id="less-than-one-step"),
+        pytest.param(-1.0, 0.1, ["'span'", "'step'"], id="negative-span"),
+    ])
+    def test_refused_naming_its_inputs(self, span, step, named):
+        with pytest.raises(ConfigurationError) as refused:
+            _whole_steps(span, step, "'span'", "'step'")
+        assert all(name in str(refused.value) for name in named)
 
 
 class TestThermal:

@@ -17,6 +17,7 @@ inside the Talbot oracle, the only function that uses it.
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -120,6 +121,16 @@ DOCS = [PACKAGE.parent.parent / "README.md", *sorted(PACKAGE.glob("*.py"))]
 DOC_REF = re.compile(r"`(?:nmcollide\.)?(%s)\.(\w+)(?:\.(\w+))?`" % "|".join(LOADED))
 
 
+def test_one_cpt_default():
+    # certify_cpt and the certify mode take their default tolerance from one constant: a second
+    # literal 1e-9 would be an equal float, but not the same object
+    cli, tolerances, verify = LOADED["cli"], LOADED["tolerances"], LOADED["verify"]
+    defaults = [inspect.signature(verify.certify_cpt).parameters["tolerance"].default,
+                cli.SCHEMA["certify"][1]["tolerance"][1], tolerances.CPT_TOLERANCE]
+    assert all(default is tolerances.CPT_TOLERANCE for default in defaults)
+    assert tolerances.CPT_TOLERANCE == 1e-9
+
+
 def test_doc_references_resolve():
     refs = [(path.name, ref) for path in DOCS
             for ref in DOC_REF.finditer(path.read_text(encoding="utf-8"))]
@@ -201,6 +212,15 @@ def test_every_hermitian_spectrum_goes_through_hermitian_spectra():
 
 
 KRAUS_LAYER = {"KrausChannel", "choi_of", "kraus_from_choi"}
+
+
+@pytest.mark.parametrize("module", ["cli", "verify"])
+def test_whole_steps_are_counted_by_the_one_rule(module):
+    # a series' t_c on the tau grid and each t_c of a convergence study in its tau_max are counted
+    # by collisions._whole_steps; neither caller rounds a ratio of its own
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    calls = [_dotted(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert "_whole_steps" in calls and "round" not in calls
 
 
 def test_only_quantum_and_the_package_root_name_the_kraus_layer():

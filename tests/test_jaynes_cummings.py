@@ -28,7 +28,7 @@ from nmcollide.jaynes_cummings import (
     beta_laplace,
     jc_maps,
 )
-from nmcollide.tolerances import DEFAULT_TOLERANCES
+from nmcollide.tolerances import IMAGINARY_RESIDUE
 
 from conftest import density_operators, kraus_action, qubit_state, qubit_states
 
@@ -194,7 +194,7 @@ class TestCubicSpectrum:
         alphas, residues = spectrum_cardano(gamma)
         assert abs(sum(residues) - 1.0) <= 1e-10
         b = sum(a * np.exp(s * taus) for a, s in zip(residues, alphas))
-        assert np.max(np.abs(b.imag)) <= DEFAULT_TOLERANCES.imaginary_residue
+        assert np.max(np.abs(b.imag)) <= IMAGINARY_RESIDUE
         assert np.max(np.abs(beta2(taus, gamma) - b.real)) < 1e-8
 
     def test_delta_radical_positive_everywhere(self):
