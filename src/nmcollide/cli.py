@@ -19,9 +19,10 @@ Every run writes ``results.csv`` with the fixed header
 Identical config and seed give byte-identical CSV output.
 
 Every map family is one MapStack: the closed form's, one stack for the
-whole gamma_bar x tau grid in ``sweep`` and one per gamma_bar over its
-whole tau array in the tau-dense ``jc_closed_form`` and ``certify``, the
-continuum maps Tr_A e^{L t}(rho (x) rho_A) of the collision's generator
+whole gamma_bar-major gamma_bar x tau grid in every closed-form mode
+(``sweep``, ``jc_closed_form``, and ``certify``, which certifies it one
+gamma_bar slice at a time), the continuum maps Tr_A e^{L t}(rho (x) rho_A)
+of the collision's generator
 L = -i[H, .] + gamma_bar (R - 1) (``series``, ``thermal``), and the
 protocol's own (``discrete``). Both come from the engine's two map routes:
 the continuum maps from ``collisions.lambda_embedding``, one exact step
@@ -93,8 +94,9 @@ CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 # Point, step and probe-state counts, and the rows of a run, stay at or below
 # MAX_POINTS. The series mode compared with the protocol at every point, and the thermal mode,
 # peak at ~0.86 kB per point (tracemalloc, 20 001 points), the most of any mode; the one-grid
-# sweep at ~0.79 kB per row (tracemalloc, a whole 256 x 256 sweep run). POINT_BYTES rounds that
-# up.
+# sweep at ~0.79 kB per row (tracemalloc, a whole 256 x 256 sweep run), and certify's one grid
+# at ~0.80 kB per row (tracemalloc, a whole certify run of MAX_POINTS rows as 1 x 262 144;
+# 0.51-0.54 kB as 4, 64 or 512 gamma_bar values). POINT_BYTES rounds that up.
 MEMORY_BUDGET = 2**30  # bytes
 POINT_BYTES = 4096
 MAX_POINTS = MEMORY_BUDGET // POINT_BYTES  # 262 144
@@ -353,9 +355,16 @@ def _calibrated_gamma(collision: CollisionConfig) -> float:
 # --- mode implementations ----------------------------------------------------
 
 
+def _closed_form_grid(taus: np.ndarray, gammas) -> tuple:
+    """(stack, gamma_column): the closed-form maps of one gamma_bar-major grid, whose row
+    i * len(taus) + j is (taus[j], gammas[i]), and the grid's gamma_bar column."""
+    gamma_column = np.repeat(gammas, len(taus))
+    return jc_maps(np.tile(taus, len(gammas)), gamma_column), gamma_column
+
+
 def _mode_jc_closed_form(cfg: dict):
-    taus, gammas = _tau_gamma_grid(cfg)
-    return np.concatenate([_map_rows(jc_maps(taus, g), g) for g in gammas]), {}, None
+    stack, gamma_column = _closed_form_grid(*_tau_gamma_grid(cfg))
+    return _map_rows(stack, gamma_column), {}, None
 
 
 def _mode_certify(cfg: dict):
@@ -365,18 +374,21 @@ def _mode_certify(cfg: dict):
                                  "0 it fails exact CPT maps, above 1e-6 it passes maps far from "
                                  "CPT (the closed form is exact to ~1e-15)")
     taus, gammas = _tau_gamma_grid(cfg)
+    grid, gamma_column = _closed_form_grid(taus, gammas)
     probes = random_density_stack(2, cfg["probe_states"], np.random.default_rng(cfg["seed"]))
-    rows, reports, verdict, probe_defect = [], {}, True, 0.0
-    for g in gammas:
-        stack = jc_maps(taus, g)
+    n, min_eigs, reports, verdict, probe_defect = len(taus), [], {}, True, 0.0
+    for i, g in enumerate(gammas):
+        # one gamma_bar's slice, a view of the grid: the Choi temporaries stay that size
+        stack = grid[i * n:(i + 1) * n]
         report = certify_cpt(stack, tolerance)
-        rows.append(_map_rows(stack, g, report.min_choi_eigenvalue))
+        min_eigs.append(report.min_choi_eigenvalue)
         reports[g] = {"gamma_bar": g, **report.summary(taus)}
         verdict = verdict and report.verdict
         probe_defect = max(probe_defect, probe_trace_defect(stack, probes))
     report = {"tolerance": tolerance, "verdict": verdict, "per_gamma": reports,
               "max_random_state_trace_defect": probe_defect}
-    return np.concatenate(rows), {"cpt_report.json": report}, verdict
+    rows = _map_rows(grid, gamma_column, np.concatenate(min_eigs))
+    return rows, {"cpt_report.json": report}, verdict
 
 
 def _mode_discrete(cfg: dict):
@@ -465,9 +477,7 @@ def _mode_sweep(cfg: dict):
         raise ConfigurationError("gamma_bar and tau must be nonnegative")
     _within_phase_bound(taus.max(), "the largest value of field 'tau'")
     _within_budget(len(gammas) * len(taus), "the row count (gamma_bar values x tau points)")
-    # one gamma_bar-major grid: row i * len(taus) + j is (taus[j], gammas[i])
-    gamma_column = np.repeat(gammas, len(taus))
-    stack = jc_maps(np.tile(taus, len(gammas)), gamma_column)
+    stack, gamma_column = _closed_form_grid(taus, gammas)
     min_eigs = certify_cpt(stack).min_choi_eigenvalue
     j = int(np.argmin(min_eigs))
     if min_eigs[j] < -CHOI_POSITIVITY:

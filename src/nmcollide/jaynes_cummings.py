@@ -101,8 +101,12 @@ def _domain(tau, gamma_bar):
         raise ConfigurationError("memory-loss rate must be nonnegative")
     if (tau_arr < 0).any():
         raise ConfigurationError("tau must be nonnegative")
+    # the pair named is the first of the broadcast past the bound in any of the three, so that a
+    # gamma_bar-major grid names the pair that its first failing one-gamma_bar call would
     beyond = (g > DOMAIN_BOUND) | (tau_arr > DOMAIN_BOUND)
-    if not beyond.any():  # both factors at most DOMAIN_BOUND: the product cannot overflow
+    if beyond.any():  # each factor clipped to DOMAIN_BOUND, so that the product cannot overflow
+        beyond |= np.minimum(g, DOMAIN_BOUND) * np.minimum(tau_arr, DOMAIN_BOUND) > DOMAIN_BOUND
+    else:
         beyond = g * tau_arr > DOMAIN_BOUND
     if beyond.any():
         j = np.argmax(beyond)

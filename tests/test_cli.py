@@ -877,8 +877,10 @@ class TestBatchedClosedForm:
         )
         assert main(["run", cfg]) == 0
 
-    def test_sweep_is_one_grid(self, tmp_path, monkeypatch):
-        # a per-gamma_bar loop would call jc_maps and hermitian_spectra once per gamma_bar
+    @staticmethod
+    def _counted_calls(monkeypatch) -> dict:
+        """The calls of the CLI's jc_maps and of certify_cpt's hermitian_spectra, counted from
+        here on."""
         import nmcollide.cli as cli_mod
         import nmcollide.verify as verify_mod
 
@@ -893,6 +895,11 @@ class TestBatchedClosedForm:
         monkeypatch.setattr(cli_mod, "jc_maps", counted("jc_maps", cli_mod.jc_maps))
         monkeypatch.setattr(verify_mod, "hermitian_spectra",
                             counted("hermitian_spectra", verify_mod.hermitian_spectra))
+        return calls
+
+    def test_sweep_is_one_grid(self, tmp_path, monkeypatch):
+        # a per-gamma_bar loop would call jc_maps and hermitian_spectra once per gamma_bar
+        calls = self._counted_calls(monkeypatch)
         cfg = write_config(
             tmp_path, "cfg.json",
             {"gamma_bar": {"start": 0.0, "stop": 6.0, "count": 7}, "tau": [0.0, 1.0, 2.5],
@@ -901,6 +908,48 @@ class TestBatchedClosedForm:
         assert main(["sweep", cfg]) == 0
         assert calls == {"jc_maps": 1, "hermitian_spectra": 1}
         assert len(read_rows(tmp_path / "out")) == 21
+
+    # a repeated gamma_bar and a last gamma_bar = 0 exercise the slice arithmetic of the grid
+    GRID_GAMMAS = [1.0, 5.0, 1.0, 0.0]
+
+    def test_jc_closed_form_is_one_grid(self, tmp_path, monkeypatch):
+        from nmcollide import jc_maps
+
+        calls = self._counted_calls(monkeypatch)
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"mode": "jc_closed_form", "gamma_bar": self.GRID_GAMMAS, "tau_max": 4.0,
+             "tau_points": 9, "output_path": str(tmp_path / "out")},
+        )
+        assert main(["run", cfg]) == 0
+        assert calls == {"jc_maps": 1, "hermitian_spectra": 0}
+        taus = np.linspace(0.0, 4.0, 9)
+        per_gamma = np.concatenate([jc_maps(taus, g).superops for g in self.GRID_GAMMAS])
+        rows = read_rows(tmp_path / "out")
+        assert [float(row[2]) for row in rows] == list(per_gamma[:, 1, 1].real)
+        assert [float(row[3]) for row in rows] == list(per_gamma[:, 3, 3].real)
+
+    def test_certify_is_one_grid_certified_per_gamma(self, tmp_path, monkeypatch):
+        # one jc_maps grid, certified one gamma_bar slice at a time: one spectra solve per
+        # gamma_bar, and the report of each slice is that of its own one-gamma_bar stack
+        from nmcollide import certify_cpt, jc_maps
+
+        calls = self._counted_calls(monkeypatch)
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"mode": "certify", "gamma_bar": self.GRID_GAMMAS, "tau_max": 4.0,
+             "tau_points": 9, "output_path": str(out)},
+        )
+        assert main(["certify", cfg]) == 0
+        assert calls == {"jc_maps": 1, "hermitian_spectra": len(self.GRID_GAMMAS)}
+        taus = np.linspace(0.0, 4.0, 9)
+        reports = {g: certify_cpt(jc_maps(taus, g)) for g in self.GRID_GAMMAS}
+        expected = {g: {"gamma_bar": g, **report.summary(taus)} for g, report in reports.items()}
+        written = json.loads((out / "cpt_report.json").read_text())["per_gamma"]
+        assert written == json.loads(json.dumps(expected))
+        min_eigs = np.concatenate([reports[g].min_choi_eigenvalue for g in self.GRID_GAMMAS])
+        assert [float(row[5]) for row in read_rows(out)] == list(min_eigs)
 
 
 # min_choi_eig solves each exact block of a Choi stack (quantum.hermitian_spectra), so it
@@ -970,6 +1019,22 @@ class TestClosedFormDomain:
         assert "gamma_bar = " in err["message"] and "tau = " in err["message"]
         assert f"{DOMAIN_BOUND:.4g}" in err["message"]
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("subcommand, payload", [
+        pytest.param("sweep", {"tau": [0.0, 5e4, 1e5]}, id="sweep"),
+        pytest.param("run", {"mode": "jc_closed_form", "tau_max": 1e5, "tau_points": 3},
+                     id="jc_closed_form"),
+        pytest.param("certify", {"mode": "certify", "tau_max": 1e5, "tau_points": 3},
+                     id="certify"),
+    ])
+    def test_the_first_pair_of_the_grid_is_named(self, tmp_path, capsys, subcommand, payload):
+        # only gamma_bar * tau is past the bound at the first gamma_bar, and gamma_bar itself at
+        # the second: the pair named is the first past it in gamma_bar-major order
+        cfg = write_config(tmp_path, "cfg.json", {**payload, "gamma_bar": [1e150, 1e154],
+                                                  "output_path": str(tmp_path / "out")})
+        assert main([subcommand, cfg]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"].startswith("gamma_bar = 1e+150, tau = 50000:")
 
     def test_at_the_bound_exits_0(self, tmp_path):
         from nmcollide.jaynes_cummings import DOMAIN_BOUND

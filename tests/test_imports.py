@@ -199,6 +199,14 @@ def test_window_coordinates_are_built_in_one_place():
     assert callers == {"_window_coordinates"}
 
 
+def test_closed_form_grid_is_built_in_one_place():
+    # in cli only _closed_form_grid calls jc_maps: every closed-form mode evaluates one
+    # gamma_bar-major grid, and none loops over gamma_bar calling jc_maps once each
+    callers = [where for where, callee in _calls(PACKAGE / "cli.py")
+               if callee.split(".")[-1] == "jc_maps"]
+    assert callers == ["_closed_form_grid"]
+
+
 def test_every_hermitian_spectrum_goes_through_hermitian_spectra():
     # quantum.hermitian_spectra solves each exact block of a stack and hands only the blocks
     # larger than 2x2 to eigvalsh: the package's one eigvalsh call is there

@@ -373,6 +373,28 @@ class TestGammaAxis:
             assert (b1[k], b2[k]) == (beta1(1.5, gamma), beta2(1.5, gamma))
             assert np.all(stack.superops[k] == jc_maps(1.5, gamma).superops[0])
 
+    # 2 is the degeneracy; beta1 takes its split-exponential branch at 5 (tau > 3.1), 60 and 1e8
+    GRID_GAMMAS = [0.0, 0.7, 2.0, 5.0, 60.0, 1e8]
+
+    def test_a_gamma_major_grid_is_the_stacked_one_gamma_calls(self):
+        taus = np.linspace(0.0, 20.0, 201)
+        grid = jc_maps(np.tile(taus, len(self.GRID_GAMMAS)),
+                       np.repeat(self.GRID_GAMMAS, len(taus)))
+        stacked = np.concatenate([jc_maps(taus, g).superops for g in self.GRID_GAMMAS])
+        assert np.array_equal(grid.times, np.tile(taus, len(self.GRID_GAMMAS)))
+        assert np.array_equal(grid.superops.view(np.int64), stacked.view(np.int64))
+
+    def test_a_grid_names_the_first_one_gamma_failure(self):
+        # at the first gamma_bar only the product gamma_bar * tau passes the bound; the second
+        # gamma_bar is past it at every tau
+        taus, gammas = np.array([0.0, 1e5]), [1e150, 1e154]
+        with pytest.raises(ConfigurationError) as one_gamma:
+            jc_maps(taus, gammas[0])
+        with pytest.raises(ConfigurationError) as grid:
+            jc_maps(np.tile(taus, len(gammas)), np.repeat(gammas, len(taus)))
+        assert "gamma_bar = 1e+150, tau = 100000:" in str(one_gamma.value)
+        assert str(grid.value) == str(one_gamma.value)
+
     def test_violation_names_the_failing_pair(self, monkeypatch):
         import nmcollide.jaynes_cummings as jc
 
