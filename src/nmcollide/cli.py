@@ -38,7 +38,8 @@ NaN marking an empty cell. Two functions make every row: ``_rows`` stacks
 the columns it is given, and ``_map_rows`` reads a stack's beta1 = S[1,1]
 and beta2 = S[3,3] beside the minimum Choi eigenvalues it is given. The CLI
 solves no spectrum itself: every Choi spectrum and trace defect comes from
-one ``verify.certify_cpt`` call per stack, every probe distance from
+one ``verify.certify_cpt`` call per stack (per gamma_bar slice of the grid
+in ``certify``), every probe distance from
 ``verify.probe_distances``, and certify's probe-state trace defect from
 ``verify.probe_trace_defect``.
 
