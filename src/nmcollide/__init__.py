@@ -24,7 +24,6 @@ from .collisions import (
 )
 from .errors import (
     ConfigurationError,
-    DivergenceError,
     InternalConsistencyError,
     NmcollideError,
     ValidationError,

@@ -41,7 +41,11 @@ solves no spectrum itself: every Choi spectrum and trace defect comes from
 one ``verify.certify_cpt`` call per stack (per gamma_bar slice of the grid
 in ``certify``), every probe distance from
 ``verify.probe_distances``, and certify's probe-state trace defect from
-``verify.probe_trace_defect``.
+``verify.probe_trace_defect``. Each mode that builds maps (all but
+``jc_closed_form`` and ``convergence``) returns its certify_cpt reports, each
+with the gamma_bar and tau of its maps, and ``_execute`` judges them once,
+after writing every output, at the run's tolerance: certify's ``tolerance``,
+else ``tolerances.CPT_TOLERANCE``.
 
 Exit codes, each failure with a JSON error on stderr: 0 success, 2 a
 command line the parser refuses (``--help`` still exits 0), an unreadable,
@@ -54,10 +58,13 @@ past PHASE_BOUND, a collision with a rate that is not finite, a thermal bath
 whose energies or weights do not list two numbers, a convergence gamma_bar
 below 0 or tau_max not above 0, two series gamma_bar values that name one
 report file, or a count past MAX_POINTS, checked before anything is
-allocated, included), 3 certification failure, 4 numerical failure (a
-diverged quadrature, a provably bounded quantity out of range, or a numpy
-linear-algebra or floating-point error, such as a series gamma_bar times
-its step past the largest double; every finite product runs).
+allocated, included), 3 a map of a certifying mode that fails the run's CPT
+verdict (the error names the mode, and the gamma_bar, tau, minimum Choi
+eigenvalue and trace defect of the map farthest from CPT), 4 numerical
+failure (a provably bounded quantity out of range, computed states that
+fail validation, or a numpy linear-algebra or floating-point error, such
+as a series gamma_bar times its step past the largest double; every finite
+product runs).
 A run, the reading of its config included, treats numpy overflow, division
 by zero and invalid operations as errors rather than warnings, so stderr
 carries nothing but the JSON error.
@@ -78,14 +85,9 @@ import numpy as np
 from . import __version__
 from .collisions import (BathSpec, CollisionConfig, MapStack, TimeGrid, _whole_steps,
                          discrete_maps, lambda_embedding)
-from .errors import (
-    ConfigurationError,
-    DivergenceError,
-    InternalConsistencyError,
-    ValidationError,
-)
+from .errors import ConfigurationError, InternalConsistencyError, ValidationError
 from .jaynes_cummings import jc_hamiltonian, jc_maps
-from .tolerances import CHOI_POSITIVITY, CPT_TOLERANCE
+from .tolerances import CPT_TOLERANCE
 from .verify import (calibrated_swap_probability, certify_cpt, convergence_study,
                      probe_distances, probe_trace_defect, random_density_stack)
 
@@ -107,8 +109,8 @@ MAX_POINTS = MEMORY_BUDGET // POINT_BYTES  # 262 144
 # long step of collisions._expm rounds its angle once more in each squaring. A factor 4 covers
 # both, so up to PHASE_BOUND the error stays below 1e-8, and a last time (a collision block's
 # n_steps * t_c, or a tau_max) keeps 8 decimal digits of its phase. At the bound, a one-step
-# series (tau_points = 2) writes min_choi_eig = -1.1e-9, just below CPT_TOLERANCE, certify's
-# default: the phase holds, but no mode certifies those maps to 1e-9.
+# series (tau_points = 2) writes min_choi_eig = -1.1e-9, just below CPT_TOLERANCE: the phase
+# holds, but the run's CPT verdict refuses those maps, and the run exits 3 after writing them.
 PHASE_BOUND = 2.0**51 * 1e-8  # ~2.252e7
 
 EXIT_OK = 0
@@ -365,7 +367,7 @@ def _closed_form_grid(taus: np.ndarray, gammas) -> tuple:
 
 def _mode_jc_closed_form(cfg: dict):
     stack, gamma_column = _closed_form_grid(*_tau_gamma_grid(cfg))
-    return _map_rows(stack, gamma_column), {}, None
+    return _map_rows(stack, gamma_column), {}, []
 
 
 def _mode_certify(cfg: dict):
@@ -377,43 +379,47 @@ def _mode_certify(cfg: dict):
     taus, gammas = _tau_gamma_grid(cfg)
     grid, gamma_column = _closed_form_grid(taus, gammas)
     probes = random_density_stack(2, cfg["probe_states"], np.random.default_rng(cfg["seed"]))
-    n, min_eigs, reports, verdict, probe_defect = len(taus), [], {}, True, 0.0
+    n, reports, summaries, probe_defect = len(taus), [], {}, 0.0
     for i, g in enumerate(gammas):
         # one gamma_bar's slice, a view of the grid: the Choi temporaries stay that size
         stack = grid[i * n:(i + 1) * n]
         report = certify_cpt(stack, tolerance)
-        min_eigs.append(report.min_choi_eigenvalue)
-        reports[g] = {"gamma_bar": g, **report.summary(taus)}
-        verdict = verdict and report.verdict
+        reports.append((g, taus, report))
+        summaries[g] = {"gamma_bar": g, **report.summary(taus)}
         probe_defect = max(probe_defect, probe_trace_defect(stack, probes))
-    report = {"tolerance": tolerance, "verdict": verdict, "per_gamma": reports,
-              "max_random_state_trace_defect": probe_defect}
-    rows = _map_rows(grid, gamma_column, np.concatenate(min_eigs))
-    return rows, {"cpt_report.json": report}, verdict
+    rows = _map_rows(grid, gamma_column,
+                     np.concatenate([r.min_choi_eigenvalue for _, _, r in reports]))
+    cpt_report = {"tolerance": tolerance, "per_gamma": summaries,
+                  "verdict": all(s["verdict"] for s in summaries.values()),
+                  "max_random_state_trace_defect": probe_defect}
+    return rows, {"cpt_report.json": cpt_report}, reports
 
 
 def _mode_discrete(cfg: dict):
     collision = cfg["collision"]
     gamma = _calibrated_gamma(collision)  # refuses an overflowing rate before the protocol runs
     stack = discrete_maps(collision)
-    return _map_rows(stack, gamma, certify_cpt(stack).min_choi_eigenvalue), {}, None
+    report = certify_cpt(stack)
+    rows = _map_rows(stack, gamma, report.min_choi_eigenvalue)
+    return rows, {}, [(gamma, rows[:, 0], report)]
 
 
 def _series_vs_protocol(collision: CollisionConfig, gamma: float, grid: TimeGrid,
                         stride: Optional[int]):
-    """The rows and the series JSON (gamma_bar and the largest trace defect) of the continuum
-    maps Tr_A e^{L t} of the collision's H and bath (``lambda_embedding``), both from one
-    certify_cpt report. The distance column is NaN, or given a stride, ``probe_distances`` from
-    discrete_maps(collision) at every stride-th point. The maps do not outlive the call, so no
-    caller holds one gamma_bar's maps while the next is built."""
+    """The rows, the series JSON (gamma_bar and the largest trace defect) and the certify_cpt
+    report of the continuum maps Tr_A e^{L t} of the collision's H and bath
+    (``lambda_embedding``), the first two read from the third. The distance column is NaN, or given
+    a stride, ``probe_distances`` from discrete_maps(collision) at every stride-th point. The
+    maps do not outlive the call, so no caller holds one gamma_bar's maps while the next is
+    built."""
     weights = collision.bath.weight_vector(collision.ancilla_dim)
     maps = lambda_embedding(collision.hamiltonian, weights, gamma, grid)
     report = certify_cpt(maps)
     distances = np.full(len(maps), np.nan)
     if stride is not None:
         distances[::stride] = probe_distances(maps[::stride], discrete_maps(collision))
-    return _map_rows(maps, gamma, report.min_choi_eigenvalue, distances), {
-        "gamma_bar": gamma, "max_trace_defect": float(report.max_trace_defect.max())}
+    series = {"gamma_bar": gamma, "max_trace_defect": float(report.max_trace_defect.max())}
+    return _map_rows(maps, gamma, report.min_choi_eigenvalue, distances), series, report
 
 
 def _mode_series(cfg: dict):
@@ -432,16 +438,17 @@ def _mode_series(cfg: dict):
         if j < i:  # one report file would hold only the later gamma_bar
             raise ConfigurationError(f"gamma_bar values {gammas[j]!r} and {gammas[i]!r} both "
                                      f"name the report {name!r}")
-    rows, extras = [], {}
+    rows, extras, reports = [], {}, []
     for g, name in zip(gammas, names):
         collision = CollisionConfig(
             2, 2, jc_hamiltonian(), t_c=t_c, p_s=calibrated_swap_probability(g, t_c),
             n_steps=(len(taus) - 1) // stride, bath=BathSpec(kind="pure_ground"),
         )
-        series_rows, extras[name] = _series_vs_protocol(collision, g, grid,
-                                                        stride if compare and g > 0 else None)
+        series_rows, extras[name], report = _series_vs_protocol(
+            collision, g, grid, stride if compare and g > 0 else None)
         rows.append(series_rows)
-    return np.concatenate(rows), extras, None
+        reports.append((g, taus, report))  # grid.times() is taus, bit for bit
+    return np.concatenate(rows), extras, reports
 
 
 def _mode_thermal(cfg: dict):
@@ -452,9 +459,9 @@ def _mode_thermal(cfg: dict):
     if np.isnan(gamma):
         raise ConfigurationError("thermal mode needs p_s > 0 and t_c > 0 to calibrate the rate")
     grid = TimeGrid(t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1)
-    rows, report = _series_vs_protocol(collision, gamma, grid, 1)
+    rows, series, report = _series_vs_protocol(collision, gamma, grid, 1)
     rows[:, 2:4] = np.nan  # thermal rows leave beta1 and beta2 empty
-    return rows, {"series_thermal.json": report}, None
+    return rows, {"series_thermal.json": series}, [(gamma, rows[:, 0], report)]
 
 
 def _mode_convergence(cfg: dict):
@@ -469,7 +476,7 @@ def _mode_convergence(cfg: dict):
     _within_budget(steps, "the step count tau_max / t_c")
     report = convergence_study(gamma, tau_max, t_c_list)
     rows = _rows(report.t_c_values, gamma, distance=report.errors)
-    return rows, {"convergence_report.json": report.as_dict()}, None
+    return rows, {"convergence_report.json": report.as_dict()}, []
 
 
 def _mode_sweep(cfg: dict):
@@ -479,14 +486,9 @@ def _mode_sweep(cfg: dict):
     _within_phase_bound(taus.max(), "the largest value of field 'tau'")
     _within_budget(len(gammas) * len(taus), "the row count (gamma_bar values x tau points)")
     stack, gamma_column = _closed_form_grid(taus, gammas)
-    min_eigs = certify_cpt(stack).min_choi_eigenvalue
-    j = int(np.argmin(min_eigs))
-    if min_eigs[j] < -CHOI_POSITIVITY:
-        raise InternalConsistencyError(
-            f"Choi matrix is not positive semidefinite: min eigenvalue {min_eigs[j]:.3e} "
-            f"at tau={stack.times[j]}, gamma_bar={gamma_column[j]}"
-        )
-    return _map_rows(stack, gamma_column, min_eigs), {}, None
+    report = certify_cpt(stack)
+    return (_map_rows(stack, gamma_column, report.min_choi_eigenvalue), {},
+            [(gamma_column, stack.times, report)])
 
 
 # --- config schema -----------------------------------------------------------
@@ -549,7 +551,7 @@ def _execute(cfg: dict, raw: dict, output_dir: Optional[str]) -> int:
         raise ConfigurationError(
             f"output directory {str(out_dir)!r} cannot be created: {exc}") from exc
 
-    rows, extras, verdict = SCHEMA[cfg["mode"]][0](cfg)
+    rows, extras, reports = SCHEMA[cfg["mode"]][0](cfg)
 
     _write_csv(out_dir / "results.csv", rows)
     outputs = ["results.csv"]
@@ -575,13 +577,25 @@ def _execute(cfg: dict, raw: dict, output_dir: Optional[str]) -> int:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    if verdict is False:
-        return _emit_error(
-            EXIT_CERTIFICATION,
-            "CPT certification failed",
-            report=str(out_dir / "cpt_report.json"),
-        )
+    if not all(report.verdict for _, _, report in reports):
+        details = {"mode": cfg["mode"], **_worst_map(reports)}
+        if "cpt_report.json" in extras:
+            details["report"] = str(out_dir / "cpt_report.json")
+        return _emit_error(EXIT_CERTIFICATION, "CPT certification failed", **details)
     return EXIT_OK
+
+
+def _worst_map(reports) -> dict:
+    """Where the maps of a run come farthest from CPT: the gamma_bar (None where it is NaN) and
+    tau of the map with the largest Choi deficit or trace defect, among the (gamma_bar, times,
+    CptReport) triples reports, its two values, and the run's tolerance."""
+    gammas, times, eigs, defects = map(np.concatenate, zip(*(
+        (np.broadcast_to(gamma, t.shape), t, r.min_choi_eigenvalue, r.max_trace_defect)
+        for gamma, t, r in reports)))
+    j = int(np.argmax(np.maximum(-eigs, defects)))
+    return {"gamma_bar": None if np.isnan(gammas[j]) else float(gammas[j]),
+            "tau": float(times[j]), "min_choi_eigenvalue": float(eigs[j]),
+            "max_trace_defect": float(defects[j]), "tolerance": reports[0][2].tolerance}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -617,9 +631,9 @@ def _dispatch(parser: _Parser, argv) -> int:
                 raise ConfigurationError(f"the {subcommand} subcommand takes mode "
                                          f"{' or '.join(map(repr, accepted))}, not {cfg['mode']!r}")
             return _execute(cfg, raw, args.output_dir)
-    except (ConfigurationError, ValidationError) as exc:
+    except ConfigurationError as exc:
         return _emit_error(EXIT_CONFIG, str(exc))
-    except (DivergenceError, InternalConsistencyError) as exc:
+    except (InternalConsistencyError, ValidationError) as exc:
         return _emit_error(EXIT_NUMERICAL, str(exc))
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         return _emit_error(EXIT_NUMERICAL, f"{type(exc).__name__}: {exc}")

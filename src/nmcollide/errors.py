@@ -13,10 +13,6 @@ class ConfigurationError(NmcollideError, ValueError):
     """Inconsistent dimensions, parameters out of range, or a bad config."""
 
 
-class DivergenceError(NmcollideError, RuntimeError):
-    """A numerical quadrature produced a non-finite result."""
-
-
 class InternalConsistencyError(NmcollideError, RuntimeError):
     """A quantity that is provably bounded came out of range.
 

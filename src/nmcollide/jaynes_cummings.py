@@ -41,7 +41,7 @@ import numpy as np
 from .collisions import MapStack
 from .errors import ConfigurationError, InternalConsistencyError
 from .quantum import HermitianOperator
-from .tolerances import IMAGINARY_RESIDUE
+from .tolerances import CPT_TOLERANCE, IMAGINARY_RESIDUE
 
 __all__ = [
     "jc_hamiltonian",
@@ -51,8 +51,6 @@ __all__ = [
     "jc_maps",
     "beta_laplace",
 ]
-
-BETA_SLACK = 1e-9  # allowed numerical excursion on the CPT inequalities
 
 
 def jc_hamiltonian() -> HermitianOperator:
@@ -233,7 +231,7 @@ def _beta2(tau_arr: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def beta_arrays(taus, gamma_bar):
     """(beta1, beta2) at each (tau, gamma_bar) pair, taus and gamma_bar broadcast to one 1-d
-    array, held to 0 <= beta1^2 <= beta2 <= 1 (BETA_SLACK).
+    array, held to 0 <= beta1^2 <= beta2 <= 1 within CPT_TOLERANCE.
 
     Raises InternalConsistencyError naming the first (tau, gamma_bar) that
     violates them (a NaN counts as a violation); values are never clipped. The domain is
@@ -241,7 +239,7 @@ def beta_arrays(taus, gamma_bar):
     """
     tau_arr, g = _domain(taus, gamma_bar)
     b1, b2 = _beta1(tau_arr, g), _beta2(tau_arr, g)
-    ok = (b2 >= -BETA_SLACK) & (b2 <= 1.0 + BETA_SLACK) & (b1 * b1 <= b2 + BETA_SLACK)
+    ok = (b2 >= -CPT_TOLERANCE) & (b2 <= 1.0 + CPT_TOLERANCE) & (b1 * b1 <= b2 + CPT_TOLERANCE)
     if not np.all(ok):
         j = int(np.argmin(ok))
         tau_j = np.broadcast_to(tau_arr, ok.shape)[j]

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .collisions import BathSpec, CollisionConfig, MapStack, _whole_steps, discrete_maps
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, InternalConsistencyError
 from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .quantum import (
     DensityOperator,
@@ -75,7 +75,8 @@ def inverse_laplace(transform: Callable, t: float, n_nodes: int = 64) -> float:
     singularities and is called with ``mpmath`` numbers, so it has to be
     written in plain arithmetic. Evaluation runs at working precision
     proportional to the node count, which keeps the documented 1e-9
-    target comfortably for the rational transforms arising here.
+    target comfortably for the rational transforms arising here. A
+    non-finite result raises InternalConsistencyError.
     """
     import mpmath  # only the oracle needs it; no CLI mode calls this
 
@@ -92,7 +93,7 @@ def inverse_laplace(transform: Callable, t: float, n_nodes: int = 64) -> float:
             total += (weight * transform(z / tt)).real
         total = total * r / m
         if not mpmath.isfinite(total):
-            raise DivergenceError(
+            raise InternalConsistencyError(
                 f"Talbot quadrature diverged at t={t} with {m} nodes "
                 f"(contour base r={float(r):.6g})"
             )
@@ -295,7 +296,7 @@ def certify_cpt(maps: MapStack, tolerance: float = CPT_TOLERANCE) -> CptReport:
     if len(maps) == 0:
         raise ConfigurationError("cannot certify an empty map family")
     stack, n, d = maps.choi(), len(maps), maps.dim
-    min_eigs = hermitian_spectra(stack)[:, 0]
+    min_eigs = hermitian_spectra(stack)[:, 0].copy()  # a report does not hold every eigenvalue
     marginal = np.einsum("niaja->nij", stack.reshape(n, d, d, d, d))
     defects = np.max(np.abs(marginal - np.eye(d)), axis=(1, 2))
     return CptReport(_frozen(min_eigs), _frozen(defects), tolerance)

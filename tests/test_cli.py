@@ -332,7 +332,7 @@ class TestRun:
             return seen[-1]
 
         monkeypatch.setattr(cli, "lambda_embedding", scaled)
-        assert main(["run", cfg]) == 0
+        assert main(["run", cfg]) == 3  # the defect fails the run's CPT verdict, once written
         written = json.loads((tmp_path / "out" / report).read_text())
         unit = np.eye(2).reshape(-1)
         defect = float(np.max(np.abs(unit @ seen[0].superops - unit)))
@@ -660,9 +660,11 @@ class TestUsageErrors:
 
 
 class TestErrorMapping:
+    # in a run, a ValidationError comes from computed data (config values raise
+    # ConfigurationError), so it is a numerical failure
     @pytest.mark.parametrize(
         "error, code",
-        [("ValidationError", 2), ("InternalConsistencyError", 4)],
+        [("ValidationError", 4), ("InternalConsistencyError", 4)],
     )
     def test_package_error_exits_with_json(self, tmp_path, capsys, monkeypatch, error, code):
         import nmcollide.jaynes_cummings as jc_mod
@@ -680,26 +682,6 @@ class TestErrorMapping:
         assert main(["run", cfg]) == code
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == {"code": code, "message": "injected failure"}
-
-    def test_sweep_rejects_indefinite_choi_within_beta_slack(self, tmp_path, capsys, monkeypatch):
-        import nmcollide.jaynes_cummings as jc_mod
-
-        # at gamma_bar = 3, beta1^2 - beta2 = 5e-10 passes BETA_SLACK, but the Choi
-        # matrix has min eigenvalue ~ -2.5e-10, below -choi_positivity; gamma_bar = 1
-        # is CP
-        def nearly_cp(taus, g):
-            excess = np.where(np.asarray(g) == 3.0, 5e-10, -1e-3)
-            return np.sqrt(0.999 + excess) * np.ones(len(taus)), np.full(len(taus), 0.999)
-
-        monkeypatch.setattr(jc_mod, "beta_arrays", nearly_cp)
-        cfg = write_config(
-            tmp_path, "cfg.json",
-            {"gamma_bar": [1.0, 3.0], "tau": [0.5, 1.0], "output_path": str(tmp_path / "out")},
-        )
-        assert main(["sweep", cfg]) == 4
-        message = json.loads(capsys.readouterr().err)["error"]["message"]
-        assert "not positive semidefinite" in message
-        assert message.endswith("at tau=0.5, gamma_bar=3.0")
 
     def test_linalg_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         import nmcollide.jaynes_cummings as jc_mod
@@ -788,6 +770,86 @@ class TestErrorMapping:
              "output_path": str(tmp_path / "certify")},
         )
         assert main(["certify", certify]) == 0
+
+
+class TestCptVerdict:
+    """Every mode that builds maps returns their certify_cpt reports, and _execute judges them
+    once, after every output is written, at the run's tolerance: a failure exits 3 naming the
+    mode, and the gamma_bar and tau of the map farthest from CPT."""
+
+    RATE = -np.log(0.9) / 0.05  # the rate that the collisions below calibrate
+    COLLISION = {"t_c": 0.05, "p_s": 0.9, "n_steps": 4}
+    GRID = {"gamma_bar": [0.5, 2.0], "tau_max": 0.2, "tau_points": 5}
+    # mode: (subcommand, the name under which the CLI takes its maps, config, the gamma_bar of
+    # the corrupted map); every map stack here has times 0, 0.05, ..., 0.2
+    CASES = {
+        "certify": ("certify", "jc_maps", {"mode": "certify", **GRID}, 2.0),
+        "sweep": ("sweep", "jc_maps", {"gamma_bar": [0.5, 2.0],
+                                       "tau": [0.0, 0.05, 0.1, 0.15, 0.2]}, 2.0),
+        "discrete": ("run", "discrete_maps", {"mode": "discrete", "collision": COLLISION}, RATE),
+        "series": ("run", "lambda_embedding", {"mode": "series", **GRID}, 0.5),
+        "thermal": ("run", "lambda_embedding", {"mode": "thermal", "collision": {
+            **COLLISION, "bath": {"kind": "thermal", "weights": [0.7, 0.3]}}}, RATE),
+    }
+
+    @pytest.mark.parametrize("mode", list(CASES))
+    def test_a_corrupted_map_exits_3_naming_it(self, tmp_path, capsys, monkeypatch, mode):
+        subcommand, route, payload, gamma = self.CASES[mode]
+        real, built = getattr(cli, route), []
+
+        def corrupted(*args):
+            # in the first stack built (the one gamma_bar-major grid, or the first gamma_bar's
+            # maps), the map three from the end gets its coherence inflated by 5 %, at tau = 0.1
+            stack = real(*args)
+            built.append(stack)
+            if len(built) > 1:
+                return stack
+            superops = stack.superops.copy()
+            superops[-3, 1, 1] *= 1.05
+            superops[-3, 2, 2] *= 1.05
+            return MapStack(stack.times, superops)
+
+        monkeypatch.setattr(cli, route, corrupted)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(out)})
+        assert main([subcommand, cfg]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["code"], error["mode"], error["tau"]) == (3, mode, 0.1)
+        assert error["gamma_bar"] == pytest.approx(gamma, rel=1e-15)
+        assert error["min_choi_eigenvalue"] < -0.04 and error["tolerance"] == 1e-9
+        assert len(read_rows(out)) == sum(map(len, built))  # every output is written first
+        assert ("report" in error) == (mode == "certify")
+
+    def test_found_87_series_at_the_phase_bound_exits_3(self, tmp_path, capsys):
+        # a one-step series at PHASE_BOUND: beta1^2 = cos^2 tau exceeds beta2 by 1.2e-9, which
+        # leaves a Choi eigenvalue of -1.1e-9, past CPT_TOLERANCE
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "cfg.json", {
+            "mode": "series", "gamma_bar": [0.0], "tau_max": 22517998.136852481,
+            "tau_points": 2, "output_path": str(out)})
+        assert main(["run", cfg]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["mode"], error["gamma_bar"], error["tau"]) == ("series", 0.0,
+                                                                     22517998.136852481)
+        assert error["min_choi_eigenvalue"] == float(read_rows(out)[-1][5]) < -1e-9
+
+    def test_a_deficit_within_the_tolerance_passes(self, tmp_path, monkeypatch):
+        # beta1^2 - beta2 = 5e-10 at gamma_bar = 3 leaves a Choi eigenvalue of ~ -2.5e-10:
+        # inside the one tolerance, so the sweep writes it and exits 0
+        import nmcollide.jaynes_cummings as jc_mod
+
+        def nearly_cp(taus, g):
+            excess = np.where(np.asarray(g) == 3.0, 5e-10, -1e-3)
+            return np.sqrt(0.999 + excess) * np.ones(len(taus)), np.full(len(taus), 0.999)
+
+        monkeypatch.setattr(jc_mod, "beta_arrays", nearly_cp)
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"gamma_bar": [1.0, 3.0], "tau": [0.5, 1.0], "output_path": str(tmp_path / "out")},
+        )
+        assert main(["sweep", cfg]) == 0
+        eigs = [float(row[5]) for row in read_rows(tmp_path / "out")]
+        assert -1e-9 < min(eigs) == eigs[2] < -2e-10
 
 
 SRC = Path(cli.__file__).resolve().parent.parent
@@ -1339,7 +1401,7 @@ class TestPhaseBound:
         assert f"PHASE_BOUND = {PHASE_BOUND:.4g}" in message
         cfg = write_config(tmp_path, "cfg.json", {**series, "tau_max": PHASE_BOUND,
                                                   "output_path": str(tmp_path / "out")})
-        assert main(["run", cfg]) == 0
+        assert main(["run", cfg]) == 3  # written, but the CPT verdict refuses them (below)
         tau, _, beta1 = map(float, read_rows(tmp_path / "out")[-1][:3])
         with mpmath.workdps(30):
             cosine = float(mpmath.cos(mpmath.mpf(tau)))

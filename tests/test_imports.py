@@ -129,6 +129,42 @@ def test_one_cpt_default():
                 cli.SCHEMA["certify"][1]["tolerance"][1], tolerances.CPT_TOLERANCE]
     assert all(default is tolerances.CPT_TOLERANCE for default in defaults)
     assert tolerances.CPT_TOLERANCE == 1e-9
+    # nor does any other module name a copy of it (as the closed form's inequalities once did)
+    copies = [(name, node.lineno) for name in MODULES if name != "tolerances"
+              for node in ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")).body
+              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+              and node.value.value == tolerances.CPT_TOLERANCE]
+    assert copies == []
+
+
+def test_one_cpt_verdict():
+    # _execute judges every report that a mode returns, once, at the run's tolerance: cli.py reads
+    # CptReport.verdict in one place, compares no Choi eigenvalue or trace defect itself, imports
+    # no second Choi threshold and raises no InternalConsistencyError for a map that is not CPT
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "verdict"]
+    assert len(reads) == 1
+    compared = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                for operand in (node.left, *node.comparators) for part in ast.walk(operand)
+                if isinstance(part, ast.Attribute)
+                and part.attr in ("min_choi_eigenvalue", "max_trace_defect")]
+    assert compared == []
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert "CHOI_POSITIVITY" not in imported
+    raised = [_dotted(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+              for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc]
+    assert "ConfigurationError" in raised and "InternalConsistencyError" not in raised
+
+
+def test_one_exception_class_per_exit_code():
+    # a config error exits 2, a numerical failure 4 (a failed validation of computed data
+    # included), and a failed CPT verdict 3 with no exception at all
+    errors = LOADED["errors"]
+    classes = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    assert classes == {"NmcollideError", "ConfigurationError", "InternalConsistencyError",
+                       "ValidationError"}
 
 
 def test_doc_references_resolve():

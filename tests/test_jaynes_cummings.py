@@ -21,14 +21,13 @@ from nmcollide import (
     trace_distance,
 )
 from nmcollide.jaynes_cummings import (
-    BETA_SLACK,
     DOMAIN_BOUND,
     _spectra,
     beta_arrays,
     beta_laplace,
     jc_maps,
 )
-from nmcollide.tolerances import IMAGINARY_RESIDUE
+from nmcollide.tolerances import CPT_TOLERANCE, IMAGINARY_RESIDUE
 
 from conftest import density_operators, kraus_action, qubit_state, qubit_states
 
@@ -286,8 +285,8 @@ class TestLargeRate:
     def test_inequalities_within_slack(self, gamma):
         taus = np.linspace(0.0, 20.0, 2001)
         b1, b2 = beta_arrays(taus, gamma)  # raises on violation
-        assert np.all(b2 >= -BETA_SLACK) and np.all(b2 <= 1.0 + BETA_SLACK)
-        assert np.all(b1 * b1 <= b2 + BETA_SLACK)
+        assert np.all(b2 >= -CPT_TOLERANCE) and np.all(b2 <= 1.0 + CPT_TOLERANCE)
+        assert np.all(b1 * b1 <= b2 + CPT_TOLERANCE)
 
     @pytest.mark.parametrize("gamma", [1e3, 1e6, 1e8])
     def test_beta1_matches_high_precision_closed_form(self, gamma):

@@ -61,9 +61,9 @@ class TestInverseLaplace:
             inverse_laplace(lambda s: 1 / s, 0.0)
 
     def test_divergence_reported(self):
-        from nmcollide import DivergenceError
+        from nmcollide import InternalConsistencyError
 
-        with pytest.raises(DivergenceError):
+        with pytest.raises(InternalConsistencyError, match="diverged"):
             inverse_laplace(lambda s: float("inf"), 1.0)
 
 
