@@ -57,7 +57,8 @@ its intermediates stay finite, a collision, tau_max or sweep tau
 past PHASE_BOUND, a collision with a rate that is not finite, a thermal bath
 whose energies or weights do not list two numbers, a convergence gamma_bar
 below 0 or tau_max not above 0, two series gamma_bar values that name one
-report file, or a count past MAX_POINTS, checked before anything is
+report file, two equal certify gamma_bar values, which would share one
+cpt_report.json entry, or a count past MAX_POINTS, checked before anything is
 allocated, included), 3 a map of a certifying mode that fails the run's CPT
 verdict (the error names the mode, and the gamma_bar, tau, minimum Choi
 eigenvalue and trace defect of the map farthest from CPT), 4 numerical
@@ -84,7 +85,7 @@ import numpy as np
 
 from . import __version__
 from .collisions import (BathSpec, CollisionConfig, MapStack, TimeGrid, _whole_steps,
-                         discrete_maps, lambda_embedding)
+                         discrete_maps, lambda_embedding, window_operators)
 from .errors import ConfigurationError, InternalConsistencyError, ValidationError
 from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .tolerances import CPT_TOLERANCE
@@ -342,6 +343,17 @@ def _tau_gamma_grid(cfg: dict):
     return np.linspace(0.0, cfg["tau_max"], n), gammas
 
 
+def _one_report_each(gammas, keys, what: str) -> None:
+    """Refuse two gamma_bar values whose keys are equal: each key names one report, which would
+    hold only the later value's. The error names the key, both values and both entries."""
+    first = {}
+    for i, key in enumerate(keys):
+        j = first.setdefault(key, i)
+        if j < i:
+            raise ConfigurationError(f"gamma_bar values {gammas[j]!r} and {gammas[i]!r} both name "
+                                     f"{what} {key!r} (entries {j} and {i} of 'gamma_bar')")
+
+
 def _calibrated_gamma(collision: CollisionConfig) -> float:
     """-ln(p_s) / t_c, or NaN at p_s = 0 or t_c = 0; a rate past the largest double is refused."""
     if collision.p_s <= 0 or collision.t_c <= 0:
@@ -377,6 +389,7 @@ def _mode_certify(cfg: dict):
                                  "0 it fails exact CPT maps, above 1e-6 it passes maps far from "
                                  "CPT (the closed form is exact to ~1e-15)")
     taus, gammas = _tau_gamma_grid(cfg)
+    _one_report_each(gammas, gammas, "the cpt_report.json entry")
     grid, gamma_column = _closed_form_grid(taus, gammas)
     probes = random_density_stack(2, cfg["probe_states"], np.random.default_rng(cfg["seed"]))
     n, reports, summaries, probe_defect = len(taus), [], {}, 0.0
@@ -405,19 +418,22 @@ def _mode_discrete(cfg: dict):
 
 
 def _series_vs_protocol(collision: CollisionConfig, gamma: float, grid: TimeGrid,
-                        stride: Optional[int]):
+                        stride: Optional[int], operators: tuple):
     """The rows, the series JSON (gamma_bar and the largest trace defect) and the certify_cpt
     report of the continuum maps Tr_A e^{L t} of the collision's H and bath
     (``lambda_embedding``), the first two read from the third. The distance column is NaN, or given
-    a stride, ``probe_distances`` from discrete_maps(collision) at every stride-th point. The
-    maps do not outlive the call, so no caller holds one gamma_bar's maps while the next is
-    built."""
+    a stride, ``probe_distances`` from discrete_maps(collision) at every stride-th point. Both
+    routes step in the window coordinates, commutator and U (x) U* of operators, which the run
+    built once (``window_operators``). The maps do not outlive the call, so no caller holds one
+    gamma_bar's maps while the next is built."""
+    coords, commutator, unitary = operators
     weights = collision.bath.weight_vector(collision.ancilla_dim)
-    maps = lambda_embedding(collision.hamiltonian, weights, gamma, grid)
+    maps = lambda_embedding(collision.hamiltonian, weights, gamma, grid, coords, commutator)
     report = certify_cpt(maps)
     distances = np.full(len(maps), np.nan)
     if stride is not None:
-        distances[::stride] = probe_distances(maps[::stride], discrete_maps(collision))
+        protocol = discrete_maps(collision, coords, unitary)
+        distances[::stride] = probe_distances(maps[::stride], protocol)
     series = {"gamma_bar": gamma, "max_trace_defect": float(report.max_trace_defect.max())}
     return _map_rows(maps, gamma, report.min_choi_eigenvalue, distances), series, report
 
@@ -432,20 +448,20 @@ def _mode_series(cfg: dict):
     t_c = grid.dt if cfg["t_c"] is None else cfg["t_c"]
     stride = _whole_steps(t_c, grid.dt, "field 't_c'",
                           "the tau grid spacing tau_max / (tau_points - 1)")
-    names, first = [f"series_gamma_{g:g}.json" for g in gammas], {}
-    for i, name in enumerate(names):
-        j = first.setdefault(name, i)
-        if j < i:  # one report file would hold only the later gamma_bar
-            raise ConfigurationError(f"gamma_bar values {gammas[j]!r} and {gammas[i]!r} both "
-                                     f"name the report {name!r}")
+    names = [f"series_gamma_{g:g}.json" for g in gammas]
+    _one_report_each(gammas, names, "the report")
+    h, bath = jc_hamiltonian(), BathSpec(kind="pure_ground")
+    # one window for every gamma_bar, and U (x) U* for every protocol that is compared
+    operators = window_operators(h, bath.weight_vector(2),
+                                 t_c if compare and max(gammas) > 0 else None)
     rows, extras, reports = [], {}, []
     for g, name in zip(gammas, names):
         collision = CollisionConfig(
-            2, 2, jc_hamiltonian(), t_c=t_c, p_s=calibrated_swap_probability(g, t_c),
-            n_steps=(len(taus) - 1) // stride, bath=BathSpec(kind="pure_ground"),
+            2, 2, h, t_c=t_c, p_s=calibrated_swap_probability(g, t_c),
+            n_steps=(len(taus) - 1) // stride, bath=bath,
         )
         series_rows, extras[name], report = _series_vs_protocol(
-            collision, g, grid, stride if compare and g > 0 else None)
+            collision, g, grid, stride if compare and g > 0 else None, operators)
         rows.append(series_rows)
         reports.append((g, taus, report))  # grid.times() is taus, bit for bit
     return np.concatenate(rows), extras, reports
@@ -459,7 +475,9 @@ def _mode_thermal(cfg: dict):
     if np.isnan(gamma):
         raise ConfigurationError("thermal mode needs p_s > 0 and t_c > 0 to calibrate the rate")
     grid = TimeGrid(t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1)
-    rows, series, report = _series_vs_protocol(collision, gamma, grid, 1)
+    operators = window_operators(collision.hamiltonian,
+                                 collision.bath.weight_vector(collision.ancilla_dim), collision.t_c)
+    rows, series, report = _series_vs_protocol(collision, gamma, grid, 1, operators)
     rows[:, 2:4] = np.nan  # thermal rows leave beta1 and beta2 empty
     return rows, {"series_thermal.json": series}, [(gamma, rows[:, 0], report)]
 

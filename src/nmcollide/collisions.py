@@ -22,11 +22,16 @@ by rho_A. There attaching rho_A is the coefficient of B_top, Tr_A sums the
 diagonal units, the reset R(W) = Tr_A(W) (x) rho_A is a matrix of 0 and 1
 for either bath, and a Hermitian window has real coefficients. One
 function, ``_window_coordinates``, builds them for one rho_A: the change of
-basis M, attach, Tr_A, R and the system's units with their inverse. Each
-step builder calls it once and returns them with its step, and the window
-loop reads attach, Tr_A and the system's units from there, so a run builds
-them once. A vec-basis operator enters them through ``_in_window(op, M)``,
-which checks that it preserves Hermiticity.
+basis M, attach, Tr_A, R and the loop's readout of the maps through the
+system's units. A vec-basis operator enters them through
+``_in_window(op, M)``, which checks that it preserves Hermiticity: the
+commutator A = -i[H, .] of the exact step, and U (x) U* of the protocol's.
+A run builds each of these once. ``window_operators`` builds the
+coordinates, A and, for a collision time, U (x) U*, and a run that steps
+the routes more than once (the CLI's series and thermal modes,
+``verify.convergence_study``) passes them to each; a step builder called
+alone builds what it is not given. Each step builder returns the
+coordinates with its step, and the window loop reads them from there.
 
 The step is the Lie-Trotter splitting e^{A t_c} e^{B t_c} of
 L = A + B, A = -i[H, .], B = gamma (R - 1): e^{A t_c} = U (x) U*, and
@@ -97,6 +102,7 @@ __all__ = [
     "propagate_maps",
     "protocol_step",
     "thermal_weights",
+    "window_operators",
 ]
 
 
@@ -205,13 +211,14 @@ class CollisionConfig:
 
 
 def _window_coordinates(weights, system_dim: int) -> tuple:
-    """(M, attach, Tr_A, R, P, P^-1), the window coordinates of rho_A = diag(weights): the basis
+    """(M, attach, Tr_A, R, readout), the window coordinates of rho_A = diag(weights): the basis
     P_b (x) B_m of system (x) ancilla, the system's Hermitian units P_b
     (``quantum._hermitian_units``, the columns of P) times the ancilla's, B_m, with the unit on
     the largest weight, B_top, replaced by rho_A. M's column (b, m) is row-major
     vec(P_b (x) B_m). Attaching rho_A puts a system coefficient on B_top, and Tr_A sums the
     diagonal units, Tr B_m = 1, so both are matrices of 0 and 1, (d^2, d_s^2) and (d_s^2, d^2),
-    and so is the reset R = attach Tr_A."""
+    and so is the reset R = attach Tr_A. The readout P (x) P^-T takes a map's coefficients C on
+    the system's units to vec(P C P^-1), the map ``propagate_maps`` writes."""
     da, ds = len(weights), system_dim
     top = int(np.argmax(weights)) * (da + 1)
     units = _hermitian_units(da)[0].T.reshape(-1, da, da)  # B_m
@@ -220,7 +227,8 @@ def _window_coordinates(weights, system_dim: int) -> tuple:
     basis = np.kron(system.T.reshape(-1, 1, ds, ds), units)
     attach = np.kron(np.eye(ds * ds), np.eye(da * da)[top][:, None])
     trace = np.kron(np.eye(ds * ds), np.eye(da).reshape(-1))
-    return basis.reshape(len(attach), -1).T, attach, trace, attach @ trace, system, inverse
+    return (basis.reshape(len(attach), -1).T, attach, trace, attach @ trace,
+            np.kron(system, inverse.T))
 
 
 def _in_window(op: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -231,14 +239,42 @@ def _in_window(op: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return _hermitian_real(np.linalg.solve(basis, op @ basis), "the operator")
 
 
-def protocol_step(cfg: CollisionConfig):
+def _commutator(h: HermitianOperator, coords: tuple) -> np.ndarray:
+    """A = -i[H, .] in the window coordinates coords (``_in_window``)."""
+    eye = np.eye(h.dim)
+    return _in_window(-1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T)), coords[0])
+
+
+def _unitary(h: HermitianOperator, t_c: float, coords: tuple) -> np.ndarray:
+    """e^{A t_c} = U (x) U*, U = e^{-iH t_c}, in the window coordinates coords (``_in_window``)."""
+    u = unitary_evolution(h, t_c)
+    return _in_window(np.kron(u, u.conj()), coords[0])
+
+
+def window_operators(h: HermitianOperator, weights, t_c: Optional[float] = None) -> tuple:
+    """(coords, commutator, unitary): what the map routes of one run share, each built once, for
+    H on system (x) len(weights)-level ancilla and rho_A = diag(weights). coords are the window
+    coordinates (``_window_coordinates``), commutator is A = -i[H, .] in them, which
+    ``generator_step`` takes, and unitary is U (x) U* at the collision time t_c in them, which
+    ``protocol_step`` takes, or None without a t_c. ``lambda_embedding`` takes coords and
+    commutator, ``discrete_maps`` coords and unitary; nothing keeps them beyond the run that
+    built them."""
+    coords = _window_coordinates(weights, h.dim // len(weights))
+    unitary = None if t_c is None else _unitary(h, t_c, coords)
+    return coords, _commutator(h, coords), unitary
+
+
+def protocol_step(cfg: CollisionConfig, coords: Optional[tuple] = None,
+                  unitary: Optional[np.ndarray] = None):
     """The transfer matrix e^{A t_c} e^{B t_c} = (U (x) U*)(p_s 1 + (1 - p_s) R) in window
-    coordinates, and those coordinates (``_window_coordinates``)."""
-    w = cfg.bath.weight_vector(cfg.ancilla_dim)
-    basis, _, _, reset, _, _ = coords = _window_coordinates(w, cfg.system_dim)
-    u = unitary_evolution(cfg.hamiltonian, cfg.t_c)
-    unitary = _in_window(np.kron(u, u.conj()), basis)
-    return unitary @ (cfg.p_s * np.eye(u.size) + (1.0 - cfg.p_s) * reset), coords
+    coordinates, and those coordinates (``_window_coordinates``). A run that shares them passes
+    the coordinates of cfg's bath and U (x) U* at cfg's t_c (``window_operators``); whatever it
+    does not pass is built here."""
+    if coords is None:
+        coords = _window_coordinates(cfg.bath.weight_vector(cfg.ancilla_dim), cfg.system_dim)
+    if unitary is None:
+        unitary = _unitary(cfg.hamiltonian, cfg.t_c, coords)
+    return unitary @ (cfg.p_s * np.eye(len(unitary)) + (1.0 - cfg.p_s) * coords[3]), coords
 
 
 _TAYLOR_DEGREE = 18
@@ -267,9 +303,12 @@ def _expm(x: np.ndarray) -> np.ndarray:
     return eye + f
 
 
-def generator_step(h: HermitianOperator, weights, gamma: float, dt: float):
+def generator_step(h: HermitianOperator, weights, gamma: float, dt: float,
+                   coords: Optional[tuple] = None, commutator: Optional[np.ndarray] = None):
     """e^{L dt} of L = -i[H, .] + gamma (R - 1), R(W) = Tr_A(W) (x) rho_A, rho_A = diag(weights),
-    in window coordinates, and those coordinates (``_window_coordinates``).
+    in window coordinates, and those coordinates (``_window_coordinates``). A run that shares
+    them passes the coordinates and the commutator A = -i[H, .] in them
+    (``window_operators``); whatever it does not pass is built here.
 
     ``_expm`` runs in those coordinates, where R and R - 1 have entries that are exactly 0, 1
     or -1, so gamma dt multiplies no rounding; the commutator enters them once
@@ -286,10 +325,11 @@ def generator_step(h: HermitianOperator, weights, gamma: float, dt: float):
     rate = gamma * dt
     if not math.isfinite(rate):  # a product past the largest double is a numerical failure
         raise FloatingPointError(f"gamma * dt = {gamma:g} * {dt:g} overflows")
-    basis, _, _, reset, _, _ = coords = _window_coordinates(weights, h.dim // len(weights))
-    eye = np.eye(h.dim)
-    commutator = _in_window(-1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T)), basis)
-    return _expm(commutator * dt + rate * (reset - np.eye(h.dim ** 2))), coords
+    if coords is None:
+        coords = _window_coordinates(weights, h.dim // len(weights))
+    if commutator is None:
+        commutator = _commutator(h, coords)
+    return _expm(commutator * dt + rate * (coords[3] - np.eye(h.dim ** 2))), coords
 
 
 def propagate_maps(step: np.ndarray, coords: tuple, n_steps: int):
@@ -298,18 +338,19 @@ def propagate_maps(step: np.ndarray, coords: tuple, n_steps: int):
 
     The step is a real matrix in the window coordinates of rho_A, coords, which both step
     builders return with it (``_window_coordinates``); the loop reads attach, Tr_A, d_s and the
-    system's units P from them. There every window is Hermitian by construction and attaching
-    rho_A, Tr_A and the system's trace are sums of coefficients. The inputs X are the system's
+    readout P (x) P^-T of the system's units P from them, all built once per run. There every
+    window is Hermitian by construction and attaching rho_A, Tr_A and the system's trace are
+    sums of coefficients. The inputs X are the system's
     units P_b, plus E_00 where Tr P_b = 0, so every window has unit trace. The reduced states
     Y_{j+i} = Tr_A T^i W_j, i = 1..b, b = ceil(sqrt(n_steps)), of a block come from one product
     of the stacked rows Tr_A T, ..., Tr_A T^b with the block's first window W_j, which T^b then
     carries to the next block; no window is kept per step. Each reduced state is divided by its
     own trace, which for a linear step equals renormalizing the window after every step. Each
-    map is S = P Y X^-1 P^-1, read out with one product whose entries are 0, +-1, +-i, +-1/2 and
-    +-i/2: S_0 is the identity bit for bit. Each product is a row chunk of at most 2^18
-    multiply-adds, which OpenBLAS keeps on one thread.
+    map is S = P Y X^-1 P^-1, read out with one product by the readout, whose entries are 0,
+    +-1, +-i, +-1/2 and +-i/2: S_0 is the identity bit for bit. Each product is a row chunk of
+    at most 2^18 multiply-adds, which OpenBLAS keeps on one thread.
     """
-    _, attach, reduced, _, units, inverse = coords
+    _, attach, reduced, _, back = coords  # vec(P C P^-1) = (P (x) P^-T) vec C
     d2, ds = len(step), math.isqrt(len(reduced))
     trace_row, eye = np.eye(ds).reshape(-1), np.eye(ds * ds)  # Tr P_b, so Tr Y = trace_row @ y
     x = eye + np.outer(eye[0], 1.0 - trace_row)  # X^-1 = 2 - X: the added E_00s square to 0
@@ -327,7 +368,6 @@ def propagate_maps(step: np.ndarray, coords: tuple, n_steps: int):
         y /= (trace_row @ y)[:, None, :]
         window = powers[-1] @ window
     coeffs = (states @ (2.0 * eye - x)).reshape(n_steps + 1, -1)
-    back = np.kron(units, inverse.T)  # vec(P C P^-1) = (P (x) P^-T) vec C
     out = np.empty((n_steps + 1, len(back)), dtype=np.complex128)  # filled by parts: no copy
     rows = max(1, 2**18 // back.size)
     for j in range(0, n_steps + 1, rows):
@@ -410,7 +450,9 @@ class MapStack:
     def choi(self) -> np.ndarray:
         """The (n, d^2, d^2) stack of Choi matrices: each superoperator reshuffled, then
         symmetrized in place to remove rounding noise: 0.5 (C + C^dag) bit for bit, with at most
-        two Choi-sized arrays live."""
+        two Choi-sized arrays live. ``verify.certify_cpt`` does not build it: it gathers only the
+        exact blocks of these matrices, with this arithmetic, and this dense stack is the
+        reference it is tested against (and the input of the Kraus route)."""
         n, d = len(self.superops), self.dim
         t = self.superops.reshape(n, d, d, d, d)
         choi = np.array(t.transpose(0, 3, 1, 4, 2), order="C").reshape(n, d * d, d * d)
@@ -434,24 +476,30 @@ def _system_dim_and_weights(h: HermitianOperator, weights):
     return h.dim // len(w), w
 
 
-def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid) -> MapStack:
+def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid,
+                     coords: Optional[tuple] = None,
+                     commutator: Optional[np.ndarray] = None) -> MapStack:
     """Dynamical maps Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A) on the grid.
 
     L = -i[H, .] + gamma (R - 1) acts on system (x) one ancilla, with
     rho_A = diag(weights). One step e^{L dt} (``generator_step``, exact in double precision at
     any finite gamma dt) is stepped through the window loop, ``propagate_maps``, never an
     eigendecomposition: for the exchange coupling L is defective at gamma = 2. The CLI's series
-    and thermal modes take their maps from it.
+    and thermal modes take their maps from it, passing the window coordinates and the
+    commutator that their run built once (``window_operators``).
     """
     if not 0 <= gamma < math.inf:  # a NaN rate fails too
         raise ConfigurationError("memory-loss rate gamma must be nonnegative and finite")
     w = _system_dim_and_weights(h, weights)[1]
-    superops = propagate_maps(*generator_step(h, w, gamma, grid.dt), grid.n_points - 1)
-    return MapStack(grid.times(), superops)
+    step = generator_step(h, w, gamma, grid.dt, coords, commutator)
+    return MapStack(grid.times(), propagate_maps(*step, grid.n_points - 1))
 
 
-def discrete_maps(cfg: CollisionConfig) -> MapStack:
+def discrete_maps(cfg: CollisionConfig, coords: Optional[tuple] = None,
+                  unitary: Optional[np.ndarray] = None) -> MapStack:
     """The protocol's maps rho_0 -> rho_n at times n * t_c, n = 0..n_steps, for either bath,
-    from ``propagate_maps``: ``discrete_maps(cfg).apply(rho_0)`` is the trajectory."""
-    superops = propagate_maps(*protocol_step(cfg), cfg.n_steps)
+    from ``propagate_maps``: ``discrete_maps(cfg).apply(rho_0)`` is the trajectory. A run that
+    shares them passes the window coordinates of cfg's bath and U (x) U* at cfg's t_c
+    (``protocol_step``)."""
+    superops = propagate_maps(*protocol_step(cfg, coords, unitary), cfg.n_steps)
     return MapStack(np.arange(cfg.n_steps + 1) * cfg.t_c, superops)

@@ -72,9 +72,10 @@ def hermitian_spectra(stack) -> np.ndarray:
     matrix's spectrum is the union of its blocks' spectra. A 1x1 block is
     its real diagonal entry, a 2x2 block m +- hypot((a - c)/2, |b|) in
     closed form, and a larger one goes to eigvalsh; a dense stack of
-    matrices larger than 2x2 is one block, solved by eigvalsh whole. Only
-    rounding differs from eigvalsh. Matrices that are not square, and a NaN
-    or infinite entry, raise np.linalg.LinAlgError.
+    matrices larger than 2x2 is one block, solved by eigvalsh whole. The
+    blocks' spectra are sorted together; one block's is ascending already.
+    Only rounding differs from eigvalsh. Matrices that are not square, and a
+    NaN or infinite entry, raise np.linalg.LinAlgError.
     """
     stack = np.asarray(stack)
     if stack.ndim < 2 or stack.shape[-1] != stack.shape[-2]:
@@ -96,7 +97,8 @@ def hermitian_spectra(stack) -> np.ndarray:
     # a block of every index is the stack itself, solved whole without a copy
     larger = [np.linalg.eigvalsh(stack if len(b) == d else stack[..., b[:, None], b])
               for b in blocks if len(b) > 2]
-    return np.sort(np.concatenate([diag[..., singles], mid - rad, mid + rad, *larger], axis=-1))
+    spectra = np.concatenate([diag[..., singles], mid - rad, mid + rad, *larger], axis=-1)
+    return spectra if len(blocks) == 1 else np.sort(spectra)  # rad >= 0: mid - rad comes first
 
 
 def _components(linked: np.ndarray) -> list:

@@ -32,11 +32,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .collisions import BathSpec, CollisionConfig, MapStack, _whole_steps, discrete_maps
+from .collisions import (BathSpec, CollisionConfig, MapStack, _whole_steps, _window_coordinates,
+                         discrete_maps)
 from .errors import ConfigurationError, InternalConsistencyError
 from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .quantum import (
     DensityOperator,
+    _components,
     _frozen,
     density_stack,
     hermitian_spectra,
@@ -286,19 +288,55 @@ class CptReport:
 def certify_cpt(maps: MapStack, tolerance: float = CPT_TOLERANCE) -> CptReport:
     """Certify complete positivity and trace preservation of each map of the stack.
 
-    The spectra come from ``quantum.hermitian_spectra`` of ``MapStack.choi``,
-    which is Hermitian bit for bit, and solves the exact blocks of the
-    stack's joint zero pattern (at most 2x2 for the paper's phase-covariant
-    maps); the trace defects come from the Choi output-trace marginal. A
-    Kraus family is certified as the stack of its superoperators
-    sum_k K (x) K*. A NaN or infinite entry raises np.linalg.LinAlgError.
+    No Choi stack is built. The Choi entry ((i, a), (j, b)) is the
+    superoperator entry ((a, b), (i, j)), so the stack's joint zero pattern,
+    read from the superoperators and moved by that reshuffle, splits the
+    Choi indices into exact blocks (at most 2x2 for the paper's
+    phase-covariant maps). Only the blocks' entries are gathered, symmetrized
+    as ``MapStack.choi`` does, 0.5 (C + C^dag) bit for bit, and the blocks
+    go to ``quantum.hermitian_spectra``, which may split them further: the
+    1x1 blocks as one stack, each larger block as its own. A map's lowest
+    eigenvalue is the lowest of its blocks'. The trace defects come from the
+    Choi output-trace marginal sum_a C[(i, a), (j, a)], read from the same
+    gathers (an entry outside every block is 0). Both equal the dense route,
+    ``hermitian_spectra(maps.choi())[:, 0]`` and the marginal of
+    ``maps.choi()``, bit for bit. A Kraus family is certified as the stack
+    of its superoperators sum_k K (x) K*. A NaN or infinite entry anywhere
+    in the stack raises np.linalg.LinAlgError.
     """
     if len(maps) == 0:
         raise ConfigurationError("cannot certify an empty map family")
-    stack, n, d = maps.choi(), len(maps), maps.dim
-    min_eigs = hermitian_spectra(stack)[:, 0].copy()  # a report does not hold every eigenvalue
-    marginal = np.einsum("niaja->nij", stack.reshape(n, d, d, d, d))
-    defects = np.max(np.abs(marginal - np.eye(d)), axis=(1, 2))
+    n, d = len(maps), maps.dim
+    flat = maps.superops.reshape(n, -1)
+    if not np.isfinite(flat).all():
+        raise np.linalg.LinAlgError("map stack has a non-finite entry")
+    # where[p, q]: the superoperator entry of Choi entry (p, q)
+    where = np.arange(d ** 4).reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    nonzero = flat.any(axis=0)[where]
+    blocks = sorted(_components(nonzero | nonzero.T), key=len)  # the 1x1 blocks first
+    cells = [np.ix_(b, b) for b in blocks]
+    # every block's entries, row-major, and one zero column for the entries outside every block
+    sym = flat[:, np.concatenate([where[c].reshape(-1) for c in cells] + [[0]])]
+    mirror = flat[:, np.concatenate([where[c].T.reshape(-1) for c in cells])]
+    sym[:, :-1] += np.conjugate(mirror, out=mirror)
+    sym[:, -1] = 0.0
+    sym *= 0.5
+    singles = sum(len(b) == 1 for b in blocks)
+    lowest = [hermitian_spectra(sym[:, :singles].T.reshape(-1, 1, 1)).reshape(singles, n)]
+    start = singles
+    for b in blocks[singles:]:
+        stop = start + len(b) ** 2
+        lowest.append(hermitian_spectra(sym[:, start:stop].reshape(n, len(b), len(b)))[None, :, 0])
+        start = stop
+    min_eigs = np.concatenate(lowest).min(axis=0)
+    column = np.full(d ** 4, start)  # the column of sym that holds each Choi entry
+    column[np.concatenate([(b[:, None] * d * d + b).reshape(-1) for b in blocks])] = range(start)
+    i, j, a = np.indices((d, d, d)).reshape(3, d * d, d)
+    terms = column[((i * d + a) * d + j) * d + a]  # sum_a C[(i, a), (j, a)], a pair (i, j) a row
+    kept = (terms < start).any(axis=1)  # the other pairs lie off the diagonal: their sum is 0
+    marginal = np.einsum("npa->np", sym[:, terms[kept]])
+    marginal -= (i == j)[kept, 0]
+    defects = np.abs(marginal).max(axis=1)
     return CptReport(_frozen(min_eigs), _frozen(defects), tolerance)
 
 
@@ -390,7 +428,8 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list) -> Convergence
     gamma_bar, ``discrete_maps`` runs out to tau_max, and the error is the
     maximum ``probe_distances`` from ``jc_maps`` along the fixed probe
     state's whole trajectory (endpoint-only checks miss transients). The
-    order estimate is the log-log slope.
+    runs share one set of window coordinates, built once. The order
+    estimate is the log-log slope.
     """
     if not 0 < tau_max < math.inf:  # a NaN tau_max fails too
         raise ConfigurationError("tau_max must be positive and finite")
@@ -399,7 +438,8 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list) -> Convergence
         raise ConfigurationError("every collision time in t_c_list must be positive and finite")
     if len(t_c_values) != len(set(t_c_values)):
         raise ConfigurationError("collision times must be distinct")
-    h = jc_hamiltonian()
+    h, bath = jc_hamiltonian(), BathSpec(kind="pure_ground")
+    coords = _window_coordinates(bath.weight_vector(2), 2)
     errors = []
     for t_c in t_c_values:
         n_steps = _whole_steps(tau_max, t_c, "tau_max", "the collision time t_c")
@@ -410,9 +450,9 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list) -> Convergence
             t_c=t_c,
             p_s=calibrated_swap_probability(gamma_bar, t_c),
             n_steps=n_steps,
-            bath=BathSpec(kind="pure_ground"),
+            bath=bath,
         )
-        stack = discrete_maps(cfg)
+        stack = discrete_maps(cfg, coords)
         errors.append(float(np.max(probe_distances(jc_maps(stack.times, gamma_bar), stack))))
     return ConvergenceReport(tuple(t_c_values), tuple(errors))
 

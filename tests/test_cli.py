@@ -941,12 +941,12 @@ class TestBatchedClosedForm:
 
     @staticmethod
     def _counted_calls(monkeypatch) -> dict:
-        """The calls of the CLI's jc_maps and of certify_cpt's hermitian_spectra, counted from
-        here on."""
+        """The CLI's calls of jc_maps and of certify_cpt, counted from here on. certify_cpt hands
+        each exact block of a stack's Choi matrices to hermitian_spectra, so its spectra solves
+        are counted per block: the stacks are counted as certify_cpt calls."""
         import nmcollide.cli as cli_mod
-        import nmcollide.verify as verify_mod
 
-        calls = {"jc_maps": 0, "hermitian_spectra": 0}
+        calls = {"jc_maps": 0, "certify_cpt": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -954,13 +954,12 @@ class TestBatchedClosedForm:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(cli_mod, "jc_maps", counted("jc_maps", cli_mod.jc_maps))
-        monkeypatch.setattr(verify_mod, "hermitian_spectra",
-                            counted("hermitian_spectra", verify_mod.hermitian_spectra))
+        for name in calls:
+            monkeypatch.setattr(cli_mod, name, counted(name, getattr(cli_mod, name)))
         return calls
 
     def test_sweep_is_one_grid(self, tmp_path, monkeypatch):
-        # a per-gamma_bar loop would call jc_maps and hermitian_spectra once per gamma_bar
+        # a per-gamma_bar loop would call jc_maps and certify_cpt once per gamma_bar
         calls = self._counted_calls(monkeypatch)
         cfg = write_config(
             tmp_path, "cfg.json",
@@ -968,10 +967,11 @@ class TestBatchedClosedForm:
              "output_path": str(tmp_path / "out")},
         )
         assert main(["sweep", cfg]) == 0
-        assert calls == {"jc_maps": 1, "hermitian_spectra": 1}
+        assert calls == {"jc_maps": 1, "certify_cpt": 1}
         assert len(read_rows(tmp_path / "out")) == 21
 
-    # a repeated gamma_bar and a last gamma_bar = 0 exercise the slice arithmetic of the grid
+    # a repeated gamma_bar and a last gamma_bar = 0 exercise the slice arithmetic of the grid;
+    # certify refuses the repeat
     GRID_GAMMAS = [1.0, 5.0, 1.0, 0.0]
 
     def test_jc_closed_form_is_one_grid(self, tmp_path, monkeypatch):
@@ -984,33 +984,36 @@ class TestBatchedClosedForm:
              "tau_points": 9, "output_path": str(tmp_path / "out")},
         )
         assert main(["run", cfg]) == 0
-        assert calls == {"jc_maps": 1, "hermitian_spectra": 0}
+        assert calls == {"jc_maps": 1, "certify_cpt": 0}
         taus = np.linspace(0.0, 4.0, 9)
         per_gamma = np.concatenate([jc_maps(taus, g).superops for g in self.GRID_GAMMAS])
         rows = read_rows(tmp_path / "out")
         assert [float(row[2]) for row in rows] == list(per_gamma[:, 1, 1].real)
         assert [float(row[3]) for row in rows] == list(per_gamma[:, 3, 3].real)
 
-    def test_certify_is_one_grid_certified_per_gamma(self, tmp_path, monkeypatch):
-        # one jc_maps grid, certified one gamma_bar slice at a time: one spectra solve per
-        # gamma_bar, and the report of each slice is that of its own one-gamma_bar stack
+    def test_certify_is_one_grid_certified_per_gamma(self, tmp_path, monkeypatch, capsys):
+        # one jc_maps grid, certified one gamma_bar slice at a time: one certify_cpt call per
+        # gamma_bar, and the report of each slice is that of its own one-gamma_bar stack. A
+        # repeated gamma_bar would share one cpt_report.json entry: it is refused before the grid
         from nmcollide import certify_cpt, jc_maps
 
         calls = self._counted_calls(monkeypatch)
         out = tmp_path / "out"
-        cfg = write_config(
-            tmp_path, "cfg.json",
-            {"mode": "certify", "gamma_bar": self.GRID_GAMMAS, "tau_max": 4.0,
-             "tau_points": 9, "output_path": str(out)},
-        )
+        payload = {"mode": "certify", "tau_max": 4.0, "tau_points": 9, "output_path": str(out)}
+        cfg = write_config(tmp_path, "repeat.json", {**payload, "gamma_bar": self.GRID_GAMMAS})
+        assert main(["certify", cfg]) == 2
+        assert calls == {"jc_maps": 0, "certify_cpt": 0}
+        assert "entries 0 and 2" in json.loads(capsys.readouterr().err)["error"]["message"]
+        gammas = [1.0, 5.0, 2.5, 0.0]  # still ends in gamma_bar = 0
+        cfg = write_config(tmp_path, "cfg.json", {**payload, "gamma_bar": gammas})
         assert main(["certify", cfg]) == 0
-        assert calls == {"jc_maps": 1, "hermitian_spectra": len(self.GRID_GAMMAS)}
+        assert calls == {"jc_maps": 1, "certify_cpt": len(gammas)}
         taus = np.linspace(0.0, 4.0, 9)
-        reports = {g: certify_cpt(jc_maps(taus, g)) for g in self.GRID_GAMMAS}
+        reports = {g: certify_cpt(jc_maps(taus, g)) for g in gammas}
         expected = {g: {"gamma_bar": g, **report.summary(taus)} for g, report in reports.items()}
         written = json.loads((out / "cpt_report.json").read_text())["per_gamma"]
         assert written == json.loads(json.dumps(expected))
-        min_eigs = np.concatenate([reports[g].min_choi_eigenvalue for g in self.GRID_GAMMAS])
+        min_eigs = np.concatenate([reports[g].min_choi_eigenvalue for g in gammas])
         assert [float(row[5]) for row in read_rows(out)] == list(min_eigs)
 
 

@@ -355,9 +355,10 @@ class TestResetSplitting:
         # in window coordinates the reset is an idempotent matrix of 0 and 1, and both parts are
         # the vec-basis -i[H, .] and R once mapped back
         weights = np.array([0.7, 0.3])
-        basis, attach, trace, reset, units, inverse = _window_coordinates(weights, 2)
+        basis, attach, trace, reset, readout = _window_coordinates(weights, 2)
         assert np.array_equal(reset, attach @ trace) and np.array_equal(reset @ reset, reset)
-        assert all(map(np.array_equal, (units, inverse), _hermitian_units(2)))
+        units, inverse = _hermitian_units(2)
+        assert np.array_equal(readout, np.kron(units, inverse.T))
         assert set(np.unique(reset)) == {0.0, 1.0}
         m = window_basis(weights, 2)
         assert np.array_equal(basis, m)
