@@ -1,3 +1,5 @@
+import json
+
 import hypothesis.strategies as st
 import mpmath
 import numpy as np
@@ -646,20 +648,43 @@ class TestDiscreteMaps:
             _in_window(step, basis)
 
     @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
-    def test_each_run_builds_its_window_coordinates_once(self, jc_h, weights, monkeypatch):
+    def test_each_run_builds_its_window_coordinates_once(self, jc_h, weights, monkeypatch,
+                                                         tmp_path):
         # both step builders return the coordinates they built, and the window loop reads attach
-        # and Tr_A from them: one build per discrete_maps and per lambda_embedding call
+        # and Tr_A from them: one build per discrete_maps and per lambda_embedding call. A run
+        # that steps more than one route builds them once and passes them on: a series run over
+        # three gamma_bar values, each compared with the protocol, a thermal run, which compares
+        # the two routes, and a convergence study over three collision times
+        from nmcollide import verify
+        from nmcollide.cli import main
+
         calls, build = [], collisions._window_coordinates
 
         def counting(*args):
             calls.append(args)
             return build(*args)
 
-        monkeypatch.setattr(collisions, "_window_coordinates", counting)
+        for module in (collisions, verify):
+            monkeypatch.setattr(module, "_window_coordinates", counting)
         discrete_maps(long_run_cfg(jc_h, weights, n_steps=3))
         assert len(calls) == 1
         lambda_embedding(jc_h, weights, 1.5, TimeGrid(t_max=1.0, n_points=4))
         assert len(calls) == 2
+        bath = {"kind": "thermal", "weights": list(weights)}  # (1, 0) is the pure bath
+        configs = {
+            "series": {"mode": "series", "gamma_bar": [0.5, 1.0, 4.0], "tau_max": 1.0,
+                       "tau_points": 21, "compare_discrete": True, "t_c": 0.1},
+            "thermal": {"mode": "thermal",
+                        "collision": {"t_c": 0.05, "p_s": 0.9, "n_steps": 20, "bath": bath}},
+            "convergence": {"mode": "convergence", "gamma_bar": 1.0, "tau_max": 1.0,
+                            "t_c_list": [0.1, 0.05, 0.025]},
+        }
+        for name, config in configs.items():
+            calls.clear()
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**config, "output_path": str(tmp_path / name)}))
+            assert main(["run", str(path)]) == 0
+            assert len(calls) == 1, name
 
     @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
     def test_first_map_is_the_identity_bitwise(self, jc_h, weights):

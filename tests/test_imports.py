@@ -255,6 +255,19 @@ def test_every_hermitian_spectrum_goes_through_hermitian_spectra():
     assert renamed == []
 
 
+def test_certify_cpt_builds_no_choi_stack():
+    # certify_cpt reads the exact blocks of the Choi matrices from the superoperators: it neither
+    # calls nor names MapStack.choi, the dense (n, d^2, d^2) route
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    certify = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "certify_cpt")
+    named = [node.lineno for node in ast.walk(certify)
+             if isinstance(node, ast.Attribute) and node.attr == "choi"]
+    assert named == []
+    assert any(callee == "hermitian_spectra" for where, callee in _calls(PACKAGE / "verify.py")
+               if where == "certify_cpt")
+
+
 KRAUS_LAYER = {"KrausChannel", "choi_of", "kraus_from_choi"}
 
 

@@ -240,10 +240,8 @@ class TestCertify:
         maps = jc_maps(np.linspace(0.0, 5.0, 6), 1.0)
         superops = maps.superops.copy()
         superops[2, 0, 0] = bad
-        # the arithmetic of an infinity (inf * 0j in MapStack.choi) warns of the NaN it makes
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-                certify_cpt(MapStack(maps.times, superops), 1e-9)
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            certify_cpt(MapStack(maps.times, superops), 1e-9)
 
     def test_empty_family_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -308,6 +306,89 @@ class TestCertify:
         assert abs(verify.probe_trace_defect(maps, probes) - 0.35) <= 1e-15
         traces = np.trace(maps[96].apply(PROBE.data), axis1=1, axis2=2).real
         assert abs(verify.probe_trace_defect(maps, probes[:1]) - abs(traces[0] - 1.0)) <= 1e-15
+
+
+def dense_certificate(maps: MapStack) -> tuple:
+    """The route certify_cpt replaces: every Choi matrix built (MapStack.choi), its spectra
+    solved whole by hermitian_spectra, and its output marginal contracted by einsum."""
+    choi, n, d = maps.choi(), len(maps), maps.dim
+    marginal = np.einsum("niaja->nij", choi.reshape(n, d, d, d, d))
+    return (quantum.hermitian_spectra(choi)[:, 0],
+            np.max(np.abs(marginal - np.eye(d)), axis=(1, 2)))
+
+
+def random_kraus_maps(d: int, n: int, seed: int) -> MapStack:
+    """n channels of three Kraus operators each, read off random isometries: no zero pattern
+    is shared, so each Choi matrix is one dense d^2 x d^2 block."""
+    rng = np.random.default_rng(seed)
+    isometries = np.linalg.qr(rng.normal(size=(n, 3 * d, d))
+                              + 1j * rng.normal(size=(n, 3 * d, d)))[0]
+    kraus = isometries.reshape(n, 3, d, d)
+    superops = np.einsum("nkab,nkcd->nacbd", kraus, kraus.conj()).reshape(n, d * d, d * d)
+    return MapStack(np.arange(float(n)), superops)
+
+
+ENGINE_WEIGHTS = {"pure": (1.0, 0.0), "thermal": (0.731, 0.269)}
+CERTIFIED_STACKS = ([f"jc_maps-{g:g}" for g in (0.0, 0.5, 2.0, 50.0, 1e6)]
+                    + [f"{route}-{bath}" for route in ("lambda_embedding", "discrete_maps")
+                       for bath in ENGINE_WEIGHTS]
+                    + ["corrupted", "kraus-2", "kraus-3"])
+
+
+def certified_stack(name: str) -> MapStack:
+    """The stack that a CERTIFIED_STACKS name stands for: closed-form maps at one gamma_bar, the
+    engine's two routes for either bath, the negative control, and dense Kraus families of
+    qubits and qutrits."""
+    kind, _, arg = name.partition("-")
+    h = jaynes_cummings.jc_hamiltonian()
+    if kind == "jc_maps":
+        return jc_maps(np.linspace(0.0, 20.0, 401), float(arg))
+    if kind == "lambda_embedding":
+        return collisions.lambda_embedding(h, ENGINE_WEIGHTS[arg], 1.5,
+                                           collisions.TimeGrid(t_max=5.0, n_points=401))
+    if kind == "discrete_maps":
+        bath = (BathSpec(kind="pure_ground") if arg == "pure"
+                else BathSpec(kind="thermal", weights=ENGINE_WEIGHTS[arg]))
+        return discrete_maps(CollisionConfig(2, 2, h, t_c=0.0125, p_s=0.98, n_steps=400,
+                                             bath=bath))
+    if kind == "corrupted":
+        return corrupted_beta_maps(1.0, np.linspace(0.0, 5.0, 101))
+    return random_kraus_maps(int(arg), 200, int(arg))
+
+
+class TestCertifyWithoutChoi:
+    """certify_cpt gathers only the exact blocks of the Choi matrices from the superoperators,
+    and its reports equal the dense route through MapStack.choi bit for bit."""
+
+    @pytest.mark.parametrize("name", CERTIFIED_STACKS)
+    def test_matches_the_dense_route_bit_for_bit(self, name):
+        maps = certified_stack(name)
+        report = certify_cpt(maps, 1e-9)
+        for mine, dense in zip((report.min_choi_eigenvalue, report.max_trace_defect),
+                               dense_certificate(maps)):
+            assert mine.dtype == dense.dtype == np.float64
+            assert np.array_equal(mine.view(np.uint64), dense.view(np.uint64))
+        assert report.verdict is (name != "corrupted")
+
+    def test_builds_no_choi_stack(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("certify_cpt built a Choi stack")
+
+        monkeypatch.setattr(MapStack, "choi", forbidden)
+        assert certify_cpt(jc_maps(np.linspace(0.0, 5.0, 11), 1.0), 1e-9).verdict
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_outside_every_block_raises(self, bad):
+        # S[1, 2] is 0 in every closed-form map, so it lies in no block of their Choi matrices
+        maps = jc_maps(np.linspace(0.0, 5.0, 6), 1.0)
+        superops = maps.superops.copy()
+        superops[3, 1, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            certify_cpt(MapStack(maps.times, superops), 1e-9)
+
+    def test_an_empty_stack_is_refused(self):
+        with pytest.raises(ConfigurationError, match="empty"):
+            certify_cpt(MapStack(np.zeros(0), np.zeros((0, 9, 9), dtype=complex)), 1e-9)
 
 
 class TestConvergenceStudy:
