@@ -329,11 +329,12 @@ def certify_cpt(maps: MapStack, tolerance: float = CPT_TOLERANCE) -> CptReport:
         lowest.append(hermitian_spectra(sym[:, start:stop].reshape(n, len(b), len(b)))[None, :, 0])
         start = stop
     min_eigs = np.concatenate(lowest).min(axis=0)
-    column = np.full(d ** 4, start)  # the column of sym that holds each Choi entry
-    column[np.concatenate([(b[:, None] * d * d + b).reshape(-1) for b in blocks])] = range(start)
+    zero = sym.shape[1] - 1
+    column = np.full(d ** 4, zero)  # the column of sym that holds each Choi entry
+    column[np.concatenate([(b[:, None] * d * d + b).reshape(-1) for b in blocks])] = range(zero)
     i, j, a = np.indices((d, d, d)).reshape(3, d * d, d)
     terms = column[((i * d + a) * d + j) * d + a]  # sum_a C[(i, a), (j, a)], a pair (i, j) a row
-    kept = (terms < start).any(axis=1)  # the other pairs lie off the diagonal: their sum is 0
+    kept = (terms < zero).any(axis=1)  # the other pairs lie off the diagonal: their sum is 0
     marginal = np.einsum("npa->np", sym[:, terms[kept]])
     marginal -= (i == j)[kept, 0]
     defects = np.abs(marginal).max(axis=1)

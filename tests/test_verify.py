@@ -386,10 +386,6 @@ class TestCertifyWithoutChoi:
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
             certify_cpt(MapStack(maps.times, superops), 1e-9)
 
-    def test_an_empty_stack_is_refused(self):
-        with pytest.raises(ConfigurationError, match="empty"):
-            certify_cpt(MapStack(np.zeros(0), np.zeros((0, 9, 9), dtype=complex)), 1e-9)
-
 
 class TestConvergenceStudy:
     def test_zero_rate_limit_is_exact(self):
