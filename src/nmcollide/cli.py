@@ -15,7 +15,9 @@ refused, before a mode runs.
 Every run writes ``results.csv`` with the fixed header
 ``tau,gamma_bar,beta1,beta2,trace_distance_vs_discrete,min_choi_eig``
 (absent columns left empty, floats printed with 17 significant digits) and
-``manifest.json`` echoing the config, library versions, and timings.
+``manifest.json`` echoing the config, library versions, and timings: the mode runner's
+(``run_seconds``), the writing of ``results.csv`` and the JSON reports' (``write_seconds``) and
+the whole run's (``total_seconds``).
 Identical config and seed give byte-identical CSV output.
 
 Every map family is one MapStack: the closed form's, one stack for the
@@ -569,7 +571,9 @@ def _execute(cfg: dict, raw: dict, output_dir: Optional[str]) -> int:
         raise ConfigurationError(
             f"output directory {str(out_dir)!r} cannot be created: {exc}") from exc
 
+    run_started = time.perf_counter()
     rows, extras, reports = SCHEMA[cfg["mode"]][0](cfg)
+    write_started = time.perf_counter()
 
     _write_csv(out_dir / "results.csv", rows)
     outputs = ["results.csv"]
@@ -578,6 +582,7 @@ def _execute(cfg: dict, raw: dict, output_dir: Optional[str]) -> int:
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         outputs.append(name)
+    written = time.perf_counter()
 
     manifest = {
         "config": raw,
@@ -589,7 +594,9 @@ def _execute(cfg: dict, raw: dict, output_dir: Optional[str]) -> int:
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
-        "timings": {"total_seconds": time.perf_counter() - started},
+        "timings": {"run_seconds": write_started - run_started,
+                    "write_seconds": written - write_started,
+                    "total_seconds": time.perf_counter() - started},
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -48,17 +48,19 @@ either bath. ``_expm`` is the package's one general matrix exponential:
 
 One loop, ``propagate_maps``, propagates windows under either step: d_s^2
 system inputs at once, each window as its real coefficients, so every
-window is Hermitian by construction. It reads b = ceil(sqrt(n_steps))
-reduced states per numpy call: the stacked rows Tr_A T, Tr_A T^2, ...,
-Tr_A T^b, built once, times the block's first window, which T^b carries
-to the next block. So a run makes O(sqrt(n_steps)) calls and keeps no
-window per step. Every reduced state is then divided by its own trace: the
-exact map preserves it, rounding does not, and since the step is linear
-this is the same as renormalizing after every step. Over 2000 steps at
-t_c = 0.01 the repair keeps the reduced states within 1.1e-14 of a
-long-double recursion, against 3e-14 to 3e-13 without it. The maps leave
-the window coordinates through the system's units, whose change of basis
-rounds nothing, so the map at step 0 is the identity bit for bit.
+window is Hermitian by construction. It splits a run into blocks of
+b = ceil(sqrt(n_steps)) steps. One small product per block carries the
+block's first window by T^b to the next block's, and one stacked product
+of the rows Tr_A T, Tr_A T^2, ..., Tr_A T^b, built once, with all those
+block starts gives every reduced state. So a run makes O(sqrt(n_steps))
+small products plus a fixed number of other numpy calls, and keeps no
+window per step. Every reduced state is then divided by its own trace, all
+in one pass: the exact map preserves it, rounding does not, and since the
+step is linear this is the same as renormalizing after every step. Over
+2000 steps at t_c = 0.01 the repair keeps the reduced states within 1.1e-14
+of a long-double recursion, against 3e-14 to 3e-13 without it. The maps
+leave the window coordinates through the system's units, whose change of
+basis rounds nothing, so the map at step 0 is the identity bit for bit.
 
 Both map routes wrap that loop and return one MapStack, an (n, d^2, d^2)
 superoperator array on row-major vectorized density matrices with its
@@ -217,8 +219,10 @@ def _window_coordinates(weights, system_dim: int) -> tuple:
     the largest weight, B_top, replaced by rho_A. M's column (b, m) is row-major
     vec(P_b (x) B_m). Attaching rho_A puts a system coefficient on B_top, and Tr_A sums the
     diagonal units, Tr B_m = 1, so both are matrices of 0 and 1, (d^2, d_s^2) and (d_s^2, d^2),
-    and so is the reset R = attach Tr_A. The readout P (x) P^-T takes a map's coefficients C on
-    the system's units to vec(P C P^-1), the map ``propagate_maps`` writes."""
+    and so is the reset R = attach Tr_A. The readout (P (x) P^-T)^T takes a row of a map's
+    coefficients C on the system's units to vec(P C P^-1), the map ``propagate_maps`` writes; it
+    is kept as the real (d_s^4, 2 d_s^4) array of its columns' real and imaginary parts
+    interleaved, so that the product lands in the map's float64 view."""
     da, ds = len(weights), system_dim
     top = int(np.argmax(weights)) * (da + 1)
     units = _hermitian_units(da)[0].T.reshape(-1, da, da)  # B_m
@@ -228,7 +232,7 @@ def _window_coordinates(weights, system_dim: int) -> tuple:
     attach = np.kron(np.eye(ds * ds), np.eye(da * da)[top][:, None])
     trace = np.kron(np.eye(ds * ds), np.eye(da).reshape(-1))
     return (basis.reshape(len(attach), -1).T, attach, trace, attach @ trace,
-            np.kron(system, inverse.T))
+            np.kron(system.T, inverse).view(np.float64))
 
 
 def _in_window(op: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -338,41 +342,64 @@ def propagate_maps(step: np.ndarray, coords: tuple, n_steps: int):
 
     The step is a real matrix in the window coordinates of rho_A, coords, which both step
     builders return with it (``_window_coordinates``); the loop reads attach, Tr_A, d_s and the
-    readout P (x) P^-T of the system's units P from them, all built once per run. There every
-    window is Hermitian by construction and attaching rho_A, Tr_A and the system's trace are
-    sums of coefficients. The inputs X are the system's
-    units P_b, plus E_00 where Tr P_b = 0, so every window has unit trace. The reduced states
-    Y_{j+i} = Tr_A T^i W_j, i = 1..b, b = ceil(sqrt(n_steps)), of a block come from one product
-    of the stacked rows Tr_A T, ..., Tr_A T^b with the block's first window W_j, which T^b then
-    carries to the next block; no window is kept per step. Each reduced state is divided by its
-    own trace, which for a linear step equals renormalizing the window after every step. Each
-    map is S = P Y X^-1 P^-1, read out with one product by the readout, whose entries are 0,
-    +-1, +-i, +-1/2 and +-i/2: S_0 is the identity bit for bit. Each product is a row chunk of
-    at most 2^18 multiply-adds, which OpenBLAS keeps on one thread.
+    readout of the system's units P from them, all built once per run. There every window is
+    Hermitian by construction and attaching rho_A, Tr_A and the system's trace are sums of
+    coefficients. The inputs X are the system's units P_b, plus E_00 where Tr P_b = 0, so every
+    window has unit trace. With b = ceil(sqrt(n_steps)) and T the step, the loop
+
+    * carries each block's first window to the next, W_{jb} = T^b W_{(j-1)b}: one product per
+      block, (d^2 x d^2) times (d^2 x d_s^2), into a preallocated stack of block starts; no
+      window is kept per step;
+    * reads every reduced state Y_{jb+i} = Tr_A T^i W_{jb}, i = 1..b, from one stacked product
+      of the rows Tr_A T, ..., Tr_A T^b with that stack: per block, (b d_s^2 x d^2) times
+      (d^2 x d_s^2). The last block may run past n_steps; its surplus states are not read;
+    * divides each reduced state by its own trace, the sum of its rows on the diagonal units
+      added in index order, which for a linear step equals renormalizing the window after
+      every step;
+    * applies X^-1 = 1 - e_0 (1 - Tr P)^T in place: input column 0 is subtracted from the
+      traceless units' columns;
+    * reads each map out as S = P Y X^-1 P^-1, one real product a row chunk into the output's
+      float64 view, (rows x d_s^4) times the readout (d_s^4 x 2 d_s^4), whose entries are 0,
+      +-1, +-1/2 (``_window_coordinates``): S_0 is the identity bit for bit.
+
+    Each BLAS call stays at or below 2^18 multiply-adds, so OpenBLAS keeps it on one thread. The
+    readout's chunks are cut to that size. For qubit (x) qubit (d = 4, d_s = 2) up to
+    ``cli.MAX_POINTS`` steps, b <= 512: a block start is 16 x 16 x 4 = 1024, a block's reduced
+    states 256 b <= 2^17, and a product of the doubling 16^3. Every sum keeps the order of a
+    loop of one product and one normalization a block, which the tests keep as the reference:
+    for qubit (x) qubit the maps are the same doubles. At d_s = 3 a last block that runs past
+    n_steps can move a map by an ulp, because OpenBLAS computes its surplus rows with the rest.
     """
-    _, attach, reduced, _, back = coords  # vec(P C P^-1) = (P (x) P^-T) vec C
+    _, attach, reduced, _, readout = coords
     d2, ds = len(step), math.isqrt(len(reduced))
-    trace_row, eye = np.eye(ds).reshape(-1), np.eye(ds * ds)  # Tr P_b, so Tr Y = trace_row @ y
-    x = eye + np.outer(eye[0], 1.0 - trace_row)  # X^-1 = 2 - X: the added E_00s square to 0
-    window = attach @ x
+    trace_row, eye = np.eye(ds).reshape(-1), np.eye(ds * ds)  # Tr P_b
+    diagonal, traceless = np.flatnonzero(trace_row), np.flatnonzero(trace_row == 0)
+    x = eye + np.outer(eye[0], 1.0 - trace_row)
     block = max(1, math.ceil(math.sqrt(n_steps)))
     powers = step[None]  # T, T^2, ..., T^block by doubling: T^m T^i is T^{m+i}
     while len(powers) < block:
         powers = np.concatenate((powers, powers[-1] @ powers[:block - len(powers)]))
-    readout = (reduced @ powers).reshape(-1, d2)  # Tr_A T^i, i = 1..block, stacked
-    states = np.empty((n_steps + 1, ds * ds, ds * ds))
-    states[0] = reduced @ window
-    for j in range(0, n_steps, block):
-        y = states[j + 1:j + 1 + block]  # the last block may be short
-        np.matmul(readout[:y.size // (ds * ds)], window, out=y.reshape(-1, ds * ds))
-        y /= (trace_row @ y)[:, None, :]
-        window = powers[-1] @ window
-    coeffs = (states @ (2.0 * eye - x)).reshape(n_steps + 1, -1)
-    out = np.empty((n_steps + 1, len(back)), dtype=np.complex128)  # filled by parts: no copy
-    rows = max(1, 2**18 // back.size)
-    for j in range(0, n_steps + 1, rows):
-        out.real[j:j + rows] = coeffs[j:j + rows] @ back.real.T
-        out.imag[j:j + rows] = coeffs[j:j + rows] @ back.imag.T
+    rows = (reduced @ powers).reshape(-1, d2)  # Tr_A T^i, i = 1..block, stacked
+    starts = np.empty((-(-n_steps // block), d2, ds * ds))
+    np.dot(attach, x, out=starts[0])
+    for previous, start in zip(starts, starts[1:]):
+        np.dot(powers[-1], previous, out=start)
+    states = np.empty((len(starts) * block + 1, ds * ds, ds * ds))
+    states[0] = x  # Tr_A (X (x) rho_A)
+    np.matmul(rows, starts, out=states[1:].reshape(len(starts), -1, ds * ds))
+    states = states[:n_steps + 1]  # the surplus of the last block is not read
+    trace = states[1:, diagonal[0]].copy()
+    for unit in diagonal[1:]:
+        trace += states[1:, unit]
+    states[1:] /= trace[:, None, :]
+    for unit in traceless:
+        states[..., unit] -= states[..., 0]
+    coeffs = states.reshape(n_steps + 1, -1)
+    out = np.empty((n_steps + 1, len(readout)), dtype=np.complex128)
+    parts = out.view(np.float64)  # Re and Im interleaved, as the readout's columns
+    chunk = max(1, 2**18 // readout.size)
+    for j in range(0, n_steps + 1, chunk):
+        np.dot(coeffs[j:j + chunk], readout, out=parts[j:j + chunk])
     return out.reshape(n_steps + 1, ds * ds, ds * ds)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -72,7 +73,10 @@ class TestRun:
         assert manifest["seed"] == 42
         assert manifest["config"]["gamma_bar"] == 1.0
         assert sorted(manifest["versions"]) == ["nmcollide", "numpy", "python"]
-        assert "total_seconds" in manifest["timings"]
+        timings = manifest["timings"]
+        assert sorted(timings) == ["run_seconds", "total_seconds", "write_seconds"]
+        assert all(math.isfinite(value) and value >= 0 for value in timings.values())
+        assert timings["run_seconds"] + timings["write_seconds"] <= timings["total_seconds"]
 
     def test_empty_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import mpmath
@@ -360,7 +362,8 @@ class TestResetSplitting:
         basis, attach, trace, reset, readout = _window_coordinates(weights, 2)
         assert np.array_equal(reset, attach @ trace) and np.array_equal(reset @ reset, reset)
         units, inverse = _hermitian_units(2)
-        assert np.array_equal(readout, np.kron(units, inverse.T))
+        assert readout.dtype == np.float64  # Re and Im of (P (x) P^-T)^T, column by column
+        assert np.array_equal(readout.view(np.complex128).T, np.kron(units, inverse.T))
         assert set(np.unique(reset)) == {0.0, 1.0}
         m = window_basis(weights, 2)
         assert np.array_equal(basis, m)
@@ -588,20 +591,109 @@ def step_by_step_maps(step, weights, ds, n_steps):
     return units @ (reduced @ history @ np.linalg.inv(x)) @ inverse
 
 
+def per_block_maps(step, coords, n_steps):
+    """The earlier form of ``propagate_maps``, kept verbatim as the reference for its bits: one
+    product and one normalization per block, X^-1 and the readout by matmul, the readout's real
+    and imaginary parts apart. coords carry the complex readout P (x) P^-T
+    (``complex_readout_coords``)."""
+    _, attach, reduced, _, back = coords  # vec(P C P^-1) = (P (x) P^-T) vec C
+    d2, ds = len(step), math.isqrt(len(reduced))
+    trace_row, eye = np.eye(ds).reshape(-1), np.eye(ds * ds)  # Tr P_b, so Tr Y = trace_row @ y
+    x = eye + np.outer(eye[0], 1.0 - trace_row)  # X^-1 = 2 - X: the added E_00s square to 0
+    window = attach @ x
+    block = max(1, math.ceil(math.sqrt(n_steps)))
+    powers = step[None]  # T, T^2, ..., T^block by doubling: T^m T^i is T^{m+i}
+    while len(powers) < block:
+        powers = np.concatenate((powers, powers[-1] @ powers[:block - len(powers)]))
+    readout = (reduced @ powers).reshape(-1, d2)  # Tr_A T^i, i = 1..block, stacked
+    states = np.empty((n_steps + 1, ds * ds, ds * ds))
+    states[0] = reduced @ window
+    for j in range(0, n_steps, block):
+        y = states[j + 1:j + 1 + block]  # the last block may be short
+        np.matmul(readout[:y.size // (ds * ds)], window, out=y.reshape(-1, ds * ds))
+        y /= (trace_row @ y)[:, None, :]
+        window = powers[-1] @ window
+    coeffs = (states @ (2.0 * eye - x)).reshape(n_steps + 1, -1)
+    out = np.empty((n_steps + 1, len(back)), dtype=np.complex128)  # filled by parts: no copy
+    rows = max(1, 2**18 // back.size)
+    for j in range(0, n_steps + 1, rows):
+        out.real[j:j + rows] = coeffs[j:j + rows] @ back.real.T
+        out.imag[j:j + rows] = coeffs[j:j + rows] @ back.imag.T
+    return out.reshape(n_steps + 1, ds * ds, ds * ds)
+
+
+def complex_readout_coords(coords):
+    """coords with their readout as the complex P (x) P^-T that ``per_block_maps`` reads."""
+    return coords[:4] + (np.ascontiguousarray(coords[4].view(np.complex128).T),)
+
+
+def random_hamiltonian(dim, seed):
+    g = np.random.default_rng(seed).normal(size=(2, dim, dim))
+    g = g[0] + 1j * g[1]
+    return HermitianOperator(0.5 * (g + g.conj().T))
+
+
 class TestDiscreteMaps:
     """The protocol's own map stack, from spanning inputs through the one window loop."""
 
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 15, 16, 17, 2000])
     @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
     def test_blocks_match_the_step_by_step_loop(self, jc_h, weights, n_steps):
-        # the loop reads ceil(sqrt(n)) reduced states per product: one block (n = 1), a partial
-        # last block (2, 3, 15, 17, 2000) and exact squares (16); the largest difference is
+        # the loop carries a window over b = ceil(sqrt(n)) steps per block and reads all the
+        # blocks' reduced states from one stacked product: one block (n = 1), a last block that
+        # runs past n (2, 3, 15, 17, 2000) and exact squares (16); the largest difference is
         # 3.6e-15, thermal at 2000 steps
         step, coords = protocol_step(long_run_cfg(jc_h, weights, n_steps=n_steps))
         blocked = propagate_maps(step, coords, n_steps)
         assert blocked.shape == (n_steps + 1, 4, 4)
         reference = step_by_step_maps(step, weights, 2, n_steps)
         assert float(np.max(np.abs(blocked - reference))) < 1e-14
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 16, 17, 500])
+    @pytest.mark.parametrize("ds, da", [(1, 2), (2, 2), (3, 2), (2, 3)])
+    def test_shapes_match_the_step_by_step_loop(self, ds, da, n_steps):
+        # every system and ancilla dimension goes through the same indices: the diagonal units
+        # E_ii that sum to the trace and the traceless ones that X^-1 corrects (none at d_s = 1)
+        weights = tuple(thermal_weights(np.arange(da, dtype=float), 0.7))
+        cfg = CollisionConfig(ds, da, random_hamiltonian(ds * da, 10 * ds + da), t_c=0.05,
+                              p_s=0.9, n_steps=n_steps, bath=BathSpec("thermal", weights=weights))
+        step, coords = protocol_step(cfg)
+        maps = propagate_maps(step, coords, n_steps)
+        assert maps.shape == (n_steps + 1, ds * ds, ds * ds)
+        reference = step_by_step_maps(step, weights, ds, n_steps)
+        assert float(np.max(np.abs(maps - reference))) < 1e-14
+
+    @pytest.mark.parametrize("gamma_bar", [0.0, 1.3, 2.0, 1e6])
+    @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
+    @pytest.mark.parametrize("builder", ["protocol", "generator"])
+    def test_same_bits_as_the_per_block_loop(self, jc_h, builder, weights, gamma_bar):
+        # the whole-stack products keep every sum of the per-block loop in its order, so the
+        # maps are the same doubles at every step count: short runs, one block and partial
+        # last blocks (1..70), and long runs (2000, 4001)
+        t_c = 0.01
+        if builder == "protocol":
+            bath = long_run_cfg(jc_h, weights).bath
+            step, coords = protocol_step(CollisionConfig(
+                2, 2, jc_h, t_c=t_c, p_s=float(np.exp(-gamma_bar * t_c)), n_steps=1, bath=bath))
+        else:
+            step, coords = generator_step(jc_h, np.array(weights), gamma_bar, t_c)
+        reference_coords = complex_readout_coords(coords)
+        for n_steps in [*range(1, 71), 2000, 4001]:
+            maps = propagate_maps(step, coords, n_steps)
+            reference = per_block_maps(step, reference_coords, n_steps)
+            assert np.array_equal(maps.view(np.uint64), reference.view(np.uint64)), n_steps
+
+    def test_peak_memory_is_within_twice_the_maps(self, jc_h):
+        # the loop holds one states array beside the maps it returns and reads the maps out
+        # into their own float64 view, so its peak stays within twice their size
+        step, coords = protocol_step(long_run_cfg(jc_h, (1.0, 0.0), n_steps=4000))
+        tracemalloc.start()
+        try:
+            maps = propagate_maps(step, coords, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * maps.nbytes, peak / maps.nbytes
 
     @pytest.mark.parametrize("bath, n_steps", [
         pytest.param(BathSpec(kind="pure_ground"), 6, id="pure"),
