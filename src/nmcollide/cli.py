@@ -27,10 +27,14 @@ gamma_bar slice at a time), the continuum maps Tr_A e^{L t}(rho (x) rho_A)
 of the collision's generator
 L = -i[H, .] + gamma_bar (R - 1) (``series``, ``thermal``), and the
 protocol's own (``discrete``). Both come from the engine's two map routes:
-the continuum maps from ``collisions.lambda_embedding``, one exact step
-e^{L dt} stepped through the engine's window loop, and the protocol's from
-``collisions.discrete_maps``. The series and thermal modes share one
-comparison of the two. The convolution series, the paper's form of the
+the continuum maps from ``Window.lambda_embedding``, one exact step e^{L dt}
+stepped through the engine's window loop, and the protocol's from
+``Window.discrete_maps`` (``collisions.discrete_maps`` in the discrete mode).
+A run builds one ``collisions.Window`` of its H and bath, and steps every
+route in it: the series mode one for all its gamma_bar values, each
+compared with the protocol when asked (gamma_bar = 0 too), and the thermal
+mode one for both routes, in one comparison that the two modes share. The
+convolution series, the paper's form of the
 continuum maps, is ``continuum.lambda_series``: no mode runs it, and the
 CLI does not import it.
 A collision is always jc_hamiltonian() on qubit (x) qubit, times in units
@@ -86,8 +90,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .collisions import (BathSpec, CollisionConfig, MapStack, TimeGrid, _whole_steps,
-                         discrete_maps, lambda_embedding, window_operators)
+from .collisions import (BathSpec, CollisionConfig, MapStack, TimeGrid, Window, _whole_steps,
+                         discrete_maps)
 from .errors import ConfigurationError, InternalConsistencyError, ValidationError
 from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .tolerances import CPT_TOLERANCE
@@ -419,23 +423,20 @@ def _mode_discrete(cfg: dict):
     return rows, {}, [(gamma, rows[:, 0], report)]
 
 
-def _series_vs_protocol(collision: CollisionConfig, gamma: float, grid: TimeGrid,
-                        stride: Optional[int], operators: tuple):
+def _series_vs_protocol(window: Window, gamma: float, grid: TimeGrid, protocol: Optional[tuple]):
     """The rows, the series JSON (gamma_bar and the largest trace defect) and the certify_cpt
-    report of the continuum maps Tr_A e^{L t} of the collision's H and bath
-    (``lambda_embedding``), the first two read from the third. The distance column is NaN, or given
-    a stride, ``probe_distances`` from discrete_maps(collision) at every stride-th point. Both
-    routes step in the window coordinates, commutator and U (x) U* of operators, which the run
-    built once (``window_operators``). The maps do not outlive the call, so no caller holds one
-    gamma_bar's maps while the next is built."""
-    coords, commutator, unitary = operators
-    weights = collision.bath.weight_vector(collision.ancilla_dim)
-    maps = lambda_embedding(collision.hamiltonian, weights, gamma, grid, coords, commutator)
+    report of the continuum maps Tr_A e^{L t} in the window (``Window.lambda_embedding``), the
+    first two read from the third. The distance column is NaN, or given protocol =
+    (t_c, p_s, stride), ``probe_distances`` from the protocol's maps at t_c and p_s in the same
+    window (``Window.discrete_maps``) at every stride-th point. The maps do not outlive the call,
+    so no caller holds one gamma_bar's maps while the next is built."""
+    maps = window.lambda_embedding(gamma, grid)
     report = certify_cpt(maps)
     distances = np.full(len(maps), np.nan)
-    if stride is not None:
-        protocol = discrete_maps(collision, coords, unitary)
-        distances[::stride] = probe_distances(maps[::stride], protocol)
+    if protocol is not None:
+        t_c, p_s, stride = protocol
+        distances[::stride] = probe_distances(
+            maps[::stride], window.discrete_maps(t_c, p_s, (len(maps) - 1) // stride))
     series = {"gamma_bar": gamma, "max_trace_defect": float(report.max_trace_defect.max())}
     return _map_rows(maps, gamma, report.min_choi_eigenvalue, distances), series, report
 
@@ -452,18 +453,14 @@ def _mode_series(cfg: dict):
                           "the tau grid spacing tau_max / (tau_points - 1)")
     names = [f"series_gamma_{g:g}.json" for g in gammas]
     _one_report_each(gammas, names, "the report")
-    h, bath = jc_hamiltonian(), BathSpec(kind="pure_ground")
-    # one window for every gamma_bar, and U (x) U* for every protocol that is compared
-    operators = window_operators(h, bath.weight_vector(2),
-                                 t_c if compare and max(gammas) > 0 else None)
+    if stride > len(taus) - 1:
+        raise ConfigurationError(f"field 't_c' = {t_c!r} exceeds 'tau_max' = {cfg['tau_max']!r}: "
+                                 "the discrete comparison needs at least one step")
+    window = Window(jc_hamiltonian(), (1.0, 0.0))  # the pure bath, one window for every gamma_bar
     rows, extras, reports = [], {}, []
     for g, name in zip(gammas, names):
-        collision = CollisionConfig(
-            2, 2, h, t_c=t_c, p_s=calibrated_swap_probability(g, t_c),
-            n_steps=(len(taus) - 1) // stride, bath=bath,
-        )
-        series_rows, extras[name], report = _series_vs_protocol(
-            collision, g, grid, stride if compare and g > 0 else None, operators)
+        protocol = (t_c, calibrated_swap_probability(g, t_c), stride) if compare else None
+        series_rows, extras[name], report = _series_vs_protocol(window, g, grid, protocol)
         rows.append(series_rows)
         reports.append((g, taus, report))  # grid.times() is taus, bit for bit
     return np.concatenate(rows), extras, reports
@@ -477,9 +474,9 @@ def _mode_thermal(cfg: dict):
     if np.isnan(gamma):
         raise ConfigurationError("thermal mode needs p_s > 0 and t_c > 0 to calibrate the rate")
     grid = TimeGrid(t_max=collision.n_steps * collision.t_c, n_points=collision.n_steps + 1)
-    operators = window_operators(collision.hamiltonian,
-                                 collision.bath.weight_vector(collision.ancilla_dim), collision.t_c)
-    rows, series, report = _series_vs_protocol(collision, gamma, grid, 1, operators)
+    window = Window(collision.hamiltonian, collision.bath.weight_vector(collision.ancilla_dim))
+    rows, series, report = _series_vs_protocol(window, gamma, grid,
+                                               (collision.t_c, collision.p_s, 1))
     rows[:, 2:4] = np.nan  # thermal rows leave beta1 and beta2 empty
     return rows, {"series_thermal.json": series}, [(gamma, rows[:, 0], report)]
 

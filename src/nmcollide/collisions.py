@@ -20,18 +20,19 @@ coordinates P_b (x) B_m: the system's Hermitian units P_b
 the ancilla's, B_m, with the unit on the largest weight, B_top, replaced
 by rho_A. There attaching rho_A is the coefficient of B_top, Tr_A sums the
 diagonal units, the reset R(W) = Tr_A(W) (x) rho_A is a matrix of 0 and 1
-for either bath, and a Hermitian window has real coefficients. One
-function, ``_window_coordinates``, builds them for one rho_A: the change of
-basis M, attach, Tr_A, R and the loop's readout of the maps through the
-system's units. A vec-basis operator enters them through
-``_in_window(op, M)``, which checks that it preserves Hermiticity: the
-commutator A = -i[H, .] of the exact step, and U (x) U* of the protocol's.
-A run builds each of these once. ``window_operators`` builds the
-coordinates, A and, for a collision time, U (x) U*, and a run that steps
-the routes more than once (the CLI's series and thermal modes,
-``verify.convergence_study``) passes them to each; a step builder called
-alone builds what it is not given. Each step builder returns the
-coordinates with its step, and the window loop reads them from there.
+for either bath, and a Hermitian window has real coefficients. One value,
+a ``Window``, is built once per (H, rho_A) and holds all of it, read-only:
+the change of basis M, attach, Tr_A, R, the loop's readout of the maps
+through the system's units, and the commutator A = -i[H, .], which enters
+the coordinates once, on first use, checked to preserve Hermiticity, as
+U (x) U* does. Both step builders
+and the window loop take the window and read everything from it; the
+protocol's U (x) U* is built from the window's own H at the t_c it is
+given. So no step or map can pair the operators of one H or bath with a
+run of another. A run that steps the routes more than once (the CLI's
+series and thermal modes, ``verify.convergence_study``) builds one window
+and calls its routes, ``Window.discrete_maps`` and
+``Window.lambda_embedding``; the module's two routes each build one.
 
 The step is the Lie-Trotter splitting e^{A t_c} e^{B t_c} of
 L = A + B, A = -i[H, .], B = gamma (R - 1): e^{A t_c} = U (x) U*, and
@@ -67,14 +68,14 @@ superoperator array on row-major vectorized density matrices with its
 times; every index of a MapStack is a MapStack, one map included:
 
 * ``discrete_maps(cfg)``: the protocol's own maps at the times n t_c, from
-  ``protocol_step``. A trajectory from rho_0 is
-  ``discrete_maps(cfg).apply(rho_0)``.
+  ``protocol_step`` in the window of cfg's H and bath. A trajectory from
+  rho_0 is ``discrete_maps(cfg).apply(rho_0)``.
 * ``lambda_embedding(h, weights, gamma, grid)``: the continuum maps
   Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A) on a TimeGrid, from
   ``generator_step``. The step is exact in double precision at any finite
   gamma dt, for a pure and a thermal bath, so the maps are within 1e-13 of
   the closed form over thousands of steps. The CLI's series and thermal
-  modes take their maps from it.
+  modes take their maps from the same route of their one window.
 
 The CLI compares the two as the exact step against the splitting step on
 one loop. The paper's form of the continuum maps, the convolution series,
@@ -84,27 +85,28 @@ is :mod:`nmcollide.continuum`, which no CLI mode runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .quantum import (DensityOperator, HermitianOperator, _hermitian_real, _hermitian_units,
-                      unitary_evolution)
+from .quantum import (DensityOperator, HermitianOperator, _frozen, _hermitian_real,
+                      _hermitian_units, unitary_evolution)
 
 __all__ = [
     "BathSpec",
     "CollisionConfig",
     "MapStack",
     "TimeGrid",
+    "Window",
     "discrete_maps",
     "generator_step",
     "lambda_embedding",
     "propagate_maps",
     "protocol_step",
     "thermal_weights",
-    "window_operators",
 ]
 
 
@@ -212,73 +214,91 @@ class CollisionConfig:
             raise ConfigurationError("need at least one step")
 
 
-def _window_coordinates(weights, system_dim: int) -> tuple:
-    """(M, attach, Tr_A, R, readout), the window coordinates of rho_A = diag(weights): the basis
-    P_b (x) B_m of system (x) ancilla, the system's Hermitian units P_b
-    (``quantum._hermitian_units``, the columns of P) times the ancilla's, B_m, with the unit on
-    the largest weight, B_top, replaced by rho_A. M's column (b, m) is row-major
-    vec(P_b (x) B_m). Attaching rho_A puts a system coefficient on B_top, and Tr_A sums the
-    diagonal units, Tr B_m = 1, so both are matrices of 0 and 1, (d^2, d_s^2) and (d_s^2, d^2),
-    and so is the reset R = attach Tr_A. The readout (P (x) P^-T)^T takes a row of a map's
-    coefficients C on the system's units to vec(P C P^-1), the map ``propagate_maps`` writes; it
-    is kept as the real (d_s^4, 2 d_s^4) array of its columns' real and imaginary parts
-    interleaved, so that the product lands in the map's float64 view."""
-    da, ds = len(weights), system_dim
-    top = int(np.argmax(weights)) * (da + 1)
-    units = _hermitian_units(da)[0].T.reshape(-1, da, da)  # B_m
-    units[top] = np.diag(weights)
-    system, inverse = _hermitian_units(ds)
-    basis = np.kron(system.T.reshape(-1, 1, ds, ds), units)
-    attach = np.kron(np.eye(ds * ds), np.eye(da * da)[top][:, None])
-    trace = np.kron(np.eye(ds * ds), np.eye(da).reshape(-1))
-    return (basis.reshape(len(attach), -1).T, attach, trace, attach @ trace,
-            np.kron(system.T, inverse).view(np.float64))
+@dataclass(frozen=True, eq=False)
+class Window:
+    """H on system (x) one len(weights)-level ancilla, rho_A = diag(weights), and the read-only
+    operators that both map routes step in, each built once per (H, rho_A).
+
+    * ``basis``: M, the window coordinates P_b (x) B_m: the system's Hermitian units P_b
+      (``quantum._hermitian_units``, the columns of P) times the ancilla's, B_m, with the unit
+      on the largest weight, B_top, replaced by rho_A. M's column (b, m) is row-major
+      vec(P_b (x) B_m).
+    * ``attach`` (d^2, d_s^2) and ``trace`` (d_s^2, d^2): attaching rho_A puts a system
+      coefficient on B_top, and Tr_A sums the diagonal units, Tr B_m = 1, so both are matrices
+      of 0 and 1, and so is ``reset``, R = attach Tr_A.
+    * ``readout``: (P (x) P^-T)^T, which takes a row of a map's coefficients C on the system's
+      units to vec(P C P^-1), the map ``propagate_maps`` writes; kept as the real
+      (d_s^4, 2 d_s^4) array of its columns' real and imaginary parts interleaved, so that the
+      product lands in the map's float64 view.
+    * ``commutator``: A = -i[H, .] in the window coordinates, built once, on first use.
+
+    The weights must be a probability vector (``BathSpec``'s check) whose length divides H's
+    dimension, else ConfigurationError. They are kept as given: a second w / w.sum() moves the
+    bits of thermal_weights' output. The window's own two routes, ``discrete_maps`` and
+    ``lambda_embedding``, take t_c, p_s, n_steps and gamma as ``CollisionConfig`` and the
+    module's ``lambda_embedding`` check them, and check none of them again.
+    """
+
+    hamiltonian: HermitianOperator
+    weights: np.ndarray
+    basis: np.ndarray = field(init=False, repr=False)
+    attach: np.ndarray = field(init=False, repr=False)
+    trace: np.ndarray = field(init=False, repr=False)
+    reset: np.ndarray = field(init=False, repr=False)
+    readout: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        h = self.hamiltonian
+        w = np.asarray(BathSpec(kind="thermal", weights=tuple(self.weights)).weights, dtype=float)
+        if h.dim % len(w) != 0:
+            raise ConfigurationError(f"hamiltonian dim {h.dim} is not divisible by "
+                                     f"ancilla dim {len(w)}")
+        da, ds = len(w), h.dim // len(w)
+        top = int(np.argmax(w)) * (da + 1)
+        units = _hermitian_units(da)[0].T.reshape(-1, da, da)  # B_m
+        units[top] = np.diag(w)
+        system, inverse = _hermitian_units(ds)
+        attach = np.kron(np.eye(ds * ds), np.eye(da * da)[top][:, None])
+        trace = np.kron(np.eye(ds * ds), np.eye(da).reshape(-1))
+        parts = {"weights": w, "attach": attach, "trace": trace, "reset": attach @ trace,
+                 "basis": np.kron(system.T.reshape(-1, 1, ds, ds), units).reshape(h.dim ** 2, -1).T,
+                 "readout": np.kron(system.T, inverse).view(np.float64)}
+        for name, value in parts.items():
+            object.__setattr__(self, name, _frozen(value))
+
+    @cached_property
+    def commutator(self) -> np.ndarray:
+        """A = -i[H, .] in the window coordinates, built on first use: the generator step reads
+        it, the protocol step does not."""
+        h, eye = self.hamiltonian, np.eye(self.hamiltonian.dim)
+        return _frozen(self._enter(-1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T))))
+
+    def _enter(self, op: np.ndarray) -> np.ndarray:
+        """A row-major vec-basis operator on system (x) ancilla in window coordinates, M^-1 op M.
+        Every P_b (x) B_m is Hermitian, so the result is real iff op preserves Hermiticity; an
+        imaginary part above ``IMAGINARY_RESIDUE`` raises InternalConsistencyError
+        (``quantum._hermitian_real``)."""
+        return _hermitian_real(np.linalg.solve(self.basis, op @ self.basis), "the operator")
+
+    def discrete_maps(self, t_c: float, p_s: float, n_steps: int) -> MapStack:
+        """The protocol's maps rho_0 -> rho_n at times n * t_c, n = 0..n_steps, from
+        ``protocol_step`` at t_c and p_s through ``propagate_maps``."""
+        superops = propagate_maps(self, protocol_step(self, t_c, p_s), n_steps)
+        return MapStack(np.arange(n_steps + 1) * t_c, superops)
+
+    def lambda_embedding(self, gamma: float, grid: TimeGrid) -> MapStack:
+        """The continuum maps Tr_A e^{L t}(rho (x) rho_A) on the grid, from ``generator_step`` at
+        gamma and the grid's step through ``propagate_maps``."""
+        step = generator_step(self, gamma, grid.dt)
+        return MapStack(grid.times(), propagate_maps(self, step, grid.n_points - 1))
 
 
-def _in_window(op: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """A row-major vec-basis operator on system (x) ancilla in window coordinates: M^-1 op M, M
-    the basis of ``_window_coordinates``. Every P_b (x) B_m is Hermitian, so the result is real
-    iff op preserves Hermiticity; an imaginary part above ``imaginary_residue`` raises
-    InternalConsistencyError (``quantum._hermitian_real``)."""
-    return _hermitian_real(np.linalg.solve(basis, op @ basis), "the operator")
-
-
-def _commutator(h: HermitianOperator, coords: tuple) -> np.ndarray:
-    """A = -i[H, .] in the window coordinates coords (``_in_window``)."""
-    eye = np.eye(h.dim)
-    return _in_window(-1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T)), coords[0])
-
-
-def _unitary(h: HermitianOperator, t_c: float, coords: tuple) -> np.ndarray:
-    """e^{A t_c} = U (x) U*, U = e^{-iH t_c}, in the window coordinates coords (``_in_window``)."""
-    u = unitary_evolution(h, t_c)
-    return _in_window(np.kron(u, u.conj()), coords[0])
-
-
-def window_operators(h: HermitianOperator, weights, t_c: Optional[float] = None) -> tuple:
-    """(coords, commutator, unitary): what the map routes of one run share, each built once, for
-    H on system (x) len(weights)-level ancilla and rho_A = diag(weights). coords are the window
-    coordinates (``_window_coordinates``), commutator is A = -i[H, .] in them, which
-    ``generator_step`` takes, and unitary is U (x) U* at the collision time t_c in them, which
-    ``protocol_step`` takes, or None without a t_c. ``lambda_embedding`` takes coords and
-    commutator, ``discrete_maps`` coords and unitary; nothing keeps them beyond the run that
-    built them."""
-    coords = _window_coordinates(weights, h.dim // len(weights))
-    unitary = None if t_c is None else _unitary(h, t_c, coords)
-    return coords, _commutator(h, coords), unitary
-
-
-def protocol_step(cfg: CollisionConfig, coords: Optional[tuple] = None,
-                  unitary: Optional[np.ndarray] = None):
-    """The transfer matrix e^{A t_c} e^{B t_c} = (U (x) U*)(p_s 1 + (1 - p_s) R) in window
-    coordinates, and those coordinates (``_window_coordinates``). A run that shares them passes
-    the coordinates of cfg's bath and U (x) U* at cfg's t_c (``window_operators``); whatever it
-    does not pass is built here."""
-    if coords is None:
-        coords = _window_coordinates(cfg.bath.weight_vector(cfg.ancilla_dim), cfg.system_dim)
-    if unitary is None:
-        unitary = _unitary(cfg.hamiltonian, cfg.t_c, coords)
-    return unitary @ (cfg.p_s * np.eye(len(unitary)) + (1.0 - cfg.p_s) * coords[3]), coords
+def protocol_step(window: Window, t_c: float, p_s: float) -> np.ndarray:
+    """The transfer matrix e^{A t_c} e^{B t_c} = (U (x) U*)(p_s 1 + (1 - p_s) R) in the window's
+    coordinates, U = e^{-iH t_c} of the window's own H."""
+    u = unitary_evolution(window.hamiltonian, t_c)
+    unitary = window._enter(np.kron(u, u.conj()))
+    return unitary @ (p_s * np.eye(len(unitary)) + (1.0 - p_s) * window.reset)
 
 
 _TAYLOR_DEGREE = 18
@@ -307,16 +327,13 @@ def _expm(x: np.ndarray) -> np.ndarray:
     return eye + f
 
 
-def generator_step(h: HermitianOperator, weights, gamma: float, dt: float,
-                   coords: Optional[tuple] = None, commutator: Optional[np.ndarray] = None):
-    """e^{L dt} of L = -i[H, .] + gamma (R - 1), R(W) = Tr_A(W) (x) rho_A, rho_A = diag(weights),
-    in window coordinates, and those coordinates (``_window_coordinates``). A run that shares
-    them passes the coordinates and the commutator A = -i[H, .] in them
-    (``window_operators``); whatever it does not pass is built here.
+def generator_step(window: Window, gamma: float, dt: float) -> np.ndarray:
+    """e^{L dt} of L = -i[H, .] + gamma (R - 1), R(W) = Tr_A(W) (x) rho_A, in the window's
+    coordinates, from its commutator and reset.
 
     ``_expm`` runs in those coordinates, where R and R - 1 have entries that are exactly 0, 1
-    or -1, so gamma dt multiplies no rounding; the commutator enters them once
-    (``_in_window``). At dt <= 0.1 the step is then within 2e-15 of a 60-digit exponential for
+    or -1, so gamma dt multiplies no rounding; the commutator entered them once, when the
+    window was built. At dt <= 0.1 the step is then within 2e-15 of a 60-digit exponential for
     either bath at any gamma from 0 to 1e20; the same ``_expm`` of L dt in the vec basis, where
     R holds the rounded weights, is 4.6e-14 off for a thermal bath at gamma dt = 2500 and
     1.1e-11 at 2.5e5 (w = 0.269, dt = 0.0025). A longer step keeps a phase dt only to about
@@ -329,20 +346,16 @@ def generator_step(h: HermitianOperator, weights, gamma: float, dt: float,
     rate = gamma * dt
     if not math.isfinite(rate):  # a product past the largest double is a numerical failure
         raise FloatingPointError(f"gamma * dt = {gamma:g} * {dt:g} overflows")
-    if coords is None:
-        coords = _window_coordinates(weights, h.dim // len(weights))
-    if commutator is None:
-        commutator = _commutator(h, coords)
-    return _expm(commutator * dt + rate * (coords[3] - np.eye(h.dim ** 2))), coords
+    return _expm(window.commutator * dt + rate * (window.reset - np.eye(len(window.reset))))
 
 
-def propagate_maps(step: np.ndarray, coords: tuple, n_steps: int):
+def propagate_maps(window: Window, step: np.ndarray, n_steps: int) -> np.ndarray:
     """Superoperators of rho -> Tr_A W_j, W_j = step W_{j-1} from W_0 = rho (x) rho_A, for
     j = 0..n_steps, as an (n_steps + 1, d_s^2, d_s^2) array.
 
-    The step is a real matrix in the window coordinates of rho_A, coords, which both step
-    builders return with it (``_window_coordinates``); the loop reads attach, Tr_A, d_s and the
-    readout of the system's units P from them, all built once per run. There every window is
+    The step is a real matrix in the window's coordinates (``protocol_step``,
+    ``generator_step``); the loop reads attach, Tr_A, d_s and the readout of the system's units
+    P from the window, all built once per run. There every window is
     Hermitian by construction and attaching rho_A, Tr_A and the system's trace are sums of
     coefficients. The inputs X are the system's units P_b, plus E_00 where Tr P_b = 0, so every
     window has unit trace. With b = ceil(sqrt(n_steps)) and T the step, the loop
@@ -360,7 +373,7 @@ def propagate_maps(step: np.ndarray, coords: tuple, n_steps: int):
       traceless units' columns;
     * reads each map out as S = P Y X^-1 P^-1, one real product a row chunk into the output's
       float64 view, (rows x d_s^4) times the readout (d_s^4 x 2 d_s^4), whose entries are 0,
-      +-1, +-1/2 (``_window_coordinates``): S_0 is the identity bit for bit.
+      +-1, +-1/2 (``Window``): S_0 is the identity bit for bit.
 
     Each BLAS call stays at or below 2^18 multiply-adds, so OpenBLAS keeps it on one thread. The
     readout's chunks are cut to that size. For qubit (x) qubit (d = 4, d_s = 2) up to
@@ -370,7 +383,7 @@ def propagate_maps(step: np.ndarray, coords: tuple, n_steps: int):
     for qubit (x) qubit the maps are the same doubles. At d_s = 3 a last block that runs past
     n_steps can move a map by an ulp, because OpenBLAS computes its surplus rows with the rest.
     """
-    _, attach, reduced, _, readout = coords
+    attach, reduced, readout = window.attach, window.trace, window.readout
     d2, ds = len(step), math.isqrt(len(reduced))
     trace_row, eye = np.eye(ds).reshape(-1), np.eye(ds * ds)  # Tr P_b
     diagonal, traceless = np.flatnonzero(trace_row), np.flatnonzero(trace_row == 0)
@@ -492,41 +505,24 @@ class MapStack:
         return (self.superops @ _vec(rho)).reshape(-1, self.dim, self.dim)
 
 
-def _system_dim_and_weights(h: HermitianOperator, weights):
-    """The system dimension of H on system (x) len(weights)-level ancilla, and rho_A's diagonal:
-    the weights as given, once BathSpec has checked them as a probability vector. They are not
-    renormalized: a second w / w.sum() moves the bits of thermal_weights' output."""
-    w = np.asarray(BathSpec(kind="thermal", weights=tuple(weights)).weights, dtype=float)
-    if h.dim % len(w) != 0:
-        raise ConfigurationError(f"hamiltonian dim {h.dim} is not divisible by "
-                                 f"ancilla dim {len(w)}")
-    return h.dim // len(w), w
-
-
-def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid,
-                     coords: Optional[tuple] = None,
-                     commutator: Optional[np.ndarray] = None) -> MapStack:
+def lambda_embedding(h: HermitianOperator, weights, gamma: float, grid: TimeGrid) -> MapStack:
     """Dynamical maps Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A) on the grid.
 
     L = -i[H, .] + gamma (R - 1) acts on system (x) one ancilla, with
     rho_A = diag(weights). One step e^{L dt} (``generator_step``, exact in double precision at
     any finite gamma dt) is stepped through the window loop, ``propagate_maps``, never an
-    eigendecomposition: for the exchange coupling L is defective at gamma = 2. The CLI's series
-    and thermal modes take their maps from it, passing the window coordinates and the
-    commutator that their run built once (``window_operators``).
+    eigendecomposition: for the exchange coupling L is defective at gamma = 2. This builds the
+    one ``Window`` of (H, weights); the CLI's series and thermal modes build their own and step
+    every gamma in it (``Window.lambda_embedding``).
     """
     if not 0 <= gamma < math.inf:  # a NaN rate fails too
         raise ConfigurationError("memory-loss rate gamma must be nonnegative and finite")
-    w = _system_dim_and_weights(h, weights)[1]
-    step = generator_step(h, w, gamma, grid.dt, coords, commutator)
-    return MapStack(grid.times(), propagate_maps(*step, grid.n_points - 1))
+    return Window(h, weights).lambda_embedding(gamma, grid)
 
 
-def discrete_maps(cfg: CollisionConfig, coords: Optional[tuple] = None,
-                  unitary: Optional[np.ndarray] = None) -> MapStack:
+def discrete_maps(cfg: CollisionConfig) -> MapStack:
     """The protocol's maps rho_0 -> rho_n at times n * t_c, n = 0..n_steps, for either bath,
-    from ``propagate_maps``: ``discrete_maps(cfg).apply(rho_0)`` is the trajectory. A run that
-    shares them passes the window coordinates of cfg's bath and U (x) U* at cfg's t_c
-    (``protocol_step``)."""
-    superops = propagate_maps(*protocol_step(cfg, coords, unitary), cfg.n_steps)
-    return MapStack(np.arange(cfg.n_steps + 1) * cfg.t_c, superops)
+    from ``propagate_maps`` in the one ``Window`` of cfg's H and bath:
+    ``discrete_maps(cfg).apply(rho_0)`` is the trajectory."""
+    window = Window(cfg.hamiltonian, cfg.bath.weight_vector(cfg.ancilla_dim))
+    return window.discrete_maps(cfg.t_c, cfg.p_s, cfg.n_steps)

@@ -12,14 +12,17 @@ on system (x) a single ancilla, L = -i[H, .] + Gamma (R - 1) with
 R(W) = Tr_A(W) (x) rho_A, so that Lambda(t) rho = Tr_A e^{L t}(rho (x) rho_A).
 That generator is the runtime route: ``collisions.lambda_embedding`` steps
 e^{L dt} through the engine's window loop, and the CLI's series and
-thermal modes take their maps from it. No CLI mode runs this module and no
-module on the CLI's path imports it; it is kept as the form the paper
-writes, checked against the closed form and the generator, and the
-benchmark imports it.
+thermal modes take their maps from the same route of their run's one
+window, ``collisions.Window.lambda_embedding``. No CLI mode runs this
+module and no module on the CLI's path imports it; it is kept as the form
+the paper writes, checked against the closed form and the generator, and
+the benchmark imports it.
 
 The kernel has one constructor, ``build_kernel_map(h, weights)``: E(t) as
 its exponential modes on H and rho_A = diag(weights), the modes attaching
-rho_A and taking Tr_A as contractions of H's eigenvectors.
+rho_A and taking Tr_A as contractions of H's eigenvectors. Its (H, weights)
+pass the engine's one check, a ``collisions.Window`` built from them; none
+of the window's operators is read here.
 ``MemoryKernelMap.maps(times)`` samples it as one ``collisions.MapStack``.
 
 ``lambda_series`` is the whole series on a uniform grid, as the solution of
@@ -52,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .collisions import MapStack, TimeGrid, _expm, _system_dim_and_weights
+from .collisions import MapStack, TimeGrid, Window, _expm
 from .errors import ConfigurationError, InternalConsistencyError
 from .quantum import HermitianOperator, _hermitian_units
 from .tolerances import IMAGINARY_RESIDUE, KERNEL_IDENTITY
@@ -126,7 +129,8 @@ def build_kernel_map(h: HermitianOperator, weights=(1.0, 0.0)) -> MemoryKernelMa
     the first is sum_m v_a[s, m] v_b*[t, m] at (s, t), and the second
     sum_{s,t,m} v_a*[s, m] w_m v_b[t, m] rho[s, t]: two contractions of V.
     """
-    system_dim, w = _system_dim_and_weights(h, weights)
+    w = Window(h, weights).weights  # checked, as every route's weights are
+    system_dim = h.dim // len(w)
     evals, evecs = np.linalg.eigh(h.data)
     rates = (-1j * (evals[:, None] - evals[None, :])).reshape(-1)
     v = evecs.reshape(system_dim, len(w), -1)  # v[s, m, a] = v_a[s, m]

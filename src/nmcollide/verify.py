@@ -6,7 +6,7 @@ the brute-force chain simulator holds every ancilla in memory instead of
 the sliding window, ``discrete_jc_betas`` steps hand-written transfer
 matrices, and the certifier recomputes Choi spectra from scratch for
 whatever map stack it is handed. The comparisons are not oracles:
-``convergence_study`` runs the engine's ``discrete_maps`` against the
+``convergence_study`` runs the engine's protocol against the
 closed form ``jc_maps``, and ``probe_distances`` measures any two stacks.
 
 Only the oracle purifies: where the engine starts each thermal ancilla in
@@ -32,8 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .collisions import (BathSpec, CollisionConfig, MapStack, _whole_steps, _window_coordinates,
-                         discrete_maps)
+from .collisions import CollisionConfig, MapStack, Window, _whole_steps
 from .errors import ConfigurationError, InternalConsistencyError
 from .jaynes_cummings import jc_hamiltonian, jc_maps
 from .quantum import (
@@ -426,11 +425,11 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list) -> Convergence
     """Measure how fast the discrete protocol approaches the closed-form map.
 
     For each collision time, the swap probability is calibrated to
-    gamma_bar, ``discrete_maps`` runs out to tau_max, and the error is the
+    gamma_bar, the protocol runs out to tau_max, and the error is the
     maximum ``probe_distances`` from ``jc_maps`` along the fixed probe
-    state's whole trajectory (endpoint-only checks miss transients). The
-    runs share one set of window coordinates, built once. The order
-    estimate is the log-log slope.
+    state's whole trajectory (endpoint-only checks miss transients). Every
+    run steps in one pure-bath ``collisions.Window``, built once
+    (``Window.discrete_maps``). The order estimate is the log-log slope.
     """
     if not 0 < tau_max < math.inf:  # a NaN tau_max fails too
         raise ConfigurationError("tau_max must be positive and finite")
@@ -439,21 +438,10 @@ def convergence_study(gamma_bar: float, tau_max: float, t_c_list) -> Convergence
         raise ConfigurationError("every collision time in t_c_list must be positive and finite")
     if len(t_c_values) != len(set(t_c_values)):
         raise ConfigurationError("collision times must be distinct")
-    h, bath = jc_hamiltonian(), BathSpec(kind="pure_ground")
-    coords = _window_coordinates(bath.weight_vector(2), 2)
-    errors = []
+    window, errors = Window(jc_hamiltonian(), (1.0, 0.0)), []  # the pure bath
     for t_c in t_c_values:
         n_steps = _whole_steps(tau_max, t_c, "tau_max", "the collision time t_c")
-        cfg = CollisionConfig(
-            system_dim=2,
-            ancilla_dim=2,
-            hamiltonian=h,
-            t_c=t_c,
-            p_s=calibrated_swap_probability(gamma_bar, t_c),
-            n_steps=n_steps,
-            bath=bath,
-        )
-        stack = discrete_maps(cfg, coords)
+        stack = window.discrete_maps(t_c, calibrated_swap_probability(gamma_bar, t_c), n_steps)
         errors.append(float(np.max(probe_distances(jc_maps(stack.times, gamma_bar), stack))))
     return ConvergenceReport(tuple(t_c_values), tuple(errors))
 

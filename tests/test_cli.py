@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 
 import nmcollide.cli as cli
-from nmcollide import MapStack, jc_maps, lambda_embedding
+from nmcollide import MapStack, jc_maps
+from nmcollide.collisions import Window
 from nmcollide.cli import CSV_HEADER, main
 
 
@@ -328,14 +329,14 @@ class TestRun:
         assert written["max_trace_defect"] < 1e-12  # trace preserving by construction
         # maps scaled by 1 + 1e-6 give the field a defect to find; the trace row vec(1) S of
         # each scaled map, |Tr S(E_ab) - Tr E_ab| over the matrix units, recomputes it here
-        seen = []
+        seen, lambda_embedding = [], Window.lambda_embedding
 
         def scaled(*args):
             maps = lambda_embedding(*args)
             seen.append(MapStack(maps.times, (1.0 + 1e-6) * maps.superops))
             return seen[-1]
 
-        monkeypatch.setattr(cli, "lambda_embedding", scaled)
+        monkeypatch.setattr(Window, "lambda_embedding", scaled)
         assert main(["run", cfg]) == 3  # the defect fails the run's CPT verdict, once written
         written = json.loads((tmp_path / "out" / report).read_text())
         unit = np.eye(2).reshape(-1)
@@ -784,22 +785,23 @@ class TestCptVerdict:
     RATE = -np.log(0.9) / 0.05  # the rate that the collisions below calibrate
     COLLISION = {"t_c": 0.05, "p_s": 0.9, "n_steps": 4}
     GRID = {"gamma_bar": [0.5, 2.0], "tau_max": 0.2, "tau_points": 5}
-    # mode: (subcommand, the name under which the CLI takes its maps, config, the gamma_bar of
-    # the corrupted map); every map stack here has times 0, 0.05, ..., 0.2
+    # mode: (subcommand, where the CLI takes its maps from and under which name, config, the
+    # gamma_bar of the corrupted map); every map stack here has times 0, 0.05, ..., 0.2
     CASES = {
-        "certify": ("certify", "jc_maps", {"mode": "certify", **GRID}, 2.0),
-        "sweep": ("sweep", "jc_maps", {"gamma_bar": [0.5, 2.0],
-                                       "tau": [0.0, 0.05, 0.1, 0.15, 0.2]}, 2.0),
-        "discrete": ("run", "discrete_maps", {"mode": "discrete", "collision": COLLISION}, RATE),
-        "series": ("run", "lambda_embedding", {"mode": "series", **GRID}, 0.5),
-        "thermal": ("run", "lambda_embedding", {"mode": "thermal", "collision": {
+        "certify": ("certify", (cli, "jc_maps"), {"mode": "certify", **GRID}, 2.0),
+        "sweep": ("sweep", (cli, "jc_maps"), {"gamma_bar": [0.5, 2.0],
+                                              "tau": [0.0, 0.05, 0.1, 0.15, 0.2]}, 2.0),
+        "discrete": ("run", (cli, "discrete_maps"), {"mode": "discrete", "collision": COLLISION},
+                     RATE),
+        "series": ("run", (Window, "lambda_embedding"), {"mode": "series", **GRID}, 0.5),
+        "thermal": ("run", (Window, "lambda_embedding"), {"mode": "thermal", "collision": {
             **COLLISION, "bath": {"kind": "thermal", "weights": [0.7, 0.3]}}}, RATE),
     }
 
     @pytest.mark.parametrize("mode", list(CASES))
     def test_a_corrupted_map_exits_3_naming_it(self, tmp_path, capsys, monkeypatch, mode):
-        subcommand, route, payload, gamma = self.CASES[mode]
-        real, built = getattr(cli, route), []
+        subcommand, (owner, route), payload, gamma = self.CASES[mode]
+        real, built = getattr(owner, route), []
 
         def corrupted(*args):
             # in the first stack built (the one gamma_bar-major grid, or the first gamma_bar's
@@ -813,7 +815,7 @@ class TestCptVerdict:
             superops[-3, 2, 2] *= 1.05
             return MapStack(stack.times, superops)
 
-        monkeypatch.setattr(cli, route, corrupted)
+        monkeypatch.setattr(owner, route, corrupted)
         out = tmp_path / "out"
         cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(out)})
         assert main([subcommand, cfg]) == 3
@@ -1049,15 +1051,13 @@ class TestBatchedChoiSpectra:
 
     @pytest.mark.parametrize("mode", sorted(CONFIGS))
     def test_matches_per_map_choi(self, tmp_path, monkeypatch, mode):
-        import nmcollide.cli as cli_mod
-
-        lambda_embedding, results = cli_mod.lambda_embedding, []
+        lambda_embedding, results = Window.lambda_embedding, []
 
         def recording(*args, **kwargs):
             results.append(lambda_embedding(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(cli_mod, "lambda_embedding", recording)
+        monkeypatch.setattr(Window, "lambda_embedding", recording)
         cfg = write_config(
             tmp_path, "cfg.json", {**self.CONFIGS[mode], "output_path": str(tmp_path / "out")}
         )
@@ -1167,7 +1167,7 @@ def _forbid_series_and_protocol(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a refused config reached a series or the protocol")
 
-    for name in ("lambda_embedding", "discrete_maps"):
+    for name in ("Window", "discrete_maps"):
         monkeypatch.setattr(cli_mod, name, forbidden)
 
 
@@ -1219,6 +1219,32 @@ class TestSeriesVsProtocol:
         message = json.loads(lines[0])["error"]["message"]
         assert "'t_c'" in message and "'compare_discrete'" in message
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_gamma_bar_0_is_compared_too(self, tmp_path):
+        # with no reset, B = 0, the splitting e^{A t_c} e^{B t_c} is the exact step: every
+        # compared gamma_bar = 0 cell is written, at the rounding floor
+        cfg = write_config(tmp_path, "cfg.json", {
+            "mode": "series", "gamma_bar": [0.0, 1.0], "tau_max": 1.0, "tau_points": 11,
+            "compare_discrete": True, "t_c": 0.1, "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        rows = read_rows(tmp_path / "out")
+        zero = [row[4] for row in rows if float(row[1]) == 0.0]
+        assert len(zero) == 11 and "" not in zero
+        assert max(map(float, zero)) <= 1e-13
+        assert "" not in [row[4] for row in rows if float(row[1]) == 1.0]
+
+    def test_t_c_past_tau_max_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a comparison needs at least one collision within tau_max
+        _forbid_series_and_protocol(monkeypatch)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "mode": "series", "gamma_bar": [1.0], "tau_max": 1.0, "tau_points": 11,
+            "compare_discrete": True, "t_c": 2.0, "output_path": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["error"]["message"]
+        assert "'t_c' = 2.0" in message and "at least one step" in message
+        assert list((tmp_path / "out").iterdir()) == []
 
     # at tau_max = 2.2e7 the grid spacing rounds by ~4e-9, so the comparison's t_c is checked to
     # within 1e-9 of itself: an exact multiple runs, one off by 1e-6 of itself is refused
@@ -1460,8 +1486,8 @@ class TestSizeCaps:
 
         real_linspace = np.linspace
         monkeypatch.setattr(np, "linspace", small_linspace)
-        for name in ("discrete_maps", "random_density_stack", "convergence_study",
-                     "lambda_embedding", "jc_maps"):
+        for name in ("discrete_maps", "random_density_stack", "convergence_study", "Window",
+                     "jc_maps"):
             monkeypatch.setattr(cli_mod, name, forbidden)
         cfg = write_config(tmp_path, "cfg.json", {**payload, "output_path": str(tmp_path / "out")})
         assert main([subcommand, cfg]) == 2

@@ -27,8 +27,8 @@ from nmcollide import (
 )
 from nmcollide import collisions
 from nmcollide.cli import PHASE_BOUND
-from nmcollide.collisions import (TimeGrid, _expm, _in_window, _whole_steps, _window_coordinates,
-                                  generator_step, lambda_embedding, propagate_maps, protocol_step)
+from nmcollide.collisions import (TimeGrid, Window, _expm, _whole_steps, generator_step,
+                                  lambda_embedding, propagate_maps, protocol_step)
 from nmcollide.continuum import build_kernel_map
 from nmcollide.jaynes_cummings import beta_arrays, jc_maps
 from nmcollide.quantum import _hermitian_units
@@ -79,6 +79,25 @@ def window_basis(weights, ds: int) -> np.ndarray:
                      for p in _hermitian_units(ds)[0].T for b in ancilla]).T
 
 
+def bare_window(weights, ds: int) -> Window:
+    """The window of rho_A = diag(weights) for H = 0 on a d_s-level system (x) the ancilla: its
+    coordinates, attach, Tr_A, reset and readout do not depend on H."""
+    d = ds * len(weights)
+    return Window(HermitianOperator(np.zeros((d, d))), weights)
+
+
+def window_parts(window: Window) -> tuple:
+    """The window's basis, attach, trace, reset, readout and commutator."""
+    return (window.basis, window.attach, window.trace, window.reset, window.readout,
+            window.commutator)
+
+
+def window_and_step(cfg):
+    """The window of cfg's H and bath, and the protocol's step at cfg's t_c and p_s in it."""
+    window = Window(cfg.hamiltonian, cfg.bath.weight_vector(cfg.ancilla_dim))
+    return window, protocol_step(window, cfg.t_c, cfg.p_s)
+
+
 def in_vec_basis(step: np.ndarray, weights, ds: int = 2) -> np.ndarray:
     """A window-coordinate step as a matrix on row-major vec(W): M T M^-1."""
     m = window_basis(weights, ds)
@@ -90,7 +109,7 @@ class TestSaCollision:
 
     @staticmethod
     def collide(window: np.ndarray, h, t_c: float) -> np.ndarray:
-        step = protocol_step(pure_cfg(h, t_c=t_c, p_s=1.0, n_steps=1))[0]
+        step = protocol_step(Window(h, (1.0, 0.0)), t_c, 1.0)
         return (in_vec_basis(step, (1.0, 0.0)) @ window.reshape(-1)).reshape(window.shape)
 
     def test_zero_time_is_identity(self, jc_h):
@@ -318,6 +337,13 @@ class TestThermal:
         target = fixed[1, 1].real
         assert target > 0.05  # relaxes to the thermal value, not to zero
         assert abs(states[-1, 1, 1].real - target) < 1e-9
+        # that fixed point is the bath's excited weight w at every temperature: each collision
+        # takes the excited population p to cos^2(t_c) p + sin^2(t_c) w
+        for beta in (0.0, 0.5, 1.0, 2.0, 5.0):
+            bath = BathSpec(kind="thermal", energies=(0.0, 1.0), inverse_temperature=beta)
+            cfg = CollisionConfig(2, 2, jc_h, t_c=0.5, p_s=0.0, n_steps=150, bath=bath)
+            final = discrete_maps(cfg)[-1].apply(DensityOperator.basis(2, 1))[0]
+            assert abs(final[1, 1].real - thermal_weights((0.0, 1.0), beta)[1]) < 1e-12, beta
 
     def test_perfect_swap_tracks_thermal_kernel(self, jc_h):
         # swaps hand each fresh ancilla the full predecessor state including
@@ -347,19 +373,18 @@ class TestResetSplitting:
         reset = vec_reset(np.diag(weights).astype(np.complex128), 2)
         split = scipy.linalg.expm(vec_commutator(jc_h) * t_c) @ scipy.linalg.expm(
             gamma * t_c * (reset - np.eye(16)))
-        bath = BathSpec(kind="thermal", weights=weights)
-        cfg = CollisionConfig(2, 2, jc_h, t_c=t_c, p_s=float(np.exp(-gamma * t_c)), n_steps=1,
-                              bath=bath)
-        step, coords = protocol_step(cfg)
+        window = Window(jc_h, weights)
+        step = protocol_step(window, t_c, float(np.exp(-gamma * t_c)))
         assert step.dtype == np.float64
         assert np.max(np.abs(split - in_vec_basis(step, weights))) < 1e-14
-        assert np.array_equal(coords[0], window_basis(weights, 2))
+        assert np.array_equal(window.basis, window_basis(weights, 2))
 
     def test_generator_parts(self, jc_h):
         # in window coordinates the reset is an idempotent matrix of 0 and 1, and both parts are
         # the vec-basis -i[H, .] and R once mapped back
         weights = np.array([0.7, 0.3])
-        basis, attach, trace, reset, readout = _window_coordinates(weights, 2)
+        window = Window(jc_h, weights)
+        basis, attach, trace, reset, readout = window_parts(window)[:5]
         assert np.array_equal(reset, attach @ trace) and np.array_equal(reset @ reset, reset)
         units, inverse = _hermitian_units(2)
         assert readout.dtype == np.float64  # Re and Im of (P (x) P^-T)^T, column by column
@@ -368,7 +393,11 @@ class TestResetSplitting:
         m = window_basis(weights, 2)
         assert np.array_equal(basis, m)
         assert np.max(np.abs(m @ reset @ np.linalg.inv(m) - vec_reset(np.diag(weights), 2))) < 1e-15
-        commutator = in_vec_basis(_in_window(vec_commutator(jc_h), basis), weights)
+        commutator = in_vec_basis(window.commutator, weights)
+        # the window's operators are read-only, and so is the window
+        assert not any(part.flags.writeable for part in (*window_parts(window), window.weights))
+        with pytest.raises(AttributeError):
+            window.reset = reset
         w = random_density_stack(4, 1, np.random.default_rng(3))[0]
         expected = -1j * (jc_h.data @ w - w @ jc_h.data)
         assert np.max(np.abs(commutator @ w.reshape(-1) - expected.reshape(-1))) < 1e-15
@@ -425,8 +454,9 @@ class TestGeneratorStep:
         # the step in window coordinates, compared as M T M^-1: largest difference 1.7e-15
         # (thermal, dt = 0.1, gamma = 1e8); the same _expm of L dt in the vec basis is 4.6e-14
         # off for the thermal bath at gamma = 1e6, dt = 0.0025, and 1.1e-11 at 1e8
-        step, coords = generator_step(jc_h, np.array(weights), gamma, dt)
-        assert np.array_equal(coords[0], window_basis(weights, 2)) and step.dtype == np.float64
+        window = Window(jc_h, weights)
+        step = generator_step(window, gamma, dt)
+        assert np.array_equal(window.basis, window_basis(weights, 2)) and step.dtype == np.float64
         expected = reference_step(jc_h, weights, gamma, dt)
         assert float(np.max(np.abs(in_vec_basis(step, weights) - expected))) < 1e-14
 
@@ -469,6 +499,15 @@ class TestAncillaBookkeeping:
     partial trace and the reset by index, and the kernel's modes against a unitary dilation
     written with scipy's expm."""
 
+    @pytest.mark.parametrize("weights, message", [
+        pytest.param((0.2, 0.2), "must be a probability vector", id="sum"),
+        pytest.param((1.2, -0.2), "must be a probability vector", id="negative"),
+        pytest.param((0.5, 0.25, 0.25), "4 is not divisible by ancilla dim 3", id="length"),
+    ])
+    def test_window_checks_its_weights(self, jc_h, weights, message):
+        with pytest.raises(ConfigurationError, match=message):
+            Window(jc_h, weights)
+
     @pytest.mark.parametrize("ds", [1, 2, 3])
     @pytest.mark.parametrize("da", [2, 3])
     def test_attach_is_kron(self, ds, da):
@@ -476,7 +515,8 @@ class TestAncillaBookkeeping:
         units, inverse = _hermitian_units(ds)
         for _ in range(5):
             weights = rng.dirichlet(np.ones(da))
-            basis, attach = _window_coordinates(weights, ds)[:2]
+            window = bare_window(weights, ds)
+            basis, attach = window.basis, window.attach
             assert np.array_equal(basis, window_basis(weights, ds))
             rho = random_density_stack(ds, 1, rng)[0]
             coeffs = (inverse @ rho.reshape(-1)).real  # rho on the system's Hermitian units
@@ -490,7 +530,7 @@ class TestAncillaBookkeeping:
         units = _hermitian_units(ds)[0]
         for _ in range(5):
             weights = rng.dirichlet(np.ones(da))
-            trace = _window_coordinates(weights, ds)[2]
+            trace = bare_window(weights, ds).trace
             w = random_density_stack(ds * da, 1, rng)[0]
             coeffs = np.linalg.solve(window_basis(weights, ds), w.reshape(-1)).real
             expected = trace_ancilla(w, ds, da).reshape(-1)
@@ -507,7 +547,7 @@ class TestAncillaBookkeeping:
         expected = np.einsum(
             "sS,tT,cC,ab->satbScTC", eye_s, eye_s, np.eye(da), np.diag(weights)
         ).reshape(d * d, d * d)
-        reset = _window_coordinates(weights, ds)[3]
+        reset = bare_window(weights, ds).reset
         # the window reset is exact; the change back to vecs inverts M (largest 1.1e-16)
         assert np.max(np.abs(in_vec_basis(reset, weights, ds) - expected)) < 1e-15
         assert np.array_equal(vec_reset(np.diag(weights), ds), expected)
@@ -578,7 +618,8 @@ def step_by_step_maps(step, weights, ds, n_steps):
     """``propagate_maps`` with one product per step: the window-coordinate matmul, then every
     column renormalized to unit trace, after each step; the maps P Y X^-1 P^-1 by matmul."""
     da = len(weights)
-    attach, reduced = _window_coordinates(weights, ds)[1:3]
+    window = bare_window(weights, ds)
+    attach, reduced = window.attach, window.trace
     trace_row = np.kron(np.eye(ds).reshape(-1), np.eye(da).reshape(-1))  # Tr(P_b (x) B_m)
     eye = np.eye(ds * ds)
     x = eye + np.outer(eye[0], 1.0 - np.eye(ds).reshape(-1))
@@ -622,9 +663,11 @@ def per_block_maps(step, coords, n_steps):
     return out.reshape(n_steps + 1, ds * ds, ds * ds)
 
 
-def complex_readout_coords(coords):
-    """coords with their readout as the complex P (x) P^-T that ``per_block_maps`` reads."""
-    return coords[:4] + (np.ascontiguousarray(coords[4].view(np.complex128).T),)
+def complex_readout_coords(window):
+    """The window's (basis, attach, trace, reset) and its readout as the complex P (x) P^-T,
+    the tuple that ``per_block_maps`` reads."""
+    return (window.basis, window.attach, window.trace, window.reset,
+            np.ascontiguousarray(window.readout.view(np.complex128).T))
 
 
 def random_hamiltonian(dim, seed):
@@ -643,8 +686,8 @@ class TestDiscreteMaps:
         # blocks' reduced states from one stacked product: one block (n = 1), a last block that
         # runs past n (2, 3, 15, 17, 2000) and exact squares (16); the largest difference is
         # 3.6e-15, thermal at 2000 steps
-        step, coords = protocol_step(long_run_cfg(jc_h, weights, n_steps=n_steps))
-        blocked = propagate_maps(step, coords, n_steps)
+        window, step = window_and_step(long_run_cfg(jc_h, weights, n_steps=n_steps))
+        blocked = propagate_maps(window, step, n_steps)
         assert blocked.shape == (n_steps + 1, 4, 4)
         reference = step_by_step_maps(step, weights, 2, n_steps)
         assert float(np.max(np.abs(blocked - reference))) < 1e-14
@@ -657,8 +700,8 @@ class TestDiscreteMaps:
         weights = tuple(thermal_weights(np.arange(da, dtype=float), 0.7))
         cfg = CollisionConfig(ds, da, random_hamiltonian(ds * da, 10 * ds + da), t_c=0.05,
                               p_s=0.9, n_steps=n_steps, bath=BathSpec("thermal", weights=weights))
-        step, coords = protocol_step(cfg)
-        maps = propagate_maps(step, coords, n_steps)
+        window, step = window_and_step(cfg)
+        maps = propagate_maps(window, step, n_steps)
         assert maps.shape == (n_steps + 1, ds * ds, ds * ds)
         reference = step_by_step_maps(step, weights, ds, n_steps)
         assert float(np.max(np.abs(maps - reference))) < 1e-14
@@ -673,23 +716,24 @@ class TestDiscreteMaps:
         t_c = 0.01
         if builder == "protocol":
             bath = long_run_cfg(jc_h, weights).bath
-            step, coords = protocol_step(CollisionConfig(
+            window, step = window_and_step(CollisionConfig(
                 2, 2, jc_h, t_c=t_c, p_s=float(np.exp(-gamma_bar * t_c)), n_steps=1, bath=bath))
         else:
-            step, coords = generator_step(jc_h, np.array(weights), gamma_bar, t_c)
-        reference_coords = complex_readout_coords(coords)
+            window = Window(jc_h, weights)
+            step = generator_step(window, gamma_bar, t_c)
+        reference_coords = complex_readout_coords(window)
         for n_steps in [*range(1, 71), 2000, 4001]:
-            maps = propagate_maps(step, coords, n_steps)
+            maps = propagate_maps(window, step, n_steps)
             reference = per_block_maps(step, reference_coords, n_steps)
             assert np.array_equal(maps.view(np.uint64), reference.view(np.uint64)), n_steps
 
     def test_peak_memory_is_within_twice_the_maps(self, jc_h):
         # the loop holds one states array beside the maps it returns and reads the maps out
         # into their own float64 view, so its peak stays within twice their size
-        step, coords = protocol_step(long_run_cfg(jc_h, (1.0, 0.0), n_steps=4000))
+        window, step = window_and_step(long_run_cfg(jc_h, (1.0, 0.0), n_steps=4000))
         tracemalloc.start()
         try:
-            maps = propagate_maps(step, coords, 4000)
+            maps = propagate_maps(window, step, 4000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -732,51 +776,88 @@ class TestDiscreteMaps:
         assert np.max(np.abs(marginal - np.eye(2))) < 1e-14
 
     def test_refuses_a_step_that_breaks_hermiticity(self):
-        # every step enters window coordinates through _in_window, which checks it there
+        # every operator enters window coordinates through Window._enter, which checks it there
         rng = np.random.default_rng(5)
         step = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        basis = _window_coordinates(np.array([1.0, 0.0]), 2)[0]
+        window = bare_window(np.array([1.0, 0.0]), 2)
         with pytest.raises(InternalConsistencyError, match="does not preserve Hermiticity"):
-            _in_window(step, basis)
+            window._enter(step)
+
+    # a series run over three gamma_bar values, each compared with the protocol, and a thermal
+    # run, which compares the two routes
+    SHARED = {
+        "series": {"mode": "series", "gamma_bar": [0.5, 1.0, 4.0], "tau_max": 1.0,
+                   "tau_points": 21, "compare_discrete": True, "t_c": 0.1},
+        "thermal": {"mode": "thermal", "collision": {
+            "t_c": 0.05, "p_s": 0.9, "n_steps": 20,
+            "bath": {"kind": "thermal", "weights": [0.731, 0.269]}}},
+    }
+
+    @staticmethod
+    def run(tmp_path, name, config):
+        from nmcollide.cli import main
+
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**config, "output_path": str(tmp_path / name)}))
+        assert main(["run", str(path)]) == 0
 
     @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
     def test_each_run_builds_its_window_coordinates_once(self, jc_h, weights, monkeypatch,
                                                          tmp_path):
-        # both step builders return the coordinates they built, and the window loop reads attach
-        # and Tr_A from them: one build per discrete_maps and per lambda_embedding call. A run
-        # that steps more than one route builds them once and passes them on: a series run over
-        # three gamma_bar values, each compared with the protocol, a thermal run, which compares
-        # the two routes, and a convergence study over three collision times
-        from nmcollide import verify
-        from nmcollide.cli import main
+        # one Window per discrete_maps and per lambda_embedding call, and one per run that
+        # steps more than one route in it: the series and thermal runs above, and a
+        # convergence study over three collision times
+        calls, build = [], Window.__post_init__
 
-        calls, build = [], collisions._window_coordinates
+        def counting(window):
+            calls.append(window)
+            build(window)
 
-        def counting(*args):
-            calls.append(args)
-            return build(*args)
-
-        for module in (collisions, verify):
-            monkeypatch.setattr(module, "_window_coordinates", counting)
+        monkeypatch.setattr(Window, "__post_init__", counting)
         discrete_maps(long_run_cfg(jc_h, weights, n_steps=3))
         assert len(calls) == 1
         lambda_embedding(jc_h, weights, 1.5, TimeGrid(t_max=1.0, n_points=4))
         assert len(calls) == 2
         bath = {"kind": "thermal", "weights": list(weights)}  # (1, 0) is the pure bath
         configs = {
-            "series": {"mode": "series", "gamma_bar": [0.5, 1.0, 4.0], "tau_max": 1.0,
-                       "tau_points": 21, "compare_discrete": True, "t_c": 0.1},
-            "thermal": {"mode": "thermal",
-                        "collision": {"t_c": 0.05, "p_s": 0.9, "n_steps": 20, "bath": bath}},
+            "series": self.SHARED["series"],
+            "thermal": {"mode": "thermal", "collision": {**self.SHARED["thermal"]["collision"],
+                                                         "bath": bath}},
             "convergence": {"mode": "convergence", "gamma_bar": 1.0, "tau_max": 1.0,
                             "t_c_list": [0.1, 0.05, 0.025]},
         }
         for name, config in configs.items():
             calls.clear()
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps({**config, "output_path": str(tmp_path / name)}))
-            assert main(["run", str(path)]) == 0
+            self.run(tmp_path, name, config)
             assert len(calls) == 1, name
+
+    @pytest.mark.parametrize("name", sorted(SHARED))
+    def test_a_shared_window_steps_the_standalone_maps(self, jc_h, monkeypatch, tmp_path, name):
+        # the maps that a run steps in its one window are the doubles that discrete_maps and
+        # lambda_embedding of the same collision give, each in a window of its own
+        stepped = []
+        for route in ("discrete_maps", "lambda_embedding"):
+            def recording(window, *args, real=getattr(Window, route), route=route):
+                stepped.append((route, window, args, real(window, *args)))
+                return stepped[-1][-1]
+
+            monkeypatch.setattr(Window, route, recording)
+        self.run(tmp_path, name, self.SHARED[name])
+        monkeypatch.undo()
+        routes = [route for route, *_ in stepped]
+        assert routes == ["lambda_embedding", "discrete_maps"] * (3 if name == "series" else 1)
+        assert len({id(window) for _, window, _, _ in stepped}) == 1
+        bath = (BathSpec(kind="pure_ground") if name == "series"
+                else BathSpec(kind="thermal", weights=(0.731, 0.269)))
+        for route, window, args, maps in stepped:
+            if route == "discrete_maps":
+                t_c, p_s, n_steps = args
+                alone = discrete_maps(CollisionConfig(2, 2, jc_h, t_c=t_c, p_s=p_s,
+                                                      n_steps=n_steps, bath=bath))
+            else:
+                alone = lambda_embedding(jc_h, bath.weight_vector(2), *args)
+            for mine, theirs in ((maps.superops, alone.superops), (maps.times, alone.times)):
+                assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64)), route
 
     @pytest.mark.parametrize("weights", LONG_RUN_WEIGHTS)
     def test_first_map_is_the_identity_bitwise(self, jc_h, weights):

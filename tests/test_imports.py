@@ -228,11 +228,69 @@ def _calls(path: Path) -> list:
 
 
 def test_window_coordinates_are_built_in_one_place():
-    # in collisions only _window_coordinates builds Hermitian units: the window loop reads the
-    # system's units for its readout of the maps from the coordinates it is given
+    # in collisions only Window.__post_init__ builds Hermitian units: the window loop reads the
+    # system's units for its readout of the maps from the window it is given
     callers = {where for where, callee in _calls(PACKAGE / "collisions.py")
                if callee.split(".")[-1] == "_hermitian_units"}
-    assert callers == {"_window_coordinates"}
+    assert callers == {"__post_init__"}
+    window = next(node for node in ast.parse((PACKAGE / "collisions.py").read_text("utf-8")).body
+                  if isinstance(node, ast.ClassDef) and node.name == "Window")
+    assert "__post_init__" in {node.name for node in window.body
+                               if isinstance(node, ast.FunctionDef)}
+
+
+# what a collisions.Window holds for one (H, rho_A), and the names that once passed it around
+WINDOW_PARTS = {"basis", "attach", "trace", "reset", "readout", "commutator"}
+GONE = {"window_operators", "_window_coordinates", "_in_window", "_commutator", "_unitary",
+        "_system_dim_and_weights"}
+
+
+def test_only_collisions_names_a_part_of_the_window():
+    # every other module builds a Window and calls its routes, and reads none of its operators:
+    # an attribute of that name on anything but numpy, or a name of the old pass-through
+    # helpers, is refused
+    found = []
+    for name in MODULES:
+        if name == "collisions":
+            continue
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in WINDOW_PARTS
+                    and _dotted(node.value) not in ("np", "numpy")):
+                found.append((name, node.lineno, node.attr))
+            named = (node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else node.name if isinstance(node, ast.alias) else None)
+            if named in GONE:
+                found.append((name, getattr(node, "lineno", 0), named))
+    assert found == []
+
+
+@pytest.mark.parametrize("module", ["cli", "verify"])
+def test_no_private_engine_name_is_imported_but_whole_steps(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    private = {a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               and node.module == "collisions" for a in node.names if a.name.startswith("_")}
+    assert private <= {"_whole_steps"}
+
+
+def test_no_function_takes_the_window_apart():
+    # the steps and the loop take one Window: no function of the package takes coordinates, a
+    # commutator or a unitary beside it, and the engine's signatures have no optional value
+    found = [(name, node.name, arg.arg) for name in MODULES
+             for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+             if arg.arg in ("coords", "commutator", "unitary")]
+    assert found == []
+    collisions = LOADED["collisions"]
+    engine = [collisions.Window, collisions.Window.discrete_maps,
+              collisions.Window.lambda_embedding, collisions.protocol_step,
+              collisions.generator_step, collisions.propagate_maps, collisions.discrete_maps,
+              collisions.lambda_embedding]
+    optional = [(f.__qualname__, p.name) for f in engine
+                for p in inspect.signature(f).parameters.values() if p.default is not p.empty]
+    assert optional == []
 
 
 def test_closed_form_grid_is_built_in_one_place():

@@ -108,10 +108,12 @@ class TestBruteForceChain:
         def refuse(*args, **kwargs):
             raise RuntimeError("the engine was called")
 
+        for name in ("discrete_maps", "lambda_embedding", "_enter"):  # a window's routes
+            monkeypatch.setattr(collisions.Window, name, refuse)
         for module in (quantum, collisions, jaynes_cummings, verify):
-            for name in ("propagate_maps", "protocol_step", "generator_step", "_in_window",
-                         "_window_coordinates", "discrete_maps", "_hermitian_units", "jc_maps",
-                         "beta1", "beta2", "beta_arrays"):
+            for name in ("propagate_maps", "protocol_step", "generator_step", "Window",
+                         "discrete_maps", "_hermitian_units", "jc_maps", "beta1", "beta2",
+                         "beta_arrays"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         with pytest.raises(RuntimeError, match="engine"):  # the patches reach the engine's calls
